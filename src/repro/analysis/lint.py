@@ -33,6 +33,13 @@ break tomorrow:
     to a ``*.tmp`` sibling and ``os.replace`` into place.  Opening a
     non-tmp path for writing (unless the path is a caller-supplied
     parameter, where the call site owns the invariant) is flagged.
+``frame-codec``
+    The log's record framing (``struct.Struct('<II')`` length + CRC32
+    header) has exactly one implementation, ``storage/frames.py``.
+    Building that struct, or packing/unpacking through a ``_FRAME``
+    struct, anywhere else is a second frame reader waiting to drift —
+    call :func:`~repro.storage.frames.walk_frames` /
+    :func:`~repro.storage.frames.scan_frames` instead.
 ``bare-except``
     ``except:`` swallows ``KeyboardInterrupt``/``SystemExit``; name the
     exception type (at minimum ``Exception``).
@@ -86,6 +93,8 @@ RULES: Dict[str, str] = {
                     "define or inherit the pickle state protocol",
     "storage-write": "storage/ writes must target a *.tmp path and publish "
                      "via os.replace",
+    "frame-codec": "the '<II' record frame is packed and unpacked only in "
+                   "storage/frames.py",
     "bare-except": "bare except: clauses are forbidden",
     "mutable-default": "mutable literals must not be parameter defaults",
 }
@@ -532,6 +541,30 @@ def _check_storage_write(module: _Module, out: List[Violation]) -> None:
             "with os.replace".format(text or "...", mode))
 
 
+def _check_frame_codec(module: _Module, out: List[Violation]) -> None:
+    parts = module.path.replace(os.sep, "/").split("/")
+    if parts[-2:] == ["storage", "frames.py"]:
+        return
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Call) and node.args \
+                and isinstance(node.args[0], ast.Constant) \
+                and node.args[0].value == '<II' \
+                and (ast.get_source_segment(module.source, node.func) or ""
+                     ).split(".")[-1] == "Struct":
+            what = "builds the record frame struct"
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "_FRAME" \
+                and node.attr.lstrip("un").startswith("pack"):
+            what = "uses _FRAME.{}".format(node.attr)
+        else:
+            continue
+        module.report(
+            out, node, "frame-codec",
+            "{} outside storage/frames.py — the record format has one "
+            "codec; use walk_frames/scan_frames/encode_record".format(what))
+
+
 def _check_bare_except(module: _Module, out: List[Violation]) -> None:
     for node in ast.walk(module.tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
@@ -570,6 +603,7 @@ def lint_paths(paths: Iterable[str]) -> List[Violation]:
         _check_numpy_gate(module, out)
         _check_kernel_mutation(module, out)
         _check_storage_write(module, out)
+        _check_frame_codec(module, out)
         _check_bare_except(module, out)
         _check_mutable_default(module, out)
     _check_pickle_slots(modules, out)

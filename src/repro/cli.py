@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-tenant concurrent-query quota "
                             "(repeatable; default 8 each)")
     serve.add_argument("--replicate", action="store_true",
-                       help="open stores with a shippable segment log and "
-                            "serve GET /replication/* to replicas")
+                       help="serve each store's log to replicas "
+                            "(GET /replication/*)")
     serve.add_argument("--access-log", nargs="?", const="-", default=None,
                        metavar="PATH",
                        help="write one JSON access-log line per request "

@@ -393,8 +393,9 @@ class ReplicationError(StorageError):
 class ReplicationCursorGapError(ReplicationError):
     """The requested cursor points before the primary's retained log.
 
-    Sealed segments the replica never fetched have been archived (or the
-    primary reset its segment log after healing from degraded mode), so
+    Sealed segments the replica never fetched have been dropped by a
+    checkpoint (or the primary restarted its log after healing from
+    degraded mode), so
     the suffix from ``cursor`` can no longer be served.  The only safe
     recovery is a full re-bootstrap from the current snapshot — tailing
     on would skip records.  The HTTP tier maps this to ``410 Gone``.

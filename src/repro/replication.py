@@ -1,4 +1,4 @@
-"""WAL-shipped replication: primary feed, replica catch-up, promote.
+"""Log-shipped replication: primary feed, replica catch-up, promote.
 
 Topology is single-primary, N read replicas, shipping the journal::
 
@@ -6,14 +6,15 @@ Topology is single-primary, N read replicas, shipping the journal::
     ---------------                        --------------
     manifest.json                          replica.json   (cursor, lineage)
     snapshot-*.rcsr   --- bootstrap --->   snapshot-*.rcsr (copied bytes)
-    wal-*.log                              segments/       (records fetched)
-    segments/         ---- tailing ---->     applied via DeltaAdjacency
+    segments/         ---- tailing ---->   segments/       (records fetched)
+                                             applied via DeltaAdjacency
 
-The **primary side** (:class:`PrimaryFeed`) serves two reads off a store
-whose :class:`~repro.storage.segments.WalSegments` log is on: the current
-snapshot's raw bytes (bootstrap) and the CRC-framed WAL suffix at a
-:class:`~repro.storage.segments.ReplicationCursor` (catch-up).  Records
-ship as the exact frames the primary wrote — the per-record CRC32
+The store's log *is* what ships: the **primary side**
+(:class:`PrimaryFeed`) serves two reads off a store opened with
+``replicate=True`` — the current snapshot's raw bytes (bootstrap) and the
+CRC-framed suffix of its :class:`~repro.storage.segments.WalSegments`
+log at a :class:`~repro.storage.segments.ReplicationCursor` (catch-up).
+Records ship as the exact frames the primary wrote — the per-record CRC32
 protects them end-to-end from the primary's disk to the replica's apply
 loop, and a byte-count in the reply metadata catches a frame-aligned
 truncation the CRCs cannot.
@@ -23,12 +24,11 @@ snapshot, then tails the feed: each poll fetches a byte run, decodes and
 CRC-checks it (:func:`~repro.storage.segments.decode_frames`), drops
 records at or below its ``applied_version`` (duplicate and re-ordered
 fetches are absorbed by version dedup — the journal's versions are
-strictly monotonic), persists the survivors to a *local* segment log,
-applies them through the existing
-:class:`~repro.graph.compact.DeltaAdjacency` overlay, and only then
-advances its durable cursor.  A crash at any point recovers to a state
-that re-fetches at most the unacknowledged suffix; it can never skip
-records.  Queries (:meth:`ReplicaGraph.pairs`) serve throughout.
+strictly monotonic), persists the survivors to a *local* log of the same
+kind, applies them through the same snapshot-plus-overlay view a lazily
+opened primary uses, and only then advances its durable cursor.  A crash
+at any point recovers to a state that re-fetches at most the
+unacknowledged suffix; it can never skip records.  Queries (:meth:`ReplicaGraph.pairs`) serve throughout.
 
 Failure contract (the robustness tentpole): every abnormal event is a
 **typed error** — torn ship / corrupt frame raises
@@ -41,15 +41,14 @@ replica's answers are bit-identical to the primary's — there is no state
 in which it serves a silently divergent view.
 
 :func:`promote_replica` is the failover path: seal the local tail,
-CRC-verify everything, fold snapshot + applied records into a standard
-:class:`~repro.storage.persistent.PersistentGraph` generation, and
-publish a ``manifest.json`` — the directory then opens writable as an
-ordinary (and immediately replicable) primary.
+CRC-verify everything, and checkpoint snapshot + applied records into a
+:class:`~repro.storage.persistent.PersistentGraph` generation — the
+directory then opens writable as an ordinary (and immediately
+replicable) primary.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import re
@@ -67,12 +66,11 @@ from repro.errors import (
     StorageError,
 )
 from repro.faults import fault_hook, fault_point
-from repro.graph.compact import DeltaAdjacency
 from repro.storage.persistent import (
     MANIFEST_NAME,
     PersistentGraph,
-    _CompactGraphAdapter,
-    _write_manifest,
+    _LogBackedView,
+    publish_generation,
 )
 from repro.storage.segments import (
     SEGMENTS_DIRNAME,
@@ -80,11 +78,11 @@ from repro.storage.segments import (
     ReplicationCursor,
     WalSegments,
     decode_frames,
+    publish_json,
+    read_json,
     scrub_wal_file,
 )
-from repro.storage.snapshots import open_adjacency_snapshot, \
-    write_adjacency_snapshot
-from repro.storage.wal import WriteAheadLog
+from repro.storage.snapshots import open_adjacency_snapshot
 
 __all__ = [
     "PrimaryFeed",
@@ -101,30 +99,14 @@ REPLICA_META_NAME = "replica.json"
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{6})\.rcsr$")
 
 
-def _write_json(path: str, payload: Dict[str, Any]) -> None:
-    """Durable small-file write: tmp sibling + fsync + atomic replace."""
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=1, sort_keys=True)
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp_path, path)
-
-
-def _read_json(path: str) -> Dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            payload = json.load(stream)
-    except (OSError, ValueError) as exc:
-        raise StorageError("unreadable {}: {}".format(path, exc)) from exc
-    if not isinstance(payload, dict):
-        raise StorageError("{} is not a JSON object".format(path))
-    return payload
-
-
 # ----------------------------------------------------------------------
 # Primary side
 # ----------------------------------------------------------------------
+
+def _torn(data: bytes, fraction: float) -> bytes:
+    """``data`` cut short (never empty, never whole) — an injected torn ship."""
+    return data[:min(len(data) - 1, max(1, int(len(data) * fraction)))]
+
 
 class PrimaryFeed:
     """The primary's replication read surface over one open store.
@@ -152,10 +134,8 @@ class PrimaryFeed:
         meta["bytes"] = len(data)
         fault = fault_hook("replication.snapshot")
         if fault is not None:
-            if fault.kind == "torn" and data:
-                cut = min(len(data) - 1, max(1, int(len(data)
-                                                    * fault.fraction)))
-                data = data[:cut]
+            if fault.kind == "torn":
+                data = _torn(data, fault.fraction)
             elif fault.kind in ("eio", "enospc"):
                 raise ReplicationError(
                     "injected snapshot feed failure at replication.snapshot")
@@ -174,10 +154,8 @@ class PrimaryFeed:
         }
         fault = fault_hook("replication.ship")
         if fault is not None:
-            if fault.kind == "torn" and data:
-                cut = min(len(data) - 1, max(1, int(len(data)
-                                                    * fault.fraction)))
-                data = data[:cut]
+            if fault.kind == "torn":
+                data = _torn(data, fault.fraction)
             elif fault.kind == "dup":
                 # Re-serve this run on the next poll too: the replica
                 # sees the same records twice (and, interleaved with
@@ -196,43 +174,76 @@ class PrimaryFeed:
 # Replica side
 # ----------------------------------------------------------------------
 
-def _clear_replica_files(directory: str) -> None:
-    """Drop any half-bootstrapped replica state (crash before commit)."""
+def _clear_replica_files(directory: str, keep: str) -> None:
+    """Drop any earlier or half-bootstrapped replica state but ``keep``."""
     for entry in os.listdir(directory):
         path = os.path.join(directory, entry)
         if entry == SEGMENTS_DIRNAME and os.path.isdir(path):
             shutil.rmtree(path)
-        elif _SNAPSHOT_RE.match(entry) or entry == REPLICA_META_NAME \
-                or entry.endswith(".tmp"):
+        elif entry != keep and (
+                _SNAPSHOT_RE.match(entry) or entry == REPLICA_META_NAME
+                or entry.endswith(".tmp")):
             os.unlink(path)
 
 
-class ReplicaGraph:
-    """A read-only graph tailing a primary's WAL feed.
+def _fetch_snapshot(directory: str, source: Any, what: str
+                    ) -> Tuple[str, Any, Any, Dict[str, Any]]:
+    """Fetch, length-check, write and CRC-verify the primary's snapshot.
+
+    Returns ``(snapshot_name, base, snapshot_metadata, feed_meta)`` with
+    the file durably in ``directory``.  Nothing is committed here: the
+    caller's ``replica.json`` write is the commit point.
+    """
+    data, meta = source.snapshot()
+    expected = int(meta.get("bytes", len(data)))
+    if len(data) != expected:
+        raise ReplicationCorruptionError(
+            "{} snapshot truncated: got {} of {} bytes (primary died "
+            "mid-ship?)".format(what, len(data), expected))
+    snapshot_name = os.path.basename(str(meta["snapshot"]))
+    if not _SNAPSHOT_RE.match(snapshot_name):
+        raise ReplicationError(
+            "primary sent unexpected snapshot name {!r}".format(
+                snapshot_name))
+    os.makedirs(directory, exist_ok=True)
+    snapshot_path = os.path.join(directory, snapshot_name)
+    tmp_path = snapshot_path + ".tmp"
+    with open(tmp_path, "wb") as stream:
+        stream.write(data)
+        stream.flush()
+        os.fsync(stream.fileno())
+    os.replace(tmp_path, snapshot_path)
+    try:
+        base, smeta = open_adjacency_snapshot(snapshot_path, mmap=True,
+                                              verify=True)
+    except StorageError as exc:
+        raise ReplicationCorruptionError(
+            "{} snapshot failed verification: {}".format(what, exc)) \
+            from exc
+    return snapshot_name, base, smeta, meta
+
+
+class ReplicaGraph(_LogBackedView):
+    """A read-only graph tailing a primary's log feed.
 
     Built by :meth:`bootstrap` (fresh, from a primary snapshot) or
-    :meth:`open` (crash recovery: replay the local segment log over the
-    local snapshot copy).  One ``replication.replica`` ordered lock
-    serializes applies, queries, cursor persistence, and re-bootstrap, so
-    a query always sees a whole applied batch or none of it.
+    :meth:`open` (crash recovery: replay the local log over the local
+    snapshot copy — the rule a primary reopens by).  One
+    ``replication.replica`` ordered lock serializes applies, queries,
+    cursor persistence, and re-bootstrap, so a query always sees a whole
+    applied batch or none of it.
     """
 
     def __init__(self, directory: str, meta: Dict[str, Any],
-                 base: Any, vertex_props: Dict[Hashable, Dict[str, Any]],
-                 edge_props: Dict[Tuple, Dict[str, Any]],
-                 segments: WalSegments):
+                 base: Any, smeta: Any, segments: WalSegments):
         self.directory = os.path.abspath(directory)
         self._meta = meta
-        self._base = base
-        self._overlay: Optional[DeltaAdjacency] = None
-        self._vertex_props = vertex_props
-        self._edge_props = edge_props
+        self._load_view(base, smeta)
         self._segments = segments
         self._cursor = ReplicationCursor.parse(str(meta["cursor"]))
         self._applied_version = int(meta["applied_version"])
         self._primary_version = int(meta.get("primary_version",
                                              meta["applied_version"]))
-        self._adapter = _CompactGraphAdapter()
         self._lock = ordered_lock("replication.replica")
         self._closed = False
         now = time.monotonic()
@@ -256,33 +267,9 @@ class ReplicaGraph:
         ``replica.json`` write is the commit point, so a primary dying
         mid-bootstrap leaves a directory the next attempt wipes cleanly.
         """
-        data, meta = source.snapshot()
-        expected = int(meta.get("bytes", len(data)))
-        if len(data) != expected:
-            raise ReplicationCorruptionError(
-                "bootstrap snapshot truncated: got {} of {} bytes (primary "
-                "died mid-ship?)".format(len(data), expected))
-        os.makedirs(directory, exist_ok=True)
-        _clear_replica_files(directory)
-        snapshot_name = os.path.basename(str(meta["snapshot"]))
-        if not _SNAPSHOT_RE.match(snapshot_name):
-            raise ReplicationError(
-                "primary sent unexpected snapshot name {!r}".format(
-                    snapshot_name))
-        snapshot_path = os.path.join(directory, snapshot_name)
-        tmp_path = snapshot_path + ".tmp"
-        with open(tmp_path, "wb") as stream:
-            stream.write(data)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp_path, snapshot_path)
-        try:
-            base, smeta = open_adjacency_snapshot(snapshot_path, mmap=True,
-                                                  verify=True)
-        except StorageError as exc:
-            raise ReplicationCorruptionError(
-                "bootstrap snapshot failed verification: {}".format(exc)) \
-                from exc
+        snapshot_name, base, smeta, meta = _fetch_snapshot(
+            directory, source, "bootstrap")
+        _clear_replica_files(directory, keep=snapshot_name)
         snapshot_version = int(meta["snapshot_version"])
         segments = WalSegments(os.path.join(directory, SEGMENTS_DIRNAME),
                                base_version=snapshot_version)
@@ -297,16 +284,19 @@ class ReplicaGraph:
             "applied_version": snapshot_version,
             "primary_version": int(meta.get("version", snapshot_version)),
         }
-        _write_json(os.path.join(directory, REPLICA_META_NAME), replica_meta)
-        return cls(directory, replica_meta, base,
-                   dict(smeta.vertex_properties),
-                   dict(smeta.edge_properties), segments)
+        try:
+            publish_json(os.path.join(directory, REPLICA_META_NAME),
+                         replica_meta)
+        except BaseException:
+            segments.close()
+            raise
+        return cls(directory, replica_meta, base, smeta, segments)
 
     @classmethod
     def open(cls, directory: str, verify: bool = False) -> "ReplicaGraph":
-        """Recover a replica from its local snapshot + segment log.
+        """Recover a replica from its local snapshot + log.
 
-        The local segments are the durable record of what was applied:
+        The local log is the durable record of what was applied:
         everything after ``snapshot_version`` is replayed through the
         overlay, and ``applied_version`` resumes from the last local
         record — the persisted cursor then re-fetches at most the
@@ -317,7 +307,7 @@ class ReplicaGraph:
             raise StorageError(
                 "{} is not a replica (no {})".format(directory,
                                                      REPLICA_META_NAME))
-        meta = _read_json(meta_path)
+        meta = read_json(meta_path)
         if meta.get("format") != 1 or meta.get("kind") != "replica":
             raise StorageError(
                 "{} has unsupported replica metadata".format(meta_path))
@@ -333,49 +323,20 @@ class ReplicaGraph:
                     from exc
             raise
         segments = WalSegments(os.path.join(directory, SEGMENTS_DIRNAME))
-        replica = cls(directory, meta, base, dict(smeta.vertex_properties),
-                      dict(smeta.edge_properties), segments)
-        snapshot_version = int(meta["snapshot_version"])
-        replayed = 0
-        batch: List[Tuple] = []
-        for entry in segments.iter_entries(after_version=snapshot_version):
-            batch.append(entry)
-            replayed += 1
-        if batch:
-            replica._ingest(batch)
-            replica._applied_version = int(batch[-1][0])
+        replica = cls(directory, meta, base, smeta, segments)
+        try:
+            entries = list(segments.iter_entries(
+                after_version=int(meta["snapshot_version"])))
+        except BaseException:
+            replica.close()
+            raise
+        replica._apply(entries)
+        if entries:
+            replica._applied_version = int(entries[-1][0])
         replica._meta["applied_version"] = replica._applied_version
         return replica
 
     # -- applying ------------------------------------------------------
-
-    def _ingest(self, entries: List[Tuple]) -> None:  # guarded-by: _lock
-        """Apply decoded records: structure to the overlay, props aside.
-
-        The mirror of ``PersistentGraph._replay``, incremental: the
-        overlay is a live view, extended batch by batch.
-        """
-        structural: List[Tuple] = []
-        for entry in entries:
-            op = entry[1]
-            if op == "pv":
-                self._vertex_props.setdefault(entry[2], {}).update(entry[3])
-            elif op == "pe":
-                self._edge_props.setdefault(
-                    (entry[2], entry[3], entry[4]), {}).update(entry[5])
-            else:
-                structural.append(entry)
-                if op == "-v":
-                    self._vertex_props.pop(entry[2], None)
-                elif op == "-e":
-                    self._edge_props.pop((entry[2], entry[3], entry[4]),
-                                         None)
-        if structural:
-            if self._overlay is None:
-                self._overlay = DeltaAdjacency(self._base)
-            self._overlay.apply(structural)
-        if entries and self._overlay is not None:
-            self._overlay.version = int(entries[-1][0])
 
     def poll_once(self, source: Any,
                   max_bytes: int = 1 << 20) -> Dict[str, Any]:
@@ -439,7 +400,7 @@ class ReplicaGraph:
                         self._cursor, exc)) from exc
             self._segments.extend_run(fresh, data, offsets[stale:])
             self._segments.flush()
-            self._ingest(fresh)
+            self._apply(fresh)
             if fresh:
                 self._applied_version = int(fresh[-1][0])
             self._cursor = ReplicationCursor.parse(str(meta["cursor"]))
@@ -463,9 +424,9 @@ class ReplicaGraph:
                           primary_version=self._primary_version)
         try:
             fault_point("replication.cursor")
-            _write_json(os.path.join(self.directory, REPLICA_META_NAME),
-                        self._meta)
-        except OSError as exc:
+            publish_json(os.path.join(self.directory, REPLICA_META_NAME),
+                         self._meta)
+        except (OSError, StorageError) as exc:
             # The records themselves are durable in the local segments;
             # a stale cursor only means refetching an already-applied
             # suffix after a crash (dropped by dedup).  Still a typed
@@ -480,46 +441,15 @@ class ReplicaGraph:
         queries keep serving the old view until the new one is ready to
         swap in atomically.
         """
-        data, meta = source.snapshot()
-        expected = int(meta.get("bytes", len(data)))
-        if len(data) != expected:
-            raise ReplicationCorruptionError(
-                "re-bootstrap snapshot truncated: got {} of {} "
-                "bytes".format(len(data), expected))
-        snapshot_name = os.path.basename(str(meta["snapshot"]))
-        if not _SNAPSHOT_RE.match(snapshot_name):
-            raise ReplicationError(
-                "primary sent unexpected snapshot name {!r}".format(
-                    snapshot_name))
-        snapshot_path = os.path.join(self.directory, snapshot_name)
-        tmp_path = snapshot_path + ".tmp"
-        with open(tmp_path, "wb") as stream:
-            stream.write(data)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp_path, snapshot_path)
-        try:
-            base, smeta = open_adjacency_snapshot(snapshot_path, mmap=True,
-                                                  verify=True)
-        except StorageError as exc:
-            raise ReplicationCorruptionError(
-                "re-bootstrap snapshot failed verification: {}".format(
-                    exc)) from exc
+        snapshot_name, base, smeta, meta = _fetch_snapshot(
+            self.directory, source, "re-bootstrap")
         with self._lock:
             self._check_open()
             old_snapshot = os.path.join(
                 self.directory, os.path.basename(str(self._meta["snapshot"])))
-            self._segments.close()
-            shutil.rmtree(os.path.join(self.directory, SEGMENTS_DIRNAME),
-                          ignore_errors=True)
             snapshot_version = int(meta["snapshot_version"])
-            self._segments = WalSegments(
-                os.path.join(self.directory, SEGMENTS_DIRNAME),
-                base_version=snapshot_version)
-            self._base = base
-            self._overlay = None
-            self._vertex_props = dict(smeta.vertex_properties)
-            self._edge_props = dict(smeta.edge_properties)
+            self._segments.reset_base(snapshot_version)
+            self._load_view(base, smeta)
             self._cursor = ReplicationCursor.parse(str(meta["cursor"]))
             self._applied_version = snapshot_version
             self._primary_version = int(meta.get("version",
@@ -544,7 +474,7 @@ class ReplicaGraph:
         """The live compact adjacency (overlay once records applied)."""
         with self._lock:
             self._check_open()
-            return self._overlay if self._overlay is not None else self._base
+            return self._live_view()
 
     def pairs(self, expression: Any,
               sources: Optional[Iterable[Hashable]] = None,
@@ -555,12 +485,9 @@ class ReplicaGraph:
         equal versions the answer sets are identical by construction
         (same snapshot bytes, same records, same kernels).
         """
-        from repro.rpq.evaluation import rpq_pairs
         with self._lock:
             self._check_open()
-            view = self._overlay if self._overlay is not None else self._base
-            return rpq_pairs(self._adapter.pin(view), expression, sources,
-                             targets=targets)
+            return self._view_pairs(expression, sources, targets)
 
     def vertex_properties(self, vertex: Hashable) -> Dict[str, Any]:
         with self._lock:
@@ -632,8 +559,7 @@ class ReplicaGraph:
     def info(self) -> Dict[str, Any]:
         with self._lock:
             self._check_open()
-            view = self._overlay if self._overlay is not None \
-                else self._base
+            view = self._live_view()
             records, seconds = self._lag_locked()
             return {
                 "directory": self.directory,
@@ -793,14 +719,15 @@ class ReplicaTailer:
 def promote_replica(directory: str) -> Dict[str, Any]:
     """Flip a replica store into a writable primary (operator failover).
 
-    Seals the local segment tail, CRC-verifies the snapshot copy and
-    every retained segment (a corrupt replica must fail promotion, not
-    become the new source of truth), folds snapshot + applied records
-    into a fresh :class:`PersistentGraph` generation, publishes its
-    ``manifest.json``, archives the shipped segments, and retires
-    ``replica.json``.  The directory then opens writable — and, because
-    a fresh segment log is started at the promoted version, immediately
-    serves as a replication primary whose old replicas re-bootstrap.
+    Seals the local log's tail, CRC-verifies the snapshot copy and every
+    retained segment (a corrupt replica must fail promotion, not become
+    the new source of truth), then takes the store's own checkpoint path
+    (:func:`~repro.storage.persistent.publish_generation`): snapshot +
+    applied records fold into a fresh generation whose ``manifest.json``
+    is published, the log restarts at the promoted version, and
+    ``replica.json`` is retired.  The directory then opens writable —
+    and immediately serves as a replication primary whose old replicas
+    re-bootstrap.
     """
     meta_path = os.path.join(directory, REPLICA_META_NAME)
     if not os.path.exists(meta_path):
@@ -812,56 +739,37 @@ def promote_replica(directory: str) -> Dict[str, Any]:
                                                  REPLICA_META_NAME))
     replica = ReplicaGraph.open(directory, verify=True)
     try:
-        replica._segments.seal_tail()
-        report = replica._segments.verify()
+        log = replica._segments
+        log.seal_tail()
+        report = log.verify()
         if not report["ok"]:
             raise ReplicationCorruptionError(
                 "segment scrub failed at {}".format(report["first_corrupt"]))
         with replica._lock:
-            view = replica._overlay if replica._overlay is not None \
-                else replica._base
             version = replica._applied_version
-            vertex_props = {v: dict(p) for v, p in
-                            replica._vertex_props.items() if p}
-            edge_props = {k: dict(p) for k, p in
-                          replica._edge_props.items() if p}
             old_snapshot = os.path.basename(str(replica._meta["snapshot"]))
             match = _SNAPSHOT_RE.match(old_snapshot)
-            generation = int(match.group(1)) + 1 if match else 1
-            snapshot_name = "snapshot-{:06d}.rcsr".format(generation)
-            wal_name = "wal-{:06d}.log".format(generation)
-            write_adjacency_snapshot(
-                os.path.join(directory, snapshot_name), view,
-                name=replica.graph_name, version=version,
-                vertex_properties=vertex_props,
-                edge_properties=edge_props)
-            new_wal = WriteAheadLog(os.path.join(directory, wal_name))
-            try:
-                manifest = {
-                    "format": 1,
-                    "kind": "multirelational",
-                    "name": replica.graph_name,
-                    "generation": generation,
-                    "snapshot": snapshot_name,
-                    "wal": wal_name,
-                    "snapshot_version": version,
-                }
-                _write_manifest(directory, manifest)
-            finally:
-                new_wal.close()
-            # Shipped segments are provenance now: archive them and
-            # restart the log at the promoted version, so this store
-            # can immediately serve as a primary in its own right.
-            replica._segments.reset_base(version)
+            # Shipped segments are provenance now: the checkpoint names
+            # the cursor of a log restarted at the promoted version, so
+            # this store can immediately serve as a primary in its own
+            # right (and an interrupted restart is finished on open).
+            manifest = publish_generation(
+                directory,
+                {"kind": "multirelational", "name": replica.graph_name,
+                 "generation": int(match.group(1)) if match else 0},
+                log.cursor_after_reset(), replica._live_view(), version,
+                {v: p for v, p in replica._vertex_props.items() if p},
+                {k: p for k, p in replica._edge_props.items() if p})
+            log.reset_base(version)
             os.replace(meta_path, meta_path + ".promoted")
-            if old_snapshot != snapshot_name:
+            if old_snapshot != manifest["snapshot"]:
                 try:
                     os.unlink(os.path.join(directory, old_snapshot))
                 except OSError:
                     pass
             return {"directory": os.path.abspath(directory),
-                    "generation": generation,
-                    "snapshot": snapshot_name,
+                    "generation": manifest["generation"],
+                    "snapshot": manifest["snapshot"],
                     "snapshot_version": version,
                     "promoted_from": str(replica._meta.get("primary", ""))}
     finally:
@@ -872,98 +780,68 @@ def promote_replica(directory: str) -> Dict[str, Any]:
 # Offline verification (repro db verify)
 # ----------------------------------------------------------------------
 
-def _scrub_segments_dir(directory: str,
-                        findings: List[Dict[str, Any]]) -> None:
-    """Read-only scrub of a segments/ tree (no tail repair, no writes)."""
-    manifest_path = os.path.join(directory, SEGMENTS_MANIFEST_NAME)
-    try:
-        manifest = WalSegments._load_manifest(manifest_path)
-    except StorageError as exc:
-        findings.append({"artifact": manifest_path, "kind": "corrupt",
-                         "reason": str(exc)})
-        return
-    for entry in manifest.get("segments", []):
-        name = str(entry.get("name", ""))
-        path = os.path.join(directory, name)
-        limit = int(entry["end_offset"]) if entry.get("sealed") else None
-        records, durable_end, finding = scrub_wal_file(path, limit=limit)
-        if finding is None and limit is not None and durable_end < limit:
-            finding = {"kind": "corrupt", "record": records,
-                       "offset": durable_end,
-                       "reason": "sealed segment shorter than its "
-                                 "recorded durable length"}
-        if finding is not None:
-            findings.append(dict(finding, artifact=path))
-
-
 def verify_store(directory: str) -> Dict[str, Any]:
     """Offline CRC scrub of a store directory (primary or replica).
 
-    Checks every snapshot file's header + data-region CRC, every WAL /
-    segment record's frame CRC, and the manifests — reusing the exact
-    frame and header readers the live paths use (no second format
-    implementation to drift).  Returns ``{"ok", "kind", "artifacts",
-    "first_corrupt", "notes"}``; a torn WAL tail is a *note* (the
-    documented crash artifact, repaired on open), while any CRC mismatch
-    or short committed region is a corruption that fails the scrub.
+    Checks the live snapshot's header + data-region CRC, every log
+    record's frame CRC and payload shape, and the manifests — through
+    the frame and header readers the live paths use (no second format
+    implementation to drift).  Understands both store layouts: a
+    ``format: 1`` manifest's generation ``wal-N.log`` is scrubbed as
+    well as ``segments/``.  Returns ``{"ok", "kind", "artifacts",
+    "first_corrupt", "notes"}``; a torn log tail is a *note* (the
+    documented crash artifact, repaired on open), while any CRC
+    mismatch, malformed record or short committed region is a corruption
+    that fails the scrub.
     """
     directory = os.path.abspath(directory)
     findings: List[Dict[str, Any]] = []
     notes: List[Dict[str, Any]] = []
     artifacts: List[str] = []
 
-    def scrub_snapshot(path: str) -> None:
+    def record(path: str, finding: Optional[Dict[str, Any]]) -> None:
         artifacts.append(path)
-        try:
-            open_adjacency_snapshot(path, mmap=True, verify=True)
-        except StorageError as exc:
-            findings.append({"artifact": path, "kind": "corrupt",
-                             "reason": str(exc)})
+        if finding is not None:
+            (notes if finding["kind"] == "torn-tail" else findings).append(
+                dict(finding, artifact=path))
 
-    def scrub_wal(path: str, limit: Optional[int] = None) -> None:
-        artifacts.append(path)
-        _, _, finding = scrub_wal_file(path, limit=limit)
-        if finding is None:
-            return
-        if finding["kind"] == "torn-tail":
-            notes.append(dict(finding, artifact=path))
-        else:
-            findings.append(dict(finding, artifact=path))
-
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    replica_path = os.path.join(directory, REPLICA_META_NAME)
     segments_dir = os.path.join(directory, SEGMENTS_DIRNAME)
-    if os.path.exists(manifest_path):
-        kind = "store"
-        artifacts.append(manifest_path)
-        try:
-            manifest = _read_json(manifest_path)
-            scrub_snapshot(os.path.join(
-                directory, os.path.basename(str(manifest["snapshot"]))))
-            scrub_wal(os.path.join(
-                directory, os.path.basename(str(manifest["wal"]))))
-        except (StorageError, KeyError) as exc:
-            findings.append({"artifact": manifest_path, "kind": "corrupt",
-                             "reason": str(exc)})
-    elif os.path.exists(replica_path):
-        kind = "replica"
-        artifacts.append(replica_path)
-        try:
-            meta = _read_json(replica_path)
-            scrub_snapshot(os.path.join(
-                directory, os.path.basename(str(meta["snapshot"]))))
-        except (StorageError, KeyError) as exc:
-            findings.append({"artifact": replica_path, "kind": "corrupt",
-                             "reason": str(exc)})
+    for kind, meta_name in (("store", MANIFEST_NAME),
+                            ("replica", REPLICA_META_NAME)):
+        meta_path = os.path.join(directory, meta_name)
+        if os.path.exists(meta_path):
+            break
     else:
         raise StorageError(
             "{} is neither a graph store nor a replica".format(directory))
+    artifacts.append(meta_path)
+    try:
+        meta = read_json(meta_path)
+        snapshot_path = os.path.join(
+            directory, os.path.basename(str(meta["snapshot"])))
+        try:
+            open_adjacency_snapshot(snapshot_path, mmap=True, verify=True)
+            record(snapshot_path, None)
+        except StorageError as exc:
+            record(snapshot_path, {"kind": "corrupt", "reason": str(exc)})
+        if "wal" in meta:  # a format-1 store's generation WAL
+            wal_path = os.path.join(
+                directory, os.path.basename(str(meta["wal"])))
+            record(wal_path, scrub_wal_file(wal_path)[2])
+    except (StorageError, KeyError) as exc:
+        findings.append({"artifact": meta_path, "kind": "corrupt",
+                         "reason": str(exc)})
     if os.path.isdir(segments_dir):
-        artifacts.append(os.path.join(segments_dir, SEGMENTS_MANIFEST_NAME))
-        before = len(findings)
-        _scrub_segments_dir(segments_dir, findings)
-        for entry in findings[before:]:
-            artifacts.append(str(entry.get("artifact", "")))
+        segments_manifest = os.path.join(segments_dir,
+                                         SEGMENTS_MANIFEST_NAME)
+        try:
+            for item in WalSegments.scrub(segments_dir)["segments"]:
+                record(os.path.join(segments_dir, item["name"]),
+                       item["finding"])
+            artifacts.append(segments_manifest)
+        except StorageError as exc:
+            record(segments_manifest, {"kind": "corrupt",
+                                       "reason": str(exc)})
     return {
         "ok": not findings,
         "kind": kind,

@@ -27,8 +27,8 @@ The two ``/replication/*`` reads (authenticated; ``?graph=`` selects the
 store, optional when exactly one is served) are the primary side of
 WAL-shipped replication — binary bodies whose metadata travels in
 ``X-Repro-*`` headers (snapshot version, start/next cursor, primary
-version, intended byte count).  They require the store to carry a
-segment log (``repro serve --replicate``); see ``docs/replication.md``.
+version, intended byte count).  They are only served by
+``repro serve --replicate``; see ``docs/replication.md``.
 A cursor that has fallen off the retained log gets **410 Gone** — the
 replica must re-bootstrap, retrying is pointless.
 
@@ -92,8 +92,8 @@ import asyncio
 import json
 import os
 import time
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, \
-    Union
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.replication import REPLICA_META_NAME
@@ -185,12 +185,16 @@ class HttpServer:
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
-    async def stop(self, deadline: Optional[float] = 30.0) -> None:
-        """Stop accepting, drain queries, close every store (idempotent)."""
+    async def stop_listening(self) -> None:
+        """Stop accepting connections (idempotent); stores stay open."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+
+    async def stop(self, deadline: Optional[float] = 30.0) -> None:
+        """Stop accepting, drain queries, close every store (idempotent)."""
+        await self.stop_listening()
         await self.registry.aclose(deadline=deadline)
 
     # -- connection handling -------------------------------------------
@@ -354,11 +358,7 @@ class HttpServer:
                         headers: Dict[str, str], body: bytes
                         ) -> Tuple[int, Union[Dict[str, Any], bytes],
                                    Dict[str, str]]:
-        """Route and map every failure to its documented status code.
-
-        The routing itself lives in :meth:`_route` (overridden by
-        :class:`ReplicaHttpServer`); the error contract is shared.
-        """
+        """Route and map every failure to its documented status code."""
         try:
             return await self._route(method, path, headers, body)
         except AuthenticationError as error:
@@ -421,42 +421,78 @@ class HttpServer:
             return 500, {"error": str(error), "retriable": False,
                          "type": type(error).__name__}, {}
 
+    #: ``(method, action)`` of ``/v1/graphs/{name}/{action}`` -> the method
+    #: that serves it; anything else is a 404.
+    _ACTIONS = {
+        ("POST", "query"): "_action_query",
+        ("POST", "explain"): "_action_explain",
+        ("GET", "stats"): "_action_stats",
+        ("POST", "mutate"): "_action_mutate",
+        ("POST", "checkpoint"): "_action_checkpoint",
+    }
+
     async def _route(self, method: str, path: str,
                      headers: Dict[str, str], body: bytes
                      ) -> Tuple[int, Union[Dict[str, Any], bytes],
                                 Dict[str, str]]:
+        """The one routing ladder; what differs per server is in the
+        ``_readiness`` / ``_graph_listing`` / ``_resolve`` /
+        ``_response_headers`` hooks and the ``_ACTIONS`` table."""
         started = time.perf_counter()
         path, params = self._split_target(path)
         if path == "/healthz" and method == "GET":
             return 200, {"status": "ok"}, {}
         if path == "/readyz" and method == "GET":
-            ready_now, detail = self.registry.readiness()
+            ready_now, detail = self._readiness()
             if ready_now:
-                return 200, dict(detail, status="ready"), {}
-            return 503, dict(detail, status="unready",
-                             retriable=True), {"Retry-After": "1"}
+                return 200, detail, self._response_headers(None)
+            return 503, dict(detail, retriable=True), \
+                dict(self._response_headers(None), **{"Retry-After": "1"})
         tenant = self._authenticate(headers)
         if path == "/v1/graphs" and method == "GET":
-            return 200, {"graphs": self.registry.list_graphs(),
-                         "stats": self.registry.stats()}, {}
+            return 200, self._graph_listing(), self._response_headers(None)
         if path.startswith("/replication/"):
             return await self._route_replication(method, path, params)
         name, action = self._parse_graph_path(path)
+        with self._resolve(name, tenant) as handle:
+            payload = await self._run_action(
+                handle, method, action, self._parse_body(body), tenant,
+                headers)
+            extra = self._response_headers(handle)
+        payload.setdefault("elapsed_ms", round(
+            (time.perf_counter() - started) * 1000.0, 3))
+        return 200, payload, extra
+
+    # -- per-server hooks ----------------------------------------------
+
+    def _readiness(self) -> Tuple[bool, Dict[str, Any]]:
+        """``(ready, /readyz body)``; the body carries its ``status``."""
+        ready_now, detail = self.registry.readiness()
+        return ready_now, dict(
+            detail, status="ready" if ready_now else "unready")
+
+    def _graph_listing(self) -> Dict[str, Any]:
+        return {"graphs": self.registry.list_graphs(),
+                "stats": self.registry.stats()}
+
+    @contextmanager
+    def _resolve(self, name: str, tenant: str) -> Iterator[Any]:
+        """Admit the tenant and hold graph ``name`` for one request."""
         admission = self.registry.admit(tenant)
         try:
             handle = self.registry.acquire(name)
             try:
-                payload = await self._run_action(
-                    handle, method, action, self._parse_body(body),
-                    tenant)
-                version = handle.engine.graph.version()
+                yield handle
             finally:
                 self.registry.release(name)
         finally:
             admission.release()
-        payload.setdefault("elapsed_ms", round(
-            (time.perf_counter() - started) * 1000.0, 3))
-        return 200, payload, {"X-Repro-Graph-Version": str(version)}
+
+    def _response_headers(self, handle: Any) -> Dict[str, str]:
+        """Headers for a 200 (``handle`` is None outside a graph scope)."""
+        if handle is None:
+            return {}
+        return {"X-Repro-Graph-Version": str(handle.engine.graph.version())}
 
     @staticmethod
     def _split_target(target: str) -> Tuple[str, Dict[str, str]]:
@@ -483,9 +519,9 @@ class HttpServer:
         loop = asyncio.get_running_loop()
         handle = self.registry.acquire(name)
         try:
-            if handle.store.segments is None:
+            if not handle.store.replicating:
                 raise _BadRequest(
-                    "store {!r} has no segment log; serve with "
+                    "store {!r} does not serve its log; serve with "
                     "--replicate to ship replication".format(name))
             feed = PrimaryFeed(handle.store)
             if action == "snapshot":
@@ -561,19 +597,13 @@ class HttpServer:
 
     # -- actions -------------------------------------------------------
 
-    async def _run_action(self, handle: GraphHandle, method: str,
-                          action: str, body: Dict[str, Any],
-                          tenant: str) -> Dict[str, Any]:
-        runner: Optional[Callable[..., Awaitable[Dict[str, Any]]]] = {
-            ("POST", "query"): self._action_query,
-            ("POST", "explain"): self._action_explain,
-            ("GET", "stats"): self._action_stats,
-            ("POST", "mutate"): self._action_mutate,
-            ("POST", "checkpoint"): self._action_checkpoint,
-        }.get((method, action))
+    async def _run_action(self, handle: Any, method: str, action: str,
+                          body: Dict[str, Any], tenant: str,
+                          headers: Dict[str, str]) -> Dict[str, Any]:
+        runner = self._ACTIONS.get((method, action))
         if runner is None:
             raise UnknownGraphError("{} {}".format(method, action))
-        return await runner(handle, body, tenant)
+        return await getattr(self, runner)(handle, body, tenant)
 
     @staticmethod
     def _deadline_of(body: Dict[str, Any]) -> Optional[float]:
@@ -706,37 +736,71 @@ class ReplicaHttpServer(HttpServer):
     ``Retry-After`` instead of a silently stale answer.
     """
 
+    _ACTIONS = {
+        ("POST", "query"): "_action_query",
+        ("GET", "stats"): "_action_stats",
+        ("POST", "mutate"): "_read_only",
+        ("POST", "checkpoint"): "_read_only",
+    }
+
     def __init__(self, replica: Any, tailer: Optional[Any] = None,
                  tokens: Optional[Dict[str, str]] = None,
                  max_body: int = MAX_BODY_BYTES,
                  access_log: Optional[AccessLog] = None,
                  keepalive_max_requests: int = KEEPALIVE_MAX_REQUESTS,
                  keepalive_idle_timeout: float = KEEPALIVE_IDLE_TIMEOUT):
+        super().__init__(None, tokens=tokens, max_body=max_body,  # type: ignore[arg-type]
+                         access_log=access_log,
+                         keepalive_max_requests=keepalive_max_requests,
+                         keepalive_idle_timeout=keepalive_idle_timeout)
         self.replica = replica
         self.tailer = tailer
-        self.tokens = dict(tokens or {})
-        self.max_body = max_body
-        self.access_log = access_log
-        self.keepalive_max_requests = max(1, keepalive_max_requests)
-        self.keepalive_idle_timeout = keepalive_idle_timeout
-        self._server: Optional[asyncio.AbstractServer] = None
-        self.requests_served = 0
-        self.connections_reused = 0
 
     async def stop(self, deadline: Optional[float] = 30.0) -> None:
         """Stop accepting; the caller owns the replica's lifecycle."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self.stop_listening()
 
-    def _lag_headers(self) -> Dict[str, str]:
+    # -- per-server hooks ----------------------------------------------
+
+    def _readiness(self) -> Tuple[bool, Dict[str, Any]]:
+        state = self.tailer.state() if self.tailer is not None else {
+            "ready": True, "phase": "ready"}
+        ready_now = bool(state.get("ready"))
+        return ready_now, dict(
+            state, status="ready" if ready_now
+            else state.get("phase", "catching-up"))
+
+    def _graph_listing(self) -> Dict[str, Any]:
+        return {"graphs": [self.replica.graph_name],
+                "replica": self.replica.info()}
+
+    @contextmanager
+    def _resolve(self, name: str, tenant: str) -> Iterator[Any]:
+        if name != self.replica.graph_name:
+            raise UnknownGraphError(name)
+        yield self.replica
+
+    def _response_headers(self, handle: Any) -> Dict[str, str]:
         records, seconds = self.replica.lag()
         return {
             "X-Repro-Replica-Lag":
                 "records={}; seconds={:.3f}".format(records, seconds),
             "X-Repro-Graph-Version": str(self.replica.applied_version),
         }
+
+    async def _route_replication(self, method: str, path: str,
+                                 params: Dict[str, str]
+                                 ) -> Tuple[int, bytes, Dict[str, str]]:
+        raise UnknownGraphError(path)  # a replica serves no feed
+
+    async def _run_action(self, handle: Any, method: str, action: str,
+                          body: Dict[str, Any], tenant: str,
+                          headers: Dict[str, str]) -> Dict[str, Any]:
+        bound = self._staleness_bound(headers, body)
+        if bound is not None:
+            self.replica.check_staleness(bound)
+        return await super()._run_action(handle, method, action, body,
+                                         tenant, headers)
 
     @staticmethod
     def _staleness_bound(headers: Dict[str, str],
@@ -756,51 +820,17 @@ class ReplicaHttpServer(HttpServer):
                               "number")
         return float(value)
 
-    async def _route(self, method: str, path: str,
-                     headers: Dict[str, str], body: bytes
-                     ) -> Tuple[int, Union[Dict[str, Any], bytes],
-                                Dict[str, str]]:
-        started = time.perf_counter()
-        path, _params = self._split_target(path)
-        if path == "/healthz" and method == "GET":
-            return 200, {"status": "ok"}, {}
-        if path == "/readyz" and method == "GET":
-            state = self.tailer.state() if self.tailer is not None else {
-                "ready": True, "phase": "ready"}
-            if state.get("ready"):
-                return 200, dict(state, status="ready"), \
-                    self._lag_headers()
-            return 503, dict(state, status=state.get("phase",
-                                                     "catching-up"),
-                             retriable=True), \
-                dict(self._lag_headers(), **{"Retry-After": "1"})
-        tenant = self._authenticate(headers)
-        if path == "/v1/graphs" and method == "GET":
-            return 200, {"graphs": [self.replica.graph_name],
-                         "replica": self.replica.info()}, \
-                self._lag_headers()
-        name, action = self._parse_graph_path(path)
-        if name != self.replica.graph_name:
-            raise UnknownGraphError(name)
-        parsed = self._parse_body(body)
-        bound = self._staleness_bound(headers, parsed)
-        if bound is not None:
-            self.replica.check_staleness(bound)
-        if (method, action) == ("POST", "query"):
-            payload = await self._replica_query(parsed, tenant)
-        elif (method, action) == ("GET", "stats"):
-            payload = {"graph": self.replica.graph_name,
-                       "info": self.replica.info()}
-            if self.tailer is not None:
-                payload["tailer"] = self.tailer.state()
-        elif (method, action) in (("POST", "mutate"),
-                                  ("POST", "checkpoint")):
-            raise ReplicaReadOnlyError(self.replica.directory)
-        else:
-            raise UnknownGraphError("{} {}".format(method, action))
-        payload.setdefault("elapsed_ms", round(
-            (time.perf_counter() - started) * 1000.0, 3))
-        return 200, payload, self._lag_headers()
+    async def _read_only(self, handle: Any, body: Dict[str, Any],
+                         tenant: str) -> Dict[str, Any]:
+        raise ReplicaReadOnlyError(self.replica.directory)
+
+    async def _action_stats(self, handle: Any, body: Dict[str, Any],
+                            tenant: str) -> Dict[str, Any]:
+        payload = {"graph": self.replica.graph_name,
+                   "info": self.replica.info()}
+        if self.tailer is not None:
+            payload["tailer"] = self.tailer.state()
+        return payload
 
     @staticmethod
     def _lower_replica_query(query: str, sources, targets):
@@ -827,8 +857,8 @@ class ReplicaHttpServer(HttpServer):
             return None, None, None
         return (constrained.label_expression,) + merged
 
-    async def _replica_query(self, body: Dict[str, Any],
-                             tenant: str) -> Dict[str, Any]:
+    async def _action_query(self, handle: Any, body: Dict[str, Any],
+                            tenant: str) -> Dict[str, Any]:
         for unsupported in ("max_length", "processes"):
             if body.get(unsupported) is not None:
                 raise _BadRequest(
@@ -895,11 +925,7 @@ async def serve(root: str, host: str = "127.0.0.1", port: int = 8080,
         if own_registry:
             await server.stop()
         else:
-            server_only = server._server
-            if server_only is not None:
-                server_only.close()
-                await server_only.wait_closed()
-                server._server = None
+            await server.stop_listening()
 
 
 async def serve_replica(directory: str, primary_url: str,

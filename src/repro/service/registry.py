@@ -4,7 +4,7 @@ A registry roots a directory of :class:`~repro.storage.PersistentGraph`
 stores — one subdirectory per graph name::
 
     root/
-      social/   manifest.json, snapshot-*.rcsr, wal-*.log
+      social/   manifest.json, snapshot-*.rcsr, segments/
       citations/ ...
 
 and hands out ref-counted :class:`GraphHandle`\\ s, each binding the store

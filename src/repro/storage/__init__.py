@@ -1,4 +1,4 @@
-"""Durable graph storage: write-ahead log + mmap'd CSR snapshot store.
+"""Durable graph storage: one segmented log + mmap'd CSR snapshot store.
 
 See :mod:`repro.storage.persistent` for the lifecycle, ``docs/persistence.md``
 for the on-disk formats and crash-consistency guarantees.

@@ -1,20 +1,27 @@
-"""Durable graphs: WAL + snapshot store behind one open/checkpoint/close API.
+"""Durable graphs: one log + snapshot store behind open/checkpoint/close.
 
 A persistent store is a directory::
 
     mystore/
-      manifest.json          which generation is live (atomically replaced)
+      manifest.json          which snapshot is live + where the log stood
       snapshot-000003.rcsr   CSR snapshot of generation 3 (mmap-reopened)
-      wal-000003.log         mutations since that snapshot (CRC-framed)
+      segments/              the log: every mutation since, CRC-framed
+                             (see :mod:`repro.storage.segments`)
+
+The state is always ``snapshot ⊗ log suffix``: the manifest names a
+snapshot and its journal version, and recovery replays the log records
+with a greater version over it.  Primaries and replicas recover by that
+same rule (:class:`_LogBackedView`).
 
 Lifecycle
 ---------
 * :meth:`PersistentGraph.create` seeds generation 1 from a (possibly empty)
-  in-memory graph and attaches itself as a WAL sink: from then on every
-  structural and property mutation of that graph is appended to the log.
+  in-memory graph and attaches itself as a mutation sink: from then on
+  every structural and property mutation of that graph is appended to the
+  log — once.
 * :meth:`PersistentGraph.open` is the cheap path back: it **maps** the
   manifest's snapshot (``np.memmap`` — CSR pages fault in lazily) and
-  replays the WAL suffix through the existing
+  replays the log suffix through the existing
   :class:`~repro.graph.compact.DeltaAdjacency` overlay machinery.  The
   reopened store serves RPQ/pairs queries immediately, without rebuilding
   the dict store or loading the full CSR.
@@ -25,17 +32,19 @@ Lifecycle
   compact query after materialization is still rebuild-free), and resumes
   logging.
 * :meth:`checkpoint` folds base + overlay into a fresh dense snapshot
-  (generation ``g+1``), starts an empty generation-``g+1`` WAL, atomically
-  swaps the manifest, and only then deletes generation ``g`` — a crash at
-  any point leaves a manifest naming one consistent (snapshot, WAL) pair.
+  (generation ``g+1``), atomically swaps the manifest to name it together
+  with the log position it covers, and only then drops what it folded —
+  the old snapshot and the sealed log segments.  A crash before the swap
+  leaves the old snapshot and the whole suffix; after it, replay skips by
+  version what the new snapshot already holds.
 * :meth:`close` flushes the log and detaches; reopening recovers exactly
   the durable prefix (torn tail records are truncated, never replayed).
 """
 
 from __future__ import annotations
 
-import json
 import os
+import shutil
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from repro.concurrency import ordered_rlock, release_resource, track_resource
@@ -43,55 +52,25 @@ from repro.errors import StorageError, StoreDegradedError
 from repro.faults import fault_point
 from repro.graph.compact import _CACHE_ATTR, DeltaAdjacency, adjacency_snapshot
 from repro.graph.graph import MultiRelationalGraph
+from repro.storage.frames import check_loggable
 from repro.storage.segments import (
     SEGMENTS_DIRNAME,
     SEGMENTS_MANIFEST_NAME,
     ReplicationCursor,
     ShipResult,
     WalSegments,
+    publish_json,
+    read_json,
 )
 from repro.storage.snapshots import (
     open_adjacency_snapshot,
     write_adjacency_snapshot,
 )
-from repro.storage.wal import WriteAheadLog, check_loggable, scan_wal
+from repro.storage.wal import scan_wal
 
 __all__ = ["PersistentGraph"]
 
 MANIFEST_NAME = "manifest.json"
-
-_PROPERTY_OPS = ("pv", "pe")
-
-
-def _write_manifest(directory: str, manifest: Dict[str, Any]) -> None:
-    """Write the manifest durably: tmp file + fsync + atomic rename + dirsync.
-
-    Failure (real or injected at ``manifest.rename``) raises
-    :class:`StorageError` with the tmp file removed — the previously
-    published manifest stays live, so a crashed or failed swap can never
-    leave the store pointing at a half-written generation.
-    """
-    tmp_path = os.path.join(directory, MANIFEST_NAME + ".tmp")
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as stream:
-            json.dump(manifest, stream, indent=2, sort_keys=True)
-            stream.flush()
-            os.fsync(stream.fileno())
-        fault_point("manifest.rename")
-        os.replace(tmp_path, os.path.join(directory, MANIFEST_NAME))
-        fd = os.open(directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise StorageError(
-            "{}: manifest publish failed ({})".format(directory, exc)
-        ) from exc
 
 
 def _read_manifest(directory: str) -> Dict[str, Any]:
@@ -99,16 +78,48 @@ def _read_manifest(directory: str) -> Dict[str, Any]:
     if not os.path.exists(path):
         raise StorageError(
             "{} is not a graph store (no {})".format(directory, MANIFEST_NAME))
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            manifest = json.load(stream)
-    except ValueError as exc:
-        raise StorageError("{}: manifest is corrupt: {}".format(path, exc)) \
-            from exc
-    if manifest.get("format") != 1:
+    manifest = read_json(path)
+    if manifest.get("format") not in (1, 2):
         raise StorageError("{}: unsupported store format {!r}".format(
             path, manifest.get("format")))
     return manifest
+
+
+def _upgrade_legacy(directory: str, manifest: Dict[str, Any]
+                    ) -> Dict[str, Any]:
+    """Turn a ``format: 1`` store (a ``wal-N.log`` per generation) into 2.
+
+    The generation WAL's records are imported into the log, the format-2
+    manifest is published, and only then is the file unlinked — a crash
+    anywhere reruns the import, which skips what the log already has.  A
+    format-1 store that replicated kept a second copy in ``segments/``:
+    one *ahead* of the WAL or *behind the snapshot* is discarded via
+    ``reset_base``, so its replicas re-bootstrap rather than tail across
+    rewritten history.
+    """
+    wal_path = os.path.join(directory, str(manifest["wal"]))
+    snapshot_version = int(manifest["snapshot_version"])
+    entries, _, _ = scan_wal(wal_path)
+    segments_dir = os.path.join(directory, SEGMENTS_DIRNAME)
+    with WalSegments(segments_dir, base_version=snapshot_version) as log:
+        last_durable = int(entries[-1][0]) if entries else snapshot_version
+        if log.last_version > last_durable \
+                or log.last_version < snapshot_version:
+            log.reset_base(snapshot_version)
+        for entry in entries:
+            if int(entry[0]) > log.last_version:
+                log.append(entry)
+    upgraded = {key: value for key, value in manifest.items()
+                if key != "wal"}
+    upgraded["format"] = 2
+    publish_json(os.path.join(directory, MANIFEST_NAME), upgraded)
+    try:
+        os.unlink(wal_path)
+    except OSError:
+        pass
+    # Format 1 moved folded segments here and never read them again.
+    shutil.rmtree(os.path.join(segments_dir, "archive"), ignore_errors=True)
+    return upgraded
 
 
 class _CompactGraphAdapter:
@@ -142,6 +153,89 @@ class _CompactGraphAdapter:
         pass
 
 
+class _LogBackedView:
+    """``snapshot ⊗ log suffix``, queryable without a dict graph: what a
+    lazily-opened primary and a tailing replica both are — a mapped base
+    snapshot, a :class:`DeltaAdjacency` overlay of the log records applied
+    since, and the property sidecar maps."""
+
+    _base: Any = None
+    _overlay: Optional[DeltaAdjacency] = None
+
+    def _load_view(self, base: Any, metadata: Any) -> None:
+        self._base = base
+        self._overlay = None
+        self._vertex_props: Dict[Hashable, Dict[str, Any]] = \
+            dict(metadata.vertex_properties)
+        self._edge_props: Dict[Tuple, Dict[str, Any]] = \
+            dict(metadata.edge_properties)
+        self._adapter = _CompactGraphAdapter()
+
+    # Callers hold their own lock (or are still constructing): the
+    # overlay and sidecar maps are only read through that same lock.
+    def _apply(self, entries: List[Tuple]) -> None:  # reprorace: ignore[unguarded-write]
+        """Apply log records: structure to the overlay, property merges
+        to the sidecar maps (deletes drop the matching maps)."""
+        structural: List[Tuple] = []
+        for entry in entries:
+            op = entry[1]
+            if op == "pv":
+                self._vertex_props.setdefault(entry[2], {}).update(entry[3])
+            elif op == "pe":
+                self._edge_props.setdefault(
+                    (entry[2], entry[3], entry[4]), {}).update(entry[5])
+            else:
+                structural.append(entry)
+                if op == "-v":
+                    self._vertex_props.pop(entry[2], None)
+                elif op == "-e":
+                    self._edge_props.pop((entry[2], entry[3], entry[4]),
+                                         None)
+        if structural:
+            if self._overlay is None:
+                self._overlay = DeltaAdjacency(self._base)
+            self._overlay.apply(structural)
+        if entries and self._overlay is not None:
+            self._overlay.version = int(entries[-1][0])
+
+    def _live_view(self) -> Any:
+        return self._overlay if self._overlay is not None else self._base
+
+    def _view_pairs(self, expression: Any,
+                    sources: Optional[Iterable[Hashable]],
+                    targets: Optional[Iterable[Hashable]]) -> FrozenSet:
+        """The compact product-BFS kernel over the live view."""
+        from repro.rpq.evaluation import rpq_pairs
+        return rpq_pairs(self._adapter.pin(self._live_view()), expression,
+                         sources, targets=targets)
+
+
+def publish_generation(directory: str, manifest: Dict[str, Any],
+                       cursor: ReplicationCursor, view: Any, version: int,
+                       vertex_props: Dict[Hashable, Dict[str, Any]],
+                       edge_props: Dict[Tuple, Dict[str, Any]]
+                       ) -> Dict[str, Any]:
+    """Write the next snapshot generation and publish its manifest.
+
+    The snapshot is written and fsynced under a *new* generation name,
+    then ``manifest.json`` is atomically replaced to name it and
+    ``cursor`` — the log position every record newer than ``version``
+    lies at or after.  Nothing is dropped here: the caller retires the
+    old snapshot and applies log retention once this returns.
+    """
+    generation = int(manifest["generation"]) + 1
+    snapshot_name = "snapshot-{:06d}.rcsr".format(generation)
+    write_adjacency_snapshot(
+        os.path.join(directory, snapshot_name), view,
+        name=manifest.get("name", ""), version=version,
+        vertex_properties=vertex_props, edge_properties=edge_props)
+    published = dict(manifest, format=2, generation=generation,
+                     snapshot=snapshot_name, snapshot_version=version,
+                     log_cursor=cursor.token())
+    publish_json(os.path.join(directory, MANIFEST_NAME), published)
+    return published
+
+
 class _WalSink:
     """The mutation sink attached to a store's graph.
 
@@ -149,10 +243,11 @@ class _WalSink:
     :meth:`MultiRelationalGraph._wal_precheck`): an entry the JSON framing
     cannot represent — or a store already in read-only degraded mode —
     is rejected while graph, journal and log still agree.  The call
-    itself appends the already-applied mutation to the WAL; if *that*
+    itself appends the already-applied mutation to the log; if *that*
     append fails the store flips degraded (the triggering mutation stays
     applied in memory and keeps serving; it becomes durable again at the
-    healing checkpoint, which folds the live state).
+    healing checkpoint, which folds the live state and restarts the log
+    so no replica can tail across the gap).
     """
 
     __slots__ = ("store",)
@@ -162,49 +257,29 @@ class _WalSink:
 
     def __call__(self, record: Tuple) -> None:
         try:
-            self.store._wal.append(record)
-        except StoreDegradedError:
-            raise
-        except StorageError as exc:
+            self.store._log.append(record)
+        except (StorageError, OSError) as exc:
             raise self.store._enter_degraded(str(exc)) from exc
-        segments = self.store._segments
-        if segments is not None:
-            try:
-                segments.append(record)
-            except (StorageError, OSError) as exc:
-                # The shippable log missed a record the WAL took: the
-                # store degrades, and the healing checkpoint resets the
-                # segment log so no replica can tail across the gap.
-                raise self.store._enter_degraded(
-                    "segment log append failed: {}".format(exc)) from exc
 
     def precheck(self, entry: Tuple) -> None:
         self.store._check_writable()
         check_loggable(entry)
 
 
-class PersistentGraph:
-    """One durable multi-relational graph: WAL + mmap'd snapshot + manifest."""
+class PersistentGraph(_LogBackedView):
+    """One durable multi-relational graph: log + mmap'd snapshot + manifest."""
 
     def __init__(self, directory: str, manifest: Dict[str, Any],
-                 wal: WriteAheadLog, sync: str, batch_size: int,
-                 mmap: bool):
+                 log: WalSegments, mmap: bool, replicate: bool):
         self.directory = directory
         self._manifest = manifest
-        self._wal = wal
-        self._sync = sync
-        self._batch_size = batch_size
+        self._log = log
         self._mmap = mmap
+        self._replicate = replicate
         self._graph: Optional[MultiRelationalGraph] = None
-        self._base = None
-        self._overlay: Optional[DeltaAdjacency] = None
-        self._segments: Optional[WalSegments] = None
-        self._vertex_props: Dict[Hashable, Dict[str, Any]] = {}
-        self._edge_props: Dict[Tuple, Dict[str, Any]] = {}
-        self._adapter = _CompactGraphAdapter()
         self._wal_sink = _WalSink(self)
         self._closed = False
-        # Reason string while in read-only degraded mode (WAL writes
+        # Reason string while in read-only degraded mode (log writes
         # failed), None while writable.  Sticky until a checkpoint heals.
         self._degraded: Optional[str] = None
         # Serializes lifecycle transitions (materialize / checkpoint /
@@ -212,7 +287,7 @@ class PersistentGraph:
         # and an admin endpoint, and e.g. two first-mutation calls racing
         # materialization must build the dict indices exactly once.
         # Re-entrant (checkpoint's heal path re-enters _enter_degraded)
-        # and witness-ordered above storage.wal.
+        # and witness-ordered above storage.segments and storage.wal.
         self._lock = ordered_rlock("storage.store")
         self._recovery: Dict[str, Any] = {"wal_records": 0,
                                           "tail_torn": False}
@@ -232,9 +307,10 @@ class PersistentGraph:
 
         ``graph`` defaults to a fresh empty graph; an existing graph is
         snapshotted as the first generation, so bulk loads should happen
-        *before* ``create`` (no per-edge WAL record) and churn after.
-        ``replicate=True`` additionally starts the shippable segment log
-        (``segments/``) replicas tail; see :mod:`repro.replication`.
+        *before* ``create`` (no per-record log append) and churn after.
+        Every store journals into the same log; ``replicate=True`` only
+        lets this handle *serve* it to replicas (the ``replication_*``
+        reads behind ``GET /replication/*``, :mod:`repro.replication`).
         """
         os.makedirs(directory, exist_ok=True)
         if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
@@ -242,36 +318,36 @@ class PersistentGraph:
                 "{} already contains a graph store".format(directory))
         if graph is None:
             graph = MultiRelationalGraph(name=name)
+        version = graph.version()
         manifest = {
-            "format": 1,
+            "format": 2,
             "kind": "multirelational",
             "name": name or graph.name,
             "generation": 1,
             "snapshot": "snapshot-000001.rcsr",
-            "wal": "wal-000001.log",
-            "snapshot_version": graph.version(),
+            "snapshot_version": version,
         }
         view = adjacency_snapshot(graph)
         write_adjacency_snapshot(
             os.path.join(directory, manifest["snapshot"]), view,
-            name=manifest["name"], version=graph.version(),
+            name=manifest["name"], version=version,
             vertex_properties={v: p for v, p in graph._vertices.items() if p},
             edge_properties={(e.tail, e.label, e.head): p
                              for e, p in graph._edges.items() if p})
-        wal = WriteAheadLog(os.path.join(directory, manifest["wal"]),
-                            sync=sync, batch_size=batch_size)
+        log = WalSegments(os.path.join(directory, SEGMENTS_DIRNAME),
+                          sync=sync, batch_size=batch_size,
+                          base_version=version)
         try:
-            _write_manifest(directory, manifest)
+            if (log.base_version, log.last_version) != (version, version):
+                # Left behind by a create that died before its manifest.
+                log.reset_base(version)
+            manifest["log_cursor"] = log.end_cursor().token()
+            publish_json(os.path.join(directory, MANIFEST_NAME), manifest)
         except BaseException:
-            wal.close()  # the store was never born; don't leak its log
+            log.close()  # the store was never born; don't leak its log
             raise
-        store = cls(directory, manifest, wal, sync, batch_size, mmap=True)
+        store = cls(directory, manifest, log, mmap=True, replicate=replicate)
         store._graph = graph
-        if replicate:
-            store._segments = WalSegments(
-                os.path.join(directory, SEGMENTS_DIRNAME),
-                sync=sync, batch_size=batch_size,
-                base_version=graph.version())
         graph.attach_wal_sink(store._wal_sink)
         return store
 
@@ -280,78 +356,61 @@ class PersistentGraph:
              mmap: bool = True, sync: str = "batch",
              batch_size: int = 64,
              replicate: bool = False) -> "PersistentGraph":
-        """Map the latest snapshot and replay the WAL suffix.
+        """Map the manifest's snapshot and replay the log suffix.
 
         The default is the lazy read path: CSR arrays stay on disk behind
-        ``np.memmap`` views, WAL mutations land in a
-        :class:`DeltaAdjacency` overlay, and queries run through the
+        ``np.memmap`` views, log records newer than the snapshot land in
+        a :class:`DeltaAdjacency` overlay, and queries run through the
         compact kernels directly.  ``materialize=True`` additionally builds
         the dict store up front (required before mutating; otherwise done
         on the first write).
 
-        The shippable segment log reopens automatically whenever
-        ``segments/segments.json`` exists (a store that ever replicated
-        must keep its log contiguous — silently mutating past it would
-        diverge every replica); ``replicate=True`` starts one fresh.
-        Either way the log is reconciled against the scanned WAL before
-        anything is served (see :meth:`WalSegments.sync_from`)."""
+        The replay starts at the log position the last checkpoint
+        recorded, so it reads the un-checkpointed suffix only.  A
+        ``format: 1`` directory is upgraded in place first.  ``replicate``
+        is as for :meth:`create`: it gates serving the feed, nothing else."""
         manifest = _read_manifest(directory)
-        snapshot_path = os.path.join(directory, manifest["snapshot"])
-        wal_path = os.path.join(directory, manifest["wal"])
-        base, metadata = open_adjacency_snapshot(snapshot_path, mmap=mmap)
-        entries, durable_end, tail_torn = scan_wal(wal_path)
-        wal = WriteAheadLog(wal_path, sync=sync, batch_size=batch_size,
-                            scanned=(durable_end, tail_torn))
-        store = cls(directory, manifest, wal, sync, batch_size, mmap)
-        store._base = base
-        store._vertex_props = dict(metadata.vertex_properties)
-        store._edge_props = dict(metadata.edge_properties)
-        store._recovery = {"wal_records": len(entries),
-                           "tail_torn": tail_torn}
-        store._replay(entries)
+        if manifest["format"] == 1:
+            manifest = _upgrade_legacy(directory, manifest)
+        snapshot_version = int(manifest["snapshot_version"])
+        base, metadata = open_adjacency_snapshot(
+            os.path.join(directory, manifest["snapshot"]), mmap=mmap)
         segments_dir = os.path.join(directory, SEGMENTS_DIRNAME)
-        if replicate or os.path.exists(
+        if not os.path.exists(
                 os.path.join(segments_dir, SEGMENTS_MANIFEST_NAME)):
-            snapshot_version = int(manifest["snapshot_version"])
-            store._segments = WalSegments(
-                segments_dir, sync=sync, batch_size=batch_size,
-                base_version=snapshot_version)
-            store._segments.sync_from(list(entries), snapshot_version)
+            raise StorageError(
+                "{}: the store's log manifest {} is missing".format(
+                    directory, SEGMENTS_MANIFEST_NAME))
+        log = WalSegments(segments_dir, sync=sync, batch_size=batch_size)
+        try:
+            cursor = ReplicationCursor.parse(manifest["log_cursor"]) \
+                if "log_cursor" in manifest else None
+            entries = list(log.iter_entries(after_version=snapshot_version,
+                                            start=cursor))
+            if cursor is not None and log.end_cursor() < cursor:
+                # The log ends short of where the snapshot says it stood
+                # (a heal's reset was interrupted after its manifest
+                # swap).  What is missing is in the snapshot; restart the
+                # log there so no replica tails across the hole.
+                log.reset_base(snapshot_version)
+        except BaseException:
+            log.close()
+            raise
+        store = cls(directory, manifest, log, mmap, replicate)
+        store._load_view(base, metadata)
+        store._recovery = {"wal_records": len(entries),
+                           "tail_torn": log.tail_torn}
+        store._apply(entries)
         if materialize:
             store.graph()
         return store
-
-    # The store is thread-confined during replay (construction time); the
-    # sidecar maps and overlay it fills are only published afterwards.
-    def _replay(self, entries: Iterable[Tuple[Any, ...]]) -> None:  # reprorace: ignore[unguarded-write]
-        """Apply recovered WAL entries: structure to the overlay, property
-        merges to the sidecar maps (deletes drop the matching maps)."""
-        structural = []
-        for entry in entries:
-            op = entry[1]
-            if op == "pv":
-                self._vertex_props.setdefault(entry[2], {}).update(entry[3])
-            elif op == "pe":
-                self._edge_props.setdefault(
-                    (entry[2], entry[3], entry[4]), {}).update(entry[5])
-            else:
-                structural.append(entry)
-                if op == "-v":
-                    self._vertex_props.pop(entry[2], None)
-                elif op == "-e":
-                    self._edge_props.pop((entry[2], entry[3], entry[4]), None)
-        if structural:
-            overlay = DeltaAdjacency(self._base)
-            overlay.apply(structural)
-            overlay.version = structural[-1][0]
-            self._overlay = overlay
 
     def close(self) -> None:
         """Flush the log and detach; the store directory is then quiescent.
 
         Idempotent and thread-safe: a server shutdown may close a store
         from its lifecycle thread while a late request handler does the
-        same, and the WAL must be flushed-then-closed exactly once.
+        same, and the log must be flushed-then-closed exactly once.
         """
         with self._lock:
             if self._closed:
@@ -359,46 +418,31 @@ class PersistentGraph:
             if self._graph is not None:
                 self._graph.detach_wal_sink(self._wal_sink)
             try:
-                self._wal.close()
-            except StorageError:
+                self._log.close()
+            except (StorageError, OSError):
                 # A degraded store's log may be unable to flush its
                 # failed batch; the durable prefix on disk is already
                 # consistent, and close must not raise on the way down.
                 if self._degraded is None:
                     raise
             finally:
-                if self._segments is not None:
-                    try:
-                        self._segments.close()
-                    except (StorageError, OSError):
-                        # A lost segment tail is reconciled against the
-                        # WAL on the next open (sync_from); teardown
-                        # must still complete.
-                        pass
-                    self._segments = None
                 self._base = None
                 self._overlay = None
                 self._closed = True
                 release_resource(self._leak_token)
 
     def flush(self) -> None:
-        """Force pending WAL records to disk (fsync per the sync policy).
+        """Force pending log records to disk (fsync per the sync policy).
 
-        A flush failure is a WAL write failure: the store enters
+        A flush failure is a log write failure: the store enters
         read-only degraded mode and raises :class:`StoreDegradedError`.
         """
         self._check_open()
         self._check_writable()
         try:
-            self._wal.flush()
-        except StorageError as exc:
+            self._log.flush()
+        except (StorageError, OSError) as exc:
             raise self._enter_degraded(str(exc)) from exc
-        if self._segments is not None:
-            try:
-                self._segments.flush()
-            except (StorageError, OSError) as exc:
-                raise self._enter_degraded(
-                    "segment log flush failed: {}".format(exc)) from exc
 
     def __enter__(self) -> "PersistentGraph":
         return self
@@ -411,13 +455,13 @@ class PersistentGraph:
     # ------------------------------------------------------------------
 
     def view(self) -> Any:
-        """The live compact adjacency: overlay if WAL entries were
+        """The live compact adjacency: overlay if log records were
         replayed, the (mmap) base otherwise, or the attached graph's own
         snapshot once materialized."""
         self._check_open()
         if self._graph is not None:
             return adjacency_snapshot(self._graph)
-        return self._overlay if self._overlay is not None else self._base
+        return self._live_view()
 
     @property
     def materialized(self) -> bool:
@@ -430,7 +474,7 @@ class PersistentGraph:
         Materialization walks the mapped CSR once to rebuild the hash
         indices, then installs the *same* mapped view as the graph's
         compact-snapshot cache — so compact queries stay rebuild-free —
-        and attaches the WAL sink so further mutations are logged.
+        and attaches the log sink so further mutations are logged.
         """
         with self._lock:
             self._check_open()
@@ -439,7 +483,7 @@ class PersistentGraph:
             return self._graph
 
     def _materialize(self) -> MultiRelationalGraph:
-        view = self._overlay if self._overlay is not None else self._base
+        view = self._live_view()
         graph = MultiRelationalGraph(name=self._manifest.get("name", ""))
         vertex_of = view.vertex_of
         live = list(view.live_vertex_ids())
@@ -460,12 +504,8 @@ class PersistentGraph:
         # any replica tailing it) has already seen: the rebuild restarted
         # the counter, and reused versions would be dropped by version
         # dedup downstream.
-        floor = int(self._manifest["snapshot_version"])
-        if self._overlay is not None:
-            floor = max(floor, int(self._overlay.version))
-        if self._segments is not None:
-            floor = max(floor, self._segments.last_version)
-        graph.advance_version(floor)
+        graph.advance_version(max(self.current_version(),
+                                  self._log.last_version))
         # Adopt the mapped view as the graph's snapshot cache: the ids it
         # interned stay valid, so the first compact query after
         # materialization slices the same mmap pages instead of rebuilding.
@@ -481,17 +521,17 @@ class PersistentGraph:
                 "graph store {} is closed".format(self.directory))
 
     # ------------------------------------------------------------------
-    # Degraded mode (read-only after a WAL write failure)
+    # Degraded mode (read-only after a log write failure)
     # ------------------------------------------------------------------
 
     @property
     def degraded(self) -> bool:
-        """True while the store is read-only after a WAL write failure.
+        """True while the store is read-only after a log write failure.
 
         Queries keep serving the live in-memory state exactly; mutations
         raise :class:`StoreDegradedError` *before* any state changes; a
         successful :meth:`checkpoint` — which folds the live state into a
-        fresh generation with a fresh log — heals the store.
+        fresh generation and restarts the log — heals the store.
         """
         return self._degraded is not None
 
@@ -503,8 +543,8 @@ class PersistentGraph:
     def _enter_degraded(self, reason: str) -> StoreDegradedError:
         """Flip (sticky) into degraded mode; returns the error to raise.
 
-        Takes the store lock: the WAL sink calls this from whichever
-        thread's mutation hit the write failure (after the WAL's own lock
+        Takes the store lock: the log sink calls this from whichever
+        thread's mutation hit the write failure (after the log's own lock
         is released), racing any concurrent checkpoint heal.  Re-entrant
         from ``_checkpoint_locked`` — the lock is an RLock.
         """
@@ -556,7 +596,6 @@ class PersistentGraph:
         evaluation runs the compact product-BFS kernel against the mapped
         snapshot (plus overlay), whether or not the store is materialized.
         """
-        from repro.rpq.evaluation import rpq_pairs
         self._check_open()
         try:
             fault_point("store.pairs")
@@ -564,11 +603,10 @@ class PersistentGraph:
             raise StorageError(
                 "{}: read failed ({})".format(self.directory, exc)) from exc
         if self._graph is not None:
+            from repro.rpq.evaluation import rpq_pairs
             return rpq_pairs(self._graph, expression, sources,
                              targets=targets)
-        view = self._overlay if self._overlay is not None else self._base
-        return rpq_pairs(self._adapter.pin(view), expression, sources,
-                         targets=targets)
+        return self._view_pairs(expression, sources, targets)
 
     # ------------------------------------------------------------------
     # Mutations (materialize-on-write)
@@ -603,11 +641,13 @@ class PersistentGraph:
     def checkpoint(self) -> Dict[str, Any]:
         """Fold live state into a fresh snapshot generation and prune the log.
 
-        Write order is the crash-safety argument: (1) the new snapshot and
-        a new empty WAL are written and fsynced under *new* generation
-        names, (2) the manifest is atomically replaced to point at them,
-        (3) only then is the old generation unlinked.  A crash before (2)
-        leaves the old generation live and intact; after (2), the new one.
+        Write order is the crash-safety argument: (1) the log is flushed
+        and its end cursor taken, (2) the new snapshot is written and
+        fsynced under a *new* generation name, (3) the manifest is
+        atomically replaced to name both, (4) only then are the old
+        snapshot and the folded sealed segments dropped.  A crash before
+        (3) leaves the old snapshot and the full suffix; after it, replay
+        skips by version whatever the new snapshot holds.
         Returns the refreshed :meth:`info` dict.
         """
         with self._lock:
@@ -615,20 +655,19 @@ class PersistentGraph:
 
     def _checkpoint_locked(self) -> Dict[str, Any]:  # guarded-by: _lock
         self._check_open()
-        if self._degraded is None and self._segments is not None:
-            try:
-                self._segments.flush()
-            except (StorageError, OSError) as exc:
-                self._enter_degraded(
-                    "segment log flush failed: {}".format(exc))
         if self._degraded is None:
             try:
-                self._wal.flush()
-            except StorageError as exc:
+                self._log.flush()
+            except (StorageError, OSError) as exc:
                 # The checkpoint continues as the heal path: the live
                 # in-memory state (which includes every entry the log
                 # could not take) is folded into the new generation.
                 self._enter_degraded(str(exc))
+        healing = self._degraded is not None
+        # A heal restarts the log, so it publishes the cursor the restart
+        # will produce; a healthy checkpoint the flushed end.
+        cursor = self._log.cursor_after_reset() if healing \
+            else self._log.end_cursor()
         if self._graph is not None:
             view = adjacency_snapshot(self._graph)
             version = self._graph.version()
@@ -637,73 +676,41 @@ class PersistentGraph:
             edge_props = {(e.tail, e.label, e.head): dict(p) for e, p in
                           self._graph._edges.items() if p}
         else:
-            view = self._overlay if self._overlay is not None else self._base
+            view = self._live_view()
             version = view.version
             vertex_props = self._vertex_props
             edge_props = self._edge_props
-        generation = self._manifest["generation"] + 1
-        snapshot_name = "snapshot-{:06d}.rcsr".format(generation)
-        wal_name = "wal-{:06d}.log".format(generation)
         old_snapshot = self._manifest["snapshot"]
-        old_wal_path = self._wal.path
-        write_adjacency_snapshot(
-            os.path.join(self.directory, snapshot_name), view,
-            name=self._manifest.get("name", ""), version=version,
-            vertex_properties=vertex_props, edge_properties=edge_props)
-        new_wal = WriteAheadLog(os.path.join(self.directory, wal_name),
-                                sync=self._sync, batch_size=self._batch_size)
-        manifest = dict(self._manifest)
-        manifest.update(generation=generation, snapshot=snapshot_name,
-                        wal=wal_name, snapshot_version=version)
-        try:
-            _write_manifest(self.directory, manifest)
-        except BaseException:
-            # The new generation was never published: the old one stays
-            # live, so the just-opened log must not leak its handle.
-            new_wal.close()
-            raise
-        # The new generation is durable and live: retire the old one.
-        try:
-            self._wal.close()
-        except StorageError:
-            # A degraded generation's log may refuse its final flush; its
-            # durable prefix is superseded by the snapshot just published.
-            pass
-        was_degraded = self._degraded is not None
-        self._wal = new_wal
-        self._manifest = manifest
+        self._manifest = publish_generation(
+            self.directory, self._manifest, cursor, view, version,
+            vertex_props, edge_props)
         # Every live entry is folded into the published generation: the
         # store is durable again.
         self._degraded = None
-        if self._segments is not None:
-            try:
-                if was_degraded:
-                    # The degraded window may have mutations the segment
-                    # log never saw (they are only in the fold just
-                    # published).  Resetting gaps every replica cursor,
-                    # forcing a re-bootstrap from this snapshot instead
-                    # of a silent skip.
-                    self._segments.reset_base(version)
-                else:
-                    self._segments.archive_through(version)
-            except (StorageError, OSError) as exc:
-                self._enter_degraded(
-                    "segment log retention failed: {}".format(exc))
-        for stale in (os.path.join(self.directory, old_snapshot),
-                      old_wal_path):
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
+        try:
+            if healing:
+                # The degraded window may have mutations the log never
+                # saw (they are only in the fold just published).
+                # Restarting it gaps every replica cursor, forcing a
+                # re-bootstrap from this snapshot instead of a silent
+                # skip.
+                self._log.reset_base(version)
+            else:
+                # The active segment stays: a tailing replica's cursor
+                # survives a healthy checkpoint.
+                self._log.drop_through(version)
+        except (StorageError, OSError) as exc:
+            self._enter_degraded("log retention failed: {}".format(exc))
+        try:
+            os.unlink(os.path.join(self.directory, old_snapshot))
+        except OSError:
+            pass
         if self._graph is None:
             # Lazy stores re-map the folded snapshot: the overlay's work is
             # now baked into dense base arrays.
-            base, metadata = open_adjacency_snapshot(
-                os.path.join(self.directory, snapshot_name), mmap=self._mmap)
-            self._base = base
-            self._overlay = None
-            self._vertex_props = dict(metadata.vertex_properties)
-            self._edge_props = dict(metadata.edge_properties)
+            self._load_view(*open_adjacency_snapshot(
+                os.path.join(self.directory, self._manifest["snapshot"]),
+                mmap=self._mmap))
         return self.info()
 
     # ------------------------------------------------------------------
@@ -711,9 +718,14 @@ class PersistentGraph:
     # ------------------------------------------------------------------
 
     @property
-    def segments(self) -> Optional[WalSegments]:
-        """The shippable segment log, or None when not replicating."""
-        return self._segments
+    def segments(self) -> WalSegments:
+        """The store's log (what recovery replays and replicas tail)."""
+        return self._log
+
+    @property
+    def replicating(self) -> bool:
+        """True when this handle serves the replication feed."""
+        return self._replicate
 
     def current_version(self) -> int:
         """The journal version of the live state (what a replica chases)."""
@@ -724,11 +736,11 @@ class PersistentGraph:
         return int(self._manifest["snapshot_version"])
 
     def _check_replicating(self) -> WalSegments:
-        if self._segments is None:
+        if not self._replicate:
             raise StorageError(
-                "store {} has no segment log; open it with replicate=True "
-                "to serve replication".format(self.directory))
-        return self._segments
+                "store {} was not opened with replicate=True and does not "
+                "serve replication".format(self.directory))
+        return self._log
 
     def replication_bootstrap(self) -> Tuple[bytes, Dict[str, Any]]:
         """Snapshot bytes + metadata for a replica bootstrap.
@@ -736,24 +748,14 @@ class PersistentGraph:
         Runs under the store lock so the snapshot file, its manifest
         version, and the start cursor are one consistent cut — a
         concurrent checkpoint cannot swap generations mid-read.  The
-        returned cursor covers every record after ``snapshot_version``.
+        returned cursor covers every record after ``snapshot_version``
+        (the log only ever restarts *at* a snapshot already published).
         """
         with self._lock:
             self._check_open()
             segments = self._check_replicating()
             segments.flush()
             snapshot_version = int(self._manifest["snapshot_version"])
-            if segments.base_version > snapshot_version:
-                # The retained log restarted past the published snapshot
-                # (a degraded-heal reset raced this read before its new
-                # manifest landed, or direct segment surgery): a
-                # bootstrap now would have a hole between snapshot and
-                # log.  Refuse rather than ship a silently gapped feed.
-                raise StorageError(
-                    "replication bootstrap unavailable: snapshot version "
-                    "{} predates the retained segment log (base {}); "
-                    "checkpoint the store first".format(
-                        snapshot_version, segments.base_version))
             path = os.path.join(self.directory, self._manifest["snapshot"])
             with open(path, "rb") as stream:
                 data = stream.read()
@@ -771,8 +773,8 @@ class PersistentGraph:
         """The shipped-log frontier a caught-up replica converges to.
 
         This is the newest version a replica can *reach* — the last
-        record in the segment log (or the snapshot version when the log
-        is empty).  Deliberately not :meth:`current_version`: the live
+        record in the log (or the snapshot version when the log is
+        empty).  Deliberately not :meth:`current_version`: the live
         graph clock advances on no-op mutations that log nothing, so
         measuring replica lag against it would never read zero.
         """
@@ -784,10 +786,10 @@ class PersistentGraph:
 
     def replication_read(self, cursor: ReplicationCursor,
                          max_bytes: int = 1 << 20) -> ShipResult:
-        """The CRC-framed WAL suffix at ``cursor`` (durable records only).
+        """The CRC-framed log suffix at ``cursor`` (durable records only).
 
-        Flushes the segment log first so a tailing replica's lag is
-        bounded by the poll interval, not the fsync batch size.
+        Flushes the log first so a tailing replica's lag is bounded by
+        the poll interval, not the fsync batch size.
         """
         self._check_open()
         segments = self._check_replicating()
@@ -804,12 +806,12 @@ class PersistentGraph:
 
         ``info()`` builds the full adjacency view to report sizes; hot
         metadata consumers (the replication feed stamps the name on
-        every WAL ship) must not pay that just for a label.
+        every log ship) must not pay that just for a label.
         """
         return str(self._manifest.get("name", ""))
 
     def info(self) -> Dict[str, Any]:
-        """A JSON-ready summary: manifest, sizes, WAL and recovery state."""
+        """A JSON-ready summary: manifest, sizes, log and recovery state."""
         self._check_open()
         view = self.view()
         overlay_ops = view.delta_ops if isinstance(view, DeltaAdjacency) else 0
@@ -819,9 +821,9 @@ class PersistentGraph:
             "generation": self._manifest["generation"],
             "snapshot": self._manifest["snapshot"],
             "snapshot_version": self._manifest["snapshot_version"],
-            "wal": self._manifest["wal"],
-            "wal_records_logged": self._wal.records_logged,
-            "wal_bytes": self._wal.tell(),
+            "wal": SEGMENTS_DIRNAME,
+            "wal_records_logged": self._log.records_logged,
+            "wal_bytes": self._log.retained_bytes(),
             "recovered_wal_records": self._recovery["wal_records"],
             "recovered_tail_torn": self._recovery["tail_torn"],
             "materialized": self.materialized,
@@ -831,7 +833,7 @@ class PersistentGraph:
             "size": view.num_edges,
             "labels": view.num_labels,
             "overlay_ops": overlay_ops,
-            "replicating": self._segments is not None,
+            "replicating": self._replicate,
         }
 
     def __repr__(self) -> str:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import sys
 import zlib
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
@@ -57,7 +56,13 @@ from repro.graph.compact import (
     _build_csr,
     fold_adjacency_pairs,
 )
-from repro.storage.wal import check_loggable
+from repro.storage.frames import (
+    FRAME_HEADER,
+    STOP_END,
+    check_loggable,
+    frame,
+    walk_frames,
+)
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -76,8 +81,8 @@ __all__ = [
 
 SNAPSHOT_MAGIC = b"RPCSR001"
 
-_PRELUDE = struct.Struct("<II")  # header length, header crc32
-_PRELUDE_SIZE = len(SNAPSHOT_MAGIC) + _PRELUDE.size
+# The JSON header is one length+crc32 frame (repro.storage.frames).
+_PRELUDE_SIZE = len(SNAPSHOT_MAGIC) + FRAME_HEADER
 _ALIGN = 16
 _INT_DTYPE = "<i8"
 _FLOAT_DTYPE = "<f8"
@@ -154,8 +159,7 @@ def _write_file(path: str, header: Dict[str, Any],
     try:
         with open(path, "wb") as stream:
             stream.write(SNAPSHOT_MAGIC)
-            stream.write(_PRELUDE.pack(len(raw), zlib.crc32(raw)))
-            stream.write(raw)
+            stream.write(frame(raw))
             stream.write(data)
             stream.flush()
             fault_point("snapshot.fsync")
@@ -176,13 +180,12 @@ def _read_header(path: str) -> Tuple[Dict[str, Any], int]:
         if magic != SNAPSHOT_MAGIC:
             raise StorageError(
                 "{}: not a snapshot file (bad magic {!r})".format(path, magic))
-        prelude = stream.read(_PRELUDE.size)
-        if len(prelude) < _PRELUDE.size:
-            raise StorageError("{}: truncated snapshot prelude".format(path))
-        header_len, header_crc = _PRELUDE.unpack(prelude)
-        raw = stream.read(header_len)
-        if len(raw) < header_len or zlib.crc32(raw) != header_crc:
+        prelude = stream.read(FRAME_HEADER)
+        walk = walk_frames(prelude + stream.read(
+            max(0, walk_frames(prelude).need - FRAME_HEADER)))
+        if walk.stop != STOP_END or len(walk.payloads) != 1:
             raise StorageError("{}: snapshot header is corrupt".format(path))
+        raw = walk.payloads[0]
     try:
         header = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
@@ -192,7 +195,7 @@ def _read_header(path: str) -> Tuple[Dict[str, Any], int]:
     if header.get("format") != 1:
         raise StorageError("{}: unsupported snapshot format {!r}".format(
             path, header.get("format")))
-    return header, _PRELUDE_SIZE + header_len
+    return header, _PRELUDE_SIZE + len(raw)
 
 
 def _map_ints(path: str, data_offset: int, total: int, mmap: bool) -> Any:

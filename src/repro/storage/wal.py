@@ -1,32 +1,23 @@
-"""The write-ahead log: durable append of the graph mutation stream.
+"""One log file: durable, fsync-batched append of CRC-framed records.
 
 The structural mutation journal :class:`~repro.graph.graph.MultiRelationalGraph`
 already maintains for its compact snapshots is *exactly* the event stream a
-write-ahead log needs — this module gives it a durable file form.
-
-Record framing
---------------
-The file starts with an 8-byte magic (``RPWAL001``).  Each record is::
-
-    +----------------+----------------+----------------------+
-    | length: u32 LE | crc32:  u32 LE | payload (JSON, utf-8)|
-    +----------------+----------------+----------------------+
-
-``length`` counts payload bytes only; ``crc32`` is :func:`zlib.crc32` of the
-payload.  The payload is the mutation entry ``(version, op, *args)`` encoded
-as a compact JSON array, e.g. ``[17,"+e","a","knows","b"]`` or
-``[18,"pv","a",{"age":29}]``.
+write-ahead log needs.  :class:`WriteAheadLog` is the single-file append
+primitive that makes it durable; a store's log
+(:class:`~repro.storage.segments.WalSegments`) is a sequence of such files,
+the newest of which is open for appends through this class.  The record
+format lives in :mod:`repro.storage.frames`.
 
 Crash consistency
 -----------------
 Appends are strictly sequential, so after a crash (or a ``kill -9``) the
 file is a valid prefix followed by at most one torn record.  Recovery
-(:func:`scan_wal`) walks records until the first incomplete frame, short
-payload, or CRC mismatch, and reports the byte offset of the last intact
-record; :class:`WriteAheadLog` truncates the torn tail before appending
-again.  Nothing after the durable prefix is ever replayed — losing the tail
-that was never fsynced is the documented contract, silently corrupting
-state is not.
+(:func:`scan_wal`) keeps the records before the first incomplete frame,
+CRC mismatch or undecodable payload, and reports the byte offset of the
+last intact record; :class:`WriteAheadLog` truncates the torn tail before
+appending again.  Nothing after the durable prefix is ever replayed —
+losing the tail that was never fsynced is the documented contract,
+silently corrupting state is not.
 
 Durability batching
 -------------------
@@ -39,105 +30,58 @@ decides).
 
 from __future__ import annotations
 
-import json
 import os
-import struct
-import zlib
 from typing import IO, List, Optional, Tuple
 
 from repro.concurrency import ordered_lock, release_resource, track_resource
 from repro.errors import StorageError
 from repro.faults import fault_hook, fault_point
+from repro.storage.frames import (
+    DATA_START,
+    WAL_MAGIC,
+    check_loggable,
+    encode_record,
+    scan_frames,
+)
 
 __all__ = ["WAL_MAGIC", "WriteAheadLog", "scan_wal", "encode_record",
            "check_loggable"]
 
-WAL_MAGIC = b"RPWAL001"
 
-_FRAME = struct.Struct("<II")  # payload length, payload crc32
-
-#: The scalar types the JSON framing round-trips with identity preserved.
-#: Tuples would silently come back as lists and lose hash identity — the
-#: exact class of bug the triple-CSV layer had with ints — so they are
-#: rejected at append time instead.
-_SCALARS = (str, int, float, bool, type(None))
-
-
-def check_loggable(entry: Tuple) -> None:
-    """Reject entries the JSON framing cannot round-trip faithfully.
-
-    Vertex and label identifiers must be JSON scalars (str/int/float/bool/
-    None); property maps must be JSON-encodable dicts.  Raises
-    :class:`StorageError` naming the offending value.
-    """
-    for arg in entry:
-        if isinstance(arg, _SCALARS):
-            continue
-        if isinstance(arg, dict):
-            try:
-                json.dumps(arg)
-            except (TypeError, ValueError) as exc:
-                raise StorageError(
-                    "property map {!r} is not JSON-serializable: {}".format(
-                        arg, exc)) from exc
-            continue
-        raise StorageError(
-            "cannot log {!r}: vertex/label ids must be JSON scalars "
-            "(str, int, float, bool or None) to round-trip with identity "
-            "preserved".format(arg))
-
-
-def encode_record(entry: Tuple) -> bytes:
-    """One framed record (length + crc + JSON payload) for ``entry``."""
-    check_loggable(entry)
-    payload = json.dumps(list(entry), separators=(",", ":")).encode("utf-8")
-    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
-
-
-def _decode_payload(payload: bytes) -> Tuple:
-    data = json.loads(payload.decode("utf-8"))
-    return tuple(data)
-
-
-def scan_wal(path: str) -> Tuple[List[Tuple], int, bool]:
+def scan_wal(path: str, start: int = DATA_START
+             ) -> Tuple[List[Tuple], int, bool]:
     """Read every intact record: ``(entries, durable_end, tail_torn)``.
 
     ``durable_end`` is the byte offset just past the last intact record —
     the truncation point a writer must restore before appending.
     ``tail_torn`` is True when trailing bytes past that offset were found
-    (a crash mid-append); the torn bytes are *not* decoded.
+    (a crash mid-append, a CRC mismatch, or a CRC-valid payload that is
+    not a record); those bytes are *not* decoded.  ``start`` is a frame
+    boundary to begin at — records before it are not read; a ``start``
+    past the end of the file is not a boundary this file has, so the
+    whole file is scanned instead.
 
     A missing file yields ``([], 0, False)``; a file whose *header* is bad
     raises :class:`StorageError` (that is corruption, not a torn tail).
     """
-    if not os.path.exists(path):
+    try:
+        with open(path, "rb") as stream:
+            magic = stream.read(DATA_START)
+            if len(magic) < DATA_START:
+                # Shorter than the magic: a writer died creating the file.
+                return [], 0, len(magic) > 0
+            if magic != WAL_MAGIC:
+                raise StorageError(
+                    "{}: not a write-ahead log (bad magic {!r})".format(
+                        path, magic))
+            if start > os.fstat(stream.fileno()).st_size:
+                start = DATA_START
+            stream.seek(start)
+            data = stream.read()
+    except FileNotFoundError:
         return [], 0, False
-    entries: List[Tuple] = []
-    with open(path, "rb") as stream:
-        magic = stream.read(len(WAL_MAGIC))
-        if len(magic) < len(WAL_MAGIC):
-            # Shorter than the magic: a writer died creating the file.
-            return [], 0, len(magic) > 0
-        if magic != WAL_MAGIC:
-            raise StorageError(
-                "{}: not a write-ahead log (bad magic {!r})".format(
-                    path, magic))
-        durable_end = len(WAL_MAGIC)
-        while True:
-            frame = stream.read(_FRAME.size)
-            if len(frame) < _FRAME.size:
-                return entries, durable_end, len(frame) > 0
-            length, crc = _FRAME.unpack(frame)
-            payload = stream.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                return entries, durable_end, True
-            try:
-                entries.append(_decode_payload(payload))
-            except ValueError:
-                # CRC-valid but undecodable payload: corruption, stop at
-                # the durable prefix exactly like a torn frame.
-                return entries, durable_end, True
-            durable_end = stream.tell()
+    entries, _, end, finding = scan_frames(data)
+    return entries, start + end, finding is not None
 
 
 class WriteAheadLog:
@@ -190,7 +134,7 @@ class WriteAheadLog:
             self._stream.truncate(0)
             self._stream.write(WAL_MAGIC)
             self._fsync()
-            durable_end = len(WAL_MAGIC)
+            durable_end = DATA_START
         elif tail_torn:
             self._stream.truncate(durable_end)
             self._fsync()

@@ -284,6 +284,24 @@ class TestDegradedMode:
             assert reopened.graph().has_edge("x", "a", "y")
             assert reopened.pairs(STAR) == rpq_pairs_basic(reference, STAR)
 
+    def test_flush_crosses_wal_fsync_once(self, tmp_path):
+        """One log: a replicating store's flush() is one fsync, and a
+        ``times=1`` fault at the site is consumed by that one crossing."""
+        store = seeded_store(tmp_path / "g", replicate=True)
+        store.add_edge("u", "a", "v")
+        plan = FaultPlan()
+        counter = plan.arm("wal.fsync", "eio", after=10 ** 9)  # never fires
+        with fault_scope(plan):
+            store.flush()
+            assert counter.calls == 1
+            store.add_edge("v", "a", "w")
+            plan.arm("wal.fsync", "eio", times=1)
+            with pytest.raises(StoreDegradedError):
+                store.flush()
+        assert plan.fired("wal.fsync") == 1 and counter.calls == 2
+        store.checkpoint()  # heals
+        store.close()
+
     def test_snapshot_and_manifest_faults_are_typed(self, tmp_path):
         store = seeded_store(tmp_path / "g")
         store.add_edge("u", "a", "v")

@@ -3,7 +3,7 @@
 The replication robustness gate.  Four layers of coverage:
 
 * **Segment log units** — rotation, cursor tokens, scrub/verify,
-  archival and the reset-base gap semantics replicas depend on.
+  retention and the reset-base gap semantics replicas depend on.
 * **Loopback replication** — a :class:`ReplicaGraph` tailing a
   :class:`PrimaryFeed` in-process: bootstrap, catch-up, durable
   reopen, cursor-gap re-bootstrap, promote-on-failure.
@@ -128,13 +128,17 @@ class TestSegments:
             with pytest.raises(ReplicationError):
                 ReplicationCursor.parse(bad)
 
-    def test_archive_and_reset_gap_stale_cursors(self, tmp_path):
+    def test_drop_and_reset_gap_stale_cursors(self, tmp_path):
         with WalSegments(str(tmp_path / "seg"), segment_bytes=128) as log:
             for version in range(1, 41):
                 log.append((version, "+v", version))
             log.flush()
             stale = log.cursor_for_version(0)
-            log.archive_through(20)
+            before = set(os.listdir(str(tmp_path / "seg")))
+            assert log.drop_through(20) > 0
+            # Folded segments are unlinked, not moved aside.
+            after = set(os.listdir(str(tmp_path / "seg")))
+            assert after < before and "archive" not in after
             with pytest.raises(ReplicationCursorGapError):
                 log.read_from(stale)
             # Survivors are still readable from the retention floor.
@@ -238,7 +242,7 @@ class TestLoopback:
             before = replica.rebootstraps
             for i in range(30):
                 store.add_edge("n{}".format(i), "c", "n{}".format(i + 1))
-            store.checkpoint()  # archives the shipped prefix
+            store.checkpoint()  # drops the folded sealed prefix
             for i in range(30):
                 store.add_edge("m{}".format(i), "b", "m{}".format(i + 1))
             tailer = ReplicaTailer(replica, feed, poll_interval=0.01)
@@ -250,6 +254,35 @@ class TestLoopback:
             assert replica.rebootstraps >= before
             _assert_equal_answers(replica, store)
             replica.close()
+
+    def test_checkpoint_cycles_keep_disk_bounded(self, tmp_path):
+        """Folded segments are unlinked: after N checkpoint cycles the
+        directory holds a snapshot plus the live suffix, not N copies."""
+        def tree_bytes(directory):
+            return sum(os.path.getsize(os.path.join(base, name))
+                       for base, _, names in os.walk(directory)
+                       for name in names)
+
+        with _primary(tmp_path, edges=4) as store:
+            store.segments.segment_bytes = 512  # rotate every few records
+            sizes = []
+            for cycle in range(8):
+                for i in range(40):
+                    store.add_edge("c{}".format(i), "a", "c{}".format(i + 1))
+                    store.remove_edge("c{}".format(i), "a",
+                                      "c{}".format(i + 1))
+                store.checkpoint()
+                sizes.append(tree_bytes(str(store.directory)))
+            directory = str(store.directory)
+            snapshot = os.path.getsize(os.path.join(
+                directory, store.info()["snapshot"]))
+            # The same graph every cycle, so the same bound every cycle:
+            # snapshot + the unsealed tail (a segment cap and the frame
+            # that crossed it) + the three manifests.
+            assert max(sizes) <= snapshot + 2 * 512 + 2048, (snapshot, sizes)
+            assert not os.path.exists(
+                os.path.join(directory, "segments", "archive"))
+            assert verify_store(directory)["ok"]
 
     def test_stale_bound_and_lag_shape(self, tmp_path):
         with _primary(tmp_path) as store:
@@ -721,8 +754,10 @@ class TestCli:
         with _primary(tmp_path, name="store") as store:
             directory = str(store.directory)
         assert main(["db", "verify", directory]) == 0
-        wal = [f for f in os.listdir(directory) if f.startswith("wal-")][0]
-        path = os.path.join(directory, wal)
+        assert not [f for f in os.listdir(directory) if f.startswith("wal-")]
+        segments = os.path.join(directory, "segments")
+        path = os.path.join(segments, sorted(
+            f for f in os.listdir(segments) if f.endswith(".wal"))[-1])
         blob = bytearray(open(path, "rb").read())
         blob[len(blob) // 2] ^= 0xFF
         with open(path + ".tmp", "wb") as stream:

@@ -200,6 +200,23 @@ class TestRulesFire:
         )
         assert _lint_snippet(tmp_path, write_elsewhere) == []
 
+    def test_frame_codec_outside_frames_module(self, tmp_path):
+        source = (
+            "import struct\n"
+            "_FRAME = struct.Struct('<II')\n"
+            "def read(data, offset):\n"
+            "    return _FRAME.unpack_from(data, offset)\n"
+        )
+        violations = _lint_snippet(tmp_path, source, name="segments.py",
+                                   subdir="storage")
+        assert _rules(violations) == ["frame-codec", "frame-codec"]
+        assert "frames.py" in violations[0].message
+        # The codec module itself is the one sanctioned home.
+        assert _lint_snippet(tmp_path, source, name="frames.py",
+                             subdir="storage") == []
+        other = "import struct\nHEADER = struct.Struct('<QQ')\n"
+        assert _lint_snippet(tmp_path, other, name="other.py") == []
+
     def test_bare_except(self, tmp_path):
         source = (
             "def risky():\n"

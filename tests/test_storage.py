@@ -15,12 +15,15 @@ The acceptance bar this file enforces:
 import json
 import os
 import random
+import shutil
+import zlib
 
 import pytest
 
 from repro.cli import main
 from repro.engine import Engine
 from repro.errors import StorageError
+from repro.faults import FaultPlan, fault_scope
 from repro.graph.compact import (
     HAVE_NUMPY,
     CompactAdjacency,
@@ -31,11 +34,13 @@ from repro.graph.graph import MultiRelationalGraph
 from repro.rpq import lconcat, lstar, lunion, rpq_pairs_basic, sym
 from repro.storage import (
     PersistentGraph,
+    WalSegments,
     WriteAheadLog,
     open_adjacency_snapshot,
     scan_wal,
     write_adjacency_snapshot,
 )
+from repro.storage.wal import WAL_MAGIC, encode_record
 
 EXPRESSIONS = [
     sym("a"),
@@ -56,6 +61,23 @@ def assert_store_matches(store, reference):
     assert store.vertices() == reference.vertices()
     for expression in EXPRESSIONS:
         assert store.pairs(expression) == reference_pairs(reference, expression)
+
+
+def active_segment(directory):
+    """Path of the newest segment file of the store's log."""
+    segments = os.path.join(directory, "segments")
+    return os.path.join(segments, sorted(
+        name for name in os.listdir(segments) if name.endswith(".wal"))[-1])
+
+
+def crc_frame(payload):
+    """A CRC-correct frame around arbitrary payload bytes."""
+    return (len(payload).to_bytes(4, "little")
+            + zlib.crc32(payload).to_bytes(4, "little") + payload)
+
+
+#: CRC-valid payloads that are not ``[version, op, ...]`` records.
+MALFORMED_PAYLOADS = [b"5", b"[1]"]
 
 
 def apply_entry(graph, entry):
@@ -149,6 +171,21 @@ class TestWriteAheadLog:
         assert torn
         assert entries == [(i, "+v", "vertex-{}".format(i)) for i in range(3)]
         assert durable_end == boundaries[2]
+
+    @pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+    def test_malformed_payload_stops_replay_at_prefix(self, tmp_path,
+                                                      payload):
+        path = str(tmp_path / "wal.log")
+        records = [(i, "+v", "vertex-{}".format(i)) for i in range(3)]
+        with WriteAheadLog(path, sync="none") as wal:
+            for record in records:
+                wal.append(record)
+        good_end = os.path.getsize(path)
+        with open(path, "ab") as stream:
+            stream.write(crc_frame(payload))
+            stream.write(encode_record((9, "+v", "after-the-bad-frame")))
+        entries, durable_end, torn = scan_wal(path)
+        assert torn and entries == records and durable_end == good_end
 
 
 # ----------------------------------------------------------------------
@@ -333,10 +370,13 @@ class TestPersistentGraphLifecycle:
         g.remove_vertex("c")
         info = store.checkpoint()
         assert info["generation"] == 2
-        assert info["wal_bytes"] == 8  # fresh log: magic only
-        survivors = sorted(os.listdir(directory))
-        assert survivors == ["manifest.json", "snapshot-000002.rcsr",
-                             "wal-000002.log"]
+        # One log: a healthy checkpoint retires the old snapshot but keeps
+        # the active segment (a tailing replica's cursor survives it).
+        assert sorted(os.listdir(directory)) == [
+            "manifest.json", "segments", "snapshot-000002.rcsr"]
+        assert sorted(os.listdir(os.path.join(directory, "segments"))) == [
+            "segment-000001.wal", "segments.json"]
+        assert info["wal_bytes"] == os.path.getsize(active_segment(directory))
         store.close()
         with PersistentGraph.open(directory) as reopened:
             assert reopened.info()["recovered_wal_records"] == 0
@@ -415,8 +455,8 @@ class TestCrashRecovery:
             else:
                 g.set_vertex_property(
                     rng.choice(sorted(g.vertices())), "step", step)
-        store._wal.flush()
-        wal_path = store._wal.path
+        store.flush()
+        wal_path = active_segment(directory)
         store.close()
         return initial, wal_path
 
@@ -439,6 +479,32 @@ class TestCrashRecovery:
             assert not store.info()["recovered_tail_torn"]
             assert_store_matches(store, expected)
 
+    @pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+    def test_malformed_payload_recovers_durable_prefix(self, tmp_path,
+                                                       payload, capsys):
+        directory = str(tmp_path / "store")
+        initial, wal_path = self.build_store(directory)
+        surviving, _, _ = scan_wal(wal_path)
+        with open(wal_path, "ab") as stream:
+            stream.write(crc_frame(payload))
+        expected = initial.copy()
+        for entry in surviving:
+            apply_entry(expected, entry)
+        # The offline scrub names the record instead of crashing on it.
+        assert main(["db", "verify", directory]) == 1
+        first = json.loads(capsys.readouterr().out.split(
+            "FIRST CORRUPT: ")[1])
+        assert first["record"] == len(surviving) and "prelude" in \
+            first["reason"]
+        with PersistentGraph.open(directory) as store:
+            assert store.info()["recovered_tail_torn"]
+            assert_store_matches(store, expected)
+            assert store.graph() == expected
+        with PersistentGraph.open(directory) as store:
+            assert not store.info()["recovered_tail_torn"]
+            assert_store_matches(store, expected)
+        assert main(["db", "verify", directory]) == 0
+
     def test_close_flushes_pending_batch_records(self, tmp_path):
         """PR 7 satellite: a clean close() must flush sync="batch" records
         still sitting below batch_size — only a crash loses them."""
@@ -448,7 +514,9 @@ class TestCrashRecovery:
                                        batch_size=1000)
         g.add_edge("a", "r", "b")
         g.add_edge("b", "r", "c")
-        assert store._wal._pending  # below batch_size: still buffered
+        # Below batch_size: still buffered, only the magic is on disk.
+        assert store.info()["wal_records_logged"] > 0
+        assert store.info()["wal_bytes"] == 8
         store.close()
         with PersistentGraph.open(directory) as reopened:
             assert reopened.graph().has_edge("a", "r", "b")
@@ -463,11 +531,212 @@ class TestCrashRecovery:
         durable = g.copy()
         store.flush()
         g.add_edge("b", "r", "c")  # buffered, never flushed
-        # Simulate the crash: abandon the store without close()/flush().
-        store._wal._stream.close()
-        store._wal._stream = None
-        with PersistentGraph.open(directory) as reopened:
+        # Simulate the crash: what is on disk now is what a kill -9
+        # would leave (the buffered record is only in the process).
+        crashed = str(tmp_path / "crashed")
+        shutil.copytree(directory, crashed)
+        store.close()
+        with PersistentGraph.open(crashed) as reopened:
             assert reopened.graph() == durable
+
+
+def churn_once(store, model, rng, acknowledged):
+    """One random edge mutation; recorded only once the store took it."""
+    if rng.random() < 0.7 or not model:
+        op = ("+", "v{}".format(rng.randrange(10)), rng.choice("abc"),
+              "v{}".format(rng.randrange(10)))
+        store.add_edge(*op[1:])
+        model.add(op[1:])
+    else:
+        op = ("-",) + rng.choice(sorted(model))
+        store.remove_edge(*op[1:])
+        model.discard(op[1:])
+    acknowledged.append(op)
+
+
+def edges_after(ops):
+    edges = set()
+    for sign, tail, label, head in ops:
+        (edges.add if sign == "+" else edges.discard)((tail, label, head))
+    return edges
+
+
+def arm_checkpoint(plan, store, add_edge):
+    store.checkpoint()
+
+
+def arm_fresh_segment(plan, store, add_edge):
+    # The next append has to open (and publish) a fresh segment.
+    store.segments.seal_tail()
+    plan.arm("manifest.rename", "eio", times=1)
+    add_edge("k0", "a", "k1")
+
+
+def arm_rotation_fsync(plan, store, add_edge):
+    # batch_size is never reached, so the first fsync is the rotation's.
+    plan.arm("wal.fsync", "eio", times=1)
+    for i in range(40):
+        add_edge("k{}".format(i), "a", "k{}".format(i + 1))
+
+
+class TestKillPoints:
+    """Abandon the process after each checkpoint / rotation step.
+
+    ``fail`` makes one step fail (an injected fault at an existing site);
+    the directory is copied at that instant — what a kill -9 right there
+    would leave — and reopened.  Contract: the reopened store equals the
+    dict-graph model after some acknowledged prefix no shorter than the
+    last checkpoint, or the open raises a typed ``StorageError``.
+    """
+
+    KILL_POINTS = {
+        # step that fails: (sync, arm faults, run the step)
+        "snapshot-write": ("always", [("snapshot.fsync", 0)],
+                           arm_checkpoint),
+        "snapshot-written": ("always", [("manifest.rename", 0)],
+                             arm_checkpoint),
+        "before-segment-drop": ("always", [("manifest.rename", 1)],
+                                arm_checkpoint),
+        "fresh-segment-unpublished": ("always", [], arm_fresh_segment),
+        "fsync-mid-rotation": ("batch", [], arm_rotation_fsync),
+    }
+
+    @pytest.mark.parametrize("point", sorted(KILL_POINTS))
+    def test_reopen_is_an_acknowledged_prefix(self, tmp_path, point):
+        sync, faults, step = self.KILL_POINTS[point]
+        rng = random.Random(5)
+        directory = str(tmp_path / "store")
+        store = PersistentGraph.create(directory, sync=sync,
+                                       batch_size=10_000)
+        model, acknowledged = set(), []
+        for _ in range(30):
+            churn_once(store, model, rng, acknowledged)
+        store.segments.segment_bytes = 256  # seal something to drop
+        for _ in range(30):
+            churn_once(store, model, rng, acknowledged)
+        store.checkpoint()
+        floor = len(acknowledged)
+        for _ in range(20):
+            churn_once(store, model, rng, acknowledged)
+        store.flush()
+        plan = FaultPlan()
+        for site, after in faults:
+            plan.arm(site, "eio", after=after, times=1)
+
+        def add_edge(tail, label, head):
+            store.add_edge(tail, label, head)
+            acknowledged.append(("+", tail, label, head))
+
+        with fault_scope(plan):
+            try:
+                step(plan, store, add_edge)
+            except StorageError:
+                pass
+        assert plan.fired() == 1, "the kill point was never reached"
+        crashed = str(tmp_path / "crashed")
+        shutil.copytree(directory, crashed)
+        store.close()
+        try:
+            reopened = PersistentGraph.open(crashed)
+        except StorageError:
+            return  # typed fail-stop is within the contract
+        with reopened:
+            recovered = {(s, label, t) for label in "abc"
+                         for s, t in reopened.pairs(sym(label))}
+        candidates = [k for k in range(floor, len(acknowledged) + 1)
+                      if edges_after(acknowledged[:k]) == recovered]
+        assert candidates, \
+            "{}: reopened state is no acknowledged prefix in {}..{}".format(
+                point, floor, len(acknowledged))
+        # And the directory keeps working: mutate, close, reopen.
+        with PersistentGraph.open(crashed) as again:
+            again.add_edge("post", "a", "crash")
+        with PersistentGraph.open(crashed) as again:
+            assert ("post", "crash") in again.pairs(sym("a"))
+
+
+class TestSingleLog:
+    def test_each_record_is_written_to_exactly_one_file(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store = PersistentGraph.create(directory, replicate=True)
+
+        def sizes():
+            return {os.path.join(base, name):
+                    os.path.getsize(os.path.join(base, name))
+                    for base, _, names in os.walk(directory)
+                    for name in names}
+
+        store.add_edge("warm", "a", "up")  # opens the active segment
+        store.flush()
+        before = sizes()
+        for i in range(1000):
+            store.add_edge("v{}".format(i), "a", "v{}".format(i + 1))
+        store.flush()
+        after = sizes()
+        grew = sorted(path for path in after
+                      if after[path] != before.get(path))
+        assert grew == [active_segment(directory)]
+        assert not [path for path in after
+                    if os.path.basename(path).startswith("wal-")]
+        store.close()
+
+    @pytest.mark.parametrize("replicated", [False, True])
+    def test_format_1_store_opens_once_then_is_format_2(self, tmp_path,
+                                                        replicated):
+        """A hand-written PR-10 layout: manifest names a generation WAL
+        (and, when it replicated, ``segments/`` holds a second copy of a
+        prefix of it plus an ``archive/`` nothing ever read)."""
+        directory = str(tmp_path / "legacy")
+        os.makedirs(directory)
+        g = sample_graph()
+        write_adjacency_snapshot(
+            os.path.join(directory, "snapshot-000001.rcsr"),
+            adjacency_snapshot(g), name="legacy", version=g.version())
+        with open(os.path.join(directory, "manifest.json"), "w") as stream:
+            json.dump({"format": 1, "kind": "multirelational",
+                       "name": "legacy", "generation": 1,
+                       "snapshot": "snapshot-000001.rcsr",
+                       "wal": "wal-000001.log",
+                       "snapshot_version": g.version()}, stream)
+        expected = g.copy()
+        records = [(g.version() + 1, "+v", "z"),
+                   (g.version() + 2, "+e", "a", "c", "z"),
+                   (g.version() + 3, "-e", "b", "b", "c"),
+                   (g.version() + 4, "pv", "z", {"kind": "late"})]
+        with open(os.path.join(directory, "wal-000001.log"), "wb") as stream:
+            stream.write(WAL_MAGIC)
+            for record in records:
+                stream.write(encode_record(record))
+                apply_entry(expected, record)
+        archive = os.path.join(directory, "segments", "archive")
+        if replicated:
+            with WalSegments(os.path.join(directory, "segments"),
+                             base_version=g.version()) as mirror:
+                for record in records[:2]:  # the copy lost its tail
+                    mirror.append(record)
+            os.makedirs(archive)
+            with open(os.path.join(archive, "segment-000000.wal"), "wb") as f:
+                f.write(WAL_MAGIC)
+        assert main(["db", "verify", directory]) == 0  # reads layout 1 too
+        for _ in range(2):
+            with PersistentGraph.open(directory) as store:
+                assert_store_matches(store, expected)
+                assert store.vertex_properties("z") == {"kind": "late"}
+                assert store.info()["recovered_wal_records"] == len(records)
+            with open(os.path.join(directory, "manifest.json")) as stream:
+                manifest = json.load(stream)
+            assert manifest["format"] == 2 and "wal" not in manifest
+            assert not os.path.exists(
+                os.path.join(directory, "wal-000001.log"))
+            assert not os.path.exists(archive)
+        with PersistentGraph.open(directory) as store:
+            store.add_edge("z", "a", "a")
+            store.checkpoint()
+        expected.add_edge("z", "a", "a")
+        with PersistentGraph.open(directory) as store:
+            assert store.info()["recovered_wal_records"] == 0
+            assert_store_matches(store, expected)
+        assert main(["db", "verify", directory]) == 0
 
 
 class TestReopenDifferential:
