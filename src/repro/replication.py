@@ -238,6 +238,8 @@ class ReplicaGraph(_LogBackedView):
                  base: Any, smeta: Any, segments: WalSegments):
         self.directory = os.path.abspath(directory)
         self._meta = meta
+        #: What ``replica.json`` holds on disk (see :meth:`_persist_meta`).
+        self._published = dict(meta)
         self._load_view(base, smeta)
         self._segments = segments
         self._cursor = ReplicationCursor.parse(str(meta["cursor"]))
@@ -422,10 +424,16 @@ class ReplicaGraph(_LogBackedView):
         self._meta.update(cursor=self._cursor.token(),
                           applied_version=self._applied_version,
                           primary_version=self._primary_version)
+        if self._meta == self._published:
+            # A drained poll moves nothing: republishing the same file
+            # would put two fsyncs and a rename under the lock every
+            # query waits on, poll after poll, for no durability gained.
+            return
         try:
             fault_point("replication.cursor")
             publish_json(os.path.join(self.directory, REPLICA_META_NAME),
                          self._meta)
+            self._published = dict(self._meta)
         except (OSError, StorageError) as exc:
             # The records themselves are durable in the local segments;
             # a stale cursor only means refetching an already-applied

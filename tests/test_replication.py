@@ -234,6 +234,32 @@ class TestLoopback:
             _assert_equal_answers(replica, store)
             replica.close()
 
+    def test_drained_poll_does_no_cursor_io(self, tmp_path):
+        """A poll that moved nothing does not republish ``replica.json``
+        (its fsyncs would sit under the lock every replica read takes):
+        a fault armed at the persist site waits for a poll with news."""
+        with _primary(tmp_path) as store:
+            feed = PrimaryFeed(store)
+            replica = ReplicaGraph.bootstrap(str(tmp_path / "rep"), feed)
+            _catch_up(replica, feed)
+            plan = FaultPlan(seed=1)
+            with fault_scope(plan):
+                plan.arm("replication.cursor", "eio", times=1)
+                for _ in range(3):
+                    assert replica.poll_once(feed)["applied"] == 0
+                store.add_edge("u0", "c", "u99")
+                with pytest.raises(ReplicationError):
+                    replica.poll_once(feed)
+            # The failed persist is retried by the next poll, drained or
+            # not, and a reopen resumes from the cursor it published.
+            assert replica.poll_once(feed)["applied"] == 0
+            cursor = replica.cursor
+            replica.close()
+            replica = ReplicaGraph.open(str(tmp_path / "rep"))
+            assert replica.cursor == cursor
+            _assert_equal_answers(replica, store)
+            replica.close()
+
     def test_checkpoint_archival_gaps_lagging_replica(self, tmp_path):
         with _primary(tmp_path) as store:
             feed = PrimaryFeed(store)
