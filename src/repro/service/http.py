@@ -744,15 +744,9 @@ class ReplicaHttpServer(HttpServer):
     }
 
     def __init__(self, replica: Any, tailer: Optional[Any] = None,
-                 tokens: Optional[Dict[str, str]] = None,
-                 max_body: int = MAX_BODY_BYTES,
-                 access_log: Optional[AccessLog] = None,
-                 keepalive_max_requests: int = KEEPALIVE_MAX_REQUESTS,
-                 keepalive_idle_timeout: float = KEEPALIVE_IDLE_TIMEOUT):
-        super().__init__(None, tokens=tokens, max_body=max_body,  # type: ignore[arg-type]
-                         access_log=access_log,
-                         keepalive_max_requests=keepalive_max_requests,
-                         keepalive_idle_timeout=keepalive_idle_timeout)
+                 **options: Any):
+        """``options`` are :class:`HttpServer`'s (tokens, limits, log)."""
+        super().__init__(None, **options)  # type: ignore[arg-type]
         self.replica = replica
         self.tailer = tailer
 
