@@ -85,9 +85,16 @@ from repro.algorithms.components import (
 )
 from repro.algorithms.digraph import DiGraph
 from repro.algorithms.pagerank import pagerank
-from repro.graph.compact import _CACHE_ATTR, HAVE_NUMPY, adjacency_snapshot
+from repro.graph.compact import (
+    _CACHE_ATTR,
+    HAVE_NUMPY,
+    CompactAdjacency,
+    adjacency_snapshot,
+    rpq_pairs_on_snapshot,
+)
 from repro.graph.generators import preferential_attachment, uniform_random
 from repro.rpq import (
+    compile_rpq,
     lconcat,
     lstar,
     lunion,
@@ -212,6 +219,13 @@ SELECTIVE_SPEEDUP_FLOOR = 3.0
 #: indices, CSR build — by at least this factor, answering identically.
 PERSISTENCE_SPEEDUP_FLOOR = 5.0
 
+#: The single-source kernel on a reopened (mapped) snapshot may cost at
+#: most this multiple of the same kernel on the heap-list CSR built from
+#: the same graph: every served query traverses the mapped view, and a
+#: view that yields boxed scalars instead of Python ints (a numpy view
+#: costs ~5x) taxes all of them.
+MAPPED_KERNEL_TAX_CEILING = 1.3
+
 
 def bench_persistence(rows, quick):
     """Durable-store reopen vs rebuild-from-triples at >= 10k edges.
@@ -220,10 +234,13 @@ def bench_persistence(rows, quick):
     checkpointed into a persistent store.  The contest: answer a fixed
     selective RPQ batch starting from cold, either by re-parsing the CSV
     (dict store + CSR snapshot rebuilt from scratch) or by
-    ``PersistentGraph.open`` (header read + ``np.memmap`` of the CSR
-    arrays + empty-WAL replay).  Answers are asserted identical; the
-    reopen must win by >= ``PERSISTENCE_SPEEDUP_FLOOR``x.  Sizes do not
-    shrink under ``--quick`` — the gate is only meaningful at 10k+ edges.
+    ``PersistentGraph.open`` (header read + ``mmap`` of the CSR arrays +
+    empty-WAL replay).  Answers are asserted identical; the reopen must
+    win by >= ``PERSISTENCE_SPEEDUP_FLOOR``x.  Then the traversal itself:
+    a batch of single-source sweeps on the reopened store's mapped view
+    must cost <= ``MAPPED_KERNEL_TAX_CEILING``x the same batch on
+    ``CompactAdjacency.build`` of the same graph.  Sizes do not shrink
+    under ``--quick`` — the gates are only meaningful at 10k+ edges.
     """
     import shutil
     import tempfile
@@ -273,6 +290,28 @@ def bench_persistence(rows, quick):
                 reopen_s, rebuild_s, PERSISTENCE_SPEEDUP_FLOOR, num_edges)
         rows.append(("persistent reopen vs csv rebuild ({} edges)".format(
             num_edges), rebuild_s, reopen_s))
+
+        dfa = compile_rpq(lconcat(sym("a"), lstar(sym("b"))), graph)
+        probes = ["v{}".format(rng.randrange(num_vertices))
+                  for _ in range(40)]
+
+        def sweep(snapshot):
+            return [rpq_pairs_on_snapshot(snapshot, dfa, sources=(v,))
+                    for v in probes]
+
+        heap = CompactAdjacency.build(graph)
+        heap_answers, heap_s = timed(lambda: sweep(heap), repeat=5)
+        with PersistentGraph.open(store_dir) as store:
+            mapped = store.view()
+            mapped_answers, mapped_s = timed(lambda: sweep(mapped), repeat=5)
+        assert mapped_answers == heap_answers, \
+            "mapped-snapshot kernel answers diverge from the heap build's"
+        assert mapped_s / heap_s <= MAPPED_KERNEL_TAX_CEILING, \
+            "single-source kernel on the mapped snapshot ({:.4f}s) must " \
+            "stay within {}x of the heap build ({:.4f}s)".format(
+                mapped_s, MAPPED_KERNEL_TAX_CEILING, heap_s)
+        rows.append(("single-source kernel x{}: heap build vs mapped "
+                     "snapshot".format(len(probes)), heap_s, mapped_s))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

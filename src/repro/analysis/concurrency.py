@@ -34,7 +34,7 @@ the chaos suite.  Four rules:
     callbacks) — the armed runtime witness completes the picture.
 ``must-close``
     In ``storage/`` and ``service/`` modules, every tracked resource
-    constructor — ``open()``, ``np.memmap``, ``*.Pool(...)``,
+    constructor — ``open()``, ``np.memmap``, ``mmap.mmap``, ``*.Pool(...)``,
     ``ThreadPoolExecutor`` — must be context-managed, closed on some
     path in its function, stored on ``self`` of a class that defines a
     close-like method, returned, or handed to another owner.  A
@@ -114,6 +114,10 @@ _CLOSERS = frozenset({"close", "shutdown", "terminate", "aclose", "stop"})
 
 #: Roots `X.memmap(...)` is recognised under (numpy-gate aliasing).
 _NUMPY_ROOTS = frozenset({"np", "_np", "numpy"})
+
+#: Roots `X.mmap(...)` is recognised under (the stdlib module, or the
+#: alias a function with an ``mmap`` parameter imports it as).
+_MMAP_ROOTS = frozenset({"mmap", "_mmap"})
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -574,12 +578,14 @@ def _tracked_constructor(node: ast.Call) -> Optional[str]:
             return "executor"
         return None
     if isinstance(func, ast.Attribute):
-        if func.attr == "memmap":
-            root = func.value
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if isinstance(root, ast.Name) and root.id in _NUMPY_ROOTS:
-                return "memmap"
+        root = func.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        root_name = root.id if isinstance(root, ast.Name) else None
+        if func.attr == "memmap" and root_name in _NUMPY_ROOTS:
+            return "memmap"
+        if func.attr == "mmap" and root_name in _MMAP_ROOTS:
+            return "mmap"
         if func.attr == "Pool":
             return "pool"
         if func.attr in ("ThreadPoolExecutor", "ProcessPoolExecutor"):

@@ -3,8 +3,16 @@
 Traversal workloads repeat queries (dashboards, recommendation batches), so
 the engine supports an optional LRU result cache.  Correctness hinges on
 invalidation: every :class:`MultiRelationalGraph` mutation bumps a version
-counter, and cache keys embed it — any stale entry simply never matches
-again and ages out of the LRU.
+counter, and cache keys embed it — a stale entry never matches again.
+
+Memory hinges on it too.  A graph's version only moves forward, so an
+entry of a superseded version is dead weight, and on a write mix waiting
+for LRU pressure to push it out means a cache full of unreachable answer
+sets.  ``put`` therefore drops a graph's older-version entries the first
+time it sees that graph at a newer version, and refuses a late ``put``
+for a version already superseded (a reader that raced a writer).  The
+cache never holds more than the live version's entries per graph; other
+graphs sharing the cache are untouched, and the LRU bound is unchanged.
 
 The cache stores whole immutable results — :class:`PathSet` for ``query()``
 entries, frozen pair sets for ``pairs()`` entries (keyed apart by ``kind``).
@@ -25,12 +33,15 @@ which the key already covers through expression/filters/version).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, FrozenSet, Hashable, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.concurrency import ordered_lock
 from repro.regex.ast import RegexExpr
 
 __all__ = ["QueryCache"]
+
+# Positions of the graph version and graph token in a ``_key`` tuple.
+_VERSION, _TOKEN = 3, 5
 
 
 class QueryCache:
@@ -52,6 +63,9 @@ class QueryCache:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
+        # graph token -> the newest version ``put`` has seen for it (one
+        # int per graph; entries of any older version are already gone).
+        self._latest: Dict[Any, int] = {}
         # A leaf in the witness's lock hierarchy: nothing else is ever
         # acquired while a cache bucket operation holds this.
         self._lock = ordered_lock("engine.query_cache")
@@ -99,10 +113,25 @@ class QueryCache:
             sources: Optional[FrozenSet[Hashable]] = None,
             targets: Optional[FrozenSet[Hashable]] = None,
             kind: str = "paths") -> None:
-        """Insert a result, evicting the least recently used beyond capacity."""
+        """Insert a result, evicting the least recently used beyond capacity.
+
+        The first ``put`` at a newer ``graph_version`` drops that
+        ``graph_token``'s entries of every older version; a ``put`` below
+        the newest version seen for the token stores nothing.
+        """
         key = self._key(expression, max_length, graph_version, strategy,
                         graph_token, sources, targets, kind)
         with self._lock:
+            latest = self._latest.get(graph_token)
+            if latest is None or graph_version > latest:
+                self._latest[graph_token] = graph_version
+                if latest is not None:
+                    for stale in [k for k in self._entries
+                                  if k[_TOKEN] == graph_token
+                                  and k[_VERSION] < graph_version]:
+                        del self._entries[stale]
+            elif graph_version < latest:
+                return
             self._entries[key] = result
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -119,6 +148,7 @@ class QueryCache:
         """Drop all entries and reset counters."""
         with self._lock:
             self._entries.clear()
+            self._latest.clear()
             self.hits = 0
             self.misses = 0
 

@@ -193,13 +193,16 @@ class CompactAdjacency:
         """Zero-copy construction from prebuilt CSR arrays.
 
         The per-label ``(indptr, indices)`` pairs are adopted as-is — plain
-        lists, ``array.array`` views or numpy ``memmap`` slices all work,
-        because every kernel only ever indexes and slices them.  This is the
-        snapshot store's reopen path (:mod:`repro.storage.snapshots`): a
-        graph mapped back from disk serves queries without re-walking any
-        edge dict and, under ``np.memmap``, without even faulting in CSR
-        pages the traversal never touches.  Only the O(V + Omega) interning
-        dicts are materialized here.
+        lists, ``array.array`` cells or ``memoryview`` (format ``q``) slices
+        of a mapped file all work, because every kernel only ever indexes,
+        slices and ``len()``s them.  What they must share is that a cell
+        reads back as a Python ``int``: the kernels are interpreter loops,
+        and a boxed scalar type (numpy's) per neighbor costs them ~5x.
+        This is the snapshot store's reopen path
+        (:mod:`repro.storage.snapshots`): a graph mapped back from disk
+        serves queries without re-walking any edge dict and without even
+        faulting in CSR pages the traversal never touches.  Only the
+        O(V + Omega) interning dicts are materialized here.
         """
         vertex_ids = {v: i for i, v in enumerate(vertex_of)}
         label_ids = {l: i for i, l in enumerate(label_of)}
@@ -480,7 +483,7 @@ def fold_adjacency_pairs(view) -> Tuple[List[Hashable], List[Hashable],
         for new_id, old_id in enumerate(live):
             for neighbor in view.out_neighbors(old_id, label_id):
                 pairs.append((new_id,
-                              remap[neighbor] if remap else int(neighbor)))
+                              remap[neighbor] if remap else neighbor))
         per_label.append(pairs)
         num_edges += len(pairs)
     return vertex_of, label_of, per_label, num_edges
@@ -711,9 +714,9 @@ def rpq_pairs_on_snapshot(snapshot, dfa,
                             neighbors = [x for x in neighbors if x not in mask]
                         grown = added.get(vertex_id)
                         if grown:
-                            # len(), not truthiness: the base slice may be a
-                            # numpy/memmap view (mmap-backed snapshots), and
-                            # ndarray truthiness raises.
+                            # The base slice is a list, an array.array or —
+                            # on a mapped snapshot — a memoryview: sized by
+                            # len(), and copied before it takes additions.
                             neighbors = grown if not len(neighbors) \
                                 else list(neighbors) + grown
                     for neighbor in neighbors:
@@ -804,9 +807,9 @@ def rpq_pairs_backward(graph, dfa,
                             neighbors = [x for x in neighbors if x not in mask]
                         grown = added.get(vertex_id)
                         if grown:
-                            # len(), not truthiness: the base slice may be a
-                            # numpy/memmap view (mmap-backed snapshots), and
-                            # ndarray truthiness raises.
+                            # The base slice is a list, an array.array or —
+                            # on a mapped snapshot — a memoryview: sized by
+                            # len(), and copied before it takes additions.
                             neighbors = grown if not len(neighbors) \
                                 else list(neighbors) + grown
                     for neighbor in neighbors:
@@ -941,9 +944,9 @@ def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
                             neighbors = [x for x in neighbors if x not in mask]
                         grown = added.get(vertex_id)
                         if grown:
-                            # len(), not truthiness: the base slice may be a
-                            # numpy/memmap view (mmap-backed snapshots), and
-                            # ndarray truthiness raises.
+                            # The base slice is a list, an array.array or —
+                            # on a mapped snapshot — a memoryview: sized by
+                            # len(), and copied before it takes additions.
                             neighbors = grown if not len(neighbors) \
                                 else list(neighbors) + grown
                     for neighbor in neighbors:
@@ -976,9 +979,9 @@ def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
                             neighbors = [x for x in neighbors if x not in mask]
                         grown = added.get(vertex_id)
                         if grown:
-                            # len(), not truthiness: the base slice may be a
-                            # numpy/memmap view (mmap-backed snapshots), and
-                            # ndarray truthiness raises.
+                            # The base slice is a list, an array.array or —
+                            # on a mapped snapshot — a memoryview: sized by
+                            # len(), and copied before it takes additions.
                             neighbors = grown if not len(neighbors) \
                                 else list(neighbors) + grown
                     for neighbor in neighbors:

@@ -17,8 +17,9 @@ reachability:
 
 Every shard is a self-contained :class:`CompactAdjacency` over the **global
 slot space** (row slices outside the owned range are empty), produced by
-vectorized slicing of the global CSR — ``indptr[lo:hi+1] - indptr[lo]``
-plus one ``indices`` slice per label, a zero-copy view under numpy/memmap —
+slicing the global CSR — ``indptr[lo:hi+1]`` rebased to ``indptr[lo]``
+plus one ``indices`` slice per label, a zero-copy view when the global
+snapshot is a mapped file —
 so the unchanged compact kernels run on a shard as-is and emit pairs only
 for owned sources.  Ranges are balanced by **out-degree**, not vertex
 count, so hub-heavy graphs do not starve all workers but one.
@@ -39,11 +40,6 @@ from repro.graph.compact import (
     _build_csr,
     fold_adjacency_pairs,
 )
-
-try:  # numpy turns the CSR slicing into zero-copy views; optional as ever.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 __all__ = [
     "ShardedSnapshot",
@@ -70,13 +66,8 @@ def row_degrees(view: Any) -> List[int]:
     degrees = [0] * n
     for label_id in range(view.num_labels):
         indptr, indices, added, removed, base_n = view.out_block(label_id)
-        if _np is not None and isinstance(indptr, _np.ndarray):
-            counts = (indptr[1:] - indptr[:-1]).tolist()
-            for v in range(base_n):
-                degrees[v] += counts[v]
-        else:
-            for v in range(base_n):
-                degrees[v] += indptr[v + 1] - indptr[v]
+        for v in range(base_n):
+            degrees[v] += indptr[v + 1] - indptr[v]
         for v, grown in added.items():
             degrees[v] += len(grown)
     return degrees
@@ -147,18 +138,12 @@ def _slice_rows(indptr: Any, indices: Any, lo: int, hi: int,
 
     Returns ``(shard_indptr, shard_indices)`` over the full ``n``-slot row
     space: rows outside the range are empty, owned rows keep their global
-    column ids.  Under numpy the indices come out as a zero-copy view of
-    the global (possibly mmap-backed) array; the list path is one slice
-    copy plus one rebased comprehension.
+    column ids.  The indices are one slice of the global array — a copy of
+    a heap list, a zero-copy view of a mapped snapshot's ``memoryview`` —
+    and the indptr one rebased comprehension.
     """
-    start = int(indptr[lo])
-    stop = int(indptr[hi])
-    if _np is not None and isinstance(indptr, _np.ndarray):
-        shard_indptr = _np.zeros(n + 1, dtype=_np.int64)
-        shard_indptr[lo:hi + 1] = indptr[lo:hi + 1]
-        shard_indptr[lo:hi + 1] -= start
-        shard_indptr[hi + 1:] = stop - start
-        return shard_indptr, indices[start:stop]
+    start = indptr[lo]
+    stop = indptr[hi]
     rebased = [p - start for p in indptr[lo:hi + 1]]
     shard_indptr = [0] * lo + rebased + [stop - start] * (n - hi)
     return shard_indptr, indices[start:stop]
@@ -170,23 +155,12 @@ def _reverse_of_rows(indptr: Any, indices: Any, lo: int, hi: int,
 
     Unlike the forward arrays this cannot be sliced (reverse rows are
     ordered by head, which crosses the range), so it is rebuilt from the
-    shard's edges — vectorized argsort under numpy, counting sort on lists.
+    shard's edges by counting sort.
     """
-    start = int(indptr[lo])
-    stop = int(indptr[hi])
-    if _np is not None and isinstance(indptr, _np.ndarray):
-        counts = indptr[lo + 1:hi + 1] - indptr[lo:hi]
-        tails = _np.repeat(_np.arange(lo, hi, dtype=_np.int64),
-                           _np.asarray(counts))
-        heads = _np.asarray(indices[start:stop], dtype=_np.int64)
-        order = _np.argsort(heads, kind="stable")
-        rev_indptr = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(_np.bincount(heads, minlength=n), out=rev_indptr[1:])
-        return rev_indptr, tails[order]
     pairs: List[Tuple[int, int]] = []
     for v in range(lo, hi):
         for neighbor in indices[indptr[v]:indptr[v + 1]]:
-            pairs.append((int(neighbor), v))
+            pairs.append((neighbor, v))
     return _build_csr(n, pairs, len(pairs))
 
 

@@ -20,7 +20,7 @@ Lifecycle
   every structural and property mutation of that graph is appended to the
   log — once.
 * :meth:`PersistentGraph.open` is the cheap path back: it **maps** the
-  manifest's snapshot (``np.memmap`` — CSR pages fault in lazily) and
+  manifest's snapshot (``mmap`` — CSR pages fault in lazily) and
   replays the log suffix through the existing
   :class:`~repro.graph.compact.DeltaAdjacency` overlay machinery.  The
   reopened store serves RPQ/pairs queries immediately, without rebuilding
@@ -359,11 +359,11 @@ class PersistentGraph(_LogBackedView):
         """Map the manifest's snapshot and replay the log suffix.
 
         The default is the lazy read path: CSR arrays stay on disk behind
-        ``np.memmap`` views, log records newer than the snapshot land in
-        a :class:`DeltaAdjacency` overlay, and queries run through the
-        compact kernels directly.  ``materialize=True`` additionally builds
-        the dict store up front (required before mutating; otherwise done
-        on the first write).
+        ``memoryview``s of one ``mmap``, log records newer than the
+        snapshot land in a :class:`DeltaAdjacency` overlay, and queries run
+        through the compact kernels directly.  ``materialize=True``
+        additionally builds the dict store up front (required before
+        mutating; otherwise done on the first write).
 
         The replay starts at the log position the last checkpoint
         recorded, so it reads the un-checkpointed suffix only.  A

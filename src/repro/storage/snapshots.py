@@ -21,10 +21,21 @@ For the multi-relational kind the data region is, per label ``l``:
 ``fwd_indptr`` (n+1), ``fwd_indices`` (m_l), ``rev_indptr`` (n+1),
 ``rev_indices`` (m_l).  All array offsets are *computed* from the header's
 ``label_counts`` — the layout is deterministic, so reopening maps the file
-once (``np.memmap``) and carves zero-copy views; a traversal then faults in
-only the CSR pages it actually touches.  Without numpy the arrays are
-loaded eagerly into ``array.array('q')`` (same indexing/slicing contract,
-no mapping) — mmap is a fast path, never a correctness dependency.
+once (a read-only stdlib ``mmap.mmap``) and carves the region as one typed
+``memoryview`` (format ``q``) whose per-array slices are zero-copy; a
+traversal then faults in only the CSR pages it actually touches, and —
+the point of a ``memoryview`` over an ndarray — indexing and iterating a
+row yields plain Python ``int``s, so the interpreter-loop kernels run at
+heap-list speed.  ``mmap=False`` (and any big-endian host) loads the
+region eagerly into ``array.array('q')`` instead: same indexing/slicing
+contract, same ``int`` cells, no mapping — mmap is a fast path, never a
+correctness dependency.  The multi-relational open never touches numpy;
+only the digraph kind, whose kernels are vectorised, maps through it.
+
+The mapping is never closed by hand: every carved view holds a reference
+to it, so it is unmapped when the last view is dropped (closing it under
+an exported view raises ``BufferError``).  Views do not pickle — worker
+processes reopen a snapshot by path.
 
 ``data_crc32`` covers the whole data region.  It is verified on
 ``verify=True`` opens (and by ``repro db info``); the default mmap open
@@ -37,7 +48,9 @@ write-ahead log's.
 
 from __future__ import annotations
 
+import array
 import json
+import mmap as _mmap
 import os
 import sys
 import zlib
@@ -125,7 +138,6 @@ def _int_cells(values: Iterable[int]) -> Any:
     """An int64 buffer for ``values`` — numpy array, or array.array('q')."""
     if _np is not None:
         return _np.asarray(values, dtype=_np.int64)
-    import array
     return array.array("q", values)
 
 
@@ -199,21 +211,33 @@ def _read_header(path: str) -> Tuple[Dict[str, Any], int]:
 
 
 def _map_ints(path: str, data_offset: int, total: int, mmap: bool) -> Any:
-    """The whole int64 data region: memmap view, ndarray, or array.array."""
-    if _np is not None:
-        if total == 0:
-            return _np.empty(0, dtype=_INT_DTYPE)
-        if mmap:
-            return _np.memmap(path, dtype=_INT_DTYPE, mode="r",
-                              offset=data_offset, shape=(total,))
-        return _np.fromfile(path, dtype=_INT_DTYPE, count=total,
-                            offset=data_offset)
-    import array
-    cells = array.array("q")
+    """The whole int64 data region as one flat buffer of ``total`` cells.
+
+    ``mmap=True`` maps the file read-only and returns a ``memoryview``
+    (format ``q``) over the region — zero-copy, lazily paged, and kept
+    alive by the views carved from it.  Otherwise (or on a big-endian
+    host, whose native ``q`` is not the file's) the cells are read into an
+    ``array.array('q')``.  Either way indexing yields Python ``int``s.
+
+    The file length is checked first: a truncated region is a
+    :class:`StorageError`, never a short buffer (or the ``TypeError`` a
+    ``cast`` of a non-multiple-of-8 slice would raise).
+    """
+    end = data_offset + 8 * total
     with open(path, "rb") as stream:
+        size = os.fstat(stream.fileno()).st_size
+        if size < end:
+            raise StorageError(
+                "{}: snapshot data region is truncated ({} of {} "
+                "cells)".format(path, max(0, size - data_offset) // 8, total))
+        if mmap and total and sys.byteorder == "little":
+            mapping = _mmap.mmap(stream.fileno(), 0,
+                                 access=_mmap.ACCESS_READ)
+            return memoryview(mapping)[data_offset:end].cast("q")
+        cells = array.array("q")
         stream.seek(data_offset)
         cells.fromfile(stream, total)
-    if sys.byteorder != "little":  # pragma: no cover
+    if sys.byteorder != "little":  # pragma: no cover - x86/arm are LE
         cells.byteswap()
     return cells
 
@@ -345,13 +369,15 @@ def write_adjacency_snapshot(path: str, view: Any, name: str = "",
 def open_adjacency_snapshot(path: str, mmap: bool = True,
                             verify: bool = False
                             ) -> Tuple[CompactAdjacency, SnapshotMetadata]:
-    """Reopen a multi-relational snapshot, mmap-backed when possible.
+    """Reopen a multi-relational snapshot, mmap-backed by default.
 
-    Returns ``(snapshot, metadata)``.  With numpy and ``mmap=True`` the CSR
-    arrays are zero-copy views into one ``np.memmap`` — nothing beyond the
-    header is read until a kernel slices a row.  ``verify=True`` checksums
-    the data region first (reads every page; use for integrity audits, not
-    the serving path).
+    Returns ``(snapshot, metadata)``.  With ``mmap=True`` the CSR arrays
+    are zero-copy ``memoryview`` slices of one read-only ``mmap.mmap`` —
+    nothing beyond the header is read until a kernel slices a row;
+    ``mmap=False`` reads them into one ``array.array('q')``.  Both hand
+    the kernels Python ``int``s.  ``verify=True`` checksums the data
+    region first (reads every page; use for integrity audits, not the
+    serving path).
     """
     header, data_offset = _read_header(path)
     if header.get("kind") != "multirelational":
@@ -367,10 +393,6 @@ def open_adjacency_snapshot(path: str, mmap: bool = True,
         _verify_data_crc(path, data_offset, header["data_crc32"])
     total = sum(2 * (n + 1) + 2 * count for count in label_counts)
     flat = _map_ints(path, data_offset, total, mmap)
-    if len(flat) != total:
-        raise StorageError(
-            "{}: snapshot data region is truncated ({} of {} cells)".format(
-                path, len(flat), total))
     forward: List[Tuple] = []
     reverse: List[Tuple] = []
     cursor = 0
@@ -563,7 +585,7 @@ def open_shard(directory: str, index: int, mmap: bool = True
     """Reopen one shard file: ``(snapshot, (lo, hi))``.
 
     The worker-process entry point — only this shard's file is opened
-    (mmap-backed under numpy), nothing else in the directory is touched.
+    (mmap-backed), nothing else in the directory is touched.
     """
     manifest = read_shard_manifest(directory)
     if not 0 <= index < manifest["num_shards"]:

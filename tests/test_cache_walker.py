@@ -142,6 +142,63 @@ class TestQueryCache:
         assert cache.get(expr, 4, 0, "pairs", sources=frozenset({"a"}),
                          targets=frozenset({"b"}), kind="pairs") is None
 
+    def test_newer_version_purges_that_graphs_older_entries(self):
+        cache = QueryCache(capacity=8)
+        answer = frozenset({("a", "b")})
+        exprs = [atom(label=str(k)) for k in range(3)]
+        for expr in exprs:
+            cache.put(expr, None, 4, "pairs", answer, graph_token=1,
+                      kind="pairs")
+        cache.put(exprs[0], None, 4, "pairs", answer, graph_token=2,
+                  kind="pairs")
+        assert len(cache) == 4
+        # First put at version 5 for graph 1: its version-4 entries go,
+        # graph 2's version-4 entry stays.
+        cache.put(exprs[0], None, 5, "pairs", answer, graph_token=1,
+                  kind="pairs")
+        assert len(cache) == cache.stats()["entries"] == 2
+        for expr in exprs:
+            assert cache.get(expr, None, 4, "pairs", graph_token=1,
+                             kind="pairs") is None
+        assert cache.get(exprs[0], None, 5, "pairs", graph_token=1,
+                         kind="pairs") == answer
+        assert cache.get(exprs[0], None, 4, "pairs", graph_token=2,
+                         kind="pairs") == answer
+        # Further puts at the live version accumulate as before.
+        cache.put(exprs[1], None, 5, "pairs", answer, graph_token=1,
+                  kind="pairs")
+        assert len(cache) == 3
+
+    def test_late_put_below_latest_version_stores_nothing(self):
+        # A reader that raced a writer finishes its version-4 answer after
+        # version 5 was cached: nobody can ask for it again.
+        cache = QueryCache(capacity=8)
+        expr = atom(label="r")
+        cache.put(expr, None, 5, "pairs", frozenset(), graph_token=1,
+                  kind="pairs")
+        cache.put(expr, None, 4, "pairs", frozenset({("a", "b")}),
+                  graph_token=1, kind="pairs")
+        assert len(cache) == cache.stats()["entries"] == 1
+        assert cache.get(expr, None, 4, "pairs", graph_token=1,
+                         kind="pairs") is None
+        # Another graph at version 4 is not "late".
+        cache.put(expr, None, 4, "pairs", frozenset(), graph_token=2,
+                  kind="pairs")
+        assert len(cache) == 2
+
+    def test_mutate_then_query_holds_only_the_live_version(self):
+        graph = MultiRelationalGraph(
+            [(i, "r", (i + 1) % 12) for i in range(12)])
+        engine = Engine(graph, cache=QueryCache(capacity=64))
+        queries = [("[_, r, _]", [i]) for i in range(4)]
+        for round_number in range(6):
+            graph.add_edge(round_number, "s", round_number + 1)
+            for text, sources in queries:
+                assert engine.pairs(text, sources=sources) == \
+                    engine.pairs(text, sources=sources)
+            assert len(engine.cache) == len(queries)
+        assert engine.cache.hits == 6 * len(queries)
+
     def test_pairs_and_query_results_never_collide(self, engine):
         """The ``kind`` component keeps frozenset pair answers and PathSet
         query answers apart even for the same expression and bound."""

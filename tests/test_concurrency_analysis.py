@@ -386,6 +386,27 @@ class TestMustClose:
         kinds = {v.message.split("(")[0] for v in violations}
         assert kinds == {"memmap", "pool", "executor"}
 
+    def test_stdlib_mmap_is_tracked(self, tmp_path):
+        leaky = (
+            "import mmap\n"
+            "def leaky(stream):\n"
+            "    mapping = mmap.mmap(stream.fileno(), 0)\n"
+            "    size = mapping.size()\n"
+            "    return size\n"
+        )
+        violations = _analyze_snippet(tmp_path, leaky, subdir="storage")
+        assert _rules(violations) == ["must-close"]
+        assert violations[0].message.startswith("mmap()")
+        # The snapshot store's shape: the mapping (under the alias its
+        # ``mmap=`` parameter forces) is handed to the view it returns.
+        handed_off = (
+            "import mmap as _mmap\n"
+            "def carve(stream, mmap=True):\n"
+            "    mapping = _mmap.mmap(stream.fileno(), 0)\n"
+            "    return memoryview(mapping).cast('q')\n"
+        )
+        assert _analyze_snippet(tmp_path, handed_off, subdir="storage") == []
+
 
 # ----------------------------------------------------------------------
 # Suppressions (reprorace namespace over reprolint's machinery)

@@ -81,9 +81,12 @@ def test_serve_smoke(server):
     assert status == 200 and hit["cached"] is True
     assert hit["pairs"] == miss["pairs"]
 
-    # A 1 ms budget is below any sweep's runtime: deterministic 504.
+    # `a` is one 400-cycle, so the all-sources closure is 160 000 pairs:
+    # a 1 ms budget is below that sweep's runtime on any kernel —
+    # deterministic 504.  (`b` is i -> 7i+3 mod 400, of order 4: its cones
+    # hold <= 4 vertices and a fast kernel beats the timer.)
     status, payload = request(host, port, "/v1/graphs/demo/query",
-                              {"query": "[_, b, _]* . [_, a, _]"},
+                              {"query": "[_, a, _]*"},
                               deadline_ms=1)
     assert status == 504 and payload["retriable"] is True
 
