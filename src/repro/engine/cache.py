@@ -19,6 +19,13 @@ entries, frozen pair sets for ``pairs()`` entries (keyed apart by ``kind``).
 Only full-result calls use it; ``limit`` queries bypass caching (a truncated
 result is not reusable).
 
+A ``pairs()`` entry is a :class:`CachedPairs`: the frozen pair set plus one
+``memo`` slot for whatever a caller derives from the answer and wants back
+on the next hit (the serving tier keeps the answer's encoded wire bytes
+there).  The memo hangs off the entry itself, so its lifetime *is* the
+entry's — LRU eviction, the superseded-version purge and ``clear()`` drop
+both together, and there is no second index to keep in step.
+
 Key audit (PR 7)
 ----------------
 The key must cover **every parameter that can change the result**.  PRs 3-6
@@ -38,10 +45,25 @@ from typing import Any, Dict, FrozenSet, Hashable, Optional, Tuple
 from repro.concurrency import ordered_lock
 from repro.regex.ast import RegexExpr
 
-__all__ = ["QueryCache"]
+__all__ = ["CachedPairs", "QueryCache"]
 
 # Positions of the graph version and graph token in a ``_key`` tuple.
 _VERSION, _TOKEN = 3, 5
+
+
+class CachedPairs(frozenset):
+    """A cached ``pairs()`` answer: a ``frozenset`` with one ``memo`` slot.
+
+    Equal to, hashed like and as immutable as the plain set it copies —
+    set algebra, comparison and pickling are ``frozenset``'s.  ``memo``
+    starts unset and is opaque to the engine; read it with
+    ``getattr(answer, "memo", None)`` (a plain ``frozenset`` from an
+    uncached engine, or an unpickled copy, may not carry one).
+    """
+
+    __slots__ = ("memo",)
+
+    memo: Any
 
 
 class QueryCache:
@@ -94,14 +116,21 @@ class QueryCache:
             graph_token=None,
             sources: Optional[FrozenSet[Hashable]] = None,
             targets: Optional[FrozenSet[Hashable]] = None,
-            kind: str = "paths") -> Optional[Any]:
-        """The cached result, or None; a hit refreshes LRU recency."""
+            kind: str = "paths",
+            record_miss: bool = True) -> Optional[Any]:
+        """The cached result, or None; a hit refreshes LRU recency.
+
+        ``record_miss=False`` is for a probe whose caller looks the key
+        up again on ``None`` (that lookup records the outcome): one
+        request then counts as one hit or one miss, never two.
+        """
         key = self._key(expression, max_length, graph_version, strategy,
                         graph_token, sources, targets, kind)
         with self._lock:
             result = self._entries.get(key)
             if result is None:
-                self.misses += 1
+                if record_miss:
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1

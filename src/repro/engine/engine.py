@@ -63,6 +63,7 @@ from repro.concurrency import ordered_lock
 from repro.core.path import Path
 from repro.core.pathset import PathSet
 from repro.core.projection import BinaryProjection, project_paths
+from repro.engine.cache import CachedPairs
 from repro.engine.executor import STRATEGIES, run_strategy
 from repro.engine.plan import PlanNode
 from repro.engine.planner import Planner
@@ -535,6 +536,9 @@ class Engine:
         result = self._pairs_computed(expression, sources_key, targets_key,
                                       max_length, processes)
         if self.cache is not None:
+            # Cached answers carry a memo slot (see CachedPairs); without
+            # a cache the kernel's plain frozenset goes back untouched.
+            result = CachedPairs(result)
             self.cache.put(
                 expression, max_length, version, "pairs",
                 result, graph_token=self._graph_token, sources=sources_key,
@@ -548,17 +552,29 @@ class Engine:
         """The cached :meth:`pairs` result, or ``None`` — pure O(lookup).
 
         Never dispatches a kernel; the service tier probes this in the
-        event loop before paying an executor round trip.
+        event loop before paying an executor round trip.  A hit counts as
+        one; ``None`` records nothing — the caller's follow-up
+        :meth:`pairs` looks the key up again and records that outcome, so
+        probe-then-compute is one cache lookup in the statistics.
         """
+        return self._cached_pairs(self.compile(query), sources, targets,
+                                  max_length)
+
+    def _cached_pairs(self, expression: RegexExpr,
+                      sources: Optional[frozenset],
+                      targets: Optional[frozenset],
+                      max_length: Optional[int]) -> Optional[frozenset]:
+        """:meth:`cached_pairs` for an expression :meth:`compile` already
+        returned (the service tier keeps those: normalizing a normalized
+        AST again is most of a warm probe's cost)."""
         if self.cache is None:
             return None
-        expression = self.compile(query)
         return self.cache.get(
             expression, max_length, self.graph.version(), "pairs",
             graph_token=self._graph_token,
             sources=None if sources is None else frozenset(sources),
             targets=None if targets is None else frozenset(targets),
-            kind="pairs")
+            kind="pairs", record_miss=False)
 
     def _pairs_computed(self, expression: RegexExpr,
                         sources: Optional[frozenset],
@@ -662,12 +678,13 @@ class Engine:
                 merged = [rpq_pairs_compact(self.graph, dfa)
                           for _, dfa in fan_out]
             for (index, _), answer in zip(fan_out, merged):
-                results[index] = answer
                 if self.cache is not None:
+                    answer = CachedPairs(answer)
                     self.cache.put(expressions[index], None, version,
                                    "pairs", answer,
                                    graph_token=self._graph_token,
                                    kind="pairs")
+                results[index] = answer
         for index, expression in enumerate(expressions):
             if results[index] is None:
                 # Hand pairs() the compiled AST, not the source string —

@@ -33,7 +33,10 @@ engine needs once multiple callers hit it at once:
   :class:`~repro.engine.cache.QueryCache`, a repeated ``pairs`` query is
   answered straight from the event loop (O(lookup), no executor round
   trip, no slot).  Invalidation is by mutation version, which the cache
-  key embeds.
+  key embeds.  :meth:`AsyncEngine.served_pairs` — the HTTP tier's read —
+  also hands back the answer's wire bytes: encoded once, in the worker
+  thread that computed the answer, and kept in the cached answer's memo
+  slot (:mod:`repro.service.wire`), so a hit never sorts or encodes.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.concurrency import ordered_lock, release_resource, track_resource
 from repro.engine.engine import Engine
 from repro.errors import DeadlineExceededError, OverloadedError, ServiceError
 from repro.regex.ast import RegexExpr
+from repro.service.wire import ServedPairs, serve_pairs
 
 __all__ = ["AsyncEngine", "Deadline"]
 
@@ -323,6 +327,30 @@ class AsyncEngine:
 
     # -- public query surface ------------------------------------------
 
+    async def _read_pairs(self, query: Union[str, RegexExpr],
+                          sources: Optional[Iterable],
+                          targets: Optional[Iterable],
+                          max_length: Optional[int],
+                          processes: Optional[int],
+                          deadline: Optional[float],
+                          finish: Callable[[frozenset, bool], Any]) -> Any:
+        """One ``pairs`` read: ``finish(answer, cached)`` of a loop-side
+        cache hit, else of the executor's evaluation — run in the worker
+        thread that produced the answer, under the same deadline."""
+        budget = self._deadline(deadline)
+        expression = self._compile(query)
+        hit = self.engine._cached_pairs(expression, sources, targets,
+                                        max_length)
+        if hit is not None:
+            self.counters["cache_fast_hits"] += 1
+            return finish(hit, True)
+        return await self._run(
+            "read",
+            lambda d: finish(self.engine.pairs(
+                expression, sources=sources, targets=targets,
+                max_length=max_length, processes=processes), False),
+            budget)
+
     async def pairs(self, query: Union[str, RegexExpr],
                     sources: Optional[Iterable] = None,
                     targets: Optional[Iterable] = None,
@@ -330,21 +358,54 @@ class AsyncEngine:
                     processes: Optional[int] = None,
                     deadline: Optional[float] = None) -> frozenset:
         """Awaitable :meth:`Engine.pairs` with deadline + fast cache path."""
+        return await self._read_pairs(
+            query, sources, targets, max_length, processes, deadline,
+            lambda answer, cached: answer)
+
+    async def served_pairs(self, query: Union[str, RegexExpr],
+                           sources: Optional[Iterable] = None,
+                           targets: Optional[Iterable] = None,
+                           max_length: Optional[int] = None,
+                           processes: Optional[int] = None,
+                           deadline: Optional[float] = None) -> ServedPairs:
+        """:meth:`pairs` for a caller that writes the answer out.
+
+        Returns the answer with its wire bytes and whether it was a
+        loop-side cache hit — reported with the answer, so concurrent
+        requests cannot be mistaken for one another.  A miss is encoded
+        in the worker thread that computed it (inside the deadline) and
+        the bytes stay in the cached answer's memo; a hit reads them back.
+        """
+        return await self._read_pairs(
+            query, sources, targets, max_length, processes, deadline,
+            serve_pairs)
+
+    async def _read_batch(self, queries: Iterable[Union[str, RegexExpr]],
+                          sources: Optional[Iterable],
+                          targets: Optional[Iterable],
+                          max_length: Optional[int],
+                          processes: Optional[int],
+                          deadline: Optional[float],
+                          finish: Callable[[frozenset], Any]) -> List[Any]:
+        """``finish`` of every answer of a batch, in the worker thread."""
         budget = self._deadline(deadline)
-        expression = self._compile(query)
-        cached = self.engine.cached_pairs(expression, sources=sources,
-                                          targets=targets,
-                                          max_length=max_length)
-        if cached is not None:
-            self.counters["cache_fast_hits"] += 1
-            return cached
-        return await self._run(
-            "read",
-            lambda d: self.engine.pairs(expression, sources=sources,
-                                        targets=targets,
-                                        max_length=max_length,
-                                        processes=processes),
-            budget)
+        expressions = [self._compile(query) for query in queries]
+        if budget.seconds is None:
+            work = lambda d: [finish(answer) for answer in
+                              self.engine.pairs_batch(
+                                  expressions, sources=sources,
+                                  targets=targets, max_length=max_length,
+                                  processes=processes)]
+        else:
+            def work(d: Deadline) -> List[Any]:
+                out = []
+                for expression in expressions:
+                    d.check()
+                    out.append(finish(self.engine.pairs(
+                        expression, sources=sources, targets=targets,
+                        max_length=max_length, processes=processes)))
+                return out
+        return await self._run("read", work, budget)
 
     async def pairs_batch(self, queries: Iterable[Union[str, RegexExpr]],
                           sources: Optional[Iterable] = None,
@@ -360,22 +421,22 @@ class AsyncEngine:
         budget stops after the current item instead of finishing the
         whole batch in a doomed thread.
         """
-        budget = self._deadline(deadline)
-        expressions = [self._compile(query) for query in queries]
-        if budget.seconds is None:
-            work = lambda d: self.engine.pairs_batch(
-                expressions, sources=sources, targets=targets,
-                max_length=max_length, processes=processes)
-        else:
-            def work(d: Deadline) -> List[frozenset]:
-                out = []
-                for expression in expressions:
-                    d.check()
-                    out.append(self.engine.pairs(
-                        expression, sources=sources, targets=targets,
-                        max_length=max_length, processes=processes))
-                return out
-        return await self._run("read", work, budget)
+        return await self._read_batch(
+            queries, sources, targets, max_length, processes, deadline,
+            lambda answer: answer)
+
+    async def served_pairs_batch(
+            self, queries: Iterable[Union[str, RegexExpr]],
+            sources: Optional[Iterable] = None,
+            targets: Optional[Iterable] = None,
+            max_length: Optional[int] = None,
+            processes: Optional[int] = None,
+            deadline: Optional[float] = None) -> List[ServedPairs]:
+        """:meth:`pairs_batch` with every answer's wire bytes (see
+        :meth:`served_pairs`; a batch does not report cache hits)."""
+        return await self._read_batch(
+            queries, sources, targets, max_length, processes, deadline,
+            serve_pairs)
 
     async def query(self, query: Union[str, RegexExpr],
                     strategy: str = "materialized",

@@ -14,7 +14,9 @@ GET         ``/healthz``                             liveness (no auth)
 GET         ``/readyz``                              readiness (no auth)
 GET         ``/v1/graphs``                           registry listing
 POST        ``/v1/graphs/{name}/query``              ``{"query": ...}`` →
-                                                     sorted pair list
+                                                     sorted pair list,
+                                                     encoded once per
+                                                     cached answer
 POST        ``/v1/graphs/{name}/explain``            EXPLAIN text
 GET         ``/v1/graphs/{name}/stats``              store + cache + slots
 POST        ``/v1/graphs/{name}/mutate``             edge add/remove batch
@@ -55,7 +57,10 @@ as one JSON line.
 Query bodies: ``query`` (PathQL text; or ``queries`` for a batch),
 optional ``sources`` / ``targets`` lists, ``max_length``, ``processes``,
 and ``deadline_ms`` — the per-request deadline enforced by
-:class:`~repro.service.async_engine.AsyncEngine`.
+:class:`~repro.service.async_engine.AsyncEngine`.  The reply's ``pairs``
+is the answer as a JSON list sorted by ``repr``; it is sorted and encoded
+once per cached answer (:mod:`repro.service.wire`), in the worker thread
+that computed it, and a cache hit splices those bytes into the response.
 
 Auth and backoff contract
 -------------------------
@@ -93,7 +98,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.replication import REPLICA_META_NAME
@@ -115,6 +120,7 @@ from repro.errors import (
 )
 from repro.faults import fault_hook
 from repro.service.registry import GraphHandle, GraphRegistry
+from repro.service.wire import ServedPairs, encode_payload, serve_pairs
 
 __all__ = ["HttpServer", "ReplicaHttpServer", "serve", "serve_replica"]
 
@@ -330,10 +336,17 @@ class HttpServer:
                        payload: Union[Dict[str, Any], bytes],
                        extra_headers: Optional[Dict[str, str]] = None,
                        keep_alive: bool = False) -> int:
+        """Write one response; returns the body's length.
+
+        A ``bytes`` payload is a binary body.  A dict is JSON, and may
+        carry its ``pairs`` (or each ``results[i]["pairs"]``) as a
+        pre-encoded fragment, which
+        :func:`~repro.service.wire.encode_payload` writes out verbatim.
+        """
         if isinstance(payload, bytes):
             data, content_type = payload, "application/octet-stream"
         else:
-            data = json.dumps(payload, default=str).encode("utf-8")
+            data = encode_payload(payload)
             content_type = "application/json"
         head = ["HTTP/1.1 {} {}".format(status,
                                         _STATUS_TEXT.get(status, "Status")),
@@ -623,41 +636,52 @@ class HttpServer:
             raise _BadRequest("{} must be a list of vertices".format(key))
         return frozenset(value)
 
-    async def _action_query(self, handle: GraphHandle,
-                            body: Dict[str, Any],
+    def _query_envelope(self, handle: Any, tenant: str) -> Dict[str, Any]:
+        """The fields every query reply opens with."""
+        return {"graph": handle.name, "tenant": tenant}
+
+    def _read_options(self, body: Dict[str, Any]) -> Dict[str, Any]:
+        """The validated evaluation options of a query body."""
+        return {"deadline": self._deadline_of(body),
+                "sources": self._endpoints_of(body, "sources"),
+                "targets": self._endpoints_of(body, "targets"),
+                "max_length": body.get("max_length"),
+                "processes": body.get("processes")}
+
+    async def _answer(self, handle: Any, query: str,
+                      options: Dict[str, Any]) -> ServedPairs:
+        return await handle.async_engine.served_pairs(query, **options)
+
+    async def _answer_batch(self, handle: Any, queries: List[str],
+                            options: Dict[str, Any]) -> List[ServedPairs]:
+        return await handle.async_engine.served_pairs_batch(
+            queries, **options)
+
+    async def _action_query(self, handle: Any, body: Dict[str, Any],
                             tenant: str) -> Dict[str, Any]:
-        deadline = self._deadline_of(body)
-        sources = self._endpoints_of(body, "sources")
-        targets = self._endpoints_of(body, "targets")
-        max_length = body.get("max_length")
-        processes = body.get("processes")
+        """One query or a batch.  ``pairs`` goes out as the answer's
+        pre-encoded fragment (see :mod:`repro.service.wire`)."""
+        options = self._read_options(body)
+        payload = self._query_envelope(handle, tenant)
         if "queries" in body:
             queries = body["queries"]
             if not isinstance(queries, list) or not all(
                     isinstance(q, str) for q in queries):
                 raise _BadRequest("queries must be a list of PathQL strings")
-            answers = await handle.async_engine.pairs_batch(
-                queries, sources=sources, targets=targets,
-                max_length=max_length, processes=processes,
-                deadline=deadline)
-            return {"graph": handle.name, "tenant": tenant,
-                    "results": [{"query": q,
-                                 "count": len(a),
-                                 "pairs": sorted(map(list, a), key=repr)}
-                                for q, a in zip(queries, answers)]}
+            served = await self._answer_batch(handle, queries, options)
+            payload["results"] = [
+                {"query": q, "count": len(s.answer), "pairs": s.fragment}
+                for q, s in zip(queries, served)]
+            return payload
         query = body.get("query")
         if not isinstance(query, str):
             raise _BadRequest('body must carry "query" (PathQL text)')
-        cache_hits_before = \
-            handle.async_engine.counters["cache_fast_hits"]
-        answer = await handle.async_engine.pairs(
-            query, sources=sources, targets=targets,
-            max_length=max_length, processes=processes, deadline=deadline)
-        cached = handle.async_engine.counters["cache_fast_hits"] \
-            > cache_hits_before
-        return {"graph": handle.name, "tenant": tenant, "query": query,
-                "count": len(answer), "cached": cached,
-                "pairs": sorted(map(list, answer), key=repr)}
+        answer, fragment, cached = await self._answer(handle, query, options)
+        payload.update(query=query, count=len(answer))
+        if cached is not None:
+            payload["cached"] = cached
+        payload["pairs"] = fragment
+        return payload
 
     async def _action_explain(self, handle: GraphHandle,
                               body: Dict[str, Any],
@@ -851,44 +875,32 @@ class ReplicaHttpServer(HttpServer):
             return None, None, None
         return (constrained.label_expression,) + merged
 
-    async def _action_query(self, handle: Any, body: Dict[str, Any],
-                            tenant: str) -> Dict[str, Any]:
+    def _query_envelope(self, handle: Any, tenant: str) -> Dict[str, Any]:
+        return {"graph": self.replica.graph_name, "tenant": tenant,
+                "replica": True}
+
+    def _read_options(self, body: Dict[str, Any]) -> Dict[str, Any]:
         for unsupported in ("max_length", "processes"):
             if body.get(unsupported) is not None:
                 raise _BadRequest(
                     "{} is not supported on a replica".format(unsupported))
-        sources = self._endpoints_of(body, "sources")
-        targets = self._endpoints_of(body, "targets")
-        loop = asyncio.get_running_loop()
+        return {"sources": self._endpoints_of(body, "sources"),
+                "targets": self._endpoints_of(body, "targets")}
 
-        async def answer_one(query: str) -> frozenset:
-            label, merged_sources, merged_targets = \
-                self._lower_replica_query(query, sources, targets)
-            if label is None:
-                return frozenset()
-            return await loop.run_in_executor(
-                None, self.replica.pairs, label, merged_sources,
-                merged_targets)
+    async def _answer(self, handle: Any, query: str,
+                      options: Dict[str, Any]) -> ServedPairs:
+        label, sources, targets = self._lower_replica_query(query, **options)
+        if label is None:
+            return serve_pairs(frozenset())
+        # Kernel and encode in one executor hop; a replica keeps no
+        # result cache, so there is no hit to report.
+        return await asyncio.get_running_loop().run_in_executor(
+            None, lambda: serve_pairs(
+                self.replica.pairs(label, sources, targets)))
 
-        if "queries" in body:
-            queries = body["queries"]
-            if not isinstance(queries, list) or not all(
-                    isinstance(q, str) for q in queries):
-                raise _BadRequest("queries must be a list of PathQL "
-                                  "strings")
-            answers = [await answer_one(q) for q in queries]
-            return {"graph": self.replica.graph_name, "tenant": tenant,
-                    "replica": True,
-                    "results": [{"query": q, "count": len(a),
-                                 "pairs": sorted(map(list, a), key=repr)}
-                                for q, a in zip(queries, answers)]}
-        query = body.get("query")
-        if not isinstance(query, str):
-            raise _BadRequest('body must carry "query" (PathQL text)')
-        answer = await answer_one(query)
-        return {"graph": self.replica.graph_name, "tenant": tenant,
-                "replica": True, "query": query, "count": len(answer),
-                "pairs": sorted(map(list, answer), key=repr)}
+    async def _answer_batch(self, handle: Any, queries: List[str],
+                            options: Dict[str, Any]) -> List[ServedPairs]:
+        return [await self._answer(handle, q, options) for q in queries]
 
 
 async def serve(root: str, host: str = "127.0.0.1", port: int = 8080,

@@ -1,0 +1,82 @@
+"""The wire form of a ``pairs()`` answer, encoded once per cached answer.
+
+A served answer is a canonical JSON list: the pairs as two-element lists,
+sorted by their ``repr`` (``"[7, 12]" < "[7, 1]"`` — the order is wire
+contract, not a natural sort).  That list is a pure function of an
+immutable answer set, so it is computed once and kept in the answer's
+``memo`` slot (:class:`~repro.engine.cache.CachedPairs`), where it lives
+exactly as long as the result-cache entry does.  A response is then the
+small envelope encoded fresh plus those bytes spliced in
+(:func:`encode_payload`); nothing is sorted or re-encoded on a cache hit.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Any, Dict, NamedTuple, Optional
+
+from repro.engine.cache import CachedPairs
+
+__all__ = ["ServedPairs", "encode_pairs", "encode_payload", "pairs_fragment",
+           "serve_pairs"]
+
+
+def encode_pairs(answer: frozenset) -> bytes:
+    """The sorted JSON pair list of ``answer`` — the one place it is made."""
+    return json.dumps(sorted(map(list, answer), key=repr),
+                      default=str).encode("utf-8")
+
+
+def pairs_fragment(answer: frozenset) -> bytes:
+    """``encode_pairs(answer)``, through the answer's memo slot if it has one.
+
+    An unfilled memo (an entry an in-process ``Engine.pairs`` caller put
+    in the cache) is filled on first serve; racing fillers store equal
+    bytes, so the assignment needs no lock.
+    """
+    fragment = getattr(answer, "memo", None)
+    if fragment is None:
+        fragment = encode_pairs(answer)
+        if isinstance(answer, CachedPairs):
+            answer.memo = fragment
+    return fragment
+
+
+class ServedPairs(NamedTuple):
+    """One answer ready to be written out."""
+
+    answer: frozenset
+    fragment: bytes  #: the encoded pair list
+    cached: Optional[bool]  #: result-cache hit; None where not reported
+
+
+def serve_pairs(answer: frozenset,
+                cached: Optional[bool] = None) -> ServedPairs:
+    """Encode ``answer`` in the calling thread (or reuse its memo)."""
+    return ServedPairs(answer, pairs_fragment(answer), cached)
+
+
+def _splice(fields: Dict[str, Any], key: str, fragment: bytes) -> bytes:
+    """The JSON object ``fields`` with ``key`` last and ``fragment`` —
+    already JSON — as its value, verbatim."""
+    rest = {k: v for k, v in fields.items() if k != key}
+    head = json.dumps(rest, default=str)[:-1] + (", " if rest else "")
+    return b"".join(((head + json.dumps(key) + ": ").encode("utf-8"),
+                     fragment, b"}"))
+
+
+def encode_payload(payload: Dict[str, Any]) -> bytes:
+    """A response body: ``json.dumps(payload, default=str)``, except that a
+    ``bytes`` value under ``"pairs"`` — of the payload, or of every item
+    of its ``"results"`` list — is a pre-encoded fragment and is spliced
+    in as is (``json.dumps`` would ``str()`` it into the body)."""
+    pairs = payload.get("pairs")
+    if isinstance(pairs, bytes):
+        return _splice(payload, "pairs", pairs)
+    results = payload.get("results")
+    if isinstance(results, list) and results and all(
+            isinstance(item, dict) and isinstance(item.get("pairs"), bytes)
+            for item in results):
+        return _splice(payload, "results", b"[" + b", ".join(
+            _splice(item, "pairs", item["pairs"]) for item in results) + b"]")
+    return json.dumps(payload, default=str).encode("utf-8")
