@@ -21,9 +21,21 @@ __all__ = ["ServedPairs", "encode_pairs", "encode_payload", "pairs_fragment",
            "serve_pairs"]
 
 
+#: ``repr([tail, head])`` of a pair, made from the tuple as it is.
+_pair_repr = "[%r, %r]".__mod__
+
+
 def encode_pairs(answer: frozenset) -> bytes:
-    """The sorted JSON pair list of ``answer`` — the one place it is made."""
-    return json.dumps(sorted(map(list, answer), key=repr),
+    """The sorted JSON pair list of ``answer`` — the one place it is made.
+
+    Byte for byte ``json.dumps(sorted(map(list, answer), key=repr),
+    default=str)``: JSON spells a tuple as it spells a list, and the sort
+    key is the list's ``repr``.  The pairs stay the tuples they are,
+    though — one new list per pair is one GC-tracked allocation per pair,
+    and those are what schedule the server's full collections (each one
+    walks every cached answer: tens of ms with a full result cache).
+    """
+    return json.dumps(sorted(answer, key=_pair_repr),
                       default=str).encode("utf-8")
 
 

@@ -17,6 +17,7 @@ What this file pins down:
 """
 
 import asyncio
+import gc
 import json
 import pickle
 import sys
@@ -139,6 +140,19 @@ class TestEncoding:
             dict(payload, pairs=wire.encode_pairs(answer)))
         assert json.loads(spliced) == legacy_decoded(
             dict(payload, pairs=legacy_pairs(answer)))
+
+    def test_encoding_allocates_no_container_per_pair(self):
+        """A list per pair is a GC-tracked allocation per pair; in the
+        server those schedule the full collections that walk every cached
+        answer.  Counted, not timed: a 5000-pair encode stays under the
+        young-generation threshold (the old inline form passed it 7x)."""
+        answer = frozenset((i, i * 7 % 1501) for i in range(5000))
+        assert wire.encode_pairs(answer) == \
+            json.dumps(legacy_pairs(answer)).encode()
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        wire.encode_pairs(answer)
+        assert gc.get_stats()[0]["collections"] == before
 
     def test_payload_without_a_fragment_is_plain_json(self):
         for payload in ({"status": "ok"}, {"results": []},
