@@ -440,10 +440,10 @@ def bench_preflight(rows, quick):
 
     # Empty short-circuit: the sweep this query would have cost...
     _, sweep_s = timed(lambda: rpq_pairs(graph, expression))
-    # ...versus the short-circuit, with every compact kernel poisoned so
-    # a single dispatch fails loudly instead of skewing the timing.
-    kernel_names = ("rpq_pairs_compact", "rpq_pairs_backward",
-                    "rpq_pairs_bidirectional")
+    # ...versus the short-circuit, with both product-BFS cores poisoned
+    # (every kernel entry, rpq_pairs_on_snapshot included, runs one) so a
+    # single dispatch fails loudly instead of skewing the timing.
+    kernel_names = ("_sweep", "_propagate")
     saved = {name: getattr(compact_module, name) for name in kernel_names}
 
     def poisoned(*_args, **_kwargs):

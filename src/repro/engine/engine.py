@@ -728,8 +728,11 @@ class Engine:
                                strategy=strategy, max_length=bound,
                                elapsed=0.0, plan=None)
         cacheable = self.cache is not None and limit is None
+        # Read once, before evaluation, for the reason pairs() gives: a
+        # mutation racing the run must not file its result under N+1.
+        version = self.graph.version()
         if cacheable:
-            cached = self.cache.get(expression, bound, self.graph.version(),
+            cached = self.cache.get(expression, bound, version,
                                     strategy, graph_token=self._graph_token)
             if cached is not None:
                 return QueryResult(paths=cached, expression=expression,
@@ -754,7 +757,7 @@ class Engine:
                                  bound, limit)
         elapsed = time.perf_counter() - started
         if cacheable:
-            self.cache.put(expression, bound, self.graph.version(),
+            self.cache.put(expression, bound, version,
                            strategy, paths, graph_token=self._graph_token)
         return QueryResult(paths=paths, expression=expression,
                            strategy=strategy, max_length=bound,

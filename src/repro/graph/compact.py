@@ -12,8 +12,8 @@ the compact numeric backend the hot paths share instead:
   ``MultiRelationalGraph``.  Vertices and labels are interned to dense
   integer ids; per-label adjacency is stored CSR-style (a flat ``indptr``
   offset array plus a flat ``indices`` neighbor array), forward and
-  reverse.  Neighbor expansion is then two list slices — no Edge objects,
-  no set allocation, no hashing.
+  reverse.  Neighbor expansion is then two slices — no Edge objects, no
+  set allocation, no hashing.
 * :class:`DeltaAdjacency` — a **delta overlay** over a base snapshot:
   per-label add/remove buffers replayed from the graph's mutation journal,
   so point mutations cost O(delta) instead of an O(V + E) rebuild.  Kernels
@@ -53,10 +53,12 @@ instances stay immutable; ``DeltaAdjacency`` overlays are live views that
 track their graph (documented, deliberate — kernels fetch them per call).
 
 numpy is optional.  The :class:`CompactAdjacency`/:class:`DeltaAdjacency`
-kernels use plain Python lists (scalar indexing of lists beats numpy
-scalars inside interpreter loops); the :class:`CompactDiGraph` kernels are
-vectorized and require numpy — when it is unavailable ``digraph_snapshot``
-returns ``None`` and callers keep their pure-Python implementations.
+kernels are interpreter loops over Python ``int`` cells — lists when
+built, ``memoryview.cast("q")`` slices when mapped from a store (a boxed
+numpy scalar per neighbor costs ~5x); the :class:`CompactDiGraph` kernels
+are vectorized and require numpy — when it is unavailable
+``digraph_snapshot`` returns ``None`` and callers keep their pure-Python
+implementations.
 """
 
 from __future__ import annotations
@@ -547,72 +549,138 @@ def snapshot_state(graph) -> str:
 
 
 # ----------------------------------------------------------------------
-# RPQ frontier kernels (vertex x dfa-state product BFS over CSR + delta)
+# RPQ product-BFS kernels (vertex x dfa-state search over CSR + delta)
 # ----------------------------------------------------------------------
 
-def _forward_moves(snapshot, dfa) -> List[List[Tuple]]:
-    """``moves[state] -> [(out_block fields..., next_state)]``.
+def _product_moves(snapshot, dfa, reverse: bool) -> List[List[Tuple]]:
+    """``moves[state] -> [(adjacency block fields..., neighbor state)]``.
 
     Each DFA transition that can actually fire in this graph, pre-resolved
-    to the *forward* adjacency block of its label.
+    to its label's adjacency block.  Forward, ``p --a--> q`` files the
+    *out*-block and ``q`` under ``p``; reversed, the *in*-block and ``p``
+    under ``q``, so a step walks in-neighbors while undoing the DFA move —
+    exactly the product automaton of the reversed graph with the reversed
+    NFA, restricted to the states the forward DFA already built.
 
-    Consumers deliberately inline the block's slice-merge (base CSR slice
-    minus removed plus added) in their hot loops rather than calling a
-    shared helper — a per-neighbor-expansion function call costs more than
-    the merge itself at interpreter speed.  The four inlined copies (the
-    forward, backward, and both bidirectional expansions) must stay
-    semantically identical; the differential suite pins each one to the
-    dict reference under churn.
+    :func:`_sweep` and :func:`_propagate` inline the block's slice-merge
+    (base CSR slice minus removed plus added) in their hot loops: a helper
+    call per (vertex, move) expansion costs more than the merge itself at
+    interpreter speed.
     """
-    moves: List[List[Tuple]] = []
-    for state in range(dfa.num_states):
-        row = []
-        for label, next_state in dfa.transitions[state].items():
-            label_id = snapshot.label_ids.get(label)
-            if label_id is not None:
-                indptr, indices, added, removed, base_n = \
-                    snapshot.out_block(label_id)
-                row.append((indptr, indices, added, removed, base_n,
-                            next_state))
-        moves.append(row)
-    return moves
-
-
-def _backward_moves(snapshot, dfa) -> List[List[Tuple]]:
-    """``moves[state] -> [(in_block fields..., previous_state)]``.
-
-    The DFA's transition relation reversed: for every ``p --a--> q`` the
-    row of ``q`` holds label ``a``'s *reverse* adjacency block and ``p``,
-    so a backward product step walks in-neighbors while undoing the DFA
-    move — exactly the product automaton of the reversed graph with the
-    reversed NFA, restricted to the states the forward DFA already built.
-    """
+    block_of = snapshot.in_block if reverse else snapshot.out_block
     moves: List[List[Tuple]] = [[] for _ in range(dfa.num_states)]
     for state in range(dfa.num_states):
         for label, next_state in dfa.transitions[state].items():
             label_id = snapshot.label_ids.get(label)
             if label_id is not None:
-                indptr, indices, added, removed, base_n = \
-                    snapshot.in_block(label_id)
-                moves[next_state].append((indptr, indices, added, removed,
-                                          base_n, state))
+                here, there = (next_state, state) if reverse \
+                    else (state, next_state)
+                moves[here].append(block_of(label_id) + (there,))
     return moves
 
 
-def _vertex_flag_array(slots: int, vertex_ids, vertices
-                       ) -> Tuple[Optional[bytearray], int]:
-    """``(flags, live_count)``: a per-slot membership byte array for a
-    vertex filter, or ``(None, 0)`` when the filter is absent."""
+def _seed_ids(snapshot, vertices: Optional[Iterable[Hashable]]):
+    """Dense ids a search starts from: every live vertex for ``None``,
+    else the known vertices of the filter, deduplicated and ascending."""
     if vertices is None:
-        return None, 0
-    flags = bytearray(slots)
-    count = 0
-    for vertex in vertices:
-        vertex_id = vertex_ids.get(vertex)
-        if vertex_id is not None and not flags[vertex_id]:
-            flags[vertex_id] = 1
-            count += 1
-    return flags, count
+        return snapshot.live_vertex_ids()
+    vertex_ids = snapshot.vertex_ids
+    return sorted({vertex_ids[v] for v in vertices if v in vertex_ids})
+
+
+def _sweep(snapshot, dfa, seed_ids: Iterable[int],
+           wanted: Optional[Iterable[Hashable]], reverse: bool
+           ) -> List[Tuple[Hashable, Hashable]]:
+    """One stamped product BFS per seed: ``(seed, answering vertex)`` pairs.
+
+    Forward, a search starts at ``(seed, start)`` and a configuration
+    answers when its state accepts; reversed, it starts at ``(seed, q)``
+    for every accepting ``q`` and answers at the start state
+    (:func:`rpq_pairs_backward` says why).  A vertex answers at most once
+    per seed, ``wanted`` restricts which vertices may, and a seed that has
+    heard from all of them stops at the next level boundary.
+    """
+    num_states = dfa.num_states
+    slots = snapshot.num_slots
+    vertex_of = snapshot.vertex_of
+    answers: List[Tuple[Hashable, Hashable]] = []
+    wanted_ok: Optional[bytearray] = None
+    num_wanted = 0
+    if wanted is not None:
+        wanted_ids = _seed_ids(snapshot, wanted)
+        if not wanted_ids:
+            return answers
+        num_wanted = len(wanted_ids)
+        wanted_ok = bytearray(slots)
+        for vertex_id in wanted_ids:
+            wanted_ok[vertex_id] = 1
+
+    moves = _product_moves(snapshot, dfa, reverse)
+    if reverse:
+        seed_states, answer_states = sorted(dfa.accepting), {dfa.start}
+    else:
+        seed_states, answer_states = [dfa.start], dfa.accepting
+    answering = [state in answer_states for state in range(num_states)]
+    # In both orientations a seed answers itself iff the empty word matches.
+    seed_answers = dfa.start in dfa.accepting
+
+    # visited/answered are stamped with the per-seed sweep index, so the
+    # O(V x states) product table is allocated once, not once per seed.
+    visited = [-1] * (slots * num_states)
+    answered = [-1] * slots
+
+    # Frontier entries are packed ``vertex_id * num_states + state`` ints:
+    # unlike tuples they are not cyclic-GC tracked, so the multi-million
+    # entry sweeps do not trigger collector pauses.
+    for stamp, seed_id in enumerate(seed_ids):
+        seed_vertex = vertex_of[seed_id]
+        remaining = num_wanted
+        frontier = [seed_id * num_states + state for state in seed_states]
+        for code in frontier:
+            visited[code] = stamp
+        if seed_answers and (wanted_ok is None or wanted_ok[seed_id]):
+            answered[seed_id] = stamp
+            answers.append((seed_vertex, seed_vertex))
+            remaining -= 1
+        while frontier:
+            if wanted_ok is not None and remaining == 0:
+                break  # every wanted vertex answered for this seed
+            next_frontier: List[int] = []
+            for packed in frontier:
+                vertex_id, state = divmod(packed, num_states)
+                for indptr, indices, added, removed, base_n, next_state \
+                        in moves[state]:
+                    if vertex_id < base_n:
+                        neighbors = \
+                            indices[indptr[vertex_id]:indptr[vertex_id + 1]]
+                    else:
+                        neighbors = _EMPTY_ROW
+                    if removed or added:
+                        mask = removed.get(vertex_id)
+                        if mask and len(neighbors):
+                            neighbors = [x for x in neighbors if x not in mask]
+                        grown = added.get(vertex_id)
+                        if grown:
+                            # The base slice is a list, an array.array or —
+                            # on a mapped snapshot — a memoryview: sized by
+                            # len(), and copied before it takes additions.
+                            neighbors = grown if not len(neighbors) \
+                                else list(neighbors) + grown
+                    for neighbor in neighbors:
+                        code = neighbor * num_states + next_state
+                        if visited[code] != stamp:
+                            visited[code] = stamp
+                            if answering[next_state] \
+                                    and answered[neighbor] != stamp \
+                                    and (wanted_ok is None
+                                         or wanted_ok[neighbor]):
+                                answered[neighbor] = stamp
+                                answers.append((seed_vertex,
+                                                vertex_of[neighbor]))
+                                remaining -= 1
+                            next_frontier.append(code)
+            frontier = next_frontier
+    return answers
 
 
 def rpq_pairs_compact(graph, dfa, sources: Optional[Iterable[Hashable]] = None,
@@ -655,85 +723,9 @@ def rpq_pairs_on_snapshot(snapshot, dfa,
     ids, already live) takes precedence over ``sources`` (vertex objects,
     interned here); both ``None`` means every live vertex.
     """
-    num_states = dfa.num_states
-    slots = snapshot.num_slots
-    vertex_ids = snapshot.vertex_ids
-    vertex_of = snapshot.vertex_of
-
     if source_ids is None:
-        if sources is None:
-            source_ids = snapshot.live_vertex_ids()
-        else:
-            source_ids = sorted({vertex_ids[v] for v in sources
-                                 if v in vertex_ids})
-    target_ok, num_targets = _vertex_flag_array(slots, vertex_ids, targets)
-    if target_ok is not None and num_targets == 0:
-        return frozenset()
-
-    moves = _forward_moves(snapshot, dfa)
-    accepting = [False] * num_states
-    for state in dfa.accepting:
-        accepting[state] = True
-    start_state = dfa.start
-    start_accepts = accepting[start_state]
-
-    # visited/answered are stamped with the per-source sweep index, so the
-    # O(V x states) product table is allocated once, not once per source.
-    visited = [-1] * (slots * num_states)
-    answered = [-1] * slots
-    answers: List[Tuple[Hashable, Hashable]] = []
-
-    # Frontier entries are packed ``vertex_id * num_states + state`` ints:
-    # unlike tuples they are not cyclic-GC tracked, so the multi-million
-    # entry sweeps do not trigger collector pauses.
-    for stamp, source_id in enumerate(source_ids):
-        source_vertex = vertex_of[source_id]
-        remaining = num_targets
-        visited[source_id * num_states + start_state] = stamp
-        if start_accepts and (target_ok is None or target_ok[source_id]):
-            answered[source_id] = stamp
-            answers.append((source_vertex, source_vertex))
-            remaining -= 1
-        frontier: List[int] = [source_id * num_states + start_state]
-        while frontier:
-            if target_ok is not None and remaining == 0:
-                break  # every wanted target answered for this source
-            next_frontier: List[int] = []
-            for packed in frontier:
-                vertex_id, state = divmod(packed, num_states)
-                for indptr, indices, added, removed, base_n, next_state \
-                        in moves[state]:
-                    if vertex_id < base_n:
-                        neighbors = \
-                            indices[indptr[vertex_id]:indptr[vertex_id + 1]]
-                    else:
-                        neighbors = _EMPTY_ROW
-                    if removed or added:
-                        mask = removed.get(vertex_id)
-                        if mask and len(neighbors):
-                            neighbors = [x for x in neighbors if x not in mask]
-                        grown = added.get(vertex_id)
-                        if grown:
-                            # The base slice is a list, an array.array or —
-                            # on a mapped snapshot — a memoryview: sized by
-                            # len(), and copied before it takes additions.
-                            neighbors = grown if not len(neighbors) \
-                                else list(neighbors) + grown
-                    for neighbor in neighbors:
-                        code = neighbor * num_states + next_state
-                        if visited[code] != stamp:
-                            visited[code] = stamp
-                            if accepting[next_state] \
-                                    and answered[neighbor] != stamp \
-                                    and (target_ok is None
-                                         or target_ok[neighbor]):
-                                answered[neighbor] = stamp
-                                answers.append((source_vertex,
-                                                vertex_of[neighbor]))
-                                remaining -= 1
-                            next_frontier.append(code)
-            frontier = next_frontier
-    return frozenset(answers)
+        source_ids = _seed_ids(snapshot, sources)
+    return frozenset(_sweep(snapshot, dfa, source_ids, targets, False))
 
 
 def rpq_pairs_backward(graph, dfa,
@@ -743,87 +735,19 @@ def rpq_pairs_backward(graph, dfa,
     """:func:`rpq_pairs_compact` evaluated *backward* from the targets.
 
     One stamped product BFS per target over the **reverse** CSR with the
-    DFA's transition relation reversed (:func:`_backward_moves`): a sweep
-    seeded at ``(target, q)`` for every accepting ``q`` reaches ``(v,
-    start)`` exactly when some v -> target path spells a word the DFA
-    accepts, so each settled start-state configuration emits one pair.
-    Cost is bounded by the targets' *in*-cones — the profitable direction
-    when targets are few or in-fanout is smaller than out-fanout (the
-    planner's direction model decides).  ``sources`` restricts emissions,
-    and a sweep stops early once every wanted source has answered.
+    DFA's transition relation reversed: a sweep seeded at ``(target, q)``
+    for every accepting ``q`` reaches ``(v, start)`` exactly when some
+    v -> target path spells a word the DFA accepts, so each settled
+    start-state configuration emits one pair.  Cost is bounded by the
+    targets' *in*-cones — the profitable direction when targets are few or
+    in-fanout is smaller than out-fanout (the planner's direction model
+    decides).  ``sources`` restricts emissions, and a sweep stops early
+    once every wanted source has answered.
     """
     snapshot = adjacency_snapshot(graph)
-    num_states = dfa.num_states
-    slots = snapshot.num_slots
-    vertex_ids = snapshot.vertex_ids
-    vertex_of = snapshot.vertex_of
-
-    if targets is None:
-        target_ids: Iterable[int] = snapshot.live_vertex_ids()
-    else:
-        target_ids = sorted({vertex_ids[v] for v in targets if v in vertex_ids})
-    source_ok, num_sources = _vertex_flag_array(slots, vertex_ids, sources)
-    if source_ok is not None and num_sources == 0:
-        return frozenset()
-
-    moves = _backward_moves(snapshot, dfa)
-    start_state = dfa.start
-    accepting_states = sorted(dfa.accepting)
-
-    visited = [-1] * (slots * num_states)
-    answers: List[Tuple[Hashable, Hashable]] = []
-
-    for stamp, target_id in enumerate(target_ids):
-        target_vertex = vertex_of[target_id]
-        remaining = num_sources
-        frontier: List[int] = []
-        for state in accepting_states:
-            code = target_id * num_states + state
-            if visited[code] != stamp:
-                visited[code] = stamp
-                frontier.append(code)
-                # The DFA is deterministic, so (v, start) settles at most
-                # once per sweep — emission needs no dedup array.
-                if state == start_state and \
-                        (source_ok is None or source_ok[target_id]):
-                    answers.append((target_vertex, target_vertex))
-                    remaining -= 1
-        while frontier:
-            if source_ok is not None and remaining == 0:
-                break  # every wanted source answered for this target
-            next_frontier: List[int] = []
-            for packed in frontier:
-                vertex_id, state = divmod(packed, num_states)
-                for indptr, indices, added, removed, base_n, prev_state \
-                        in moves[state]:
-                    if vertex_id < base_n:
-                        neighbors = \
-                            indices[indptr[vertex_id]:indptr[vertex_id + 1]]
-                    else:
-                        neighbors = _EMPTY_ROW
-                    if removed or added:
-                        mask = removed.get(vertex_id)
-                        if mask and len(neighbors):
-                            neighbors = [x for x in neighbors if x not in mask]
-                        grown = added.get(vertex_id)
-                        if grown:
-                            # The base slice is a list, an array.array or —
-                            # on a mapped snapshot — a memoryview: sized by
-                            # len(), and copied before it takes additions.
-                            neighbors = grown if not len(neighbors) \
-                                else list(neighbors) + grown
-                    for neighbor in neighbors:
-                        code = neighbor * num_states + prev_state
-                        if visited[code] != stamp:
-                            visited[code] = stamp
-                            if prev_state == start_state and \
-                                    (source_ok is None or source_ok[neighbor]):
-                                answers.append((vertex_of[neighbor],
-                                                target_vertex))
-                                remaining -= 1
-                            next_frontier.append(code)
-            frontier = next_frontier
-    return frozenset(answers)
+    return frozenset(
+        (source, target) for target, source
+        in _sweep(snapshot, dfa, _seed_ids(snapshot, targets), sources, True))
 
 
 def _mask_bits(mask: int) -> List[int]:
@@ -834,6 +758,51 @@ def _mask_bits(mask: int) -> List[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _propagate(frontier: List[int], moves: List[List[Tuple]],
+               num_states: int, own_mask: List[int], other_mask: List[int],
+               queued: List[int], round_number: int, emit) -> List[int]:
+    """One level of one side of :func:`rpq_pairs_bidirectional`: returns
+    the next frontier, mutates ``own_mask`` and ``queued``.
+
+    Each configuration pushes the endpoint bitmask it carries along
+    ``moves``.  A neighbor whose mask grows is queued once per round
+    (``queued`` holds round stamps; it reads its accumulated mask when it
+    expands), and one the opposite search has labeled too is a meet:
+    ``emit(its new bits, its other_mask)``.
+    """
+    next_frontier: List[int] = []
+    for packed in frontier:
+        carried = own_mask[packed]
+        vertex_id, state = divmod(packed, num_states)
+        for indptr, indices, added, removed, base_n, next_state \
+                in moves[state]:
+            if vertex_id < base_n:
+                neighbors = indices[indptr[vertex_id]:indptr[vertex_id + 1]]
+            else:
+                neighbors = _EMPTY_ROW
+            if removed or added:
+                mask = removed.get(vertex_id)
+                if mask and len(neighbors):
+                    neighbors = [x for x in neighbors if x not in mask]
+                grown = added.get(vertex_id)
+                if grown:
+                    # See _sweep: the base slice may be a memoryview.
+                    neighbors = grown if not len(neighbors) \
+                        else list(neighbors) + grown
+            for neighbor in neighbors:
+                code = neighbor * num_states + next_state
+                known = own_mask[code]
+                if carried | known != known:
+                    own_mask[code] = carried | known
+                    meet = other_mask[code]
+                    if meet:
+                        emit(carried & ~known, meet)
+                    if queued[code] != round_number:
+                        queued[code] = round_number
+                        next_frontier.append(code)
+    return next_frontier
 
 
 def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
@@ -862,26 +831,24 @@ def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
     """
     snapshot = adjacency_snapshot(graph)
     num_states = dfa.num_states
-    vertex_ids = snapshot.vertex_ids
     vertex_of = snapshot.vertex_of
 
-    source_ids = sorted({vertex_ids[v] for v in sources if v in vertex_ids})
-    target_ids = sorted({vertex_ids[v] for v in targets if v in vertex_ids})
+    source_ids = _seed_ids(snapshot, sources)
+    target_ids = _seed_ids(snapshot, targets)
     if not source_ids or not target_ids:
         return frozenset()
 
-    fwd_moves = _forward_moves(snapshot, dfa)
-    bwd_moves = _backward_moves(snapshot, dfa)
+    fwd_moves = _product_moves(snapshot, dfa, False)
+    bwd_moves = _product_moves(snapshot, dfa, True)
     start_state = dfa.start
     accepting_states = sorted(dfa.accepting)
 
     fwd_mask = [0] * (snapshot.num_slots * num_states)
     bwd_mask = [0] * (snapshot.num_slots * num_states)
     # Per-round enqueue stamps: a config whose mask grows under several
-    # predecessors in one round still expands once next round (it reads
-    # its accumulated mask at expansion time).
-    fwd_queued = [-1] * (snapshot.num_slots * num_states)
-    bwd_queued = [-1] * (snapshot.num_slots * num_states)
+    # predecessors in one round still expands once next round.  A round
+    # expands one side only, so both sides share the stamp array.
+    queued = [-1] * (snapshot.num_slots * num_states)
     answers: Set[Tuple[Hashable, Hashable]] = set()
     total = len(source_ids) * len(target_ids)
     round_number = 0
@@ -908,94 +875,33 @@ def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
             for target_vertex in target_vertices:
                 answers.add((source_vertex, target_vertex))
 
-    fwd_frontier: List[int] = []
-    for i, source_id in enumerate(source_ids):
-        code = source_id * num_states + start_state
-        fwd_mask[code] |= 1 << i
-        fwd_frontier.append(code)
+    def emit_from_targets(target_mask: int, source_mask: int) -> None:
+        emit(source_mask, target_mask)
+
     bwd_frontier: List[int] = []
     for j, target_id in enumerate(target_ids):
         for state in accepting_states:
             code = target_id * num_states + state
-            if not bwd_mask[code]:
-                bwd_frontier.append(code)
-            bwd_mask[code] |= 1 << j
-    for code in fwd_frontier:  # seed-on-seed meets (epsilon answers)
-        if bwd_mask[code]:
-            emit(fwd_mask[code], bwd_mask[code])
+            bwd_mask[code] = 1 << j
+            bwd_frontier.append(code)
+    fwd_frontier: List[int] = []
+    for i, source_id in enumerate(source_ids):
+        code = source_id * num_states + start_state
+        fwd_mask[code] = 1 << i
+        fwd_frontier.append(code)
+        if bwd_mask[code]:  # seed-on-seed meet (an epsilon answer)
+            emit(1 << i, bwd_mask[code])
 
     while fwd_frontier and bwd_frontier and len(answers) < total:
         round_number += 1
         if len(fwd_frontier) <= len(bwd_frontier):
-            next_frontier = []
-            for packed in fwd_frontier:
-                carried = fwd_mask[packed]
-                vertex_id, state = divmod(packed, num_states)
-                for indptr, indices, added, removed, base_n, next_state \
-                        in fwd_moves[state]:
-                    if vertex_id < base_n:
-                        neighbors = \
-                            indices[indptr[vertex_id]:indptr[vertex_id + 1]]
-                    else:
-                        neighbors = _EMPTY_ROW
-                    if removed or added:
-                        mask = removed.get(vertex_id)
-                        if mask and len(neighbors):
-                            neighbors = [x for x in neighbors if x not in mask]
-                        grown = added.get(vertex_id)
-                        if grown:
-                            # The base slice is a list, an array.array or —
-                            # on a mapped snapshot — a memoryview: sized by
-                            # len(), and copied before it takes additions.
-                            neighbors = grown if not len(neighbors) \
-                                else list(neighbors) + grown
-                    for neighbor in neighbors:
-                        code = neighbor * num_states + next_state
-                        known = fwd_mask[code]
-                        if carried | known != known:
-                            fwd_mask[code] = carried | known
-                            meet = bwd_mask[code]
-                            if meet:
-                                emit(carried & ~known, meet)
-                            if fwd_queued[code] != round_number:
-                                fwd_queued[code] = round_number
-                                next_frontier.append(code)
-            fwd_frontier = next_frontier
+            fwd_frontier = _propagate(fwd_frontier, fwd_moves, num_states,
+                                      fwd_mask, bwd_mask, queued,
+                                      round_number, emit)
         else:
-            next_frontier = []
-            for packed in bwd_frontier:
-                carried = bwd_mask[packed]
-                vertex_id, state = divmod(packed, num_states)
-                for indptr, indices, added, removed, base_n, prev_state \
-                        in bwd_moves[state]:
-                    if vertex_id < base_n:
-                        neighbors = \
-                            indices[indptr[vertex_id]:indptr[vertex_id + 1]]
-                    else:
-                        neighbors = _EMPTY_ROW
-                    if removed or added:
-                        mask = removed.get(vertex_id)
-                        if mask and len(neighbors):
-                            neighbors = [x for x in neighbors if x not in mask]
-                        grown = added.get(vertex_id)
-                        if grown:
-                            # The base slice is a list, an array.array or —
-                            # on a mapped snapshot — a memoryview: sized by
-                            # len(), and copied before it takes additions.
-                            neighbors = grown if not len(neighbors) \
-                                else list(neighbors) + grown
-                    for neighbor in neighbors:
-                        code = neighbor * num_states + prev_state
-                        known = bwd_mask[code]
-                        if carried | known != known:
-                            bwd_mask[code] = carried | known
-                            meet = fwd_mask[code]
-                            if meet:
-                                emit(meet, carried & ~known)
-                            if bwd_queued[code] != round_number:
-                                bwd_queued[code] = round_number
-                                next_frontier.append(code)
-            bwd_frontier = next_frontier
+            bwd_frontier = _propagate(bwd_frontier, bwd_moves, num_states,
+                                      bwd_mask, fwd_mask, queued,
+                                      round_number, emit_from_targets)
 
     if len(answers) < total:
         if not fwd_frontier:

@@ -50,7 +50,12 @@ from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tup
 from repro.concurrency import ordered_rlock, release_resource, track_resource
 from repro.errors import StorageError, StoreDegradedError
 from repro.faults import fault_point
-from repro.graph.compact import _CACHE_ATTR, DeltaAdjacency, adjacency_snapshot
+from repro.graph.compact import (
+    _CACHE_ATTR,
+    DeltaAdjacency,
+    adjacency_snapshot,
+    rpq_pairs_on_snapshot,
+)
 from repro.graph.graph import MultiRelationalGraph
 from repro.storage.frames import check_loggable
 from repro.storage.segments import (
@@ -122,37 +127,6 @@ def _upgrade_legacy(directory: str, manifest: Dict[str, Any]
     return upgraded
 
 
-class _CompactGraphAdapter:
-    """The minimal graph surface the compact RPQ kernels read.
-
-    :func:`repro.graph.compact.adjacency_snapshot` wants a cached snapshot
-    attribute, a matching ``version()``, a journal, and ``labels()`` for
-    DFA compilation.  This shim pins one already-built view (mmap base or
-    WAL-replayed overlay) under that contract so the kernels run verbatim
-    on a store that never materialized its dict indices.
-    """
-
-    def __init__(self) -> None:
-        self._view = None
-
-    def pin(self, view: Any) -> "_CompactGraphAdapter":
-        self._view = view
-        setattr(self, _CACHE_ATTR, view)
-        return self
-
-    def version(self) -> int:
-        return self._view.version
-
-    def labels(self) -> FrozenSet[Hashable]:
-        return frozenset(self._view.label_ids)
-
-    def journal_since(self, version: int) -> List[Any]:
-        return []
-
-    def prune_journal(self, version: int) -> None:
-        pass
-
-
 class _LogBackedView:
     """``snapshot ⊗ log suffix``, queryable without a dict graph: what a
     lazily-opened primary and a tailing replica both are — a mapped base
@@ -169,7 +143,6 @@ class _LogBackedView:
             dict(metadata.vertex_properties)
         self._edge_props: Dict[Tuple, Dict[str, Any]] = \
             dict(metadata.edge_properties)
-        self._adapter = _CompactGraphAdapter()
 
     # Callers hold their own lock (or are still constructing): the
     # overlay and sidecar maps are only read through that same lock.
@@ -205,9 +178,12 @@ class _LogBackedView:
                     sources: Optional[Iterable[Hashable]],
                     targets: Optional[Iterable[Hashable]]) -> FrozenSet:
         """The compact product-BFS kernel over the live view."""
-        from repro.rpq.evaluation import rpq_pairs
-        return rpq_pairs(self._adapter.pin(self._live_view()), expression,
-                         sources, targets=targets)
+        from repro.rpq.labelregex import build_label_nfa, determinize
+        view = self._live_view()
+        dfa = determinize(build_label_nfa(expression),
+                          set(view.label_ids) | set(expression.symbols()))
+        return rpq_pairs_on_snapshot(view, dfa, sources=sources,
+                                     targets=targets)
 
 
 def publish_generation(directory: str, manifest: Dict[str, Any],

@@ -29,7 +29,11 @@ from repro.datasets import figure1_graph
 from repro.engine import Engine
 from repro.graph.graph import MultiRelationalGraph
 from repro.regex.ast import Atom, Empty, Join, Literal, Repeat, Star, Union
-from repro.rpq.evaluation import compile_rpq, rpq_pairs_basic
+from repro.rpq.evaluation import (
+    compile_rpq,
+    rpq_pairs_basic,
+    rpq_pairs_between,
+)
 from repro.rpq.labelregex import (
     LabelDFA,
     LabelEmpty,
@@ -197,13 +201,23 @@ class TestAnalyzeExpression:
 
 @pytest.fixture
 def poisoned_kernels(monkeypatch):
-    """Make every compact RPQ kernel blow up: proves zero dispatch."""
+    """Make both product-BFS cores blow up: proves zero dispatch.
+
+    Every compact kernel entry — the three public directions, and
+    ``rpq_pairs_on_snapshot`` under the fork pool, the sharded path and
+    lazily-opened stores — runs ``_sweep`` or ``_propagate``.
+    """
     def boom(*args, **kwargs):
         raise AssertionError("kernel dispatched for a provably-empty query")
     import repro.graph.compact as compact
-    for name in ("rpq_pairs_compact", "rpq_pairs_backward",
-                 "rpq_pairs_bidirectional"):
+    for name in ("_sweep", "_propagate"):
         monkeypatch.setattr(compact, name, boom)
+    # Liveness: a satisfiable query must trip each poisoned core.
+    with pytest.raises(AssertionError, match="kernel dispatched"):
+        Engine(graph_abc()).pairs("[_, a, _] . [_, b, _]")
+    with pytest.raises(AssertionError, match="kernel dispatched"):
+        rpq_pairs_between(graph_abc(), lconcat(sym("a"), sym("b")),
+                          {"u"}, {"w"})
 
 
 class TestEngineShortCircuit:
@@ -211,6 +225,22 @@ class TestEngineShortCircuit:
         engine = Engine(graph_abc())
         assert engine.pairs("[_, zz, _]") == frozenset()
         assert engine.pairs("[_, a, _] . [_, zz, _]") == frozenset()
+        # processes=2 would fan out to rpq_pairs_on_snapshot in forked
+        # workers (which inherit the poison); the verdict comes first.
+        assert engine.pairs("[_, b, _] . [_, zz, _]",
+                            processes=2) == frozenset()
+
+    def test_lazily_opened_store_short_circuits(self, poisoned_kernels,
+                                                tmp_path):
+        from repro.storage import PersistentGraph
+        PersistentGraph.create(str(tmp_path / "g"), graph_abc()).close()
+        with PersistentGraph.open(str(tmp_path / "g")) as store:
+            # The unmaterialized view goes straight to the sweep core...
+            with pytest.raises(AssertionError, match="kernel dispatched"):
+                store.pairs(lconcat(sym("a"), sym("b")))
+            # ...and the engine serving that store never reaches it.
+            engine = Engine(store.graph())
+            assert engine.pairs("[_, a, _] . [_, zz, _]") == frozenset()
 
     def test_pairs_batch_short_circuits_empty_members(self,
                                                       poisoned_kernels):

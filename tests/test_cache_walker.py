@@ -67,6 +67,26 @@ class TestQueryCache:
         assert engine.cache.hits == 0
         assert before < after  # new paths through 'extra'
 
+    def test_mutation_during_evaluation_is_not_cached_as_current(
+            self, engine, monkeypatch):
+        """A result computed at version N is filed under N, even when a
+        writer bumps the graph to N+1 before the evaluation returns."""
+        import repro.engine.engine as engine_module
+        real = engine_module.run_strategy
+
+        def racing(strategy, graph, *args):
+            paths = real(strategy, graph, *args)
+            graph.add_edge("i", "alpha", "extra")
+            graph.add_edge("extra", "alpha", "k")
+            return paths
+
+        monkeypatch.setattr(engine_module, "run_strategy", racing)
+        stale = engine.query(QUERY).paths
+        monkeypatch.undo()
+        fresh = engine.query(QUERY)
+        assert engine.cache.hits == 0
+        assert stale < fresh.paths  # recomputed: sees the paths via 'extra'
+
     def test_different_bounds_cached_separately(self, engine):
         engine.query(QUERY, max_length=4)
         engine.query(QUERY, max_length=6)

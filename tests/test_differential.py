@@ -61,6 +61,10 @@ from repro.rpq import (
     rpq_pairs_to_targets,
     sym,
 )
+from repro.storage.snapshots import (
+    open_adjacency_snapshot,
+    write_adjacency_snapshot,
+)
 
 LABELS = ("a", "b", "c")
 
@@ -172,6 +176,81 @@ class TestDirectionalRpqDifferential:
                                  if pair == (source, target))
             assert rpq_pairs_between(graph, expression, {source},
                                      {target}) == expected, tag
+
+    # The cases only a loop shared by all three configurations can get
+    # wrong, as (label expression, sources, targets).  The graph below
+    # reaches vertex "t" in two different accepting states of MULTI and
+    # NULLABLE_MULTI (several reverse seeds per target; "t" or (t, t)
+    # counted twice would exhaust ``remaining`` and drop "z" / "far", two
+    # levels further out), "hub" answers every wanted vertex in the middle
+    # of its first level, and "late" then sweeps through the
+    # configurations "hub" left stamped.
+    MULTI = lunion(lconcat(sym("a"), lstar(sym("b"))),
+                   lconcat(sym("a"), lstar(sym("c"))))
+    NULLABLE_MULTI = lunion(lstar(sym("a")), sym("b"))
+    SHARED_LOOP_CASES = {
+        "several accepting states, one vertex":
+            (MULTI, {"x", "y", "hub"}, {"t", "z"}),
+        "nullable, seed wanted":
+            (NULLABLE_MULTI, {"t", "far", 2}, {"t", "far"}),
+        "nullable, seed not wanted":
+            (NULLABLE_MULTI, {"t", "x"}, {"far", 5}),
+        "nullable star over a born-late label":
+            (lstar(sym("d")), {"t", "far", "ghost"}, {"t", "far", "ghost"}),
+        "filter satisfied mid-level, then another seed":
+            (lconcat(sym("a"), lstar(sym("b"))), {"hub", "late", "x"},
+             {"t", "m"}),
+    }
+
+    @staticmethod
+    def _graph_behind(backend, tmp_path):
+        """One logical graph, its cached view in the requested shape."""
+        graph = uniform_random(24, 80, labels=LABELS, seed=5)
+        for tail, label, head in [
+                ("x", "a", "t"), ("y", "a", "m"), ("m", "b", "t"),
+                ("t", "a", "far"), ("hub", "a", "t"), ("hub", "a", "m"),
+                ("hub", "a", 0), ("hub", "a", 1), ("late", "a", "hub"),
+                ("late", "a", "m"), ("doomed", "a", "t"), ("m", "b", 7),
+                ("m", "b", "k"), ("k", "b", "z")]:
+            graph.add_edge(tail, label, head)
+        adjacency_snapshot(graph)  # the base CSR predates everything below
+        graph.remove_edge("m", "b", 7)
+        graph.remove_vertex("doomed")            # tombstones a base slot
+        graph.add_edge("t", "d", "far")          # label born after the base
+        graph.add_edge("far", "b", "t")
+        graph.add_edge("fresh", "a", "t")        # vertex born after the base
+        view = adjacency_snapshot(graph)
+        assert isinstance(view, DeltaAdjacency) and view.dead_vertices
+        assert "d" not in view.base.label_ids
+        if backend == "heap":
+            view = CompactAdjacency.build(graph)
+        elif backend == "mmap":
+            path = str(tmp_path / "g.rcsr")
+            write_adjacency_snapshot(path, view, version=graph.version())
+            view, _ = open_adjacency_snapshot(path, mmap=True)
+            assert isinstance(view.reverse[0][1], memoryview)
+        setattr(graph, compact._CACHE_ATTR, view)
+        return graph, view
+
+    @pytest.mark.parametrize("backend", ["heap", "overlay", "mmap"])
+    @pytest.mark.parametrize("case", sorted(SHARED_LOOP_CASES))
+    def test_shared_loop_edge_cases(self, backend, case, tmp_path):
+        expression, sources, targets = self.SHARED_LOOP_CASES[case]
+        graph, view = self._graph_behind(backend, tmp_path)
+        reference = rpq_pairs_basic(graph, expression)
+        restricted = frozenset(pair for pair in reference
+                               if pair[0] in sources and pair[1] in targets)
+        assert restricted, "the case must have answers to lose"
+        assert rpq_pairs(graph, expression) == reference
+        assert rpq_pairs_to_targets(graph, expression) == reference
+        assert rpq_pairs(graph, expression, sources=sources,
+                         targets=targets) == restricted
+        assert rpq_pairs_to_targets(graph, expression, targets=targets,
+                                    sources=sources) == restricted
+        assert rpq_pairs_between(graph, expression, sources,
+                                 targets) == restricted
+        # Every kernel above ran on the pinned view, not on a rebuild.
+        assert adjacency_snapshot(graph) is view
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="compact DiGraph kernels need numpy")
