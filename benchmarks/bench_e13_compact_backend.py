@@ -443,26 +443,28 @@ def bench_preflight(rows, quick):
     # ...versus the short-circuit, with both product-BFS cores poisoned
     # (every kernel entry, rpq_pairs_on_snapshot included, runs one) so a
     # single dispatch fails loudly instead of skewing the timing.
-    kernel_names = ("_sweep", "_propagate")
+    kernel_names = ("_propagate", "_sweep")
     saved = {name: getattr(compact_module, name) for name in kernel_names}
 
     def poisoned(*_args, **_kwargs):
         raise AssertionError("kernel dispatched for a provably-empty query")
 
     empty_engine = Engine(graph)
-    for name in kernel_names:
-        setattr(compact_module, name, poisoned)
     try:
-        if HAVE_NUMPY:
-            # Prove the poison is live: a satisfiable query must trip it.
-            try:
-                empty_engine.pairs("[_, a, _]")
-            except AssertionError:
-                pass
-            else:
-                raise AssertionError(
-                    "kernel poison is not live; the short-circuit proof "
-                    "would be vacuous")
+        for name in kernel_names:
+            setattr(compact_module, name, poisoned)
+            if HAVE_NUMPY:
+                # Prove the poison is live: a satisfiable query must trip
+                # it — an all-sources one, so that with _propagate alone
+                # poisoned it is the shared many-seed sweep that dies.
+                try:
+                    empty_engine.pairs("[_, a, _]")
+                except AssertionError:
+                    pass
+                else:
+                    raise AssertionError(
+                        "kernel poison is not live; the short-circuit "
+                        "proof would be vacuous")
         empty_answer, empty_s = timed(
             lambda: empty_engine.pairs("[_, a, _] . [_, zz, _]"), repeat=3)
     finally:

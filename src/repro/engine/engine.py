@@ -19,9 +19,10 @@ version-keyed snapshot cache (patched incrementally after mutations), and
 a **direction cost model** (:meth:`Planner.choose_rpq_direction`, driven
 by the statistics' per-label degree profiles) picks among three kernels:
 
-* **forward** — stamped product BFS from the sources over the forward CSR,
-* **backward** — stamped product BFS from the targets over the reverse CSR
-  with the DFA's transitions reversed,
+* **forward** — product BFS from the sources over the forward CSR (one
+  search per source, or one bit-parallel search per batch of many),
+* **backward** — the same from the targets over the reverse CSR with the
+  DFA's transitions reversed,
 * **bidirectional** — meet-in-the-middle between explicit source and
   target sets, expanding whichever frontier is smaller and joining on
   (vertex, state) meets — the point-to-point fast path.

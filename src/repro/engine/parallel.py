@@ -6,9 +6,10 @@ all-sources / batch kernels out over the vertex-range partition of
 :mod:`repro.graph.sharding`:
 
 * **RPQ sweeps** (:meth:`ParallelExecutor.rpq_pairs`) — each worker runs
-  the stamped product-BFS for the sources its shard owns (over the shared
-  full CSR; a sweep's cone crosses shard boundaries, its *seeds* do not)
-  and the per-shard pair sets merge by union — order-free, deterministic.
+  the product-BFS kernel for the sources its shard owns, batch-shared like
+  any many-seed call (over the shared full CSR; a sweep's cone crosses
+  shard boundaries, its *seeds* do not), and the per-shard pair sets merge
+  by union — order-free, deterministic.
 * **BFS batches** (:meth:`ParallelExecutor.bfs_distances`) — the source
   batch splits evenly, each worker runs the vectorized per-source kernel,
   distance maps merge disjointly.

@@ -36,6 +36,7 @@ from repro.engine.plan import (
 )
 from repro.engine.stats import GraphStatistics
 from repro.errors import PlanningError
+from repro.graph.compact import _SHARED_BATCH, _SHARED_MIN_SEEDS
 from repro.regex.ast import (
     Atom,
     Empty,
@@ -51,9 +52,10 @@ from repro.regex.ast import (
 
 __all__ = ["Planner", "DirectionChoice", "ParallelismChoice"]
 
-#: Bidirectional evaluation keeps one bitmask per (vertex, state) per side;
-#: past this many vertices on either side the masks outgrow machine words
-#: and the one-directional stamped sweeps win anyway.
+#: Bidirectional evaluation is only offered while both endpoint sets are
+#: this small: it pays when the two half-depth cones are selective, and a
+#: broad side is what the one-directional kernel's shared sweep (the same
+#: masks, batched, no meet bookkeeping) is for.
 _BIDI_MAX_SIDE = 64
 
 #: A non-forward direction must beat forward by this factor.  The growth
@@ -88,15 +90,25 @@ class DirectionChoice:
     forward_cost: float
     backward_cost: Optional[float] = None
     bidirectional_cost: Optional[float] = None
+    #: Seed count of the chosen one-directional sweep (``None`` when the
+    #: choice is bidirectional): decides which loop the kernel runs.
+    seeds: Optional[int] = None
 
     def describe(self) -> str:
         """One-line summary for EXPLAIN output."""
         def fmt(cost: Optional[float]) -> str:
             return "n/a" if cost is None else "{:.3g}".format(cost)
+        if self.seeds is None:
+            loop = ""
+        elif self.seeds < _SHARED_MIN_SEEDS:
+            loop = "; per-seed sweep"
+        else:
+            loop = "; shared sweep: {} seeds in {} batch(es)".format(
+                self.seeds, -(-self.seeds // _SHARED_BATCH))
         return ("direction={} (est. frontier work: forward~{}, "
-                "backward~{}, bidirectional~{})").format(
+                "backward~{}, bidirectional~{}{})").format(
             self.direction, fmt(self.forward_cost),
-            fmt(self.backward_cost), fmt(self.bidirectional_cost))
+            fmt(self.backward_cost), fmt(self.bidirectional_cost), loop)
 
 
 @dataclass(frozen=True)
@@ -191,6 +203,29 @@ class Planner:
                 break
         return total
 
+    @staticmethod
+    def _sweep_cost(seeds: int, growth: float, horizon: int,
+                    cap: float) -> float:
+        """Configurations a one-directional kernel call touches: one cone
+        per seed below the kernel's shared-sweep floor; from the floor up,
+        one cone per batch, whose seeds start out together.
+
+        A batch is never priced below ``_SHARED_MIN_SEEDS`` lone cones:
+        the floor is where the kernel takes sharing to break even with
+        lone searches, and more seeds do not make a sweep cheaper.  Without
+        it the price *fell* 5x from 15 seeds to 16 on a small dense graph
+        (the shared cone saturates at the cap, a lone one is overstated by
+        its capped tail), and few-source queries flipped to a sweep from
+        every target that measured 3-7x slower.
+        """
+        lone = Planner._cone_cost(1.0, growth, horizon, cap)
+        if seeds < _SHARED_MIN_SEEDS:
+            return seeds * lone
+        together = Planner._cone_cost(min(seeds, _SHARED_BATCH), growth,
+                                      horizon, cap)
+        return -(-seeds // _SHARED_BATCH) * max(together,
+                                                _SHARED_MIN_SEEDS * lone)
+
     def choose_rpq_direction(self, label_expression,
                              num_sources: Optional[int] = None,
                              num_targets: Optional[int] = None,
@@ -199,14 +234,15 @@ class Planner:
 
         ``num_sources``/``num_targets`` are the bound endpoint-set sizes
         (``None`` = unconstrained, i.e. every vertex).  The model compares
-        estimated frontier work: the one-directional kernels run one
-        stamped sweep per seed vertex, each sweep a cone growing by the
-        statistics' per-label mean fanout (out-fanout forward, in-fanout
-        backward — asymmetric exactly on skewed graphs); the bidirectional
-        kernel runs a single meet-in-the-middle pass whose two cones each
-        stop at half the horizon.  Bidirectional is only offered when both
-        endpoint sets are explicit and small (mask width); forward wins
-        ties, preserving the pre-cost-model behavior on symmetric graphs.
+        estimated frontier work: a cone grows by the statistics' per-label
+        mean fanout (out-fanout forward, in-fanout backward — asymmetric
+        exactly on skewed graphs), and the one-directional kernels walk one
+        cone per seed vertex for a few seeds or one per batch of seeds for
+        many (:meth:`_sweep_cost`); the bidirectional kernel runs a single
+        meet-in-the-middle pass whose two cones each stop at half the
+        horizon.  Bidirectional is only offered when both endpoint sets
+        are explicit and small; forward wins ties, preserving the
+        pre-cost-model behavior on symmetric graphs.
 
         ``states`` is the (pruned) DFA state count from pre-flight
         analysis: the product BFS walks ``(vertex, state)`` configurations,
@@ -223,10 +259,10 @@ class Planner:
         seeds_forward = vertex_count if num_sources is None else num_sources
         seeds_backward = vertex_count if num_targets is None else num_targets
 
-        forward_cost = seeds_forward * self._cone_cost(
-            1.0, forward_growth, horizon, frontier_cap)
-        backward_cost = seeds_backward * self._cone_cost(
-            1.0, backward_growth, horizon, frontier_cap)
+        forward_cost = self._sweep_cost(seeds_forward, forward_growth,
+                                        horizon, frontier_cap)
+        backward_cost = self._sweep_cost(seeds_backward, backward_growth,
+                                         horizon, frontier_cap)
         bidirectional_cost = None
         if num_sources is not None and num_targets is not None \
                 and 0 < num_sources <= _BIDI_MAX_SIDE \
@@ -240,15 +276,19 @@ class Planner:
 
         best = "forward"
         best_cost = forward_cost
+        seeds: Optional[int] = seeds_forward
         if backward_cost < best_cost * _DIRECTION_MARGIN:
             best = "backward"
             best_cost = backward_cost
+            seeds = seeds_backward
         if bidirectional_cost is not None \
                 and bidirectional_cost < best_cost * _DIRECTION_MARGIN:
             best = "bidirectional"
+            seeds = None
         return DirectionChoice(direction=best, forward_cost=forward_cost,
                                backward_cost=backward_cost,
-                               bidirectional_cost=bidirectional_cost)
+                               bidirectional_cost=bidirectional_cost,
+                               seeds=seeds)
 
     # ------------------------------------------------------------------
     # Sharded-parallel threshold (the fan-out executor's go / no-go)

@@ -24,7 +24,8 @@ the compact numeric backend the hot paths share instead:
   integer-indexed Tarjan SCC, geodesic-sweep and centrality kernels.
 * :func:`rpq_pairs_compact` — the frontier-set BFS over the
   (vertex, dfa-state) product that powers :func:`repro.rpq.rpq_pairs` and
-  the engine's ``pairs`` fast path.
+  the engine's ``pairs`` fast path: one search per seed for a few seeds,
+  one bit-parallel search per batch of seeds for many.
 
 Snapshot lifecycle (incremental)
 --------------------------------
@@ -63,7 +64,8 @@ implementations.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from itertools import chain, compress, product
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 try:  # numpy accelerates the DiGraph kernels; everything else works without it.
     import numpy as _np
@@ -588,28 +590,137 @@ def _seed_ids(snapshot, vertices: Optional[Iterable[Hashable]]):
     return sorted({vertex_ids[v] for v in vertices if v in vertex_ids})
 
 
-def _sweep(snapshot, dfa, seed_ids: Iterable[int],
+#: A one-directional call with at least this many seeds walks the product
+#: with all of them on board (:func:`_shared_sweep`); with fewer it runs the
+#: stamped per-seed loop, as every served few-seed query did before.  On the
+#: 1500-vertex serve graph closures (T1, T3) break even at 3-4 seeds and
+#: are 2x / 4x ahead at 16, while a two-hop (T2) has nothing to share and
+#: stays ~1.5x behind at any count (docs/compact_backend.md has the table).
+_SHARED_MIN_SEEDS = 16
+
+#: Seeds per shared batch, one mask bit each: wider masks make every ``|``
+#: dearer, narrower ones repeat the walk.  Bounds the mask table at
+#: ``slots x states x 128`` bytes; on the observatory's nine sweeps 512
+#: costs 6 % more and 2048 9 % less (all of it one sparse closure) for
+#: twice that bound.
+_SHARED_BATCH = 1024
+
+#: ``bin()`` digits -> selector bytes for :func:`itertools.compress`.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask_members(mask: int, members: Sequence[Hashable]
+                  ) -> Iterable[Hashable]:
+    """``members[i]`` for every set bit ``i`` of a (bignum) bitmask, in no
+    promised order, decoded from ``bin(mask)`` at C speed.
+
+    A sparse mask is ``str.find`` hops between its ``1`` digits (the zeros
+    in between cost a ``memchr``, not an interpreter step); one that is not
+    exhausted after a hop per 16 digits is dense, and a single
+    :func:`itertools.compress` over the reversed digits is cheaper.
+    """
+    digits = bin(mask)
+    top = len(digits) - 1
+    found = []
+    at = 2  # past the "0b": the leading digit is a 1
+    for _ in range(top >> 4):
+        found.append(members[top - at])
+        at = digits.find("1", at + 1)
+        if at < 0:
+            return found
+    return compress(members, digits[:1:-1].encode().translate(_BIT_BYTES))
+
+
+def _shared_sweep(snapshot, moves: List[List[Tuple]], num_states: int,
+                  seed_ids: Sequence[int], seed_states: List[int],
+                  answering: List[bool], wanted_ok: Optional[bytearray],
+                  reverse: bool
+                  ) -> Iterable[Iterable[Tuple[Hashable, Hashable]]]:
+    """:func:`_sweep` with the seeds travelling together, a batch at a time:
+    yields C-speed iterables of ``(source, target)`` pairs.
+
+    Each seed of a batch owns one bit and :func:`_propagate` pushes the
+    masks until the frontier drains, so a configuration expands once per
+    round in which new seeds reach it, not once per seed (multi-source BFS:
+    Then et al., "The More the Merrier", PVLDB 8(4), 2014).  No opposite
+    search, so no meets: the other side's masks are all zero.  The drained
+    frontier leaves a complete closure: the OR of the masks at a vertex's
+    answering configurations names the seeds it answers.  Only touched
+    masks are reset between batches.
+    """
+    vertex_of = snapshot.vertex_of
+    size = snapshot.num_slots * num_states
+    own_mask = [0] * size
+    no_meets = [0] * size
+    queued = [-1] * size
+    round_number = 0
+    for begin in range(0, len(seed_ids), _SHARED_BATCH):
+        batch = seed_ids[begin:begin + _SHARED_BATCH]
+        frontier: List[int] = []
+        for bit, seed_id in enumerate(batch):
+            for state in seed_states:
+                code = seed_id * num_states + state
+                own_mask[code] = 1 << bit
+                frontier.append(code)
+        touched: List[int] = []
+        while frontier:
+            touched += frontier
+            round_number += 1
+            frontier = _propagate(frontier, moves, num_states, own_mask,
+                                  no_meets, queued, round_number, None)
+        reached: Dict[int, int] = {}
+        for code in touched:
+            mask = own_mask[code]
+            if mask:  # not yet read: a config is touched once per re-queue
+                own_mask[code] = 0
+                if answering[code % num_states]:
+                    vertex_id = code // num_states
+                    if wanted_ok is None or wanted_ok[vertex_id]:
+                        reached[vertex_id] = reached.get(vertex_id, 0) | mask
+        batch_vertices = [vertex_of[seed_id] for seed_id in batch]
+        # Vertices answering the same seeds share one decode and leave as
+        # one product; a vertex with a single seed (the commonest mask on a
+        # sparse graph) skips both the grouping and the decoder.
+        alike: Dict[int, List[Hashable]] = {}
+        lone_seeds: List[Hashable] = []
+        lone_vertices: List[Hashable] = []
+        for vertex_id, mask in reached.items():
+            if mask & (mask - 1):
+                alike.setdefault(mask, []).append(vertex_of[vertex_id])
+            else:
+                lone_seeds.append(batch_vertices[mask.bit_length() - 1])
+                lone_vertices.append(vertex_of[vertex_id])
+        yield zip(lone_vertices, lone_seeds) if reverse \
+            else zip(lone_seeds, lone_vertices)
+        for mask, vertices in alike.items():
+            seeds = _mask_members(mask, batch_vertices)
+            yield product(vertices, seeds) if reverse \
+                else product(seeds, vertices)
+
+
+def _sweep(snapshot, dfa, seed_ids: Sequence[int],
            wanted: Optional[Iterable[Hashable]], reverse: bool
-           ) -> List[Tuple[Hashable, Hashable]]:
-    """One stamped product BFS per seed: ``(seed, answering vertex)`` pairs.
+           ) -> FrozenSet[Tuple[Hashable, Hashable]]:
+    """The one-directional product BFS: its ``(source, target)`` pairs.
 
     Forward, a search starts at ``(seed, start)`` and a configuration
-    answers when its state accepts; reversed, it starts at ``(seed, q)``
-    for every accepting ``q`` and answers at the start state
-    (:func:`rpq_pairs_backward` says why).  A vertex answers at most once
-    per seed, ``wanted`` restricts which vertices may, and a seed that has
-    heard from all of them stops at the next level boundary.
+    answers when its state accepts; reversed, the seeds are the targets, it
+    starts at ``(seed, q)`` for every accepting ``q`` and answers at the
+    start state (:func:`rpq_pairs_backward` says why).  A vertex answers at
+    most once per seed and ``wanted`` restricts which vertices may.  From
+    :data:`_SHARED_MIN_SEEDS` seeds up the walk is :func:`_shared_sweep`;
+    below, one stamped BFS per seed, which stops at the next level boundary
+    once every wanted vertex has answered.
     """
     num_states = dfa.num_states
     slots = snapshot.num_slots
     vertex_of = snapshot.vertex_of
-    answers: List[Tuple[Hashable, Hashable]] = []
     wanted_ok: Optional[bytearray] = None
     num_wanted = 0
     if wanted is not None:
         wanted_ids = _seed_ids(snapshot, wanted)
         if not wanted_ids:
-            return answers
+            return frozenset()
         num_wanted = len(wanted_ids)
         wanted_ok = bytearray(slots)
         for vertex_id in wanted_ids:
@@ -621,6 +732,12 @@ def _sweep(snapshot, dfa, seed_ids: Iterable[int],
     else:
         seed_states, answer_states = [dfa.start], dfa.accepting
     answering = [state in answer_states for state in range(num_states)]
+    if len(seed_ids) >= _SHARED_MIN_SEEDS:
+        return frozenset(chain.from_iterable(_shared_sweep(
+            snapshot, moves, num_states, seed_ids, seed_states, answering,
+            wanted_ok, reverse)))
+
+    answers: List[Tuple[Hashable, Hashable]] = []
     # In both orientations a seed answers itself iff the empty word matches.
     seed_answers = dfa.start in dfa.accepting
 
@@ -680,7 +797,9 @@ def _sweep(snapshot, dfa, seed_ids: Iterable[int],
                                 remaining -= 1
                             next_frontier.append(code)
             frontier = next_frontier
-    return answers
+    if reverse:
+        return frozenset((answer, seed) for seed, answer in answers)
+    return frozenset(answers)
 
 
 def rpq_pairs_compact(graph, dfa, sources: Optional[Iterable[Hashable]] = None,
@@ -690,16 +809,17 @@ def rpq_pairs_compact(graph, dfa, sources: Optional[Iterable[Hashable]] = None,
 
     Frontier-set BFS over the (vertex, dfa-state) product using integer ids:
     one shared compact snapshot (base CSR, or base + delta overlay after
-    mutations), one per-(state, label) transition table resolving each DFA
-    move directly to an adjacency block, and a stamped ``visited`` array
-    reused across all sources — so the multi-source sweep allocates
-    O(V x states) once instead of per source.  Clean labels expand by raw
-    CSR slice; labels carrying delta edges merge the slice with the
-    overlay's per-vertex add/remove buffers.
+    mutations) and one per-(state, label) transition table resolving each
+    DFA move directly to an adjacency block.  A few sources run one BFS
+    each over a stamped ``visited`` array allocated once per call; many
+    sources travel together as bitmasks, a batch at a time, so a
+    configuration they share is expanded once (:func:`_sweep`).  Clean
+    labels expand by raw CSR slice; labels carrying delta edges merge the
+    slice with the overlay's per-vertex add/remove buffers.
 
     ``targets`` restricts the emitted pairs to those whose target is in the
-    set; once a source has answered every live target its sweep stops at
-    the next level boundary instead of exhausting the reachable cone.
+    set; a per-source BFS stops at the next level boundary once its source
+    has answered every live target instead of exhausting the cone.
 
     Semantically identical to the per-source product BFS
     (:func:`repro.rpq.evaluation.rpq_pairs_basic`); the equivalence and
@@ -724,8 +844,11 @@ def rpq_pairs_on_snapshot(snapshot, dfa,
     interned here); both ``None`` means every live vertex.
     """
     if source_ids is None:
-        source_ids = _seed_ids(snapshot, sources)
-    return frozenset(_sweep(snapshot, dfa, source_ids, targets, False))
+        seed_ids: Sequence[int] = _seed_ids(snapshot, sources)
+    else:  # the shared sweep sizes and slices its seeds
+        seed_ids = source_ids if isinstance(source_ids, (list, range)) \
+            else list(source_ids)
+    return _sweep(snapshot, dfa, seed_ids, targets, False)
 
 
 def rpq_pairs_backward(graph, dfa,
@@ -734,37 +857,26 @@ def rpq_pairs_backward(graph, dfa,
                        ) -> FrozenSet[Tuple[Hashable, Hashable]]:
     """:func:`rpq_pairs_compact` evaluated *backward* from the targets.
 
-    One stamped product BFS per target over the **reverse** CSR with the
-    DFA's transition relation reversed: a sweep seeded at ``(target, q)``
-    for every accepting ``q`` reaches ``(v, start)`` exactly when some
-    v -> target path spells a word the DFA accepts, so each settled
-    start-state configuration emits one pair.  Cost is bounded by the
-    targets' *in*-cones — the profitable direction when targets are few or
-    in-fanout is smaller than out-fanout (the planner's direction model
-    decides).  ``sources`` restricts emissions, and a sweep stops early
-    once every wanted source has answered.
+    The same :func:`_sweep` (per target, or shared by many) over the
+    **reverse** CSR with the DFA's transition relation reversed: a search
+    seeded at ``(target, q)`` for every accepting ``q`` reaches
+    ``(v, start)`` exactly when some v -> target path spells a word the DFA
+    accepts, so each settled start-state configuration emits one pair.
+    Cost is bounded by the targets' *in*-cones — the profitable direction
+    when targets are few or in-fanout is smaller than out-fanout (the
+    planner's direction model decides).  ``sources`` restricts emissions,
+    and a per-target BFS stops early once every wanted source has answered.
     """
     snapshot = adjacency_snapshot(graph)
-    return frozenset(
-        (source, target) for target, source
-        in _sweep(snapshot, dfa, _seed_ids(snapshot, targets), sources, True))
-
-
-def _mask_bits(mask: int) -> List[int]:
-    """Indices of the set bits of a (bignum) bitmask, ascending."""
-    out: List[int] = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return _sweep(snapshot, dfa, _seed_ids(snapshot, targets), sources, True)
 
 
 def _propagate(frontier: List[int], moves: List[List[Tuple]],
                num_states: int, own_mask: List[int], other_mask: List[int],
                queued: List[int], round_number: int, emit) -> List[int]:
-    """One level of one side of :func:`rpq_pairs_bidirectional`: returns
-    the next frontier, mutates ``own_mask`` and ``queued``.
+    """One level of one mask-carrying search (:func:`_shared_sweep`, either
+    side of :func:`rpq_pairs_bidirectional`): returns the next frontier,
+    mutates ``own_mask`` and ``queued``.
 
     Each configuration pushes the endpoint bitmask it carries along
     ``moves``.  A neighbor whose mask grows is queued once per round
@@ -794,8 +906,9 @@ def _propagate(frontier: List[int], moves: List[List[Tuple]],
             for neighbor in neighbors:
                 code = neighbor * num_states + next_state
                 known = own_mask[code]
-                if carried | known != known:
-                    own_mask[code] = carried | known
+                merged = carried | known  # once: the masks may be bignums
+                if merged != known:
+                    own_mask[code] = merged
                     meet = other_mask[code]
                     if meet:
                         emit(carried & ~known, meet)
@@ -859,17 +972,17 @@ def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
     # endpoint-set size.  Decoded vertex tuples are memoized per mask value.
     decoded_sources: Dict[int, Tuple[Hashable, ...]] = {}
     decoded_targets: Dict[int, Tuple[Hashable, ...]] = {}
+    all_sources = [vertex_of[source_id] for source_id in source_ids]
+    all_targets = [vertex_of[target_id] for target_id in target_ids]
 
     def emit(source_mask: int, target_mask: int) -> None:
         source_vertices = decoded_sources.get(source_mask)
         if source_vertices is None:
-            source_vertices = tuple(vertex_of[source_ids[i]]
-                                    for i in _mask_bits(source_mask))
+            source_vertices = tuple(_mask_members(source_mask, all_sources))
             decoded_sources[source_mask] = source_vertices
         target_vertices = decoded_targets.get(target_mask)
         if target_vertices is None:
-            target_vertices = tuple(vertex_of[target_ids[j]]
-                                    for j in _mask_bits(target_mask))
+            target_vertices = tuple(_mask_members(target_mask, all_targets))
             decoded_targets[target_mask] = target_vertices
         for source_vertex in source_vertices:
             for target_vertex in target_vertices:

@@ -83,8 +83,11 @@ def rpq_pairs(graph: MultiRelationalGraph, expression: LabelExpr,
 
     The traversal runs on the compact integer-indexed adjacency snapshot
     (:mod:`repro.graph.compact`): the DFA is compiled once and every source
-    shares the same snapshot, per-(state, label) CSR transition table and
-    stamped visited array.  Under mutation the snapshot is maintained
+    shares the same snapshot and per-(state, label) CSR transition table.
+    A few sources each run their own BFS over one stamped visited array;
+    many sources share one walk per batch, carried through the product as
+    bitmasks, so a configuration several of them reach is expanded once —
+    the paper's set-at-a-time join.  Under mutation the snapshot is maintained
     incrementally — the graph's journal is replayed into a delta overlay
     the kernel consults alongside the base CSR, so point updates between
     queries cost O(delta), not an O(V + E) rebuild.
@@ -104,7 +107,7 @@ def rpq_pairs_to_targets(graph: MultiRelationalGraph, expression: LabelExpr,
                          ) -> FrozenSet[Tuple[Hashable, Hashable]]:
     """:func:`rpq_pairs`, evaluated backward from the target side.
 
-    Per-target product BFS over the reverse CSR with the DFA reversed —
+    The same product BFS over the reverse CSR with the DFA reversed —
     cost bounded by the targets' in-cones instead of the sources'
     out-cones, so it wins when targets are the selective end (``R ·
     [_, a, j]``-style suffix-bound queries).  Answers are identical to the

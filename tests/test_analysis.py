@@ -27,6 +27,7 @@ from repro.cli import main as cli_main
 from repro.core.path import Path
 from repro.datasets import figure1_graph
 from repro.engine import Engine
+from repro.graph.generators import uniform_random
 from repro.graph.graph import MultiRelationalGraph
 from repro.regex.ast import Atom, Empty, Join, Literal, Repeat, Star, Union
 from repro.rpq.evaluation import (
@@ -210,9 +211,15 @@ def poisoned_kernels(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("kernel dispatched for a provably-empty query")
     import repro.graph.compact as compact
-    for name in ("_sweep", "_propagate"):
-        monkeypatch.setattr(compact, name, boom)
-    # Liveness: a satisfiable query must trip each poisoned core.
+    monkeypatch.setattr(compact, "_propagate", boom)
+    # Liveness: a satisfiable query must trip each poisoned core.  With
+    # _sweep still whole, a many-seed sweep dies in its first shared
+    # round — the shared path is under the poison, not only behind it.
+    many = uniform_random(3 * compact._SHARED_MIN_SEEDS, 160,
+                          labels=("a", "b"), seed=3)
+    with pytest.raises(AssertionError, match="kernel dispatched"):
+        Engine(many).pairs("[_, a, _] . [_, b, _]")
+    monkeypatch.setattr(compact, "_sweep", boom)
     with pytest.raises(AssertionError, match="kernel dispatched"):
         Engine(graph_abc()).pairs("[_, a, _] . [_, b, _]")
     with pytest.raises(AssertionError, match="kernel dispatched"):

@@ -44,14 +44,19 @@ from repro.algorithms.pagerank import pagerank
 from repro.errors import AlgorithmError
 from repro.graph import compact
 from repro.graph.compact import (
+    _SHARED_BATCH,
+    _SHARED_MIN_SEEDS,
     HAVE_NUMPY,
     CompactAdjacency,
     DeltaAdjacency,
     adjacency_snapshot,
+    rpq_pairs_on_snapshot,
 )
 from repro.graph.generators import uniform_random
+from repro.graph.sharding import live_ids_in_range
 from repro.rpq import (
     LabelEmpty,
+    compile_rpq,
     lconcat,
     lstar,
     lunion,
@@ -203,15 +208,16 @@ class TestDirectionalRpqDifferential:
     }
 
     @staticmethod
-    def _graph_behind(backend, tmp_path):
-        """One logical graph, its cached view in the requested shape."""
+    def _graph_behind(backend, tmp_path, extra=()):
+        """One logical graph, its cached view in the requested shape
+        (``extra`` edges join the base CSR)."""
         graph = uniform_random(24, 80, labels=LABELS, seed=5)
         for tail, label, head in [
                 ("x", "a", "t"), ("y", "a", "m"), ("m", "b", "t"),
                 ("t", "a", "far"), ("hub", "a", "t"), ("hub", "a", "m"),
                 ("hub", "a", 0), ("hub", "a", 1), ("late", "a", "hub"),
                 ("late", "a", "m"), ("doomed", "a", "t"), ("m", "b", 7),
-                ("m", "b", "k"), ("k", "b", "z")]:
+                ("m", "b", "k"), ("k", "b", "z"), *extra]:
             graph.add_edge(tail, label, head)
         adjacency_snapshot(graph)  # the base CSR predates everything below
         graph.remove_edge("m", "b", 7)
@@ -251,6 +257,106 @@ class TestDirectionalRpqDifferential:
                                  targets) == restricted
         # Every kernel above ran on the pinned view, not on a rebuild.
         assert adjacency_snapshot(graph) is view
+
+    # What only the shared sweep (>= _SHARED_MIN_SEEDS seeds travelling as
+    # bitmasks, _SHARED_BATCH to a batch) can get wrong.  WIDE hangs
+    # 2 x batch + 64 filler vertices off the graph above: most reach one
+    # or two vertices of their own, one in three reaches nothing, and one
+    # in fifty reaches "m" -> "t"/"k"/"z" — vertices that so answer seeds
+    # of every batch, in two accepting states of MULTI.
+    WIDE = [("f{}".format(i), "a", "f{}".format(i + 1))
+            for i in range(2 * _SHARED_BATCH + 64) if i % 3] + \
+        [("f{}".format(i), "b", "m")
+         for i in range(0, 2 * _SHARED_BATCH + 64, 50)]
+
+    @staticmethod
+    def _first_live(view, count):
+        """The ``count`` lowest live ids' vertices: the base graph's, then
+        the fillers in order, so a longer prefix adds whole batches."""
+        ids = list(view.live_vertex_ids())[:count]
+        assert len(ids) == count
+        return frozenset(view.vertex_of[i] for i in ids)
+
+    @pytest.mark.parametrize("backend", ["heap", "overlay", "mmap"])
+    def test_shared_sweep_batch_boundaries(self, backend, tmp_path):
+        graph, view = self._graph_behind(backend, tmp_path, self.WIDE)
+        reference = rpq_pairs_basic(graph, self.MULTI)
+        for count in (_SHARED_MIN_SEEDS - 1, _SHARED_MIN_SEEDS,
+                      _SHARED_BATCH - 1, _SHARED_BATCH, _SHARED_BATCH + 1,
+                      2 * _SHARED_BATCH + 3):
+            seeds = self._first_live(view, count)
+            # Neither a dropped nor a duplicated pair at a boundary, nor a
+            # mask leaked into the next batch: the answers are exact.
+            assert rpq_pairs(graph, self.MULTI, sources=seeds) == frozenset(
+                pair for pair in reference if pair[0] in seeds), count
+            assert rpq_pairs_to_targets(graph, self.MULTI, targets=seeds) \
+                == frozenset(pair for pair in reference
+                             if pair[1] in seeds), count
+        assert adjacency_snapshot(graph) is view
+
+    @pytest.mark.parametrize("backend", ["heap", "overlay", "mmap"])
+    def test_shared_sweep_end_filters(self, backend, tmp_path):
+        graph, view = self._graph_behind(backend, tmp_path, self.WIDE)
+        seeds = self._first_live(view, _SHARED_BATCH + 40)
+        assert {"t", "far", "x"} <= seeds
+        cases = {
+            "nullable, seeds wanted": (self.NULLABLE_MULTI, seeds),
+            "nullable, no seed wanted":
+                (self.NULLABLE_MULTI, frozenset(graph.vertices()) - seeds),
+            "unknown and tombstoned wanted":
+                (self.MULTI, {"ghost", "doomed", "t", "f4"}),
+            "only unknown wanted": (self.MULTI, {"ghost", "doomed"}),
+        }
+        for tag, (expression, wanted) in cases.items():
+            reference = rpq_pairs_basic(graph, expression)
+            assert rpq_pairs(graph, expression, sources=seeds,
+                             targets=wanted) == frozenset(
+                p for p in reference if p[0] in seeds and p[1] in wanted), tag
+            assert rpq_pairs_to_targets(graph, expression, targets=seeds,
+                                        sources=wanted) == frozenset(
+                p for p in reference if p[1] in seeds and p[0] in wanted), tag
+        # Seeds that reach nothing cost a bit each and answer nothing.
+        barren = frozenset("f{}".format(i) for i in range(0, 300, 3))
+        assert len(barren) >= _SHARED_MIN_SEEDS
+        assert rpq_pairs(graph, self.MULTI, sources=barren) == frozenset()
+        assert rpq_pairs_to_targets(graph, lconcat(sym("c"), sym("a")),
+                                    targets=barren) == frozenset()
+
+    @pytest.mark.parametrize("backend", ["heap", "overlay", "mmap"])
+    def test_shared_sweep_on_a_cycle_longer_than_a_batch(self, backend,
+                                                        tmp_path):
+        # One batch, ~batch + 76 rounds: every seed's bit goes once round
+        # the b-cycle, each configuration re-queued as each bit arrives.
+        length = _SHARED_BATCH + 76
+        gates = _SHARED_MIN_SEEDS + 4
+        cycle = [("c{}".format(i), "b", "c{}".format((i + 1) % length))
+                 for i in range(length)]
+        entries = [("in{}".format(j), "a", "c{}".format(50 * j))
+                   for j in range(gates)]
+        graph, view = self._graph_behind(backend, tmp_path, cycle + entries)
+        expression = lconcat(sym("a"), lstar(sym("b")))
+        seeds = frozenset(tail for tail, _, _ in entries)
+        forward = rpq_pairs(graph, expression, sources=seeds)
+        assert forward == rpq_pairs_basic(graph, expression, sources=seeds)
+        assert len(forward) == gates * length
+        targets = frozenset(head for _, _, head in entries)
+        assert rpq_pairs_to_targets(graph, expression, targets=targets) == \
+            frozenset(pair for pair in rpq_pairs_basic(graph, expression)
+                      if pair[1] in targets)
+
+    @pytest.mark.parametrize("backend", ["heap", "overlay", "mmap"])
+    def test_shared_sweep_over_a_worker_id_range(self, backend, tmp_path):
+        # What a fork-pool task runs: a live id range, here one that
+        # starts and ends inside a batch of the whole and spans a third.
+        graph, view = self._graph_behind(backend, tmp_path, self.WIDE)
+        lo, hi = _SHARED_BATCH - 5, 2 * _SHARED_BATCH + 40
+        owned = {view.vertex_of[i] for i in live_ids_in_range(view, lo, hi)}
+        answer = rpq_pairs_on_snapshot(
+            view, compile_rpq(self.MULTI, graph),
+            source_ids=live_ids_in_range(view, lo, hi))
+        assert answer == frozenset(
+            pair for pair in rpq_pairs_basic(graph, self.MULTI)
+            if pair[0] in owned)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="compact DiGraph kernels need numpy")

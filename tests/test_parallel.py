@@ -22,7 +22,7 @@ import pytest
 from repro.algorithms.digraph import DiGraph
 from repro.engine import Engine
 from repro.engine.parallel import ParallelExecutor, fork_available
-from repro.graph.compact import adjacency_snapshot
+from repro.graph.compact import _SHARED_BATCH, adjacency_snapshot
 from repro.graph.generators import uniform_random
 from repro.rpq import lconcat, lstar, sym
 from repro.rpq.evaluation import compile_rpq, rpq_pairs, rpq_pairs_basic
@@ -76,6 +76,18 @@ class TestParallelDifferential:
         serial = ParallelExecutor(graph, processes=1, num_shards=3)
         assert got == serial.rpq_pairs(dfa, sources=sources, targets=targets)
         serial.close()
+
+    def test_worker_ranges_wider_than_a_shared_batch(self):
+        # Two workers over > 2 batches of sources: each ("range", lo, hi)
+        # slice is swept as several mask batches inside its worker.
+        graph = uniform_random(2 * _SHARED_BATCH + 150, 2600,
+                               labels=("a", "b", "c"), seed=17)
+        dfa = compile_rpq(STAR, graph)
+        with pool_executor(graph, num_shards=2) as executor:
+            answer = executor.rpq_pairs(dfa)
+            stats = executor.stats()
+            assert stats["pool_live"] and not stats["serial_fallbacks"]
+        assert answer == rpq_pairs_basic(graph, STAR)
 
     def test_pagerank_parallel_is_bit_identical_to_serial(self):
         graph = small_graph(seed=17)

@@ -14,10 +14,20 @@ Covers the bidirectional tentpole end to end:
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine, Planner
+from repro.graph import compact
+from repro.graph.compact import (
+    _SHARED_BATCH,
+    _SHARED_MIN_SEEDS,
+    adjacency_snapshot,
+    rpq_pairs_on_snapshot,
+)
 from repro.graph.generators import uniform_random
 from repro.graph.graph import MultiRelationalGraph
 from repro.regex import atom, join, star, union
@@ -27,9 +37,11 @@ from repro.rpq import (
     LabelConcat,
     LabelStar,
     LabelSymbol,
+    compile_rpq,
     lconcat,
     lower_to_constrained_query,
     lstar,
+    lunion,
     rpq_pairs,
     rpq_pairs_basic,
     rpq_pairs_between,
@@ -113,6 +125,78 @@ class TestBidirectionalKernel:
             if p[0] in sources and p[1] in targets)
         assert rpq_pairs_between(graph, expression, sources,
                                  targets) == reference
+
+
+T3 = lconcat(lstar(lunion(sym("a"), sym("b"))), sym("c"))
+
+
+class TestSharedSweep:
+    """The many-seed configuration of the one-directional kernel (the
+    differential suite pins its answers on every snapshot shape)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(edges=st.lists(st.tuples(st.integers(0, 29),
+                                    st.sampled_from("abc"),
+                                    st.integers(0, 29)),
+                          min_size=1, max_size=90),
+           seeds=st.sets(st.integers(0, 29), min_size=_SHARED_MIN_SEEDS),
+           expression=st.sampled_from([
+               T3, lconcat(sym("a"), lstar(sym("b"))), lstar(sym("a")),
+               lunion(lconcat(sym("a"), sym("b")), lstar(sym("c")))]))
+    def test_multi_seed_answer_is_the_union_of_single_seed_answers(
+            self, edges, seeds, expression):
+        graph = MultiRelationalGraph(edges)
+        for vertex in range(30):
+            graph.add_vertex(vertex)
+        # Single seeds run the per-seed loop; together they share the
+        # walk, in batches of 7 so that several boundaries are crossed.
+        with mock.patch.object(compact, "_SHARED_BATCH", 7):
+            together = rpq_pairs(graph, expression, sources=seeds)
+            together_back = rpq_pairs_to_targets(graph, expression,
+                                                 targets=seeds)
+        assert together == frozenset().union(*(
+            rpq_pairs(graph, expression, sources={seed}) for seed in seeds))
+        assert together_back == frozenset().union(*(
+            rpq_pairs_to_targets(graph, expression, targets={seed})
+            for seed in seeds))
+
+    def test_all_sources_sweep_walks_the_product_once(self, monkeypatch):
+        # Counted, not timed: the seeds are never walked one by one, and
+        # _propagate is handed at most every configuration once a round
+        # (5693 in 7 rounds here; one BFS per seed expands 566 642).
+        graph = uniform_random(450, 3600, labels=("a", "b", "c"), seed=7)
+        snapshot = adjacency_snapshot(graph)
+        dfa = compile_rpq(T3, graph)
+
+        class Seeds(list):
+            walked = 0
+
+            def __iter__(self):
+                for seed in list.__iter__(self):
+                    Seeds.walked += 1
+                    yield seed
+
+        frontiers = []
+        propagate = compact._propagate
+
+        def counted(frontier, *rest):
+            frontiers.append(len(frontier))
+            return propagate(frontier, *rest)
+
+        monkeypatch.setattr(compact, "_propagate", counted)
+        answer = rpq_pairs_on_snapshot(
+            snapshot, dfa, source_ids=Seeds(snapshot.live_vertex_ids()))
+        assert Seeds.walked == 0
+        assert 0 < sum(frontiers) <= \
+            len(frontiers) * snapshot.num_slots * dfa.num_states
+        sample = frozenset(sorted(graph.vertices())[::19])
+        assert frozenset(p for p in answer if p[0] in sample) == \
+            rpq_pairs_basic(graph, T3, sources=sample)
+        # Below the floor the same call is the stamped loop: no rounds.
+        del frontiers[:]
+        few = Seeds(range(_SHARED_MIN_SEEDS - 1))
+        rpq_pairs_on_snapshot(snapshot, dfa, source_ids=few)
+        assert (Seeds.walked, frontiers) == (_SHARED_MIN_SEEDS - 1, [])
 
 
 class TestLowerToConstrainedQuery:
@@ -278,6 +362,56 @@ class TestDirectionChoice:
         choice = self._planner(graph).choose_rpq_direction(
             lstar(sym("a")), num_sources=100, num_targets=100)
         assert choice.bidirectional_cost is None
+
+    def test_shared_sweep_is_priced_per_batch_not_per_seed(self):
+        # The size of the observatory's dense sweep graph: the shared
+        # walk expands 3114 configurations for all-sources T1, one BFS
+        # per seed 170 712; the estimate used to read 1.6e6.
+        graph = uniform_random(450, 3600, labels=("a", "b", "c"), seed=7)
+        planner = self._planner(graph)
+        t1 = lconcat(sym("a"), lstar(sym("b")))
+        growth = planner.statistics.forward_growth(t1.symbols())
+        lone = planner._cone_cost(1.0, growth, 8, 1350)
+        choice = planner.choose_rpq_direction(t1, states=3)
+        assert choice.direction == "forward"
+        assert planner._cone_cost(450, growth, 8, 1350) \
+            < choice.forward_cost == _SHARED_MIN_SEEDS * lone < 1e5
+        assert "shared sweep: 450 seeds in 1 batch(es)" in choice.describe()
+        wide = planner.choose_rpq_direction(
+            t1, num_sources=2 * _SHARED_BATCH + 3, num_targets=1, states=3)
+        assert wide.direction == "backward"
+        assert wide.forward_cost == 3 * choice.forward_cost
+        assert "per-seed sweep" in wide.describe()
+        # The price never falls when a seed is added, so a few sources
+        # are not traded for a sweep from every target (which measured
+        # 3-7x slower here): the observatory's 8-source warm-up query.
+        costs = [planner.choose_rpq_direction(t1, num_sources=count,
+                                              states=3).forward_cost
+                 for count in range(1, 2 * _SHARED_MIN_SEEDS)]
+        assert costs == sorted(costs)
+        assert costs[_SHARED_MIN_SEEDS - 2] == (_SHARED_MIN_SEEDS - 1) * lone
+        for count in (4, 8, _SHARED_MIN_SEEDS - 1):
+            assert planner.choose_rpq_direction(
+                t1, num_sources=count, states=3).direction == "forward"
+
+    def test_cold_mix_picks_on_the_serve_graph_are_unchanged(self):
+        # The four selective shapes serve_cold_selective sends, on its
+        # graph: repricing the broad side must not flip a selective pick.
+        graph = uniform_random(1500, 12000, labels=("a", "b", "c"), seed=7)
+        engine = Engine(graph)
+        one, other, *more = sorted(graph.vertices())[:5]
+        t1 = "[_, a, _] . [_, b, _]*"
+        t3 = "([_, a, _] | [_, b, _])* . [_, c, _]"
+        for query, sources, targets, pick in (
+                (t1, {one}, None, "forward"),
+                (t1, {one}, {other}, "bidirectional"),
+                (t3, {one, *more}, None, "forward"),
+                (t1, None, {one}, "backward")):
+            text = engine.explain(
+                query, sources=sources and frozenset(sources),
+                targets=targets and frozenset(targets), processes=1)
+            assert "pairs direction: direction={} ".format(pick) in text
+            assert ("per-seed sweep" in text) == (pick != "bidirectional")
 
 
 class TestEnginePairsDirectional:
