@@ -33,9 +33,8 @@ distributions, the hot paths the compact backend rewrote:
   the regression gate for the snapshot-store reopen path,
 * **the async service tier** (:mod:`repro.service`): a warm result-cache
   hit through ``AsyncEngine.pairs`` must beat uncached evaluation >= 20x,
-  the awaitable facade may add <= 10% over direct ``Engine.pairs`` on a
-  cache-miss sweep, and a deadline set below a sweep's runtime must
-  cancel near the budget with the very next query succeeding,
+  and a deadline set below a sweep's runtime must cancel near the budget
+  with the very next query succeeding,
 * **fault-hook tax**: the disarmed fault-injection hooks compiled into
   the storage/pool/service hot paths (:mod:`repro.faults`) must cost
   <= 2% of a hot persistent query — measured structurally (crossings
@@ -643,33 +642,21 @@ def bench_locks(rows, quick):
 #: restart or re-bootstrap converges instead of chasing a moving tail.
 REPLICA_APPLY_SPEEDUP_FLOOR = 5.0
 
-#: A default-cadence tailing replica may tax the primary's query
-#: latency by at most this fraction (best-of-N on both sides).
-TAIL_POLL_OVERHEAD_CEILING = 0.02
-
 
 def bench_replication(rows, quick):
-    """WAL shipping (:mod:`repro.replication`): apply rate + tail tax.
+    """WAL shipping (:mod:`repro.replication`): the catch-up apply rate.
 
-    Two gates for the replication tier on a 10k-edge churn workload
-    (sizes do not shrink under ``--quick``):
-
-    * **catch-up**: a replica bootstrapping from the snapshot and
-      replaying the shipped segment log must apply records >=
-      ``REPLICA_APPLY_SPEEDUP_FLOOR``x faster than the primary's
-      original mutation rate — the condition for a lagging replica to
-      converge at all, and the headroom that keeps steady-state lag at
-      one poll interval.  Answers are verified identical before timing
-      counts.
-    * **tail tax**: with a replica tailing at the default poll cadence
-      over the in-process feed, the primary's query latency may rise by
-      at most ``TAIL_POLL_OVERHEAD_CEILING`` (the ship path reads
-      sealed bytes under its own lock — queries never wait on it).
+    One gate for the replication tier on a 10k-edge churn workload (the
+    size does not shrink under ``--quick``): a replica bootstrapping from
+    the snapshot and replaying the shipped segment log must apply records
+    >= ``REPLICA_APPLY_SPEEDUP_FLOOR``x faster than the primary's original
+    mutation rate — the condition for a lagging replica to converge at
+    all, and the headroom that keeps steady-state lag at one poll
+    interval.  Answers are verified identical before timing counts.
     """
     import tempfile
-    import threading
 
-    from repro.replication import PrimaryFeed, ReplicaGraph, ReplicaTailer
+    from repro.replication import PrimaryFeed, ReplicaGraph
     from repro.storage import PersistentGraph
 
     churn = 10_000
@@ -718,42 +705,7 @@ def bench_replication(rows, quick):
                 REPLICA_APPLY_SPEEDUP_FLOOR)
         rows.append(("replication: {}-record catch-up vs primary "
                      "write run".format(records), primary_s, replica_s))
-
-        # -- tail tax on primary query latency, default poll cadence.
-        expression = lconcat(sym("a"), lstar(sym("b")))
-        sources = frozenset(range(0, 256))
-
-        def sweep():
-            return rpq_pairs(store.graph(), expression, sources=sources)
-
-        baseline_answer, baseline_s = timed(sweep, repeat=5)
-        replica = ReplicaGraph.bootstrap(
-            os.path.join(scratch, "replica-tail"), feed)
-        tailer = ReplicaTailer(replica, feed)
-        stop = threading.Event()
-        thread = threading.Thread(target=tailer.run, args=(stop,),
-                                  name="bench-replica-tail", daemon=True)
-        thread.start()
-        try:
-            deadline = time.time() + 10.0
-            while not tailer.state()["ready"] and time.time() < deadline:
-                time.sleep(0.01)
-            assert tailer.state()["ready"], "tailer never caught up"
-            tailing_answer, tailing_s = timed(sweep, repeat=5)
-        finally:
-            stop.set()
-            thread.join(timeout=10)
-            replica.close()
         store.close()
-        assert tailing_answer == baseline_answer
-        overhead = tailing_s / baseline_s - 1.0
-        assert overhead <= TAIL_POLL_OVERHEAD_CEILING, \
-            "a default-cadence tailing replica added {:.1%} to primary " \
-            "query latency ({:.4f}s vs {:.4f}s; ceiling {:.0%})".format(
-                overhead, tailing_s, baseline_s,
-                TAIL_POLL_OVERHEAD_CEILING)
-        rows.append(("replication: primary query latency under tail "
-                     "({:+.1%})".format(overhead), tailing_s, baseline_s))
 
 
 def bench_parallel(rows, quick, record):
@@ -937,11 +889,6 @@ def bench_digraph_churn(rows, quick):
 #: beat recomputing the same query uncached by at least this factor.
 SERVICE_CACHE_SPEEDUP_FLOOR = 20.0
 
-#: Awaiting a cache-miss query through AsyncEngine (slot admission +
-#: executor round trip + deadline plumbing) may cost at most this fraction
-#: over calling the blocking ``Engine.pairs`` directly.
-SERVICE_ASYNC_OVERHEAD_CEILING = 0.10
-
 #: A warm hit served end to end (``HttpServer._dispatch`` + ``_respond``)
 #: on a ~1400-pair answer may cost at most this multiple of a warm hit on
 #: a <= 4-pair answer: a cached answer's wire bytes are encoded once, so
@@ -951,9 +898,9 @@ SERVED_HIT_SIZE_TAX_CEILING = 2.0
 
 
 def bench_service(rows, quick):
-    """The async service tier: cache wins, facade overhead, deadline cuts.
+    """The async service tier: cache wins, deadline cuts.
 
-    Four gates for :mod:`repro.service` on the 12k-edge graph:
+    Three gates for :mod:`repro.service` on the 12k-edge graph:
 
     * a warm result-cache hit through ``AsyncEngine.pairs`` (the loop-side
       fast path — no executor round trip, no slot) must beat the uncached
@@ -963,9 +910,6 @@ def bench_service(rows, quick):
       ~1400-pair answer must cost <= ``SERVED_HIT_SIZE_TAX_CEILING``x the
       same on a <= 4-pair answer (the answer's size is paid once, at the
       miss that encodes it, not on every response),
-    * on a **cache-miss** source-restricted sweep (~tens of ms of kernel
-      work) the awaitable facade must add at most
-      ``SERVICE_ASYNC_OVERHEAD_CEILING`` over direct ``Engine.pairs``, and
     * a per-query deadline set well below a sweep's runtime must cancel
       reliably — :class:`DeadlineExceededError` near the budget, not near
       the sweep time — and the very next query on the same engine must
@@ -988,7 +932,7 @@ def bench_service(rows, quick):
     query = "[_, a, _] . [_, b, _]*"
     miss_sources = vertices[:16]
 
-    # -- facade overhead on a cache-miss query (no cache: always a miss).
+    # -- the uncached evaluation the hit gate is measured against.
     uncached = Engine(graph)
     uncached.pairs(query, sources=miss_sources)  # warm parse/DFA caches
     calls = 3 if quick else 6
@@ -997,30 +941,7 @@ def bench_service(rows, quick):
         for _ in range(calls):
             uncached.pairs(query, sources=miss_sources)
 
-    async def run_awaited_once(service):
-        for _ in range(calls):
-            await service.pairs(query, sources=miss_sources)
-
-    def run_awaited():
-        async def main():
-            async with AsyncEngine(uncached, max_workers=2) as service:
-                await service.pairs(query, sources=miss_sources)  # warm
-                gc.collect()
-                started = time.perf_counter()
-                await run_awaited_once(service)
-                return time.perf_counter() - started
-        return asyncio.run(main())
-
     _, direct_s = timed(run_direct)
-    awaited_s = min(run_awaited() for _ in range(3))
-    overhead = awaited_s / direct_s - 1.0
-    assert overhead <= SERVICE_ASYNC_OVERHEAD_CEILING, \
-        "AsyncEngine facade adds {:.1%} over direct Engine.pairs " \
-        "({:.4f}s vs {:.4f}s for {} cache-miss calls); ceiling is " \
-        "{:.0%}".format(overhead, awaited_s, direct_s, calls,
-                        SERVICE_ASYNC_OVERHEAD_CEILING)
-    rows.append(("service facade x{} cache-miss calls ({:+.1%})".format(
-        calls, overhead), awaited_s, direct_s))
 
     # -- warm cache hit through the service vs uncached evaluation.
     cached_engine = Engine(graph, cache=QueryCache(capacity=16))
@@ -1166,12 +1087,10 @@ def write_json_record(path, args, rows, parallel_record):
             "persistence_speedup_floor": PERSISTENCE_SPEEDUP_FLOOR,
             "parallel_speedup_floor": PARALLEL_SPEEDUP_FLOOR,
             "service_cache_speedup_floor": SERVICE_CACHE_SPEEDUP_FLOOR,
-            "service_async_overhead_ceiling": SERVICE_ASYNC_OVERHEAD_CEILING,
             "served_hit_size_tax_ceiling": SERVED_HIT_SIZE_TAX_CEILING,
             "fault_hook_overhead_ceiling": FAULT_HOOK_OVERHEAD_CEILING,
             "lock_witness_overhead_ceiling": LOCK_WITNESS_OVERHEAD_CEILING,
             "replica_apply_speedup_floor": REPLICA_APPLY_SPEEDUP_FLOOR,
-            "tail_poll_overhead_ceiling": TAIL_POLL_OVERHEAD_CEILING,
         },
         "rows": [
             {"scenario": name, "baseline_s": baseline, "contender_s": fast,
@@ -1239,20 +1158,17 @@ def main():
           "provably-empty queries short-circuit with zero kernel "
           "dispatch; "
           "persistent reopen beats csv rebuild >= {}x; "
-          "service cache hits beat uncached >= {}x, facade overhead "
-          "<= {:.0%}, deadlines cancel with a live follow-up; "
+          "service cache hits beat uncached >= {}x, deadlines cancel "
+          "with a live follow-up; "
           "replica catch-up replays the shipped log >= {}x the "
-          "primary's write rate with a tail tax <= {:.0%} on primary "
-          "query latency; "
+          "primary's write rate; "
           "disarmed fault hooks tax a hot query <= {:.0%}; "
           "disarmed ordered locks tax a hot mutate+query loop <= {:.0%}; "
           "sharded fan-out beats single-core >= {}x at {} workers "
           "(or skipped on small machines)".format(
               SELECTIVE_SPEEDUP_FLOOR, PREFLIGHT_OVERHEAD_CEILING,
               PERSISTENCE_SPEEDUP_FLOOR, SERVICE_CACHE_SPEEDUP_FLOOR,
-              SERVICE_ASYNC_OVERHEAD_CEILING,
-              REPLICA_APPLY_SPEEDUP_FLOOR, TAIL_POLL_OVERHEAD_CEILING,
-              FAULT_HOOK_OVERHEAD_CEILING,
+              REPLICA_APPLY_SPEEDUP_FLOOR, FAULT_HOOK_OVERHEAD_CEILING,
               LOCK_WITNESS_OVERHEAD_CEILING, PARALLEL_SPEEDUP_FLOOR,
               PARALLEL_WORKERS))
     if args.json:

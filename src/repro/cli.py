@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain = commands.add_parser("explain", help="show the query plan")
     explain.add_argument("graph")
     explain.add_argument("pathql")
-    explain.add_argument("--max-length", type=int, default=8)
+    explain.add_argument("--max-length", type=int, default=None)
 
     lint_query = commands.add_parser(
         "lint-query", help="pre-flight analysis report for a query "
@@ -220,14 +220,13 @@ def _run_lint_query(graph: MultiRelationalGraph, pathql: str, out) -> int:
     scripts that vet queries before shipping them.
     """
     from repro.analysis.query import analyze_expression
-    from repro.rpq.evaluation import lower_to_constrained_query
     engine = Engine(graph)
     expression = engine.compile(pathql)
-    constrained = lower_to_constrained_query(expression)
-    if constrained is not None:
-        diagnostics = engine.preflight(constrained.label_expression)
+    route = engine.route(expression)
+    if route.constrained is not None:
+        diagnostics = route.diagnostics
         out.write("route: pairs fast path ({})\n".format(
-            constrained.describe()))
+            route.constrained.describe()))
     else:
         diagnostics = analyze_expression(expression, graph)
         out.write("route: bounded automaton fallback (edge-set algebra)\n")

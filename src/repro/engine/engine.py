@@ -27,16 +27,19 @@ by the statistics' per-label degree profiles) picks among three kernels:
   target sets, expanding whichever frontier is smaller and joining on
   (vertex, state) meets — the point-to-point fast path.
 
-This covers vertex-bound prefix/suffix queries (``[i, a, _] · R``,
-``R · [_, a, j]``) that previously materialized bounded witness paths.
-The fast path is *unbounded* (true Kleene-star reachability); passing an
-explicit ``max_length`` opts out of it, since a bound changes the
-semantics.  Expressions binding interior vertices, literals and products
-fall back to the bounded ``automaton`` strategy and project endpoints from
+How a read is evaluated is one decision, :meth:`Engine.route` (lower ->
+merge endpoint filters with the bound vertices -> pre-flight DFA and
+emptiness verdict -> planner direction -> planner parallelism), with five
+outcomes: a kernel above runs (or the sharded fan-out of a forward sweep);
+the filters exclude a bound vertex, or pre-flight proved the answer empty
+(no kernel at all); the expression binds interior vertices or needs
+literals / products; or an explicit ``max_length`` bounds the answer, which
+the *unbounded* kernels (true Kleene-star reachability) cannot honor.  The
+last two run the bounded ``automaton`` strategy and project endpoints from
 the witness paths (:func:`repro.engine.executor.endpoint_pairs` keeps the
-two paths' filter/reflexive semantics identical).  ``EXPLAIN`` reports
-which applies and the chosen direction (the trailing ``pairs fast path`` /
-``pairs direction`` lines).
+filter/reflexive semantics identical).  :meth:`Engine.pairs` and every
+:meth:`Engine.pairs_batch` member run that route and ``EXPLAIN`` prints it
+(the trailing ``pairs ...`` lines), so what is described is what runs.
 
 Example
 -------
@@ -65,11 +68,12 @@ from repro.core.path import Path
 from repro.core.pathset import PathSet
 from repro.core.projection import BinaryProjection, project_paths
 from repro.engine.cache import CachedPairs
-from repro.engine.executor import STRATEGIES, run_strategy
+from repro.engine.executor import STRATEGIES, endpoint_pairs, run_strategy
 from repro.engine.plan import PlanNode
-from repro.engine.planner import Planner
+from repro.engine.planner import PairsRoute, Planner
 from repro.engine.stats import GraphStatistics
 from repro.errors import ExecutionError
+from repro.graph import compact
 from repro.graph.graph import MultiRelationalGraph
 from repro.lang.parser import parse
 from repro.regex.ast import RegexExpr
@@ -81,6 +85,11 @@ __all__ = ["Engine", "QueryResult"]
 #: id can be reissued to a new one with a matching fresh ``version()`` —
 #: exactly the shared-cache collision the token exists to prevent.
 _ANONYMOUS_TOKENS = itertools.count(1)
+
+
+def _frozen(vertices) -> Optional[frozenset]:
+    """An endpoint filter as the frozenset cache keys and routes carry."""
+    return None if vertices is None else frozenset(vertices)
 
 
 @dataclass
@@ -362,16 +371,15 @@ class Engine:
                 processes: Optional[int] = None) -> str:
         """EXPLAIN: the annotated plan tree, plus pairs-fast-path routing.
 
-        The trailing lines report whether :meth:`pairs` would route this
-        query through the compact product-BFS kernels (label-only or
-        vertex-bound-end expressions) or fall back to bounded path
-        materialization, the direction the cost model would pick for the
-        given endpoint filters (with its frontier-work estimates), whether
-        the sharded fan-out executor would run it (and over how many
-        processes and shards), the state of the graph's compact snapshot
-        cache (cold, base CSR, or delta overlay awaiting compaction), and
-        the engine's cache hit rates — so staleness, parallelism and cache
-        wins are all visible next to the plan.
+        The trailing lines print the :meth:`route` a :meth:`pairs` call
+        with the same arguments would take — the compact product-BFS
+        kernels or bounded path materialization, the direction the cost
+        model picks for the endpoint filters (with its frontier-work
+        estimates), whether the sharded fan-out runs it (over how many
+        processes and shards) — then the state of the graph's compact
+        snapshot cache (cold, base CSR, or delta overlay awaiting
+        compaction) and the engine's cache hit rates — so staleness,
+        parallelism and cache wins are all visible next to the plan.
 
         The output closes with a ``diagnostics:`` section from pre-flight
         analysis (see :mod:`repro.analysis.query`): star-height and DFA
@@ -382,43 +390,20 @@ class Engine:
         kernel dispatch.
         """
         from repro.analysis.query import analyze_expression
-        from repro.graph.compact import snapshot_state
-        from repro.rpq.evaluation import lower_to_constrained_query
         expression = self.compile(query)
         text = self.plan(expression, max_length).explain()
-        constrained = lower_to_constrained_query(expression)
-        if constrained is not None:
-            diagnostics = self.preflight(constrained.label_expression)
-            note = ("pairs fast path: eligible — {}; Engine.pairs() runs "
-                    "the compact product-BFS kernels (unbounded, no path "
-                    "materialization)").format(constrained.describe())
-            merged = self._constrained_filters(constrained, sources, targets)
-            if merged is None:
-                direction_note = ("pairs direction: n/a — endpoint filters "
-                                  "exclude the bound vertex (empty result)")
-                parallel_note = "pairs parallelism: n/a (empty result)"
-            elif diagnostics.empty:
-                direction_note = ("pairs direction: n/a — pre-flight "
-                                  "analysis proved the result empty "
-                                  "(short-circuit, no kernel dispatch)")
-                parallel_note = "pairs parallelism: n/a (empty result)"
-            else:
-                choice = self._direction_choice(
-                    constrained, *merged,
-                    states=diagnostics.dfa.num_states)
-                direction_note = "pairs direction: " + choice.describe()
-                parallelism = self._parallelism_choice(
-                    merged[0], processes, choice.direction)
-                parallel_note = "pairs parallelism: " + parallelism.describe()
-            note = note + "\n" + direction_note + "\n" + parallel_note
-        else:
-            diagnostics = analyze_expression(expression, self.graph)
-            note = ("pairs fast path: not eligible — expression binds "
-                    "interior vertices or needs the edge-set algebra; "
-                    "Engine.pairs() falls back to bounded automaton "
-                    "evaluation")
-        snapshot_note = "compact snapshot: " + snapshot_state(self.graph)
-        return text + "\n" + note + "\n" + snapshot_note \
+        route = self.route(expression, _frozen(sources), _frozen(targets),
+                           max_length, processes)
+        diagnostics = route.diagnostics
+        if diagnostics is None:
+            # Not consulted: filters excluded the bound vertex first, or
+            # the bounded strategy runs (its pre-flight is structural).
+            diagnostics = analyze_expression(expression, self.graph) \
+                if route.constrained is None \
+                else self.preflight(route.constrained.label_expression)
+        snapshot_note = "compact snapshot: " \
+            + compact.snapshot_state(self.graph)
+        return text + "\n" + route.describe() + "\n" + snapshot_note \
             + "\n" + self._cache_note() + "\n" + diagnostics.describe()
 
     def _cache_note(self) -> str:
@@ -436,53 +421,121 @@ class Engine:
 
     # -- pairs fast-path plumbing --------------------------------------
 
-    @staticmethod
-    def _constrained_filters(constrained, sources, targets):
-        """Merge caller endpoint filters with the lowering's bound vertices.
-
-        Returns ``(sources, targets)`` as Optional[frozenset]s, or ``None``
-        when a bound vertex is excluded by the corresponding filter (the
-        result is provably empty).
-        """
-        if constrained.source is not None:
-            if sources is not None and constrained.source not in frozenset(sources):
-                return None
-            sources = frozenset((constrained.source,))
-        elif sources is not None:
-            sources = frozenset(sources)
-        if constrained.target is not None:
-            if targets is not None and constrained.target not in frozenset(targets):
-                return None
-            targets = frozenset((constrained.target,))
-        elif targets is not None:
-            targets = frozenset(targets)
-        return sources, targets
-
-    def _direction_choice(self, constrained, sources, targets,
-                          states: int = 1):
-        """The cost model's pick for one constrained query + filters.
-
-        ``states`` is the pruned DFA state count from :meth:`preflight`;
-        the planner caps per-level frontiers at ``|V| x states`` (the
-        product space the kernels actually walk).
-        """
+    def route(self, expression: RegexExpr,
+              sources: Optional[frozenset] = None,
+              targets: Optional[frozenset] = None,
+              max_length: Optional[int] = None,
+              processes: Optional[int] = None) -> PairsRoute:
+        """How :meth:`pairs` evaluates one read — decided once, here (see
+        the module docstring): :meth:`pairs` / :meth:`pairs_batch` run the
+        :class:`~repro.engine.planner.PairsRoute`, :meth:`explain` prints
+        it.  ``expression`` is what :meth:`compile` returned; an explicit
+        ``max_length`` skips the lowering."""
+        from repro.rpq.evaluation import lower_to_constrained_query
+        constrained = None if max_length is not None \
+            else lower_to_constrained_query(expression)
+        if constrained is None:
+            return PairsRoute("bounded", None, sources, targets, max_length)
+        merged = constrained.merge_filters(sources, targets)
+        if merged is None:
+            return PairsRoute("none", constrained, sources, targets,
+                              empty="endpoint filters exclude the bound "
+                                    "vertex (empty result)")
+        sources, targets = merged
+        diagnostics = self.preflight(constrained.label_expression)
+        if diagnostics.empty:
+            # Pre-flight proved the answer is empty (empty language, or no
+            # accepting state reachable through labels the graph carries).
+            return PairsRoute("none", constrained, sources, targets,
+                              empty="pre-flight analysis proved the result "
+                                    "empty (short-circuit, no kernel "
+                                    "dispatch)", diagnostics=diagnostics)
         planner = Planner(self.statistics(),
                           max_length=self.default_max_length,
                           optimize_joins=self.optimize)
-        return planner.choose_rpq_direction(
-            constrained.label_expression,
-            None if sources is None else len(sources),
+        num_sources = None if sources is None else len(sources)
+        # The planner caps per-level frontiers at |V| x the pruned DFA's
+        # state count (the product space the kernels actually walk).
+        direction = planner.choose_rpq_direction(
+            constrained.label_expression, num_sources,
             None if targets is None else len(targets),
-            states=states)
+            states=diagnostics.dfa.num_states)
+        parallelism = planner.choose_parallelism(num_sources, processes,
+                                                 direction.direction)
+        return PairsRoute(
+            "fan-out" if parallelism.parallel else direction.direction,
+            constrained, sources, targets, diagnostics=diagnostics,
+            direction=direction, parallelism=parallelism)
 
-    def _parallelism_choice(self, sources, processes, direction="forward"):
-        """The planner's sharded-parallel threshold for one pairs call."""
-        planner = Planner(self.statistics(),
-                          max_length=self.default_max_length,
-                          optimize_joins=self.optimize)
-        return planner.choose_parallelism(
-            num_sources=None if sources is None else len(sources),
-            processes=processes, direction=direction)
+    def _run(self, route: PairsRoute, expression: RegexExpr) -> frozenset:
+        """Evaluate ``route`` (``expression``'s) in this process."""
+        kernel = route.kernel
+        if kernel == "none":
+            return frozenset()
+        if kernel == "bounded":
+            result = self.query(expression, strategy="automaton",
+                                max_length=route.max_length)
+            return endpoint_pairs(result.paths, expression, self.graph,
+                                  sources=route.sources,
+                                  targets=route.targets)
+        dfa = route.diagnostics.dfa
+        if kernel == "bidirectional":
+            return compact.rpq_pairs_bidirectional(
+                self.graph, dfa, route.sources, route.targets)
+        if kernel == "backward":
+            return compact.rpq_pairs_backward(
+                self.graph, dfa, route.targets, sources=route.sources)
+        if kernel == "fan-out":
+            return self._executor(route.parallelism).rpq_pairs(
+                dfa, sources=route.sources, targets=route.targets)
+        return compact.rpq_pairs_compact(self.graph, dfa, route.sources,
+                                         targets=route.targets)
+
+    def _probe(self, expression: RegexExpr, sources: Optional[frozenset],
+               targets: Optional[frozenset], max_length: Optional[int],
+               version: int, record_miss: bool = True) -> Optional[frozenset]:
+        """The cached :meth:`pairs` answer at ``version``, or ``None``."""
+        if self.cache is None:
+            return None
+        return self.cache.get(
+            expression, max_length, version, "pairs",
+            graph_token=self._graph_token, sources=sources,
+            targets=targets, kind="pairs", record_miss=record_miss)
+
+    def _answer(self, expression: RegexExpr, sources: Optional[frozenset],
+                targets: Optional[frozenset], max_length: Optional[int],
+                processes: Optional[int], version: int,
+                pool: Optional[list] = None) -> Optional[frozenset]:
+        """One :meth:`pairs` answer: cache probe -> route -> run -> put.
+        A batch passes ``pool``: a label-only fan-out route (its filters
+        are the batch's own) joins it, unanswered, for the one dispatch."""
+        cached = self._probe(expression, sources, targets, max_length,
+                             version)
+        if cached is not None:
+            return cached
+        route = self.route(expression, sources, targets, max_length,
+                           processes)
+        if pool is not None and route.kernel == "fan-out" \
+                and route.constrained.label_only:
+            pool.append(route)
+            return None
+        return self._remember(expression, sources, targets, max_length,
+                              version, self._run(route, expression))
+
+    def _remember(self, expression: RegexExpr, sources: Optional[frozenset],
+                  targets: Optional[frozenset], max_length: Optional[int],
+                  version: int, answer: frozenset) -> frozenset:
+        """File a computed :meth:`pairs` answer under ``version``."""
+        if self.cache is None:
+            return answer
+        # Cached answers carry a memo slot (see CachedPairs); without
+        # a cache the kernel's plain frozenset goes back untouched.
+        answer = CachedPairs(answer)
+        self.cache.put(
+            expression, max_length, version, "pairs", answer,
+            graph_token=self._graph_token, sources=sources,
+            targets=targets, kind="pairs")
+        return answer
 
     def pairs(self, query: Union[str, RegexExpr],
               sources: Optional[frozenset] = None,
@@ -520,31 +573,12 @@ class Engine:
         answer (``processes`` only changes the wall-clock, never the set,
         so it is deliberately not in the key).
         """
-        expression = self.compile(query)
-        sources_key = None if sources is None else frozenset(sources)
-        targets_key = None if targets is None else frozenset(targets)
         # The version is read once, before evaluation: a mutation racing
         # the kernel must not let a result computed at version N be
         # stored — and later served — under version N+1.
-        version = self.graph.version()
-        if self.cache is not None:
-            cached = self.cache.get(
-                expression, max_length, version, "pairs",
-                graph_token=self._graph_token, sources=sources_key,
-                targets=targets_key, kind="pairs")
-            if cached is not None:
-                return cached
-        result = self._pairs_computed(expression, sources_key, targets_key,
-                                      max_length, processes)
-        if self.cache is not None:
-            # Cached answers carry a memo slot (see CachedPairs); without
-            # a cache the kernel's plain frozenset goes back untouched.
-            result = CachedPairs(result)
-            self.cache.put(
-                expression, max_length, version, "pairs",
-                result, graph_token=self._graph_token, sources=sources_key,
-                targets=targets_key, kind="pairs")
-        return result
+        return self._answer(self.compile(query), _frozen(sources),
+                            _frozen(targets), max_length, processes,
+                            self.graph.version())
 
     def cached_pairs(self, query: Union[str, RegexExpr],
                      sources: Optional[frozenset] = None,
@@ -568,65 +602,9 @@ class Engine:
         """:meth:`cached_pairs` for an expression :meth:`compile` already
         returned (the service tier keeps those: normalizing a normalized
         AST again is most of a warm probe's cost)."""
-        if self.cache is None:
-            return None
-        return self.cache.get(
-            expression, max_length, self.graph.version(), "pairs",
-            graph_token=self._graph_token,
-            sources=None if sources is None else frozenset(sources),
-            targets=None if targets is None else frozenset(targets),
-            kind="pairs", record_miss=False)
-
-    def _pairs_computed(self, expression: RegexExpr,
-                        sources: Optional[frozenset],
-                        targets: Optional[frozenset],
-                        max_length: Optional[int],
-                        processes: Optional[int]) -> frozenset:
-        """The uncached :meth:`pairs` evaluation (see its docstring)."""
-        from repro.engine.executor import endpoint_pairs
-        from repro.graph.compact import (
-            rpq_pairs_backward,
-            rpq_pairs_bidirectional,
-            rpq_pairs_compact,
-        )
-        from repro.rpq.evaluation import lower_to_constrained_query
-        if max_length is None:
-            constrained = lower_to_constrained_query(expression)
-            if constrained is not None:
-                merged = self._constrained_filters(constrained, sources,
-                                                  targets)
-                if merged is None:
-                    return frozenset()
-                merged_sources, merged_targets = merged
-                diagnostics = self.preflight(constrained.label_expression)
-                if diagnostics.empty:
-                    # Pre-flight proved the answer is empty (empty
-                    # language, or no accepting state reachable through
-                    # labels the graph carries): no kernel dispatch.
-                    return frozenset()
-                dfa = diagnostics.dfa
-                choice = self._direction_choice(constrained, merged_sources,
-                                                merged_targets,
-                                                states=dfa.num_states)
-                if choice.direction == "bidirectional":
-                    return rpq_pairs_bidirectional(
-                        self.graph, dfa, merged_sources, merged_targets)
-                if choice.direction == "backward":
-                    return rpq_pairs_backward(
-                        self.graph, dfa, merged_targets,
-                        sources=merged_sources)
-                parallelism = self._parallelism_choice(
-                    merged_sources, processes, choice.direction)
-                if parallelism.parallel:
-                    return self._executor(parallelism).rpq_pairs(
-                        dfa, sources=merged_sources,
-                        targets=merged_targets)
-                return rpq_pairs_compact(self.graph, dfa, merged_sources,
-                                         targets=merged_targets)
-        result = self.query(expression, strategy="automaton",
-                            max_length=max_length)
-        return endpoint_pairs(result.paths, expression, self.graph,
-                              sources=sources, targets=targets)
+        return self._probe(expression, _frozen(sources), _frozen(targets),
+                           max_length, self.graph.version(),
+                           record_miss=False)
 
     def pairs_batch(self, queries, sources: Optional[frozenset] = None,
                     targets: Optional[frozenset] = None,
@@ -634,66 +612,32 @@ class Engine:
                     processes: Optional[int] = None) -> list:
         """:meth:`pairs` for many expressions, amortizing one fan-out.
 
-        Every query that lowers to a forward-direction constrained RPQ is
-        compiled up front and evaluated in **one** pool dispatch over one
-        shared snapshot — (query, shard) tasks interleave, so a batch of
-        small sweeps still keeps every worker busy.  Queries that need
-        another direction or the bounded fallback are answered through the
-        ordinary :meth:`pairs` path.  Results keep the input order.
+        Every member takes the answer loop :meth:`pairs` takes (one cache
+        lookup, one :meth:`route`), except that label-only members routed
+        to the sharded fan-out are held back and evaluated in **one** pool
+        dispatch over one shared snapshot — (query, shard) tasks
+        interleave, so a batch of small sweeps still keeps every worker
+        busy.  Members routed anywhere else (another direction, a bound
+        vertex, the bounded fallback, no kernel at all) are answered
+        inline.  Results keep the input order.
         """
-        from repro.rpq.evaluation import lower_to_constrained_query
         expressions = [self.compile(query) for query in queries]
-        results: list = [None] * len(expressions)
-        fan_out = []  # (index, dfa) for the batched forward sweeps
+        sources, targets = _frozen(sources), _frozen(targets)
         version = self.graph.version()
-        if max_length is None and sources is None and targets is None:
-            for index, expression in enumerate(expressions):
-                if self.cache is not None:
-                    cached = self.cache.get(
-                        expression, None, version, "pairs",
-                        graph_token=self._graph_token, kind="pairs")
-                    if cached is not None:
-                        results[index] = cached
-                        continue
-                constrained = lower_to_constrained_query(expression)
-                if constrained is None or not constrained.label_only:
-                    continue
-                diagnostics = self.preflight(constrained.label_expression)
-                if diagnostics.empty:
-                    # Provably empty: answer inline, keep it out of the
-                    # fan-out (zero kernel dispatch for this query).
-                    results[index] = frozenset()
-                    continue
-                choice = self._direction_choice(
-                    constrained, None, None,
-                    states=diagnostics.dfa.num_states)
-                if choice.direction == "forward":
-                    fan_out.append((index, diagnostics.dfa))
-        if fan_out:
-            parallelism = self._parallelism_choice(None, processes)
-            if parallelism.parallel:
-                merged = self._executor(parallelism).rpq_pairs_batch(
-                    [dfa for _, dfa in fan_out])
-            else:
-                from repro.graph.compact import rpq_pairs_compact
-                merged = [rpq_pairs_compact(self.graph, dfa)
-                          for _, dfa in fan_out]
-            for (index, _), answer in zip(fan_out, merged):
-                if self.cache is not None:
-                    answer = CachedPairs(answer)
-                    self.cache.put(expressions[index], None, version,
-                                   "pairs", answer,
-                                   graph_token=self._graph_token,
-                                   kind="pairs")
-                results[index] = answer
-        for index, expression in enumerate(expressions):
-            if results[index] is None:
-                # Hand pairs() the compiled AST, not the source string —
-                # the eligibility probe above already paid the parse.
-                results[index] = self.pairs(expression, sources=sources,
-                                            targets=targets,
-                                            max_length=max_length,
-                                            processes=processes)
+        pool: list = []  # fan-out routes awaiting the one pool dispatch
+        results = [self._answer(expression, sources, targets, max_length,
+                                processes, version, pool)
+                   for expression in expressions]
+        if pool:
+            merged = self._executor(pool[0].parallelism).rpq_pairs_batch(
+                [route.diagnostics.dfa for route in pool],
+                sources=sources, targets=targets)
+            deferred = [index for index, answer in enumerate(results)
+                        if answer is None]
+            for index, answer in zip(deferred, merged):
+                results[index] = self._remember(
+                    expressions[index], sources, targets, max_length,
+                    version, answer)
         return results
 
     def query(self, query: Union[str, RegexExpr], strategy: str = "materialized",

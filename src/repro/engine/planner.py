@@ -21,7 +21,7 @@ asserts plan-result invariance — only resource use does (experiment E9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.engine.plan import (
     AtomScan,
@@ -50,7 +50,11 @@ from repro.regex.ast import (
     Union,
 )
 
-__all__ = ["Planner", "DirectionChoice", "ParallelismChoice"]
+if TYPE_CHECKING:
+    from repro.analysis.query import QueryDiagnostics
+    from repro.rpq.evaluation import ConstrainedQuery
+
+__all__ = ["Planner", "DirectionChoice", "ParallelismChoice", "PairsRoute"]
 
 #: Bidirectional evaluation is only offered while both endpoint sets are
 #: this small: it pays when the two half-depth cones are selective, and a
@@ -135,6 +139,49 @@ class ParallelismChoice:
             return "single-core ({})".format(self.reason)
         return "parallel, {} process(es) x {} shard(s) ({})".format(
             self.processes, self.shards, self.reason)
+
+
+@dataclass(frozen=True)
+class PairsRoute:
+    """How one ``Engine.pairs`` read is evaluated (``Engine.route``).
+
+    ``kernel`` names what runs: ``"forward"`` / ``"backward"`` /
+    ``"bidirectional"`` single-core, ``"fan-out"`` (sharded forward sweep),
+    ``"none"`` or ``"bounded"`` (``automaton`` strategy: not eligible, or
+    ``max_length`` given — ``constrained`` is ``None``).  ``sources`` /
+    ``targets`` are the endpoint filters merged with the bound vertices,
+    ``empty`` the reason no kernel needs to run, ``diagnostics`` the
+    pre-flight record if consulted, the last two the planner's picks.
+    """
+
+    kernel: str
+    constrained: Optional["ConstrainedQuery"]
+    sources: Optional[frozenset]
+    targets: Optional[frozenset]
+    max_length: Optional[int] = None
+    empty: Optional[str] = None
+    diagnostics: Optional["QueryDiagnostics"] = None
+    direction: Optional[DirectionChoice] = None
+    parallelism: Optional[ParallelismChoice] = None
+
+    def describe(self) -> str:
+        """The ``pairs ...`` lines of EXPLAIN output."""
+        if self.kernel == "bounded":
+            if self.max_length is not None:
+                return ("pairs fast path: not used — explicit max_length={} "
+                        "bounds the answer; Engine.pairs() runs the bounded "
+                        "automaton strategy").format(self.max_length)
+            return ("pairs fast path: not eligible — expression binds interior "
+                    "vertices or needs the edge-set algebra; Engine.pairs() "
+                    "falls back to bounded automaton evaluation")
+        note = ("pairs fast path: eligible — {}; Engine.pairs() runs "
+                "the compact product-BFS kernels (unbounded, no path "
+                "materialization)").format(self.constrained.describe())
+        if self.kernel == "none":
+            return "{}\npairs direction: n/a — {}\npairs parallelism: " \
+                "n/a (empty result)".format(note, self.empty)
+        return "{}\npairs direction: {}\npairs parallelism: {}".format(
+            note, self.direction.describe(), self.parallelism.describe())
 
 
 class Planner:
@@ -309,11 +356,6 @@ class Planner:
         volume thresholds (the executor still keeps its own tiny-graph
         safety floor) but never parallelizes a selective direction.
         """
-        import os
-        cpu = os.cpu_count() or 1
-        edges = self.statistics.edge_count
-        sources = self.statistics.vertex_count if num_sources is None \
-            else num_sources
         if direction != "forward":
             return ParallelismChoice(1, 1, "selective {} evaluation stays "
                                      "single-core".format(direction))
@@ -327,6 +369,13 @@ class Planner:
             return ParallelismChoice(
                 chosen, chosen,
                 "explicit processes={}".format(processes))
+        # Read last: a selective or explicit pick needs none of these, and
+        # os.cpu_count() alone is ~2 us of a point read's ~80.
+        import os
+        cpu = os.cpu_count() or 1
+        edges = self.statistics.edge_count
+        sources = self.statistics.vertex_count if num_sources is None \
+            else num_sources
         if cpu < 2:
             return ParallelismChoice(1, 1, "single-core machine")
         if edges < _PARALLEL_AUTO_MIN_EDGES:

@@ -495,7 +495,8 @@ class ReplicaGraph(_LogBackedView):
         """
         with self._lock:
             self._check_open()
-            return self._view_pairs(expression, sources, targets)
+            return self._view_pairs(self._live_view(), expression, sources,
+                                    targets)
 
     def vertex_properties(self, vertex: Hashable) -> Dict[str, Any]:
         with self._lock:

@@ -48,6 +48,7 @@ from repro.rpq.labelregex import (
 
 __all__ = [
     "compile_rpq",
+    "compile_rpq_over",
     "rpq_pairs",
     "rpq_pairs_basic",
     "rpq_pairs_to_targets",
@@ -67,7 +68,12 @@ def compile_rpq(expression: LabelExpr, graph: MultiRelationalGraph) -> LabelDFA:
     Symbols outside the graph's alphabet are kept (they simply never fire),
     so expressions are portable across graphs.
     """
-    alphabet = set(graph.labels()) | set(expression.symbols())
+    return compile_rpq_over(expression, graph.labels())
+
+
+def compile_rpq_over(expression: LabelExpr, labels) -> LabelDFA:
+    """:func:`compile_rpq` over a label set (a snapshot view has no graph)."""
+    alphabet = set(labels) | set(expression.symbols())
     return determinize(build_label_nfa(expression), alphabet)
 
 
@@ -367,6 +373,30 @@ class ConstrainedQuery:
     def label_only(self) -> bool:
         """True when no endpoint is bound (plain label RPQ)."""
         return self.source is None and self.target is None
+
+    def merge_filters(
+            self, sources: Optional[FrozenSet[Hashable]],
+            targets: Optional[FrozenSet[Hashable]]
+    ) -> Optional[Tuple[Optional[frozenset], Optional[frozenset]]]:
+        """Merge caller endpoint filters with the bound vertices.
+
+        Returns ``(sources, targets)`` as Optional[frozenset]s, or ``None``
+        when a bound vertex is excluded by the corresponding filter (the
+        result is provably empty).
+        """
+        if self.source is not None:
+            if sources is not None and self.source not in frozenset(sources):
+                return None
+            sources = frozenset((self.source,))
+        elif sources is not None:
+            sources = frozenset(sources)
+        if self.target is not None:
+            if targets is not None and self.target not in frozenset(targets):
+                return None
+            targets = frozenset((self.target,))
+        elif targets is not None:
+            targets = frozenset(targets)
+        return sources, targets
 
     def describe(self) -> str:
         """One-phrase summary for EXPLAIN output."""

@@ -455,17 +455,12 @@ class AsyncEngine:
             budget)
 
     async def explain(self, query: Union[str, RegexExpr],
-                      max_length: Optional[int] = None,
-                      sources: Optional[frozenset] = None,
-                      targets: Optional[frozenset] = None,
-                      deadline: Optional[float] = None) -> str:
-        """Awaitable :meth:`Engine.explain`."""
+                      deadline: Optional[float] = None, **options: Any) -> str:
+        """Awaitable :meth:`Engine.explain` (its keywords pass through)."""
         budget = self._deadline(deadline)
         expression = self._compile(query)
         return await self._run(
-            "read",
-            lambda d: self.engine.explain(expression, max_length=max_length,
-                                          sources=sources, targets=targets),
+            "read", lambda d: self.engine.explain(expression, **options),
             budget)
 
     async def mutate(self, mutator: Callable[..., Any],

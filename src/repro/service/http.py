@@ -689,11 +689,10 @@ class HttpServer:
         query = body.get("query")
         if not isinstance(query, str):
             raise _BadRequest('body must carry "query" (PathQL text)')
+        # /query's options, read the same way: EXPLAIN describes the
+        # request /query would run.
         text = await handle.async_engine.explain(
-            query, max_length=body.get("max_length"),
-            sources=self._endpoints_of(body, "sources"),
-            targets=self._endpoints_of(body, "targets"),
-            deadline=self._deadline_of(body))
+            query, **self._read_options(body))
         return {"graph": handle.name, "query": query, "explain": text}
 
     async def _action_stats(self, handle: GraphHandle,
@@ -850,31 +849,6 @@ class ReplicaHttpServer(HttpServer):
             payload["tailer"] = self.tailer.state()
         return payload
 
-    @staticmethod
-    def _lower_replica_query(query: str, sources, targets):
-        """PathQL text -> ``(label_expr, sources, targets)`` for a replica.
-
-        Replicas run the compact pairs kernel only, so the query must
-        lower to a (possibly endpoint-bound) label RPQ — same fast path
-        the primary engine routes eligible queries through.  Returns
-        ``None`` as the expression when the lowering proves the answer
-        empty (a bound endpoint excluded by the caller's filter).
-        """
-        from repro.engine.engine import Engine
-        from repro.engine.rewrite import normalize
-        from repro.lang import parse
-        from repro.rpq.evaluation import lower_to_constrained_query
-        expression = normalize(parse(query))
-        constrained = lower_to_constrained_query(expression)
-        if constrained is None:
-            raise _BadRequest(
-                "query {!r} needs the bounded edge-set engine; a replica "
-                "answers label-path pairs() queries only".format(query))
-        merged = Engine._constrained_filters(constrained, sources, targets)
-        if merged is None:
-            return None, None, None
-        return (constrained.label_expression,) + merged
-
     def _query_envelope(self, handle: Any, tenant: str) -> Dict[str, Any]:
         return {"graph": self.replica.graph_name, "tenant": tenant,
                 "replica": True}
@@ -889,14 +863,25 @@ class ReplicaHttpServer(HttpServer):
 
     async def _answer(self, handle: Any, query: str,
                       options: Dict[str, Any]) -> ServedPairs:
-        label, sources, targets = self._lower_replica_query(query, **options)
-        if label is None:
+        from repro.engine.rewrite import normalize
+        from repro.lang import parse
+        from repro.rpq.evaluation import lower_to_constrained_query
+        # Replicas run the compact pairs kernel only, so the query must
+        # lower to a (possibly endpoint-bound) label RPQ — same fast path
+        # the primary engine routes eligible queries through.
+        constrained = lower_to_constrained_query(normalize(parse(query)))
+        if constrained is None:
+            raise _BadRequest(
+                "query {!r} needs the bounded edge-set engine; a replica "
+                "answers label-path pairs() queries only".format(query))
+        merged = constrained.merge_filters(**options)
+        if merged is None:  # a bound endpoint the caller's filter excludes
             return serve_pairs(frozenset())
         # Kernel and encode in one executor hop; a replica keeps no
         # result cache, so there is no hit to report.
         return await asyncio.get_running_loop().run_in_executor(
-            None, lambda: serve_pairs(
-                self.replica.pairs(label, sources, targets)))
+            None, lambda: serve_pairs(self.replica.pairs(
+                constrained.label_expression, *merged)))
 
     async def _answer_batch(self, handle: Any, queries: List[str],
                             options: Dict[str, Any]) -> List[ServedPairs]:

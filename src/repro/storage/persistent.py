@@ -174,16 +174,16 @@ class _LogBackedView:
     def _live_view(self) -> Any:
         return self._overlay if self._overlay is not None else self._base
 
-    def _view_pairs(self, expression: Any,
+    @staticmethod
+    def _view_pairs(view: Any, expression: Any,
                     sources: Optional[Iterable[Hashable]],
                     targets: Optional[Iterable[Hashable]]) -> FrozenSet:
-        """The compact product-BFS kernel over the live view."""
-        from repro.rpq.labelregex import build_label_nfa, determinize
-        view = self._live_view()
-        dfa = determinize(build_label_nfa(expression),
-                          set(view.label_ids) | set(expression.symbols()))
-        return rpq_pairs_on_snapshot(view, dfa, sources=sources,
-                                     targets=targets)
+        """The compact product-BFS kernel over ``view`` (handed in: the
+        caller fetched it under whatever lock guards it)."""
+        from repro.rpq.evaluation import compile_rpq_over
+        return rpq_pairs_on_snapshot(
+            view, compile_rpq_over(expression, view.label_ids),
+            sources=sources, targets=targets)
 
 
 def publish_generation(directory: str, manifest: Dict[str, Any],
@@ -578,11 +578,7 @@ class PersistentGraph(_LogBackedView):
         except OSError as exc:
             raise StorageError(
                 "{}: read failed ({})".format(self.directory, exc)) from exc
-        if self._graph is not None:
-            from repro.rpq.evaluation import rpq_pairs
-            return rpq_pairs(self._graph, expression, sources,
-                             targets=targets)
-        return self._view_pairs(expression, sources, targets)
+        return self._view_pairs(self.view(), expression, sources, targets)
 
     # ------------------------------------------------------------------
     # Mutations (materialize-on-write)

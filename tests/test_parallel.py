@@ -239,6 +239,56 @@ class TestEnginePlumbing:
         finally:
             engine.close()
 
+    def test_batch_shares_one_pool_dispatch(self, monkeypatch):
+        # Two fan-out members and one that cannot be split: the batch
+        # still reaches the pool exactly once, with both DFAs.
+        graph = small_graph(seed=53)
+        queries = [self.QUERY, "[0, a, _] . [_, b, _]*", "[_, c, _]"]
+        dispatched = []
+        original = ParallelExecutor.rpq_pairs_batch
+
+        def counted(executor, dfas, **filters):
+            dispatched.append(len(dfas))
+            return original(executor, dfas, **filters)
+
+        monkeypatch.setattr(ParallelExecutor, "rpq_pairs_batch", counted)
+        engine = Engine(graph)
+        try:
+            got = engine.pairs_batch(queries, processes=2)
+            assert dispatched == [2]
+            assert got == [engine.pairs(q) for q in queries]
+        finally:
+            engine.close()
+
+    def test_deadline_batch_goes_item_by_item_through_public_pairs(self):
+        # AsyncEngine's deadline mode checks the budget between members,
+        # so it must keep calling the public Engine.pairs (which tests
+        # and operators wrap), never the batch loop.
+        import asyncio
+
+        from repro.service import AsyncEngine
+        graph = small_graph(seed=53)
+        queries = [self.QUERY, "[_, c, _]", "[0, a, _] . [_, b, _]*"]
+        engine = Engine(graph)
+        want = [engine.pairs(q) for q in queries]
+        seen = []
+        original = engine.pairs
+
+        def public_pairs(expression, **options):
+            seen.append(options["processes"])
+            return original(expression, **options)
+
+        engine.pairs = public_pairs
+        engine.pairs_batch = None  # must not be reached under a deadline
+
+        async def run():
+            async with AsyncEngine(engine, max_workers=2) as service:
+                return await service.pairs_batch(queries, processes=1,
+                                                 deadline=30.0)
+
+        assert asyncio.run(run()) == want
+        assert seen == [1] * len(queries)
+
     def test_query_automaton_fan_out_matches_serial(self):
         graph = small_graph(seed=59)
         engine = Engine(graph)

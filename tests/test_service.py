@@ -111,6 +111,46 @@ class TestAsyncEngine:
                 assert batch[1] == frozenset({(0, CHAIN)})
         asyncio.run(run())
 
+    def test_uncached_read_is_one_hop_one_pairs_one_route(self, monkeypatch):
+        # The facade's cost on a miss, counted rather than timed (it was a
+        # <= 10 % ratio gate in bench_e13 that flaked on loaded boxes):
+        # one executor hop, one public Engine.pairs, one route, and no
+        # re-normalizing of a query string the loop has already compiled.
+        import threading
+        from collections import Counter
+
+        from repro.engine import rewrite
+        query = "[_, a, _] . [_, a, _]*"
+        counts = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name() if callable(name) else name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        async def run():
+            engine = Engine(chain_graph())  # no result cache: every read misses
+            async with AsyncEngine(engine, max_workers=2) as service:
+                want = await service.pairs(query, sources=[0])  # compile LRU
+                loop = asyncio.get_running_loop()
+                loop_thread = threading.get_ident()
+                monkeypatch.setattr(loop, "run_in_executor", counting(
+                    "hop", loop.run_in_executor))
+                monkeypatch.setattr(engine, "pairs", counting(
+                    "pairs", engine.pairs))
+                monkeypatch.setattr(engine, "route", counting(
+                    "route", engine.route))
+                monkeypatch.setattr(rewrite, "normalize", counting(
+                    lambda: "normalize on the loop"
+                    if threading.get_ident() == loop_thread
+                    else "normalize in the worker", rewrite.normalize))
+                assert await service.pairs(query, sources=[0]) == want
+                assert service.counters["cache_fast_hits"] == 0
+        asyncio.run(run())
+        assert counts.pop("normalize in the worker", 0) <= 1
+        assert counts == {"hop": 1, "pairs": 1, "route": 1}
+
     def test_cache_fast_path_skips_executor(self):
         async def run():
             async with make_async_engine() as service:
@@ -403,6 +443,28 @@ class TestHttpServer:
                 {"query": "[_, a, _] . [_, b, _]"})
             assert status == 200
             assert "atomscan" in payload["explain"].lower()
+        self.run_server(store_root, scenario)
+
+    def test_explain_describes_the_request_query_would_run(self, store_root):
+        # Drift (c): /query honoured ``processes``, /explain dropped it.
+        async def scenario(host, port, server):
+            body = {"query": "[_, a, _] . [_, a, _]*", "processes": 2}
+            status, _, _ = await http_request(
+                host, port, "POST", "/v1/graphs/alpha/query", body)
+            assert status == 200
+            status, payload, _ = await http_request(
+                host, port, "GET", "/v1/graphs/alpha/stats")
+            ran = payload["info"]["service"]["parallel"]
+            assert ran["processes"] == 2
+            status, payload, _ = await http_request(
+                host, port, "POST", "/v1/graphs/alpha/explain", body)
+            assert status == 200
+            assert "pairs parallelism: parallel, {} process(es)".format(
+                ran["processes"]) in payload["explain"]
+            status, payload, _ = await http_request(
+                host, port, "POST", "/v1/graphs/alpha/explain",
+                dict(body, sources="not-a-list"))
+            assert status == 400
         self.run_server(store_root, scenario)
 
     def test_auth_unknown_and_bad_requests(self, store_root):
