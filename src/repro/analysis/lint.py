@@ -14,8 +14,8 @@ break tomorrow:
     contract* (their constructors are unreachable without numpy) may be
     exempted with a suppression comment on the ``class`` line.
 ``kernel-mutation``
-    The traversal kernels in ``graph/compact.py`` and
-    ``graph/sharding.py`` receive live graph/snapshot objects that other
+    The traversal kernels in ``graph/compact.py``,
+    ``graph/compact_digraph.py`` and ``graph/sharding.py`` receive live graph/snapshot objects that other
     queries share.  Module-level kernel functions must never mutate
     structures reached through their ``graph`` / ``snapshot`` / ``view``
     / ``shard`` parameters — no mutating method calls, no subscript or
@@ -125,7 +125,7 @@ _MUTATORS = frozenset({
 _KERNEL_ROOTS = frozenset({"graph", "snapshot", "view", "shard", "sharded"})
 
 #: Files the kernel-mutation rule applies to.
-_KERNEL_FILES = frozenset({"compact.py", "sharding.py"})
+_KERNEL_FILES = frozenset({"compact.py", "compact_digraph.py", "sharding.py"})
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,19 @@ cache never holds more than the live version's entries per graph; other
 graphs sharing the cache are untouched, and the LRU bound is unchanged.
 
 The cache stores whole immutable results — :class:`PathSet` for ``query()``
-entries, frozen pair sets for ``pairs()`` entries (keyed apart by ``kind``).
+entries, pair-block answers for ``pairs()`` entries (keyed apart by ``kind``).
 Only full-result calls use it; ``limit`` queries bypass caching (a truncated
 result is not reusable).
 
-A ``pairs()`` entry is a :class:`CachedPairs`: the frozen pair set plus one
-``memo`` slot for whatever a caller derives from the answer and wants back
-on the next hit (the serving tier keeps the answer's encoded wire bytes
-there).  The memo hangs off the entry itself, so its lifetime *is* the
-entry's — LRU eviction, the superseded-version purge and ``clear()`` drop
-both together, and there is no second index to keep in step.
+A ``pairs()`` entry is the :class:`~repro.graph.pairs.PairBlocks` the
+kernel returned, stored as is (the engine makes no copy): the answer's
+disjoint blocks plus one ``memo`` slot for whatever a caller derives from
+the answer and wants back on the next hit (the serving tier keeps the
+answer's encoded wire bytes there).  The memo hangs off the entry itself,
+so its lifetime *is* the entry's — LRU eviction, the superseded-version
+purge and ``clear()`` drop both together, and there is no second index to
+keep in step.  A cache full of all-sources answers holds their block
+members, not a GC-tracked tuple per pair.
 
 Key audit (PR 7)
 ----------------
@@ -45,25 +48,10 @@ from typing import Any, Dict, FrozenSet, Hashable, Optional, Tuple
 from repro.concurrency import ordered_lock
 from repro.regex.ast import RegexExpr
 
-__all__ = ["CachedPairs", "QueryCache"]
+__all__ = ["QueryCache"]
 
 # Positions of the graph version and graph token in a ``_key`` tuple.
 _VERSION, _TOKEN = 3, 5
-
-
-class CachedPairs(frozenset):
-    """A cached ``pairs()`` answer: a ``frozenset`` with one ``memo`` slot.
-
-    Equal to, hashed like and as immutable as the plain set it copies —
-    set algebra, comparison and pickling are ``frozenset``'s.  ``memo``
-    starts unset and is opaque to the engine; read it with
-    ``getattr(answer, "memo", None)`` (a plain ``frozenset`` from an
-    uncached engine, or an unpickled copy, may not carry one).
-    """
-
-    __slots__ = ("memo",)
-
-    memo: Any
 
 
 class QueryCache:

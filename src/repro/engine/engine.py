@@ -67,7 +67,6 @@ from repro.concurrency import ordered_lock
 from repro.core.path import Path
 from repro.core.pathset import PathSet
 from repro.core.projection import BinaryProjection, project_paths
-from repro.engine.cache import CachedPairs
 from repro.engine.executor import STRATEGIES, endpoint_pairs, run_strategy
 from repro.engine.plan import PlanNode
 from repro.engine.planner import PairsRoute, Planner
@@ -75,6 +74,7 @@ from repro.engine.stats import GraphStatistics
 from repro.errors import ExecutionError
 from repro.graph import compact
 from repro.graph.graph import MultiRelationalGraph
+from repro.graph.pairs import PairBlocks
 from repro.lang.parser import parse
 from repro.regex.ast import RegexExpr
 
@@ -467,17 +467,17 @@ class Engine:
             constrained, sources, targets, diagnostics=diagnostics,
             direction=direction, parallelism=parallelism)
 
-    def _run(self, route: PairsRoute, expression: RegexExpr) -> frozenset:
+    def _run(self, route: PairsRoute, expression: RegexExpr) -> PairBlocks:
         """Evaluate ``route`` (``expression``'s) in this process."""
         kernel = route.kernel
         if kernel == "none":
-            return frozenset()
+            return PairBlocks(())
         if kernel == "bounded":
             result = self.query(expression, strategy="automaton",
                                 max_length=route.max_length)
-            return endpoint_pairs(result.paths, expression, self.graph,
-                                  sources=route.sources,
-                                  targets=route.targets)
+            return PairBlocks.from_pairs(endpoint_pairs(
+                result.paths, expression, self.graph,
+                sources=route.sources, targets=route.targets))
         dfa = route.diagnostics.dfa
         if kernel == "bidirectional":
             return compact.rpq_pairs_bidirectional(
@@ -493,7 +493,8 @@ class Engine:
 
     def _probe(self, expression: RegexExpr, sources: Optional[frozenset],
                targets: Optional[frozenset], max_length: Optional[int],
-               version: int, record_miss: bool = True) -> Optional[frozenset]:
+               version: int, record_miss: bool = True
+               ) -> Optional[PairBlocks]:
         """The cached :meth:`pairs` answer at ``version``, or ``None``."""
         if self.cache is None:
             return None
@@ -505,7 +506,7 @@ class Engine:
     def _answer(self, expression: RegexExpr, sources: Optional[frozenset],
                 targets: Optional[frozenset], max_length: Optional[int],
                 processes: Optional[int], version: int,
-                pool: Optional[list] = None) -> Optional[frozenset]:
+                pool: Optional[list] = None) -> Optional[PairBlocks]:
         """One :meth:`pairs` answer: cache probe -> route -> run -> put.
         A batch passes ``pool``: a label-only fan-out route (its filters
         are the batch's own) joins it, unanswered, for the one dispatch."""
@@ -524,25 +525,29 @@ class Engine:
 
     def _remember(self, expression: RegexExpr, sources: Optional[frozenset],
                   targets: Optional[frozenset], max_length: Optional[int],
-                  version: int, answer: frozenset) -> frozenset:
-        """File a computed :meth:`pairs` answer under ``version``."""
-        if self.cache is None:
-            return answer
-        # Cached answers carry a memo slot (see CachedPairs); without
-        # a cache the kernel's plain frozenset goes back untouched.
-        answer = CachedPairs(answer)
-        self.cache.put(
-            expression, max_length, version, "pairs", answer,
-            graph_token=self._graph_token, sources=sources,
-            targets=targets, kind="pairs")
+                  version: int, answer: PairBlocks) -> PairBlocks:
+        """File a computed :meth:`pairs` answer under ``version``: the
+        kernel's own object (blocks, memo slot and all), never a copy."""
+        if self.cache is not None:
+            self.cache.put(
+                expression, max_length, version, "pairs", answer,
+                graph_token=self._graph_token, sources=sources,
+                targets=targets, kind="pairs")
         return answer
 
     def pairs(self, query: Union[str, RegexExpr],
               sources: Optional[frozenset] = None,
               targets: Optional[frozenset] = None,
               max_length: Optional[int] = None,
-              processes: Optional[int] = None) -> frozenset:
+              processes: Optional[int] = None) -> PairBlocks:
         """All ``(source, target)`` pairs connected by a matching path.
+
+        The answer is a :class:`~repro.graph.pairs.PairBlocks`: a
+        ``collections.abc.Set`` of the pair tuples — ``len``, iteration,
+        ``sorted``, ``in``, ``==`` / ``hash`` and set algebra against any
+        ``frozenset`` all hold — kept as the disjoint product / zip blocks
+        the sweep computed, so an all-sources answer costs its members,
+        not a tuple per pair, until a caller asks for a hash table.
 
         Expressions lowering to a constrained label RPQ (label-only, or
         vertex-bound only at the ends — see module docstring) run the
@@ -583,7 +588,8 @@ class Engine:
     def cached_pairs(self, query: Union[str, RegexExpr],
                      sources: Optional[frozenset] = None,
                      targets: Optional[frozenset] = None,
-                     max_length: Optional[int] = None) -> Optional[frozenset]:
+                     max_length: Optional[int] = None
+                     ) -> Optional[PairBlocks]:
         """The cached :meth:`pairs` result, or ``None`` — pure O(lookup).
 
         Never dispatches a kernel; the service tier probes this in the
@@ -598,7 +604,7 @@ class Engine:
     def _cached_pairs(self, expression: RegexExpr,
                       sources: Optional[frozenset],
                       targets: Optional[frozenset],
-                      max_length: Optional[int]) -> Optional[frozenset]:
+                      max_length: Optional[int]) -> Optional[PairBlocks]:
         """:meth:`cached_pairs` for an expression :meth:`compile` already
         returned (the service tier keeps those: normalizing a normalized
         AST again is most of a warm probe's cost)."""

@@ -8,8 +8,10 @@ all-sources / batch kernels out over the vertex-range partition of
 * **RPQ sweeps** (:meth:`ParallelExecutor.rpq_pairs`) — each worker runs
   the product-BFS kernel for the sources its shard owns, batch-shared like
   any many-seed call (over the shared full CSR; a sweep's cone crosses
-  shard boundaries, its *seeds* do not), and the per-shard pair sets merge
-  by union — order-free, deterministic.
+  shard boundaries, its *seeds* do not) and returns the answer's blocks
+  (:class:`~repro.graph.pairs.PairBlocks`); disjoint seeds make disjoint
+  blocks, so the merge is their concatenation — deterministic, no pair
+  pickled or hashed.
 * **BFS batches** (:meth:`ParallelExecutor.bfs_distances`) — the source
   batch splits evenly, each worker runs the vectorized per-source kernel,
   distance maps merge disjointly.
@@ -67,6 +69,7 @@ from repro.graph.compact import (
     digraph_snapshot,
     rpq_pairs_on_snapshot,
 )
+from repro.graph.pairs import PairBlocks
 from repro.graph.sharding import (
     live_ids_in_range,
     row_degrees,
@@ -563,21 +566,25 @@ class ParallelExecutor:
 
     def rpq_pairs(self, dfa, sources: Optional[Iterable[Hashable]] = None,
                   targets: Optional[Iterable[Hashable]] = None
-                  ) -> FrozenSet[Tuple[Hashable, Hashable]]:
-        """All-sources (or batch-source) RPQ pairs, fanned out and unioned."""
+                  ) -> PairBlocks:
+        """All-sources (or batch-source) RPQ pairs, fanned out and merged."""
         return self.rpq_pairs_batch([dfa], sources=sources,
                                     targets=targets)[0]
 
     def rpq_pairs_batch(self, dfas: List,
                         sources: Optional[Iterable[Hashable]] = None,
                         targets: Optional[Iterable[Hashable]] = None
-                        ) -> List[FrozenSet[Tuple[Hashable, Hashable]]]:
+                        ) -> List[PairBlocks]:
         """One fan-out for many compiled queries over one snapshot.
 
         The batch amortizes pool setup and snapshot staging: every
         (query, shard) pair becomes one task in a single ``pool.map``, so
         a dashboard's expression batch keeps all workers busy even when
         individual queries are small.  Results keep the input order.
+
+        Shards own disjoint sources, so a query's answer is its shards'
+        blocks side by side: workers pickle blocks (kilobytes), and the
+        merge hashes no pair.
         """
         version = self.graph.version()
         ctx = self._context("rpq", version)
@@ -599,15 +606,16 @@ class ParallelExecutor:
         if targets is not None:
             targets = frozenset(targets)
         if not specs:
-            return [frozenset() for _ in dfas]
+            return [PairBlocks(()) for _ in dfas]
         tasks = [(ctx, "rpq", (dfa, spec, targets))
                  for dfa in dfas for spec in specs]
         results = self._map("rpq", ctx, tasks, num_edges)
         merged = []
         per_query = len(specs)
         for index in range(len(dfas)):
-            block = results[index * per_query:(index + 1) * per_query]
-            merged.append(frozenset().union(*block))
+            shards = results[index * per_query:(index + 1) * per_query]
+            merged.append(PairBlocks(itertools.chain.from_iterable(
+                shard.blocks for shard in shards)))
         return merged
 
     def bfs_distances(self, sources: Iterable[Hashable]

@@ -11,6 +11,7 @@ from repro.graph.compact import (
     rpq_pairs_on_snapshot,
     snapshot_state,
 )
+from repro.graph.pairs import PairBlocks
 from repro.graph.sharding import ShardedSnapshot, sharded_snapshot
 from repro.graph import generators
 from repro.graph import io
@@ -20,7 +21,7 @@ __all__ = [
     "MultiRelationalGraph",
     "CompactAdjacency", "CompactDiGraph", "DeltaAdjacency",
     "adjacency_snapshot", "digraph_snapshot", "rpq_pairs_compact",
-    "rpq_pairs_on_snapshot", "snapshot_state",
+    "rpq_pairs_on_snapshot", "snapshot_state", "PairBlocks",
     "ShardedSnapshot", "sharded_snapshot",
     "generators", "io", "statistics",
 ]

@@ -21,7 +21,8 @@ the compact numeric backend the hot paths share instead:
 * :class:`CompactDiGraph` — the analogous snapshot of the single-relational
   :class:`~repro.algorithms.digraph.DiGraph`, with numpy edge/CSR arrays
   feeding the vectorized BFS / component / pagerank kernels plus the
-  integer-indexed Tarjan SCC, geodesic-sweep and centrality kernels.
+  integer-indexed Tarjan SCC, geodesic-sweep and centrality kernels.  It
+  lives in :mod:`repro.graph.compact_digraph` and is re-exported here.
 * :func:`rpq_pairs_compact` — the frontier-set BFS over the
   (vertex, dfa-state) product that powers :func:`repro.rpq.rpq_pairs` and
   the engine's ``pairs`` fast path: one search per seed for a few seeds,
@@ -64,10 +65,13 @@ implementations.
 
 from __future__ import annotations
 
-from itertools import chain, compress, product
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import compress
+from operator import lt
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-try:  # numpy accelerates the DiGraph kernels; everything else works without it.
+from repro.graph.pairs import Block, PairBlocks
+
+try:  # only the DiGraph kernels (compact_digraph.py) need numpy.
     import numpy as _np
 except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
@@ -101,10 +105,6 @@ _CACHE_ATTR = "_compact_snapshot_cache"
 #: exceeds ``max(COMPACTION_MIN_OPS, COMPACTION_FRACTION * |E_base|)``.
 COMPACTION_MIN_OPS = 64
 COMPACTION_FRACTION = 0.25
-
-#: Bit width of the head id inside a packed ``(tail << SHIFT) | head`` edge
-#: key — collision-free for any graph this process can hold.
-_KEY_SHIFT = 32
 
 # Shared immutable placeholders for clean (delta-free) adjacency blocks.
 _NO_DELTA: Dict[int, list] = {}
@@ -634,10 +634,9 @@ def _mask_members(mask: int, members: Sequence[Hashable]
 def _shared_sweep(snapshot, moves: List[List[Tuple]], num_states: int,
                   seed_ids: Sequence[int], seed_states: List[int],
                   answering: List[bool], wanted_ok: Optional[bytearray],
-                  reverse: bool
-                  ) -> Iterable[Iterable[Tuple[Hashable, Hashable]]]:
+                  reverse: bool) -> Iterable[Block]:
     """:func:`_sweep` with the seeds travelling together, a batch at a time:
-    yields C-speed iterables of ``(source, target)`` pairs.
+    yields the answer's disjoint blocks, ``(sources, targets, crossed)``.
 
     Each seed of a batch owns one bit and :func:`_propagate` pushes the
     masks until the frontier drains, so a configuration expands once per
@@ -645,7 +644,8 @@ def _shared_sweep(snapshot, moves: List[List[Tuple]], num_states: int,
     Then et al., "The More the Merrier", PVLDB 8(4), 2014).  No opposite
     search, so no meets: the other side's masks are all zero.  The drained
     frontier leaves a complete closure: the OR of the masks at a vertex's
-    answering configurations names the seeds it answers.  Only touched
+    answering configurations names the seeds it answers — one mask per
+    vertex per batch, so the blocks below cannot overlap.  Only touched
     masks are reset between batches.
     """
     vertex_of = snapshot.vertex_of
@@ -679,8 +679,9 @@ def _shared_sweep(snapshot, moves: List[List[Tuple]], num_states: int,
                         reached[vertex_id] = reached.get(vertex_id, 0) | mask
         batch_vertices = [vertex_of[seed_id] for seed_id in batch]
         # Vertices answering the same seeds share one decode and leave as
-        # one product; a vertex with a single seed (the commonest mask on a
-        # sparse graph) skips both the grouping and the decoder.
+        # one crossed block; a vertex with a single seed (the commonest mask
+        # on a sparse graph) skips both the grouping and the decoder and
+        # joins the batch's one zip block.
         alike: Dict[int, List[Hashable]] = {}
         lone_seeds: List[Hashable] = []
         lone_vertices: List[Hashable] = []
@@ -690,24 +691,26 @@ def _shared_sweep(snapshot, moves: List[List[Tuple]], num_states: int,
             else:
                 lone_seeds.append(batch_vertices[mask.bit_length() - 1])
                 lone_vertices.append(vertex_of[vertex_id])
-        yield zip(lone_vertices, lone_seeds) if reverse \
-            else zip(lone_seeds, lone_vertices)
+        if lone_seeds:
+            yield (lone_vertices, lone_seeds, False) if reverse \
+                else (lone_seeds, lone_vertices, False)
         for mask, vertices in alike.items():
-            seeds = _mask_members(mask, batch_vertices)
-            yield product(vertices, seeds) if reverse \
-                else product(seeds, vertices)
+            seeds = tuple(_mask_members(mask, batch_vertices))
+            yield (vertices, seeds, True) if reverse \
+                else (seeds, vertices, True)
 
 
 def _sweep(snapshot, dfa, seed_ids: Sequence[int],
            wanted: Optional[Iterable[Hashable]], reverse: bool
-           ) -> FrozenSet[Tuple[Hashable, Hashable]]:
+           ) -> PairBlocks:
     """The one-directional product BFS: its ``(source, target)`` pairs.
 
     Forward, a search starts at ``(seed, start)`` and a configuration
     answers when its state accepts; reversed, the seeds are the targets, it
     starts at ``(seed, q)`` for every accepting ``q`` and answers at the
     start state (:func:`rpq_pairs_backward` says why).  A vertex answers at
-    most once per seed and ``wanted`` restricts which vertices may.  From
+    most once per seed — ``seed_ids`` must not repeat, or the answer's
+    blocks would — and ``wanted`` restricts which vertices may.  From
     :data:`_SHARED_MIN_SEEDS` seeds up the walk is :func:`_shared_sweep`;
     below, one stamped BFS per seed, which stops at the next level boundary
     once every wanted vertex has answered.
@@ -720,7 +723,7 @@ def _sweep(snapshot, dfa, seed_ids: Sequence[int],
     if wanted is not None:
         wanted_ids = _seed_ids(snapshot, wanted)
         if not wanted_ids:
-            return frozenset()
+            return PairBlocks(())
         num_wanted = len(wanted_ids)
         wanted_ok = bytearray(slots)
         for vertex_id in wanted_ids:
@@ -733,11 +736,11 @@ def _sweep(snapshot, dfa, seed_ids: Sequence[int],
         seed_states, answer_states = [dfa.start], dfa.accepting
     answering = [state in answer_states for state in range(num_states)]
     if len(seed_ids) >= _SHARED_MIN_SEEDS:
-        return frozenset(chain.from_iterable(_shared_sweep(
+        return PairBlocks(_shared_sweep(
             snapshot, moves, num_states, seed_ids, seed_states, answering,
-            wanted_ok, reverse)))
+            wanted_ok, reverse))
 
-    answers: List[Tuple[Hashable, Hashable]] = []
+    blocks: List[Block] = []
     # In both orientations a seed answers itself iff the empty word matches.
     seed_answers = dfa.start in dfa.accepting
 
@@ -750,14 +753,14 @@ def _sweep(snapshot, dfa, seed_ids: Sequence[int],
     # unlike tuples they are not cyclic-GC tracked, so the multi-million
     # entry sweeps do not trigger collector pauses.
     for stamp, seed_id in enumerate(seed_ids):
-        seed_vertex = vertex_of[seed_id]
+        found: List[Hashable] = []  # this seed's answering vertices
         remaining = num_wanted
         frontier = [seed_id * num_states + state for state in seed_states]
         for code in frontier:
             visited[code] = stamp
         if seed_answers and (wanted_ok is None or wanted_ok[seed_id]):
             answered[seed_id] = stamp
-            answers.append((seed_vertex, seed_vertex))
+            found.append(vertex_of[seed_id])
             remaining -= 1
         while frontier:
             if wanted_ok is not None and remaining == 0:
@@ -792,19 +795,20 @@ def _sweep(snapshot, dfa, seed_ids: Sequence[int],
                                     and (wanted_ok is None
                                          or wanted_ok[neighbor]):
                                 answered[neighbor] = stamp
-                                answers.append((seed_vertex,
-                                                vertex_of[neighbor]))
+                                found.append(vertex_of[neighbor])
                                 remaining -= 1
                             next_frontier.append(code)
             frontier = next_frontier
-    if reverse:
-        return frozenset((answer, seed) for seed, answer in answers)
-    return frozenset(answers)
+        if found:
+            seed = (vertex_of[seed_id],)
+            blocks.append((found, seed, True) if reverse
+                          else (seed, found, True))
+    return PairBlocks(blocks)
 
 
 def rpq_pairs_compact(graph, dfa, sources: Optional[Iterable[Hashable]] = None,
                       targets: Optional[Iterable[Hashable]] = None
-                      ) -> FrozenSet[Tuple[Hashable, Hashable]]:
+                      ) -> PairBlocks:
     """All ``(x, y)`` pairs connected by a path whose label word is in the DFA.
 
     Frontier-set BFS over the (vertex, dfa-state) product using integer ids:
@@ -833,7 +837,7 @@ def rpq_pairs_on_snapshot(snapshot, dfa,
                           sources: Optional[Iterable[Hashable]] = None,
                           targets: Optional[Iterable[Hashable]] = None,
                           source_ids: Optional[Iterable[int]] = None
-                          ) -> FrozenSet[Tuple[Hashable, Hashable]]:
+                          ) -> PairBlocks:
     """:func:`rpq_pairs_compact` on an explicit snapshot view.
 
     The graph-free entry point the parallel fan-out executor needs: worker
@@ -841,20 +845,26 @@ def rpq_pairs_on_snapshot(snapshot, dfa,
     :class:`DeltaAdjacency` but no live graph object, and each sweeps only
     the ``source_ids`` slot range it owns.  ``source_ids`` (dense integer
     ids, already live) takes precedence over ``sources`` (vertex objects,
-    interned here); both ``None`` means every live vertex.
+    interned here); both ``None`` means every live vertex.  Repeated ids
+    count once: a seed swept twice would repeat its block of the answer.
     """
     if source_ids is None:
         seed_ids: Sequence[int] = _seed_ids(snapshot, sources)
-    else:  # the shared sweep sizes and slices its seeds
-        seed_ids = source_ids if isinstance(source_ids, (list, range)) \
-            else list(source_ids)
+    elif isinstance(source_ids, range) or (
+            isinstance(source_ids, list)
+            and all(map(lt, source_ids[:-1], source_ids[1:]))):
+        # A shard's slot range or id chunk: strictly ascending, so already
+        # free of repeats (the shared sweep sizes and slices its seeds).
+        seed_ids = source_ids
+    else:
+        seed_ids = sorted(set(source_ids))
     return _sweep(snapshot, dfa, seed_ids, targets, False)
 
 
 def rpq_pairs_backward(graph, dfa,
                        targets: Optional[Iterable[Hashable]] = None,
                        sources: Optional[Iterable[Hashable]] = None
-                       ) -> FrozenSet[Tuple[Hashable, Hashable]]:
+                       ) -> PairBlocks:
     """:func:`rpq_pairs_compact` evaluated *backward* from the targets.
 
     The same :func:`_sweep` (per target, or shared by many) over the
@@ -920,7 +930,7 @@ def _propagate(frontier: List[int], moves: List[List[Tuple]],
 
 def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
                             targets: Iterable[Hashable]
-                            ) -> FrozenSet[Tuple[Hashable, Hashable]]:
+                            ) -> PairBlocks:
     """Meet-in-the-middle product BFS between explicit source/target sets.
 
     Two label-propagating frontiers share the (vertex, dfa-state) product:
@@ -949,7 +959,7 @@ def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
     source_ids = _seed_ids(snapshot, sources)
     target_ids = _seed_ids(snapshot, targets)
     if not source_ids or not target_ids:
-        return frozenset()
+        return PairBlocks(())
 
     fwd_moves = _product_moves(snapshot, dfa, False)
     bwd_moves = _product_moves(snapshot, dfa, True)
@@ -1033,531 +1043,16 @@ def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
                 combined = bwd_mask[source_id * num_states + start_state]
                 if combined:
                     emit(1 << i, combined)
-    return frozenset(answers)
+    # Meets overlap (a pair can be emitted by several), so this answer is a
+    # deduplicated set first and one ready-made block second.
+    return PairBlocks.from_pairs(answers)
 
 
-# ----------------------------------------------------------------------
-# Single-relational (DiGraph) snapshot + vectorized kernels
-# ----------------------------------------------------------------------
-
-class CompactDiGraph:  # reprolint: ignore[numpy-gate] -- numpy-only by contract
-    """A numpy snapshot of one :class:`~repro.algorithms.digraph.DiGraph`.
-
-    Holds interning maps plus flat edge arrays (``tails``, ``heads``,
-    ``weights``) and forward/reverse/undirected CSR index arrays — the
-    inputs the vectorized BFS, component flood-fill and pagerank kernels
-    consume, and (as lazily cached plain lists) the integer-indexed Tarjan
-    SCC / Brandes betweenness kernels.  Immutable once built; the
-    incremental layer produces successors via :meth:`from_arrays`.  Only
-    constructed when numpy is importable.
-    """
-
-    __slots__ = ("version", "vertex_ids", "vertex_of", "tails", "heads",
-                 "weights", "fwd_indptr", "fwd_indices", "rev_indptr",
-                 "rev_indices", "und_indptr", "und_indices", "out_weight",
-                 "edge_keys", "_scalar_fwd")
-
-    def __init__(self, digraph):
-        vertex_of = list(digraph._succ)
-        vertex_ids = {v: i for i, v in enumerate(vertex_of)}
-        tails: List[int] = []
-        heads: List[int] = []
-        weights: List[float] = []
-        for tail, successors in digraph._succ.items():
-            tail_id = vertex_ids[tail]
-            for head, weight in successors.items():
-                tails.append(tail_id)
-                heads.append(vertex_ids[head])
-                weights.append(weight)
-        self._finish(digraph.version(), vertex_of, vertex_ids,
-                     _np.asarray(tails, dtype=_np.int64),
-                     _np.asarray(heads, dtype=_np.int64),
-                     _np.asarray(weights, dtype=_np.float64))
-
-    @classmethod
-    def from_arrays(cls, version: int, vertex_of: List[Hashable],
-                    vertex_ids: Dict[Hashable, int], tails, heads,
-                    weights) -> "CompactDiGraph":
-        """Build a snapshot directly from edge arrays (the delta path)."""
-        self = cls.__new__(cls)
-        self._finish(version, vertex_of, vertex_ids, tails, heads, weights)
-        return self
-
-    def _finish(self, version, vertex_of, vertex_ids, tails, heads, weights):
-        self.version = version
-        self.vertex_of = vertex_of
-        self.vertex_ids = vertex_ids
-        self.tails = tails
-        self.heads = heads
-        self.weights = weights
-        n = len(vertex_of)
-        self.fwd_indptr, self.fwd_indices = self._csr(tails, heads, n)
-        self.rev_indptr, self.rev_indices = self._csr(heads, tails, n)
-        both_tails = _np.concatenate([tails, heads])
-        both_heads = _np.concatenate([heads, tails])
-        self.und_indptr, self.und_indices = self._csr(both_tails, both_heads, n)
-        self.out_weight = _np.bincount(tails, weights=weights, minlength=n)
-        self.edge_keys = None
-        self._scalar_fwd = None
-
-    @classmethod
-    def from_csr(cls, version: int, vertex_of: List[Hashable],
-                 vertex_ids: Dict[Hashable, int], tails, heads, weights,
-                 fwd_indptr, fwd_indices, rev_indptr, rev_indices,
-                 und_indptr, und_indices, out_weight) -> "CompactDiGraph":
-        """Adopt fully prebuilt arrays (CSR included) without any recompute.
-
-        The snapshot store's reopen path: unlike :meth:`from_arrays`, which
-        re-derives the three CSR index families with sorts (touching every
-        edge), this constructor trusts the arrays it is handed — under
-        ``np.memmap`` nothing is faulted in until a kernel slices it.
-        """
-        self = cls.__new__(cls)
-        self.version = version
-        self.vertex_of = vertex_of
-        self.vertex_ids = vertex_ids
-        self.tails = tails
-        self.heads = heads
-        self.weights = weights
-        self.fwd_indptr, self.fwd_indices = fwd_indptr, fwd_indices
-        self.rev_indptr, self.rev_indices = rev_indptr, rev_indices
-        self.und_indptr, self.und_indices = und_indptr, und_indices
-        self.out_weight = out_weight
-        self.edge_keys = None
-        self._scalar_fwd = None
-        return self
-
-    def _edge_key_array(self):
-        """Packed ``(tail << 32) | head`` identity keys, built on first use.
-
-        Only the delta-overlay machinery needs these (one vectorized
-        ``isin`` masks removed base edges), so query-only snapshots —
-        including mmap-backed reopens — never pay for them."""
-        if self.edge_keys is None:
-            self.edge_keys = (self.tails << _KEY_SHIFT) | self.heads
-        return self.edge_keys
-
-    @staticmethod
-    def _csr(sources, targets, n):
-        order = _np.argsort(sources, kind="stable")
-        indices = targets[order]
-        counts = _np.bincount(sources, minlength=n)
-        indptr = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(counts, out=indptr[1:])
-        return indptr, indices
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertex_of)
-
-    def _scalar_forward(self):
-        """Forward CSR as plain lists (lazily cached): scalar-loop kernels
-        (Tarjan, Brandes) index lists several times faster than numpy
-        scalars inside the interpreter."""
-        if self._scalar_fwd is None:
-            self._scalar_fwd = (self.fwd_indptr.tolist(),
-                                self.fwd_indices.tolist())
-        return self._scalar_fwd
-
-    # -- kernels ----------------------------------------------------------
-
-    def _frontier_expand(self, indptr, indices, frontier):
-        """All CSR targets of the frontier ids, as one flat gather."""
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return None
-        offsets = _np.repeat(_np.cumsum(counts) - counts, counts)
-        flat = _np.arange(total, dtype=_np.int64) - offsets
-        return indices[_np.repeat(starts, counts) + flat]
-
-    def bfs_levels(self, source_id: int, reverse: bool = False):
-        """Vectorized level-synchronous BFS: the distance array (-1 = unreached).
-
-        ``reverse=True`` walks edges against their direction (who reaches
-        the source) — the closeness kernel's view.  Wide frontiers (more
-        than ~1/8 of the vertices) switch from CSR slice-gathering to one
-        masked scan of the flat edge arrays — the direction-optimizing
-        trick's cheap cousin: when most vertices are active anyway, a
-        single O(E) C pass beats assembling gather indices.
-        """
-        if reverse:
-            indptr, indices = self.rev_indptr, self.rev_indices
-            scan_from, scan_to = self.heads, self.tails
-        else:
-            indptr, indices = self.fwd_indptr, self.fwd_indices
-            scan_from, scan_to = self.tails, self.heads
-        n = self.num_vertices
-        distance = _np.full(n, -1, dtype=_np.int64)
-        distance[source_id] = 0
-        frontier = _np.asarray([source_id], dtype=_np.int64)
-        wide = max(n >> 3, 32)
-        level = 0
-        while frontier.size:
-            level += 1
-            if frontier.size >= wide:
-                neighbors = scan_to[distance[scan_from] == level - 1]
-            else:
-                neighbors = self._frontier_expand(indptr, indices, frontier)
-                if neighbors is None:
-                    break
-            fresh = neighbors[distance[neighbors] < 0]
-            if fresh.size == 0:
-                break
-            # Scatter the level, then recover the deduplicated frontier with
-            # a linear scan — cheaper than sorting via np.unique.
-            distance[fresh] = level
-            frontier = _np.flatnonzero(distance == level)
-        return distance
-
-    def bfs_distances(self, source: Hashable) -> Dict[Hashable, int]:
-        """Hop distances from ``source`` — same contract as the dict BFS."""
-        distance = self.bfs_levels(self.vertex_ids[source])
-        reached = _np.flatnonzero(distance >= 0)
-        vertex_of = self.vertex_of
-        if reached.size == len(vertex_of):
-            return dict(zip(vertex_of, distance.tolist()))
-        return {vertex_of[i]: d
-                for i, d in zip(reached.tolist(), distance[reached].tolist())}
-
-    def weak_component_labels(self):
-        """Component id per vertex via flood fill on the undirected CSR."""
-        n = self.num_vertices
-        component = _np.full(n, -1, dtype=_np.int64)
-        next_id = 0
-        for seed in range(n):
-            if component[seed] >= 0:
-                continue
-            component[seed] = next_id
-            frontier = _np.asarray([seed], dtype=_np.int64)
-            while frontier.size:
-                neighbors = self._frontier_expand(
-                    self.und_indptr, self.und_indices, frontier)
-                if neighbors is None:
-                    break
-                fresh = neighbors[component[neighbors] < 0]
-                if fresh.size == 0:
-                    break
-                frontier = _np.unique(fresh)
-                component[frontier] = next_id
-            next_id += 1
-        return component
-
-    def strongly_connected_component_labels(self) -> List[int]:
-        """Tarjan's SCC over the forward CSR: component id per vertex id.
-
-        Iterative, integer-indexed: index/lowlink/on-stack state lives in
-        flat lists and successor expansion is a CSR slice walk — no dict
-        hashing, no Edge objects, no per-vertex neighbor sorting (the SCC
-        partition is traversal-order independent, so determinism comes free
-        from the final canonical sort in
-        :func:`repro.algorithms.components.strongly_connected_components`).
-        """
-        indptr, indices = self._scalar_forward()
-        n = self.num_vertices
-        index = [-1] * n
-        lowlink = [0] * n
-        on_stack = bytearray(n)
-        component = [-1] * n
-        stack: List[int] = []
-        work: List[Tuple[int, int]] = []
-        counter = 0
-        next_component = 0
-        for root in range(n):
-            if index[root] != -1:
-                continue
-            index[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = 1
-            work.append((root, indptr[root]))
-            while work:
-                vertex, cursor = work[-1]
-                end = indptr[vertex + 1]
-                advanced = False
-                while cursor < end:
-                    successor = indices[cursor]
-                    cursor += 1
-                    if index[successor] == -1:
-                        work[-1] = (vertex, cursor)
-                        index[successor] = lowlink[successor] = counter
-                        counter += 1
-                        stack.append(successor)
-                        on_stack[successor] = 1
-                        work.append((successor, indptr[successor]))
-                        advanced = True
-                        break
-                    if on_stack[successor] and index[successor] < lowlink[vertex]:
-                        lowlink[vertex] = index[successor]
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if lowlink[vertex] < lowlink[parent]:
-                        lowlink[parent] = lowlink[vertex]
-                if lowlink[vertex] == index[vertex]:
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = 0
-                        component[member] = next_component
-                        if member == vertex:
-                            break
-                    next_component += 1
-        return component
-
-    def geodesic_summary(self) -> Tuple[int, int, int]:
-        """One BFS per source, reduced on the fly: ``(diameter, total, pairs)``.
-
-        ``diameter`` is the max hop distance over reachable ordered pairs
-        (-1 when no vertex reaches another); ``total`` and ``pairs`` are the
-        sum and count of distances over reachable ordered pairs excluding
-        self — exactly the quantities the dict sweeps in
-        :mod:`repro.algorithms.geodesics` accumulate, without materializing
-        any per-source distance dict.
-        """
-        best = -1
-        total = 0
-        pairs = 0
-        for source_id in range(self.num_vertices):
-            distance = self.bfs_levels(source_id)
-            reached = distance > 0
-            count = int(reached.sum())
-            if count == 0:
-                continue
-            reached_distances = distance[reached]
-            furthest = int(reached_distances.max())
-            if furthest > best:
-                best = furthest
-            total += int(reached_distances.sum())
-            pairs += count
-        return best, total, pairs
-
-    def closeness_centrality_scores(self) -> Dict[Hashable, float]:
-        """Wasserman–Faust closeness via reverse-CSR BFS per vertex.
-
-        Mirrors the dict implementation's arithmetic exactly (same operation
-        order) so the two agree to the last bit on identical graphs.
-        """
-        n = self.num_vertices
-        out: Dict[Hashable, float] = {}
-        for vertex_id in range(n):
-            distance = self.bfs_levels(vertex_id, reverse=True)
-            mask = distance >= 0
-            total = int(distance[mask].sum())
-            if total > 0 and n > 1:
-                reachable = int(mask.sum())
-                closeness = (reachable - 1) / total
-                closeness *= (reachable - 1) / (n - 1)
-            else:
-                closeness = 0.0
-            out[self.vertex_of[vertex_id]] = closeness
-        return out
-
-    def betweenness_centrality_scores(self, normalized: bool = True
-                                      ) -> Dict[Hashable, float]:
-        """Brandes' betweenness over the forward CSR (unweighted).
-
-        Same algorithm and accumulation formula as the dict implementation;
-        only the successor visitation order differs (CSR order instead of
-        frozenset order), so scores agree up to float associativity.
-        """
-        indptr, indices = self._scalar_forward()
-        n = self.num_vertices
-        betweenness = [0.0] * n
-        for source in range(n):
-            order: List[int] = []
-            predecessors: List[List[int]] = [[] for _ in range(n)]
-            sigma = [0.0] * n
-            sigma[source] = 1.0
-            distance = [-1] * n
-            distance[source] = 0
-            queue = [source]
-            head = 0
-            while head < len(queue):
-                vertex = queue[head]
-                head += 1
-                order.append(vertex)
-                next_level = distance[vertex] + 1
-                for cursor in range(indptr[vertex], indptr[vertex + 1]):
-                    successor = indices[cursor]
-                    if distance[successor] == -1:
-                        distance[successor] = next_level
-                        queue.append(successor)
-                    if distance[successor] == next_level:
-                        sigma[successor] += sigma[vertex]
-                        predecessors[successor].append(vertex)
-            delta = [0.0] * n
-            for w in reversed(order):
-                for v in predecessors[w]:
-                    delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-                if w != source:
-                    betweenness[w] += delta[w]
-        if normalized and n > 2:
-            scale = 1.0 / ((n - 1) * (n - 2))
-            betweenness = [value * scale for value in betweenness]
-        return dict(zip(self.vertex_of, betweenness))
-
-    def pagerank(self, damping: float, teleport, max_iterations: int,
-                 tolerance: float) -> Optional[Dict[Hashable, float]]:
-        """Vectorized power iteration (same update rule as the dict version).
-
-        ``teleport`` maps vertex -> normalized teleport mass.  Returns None
-        when the iteration cap is hit so the caller can raise its usual
-        :class:`ConvergenceError`.
-        """
-        n = self.num_vertices
-        teleport_vec = _np.asarray(
-            [teleport[v] for v in self.vertex_of], dtype=_np.float64)
-        out_weight = self.out_weight
-        has_out = out_weight > 0.0
-        safe_out = _np.where(has_out, out_weight, 1.0)
-        tails, heads, weights = self.tails, self.heads, self.weights
-        ranks = teleport_vec.copy()
-        for _ in range(max_iterations):
-            previous = ranks
-            coefficient = _np.where(has_out, damping * previous / safe_out, 0.0)
-            ranks = _np.bincount(heads, weights=coefficient[tails] * weights,
-                                 minlength=n)
-            dangling_mass = float(previous[~has_out].sum())
-            ranks += (damping * dangling_mass + (1.0 - damping)) * teleport_vec
-            if float(_np.abs(ranks - previous).sum()) < n * tolerance:
-                return dict(zip(self.vertex_of, ranks.tolist()))
-        return None
-
-    def __repr__(self) -> str:
-        return "CompactDiGraph<|V|={}, |E|={}, version={}>".format(
-            self.num_vertices, len(self.tails), self.version)
-
-
-class _DiGraphDelta:  # reprolint: ignore[numpy-gate] -- only built around a CompactDiGraph
-    """Cache entry pairing a base :class:`CompactDiGraph` with pending deltas.
-
-    Journal replay accumulates removed-edge keys and an added-edge table;
-    :meth:`materialize` then produces an up-to-date immutable snapshot with
-    vectorized array surgery (one ``isin`` mask + one concatenate + C-speed
-    CSR sorts) instead of re-walking the successor dicts in the
-    interpreter.  Past the compaction threshold the materialized snapshot
-    is promoted to be the new base and the delta tables reset.
-    """
-
-    __slots__ = ("base", "snapshot", "vertex_ids", "vertex_of",
-                 "removed_keys", "extra", "delta_ops")
-
-    def __init__(self, base: CompactDiGraph):
-        self.base = base
-        self.snapshot = base
-        self.vertex_ids = dict(base.vertex_ids)
-        self.vertex_of = list(base.vertex_of)
-        self.removed_keys: Set[int] = set()
-        self.extra: Dict[Tuple[int, int], float] = {}
-        self.delta_ops = 0
-
-    def apply(self, entries: List[Tuple]) -> None:
-        """Replay journal entries into the delta tables."""
-        vertex_ids = self.vertex_ids
-        for entry in entries:
-            op = entry[1]
-            if op == "+e":
-                tail_id = vertex_ids[entry[2]]
-                head_id = vertex_ids[entry[3]]
-                # Uniform move (add, re-add, or re-weight): mask any base
-                # occurrence and carry the live weight in the extra table.
-                self.removed_keys.add((tail_id << _KEY_SHIFT) | head_id)
-                self.extra[(tail_id, head_id)] = entry[4]
-            elif op == "-e":
-                tail_id = vertex_ids[entry[2]]
-                head_id = vertex_ids[entry[3]]
-                self.removed_keys.add((tail_id << _KEY_SHIFT) | head_id)
-                self.extra.pop((tail_id, head_id), None)
-            elif op == "+v":
-                vertex = entry[2]
-                if vertex not in vertex_ids:
-                    vertex_ids[vertex] = len(self.vertex_of)
-                    self.vertex_of.append(vertex)
-        self.delta_ops += len(entries)
-
-    def materialize(self, version: int) -> CompactDiGraph:
-        """An immutable snapshot of base ⊖ removed ⊕ extra at ``version``."""
-        base = self.base
-        tails, heads, weights = base.tails, base.heads, base.weights
-        if self.removed_keys:
-            removed = _np.fromiter(self.removed_keys, dtype=_np.int64,
-                                   count=len(self.removed_keys))
-            keep = _np.isin(base._edge_key_array(), removed, invert=True)
-            tails = tails[keep]
-            heads = heads[keep]
-            weights = weights[keep]
-        if self.extra:
-            count = len(self.extra)
-            extra_tails = _np.fromiter((t for t, _ in self.extra),
-                                       dtype=_np.int64, count=count)
-            extra_heads = _np.fromiter((h for _, h in self.extra),
-                                       dtype=_np.int64, count=count)
-            extra_weights = _np.fromiter(self.extra.values(),
-                                         dtype=_np.float64, count=count)
-            tails = _np.concatenate([tails, extra_tails])
-            heads = _np.concatenate([heads, extra_heads])
-            weights = _np.concatenate([weights, extra_weights])
-        self.snapshot = CompactDiGraph.from_arrays(
-            version, list(self.vertex_of), dict(self.vertex_ids),
-            tails, heads, weights)
-        return self.snapshot
-
-    def compact(self) -> None:
-        """Fold the delta: the materialized snapshot becomes the new base."""
-        self.base = self.snapshot
-        self.removed_keys.clear()
-        self.extra.clear()
-        self.delta_ops = 0
-
-
-def digraph_snapshot(digraph, incremental: bool = True
-                     ) -> Optional[CompactDiGraph]:
-    """The cached :class:`CompactDiGraph`, or None when numpy is missing.
-
-    Same lifecycle as :func:`adjacency_snapshot`: cached on the instance,
-    keyed on ``digraph.version()``; after mutations the journal is replayed
-    into array-surgery deltas and a fresh immutable snapshot is materialized
-    in vectorized time, falling back to a full dict-walk rebuild only when
-    the journal cannot cover the gap (or ``incremental=False``).  Deltas
-    fold into a new base past the compaction threshold.
-    """
-    if _np is None:
-        return None
-    cache = getattr(digraph, _CACHE_ATTR, None)
-    version = digraph.version()
-    if isinstance(cache, _DiGraphDelta):
-        if cache.snapshot.version == version:
-            return cache.snapshot
-        if incremental:
-            entries = digraph.journal_since(cache.snapshot.version)
-            if entries is not None:
-                if not entries:
-                    # Property-only version bumps: retag, skip the surgery.
-                    cache.snapshot.version = version
-                    digraph.prune_journal(version)
-                    return cache.snapshot
-                cache.apply(entries)
-                snapshot = cache.materialize(version)
-                if compaction_due(cache.delta_ops, len(cache.base.tails)):
-                    cache.compact()
-                digraph.prune_journal(version)
-                return snapshot
-    base = CompactDiGraph(digraph)
-    setattr(digraph, _CACHE_ATTR, _DiGraphDelta(base))
-    digraph.prune_journal(version)
-    return base
-
-
-def digraph_snapshot_if_large(digraph) -> Optional[CompactDiGraph]:
-    """:func:`digraph_snapshot`, gated on the DiGraph fast-path threshold.
-
-    The shared guard for every algorithm-module fast path: below
-    ``_COMPACT_MIN_ORDER`` vertices (or without numpy) it returns ``None``
-    and callers keep their dict implementations, which win at that scale.
-    """
-    if digraph.order() >= digraph._COMPACT_MIN_ORDER:
-        return digraph_snapshot(digraph)
-    return None
+# The single-relational half, re-exported.  Imported last: it reads
+# ``_CACHE_ATTR`` and ``compaction_due`` from this module while loading.
+from repro.graph.compact_digraph import (  # noqa: E402
+    CompactDiGraph,
+    _DiGraphDelta,
+    digraph_snapshot,
+    digraph_snapshot_if_large,
+)

@@ -55,7 +55,7 @@ import re
 import shutil
 import time
 from threading import Event
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.concurrency import ordered_lock, release_resource, track_resource
 from repro.errors import (
@@ -66,6 +66,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.faults import fault_hook, fault_point
+from repro.graph.pairs import PairBlocks
 from repro.storage.persistent import (
     MANIFEST_NAME,
     PersistentGraph,
@@ -486,7 +487,8 @@ class ReplicaGraph(_LogBackedView):
 
     def pairs(self, expression: Any,
               sources: Optional[Iterable[Hashable]] = None,
-              targets: Optional[Iterable[Hashable]] = None) -> FrozenSet:
+              targets: Optional[Iterable[Hashable]] = None
+              ) -> PairBlocks:
         """RPQ reachability at the replica's applied cursor.
 
         Runs the same compact product-BFS kernels the primary runs; at

@@ -33,6 +33,7 @@ from repro.graph.compact import (
     rpq_pairs_compact,
 )
 from repro.graph.graph import MultiRelationalGraph
+from repro.graph.pairs import PairBlocks
 from repro.rpq.labelregex import (
     LabelConcat,
     LabelDFA,
@@ -80,7 +81,7 @@ def compile_rpq_over(expression: LabelExpr, labels) -> LabelDFA:
 def rpq_pairs(graph: MultiRelationalGraph, expression: LabelExpr,
               sources: Optional[FrozenSet[Hashable]] = None,
               targets: Optional[FrozenSet[Hashable]] = None
-              ) -> FrozenSet[Tuple[Hashable, Hashable]]:
+              ) -> PairBlocks:
     """All ``(x, y)`` with some x->y path whose label word is in L(R).
 
     BFS over the (vertex, dfa-state) product graph — polynomial, the
@@ -110,7 +111,7 @@ def rpq_pairs(graph: MultiRelationalGraph, expression: LabelExpr,
 def rpq_pairs_to_targets(graph: MultiRelationalGraph, expression: LabelExpr,
                          targets: Optional[FrozenSet[Hashable]] = None,
                          sources: Optional[FrozenSet[Hashable]] = None
-                         ) -> FrozenSet[Tuple[Hashable, Hashable]]:
+                         ) -> PairBlocks:
     """:func:`rpq_pairs`, evaluated backward from the target side.
 
     The same product BFS over the reverse CSR with the DFA reversed —
@@ -126,7 +127,7 @@ def rpq_pairs_to_targets(graph: MultiRelationalGraph, expression: LabelExpr,
 def rpq_pairs_between(graph: MultiRelationalGraph, expression: LabelExpr,
                       sources: FrozenSet[Hashable],
                       targets: FrozenSet[Hashable]
-                      ) -> FrozenSet[Tuple[Hashable, Hashable]]:
+                      ) -> PairBlocks:
     """:func:`rpq_pairs` between explicit endpoint sets, meet-in-the-middle.
 
     Runs the forward and backward product searches simultaneously,

@@ -50,6 +50,7 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, 
 from repro.concurrency import ordered_lock, release_resource, track_resource
 from repro.engine.engine import Engine
 from repro.errors import DeadlineExceededError, OverloadedError, ServiceError
+from repro.graph.pairs import PairBlocks
 from repro.regex.ast import RegexExpr
 from repro.service.wire import ServedPairs, serve_pairs
 
@@ -333,7 +334,7 @@ class AsyncEngine:
                           max_length: Optional[int],
                           processes: Optional[int],
                           deadline: Optional[float],
-                          finish: Callable[[frozenset, bool], Any]) -> Any:
+                          finish: Callable[[PairBlocks, bool], Any]) -> Any:
         """One ``pairs`` read: ``finish(answer, cached)`` of a loop-side
         cache hit, else of the executor's evaluation — run in the worker
         thread that produced the answer, under the same deadline."""
@@ -356,7 +357,7 @@ class AsyncEngine:
                     targets: Optional[Iterable] = None,
                     max_length: Optional[int] = None,
                     processes: Optional[int] = None,
-                    deadline: Optional[float] = None) -> frozenset:
+                    deadline: Optional[float] = None) -> PairBlocks:
         """Awaitable :meth:`Engine.pairs` with deadline + fast cache path."""
         return await self._read_pairs(
             query, sources, targets, max_length, processes, deadline,
@@ -386,7 +387,7 @@ class AsyncEngine:
                           max_length: Optional[int],
                           processes: Optional[int],
                           deadline: Optional[float],
-                          finish: Callable[[frozenset], Any]) -> List[Any]:
+                          finish: Callable[[PairBlocks], Any]) -> List[Any]:
         """``finish`` of every answer of a batch, in the worker thread."""
         budget = self._deadline(deadline)
         expressions = [self._compile(query) for query in queries]
@@ -412,7 +413,8 @@ class AsyncEngine:
                           targets: Optional[Iterable] = None,
                           max_length: Optional[int] = None,
                           processes: Optional[int] = None,
-                          deadline: Optional[float] = None) -> List[frozenset]:
+                          deadline: Optional[float] = None
+                          ) -> List[PairBlocks]:
         """Awaitable :meth:`Engine.pairs_batch`.
 
         Without a deadline the whole batch goes down as one engine call

@@ -4,18 +4,20 @@ A served answer is a canonical JSON list: the pairs as two-element lists,
 sorted by their ``repr`` (``"[7, 12]" < "[7, 1]"`` — the order is wire
 contract, not a natural sort).  That list is a pure function of an
 immutable answer set, so it is computed once and kept in the answer's
-``memo`` slot (:class:`~repro.engine.cache.CachedPairs`), where it lives
+``memo`` slot (:class:`~repro.graph.pairs.PairBlocks`), where it lives
 exactly as long as the result-cache entry does.  A response is then the
 small envelope encoded fresh plus those bytes spliced in
-(:func:`encode_payload`); nothing is sorted or re-encoded on a cache hit.
+(:func:`encode_payload`); nothing is sorted or re-encoded on a cache hit,
+and no block of the answer is touched.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Set
 from typing import Any, Dict, NamedTuple, Optional
 
-from repro.engine.cache import CachedPairs
+from repro.graph.pairs import PairBlocks
 
 __all__ = ["ServedPairs", "encode_pairs", "encode_payload", "pairs_fragment",
            "serve_pairs"]
@@ -25,8 +27,10 @@ __all__ = ["ServedPairs", "encode_pairs", "encode_payload", "pairs_fragment",
 _pair_repr = "[%r, %r]".__mod__
 
 
-def encode_pairs(answer: frozenset) -> bytes:
+def encode_pairs(answer: Set) -> bytes:
     """The sorted JSON pair list of ``answer`` — the one place it is made.
+    The sort reads the answer's iterator (a block answer's ``product`` /
+    ``zip`` chain): no pair set is built to encode one.
 
     Byte for byte ``json.dumps(sorted(map(list, answer), key=repr),
     default=str)``: JSON spells a tuple as it spells a list, and the sort
@@ -39,8 +43,9 @@ def encode_pairs(answer: frozenset) -> bytes:
                       default=str).encode("utf-8")
 
 
-def pairs_fragment(answer: frozenset) -> bytes:
-    """``encode_pairs(answer)``, through the answer's memo slot if it has one.
+def pairs_fragment(answer: Set) -> bytes:
+    """``encode_pairs(answer)``, through the answer's memo slot if it has one
+    (every engine answer does; a plain ``frozenset`` has nowhere to keep it).
 
     An unfilled memo (an entry an in-process ``Engine.pairs`` caller put
     in the cache) is filled on first serve; racing fillers store equal
@@ -49,7 +54,7 @@ def pairs_fragment(answer: frozenset) -> bytes:
     fragment = getattr(answer, "memo", None)
     if fragment is None:
         fragment = encode_pairs(answer)
-        if isinstance(answer, CachedPairs):
+        if isinstance(answer, PairBlocks):
             answer.memo = fragment
     return fragment
 
@@ -57,12 +62,12 @@ def pairs_fragment(answer: frozenset) -> bytes:
 class ServedPairs(NamedTuple):
     """One answer ready to be written out."""
 
-    answer: frozenset
+    answer: Set
     fragment: bytes  #: the encoded pair list
     cached: Optional[bool]  #: result-cache hit; None where not reported
 
 
-def serve_pairs(answer: frozenset,
+def serve_pairs(answer: Set,
                 cached: Optional[bool] = None) -> ServedPairs:
     """Encode ``answer`` in the calling thread (or reuse its memo)."""
     return ServedPairs(answer, pairs_fragment(answer), cached)

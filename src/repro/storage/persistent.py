@@ -57,6 +57,7 @@ from repro.graph.compact import (
     rpq_pairs_on_snapshot,
 )
 from repro.graph.graph import MultiRelationalGraph
+from repro.graph.pairs import PairBlocks
 from repro.storage.frames import check_loggable
 from repro.storage.segments import (
     SEGMENTS_DIRNAME,
@@ -177,7 +178,7 @@ class _LogBackedView:
     @staticmethod
     def _view_pairs(view: Any, expression: Any,
                     sources: Optional[Iterable[Hashable]],
-                    targets: Optional[Iterable[Hashable]]) -> FrozenSet:
+                    targets: Optional[Iterable[Hashable]]) -> PairBlocks:
         """The compact product-BFS kernel over ``view`` (handed in: the
         caller fetched it under whatever lock guards it)."""
         from repro.rpq.evaluation import compile_rpq_over
@@ -565,7 +566,8 @@ class PersistentGraph(_LogBackedView):
 
     def pairs(self, expression: Any,
               sources: Optional[Iterable[Hashable]] = None,
-              targets: Optional[Iterable[Hashable]] = None) -> FrozenSet:
+              targets: Optional[Iterable[Hashable]] = None
+              ) -> PairBlocks:
         """RPQ reachability over the durable state.
 
         ``expression`` is a label expression (:func:`repro.rpq.sym` etc.);

@@ -5,9 +5,15 @@ reference implementation on random generated graphs — the compact backend
 is a performance representation, never a semantic change.
 """
 
+import operator
+import pickle
 import random
+from collections.abc import Set
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.components import (
     _weakly_connected_components_unionfind,
@@ -15,12 +21,18 @@ from repro.algorithms.components import (
 )
 from repro.algorithms.digraph import DiGraph
 from repro.algorithms.pagerank import pagerank
+from repro.engine import Engine
+from repro.engine.executor import endpoint_pairs
+from repro.engine.parallel import fork_available
+from repro.graph import compact
 from repro.graph.compact import (
     HAVE_NUMPY,
     CompactAdjacency,
     adjacency_snapshot,
     digraph_snapshot,
+    rpq_pairs_on_snapshot,
 )
+from repro.graph.pairs import PairBlocks
 from repro.graph.generators import (
     cycle_graph,
     layered_graph,
@@ -33,9 +45,12 @@ from repro.rpq import (
     lunion,
     rpq_pairs,
     rpq_pairs_basic,
+    rpq_pairs_between,
+    rpq_pairs_to_targets,
     rpq_paths,
     sym,
 )
+from repro.rpq.evaluation import compile_rpq
 
 EXPRESSIONS = [
     lconcat(sym("alpha"), sym("beta")),
@@ -137,6 +152,159 @@ class TestRpqPairsEquivalence:
         after = rpq_pairs(graph, expression)
         assert after == rpq_pairs_basic(graph, expression)
         assert after != before
+
+
+OPERATORS = (operator.and_, operator.or_, operator.sub, operator.xor,
+             operator.le, operator.lt, operator.ge, operator.gt,
+             operator.eq, operator.ne)
+METHODS = ("union", "intersection", "difference", "symmetric_difference",
+           "issubset", "issuperset", "isdisjoint")
+
+
+def assert_reads_like(answer, expected):
+    """``answer`` (a PairBlocks) is, to every read the contract names, the
+    reference ``frozenset`` ``expected``."""
+    assert isinstance(answer, Set) and type(expected) is frozenset
+    assert len(answer) == len(expected)
+    walked = list(answer)
+    assert len(walked) == len(set(walked)) and set(walked) == expected
+    assert sorted(answer, key=repr) == sorted(expected, key=repr)
+    answer.memo = b"derived"
+    copy = pickle.loads(pickle.dumps(answer))
+    assert type(copy) is PairBlocks and copy == expected
+    assert getattr(copy, "memo", None) is None  # as CachedPairs dropped it
+    assert all(pair in answer for pair in expected)
+    assert ("no", "such") not in answer
+    assert answer == expected and expected == answer
+    assert hash(answer) == hash(expected) and {answer: 1}[expected] == 1
+    overlapping = frozenset(walked[::2]) | {("no", "such")}
+    for other in (overlapping, PairBlocks.from_pairs(overlapping), expected):
+        plain = frozenset(other)
+        for op in OPERATORS:
+            assert op(answer, other) == op(expected, plain), op
+            assert op(other, answer) == op(plain, expected), op
+        for name in METHODS:
+            assert getattr(answer, name)(other) \
+                == getattr(expected, name)(plain), name
+    assert answer.union(overlapping, [("x", "y")]) \
+        == expected.union(overlapping, [("x", "y")])
+    assert type(answer | overlapping) is frozenset
+    with pytest.raises(TypeError):
+        answer | [("x", "y")]
+
+
+def reference_pairs(graph, expression, sources, targets):
+    return frozenset(pair for pair in rpq_pairs_basic(graph, expression,
+                                                      sources=sources)
+                     if pair[1] in targets)
+
+
+@st.composite
+def disjoint_blocks(draw):
+    """Random blocks that cannot overlap: block ``k`` owns the first
+    members ``(k, i)``; a zip block unzips a drawn set of distinct pairs."""
+    blocks = []
+    for k in range(draw(st.integers(0, 5))):
+        firsts = [(k, i) for i in range(draw(st.integers(0, 6)))]
+        if draw(st.booleans()):
+            seconds = draw(st.lists(st.integers(0, 9), unique=True))
+            blocks.append((firsts, seconds, True))
+        elif firsts:
+            pairs = draw(st.sets(st.tuples(st.sampled_from(firsts),
+                                           st.integers(0, 9))))
+            blocks.append(([f for f, _ in pairs], [s for _, s in pairs],
+                           False))
+    return blocks
+
+
+class TestPairBlocks:
+    """The answer type: blocks to the kernels, a frozenset to readers."""
+
+    @given(disjoint_blocks())
+    @settings(max_examples=40, deadline=None)
+    def test_random_blocks_read_like_their_frozenset(self, blocks):
+        expected = frozenset(
+            pair for firsts, seconds, crossed in blocks
+            for pair in ([(f, s) for f in firsts for s in seconds]
+                         if crossed else zip(firsts, seconds)))
+        answer = PairBlocks(blocks)
+        assert not answer.materialised
+        assert_reads_like(answer, expected)
+        assert answer.materialised
+
+    # Seed counts on both sides of the shared-sweep floor (16) and, with
+    # the batch width patched down to 7, of several batch boundaries.
+    @given(graph=st.sampled_from(GRAPHS[:4]),
+           expression=st.sampled_from(EXPRESSIONS),
+           route=st.sampled_from(("forward", "backward", "bidirectional",
+                                  "bounded")),
+           seeds=st.sampled_from((1, 15, 16, 17, 40)),
+           batch=st.sampled_from((7, 1024)), pick=st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_every_route_reads_like_the_reference(self, graph, expression,
+                                                  route, seeds, batch, pick):
+        vertices = sorted(graph.vertices(), key=repr)
+        chosen = frozenset(pick.sample(vertices, min(seeds, len(vertices))))
+        others = frozenset(pick.sample(vertices, len(vertices) // 2))
+        with mock.patch.object(compact, "_SHARED_BATCH", batch):
+            if route == "forward":
+                answer = rpq_pairs(graph, expression, sources=chosen,
+                                   targets=others)
+                expected = reference_pairs(graph, expression, chosen, others)
+            elif route == "backward":
+                answer = rpq_pairs_to_targets(graph, expression,
+                                              targets=chosen, sources=others)
+                expected = reference_pairs(graph, expression, others, chosen)
+            elif route == "bidirectional":
+                answer = rpq_pairs_between(graph, expression, chosen, others)
+                expected = reference_pairs(graph, expression, chosen, others)
+            else:
+                engine = Engine(graph)
+                query = "[_, alpha, _] . [_, beta, _]*"
+                answer = engine.pairs(query, sources=chosen, max_length=3)
+                expected = endpoint_pairs(
+                    engine.query(query, strategy="automaton",
+                                 max_length=3).paths,
+                    engine.compile(query), graph, sources=chosen)
+        assert_reads_like(answer, expected)
+
+    @pytest.mark.skipif(not fork_available(),
+                        reason="inline worker mode needs fork")
+    def test_fan_out_concatenates_what_the_workers_pickled(self):
+        graph = uniform_random(1100, 3300, seed=5)  # two shared batches
+        query = "[_, alpha, _] . [_, beta, _]*"
+        engine = Engine(graph)
+        try:
+            serial = engine.pairs(query, processes=1)
+            fanned = engine.pairs(query, processes=2)
+            few = frozenset(sorted(graph.vertices())[:40])
+            assert engine.pairs(query, sources=few, processes=2) \
+                == engine.pairs(query, sources=few, processes=1)
+        finally:
+            engine.close()
+        assert not serial.materialised and not fanned.materialised
+        assert len(fanned) == len(serial) == len(set(fanned))
+        assert_reads_like(fanned, frozenset(serial))
+        sample = frozenset(sorted(graph.vertices())[::37])
+        assert frozenset(p for p in serial if p[0] in sample) \
+            == rpq_pairs_basic(graph, EXPRESSIONS[1], sources=sample)
+
+    @pytest.mark.parametrize("count", (5, 15, 16, 33))
+    def test_repeated_and_unordered_source_ids_count_once(self, count):
+        graph = GRAPHS[1]
+        snapshot = adjacency_snapshot(graph)
+        ids = list(snapshot.live_vertex_ids())[:count]
+        shuffled = ids[::-1] + ids[::2] + ids
+        for expression in EXPRESSIONS:
+            dfa = compile_rpq(expression, graph)
+            want = rpq_pairs_basic(
+                graph, expression,
+                sources=[snapshot.vertex_of[i] for i in ids])
+            for source_ids in (shuffled, tuple(shuffled), iter(shuffled)):
+                answer = rpq_pairs_on_snapshot(snapshot, dfa,
+                                               source_ids=source_ids)
+                assert len(answer) == len(set(answer)) == len(want)
+                assert answer == want
 
 
 def _rpq_paths_reference(graph, expression, max_length, sources=None):

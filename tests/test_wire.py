@@ -22,13 +22,15 @@ import json
 import pickle
 import sys
 import threading
+from collections.abc import Set
 
 import pytest
 
 from repro.concurrency import tracking_scope, witness_scope
 from repro.engine import Engine, QueryCache
-from repro.engine.cache import CachedPairs
+from repro.graph.generators import uniform_random
 from repro.graph.graph import MultiRelationalGraph
+from repro.graph.pairs import PairBlocks
 from repro.replication import PrimaryFeed, ReplicaGraph
 from repro.service import AsyncEngine, GraphRegistry, HttpServer
 from repro.service import wire
@@ -179,7 +181,7 @@ class TestEncoding:
         plain = frozenset({(1, 2)})
         assert wire.pairs_fragment(plain) == wire.pairs_fragment(plain)
         assert len(calls) == 2  # nowhere to keep it
-        cached = CachedPairs(plain)
+        cached = PairBlocks.from_pairs(plain)
         assert wire.pairs_fragment(cached) == b"[[1, 2]]"
         assert wire.pairs_fragment(cached) is cached.memo
         assert len(calls) == 3
@@ -187,7 +189,8 @@ class TestEncoding:
     def test_racing_fillers_agree(self):
         """Loop and workers may fill one memo at once: no lock, because
         every filler stores equal bytes and every reader gets them."""
-        answer = CachedPairs((i, (i * 7) % 500) for i in range(500))
+        answer = PairBlocks.from_pairs(
+            (i, (i * 7) % 500) for i in range(500))
         expected = wire.encode_pairs(answer)
         got, start = [], threading.Barrier(8)
 
@@ -439,14 +442,15 @@ class TestReplicaReplies:
 
 class TestInProcessContract:
     def test_cached_engine_answer_is_still_a_frozenset(self):
+        # To every reader, that is: a Set that equals, hashes like and
+        # combines with the frozenset it used to be (now kept as blocks).
         graph = chain_graph()
-        plain = Engine(graph).pairs(QUERY)
-        assert type(plain) is frozenset  # no cache: the kernel's own set
+        plain = frozenset(Engine(graph).pairs(QUERY))
         cache = QueryCache(capacity=4)
         engine = Engine(graph, cache=cache)
         for answer in (engine.pairs(QUERY), engine.pairs(QUERY),
                        engine.pairs_batch([QUERY])[0]):
-            assert isinstance(answer, frozenset)
+            assert isinstance(answer, Set)
             assert answer == plain and plain == answer
             assert hash(answer) == hash(plain)
             assert {answer: 1}[plain] == 1
@@ -461,6 +465,27 @@ class TestInProcessContract:
         assert engine.pairs(QUERY) is engine.cached_pairs(QUERY)
         with pytest.raises(AttributeError):
             engine.pairs(QUERY).anything_else = 1
+
+    def test_dense_sweep_is_read_and_served_without_a_pair_set(
+            self, monkeypatch):
+        # Counted, not timed: an all-sources closure on the observatory's
+        # dense graph stays the handful of blocks the sweep computed
+        # through len(), a full walk and the wire encoding; the cache
+        # holds that very object and its memo is filled once.
+        calls = count_encodes(monkeypatch)
+        graph = uniform_random(450, 3600, labels=("a", "b", "c"), seed=7)
+        engine = Engine(graph, cache=QueryCache(capacity=4))
+        answer = engine.pairs("([_, a, _] | [_, b, _])* . [_, c, _]")
+        assert len(answer) > 100_000
+        assert sum(1 for _ in answer) == len(answer)
+        fragment = wire.pairs_fragment(answer)
+        assert fragment.count(b"], [") + 1 == len(answer)
+        members = sum(len(firsts) + len(seconds)
+                      for firsts, seconds, _ in answer.blocks)
+        assert members * 50 < len(answer)
+        again = engine.cached_pairs("([_, a, _] | [_, b, _])* . [_, c, _]")
+        assert again is answer and wire.pairs_fragment(again) is fragment
+        assert len(calls) == 1 and not answer.materialised
 
     def test_memo_survives_with_the_entry_and_pickles(self):
         engine = Engine(chain_graph(), cache=QueryCache(capacity=4))
