@@ -45,6 +45,15 @@ break tomorrow:
     exception type (at minimum ``Exception``).
 ``mutable-default``
     Mutable literals as parameter defaults alias across calls.
+``misplaced-statement``
+    What the byte-compiler rejects although the file parses: ``return`` /
+    ``yield`` outside a function, ``break`` / ``continue`` outside a loop
+    (ruff's ``F7``; a file that does not parse at all is a fail-stop
+    before any rule runs).
+``literal-identity``
+    ``is`` / ``is not`` against a str, bytes or number literal tests
+    object identity, which interning makes true or false by accident
+    (ruff's ``F632``); compare with ``==``.
 
 Suppression syntax
 ------------------
@@ -78,6 +87,7 @@ import os
 import re
 import sys
 import tokenize
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
@@ -97,6 +107,10 @@ RULES: Dict[str, str] = {
                    "storage/frames.py",
     "bare-except": "bare except: clauses are forbidden",
     "mutable-default": "mutable literals must not be parameter defaults",
+    "misplaced-statement": "return/yield outside a function and "
+                           "break/continue outside a loop do not compile",
+    "literal-identity": "is / is not against a str, bytes or number "
+                        "literal; use == / !=",
 }
 
 #: Sentinel for "every rule" in suppression tables.
@@ -591,6 +605,46 @@ def _check_mutable_default(module: _Module, out: List[Violation]) -> None:
                     "and build inside".format(node.name))
 
 
+def _check_misplaced_statement(module: _Module, out: List[Violation]) -> None:
+    try:
+        with warnings.catch_warnings():
+            # The compiler's own SyntaxWarnings (``is`` with a literal)
+            # are literal-identity's findings, reported there.
+            warnings.simplefilter("ignore")
+            # dont_inherit: this module's __future__ flags are not the
+            # linted file's.
+            compile(module.tree, module.path, "exec", dont_inherit=True)
+    except SyntaxError as error:
+        module.report(out, error.lineno or 1, "misplaced-statement",
+                      "does not compile: {}".format(error.msg))
+
+
+def _is_value_literal(node: ast.AST) -> bool:
+    """A str / bytes / number literal, signed or not (never None/bool)."""
+    if isinstance(node, ast.UnaryOp) \
+            and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) \
+        and isinstance(node.value, (str, bytes, int, float, complex)) \
+        and not isinstance(node.value, bool)
+
+
+def _check_literal_identity(module: _Module, out: List[Violation]) -> None:
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left] + list(node.comparators)
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if isinstance(op, (ast.Is, ast.IsNot)) \
+                    and (_is_value_literal(left) or _is_value_literal(right)):
+                spelled, instead = ("is not", "!=") \
+                    if isinstance(op, ast.IsNot) else ("is", "==")
+                module.report(
+                    out, node, "literal-identity",
+                    "'{}' against a literal compares object identity; "
+                    "use '{}'".format(spelled, instead))
+
+
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
@@ -606,6 +660,8 @@ def lint_paths(paths: Iterable[str]) -> List[Violation]:
         _check_frame_codec(module, out)
         _check_bare_except(module, out)
         _check_mutable_default(module, out)
+        _check_misplaced_statement(module, out)
+        _check_literal_identity(module, out)
     _check_pickle_slots(modules, out)
     return sorted(out, key=lambda v: (v.path, v.line, v.rule))
 

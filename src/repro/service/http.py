@@ -158,6 +158,13 @@ class _PayloadTooLarge(_BadRequest):
     """Request body over ``max_body`` (HTTP 413, never retriable)."""
 
 
+def _is_scalar(value: Any) -> bool:
+    """Vertex and label ids are JSON scalars — what the log can hold
+    (:func:`repro.storage.frames.check_loggable`) and a set can hash; of
+    a parsed JSON body only lists and objects are not."""
+    return not isinstance(value, (list, dict))
+
+
 class _ConnectionClosed(Exception):
     """The peer closed between requests — a quiet end, not an error."""
 
@@ -623,17 +630,33 @@ class HttpServer:
         deadline_ms = body.get("deadline_ms")
         if deadline_ms is None:
             return None
-        if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+        if isinstance(deadline_ms, bool) \
+                or not isinstance(deadline_ms, (int, float)) \
+                or deadline_ms <= 0:
             raise _BadRequest("deadline_ms must be a positive number")
         return float(deadline_ms) / 1000.0
+
+    @staticmethod
+    def _integer_of(body: Dict[str, Any], key: str,
+                    minimum: int) -> Optional[int]:
+        value = body.get(key)
+        if value is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < minimum:
+            raise _BadRequest(
+                "{} must be an integer >= {}".format(key, minimum))
+        return value
 
     @staticmethod
     def _endpoints_of(body: Dict[str, Any], key: str) -> Optional[frozenset]:
         value = body.get(key)
         if value is None:
             return None
-        if not isinstance(value, list):
-            raise _BadRequest("{} must be a list of vertices".format(key))
+        if not isinstance(value, list) \
+                or not all(_is_scalar(v) for v in value):
+            raise _BadRequest(
+                "{} must be a list of scalar vertices".format(key))
         return frozenset(value)
 
     def _query_envelope(self, handle: Any, tenant: str) -> Dict[str, Any]:
@@ -645,8 +668,8 @@ class HttpServer:
         return {"deadline": self._deadline_of(body),
                 "sources": self._endpoints_of(body, "sources"),
                 "targets": self._endpoints_of(body, "targets"),
-                "max_length": body.get("max_length"),
-                "processes": body.get("processes")}
+                "max_length": self._integer_of(body, "max_length", 0),
+                "processes": self._integer_of(body, "processes", 1)}
 
     async def _answer(self, handle: Any, query: str,
                       options: Dict[str, Any]) -> ServedPairs:
@@ -708,11 +731,15 @@ class HttpServer:
         removals = body.get("remove_edges", [])
         for triples, label_ in ((additions, "add_edges"),
                                 (removals, "remove_edges")):
+            # Checked whole before apply() touches the graph: a refused
+            # batch must leave nothing of itself behind.
             if not isinstance(triples, list) or not all(
-                    isinstance(t, list) and len(t) == 3 for t in triples):
+                    isinstance(t, list) and len(t) == 3
+                    and all(_is_scalar(member) for member in t)
+                    for t in triples):
                 raise _BadRequest(
-                    "{} must be a list of [tail, label, head] "
-                    "triples".format(label_))
+                    "{} must be a list of [tail, label, head] triples "
+                    "of JSON scalars".format(label_))
         if not additions and not removals:
             raise _BadRequest("mutate body carries no add_edges/remove_edges")
 

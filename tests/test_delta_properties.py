@@ -9,6 +9,7 @@ sequences, since they are boundary behaviors a random walk may miss.
 """
 
 import pytest
+from counting import counted_calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,9 @@ from repro.graph.compact import (
     adjacency_snapshot,
     digraph_snapshot,
 )
+from repro.graph.generators import uniform_random
 from repro.graph.graph import MultiRelationalGraph
+from repro.rpq import lconcat, lstar, rpq_pairs, sym
 
 VERTICES = list(range(8)) + ["x", "y"]
 LABELS = ["a", "b"]
@@ -134,6 +137,36 @@ class TestCompactionThreshold:
         assert seen.count("CompactAdjacency") >= 2
         # Compaction consumed the journal up to the current version.
         assert graph.journal_since(graph.version()) == []
+
+    def test_below_the_threshold_mutate_then_query_never_rebuilds(self):
+        # "Incremental beats a rebuild per mutation", counted: up to the
+        # compaction threshold every single-edge mutate-then-query step
+        # patches the cached snapshot; nothing is built from the dicts.
+        steps = compact.COMPACTION_MIN_OPS
+        graph = uniform_random(200, 800, labels=("a", "b"), seed=17)
+        digraph = DiGraph((i, (i * 7 + 1) % 200) for i in range(200))
+        expression = lconcat(sym("a"), lstar(sym("b")))
+        rpq_pairs(graph, expression, sources={0})  # the one base build
+        digraph.bfs_distances(0)
+        with counted_calls([
+                ("adjacency", CompactAdjacency, "build"),
+                ("digraph", CompactDiGraph, "__init__")]) as counts:
+            for step in range(steps):
+                tail, head = (step * 37) % 200, (step * 61 + 13) % 200
+                if graph.has_edge(tail, "a", head):
+                    graph.remove_edge(tail, "a", head)
+                else:
+                    graph.add_edge(tail, "a", head)
+                rpq_pairs(graph, expression, sources={tail})
+                if digraph.has_edge(tail, head):
+                    digraph.remove_edge(tail, head)
+                else:
+                    digraph.add_edge(tail, head)
+                digraph.bfs_distances(tail)
+        assert counts == {}
+        assert getattr(graph, compact._CACHE_ATTR).delta_ops == steps
+        if HAVE_NUMPY:  # without it bfs_distances never leaves the dicts
+            assert getattr(digraph, compact._CACHE_ATTR).delta_ops == steps
 
     def test_default_threshold_scales_with_base_edges(self):
         assert not compact.compaction_due(64, 0)

@@ -1,11 +1,10 @@
 """Engine tests: strategies, planner, explain, limits, projections, and
 the one route every ``pairs()`` read takes."""
 
-import contextlib
-from collections import Counter
 from unittest import mock
 
 import pytest
+from counting import counted_calls
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -196,25 +195,6 @@ KERNEL_ENTRIES = (
     ("bidirectional", compact, "rpq_pairs_bidirectional"),
     ("fan-out", ParallelExecutor, "rpq_pairs_batch"),
 )
-
-
-@contextlib.contextmanager
-def counted_calls(entries):
-    """Count calls through ``(name, owner, attribute)`` entries."""
-    counts = Counter()
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    with contextlib.ExitStack() as stack:
-        for name, owner, attribute in entries:
-            stack.enter_context(mock.patch.object(
-                owner, attribute,
-                counting(name, getattr(owner, attribute))))
-        yield counts
 
 
 def serve_like_graph():

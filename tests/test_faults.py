@@ -16,6 +16,7 @@ Three layers, all under the fail-stop-or-correct contract:
 import os
 
 import pytest
+from counting import counted_calls
 
 from repro.engine.parallel import ParallelExecutor, fork_available
 from repro.errors import StorageError, StoreDegradedError
@@ -343,6 +344,18 @@ class TestDegradedMode:
                 store.pairs(STAR)
             # Fired once; the next read is correct again.
             assert store.pairs(STAR) == rpq_pairs_basic(store.graph(), STAR)
+        store.close()
+
+    def test_hot_read_crosses_the_one_fault_site_it_names(self, tmp_path):
+        # The disarmed hooks' share of a hot query is a count of
+        # crossings (each one global load and an ``is None`` test): an
+        # installed, empty plan sees every one of them by site.
+        store = seeded_store(tmp_path / "g")
+        store.pairs(STAR)  # warm the snapshot and DFA caches
+        with fault_scope(FaultPlan()), counted_calls(
+                [(lambda plan, site: site, FaultPlan, "check")]) as sites:
+            store.pairs(STAR)
+        assert sites == {"store.pairs": 1}
         store.close()
 
 

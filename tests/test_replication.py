@@ -36,6 +36,7 @@ import urllib.error
 import urllib.request
 
 import pytest
+from counting import counted_calls
 
 from repro.concurrency import tracking_scope, witness_scope
 from repro.errors import (
@@ -257,6 +258,29 @@ class TestLoopback:
             replica.close()
             replica = ReplicaGraph.open(str(tmp_path / "rep"))
             assert replica.cursor == cursor
+            _assert_equal_answers(replica, store)
+            replica.close()
+
+    def test_poll_decodes_a_shipped_run_once_and_publishes_once(
+            self, tmp_path):
+        # The catch-up rate, counted: however many records one poll
+        # ships, they are CRC-walked and JSON-decoded in a single
+        # scan_frames pass (journaled as the bytes they arrived in, not
+        # re-framed) and the cursor is published once for the batch.
+        from repro import replication
+        from repro.storage import segments
+        with _primary(tmp_path) as store:
+            feed = PrimaryFeed(store)
+            replica = ReplicaGraph.bootstrap(str(tmp_path / "rep"), feed)
+            _catch_up(replica, feed)
+            for i in range(40):
+                store.add_edge("k{}".format(i), "c", "k{}".format(i + 1))
+            with counted_calls([
+                    ("scan", segments, "scan_frames"),
+                    ("publish", replication, "publish_json")]) as counts:
+                report = replica.poll_once(feed)
+            assert report["applied"] >= 40 and report["lag_records"] == 0
+            assert counts == {"scan": 1, "publish": 1}
             _assert_equal_answers(replica, store)
             replica.close()
 

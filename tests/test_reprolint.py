@@ -256,6 +256,53 @@ class TestRulesFire:
         )
         assert _lint_snippet(tmp_path, source) == []
 
+    @pytest.mark.parametrize("source, line, complaint", [
+        ("x = 1\nreturn x\n", 2, "'return' outside function"),
+        ("def f():\n    pass\nyield 1\n", 3, "'yield' outside function"),
+        ("for i in ():\n    pass\nbreak\n", 3, "'break' outside loop"),
+        ("def f():\n    continue\n", 2, "'continue' not properly in loop"),
+    ])
+    def test_misplaced_statement(self, tmp_path, source, line, complaint):
+        violations = _lint_snippet(tmp_path, source)
+        assert _rules(violations) == ["misplaced-statement"]
+        assert violations[0].line == line
+        assert complaint in violations[0].message
+
+    def test_well_placed_statements_allowed(self, tmp_path):
+        source = (
+            "from __future__ import annotations\n"
+            "def f(items: list[int]):\n"
+            "    for item in items:\n"
+            "        if item:\n"
+            "            continue\n"
+            "        break\n"
+            "    yield item\n"
+            "    return\n"
+        )
+        assert _lint_snippet(tmp_path, source) == []
+
+    def test_literal_identity(self, tmp_path, recwarn):
+        source = (
+            "def f(x):\n"
+            "    if x is 'a' or b'' is not x:\n"
+            "        return x is -1\n"
+            "    return 0 < x is not 2.5\n"
+        )
+        violations = _lint_snippet(tmp_path, source)
+        assert _rules(violations) == ["literal-identity"] * 4
+        assert [v.line for v in violations] == [2, 2, 3, 4]
+        assert "use '=='" in violations[0].message
+        assert "use '!='" in violations[3].message
+        assert not recwarn.list  # the compiler's own warning stays quiet
+
+    def test_identity_against_singletons_allowed(self, tmp_path):
+        source = (
+            "def f(x, y):\n"
+            "    return x is None or x is not True or x is ... or x is y \\\n"
+            "        or x == 'a' or x != 1\n"
+        )
+        assert _lint_snippet(tmp_path, source) == []
+
 
 # ----------------------------------------------------------------------
 # Suppressions

@@ -24,6 +24,7 @@ import json
 import time
 
 import pytest
+from counting import counted_calls
 
 from repro.concurrency import tracking_scope, witness_scope
 from repro.engine import Engine, QueryCache
@@ -111,23 +112,14 @@ class TestAsyncEngine:
                 assert batch[1] == frozenset({(0, CHAIN)})
         asyncio.run(run())
 
-    def test_uncached_read_is_one_hop_one_pairs_one_route(self, monkeypatch):
-        # The facade's cost on a miss, counted rather than timed (it was a
-        # <= 10 % ratio gate in bench_e13 that flaked on loaded boxes):
-        # one executor hop, one public Engine.pairs, one route, and no
+    def test_uncached_read_is_one_hop_one_pairs_one_route(self):
+        # The facade's cost on a miss, counted rather than timed: one
+        # executor hop, one public Engine.pairs, one route, and no
         # re-normalizing of a query string the loop has already compiled.
         import threading
-        from collections import Counter
 
         from repro.engine import rewrite
         query = "[_, a, _] . [_, a, _]*"
-        counts = Counter()
-
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                counts[name() if callable(name) else name] += 1
-                return original(*args, **kwargs)
-            return wrapper
 
         async def run():
             engine = Engine(chain_graph())  # no result cache: every read misses
@@ -135,19 +127,18 @@ class TestAsyncEngine:
                 want = await service.pairs(query, sources=[0])  # compile LRU
                 loop = asyncio.get_running_loop()
                 loop_thread = threading.get_ident()
-                monkeypatch.setattr(loop, "run_in_executor", counting(
-                    "hop", loop.run_in_executor))
-                monkeypatch.setattr(engine, "pairs", counting(
-                    "pairs", engine.pairs))
-                monkeypatch.setattr(engine, "route", counting(
-                    "route", engine.route))
-                monkeypatch.setattr(rewrite, "normalize", counting(
-                    lambda: "normalize on the loop"
-                    if threading.get_ident() == loop_thread
-                    else "normalize in the worker", rewrite.normalize))
-                assert await service.pairs(query, sources=[0]) == want
+                with counted_calls([
+                        ("hop", loop, "run_in_executor"),
+                        ("pairs", engine, "pairs"),
+                        ("route", engine, "route"),
+                        (lambda *_args, **_kwargs: "normalize on the loop"
+                         if threading.get_ident() == loop_thread
+                         else "normalize in the worker",
+                         rewrite, "normalize")]) as counts:
+                    assert await service.pairs(query, sources=[0]) == want
                 assert service.counters["cache_fast_hits"] == 0
-        asyncio.run(run())
+            return counts
+        counts = asyncio.run(run())
         assert counts.pop("normalize in the worker", 0) <= 1
         assert counts == {"hop": 1, "pairs": 1, "route": 1}
 
@@ -552,6 +543,86 @@ class TestHttpServer:
                 host, port, "POST", "/v1/graphs/alpha/checkpoint", {})
             assert status == 200 and payload["info"]["generation"] == 2
         self.run_server(store_root, scenario)
+
+
+#: Wrongly typed option values: the caller's bug, refused before anything
+#: is evaluated.
+BAD_QUERY_OPTIONS = [
+    {"max_length": "3"}, {"max_length": 2.5}, {"max_length": True},
+    {"max_length": -1},
+    {"processes": "2"}, {"processes": 0}, {"processes": True},
+    {"deadline_ms": True},
+    {"sources": [[1, 2]]}, {"targets": [{"x": 1}]},
+]
+
+
+async def dispatch(server, action, body):
+    """One POST through ``_dispatch``, no socket: ``(status, payload)``."""
+    status, payload, _ = await server._dispatch(
+        "POST", "/v1/graphs/alpha/" + action, {}, json.dumps(body).encode())
+    return status, payload
+
+
+class TestRequestValidation:
+    def on_primary(self, store_root, scenario):
+        async def run():
+            server = HttpServer(GraphRegistry(store_root, max_workers=2))
+            try:
+                await scenario(server)
+            finally:
+                await server.stop()
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("options", BAD_QUERY_OPTIONS, ids=json.dumps)
+    def test_bad_query_options_are_400s(self, store_root, options):
+        async def scenario(server):
+            for action in ("query", "explain"):
+                status, payload = await dispatch(
+                    server, action, dict({"query": "[_, a, _]"}, **options))
+                assert status == 400, (action, payload)
+                assert payload["retriable"] is False
+        self.on_primary(store_root, scenario)
+
+    def test_replica_refuses_bad_query_options(self, tmp_path):
+        from repro.replication import PrimaryFeed, ReplicaGraph
+        from repro.service.http import ReplicaHttpServer
+
+        async def scenario(server):
+            for options in BAD_QUERY_OPTIONS:
+                if "deadline_ms" in options:
+                    continue  # a replica read takes no deadline
+                status, payload = await dispatch(
+                    server, "query", dict({"query": "[_, a, _]"}, **options))
+                assert status == 400, (options, payload)
+                assert payload["retriable"] is False
+        with PersistentGraph.create(str(tmp_path / "alpha"), chain_graph(),
+                                    name="alpha", replicate=True) as store:
+            replica = ReplicaGraph.bootstrap(str(tmp_path / "rep"),
+                                             PrimaryFeed(store))
+            try:
+                asyncio.run(scenario(ReplicaHttpServer(replica)))
+            finally:
+                replica.close()
+
+    @pytest.mark.parametrize("bad_triple", [[[1], "a", 2],
+                                            [1, {"x": 1}, 2]])
+    def test_refused_mutate_batch_applies_nothing(self, store_root,
+                                                  bad_triple):
+        # /mutate is not idempotent: a 400 must mean "nothing happened".
+        good = [100, "a", 101]
+
+        async def scenario(server):
+            graph = server.registry.acquire("alpha").engine.graph
+            version = graph.version()
+            for body in ({"add_edges": [good, bad_triple]},
+                         {"add_edges": [good], "remove_edges": [bad_triple]}):
+                status, payload = await dispatch(server, "mutate", body)
+                assert status == 400, payload
+                assert payload["retriable"] is False
+            assert graph.version() == version
+            assert not graph.has_vertex(100)
+            server.registry.release("alpha")
+        self.on_primary(store_root, scenario)
 
 
 class TestConcurrentClientsUnderMutation:

@@ -19,8 +19,10 @@ import shutil
 import zlib
 
 import pytest
+from counting import counted_calls
 
 from repro.cli import main
+from repro.concurrency import witness_scope
 from repro.engine import Engine
 from repro.errors import StorageError
 from repro.faults import FaultPlan, fault_scope
@@ -367,6 +369,45 @@ class TestPersistentGraphLifecycle:
         assert reopened.vertex_properties("lonely") == {"kind": "hermit"}
         assert reopened.edge_properties("a", "a", "b") == {"weight": 2}
         reopened.close()
+
+    def test_lazy_open_and_query_build_no_dict_graph_and_no_csr(
+            self, tmp_path):
+        # What "reopen beats rebuild-from-triples" rested on, counted: a
+        # lazy open maps the snapshot and replays the log suffix into an
+        # overlay, and pairs() runs on that view as it is.
+        directory = str(tmp_path / "store")
+        g = sample_graph()
+        with PersistentGraph.create(directory, graph=g):
+            g.add_edge("c", "b", "d")
+            g.remove_edge("b", "b", "c")
+        with counted_calls([
+                ("dict graph", MultiRelationalGraph, "__init__"),
+                ("csr", CompactAdjacency, "build")]) as counts:
+            with PersistentGraph.open(directory) as reopened:
+                for expression in EXPRESSIONS:
+                    assert reopened.pairs(expression) == \
+                        reference_pairs(g, expression)
+                assert reopened.info()["overlay_ops"] > 0
+        assert counts == {}
+
+    def test_hot_append_and_query_step_takes_three_ordered_locks(
+            self, tmp_path):
+        # The disarmed lock wrapper's share of a hot loop is a count of
+        # acquisitions (each the raw lock plus one global load): a logged
+        # edge and a query take the store, the segment log and its WAL
+        # once each — re-entrant re-acquires are not counted.
+        vertices = ("a", "b", "c", "lonely")
+        fresh = [(tail, "hot", head) for tail in vertices for head in vertices]
+        with PersistentGraph.create(str(tmp_path / "store"),
+                                    graph=sample_graph()) as store:
+            store.add_edge(*fresh.pop())
+            store.pairs(EXPRESSIONS[2])  # warm the snapshot and DFA caches
+            with witness_scope() as witness:
+                for edge in fresh:
+                    store.add_edge(*edge)
+                    store.pairs(EXPRESSIONS[2])
+            assert witness.acquisitions == 3 * len(fresh)
+            assert witness.edges() == {"storage.segments": ("storage.wal",)}
 
     def test_materialized_reopen_equals_original(self, tmp_path):
         directory = str(tmp_path / "store")
