@@ -35,7 +35,8 @@ the chaos suite.  Four rules:
 ``must-close``
     In ``storage/`` and ``service/`` modules, every tracked resource
     constructor — ``open()``, ``np.memmap``, ``mmap.mmap``, ``*.Pool(...)``,
-    ``ThreadPoolExecutor`` — must be context-managed, closed on some
+    ``ThreadPoolExecutor``, ``socket.socket`` /
+    ``socket.create_connection`` — must be context-managed, closed on some
     path in its function, stored on ``self`` of a class that defines a
     close-like method, returned, or handed to another owner.  A
     constructor whose result can only leak is flagged.  (The runtime
@@ -586,6 +587,9 @@ def _tracked_constructor(node: ast.Call) -> Optional[str]:
             return "memmap"
         if func.attr == "mmap" and root_name in _MMAP_ROOTS:
             return "mmap"
+        if func.attr in ("socket", "create_connection") \
+                and root_name == "socket":
+            return "socket"
         if func.attr == "Pool":
             return "pool"
         if func.attr in ("ThreadPoolExecutor", "ProcessPoolExecutor"):

@@ -40,6 +40,13 @@ break tomorrow:
     struct, anywhere else is a second frame reader waiting to drift —
     call :func:`~repro.storage.frames.walk_frames` /
     :func:`~repro.storage.frames.scan_frames` instead.
+``http-framing``
+    The package speaks HTTP/1.1 through exactly two hand-rolled framers
+    that are tested against each other and against the stdlib:
+    ``service/http.py`` (server) and ``service/client.py`` (SDK).
+    Importing ``http.client``, ``http.server`` or ``urllib.request``
+    under ``src/repro/`` brings a second transport back; tests may use
+    them — they are the independent peers.
 ``bare-except``
     ``except:`` swallows ``KeyboardInterrupt``/``SystemExit``; name the
     exception type (at minimum ``Exception``).
@@ -105,6 +112,9 @@ RULES: Dict[str, str] = {
                      "via os.replace",
     "frame-codec": "the '<II' record frame is packed and unpacked only in "
                    "storage/frames.py",
+    "http-framing": "no http.client / http.server / urllib.request under "
+                    "src/repro/: service/http.py and service/client.py "
+                    "frame HTTP themselves",
     "bare-except": "bare except: clauses are forbidden",
     "mutable-default": "mutable literals must not be parameter defaults",
     "misplaced-statement": "return/yield outside a function and "
@@ -579,6 +589,34 @@ def _check_frame_codec(module: _Module, out: List[Violation]) -> None:
             "codec; use walk_frames/scan_frames/encode_record".format(what))
 
 
+#: Stdlib HTTP stacks the package must not import (see ``http-framing``).
+_STDLIB_HTTP = ("http.client", "http.server", "urllib.request")
+
+
+def _check_http_framing(module: _Module, out: List[Violation]) -> None:
+    parts = module.path.replace(os.sep, "/").split("/")
+    if not any(pair == ("src", "repro") for pair in zip(parts, parts[1:])):
+        return
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and not node.level:
+            names = [node.module] + ["{}.{}".format(node.module, alias.name)
+                                     for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if any(name == banned or name.startswith(banned + ".")
+                   for banned in _STDLIB_HTTP):
+                module.report(
+                    out, node, "http-framing",
+                    "imports {} — the package frames HTTP/1.1 itself "
+                    "(service/http.py, service/client.py); a stdlib HTTP "
+                    "stack here is a second transport".format(name))
+                break
+
+
 def _check_bare_except(module: _Module, out: List[Violation]) -> None:
     for node in ast.walk(module.tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
@@ -658,6 +696,7 @@ def lint_paths(paths: Iterable[str]) -> List[Violation]:
         _check_kernel_mutation(module, out)
         _check_storage_write(module, out)
         _check_frame_codec(module, out)
+        _check_http_framing(module, out)
         _check_bare_except(module, out)
         _check_mutable_default(module, out)
         _check_misplaced_statement(module, out)

@@ -11,9 +11,10 @@ schedule can exercise:
   :func:`ordered_rlock`.  Disarmed — the production default — an
   acquisition is one module-global load plus an ``is None`` test on top
   of the raw :class:`threading.Lock`, the same bargain the fault hooks
-  struck in :mod:`repro.faults` (and bench-gated the same way: the E13
-  ``bench_locks`` scenario prices the disarmed crossing at <= 2% of a
-  hot WAL-append + cached-query loop).
+  struck in :mod:`repro.faults` (and held the same way, by count:
+  ``tests/test_storage.py::test_hot_append_and_query_step_takes_three_ordered_locks``
+  pins a hot WAL-append + cached-query step at three such crossings,
+  ~90 ns each against the observatory's ``wal.append_us``).
 * :class:`LockWitness` — armed (``REPRO_LOCK_WITNESS=1`` or
   :func:`arm_witness`), every acquisition records per-thread *order
   edges* ``held-lock-name -> acquired-lock-name`` into one global graph
@@ -216,8 +217,9 @@ class OrderedLock:
 
     Disarmed, :meth:`acquire`/:meth:`release` (and the ``with`` protocol)
     are the raw lock plus one module-global load and an ``is None`` test
-    — the same zero-overhead bargain as the disarmed fault hooks, and
-    bench-gated the same way (E13 ``bench_locks``).  ``reentrant=True``
+    — the same zero-overhead bargain as the disarmed fault hooks, held
+    by ``tests/test_concurrency_analysis.py::test_disarmed_lock_is_a_plain_lock``.
+    ``reentrant=True``
     wraps an :class:`threading.RLock` and exempts same-object
     re-acquisition from order edges.
     """

@@ -71,6 +71,8 @@ class GraphStatistics:
         # Per-label degree profiles are O(E_label) to derive, so they are
         # computed lazily on first request and cached for this instance's
         # lifetime (the engine refreshes the instance per graph version).
+        # The planner does not ask for them: its growth factors read the
+        # graph's maintained ``label_fanout``.
         self._degree_profiles: Dict[Hashable, LabelDegreeProfile] = {}
 
     # ------------------------------------------------------------------
@@ -112,11 +114,10 @@ class GraphStatistics:
         total_edges = 0
         weighted = 0.0
         for label in labels:
-            profile = self.degree_profile(label)
-            if profile.edges:
-                total_edges += profile.edges
-                weighted += profile.edges * (
-                    profile.avg_out if forward else profile.avg_in)
+            edges, tails, heads = self.graph.label_fanout(label)
+            if edges:
+                total_edges += edges
+                weighted += edges * (edges / (tails if forward else heads))
         return weighted / total_edges if total_edges else 0.0
 
     def forward_growth(self, labels: Iterable[Hashable]) -> float:

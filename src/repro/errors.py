@@ -50,6 +50,7 @@ __all__ = [
     "ClientError",
     "RemoteQueryError",
     "RetryBudgetExceededError",
+    "WireProtocolError",
 ]
 
 
@@ -320,6 +321,17 @@ class RetryBudgetExceededError(ClientError):
         self.operation = operation
         self.attempts = attempts
         self.last_status = last_status
+
+
+class WireProtocolError(ClientError, ConnectionError):
+    """The peer's reply is not HTTP/1.1 as ``repro serve`` frames it.
+
+    Chunked coding, a 1xx status, a head over 64 KB, a non-numeric status
+    or ``Content-Length``, or the connection ending inside a reply.  It is
+    a :class:`ConnectionError`, so the SDK's retry loop — and every caller
+    that catches :class:`OSError` around a fetch — treats it as the
+    transport failure it is.
+    """
 
 
 class ConcurrencyError(PathAlgebraError):

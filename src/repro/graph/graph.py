@@ -85,6 +85,9 @@ class MultiRelationalGraph:
         self._rel: Dict[Hashable, Set[Edge]] = defaultdict(set)
         self._out_by_label: Dict[Tuple[Hashable, Hashable], Set[Edge]] = defaultdict(set)
         self._in_by_label: Dict[Tuple[Hashable, Hashable], Set[Edge]] = defaultdict(set)
+        # label -> [distinct tails, distinct heads]: how many of the two
+        # bucket kinds above the label has, kept in step with them.
+        self._label_ends: Dict[Hashable, List[int]] = {}
         self._listeners: List = []
         # Pattern -> frozenset cache for match(); valid for one version only,
         # so repeated atom resolution stops allocating fresh frozensets.
@@ -156,8 +159,14 @@ class MultiRelationalGraph:
         self._out[tail].add(e)
         self._in[head].add(e)
         self._rel[label].add(e)
-        self._out_by_label[(tail, label)].add(e)
-        self._in_by_label[(label, head)].add(e)
+        # Buckets are pruned when they empty, so an empty one is new.
+        ends = self._label_ends.setdefault(label, [0, 0])
+        out_bucket = self._out_by_label[(tail, label)]
+        in_bucket = self._in_by_label[(label, head)]
+        ends[0] += not out_bucket
+        ends[1] += not in_bucket
+        out_bucket.add(e)
+        in_bucket.add(e)
         self._version += 1
         self._journal_append(("+e", tail, label, head))
         if properties and self._wal_sinks:
@@ -199,6 +208,12 @@ class MultiRelationalGraph:
                 bucket.discard(e)
                 if not bucket:
                     del index[key]
+        if label in self._rel:
+            ends = self._label_ends[label]
+            ends[0] -= (tail, label) not in self._out_by_label
+            ends[1] -= (label, head) not in self._in_by_label
+        else:
+            del self._label_ends[label]
         self._version += 1
         self._journal_append(("-e", tail, label, head))
         for listener in self._listeners:
@@ -669,6 +684,19 @@ class MultiRelationalGraph:
     def label_histogram(self) -> Dict[Hashable, int]:
         """``label -> edge count`` — the planner's base cardinality statistic."""
         return {label: len(edges) for label, edges in self._rel.items()}
+
+    def label_fanout(self, label: Hashable) -> Tuple[int, int, int]:
+        """``(edges, distinct tails, distinct heads)`` of one label, O(1).
+
+        Maintained by :meth:`add_edge` / :meth:`remove_edge`, not derived:
+        ``edges / distinct tails`` is the label's mean out-fanout per
+        edge-carrying tail, which the planner's direction choice reads
+        once per query.
+        """
+        ends = self._label_ends.get(label)
+        if ends is None:
+            return 0, 0, 0
+        return len(self._rel[label]), ends[0], ends[1]
 
     def density(self) -> float:
         """``|E| / (|V|^2 * |Omega|)`` — fraction of possible ternary edges present."""

@@ -144,9 +144,10 @@ def rpq_pairs_basic(graph: MultiRelationalGraph, expression: LabelExpr,
                     ) -> FrozenSet[Tuple[Hashable, Hashable]]:
     """Reference implementation of :func:`rpq_pairs` (per-source product BFS).
 
-    Kept verbatim for the equivalence tests and the E13 benchmark: it
-    resolves adjacency through the hash indices (one frozenset per
-    ``match`` pattern) instead of the compact snapshot.
+    Kept verbatim as the oracle of the equivalence tests
+    (``tests/test_rpq_directional.py``, ``test_sharding.py``,
+    ``test_chaos.py``): it resolves adjacency through the hash indices
+    (one frozenset per ``match`` pattern) instead of the compact snapshot.
     """
     dfa = compile_rpq(expression, graph)
     start_vertices = graph.vertices() if sources is None else sources

@@ -1,8 +1,11 @@
 """``ReproClient`` — the retrying HTTP SDK for the serving tier.
 
-Stdlib-only (``http.client``), one connection per request to match the
-server's ``Connection: close`` framing.  The client owns the *retry
-half* of the service's backoff contract (``docs/robustness.md``):
+Stdlib-only, over a plain socket: the client frames HTTP/1.1 the way the
+server does (``docs/serving.md``, *Wire path*) — one ``sendall`` per
+request, the reply head split by hand, exactly ``Content-Length`` body
+bytes.  One connection per request unless ``keep_alive`` is set.  The
+client owns the *retry half* of the service's backoff contract
+(``docs/robustness.md``):
 
 * **Only idempotent operations are retried** — ``query``, ``explain``,
   ``stats``, ``list_graphs``.  A query re-asked computes the same
@@ -11,9 +14,10 @@ half* of the service's backoff contract (``docs/robustness.md``):
   errors, where the outcome on the server is unknown).
 * **Retriable failures** are HTTP 429 (shed / over quota), 503 (store
   degraded), 504 (deadline expired) and transport errors (connection
-  refused / reset — e.g. an injected ``http.connection_drop``).  Any
-  other error status raises :class:`~repro.errors.RemoteQueryError`
-  immediately.
+  refused / reset — e.g. an injected ``http.connection_drop`` — or a
+  reply the client cannot frame,
+  :class:`~repro.errors.WireProtocolError`).  Any other error status
+  raises :class:`~repro.errors.RemoteQueryError` immediately.
 * **Capped exponential backoff with jitter**: attempt *n* sleeps
   ``backoff_base * 2**n`` seconds, capped at ``backoff_cap``, then
   equal-jittered (half fixed, half uniform-random from a seedable RNG
@@ -32,9 +36,10 @@ scripted transport replays canned ``(status, headers, body)`` answers.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
+import re
+import socket
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from urllib.parse import urlencode, urlsplit
@@ -45,6 +50,7 @@ from repro.errors import (
     ReplicationCursorGapError,
     ReplicationError,
     RetryBudgetExceededError,
+    WireProtocolError,
 )
 
 __all__ = ["ReproClient", "RemoteFeed", "RETRIABLE_STATUSES"]
@@ -55,6 +61,102 @@ RETRIABLE_STATUSES = frozenset({429, 503, 504})
 #: ``transport(method, path, body) -> (status, lowercase headers, body)``.
 Transport = Callable[[str, str, bytes],
                      Tuple[int, Dict[str, str], bytes]]
+
+_HEAD_END = b"\r\n\r\n"
+
+#: Largest reply head accepted, and the size of one ``recv``.
+_MAX_HEAD_BYTES = 64 * 1024
+
+#: What goes into a request head verbatim (target, host, token) must be
+#: printable ASCII — a space or CR/LF could smuggle a second request line
+#: into the one segment the client sends.
+_NOT_PRINTABLE = re.compile(r"[^\x21-\x7e]")
+
+
+def _read_reply(sock: socket.socket
+                ) -> Tuple[int, Dict[str, str], bytes, bool]:
+    """One reply off ``sock``: ``(status, headers, body, reusable)``.
+
+    Accepts what ``HttpServer._respond`` emits (RFC 9112 section 6): a
+    status line, ``name: value`` headers, then ``Content-Length`` body
+    bytes — or, with no length, everything up to EOF.  Anything else is
+    a :class:`~repro.errors.WireProtocolError`.  ``reusable`` says the
+    connection may carry another request.
+    """
+    data = b""
+    end = -1
+    while end < 0:
+        if len(data) > _MAX_HEAD_BYTES:
+            raise WireProtocolError(
+                "reply head exceeds {} bytes".format(_MAX_HEAD_BYTES))
+        more = sock.recv(_MAX_HEAD_BYTES)
+        if not more:
+            raise WireProtocolError(
+                "connection closed inside the reply head" if data
+                else "connection closed before a reply")
+        # The terminator may straddle two reads; one past the cap is
+        # never found, so the next turn refuses the head.
+        resume = max(0, len(data) - len(_HEAD_END) + 1)
+        data += more
+        end = data.find(_HEAD_END, resume,
+                        _MAX_HEAD_BYTES + len(_HEAD_END))
+    lines = data[:end].decode("latin-1").split("\r\n")
+    version, _, rest = lines[0].partition(" ")
+    code = rest[:3]
+    if version not in ("HTTP/1.1", "HTTP/1.0") \
+            or not (code.isascii() and code.isdigit() and len(code) == 3) \
+            or rest[3:4] not in ("", " "):
+        raise WireProtocolError(
+            "malformed status line {!r}".format(lines[0][:80]))
+    status = int(code)
+    if status < 200:
+        raise WireProtocolError(
+            "interim {} reply is not supported".format(status))
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise WireProtocolError(
+                "malformed header line {!r}".format(line[:80]))
+        headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise WireProtocolError(
+            "transfer coding {!r} is not supported".format(
+                headers["transfer-encoding"]))
+    body = data[end + len(_HEAD_END):]
+    framed = headers.get("content-length")
+    if framed is None:
+        # Close-delimited (HTTP/1.0 style): the body is all that follows.
+        chunks = [body]
+        while True:
+            more = sock.recv(_MAX_HEAD_BYTES)
+            if not more:
+                return status, headers, b"".join(chunks), False
+            chunks.append(more)
+    if not (framed.isascii() and framed.isdigit()):
+        raise WireProtocolError(
+            "malformed Content-Length {!r}".format(framed[:80]))
+    length = int(framed)
+    if len(body) > length:
+        raise WireProtocolError(
+            "{} bytes follow a {} byte body".format(
+                len(body) - length, length))
+    if len(body) < length:
+        buffer = bytearray(length)
+        buffer[:len(body)] = body
+        view = memoryview(buffer)
+        filled = len(body)
+        while filled < length:
+            received = sock.recv_into(view[filled:])
+            if not received:
+                raise WireProtocolError(
+                    "connection closed {} bytes into a {} byte "
+                    "body".format(filled, length))
+            filled += received
+        body = bytes(buffer)
+    reusable = version == "HTTP/1.1" \
+        and headers.get("connection", "").lower() != "close"
+    return status, headers, body, reusable
 
 
 class ReproClient:
@@ -77,6 +179,8 @@ class ReproClient:
                 "unsupported URL scheme {!r} (http only)".format(
                     parts.scheme))
         self.host = parts.hostname or "127.0.0.1"
+        if _NOT_PRINTABLE.search(self.host + (token or "")):
+            raise ClientError("host and token must be printable ASCII")
         self.port = parts.port if parts.port is not None else 80
         self.token = token
         self.max_retries = max(0, max_retries)
@@ -85,82 +189,67 @@ class ReproClient:
         self.timeout = timeout
         self._rng = random.Random(jitter_seed)
         self._sleep = sleeper
-        self._transport: Transport = transport or self._http_transport
+        self._transport: Transport = transport or self._exchange
         self.keep_alive = keep_alive
-        self._connection: Optional[http.client.HTTPConnection] = None
+        self._socket: Optional[socket.socket] = None
+        # Everything of a request head that does not change per request.
+        self._fixed_head = (
+            " HTTP/1.1\r\nHost: {}:{}\r\n"
+            "Content-Type: application/json\r\n"
+            "Connection: {}\r\n{}Content-Length: ".format(
+                "[{}]".format(self.host) if ":" in self.host else self.host,
+                self.port, "keep-alive" if keep_alive else "close",
+                "Authorization: Bearer {}\r\n".format(token)
+                if token else ""))
         #: Total retries slept across this client's lifetime.
         self.retries_performed = 0
 
     # -- transport -----------------------------------------------------
 
-    def _http_transport(self, method: str, path: str,
-                        body: bytes) -> Tuple[int, Dict[str, str], bytes]:
-        if self.keep_alive:
-            return self._keepalive_transport(method, path, body)
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        try:
-            connection.request(method, path, body=body or None,
-                               headers=self._headers("close"))
-            response = connection.getresponse()
-            data = response.read()
-            return (response.status,
-                    {key.lower(): value
-                     for key, value in response.getheaders()},
-                    data)
-        finally:
-            connection.close()
+    def _exchange(self, method: str, path: str,
+                  body: bytes) -> Tuple[int, Dict[str, str], bytes]:
+        """One request, one reply; the socket is kept only on keep-alive.
 
-    def _headers(self, connection_mode: str) -> Dict[str, str]:
-        headers = {"Content-Type": "application/json",
-                   "Connection": connection_mode}
-        if self.token:
-            headers["Authorization"] = "Bearer " + self.token
-        return headers
-
-    def _keepalive_transport(self, method: str, path: str,
-                             body: bytes) -> Tuple[int, Dict[str, str],
-                                                   bytes]:
-        """One request over a cached connection, reopened on any failure.
-
-        The server caps requests per connection and reaps idle ones, so
-        a cached connection going away mid-stream is routine — drop it
-        and retry once on a fresh socket before surfacing the error (a
-        fresh-socket failure is a real one the retry loop should see).
+        Head and body leave in one ``sendall``.  The server caps requests
+        per connection and reaps idle ones, so a kept connection going
+        away mid-stream is routine — drop it and retry once on a fresh
+        socket before surfacing the error (a fresh-socket failure is a
+        real one the retry loop should see).
         """
+        if _NOT_PRINTABLE.search(path):
+            raise ClientError(
+                "request target {!r} is not printable ASCII".format(path))
+        request = "{} {}{}{}\r\n\r\n".format(
+            method, path, self._fixed_head, len(body)).encode("ascii") + body
         for attempt in (0, 1):
-            connection = self._connection
-            fresh = connection is None
-            if fresh:
-                connection = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout)
-                self._connection = connection
+            sock, self._socket = self._socket, None
+            fresh = sock is None
             try:
-                connection.request(method, path, body=body or None,
-                                   headers=self._headers("keep-alive"))
-                response = connection.getresponse()
-                data = response.read()
-                if response.getheader("Connection",
-                                      "").lower() == "close":
-                    self.close()
-                return (response.status,
-                        {key.lower(): value
-                         for key, value in response.getheaders()},
-                        data)
-            except (OSError, http.client.HTTPException):
-                self.close()
+                if sock is None:
+                    sock = socket.create_connection(
+                        (self.host, self.port), timeout=self.timeout)
+                    sock.setsockopt(socket.IPPROTO_TCP,
+                                    socket.TCP_NODELAY, 1)
+                sock.sendall(request)
+                status, headers, data, reusable = _read_reply(sock)
+            except OSError:
+                if sock is not None:
+                    sock.close()
                 if fresh or attempt:
                     raise
+                continue
+            if self.keep_alive and reusable:
+                self._socket = sock
+            else:
+                sock.close()
+            return status, headers, data
         raise AssertionError("unreachable")  # pragma: no cover
 
     def close(self) -> None:
-        """Drop the cached keep-alive connection (if any)."""
-        connection, self._connection = self._connection, None
-        if connection is not None:
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
+        """Drop the kept keep-alive connection (if any)."""
+        sock, self._socket = self._socket, None
+        if sock is not None:
+            sock.close()
 
     @staticmethod
     def _decode(data: bytes) -> Dict[str, Any]:
@@ -207,7 +296,7 @@ class ReproClient:
             try:
                 status, headers, data = self._transport(
                     method, path, payload_bytes)
-            except (OSError, http.client.HTTPException) as exc:
+            except OSError as exc:
                 last_status = None
                 last_error = "{}: {}".format(type(exc).__name__, exc)
                 if not idempotent:

@@ -214,69 +214,85 @@ class HttpServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        served_here = 0
         try:
-            slow = fault_hook("http.slow_client")
-            if slow is not None:
-                # Injected "slow client": stall before the request is
-                # read so the READ_TIMEOUT budget is what bounds us.
-                await asyncio.sleep(slow.seconds)
-            while True:
-                # First request gets the full delivery budget; a reused
-                # connection sitting silent only gets the idle timeout.
-                timeout = READ_TIMEOUT if served_here == 0 \
-                    else self.keepalive_idle_timeout
-                try:
-                    method, path, headers, body = await asyncio.wait_for(
-                        self._read_request(reader), timeout)
-                except (asyncio.TimeoutError, _ConnectionClosed):
-                    return
-                except _PayloadTooLarge as error:
-                    await self._respond(writer, 413,
-                                        {"error": str(error),
-                                         "retriable": False})
-                    return
-                except (_BadRequest, asyncio.IncompleteReadError,
-                        ConnectionError) as error:
-                    await self._respond(writer, 400,
-                                        {"error": str(error)
-                                         or "bad request",
-                                         "retriable": False})
-                    return
-                started = time.perf_counter()
-                status, payload, extra = await self._dispatch(
-                    method, path, headers, body)
-                drop = fault_hook("http.connection_drop")
-                if drop is not None:
-                    # Injected mid-response failure: hard-abort the
-                    # socket so the client sees a reset, never a
-                    # truncated 200.
-                    transport = writer.transport
-                    if transport is not None:
-                        transport.abort()
-                    return
-                # Reuse only on explicit client opt-in, and below the
-                # per-connection cap — the capped response says close.
-                keep = served_here + 1 < self.keepalive_max_requests and \
-                    headers.get("connection", "").lower() == "keep-alive"
-                sent = await self._respond(writer, status, payload, extra,
-                                           keep_alive=keep)
-                served_here += 1
-                self.requests_served += 1
-                if served_here > 1:
-                    self.connections_reused += 1
-                self._log_access(writer, method, path, headers, status,
-                                 started, sent, served_here)
-                if not keep:
-                    return
-        except ConnectionError:
-            pass
-        finally:
             try:
+                await self._serve_requests(reader, writer)
+            finally:
                 writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await writer.wait_closed()
+        except OSError:
+            pass
+        except asyncio.CancelledError:
+            # A stopping server's loop cancels what is left — typically
+            # here, idle between two keep-alive requests.  The transport
+            # is closed above; finishing normally (nothing awaited, not
+            # re-raised) keeps the stream protocol's done-callback from
+            # logging the cancellation as an unhandled error.
+            pass
+
+    async def _serve_requests(self, reader: asyncio.StreamReader,
+                              writer: asyncio.StreamWriter) -> None:
+        loop = asyncio.get_running_loop()
+        transport = writer.transport
+        served_here = 0
+        slow = fault_hook("http.slow_client")
+        if slow is not None:
+            # Injected "slow client": stall before the request is
+            # read so the READ_TIMEOUT budget is what bounds us.
+            await asyncio.sleep(slow.seconds)
+        while True:
+            # First request gets the full delivery budget; a reused
+            # connection sitting silent only gets the idle timeout.
+            # The watchdog aborts the transport, which ends the read
+            # below; unlike ``asyncio.wait_for`` it costs no task.
+            watchdog = loop.call_later(
+                READ_TIMEOUT if served_here == 0
+                else self.keepalive_idle_timeout, transport.abort)
+            try:
+                method, path, headers, body = \
+                    await self._read_request(reader)
+            except _ConnectionClosed:
+                return
+            except _PayloadTooLarge as error:
+                await self._respond(writer, 413,
+                                    {"error": str(error),
+                                     "retriable": False})
+                return
+            except (_BadRequest, asyncio.IncompleteReadError,
+                    ConnectionError) as error:
+                if transport.is_closing():
+                    return  # the watchdog fired: nobody left to tell
+                await self._respond(writer, 400,
+                                    {"error": str(error)
+                                     or "bad request",
+                                     "retriable": False})
+                return
+            finally:
+                watchdog.cancel()
+            started = time.perf_counter()
+            status, payload, extra = await self._dispatch(
+                method, path, headers, body)
+            drop = fault_hook("http.connection_drop")
+            if drop is not None:
+                # Injected mid-response failure: hard-abort the
+                # socket so the client sees a reset, never a
+                # truncated 200.
+                transport.abort()
+                return
+            # Reuse only on explicit client opt-in, and below the
+            # per-connection cap — the capped response says close.
+            keep = served_here + 1 < self.keepalive_max_requests and \
+                headers.get("connection", "").lower() == "keep-alive"
+            sent = await self._respond(writer, status, payload, extra,
+                                       keep_alive=keep)
+            served_here += 1
+            self.requests_served += 1
+            if served_here > 1:
+                self.connections_reused += 1
+            self._log_access(writer, method, path, headers, status,
+                             started, sent, served_here)
+            if not keep:
+                return
 
     def _log_access(self, writer: asyncio.StreamWriter, method: str,
                     path: str, headers: Dict[str, str], status: int,
@@ -308,12 +324,18 @@ class HttpServer:
     async def _read_request(
             self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, Dict[str, str], bytes]:
-        raw_line = await reader.readline()
-        if not raw_line:
-            # EOF before any bytes: the peer closed (normal between
-            # keep-alive requests) — not a protocol error.
-            raise _ConnectionClosed()
-        request_line = raw_line.decode("latin-1").strip()
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as exc:
+            if not exc.partial:
+                # EOF before any bytes: the peer closed (normal between
+                # keep-alive requests) — not a protocol error.
+                raise _ConnectionClosed() from exc
+            raise
+        except asyncio.LimitOverrunError as exc:
+            raise _BadRequest("request head too large") from exc
+        lines = head[:-4].decode("latin-1").split("\r\n")
+        request_line = lines[0].strip()
         if not request_line:
             raise _BadRequest("empty request")
         parts = request_line.split()
@@ -321,17 +343,16 @@ class HttpServer:
             raise _BadRequest("malformed request line")
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1").rstrip("\r\n")
-            if not line:
-                break
-            if ":" in line:
-                key, _, value = line.partition(":")
+        for line in lines[1:]:
+            key, colon, value = line.partition(":")
+            if colon:
                 headers[key.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError as exc:
             raise _BadRequest("bad Content-Length") from exc
+        if length < 0:
+            raise _BadRequest("bad Content-Length")
         if length > self.max_body:
             raise _PayloadTooLarge(
                 "body of {} bytes exceeds the {} byte limit".format(

@@ -386,6 +386,35 @@ class TestMustClose:
         kinds = {v.message.split("(")[0] for v in violations}
         assert kinds == {"memmap", "pool", "executor"}
 
+    def test_sockets_are_tracked(self, tmp_path):
+        leaky = (
+            "import socket\n"
+            "def probe(address):\n"
+            "    sock = socket.create_connection(address)\n"
+            "    sock.sendall(b'ping')\n"
+            "    return 1\n"
+        )
+        violations = _analyze_snippet(tmp_path, leaky, subdir="service")
+        assert _rules(violations) == ["must-close"]
+        assert violations[0].message.startswith("socket()")
+        # The SDK's shape: closed on the failure path, kept on self
+        # (whose class has close()) or closed on the success path.
+        exchange = (
+            "import socket\n"
+            "class Client:\n"
+            "    def exchange(self, address, request):\n"
+            "        sock = socket.create_connection(address)\n"
+            "        try:\n"
+            "            sock.sendall(request)\n"
+            "        except OSError:\n"
+            "            sock.close()\n"
+            "            raise\n"
+            "        self._socket = sock\n"
+            "    def close(self):\n"
+            "        self._socket.close()\n"
+        )
+        assert _analyze_snippet(tmp_path, exchange, subdir="service") == []
+
     def test_stdlib_mmap_is_tracked(self, tmp_path):
         leaky = (
             "import mmap\n"

@@ -232,3 +232,51 @@ class TestDiGraphDeltaInvariants:
             assert got == want
         assert len(base_ids) > 1  # at least one promotion happened
         assert cache.delta_ops <= 3  # deltas were reset by compaction
+
+
+def assert_fanout_is_a_recount(graph):
+    """The maintained per-label counters == a count over ``edge_set()``."""
+    for name in graph.labels():
+        edges = [e for e in graph.edge_set() if e.label == name]
+        assert graph.label_fanout(name) == (
+            len(edges), len({e.tail for e in edges}),
+            len({e.head for e in edges})), name
+    # A label's counters go when its last edge goes.
+    assert set(graph._label_ends) == set(graph.labels())
+    assert graph.label_fanout("never-seen") == (0, 0, 0)
+
+
+class TestLabelFanoutInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=mrg_ops)
+    def test_fanout_equals_recount_after_any_churn(self, ops):
+        graph = MultiRelationalGraph([(0, "a", 1), (1, "b", 2), (2, "a", 0)])
+        for op in ops:
+            apply_mrg_op(graph, op)     # adds, re-adds, removes, -v
+            assert_fanout_is_a_recount(graph)
+        assert_fanout_is_a_recount(graph.copy())
+        inverted = graph.inverted()
+        assert_fanout_is_a_recount(inverted)
+        for name in graph.labels():
+            edges, tails, heads = graph.label_fanout(name)
+            assert inverted.label_fanout(name) == (edges, heads, tails)
+
+    @settings(max_examples=10, deadline=None)
+    @given(ops=mrg_ops)
+    def test_fanout_of_a_reopened_materialised_store(self, ops):
+        import tempfile
+
+        from repro.storage import PersistentGraph
+        with tempfile.TemporaryDirectory() as directory:
+            with PersistentGraph.create(
+                    directory + "/g",
+                    MultiRelationalGraph([(0, "a", 1), (1, "b", 2)])) as store:
+                for op in ops:
+                    apply_mrg_op(store.graph(), op)
+                want = {name: store.graph().label_fanout(name)
+                        for name in store.graph().labels()}
+            with PersistentGraph.open(directory + "/g",
+                                      materialize=True) as reopened:
+                assert_fanout_is_a_recount(reopened.graph())
+                assert {name: reopened.graph().label_fanout(name)
+                        for name in reopened.graph().labels()} == want

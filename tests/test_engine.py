@@ -373,3 +373,27 @@ class TestRouteProperty:
             if route.kernel == "none":
                 assert answer == frozenset()
             assert answer == engine.pairs_batch([expression], **options)[0]
+
+    def test_route_after_a_mutation_derives_no_degree_profile(self):
+        # Every mutation retires the statistics; the next route must read
+        # the graph's maintained fan-outs, not recount a label's edges.
+        graph = self.GRAPH.copy()
+        with Engine(graph) as engine:
+            expression = engine.compile(self.A_B_STAR)
+            before = engine.route(expression, targets=frozenset([4]))
+            with counted_calls((
+                    ("degree_profile", GraphStatistics, "degree_profile"),
+                    ("statistics", engine_module, "GraphStatistics"),
+            )) as counts:
+                for extra in range(3):
+                    graph.add_edge(100 + extra, "a", 4)
+                    route = engine.route(expression,
+                                         targets=frozenset([4]))
+            assert counts == {"statistics": 3}
+            assert route.direction.direction == before.direction.direction
+            edges, tails, heads = graph.label_fanout("a")
+            stats = engine.statistics()
+            assert stats.forward_growth(["a"]) == edges / tails \
+                == stats.degree_profile("a").avg_out
+            assert stats.backward_growth(["a"]) == edges / heads \
+                == stats.degree_profile("a").avg_in

@@ -217,6 +217,36 @@ class TestRulesFire:
         other = "import struct\nHEADER = struct.Struct('<QQ')\n"
         assert _lint_snippet(tmp_path, other, name="other.py") == []
 
+    @pytest.mark.parametrize("statement", [
+        "import http.client",
+        "import http.client as stdlib_http",
+        "from http import client",
+        "from http.client import HTTPConnection",
+        "from http.server import BaseHTTPRequestHandler",
+        "import urllib.request",
+        "from urllib import request",
+        "def fetch(url):\n    from urllib.request import urlopen",
+    ])
+    def test_http_framing_bans_stdlib_http_in_the_package(self, tmp_path,
+                                                          statement):
+        violations = _lint_snippet(tmp_path, statement + "\n",
+                                   subdir="src/repro/service")
+        assert _rules(violations) == ["http-framing"]
+        assert "second transport" in violations[0].message
+        # Tests and benchmarks keep the stdlib stacks: independent peers.
+        assert _lint_snippet(tmp_path, statement + "\n",
+                             subdir="tests") == []
+
+    def test_http_framing_allows_what_the_framers_use(self, tmp_path):
+        source = (
+            "import socket\n"
+            "import http\n"
+            "from urllib.parse import urlencode, urlsplit\n"
+            "from http import HTTPStatus\n"
+        )
+        assert _lint_snippet(tmp_path, source,
+                             subdir="src/repro/service") == []
+
     def test_bare_except(self, tmp_path):
         source = (
             "def risky():\n"

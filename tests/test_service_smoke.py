@@ -133,3 +133,21 @@ def test_serve_smoke(server):
         ["ps", "--ppid", str(proc.pid), "-o", "pid="],
         capture_output=True, text=True).stdout.strip()
     assert children == "", "leaked child processes: " + children
+
+
+def test_sigterm_with_an_idle_keepalive_connection_logs_nothing(server):
+    """A stop cancels the handler parked between two keep-alive requests;
+    it must end quietly — no ``CancelledError`` traceback on stderr."""
+    import socket
+    proc, host, port = server
+    with socket.create_connection((host, port), timeout=10) as idle:
+        idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: smoke\r\n"
+                     b"Connection: keep-alive\r\n\r\n")
+        reply = idle.recv(65536)
+        assert reply.startswith(b"HTTP/1.1 200") \
+            and b"Connection: keep-alive" in reply
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    assert "shutdown complete" in out
+    assert "Traceback" not in err and "CancelledError" not in err, err
