@@ -15,9 +15,11 @@ the compact numeric backend the hot paths share instead:
   reverse.  Neighbor expansion is then two slices — no Edge objects, no
   set allocation, no hashing.
 * :class:`DeltaAdjacency` — a **delta overlay** over a base snapshot:
-  per-label add/remove buffers replayed from the graph's mutation journal,
-  so point mutations cost O(delta) instead of an O(V + E) rebuild.  Kernels
-  consult ``base CSR + delta`` through the shared block interface.
+  one merged row per touched vertex, label and direction, replayed from
+  the graph's mutation journal, so point mutations cost O(delta) instead
+  of an O(V + E) rebuild.  Kernels read a touched vertex's row and every
+  other vertex's CSR slice through the shared block interface, so an
+  expansion costs the same on an overlay as on a base snapshot.
 * :class:`CompactDiGraph` — the analogous snapshot of the single-relational
   :class:`~repro.algorithms.digraph.DiGraph`, with numpy edge/CSR arrays
   feeding the vectorized BFS / component / pagerank kernels plus the
@@ -106,11 +108,14 @@ _CACHE_ATTR = "_compact_snapshot_cache"
 COMPACTION_MIN_OPS = 64
 COMPACTION_FRACTION = 0.25
 
-# Shared immutable placeholders for clean (delta-free) adjacency blocks.
-_NO_DELTA: Dict[int, list] = {}
+# Shared immutable placeholders for clean (unpatched) adjacency blocks.
+_NO_ROWS: Dict[int, List[int]] = {}
 _EMPTY_INDPTR = (0,)
 _EMPTY_INDICES: Tuple[int, ...] = ()
-_EMPTY_ROW: Tuple[int, ...] = ()
+
+#: ``(indptr, indices, patched, base_n)`` — what ``out_block`` /
+#: ``in_block`` return and the kernels' move tables carry.
+AdjacencyBlock = Tuple[Sequence[int], Sequence[int], Dict[int, List[int]], int]
 
 
 def compaction_due(delta_ops: int, base_edges: int) -> bool:
@@ -238,19 +243,19 @@ class CompactAdjacency:
         return range(len(self.vertex_of))
 
     def out_block(self, label_id: int):
-        """``(indptr, indices, added, removed, base_n)`` for one label.
+        """``(indptr, indices, patched, base_n)`` for one label.
 
-        The shared kernel block interface: base CSR arrays plus the per-label
-        delta dicts (empty here — a base snapshot carries no delta) and the
-        vertex count the CSR covers.
+        The shared kernel block interface: base CSR arrays, the label's
+        patched rows ``{vertex_id: row}`` (none here — a base snapshot
+        carries no delta) and the vertex count the CSR covers.
         """
         indptr, indices = self.forward[label_id]
-        return indptr, indices, _NO_DELTA, _NO_DELTA, len(self.vertex_of)
+        return indptr, indices, _NO_ROWS, len(self.vertex_of)
 
     def in_block(self, label_id: int):
         """Reverse-direction counterpart of :meth:`out_block`."""
         indptr, indices = self.reverse[label_id]
-        return indptr, indices, _NO_DELTA, _NO_DELTA, len(self.vertex_of)
+        return indptr, indices, _NO_ROWS, len(self.vertex_of)
 
     def out_neighbors(self, vertex_id: int, label_id: int) -> List[int]:
         """Out-neighbor ids of ``vertex_id`` along ``label_id`` (a slice)."""
@@ -270,13 +275,18 @@ class CompactAdjacency:
 class DeltaAdjacency:
     """A delta overlay over a base :class:`CompactAdjacency`.
 
-    Holds per-label add/remove buffers (dicts keyed by vertex id) replayed
-    from the graph's mutation journal, plus extended interning maps for
-    vertices and labels born after the base build.  Removed vertices leave
-    **tombstone** slots: their id stays allocated (dead) and a re-added
-    vertex gets a fresh id, so base CSR ids never ambiguate.  Kernels read
-    through :meth:`out_block`/:meth:`in_block` exactly as they do on a base
-    snapshot; clean labels still resolve to raw CSR slices.
+    Holds one **patched row** per touched vertex, per label and direction
+    (``rows_out`` / ``rows_in``: ``label_id -> {vertex_id: [neighbor_id,
+    ...]}``), replayed from the graph's mutation journal: a row is copied
+    from the base CSR the first time a mutation touches it and edited in
+    place from then on, so it always holds base slice minus removals plus
+    additions.  Extended interning maps cover vertices and labels born
+    after the base build.  Removed vertices leave **tombstone** slots:
+    their id stays allocated (dead) and a re-added vertex gets a fresh id,
+    so base CSR ids never ambiguate.  Kernels read through
+    :meth:`out_block`/:meth:`in_block` exactly as they do on a base
+    snapshot: a patched vertex expands by its row, every other one by its
+    raw CSR slice.
 
     Unlike a base snapshot, an overlay is a **live view**: it is extended in
     place as further mutation batches are replayed into it.  Fetch it per
@@ -284,8 +294,8 @@ class DeltaAdjacency:
     """
 
     __slots__ = ("base", "version", "vertex_ids", "vertex_of", "label_ids",
-                 "label_of", "added_out", "added_in", "removed_out",
-                 "removed_in", "dead_vertices", "num_edges", "delta_ops")
+                 "label_of", "rows_out", "rows_in", "dead_vertices",
+                 "num_edges", "delta_ops")
 
     def __init__(self, base: CompactAdjacency):
         self.base = base
@@ -294,12 +304,9 @@ class DeltaAdjacency:
         self.vertex_of = list(base.vertex_of)
         self.label_ids = dict(base.label_ids)
         self.label_of = list(base.label_of)
-        # label_id -> {vertex_id: [neighbor_id, ...]} (insertion-ordered).
-        self.added_out: Dict[int, Dict[int, List[int]]] = {}
-        self.added_in: Dict[int, Dict[int, List[int]]] = {}
-        # label_id -> {vertex_id: {neighbor_id, ...}} masking base edges.
-        self.removed_out: Dict[int, Dict[int, Set[int]]] = {}
-        self.removed_in: Dict[int, Dict[int, Set[int]]] = {}
+        # label_id -> {vertex_id: the vertex's whole merged row}.
+        self.rows_out: Dict[int, Dict[int, List[int]]] = {}
+        self.rows_in: Dict[int, Dict[int, List[int]]] = {}
         self.dead_vertices: Set[int] = set()
         self.num_edges = base.num_edges
         self.delta_ops = 0
@@ -341,9 +348,27 @@ class DeltaAdjacency:
         self.vertex_of.append(vertex)
 
     def _remove_vertex(self, vertex: Hashable) -> None:
-        # Incident edges were already journaled as "-e" ops; only the slot
-        # dies.  The tombstoned id is unreachable from here on.
+        # Incident edges were already journaled as "-e" ops (their rows are
+        # empty now); only the slot dies.  The tombstoned id is unreachable
+        # from here on.
         self.dead_vertices.add(self.vertex_ids.pop(vertex))
+
+    def _row(self, rows: Dict[int, Dict[int, List[int]]],
+             csr: List[Tuple], label_id: int, vertex_id: int) -> List[int]:
+        """The patched row of ``vertex_id`` along ``label_id``, copied from
+        the base CSR (``csr``: its forward or reverse side) on first touch."""
+        patched = rows.get(label_id)
+        if patched is None:
+            patched = rows[label_id] = {}
+        row = patched.get(vertex_id)
+        if row is None:
+            if label_id < len(csr) and vertex_id < self.base.num_vertices:
+                indptr, indices = csr[label_id]
+                row = list(indices[indptr[vertex_id]:indptr[vertex_id + 1]])
+            else:
+                row = []
+            patched[vertex_id] = row
+        return row
 
     def _add_edge(self, tail: Hashable, label: Hashable, head: Hashable) -> None:
         label_id = self.label_ids.get(label)
@@ -353,44 +378,20 @@ class DeltaAdjacency:
             self.label_of.append(label)
         tail_id = self.vertex_ids[tail]
         head_id = self.vertex_ids[head]
-        removed = self.removed_out.get(label_id)
-        mask = removed.get(tail_id) if removed else None
-        if mask and head_id in mask:
-            # Re-adding a base edge deleted earlier in this delta: unmask it.
-            mask.discard(head_id)
-            if not mask:
-                del removed[tail_id]
-            reverse_mask = self.removed_in[label_id][head_id]
-            reverse_mask.discard(tail_id)
-            if not reverse_mask:
-                del self.removed_in[label_id][head_id]
-        else:
-            self.added_out.setdefault(label_id, {}) \
-                .setdefault(tail_id, []).append(head_id)
-            self.added_in.setdefault(label_id, {}) \
-                .setdefault(head_id, []).append(tail_id)
+        self._row(self.rows_out, self.base.forward, label_id,
+                  tail_id).append(head_id)
+        self._row(self.rows_in, self.base.reverse, label_id,
+                  head_id).append(tail_id)
         self.num_edges += 1
 
     def _remove_edge(self, tail: Hashable, label: Hashable, head: Hashable) -> None:
         label_id = self.label_ids[label]
         tail_id = self.vertex_ids[tail]
         head_id = self.vertex_ids[head]
-        added = self.added_out.get(label_id)
-        grown = added.get(tail_id) if added else None
-        if grown is not None and head_id in grown:
-            # The edge only ever lived in the delta: retract it.
-            grown.remove(head_id)
-            if not grown:
-                del added[tail_id]
-            reverse_grown = self.added_in[label_id][head_id]
-            reverse_grown.remove(tail_id)
-            if not reverse_grown:
-                del self.added_in[label_id][head_id]
-        else:
-            self.removed_out.setdefault(label_id, {}) \
-                .setdefault(tail_id, set()).add(head_id)
-            self.removed_in.setdefault(label_id, {}) \
-                .setdefault(head_id, set()).add(tail_id)
+        self._row(self.rows_out, self.base.forward, label_id,
+                  tail_id).remove(head_id)
+        self._row(self.rows_in, self.base.reverse, label_id,
+                  head_id).remove(tail_id)
         self.num_edges -= 1
 
     # -- reads -------------------------------------------------------------
@@ -402,54 +403,41 @@ class DeltaAdjacency:
             return range(len(self.vertex_of))
         return [i for i in range(len(self.vertex_of)) if i not in dead]
 
-    def out_block(self, label_id: int):
-        """``(indptr, indices, added, removed, base_n)`` for one label."""
-        base = self.base
-        if label_id < len(base.forward):
-            indptr, indices = base.forward[label_id]
-            base_n = base.num_vertices
-        else:  # label born after the base build: delta-only.
+    def _block(self, csr: List[Tuple],
+               rows: Dict[int, Dict[int, List[int]]],
+               label_id: int) -> AdjacencyBlock:
+        if label_id < len(csr):
+            indptr, indices = csr[label_id]
+            base_n = self.base.num_vertices
+        else:  # label born after the base build: rows only.
             indptr, indices, base_n = _EMPTY_INDPTR, _EMPTY_INDICES, 0
-        return (indptr, indices,
-                self.added_out.get(label_id, _NO_DELTA),
-                self.removed_out.get(label_id, _NO_DELTA),
-                base_n)
+        return indptr, indices, rows.get(label_id, _NO_ROWS), base_n
+
+    def out_block(self, label_id: int):
+        """``(indptr, indices, patched, base_n)`` for one label."""
+        return self._block(self.base.forward, self.rows_out, label_id)
 
     def in_block(self, label_id: int):
         """Reverse-direction counterpart of :meth:`out_block`."""
-        base = self.base
-        if label_id < len(base.reverse):
-            indptr, indices = base.reverse[label_id]
-            base_n = base.num_vertices
-        else:
-            indptr, indices, base_n = _EMPTY_INDPTR, _EMPTY_INDICES, 0
-        return (indptr, indices,
-                self.added_in.get(label_id, _NO_DELTA),
-                self.removed_in.get(label_id, _NO_DELTA),
-                base_n)
+        return self._block(self.base.reverse, self.rows_in, label_id)
 
     @staticmethod
-    def _merge(block, vertex_id: int) -> List[int]:
-        indptr, indices, added, removed, base_n = block
+    def _read_row(block: AdjacencyBlock, vertex_id: int) -> List[int]:
+        indptr, indices, patched, base_n = block
+        row = patched.get(vertex_id)
+        if row is not None:
+            return list(row)
         if vertex_id < base_n:
-            neighbors = indices[indptr[vertex_id]:indptr[vertex_id + 1]]
-        else:
-            neighbors = _EMPTY_ROW
-        mask = removed.get(vertex_id) if removed else None
-        if mask:
-            neighbors = [x for x in neighbors if x not in mask]
-        grown = added.get(vertex_id) if added else None
-        if grown:
-            return list(neighbors) + grown
-        return list(neighbors)
+            return list(indices[indptr[vertex_id]:indptr[vertex_id + 1]])
+        return []
 
     def out_neighbors(self, vertex_id: int, label_id: int) -> List[int]:
-        """Out-neighbor ids: base slice minus removals plus additions."""
-        return self._merge(self.out_block(label_id), vertex_id)
+        """Out-neighbor ids: the patched row, else the base slice."""
+        return self._read_row(self.out_block(label_id), vertex_id)
 
     def in_neighbors(self, vertex_id: int, label_id: int) -> List[int]:
-        """In-neighbor ids: base slice minus removals plus additions."""
-        return self._merge(self.in_block(label_id), vertex_id)
+        """In-neighbor ids: the patched row, else the base slice."""
+        return self._read_row(self.in_block(label_id), vertex_id)
 
     def __repr__(self) -> str:
         return ("DeltaAdjacency<|V|={}, |E|={}, |Omega|={}, version={}, "
@@ -465,10 +453,10 @@ def fold_adjacency_pairs(view) -> Tuple[List[Hashable], List[Hashable],
     The one shared fold: works on a clean :class:`CompactAdjacency` and on
     a :class:`DeltaAdjacency` overlay alike (both expose
     ``live_vertex_ids`` / ``out_neighbors``) — tombstoned vertex slots are
-    dropped and ids re-densified, per-label edge pairs come out merged
-    (base minus removals plus additions).  Both the snapshot store's
-    checkpoint fold (:func:`repro.storage.snapshots.fold_view`) and the
-    sharding layer's overlay densification build on this, so the fold
+    dropped and ids re-densified, per-label edge pairs come out as each
+    vertex reads (its patched row, else its base slice).  Both the snapshot
+    store's checkpoint fold (:func:`repro.storage.snapshots.fold_view`) and
+    the sharding layer's overlay densification build on this, so the fold
     invariants live in exactly one place.
     """
     live = list(view.live_vertex_ids())
@@ -564,10 +552,10 @@ def _product_moves(snapshot, dfa, reverse: bool) -> List[List[Tuple]]:
     exactly the product automaton of the reversed graph with the reversed
     NFA, restricted to the states the forward DFA already built.
 
-    :func:`_sweep` and :func:`_propagate` inline the block's slice-merge
-    (base CSR slice minus removed plus added) in their hot loops: a helper
-    call per (vertex, move) expansion costs more than the merge itself at
-    interpreter speed.
+    :func:`_sweep` and :func:`_propagate` inline the block read (the
+    vertex's patched row if the overlay touched it, else its base CSR
+    slice) in their hot loops: a helper call per (vertex, move) expansion
+    costs more than the read itself at interpreter speed.
     """
     block_of = snapshot.in_block if reverse else snapshot.out_block
     moves: List[List[Tuple]] = [[] for _ in range(dfa.num_states)]
@@ -768,24 +756,16 @@ def _sweep(snapshot, dfa, seed_ids: Sequence[int],
             next_frontier: List[int] = []
             for packed in frontier:
                 vertex_id, state = divmod(packed, num_states)
-                for indptr, indices, added, removed, base_n, next_state \
+                for indptr, indices, patched, base_n, next_state \
                         in moves[state]:
-                    if vertex_id < base_n:
+                    row = patched.get(vertex_id) if patched else None
+                    if row is not None:
+                        neighbors = row
+                    elif vertex_id < base_n:
                         neighbors = \
                             indices[indptr[vertex_id]:indptr[vertex_id + 1]]
                     else:
-                        neighbors = _EMPTY_ROW
-                    if removed or added:
-                        mask = removed.get(vertex_id)
-                        if mask and len(neighbors):
-                            neighbors = [x for x in neighbors if x not in mask]
-                        grown = added.get(vertex_id)
-                        if grown:
-                            # The base slice is a list, an array.array or —
-                            # on a mapped snapshot — a memoryview: sized by
-                            # len(), and copied before it takes additions.
-                            neighbors = grown if not len(neighbors) \
-                                else list(neighbors) + grown
+                        continue
                     for neighbor in neighbors:
                         code = neighbor * num_states + next_state
                         if visited[code] != stamp:
@@ -817,9 +797,9 @@ def rpq_pairs_compact(graph, dfa, sources: Optional[Iterable[Hashable]] = None,
     DFA move directly to an adjacency block.  A few sources run one BFS
     each over a stamped ``visited`` array allocated once per call; many
     sources travel together as bitmasks, a batch at a time, so a
-    configuration they share is expanded once (:func:`_sweep`).  Clean
-    labels expand by raw CSR slice; labels carrying delta edges merge the
-    slice with the overlay's per-vertex add/remove buffers.
+    configuration they share is expanded once (:func:`_sweep`).  A vertex
+    the overlay touched expands by its patched row, every other one by
+    its raw CSR slice.
 
     ``targets`` restricts the emitted pairs to those whose target is in the
     set; a per-source BFS stops at the next level boundary once its source
@@ -898,21 +878,15 @@ def _propagate(frontier: List[int], moves: List[List[Tuple]],
     for packed in frontier:
         carried = own_mask[packed]
         vertex_id, state = divmod(packed, num_states)
-        for indptr, indices, added, removed, base_n, next_state \
+        for indptr, indices, patched, base_n, next_state \
                 in moves[state]:
-            if vertex_id < base_n:
+            row = patched.get(vertex_id) if patched else None
+            if row is not None:
+                neighbors = row
+            elif vertex_id < base_n:
                 neighbors = indices[indptr[vertex_id]:indptr[vertex_id + 1]]
             else:
-                neighbors = _EMPTY_ROW
-            if removed or added:
-                mask = removed.get(vertex_id)
-                if mask and len(neighbors):
-                    neighbors = [x for x in neighbors if x not in mask]
-                grown = added.get(vertex_id)
-                if grown:
-                    # See _sweep: the base slice may be a memoryview.
-                    neighbors = grown if not len(neighbors) \
-                        else list(neighbors) + grown
+                continue
             for neighbor in neighbors:
                 code = neighbor * num_states + next_state
                 known = own_mask[code]

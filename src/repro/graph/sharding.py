@@ -58,18 +58,20 @@ _SHARD_CACHE_ATTR = "_sharded_snapshot_cache"
 def row_degrees(view: Any) -> List[int]:
     """Total out-degree per vertex slot, summed over every label.
 
-    Works on base snapshots and delta overlays alike (removed base edges
-    are not subtracted — for range *balancing* an over-estimate is
-    harmless, and overlays are densified before any shard is built).
+    Exact on base snapshots and delta overlays alike: a patched row
+    replaces its base slice, so its length is the vertex's live degree
+    along that label (dead slots read 0).
     """
     n = view.num_slots
     degrees = [0] * n
     for label_id in range(view.num_labels):
-        indptr, indices, added, removed, base_n = view.out_block(label_id)
+        indptr, indices, patched, base_n = view.out_block(label_id)
         for v in range(base_n):
             degrees[v] += indptr[v + 1] - indptr[v]
-        for v, grown in added.items():
-            degrees[v] += len(grown)
+        for v, row in patched.items():
+            degrees[v] += len(row)
+            if v < base_n:
+                degrees[v] -= indptr[v + 1] - indptr[v]
     return degrees
 
 

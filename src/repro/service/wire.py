@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Set
-from typing import Any, Dict, NamedTuple, Optional
+from itertools import chain, product
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.graph.pairs import PairBlocks
 
@@ -27,18 +28,71 @@ __all__ = ["ServedPairs", "encode_pairs", "encode_payload", "pairs_fragment",
 _pair_repr = "[%r, %r]".__mod__
 
 
+#: A crossed block with at least this many seconds formats them once and
+#: prefixes every head to the lot; smaller blocks (a sweep's many
+#: two-seeds-one-vertex rectangles) are cheaper flattened into the one
+#: ``%`` all zip pairs share than paying that per-block setup.
+_TAILS_MIN = 8
+
+
+def _int_pair_texts(answer: Set) -> Optional[List[str]]:
+    """The JSON text of every pair of a block answer whose endpoints are
+    all exact ``int`` s, or None for any other answer.
+
+    For such a pair ``"[%r, %r]"`` — the wire sort key — already is the
+    pair's JSON, so the texts are built straight from the blocks: a wide
+    crossed block formats its ``", %r]"`` tails once and prefixes each
+    ``"[%r"`` head to all of them; every other pair is flattened into one
+    ``%`` over a NUL-joined ``"[%r, %r]"`` template.  The texts are cut
+    apart by one ``split`` at the end, so no pair costs an interpreter
+    step.  ``bool`` fails the exact type test (``repr(True)`` is not
+    ``true``), as does every other ``int`` subclass, whose ``repr`` may
+    differ from its JSON.
+    """
+    if not isinstance(answer, PairBlocks):
+        return None
+    types: set = set()
+    for firsts, seconds, _ in answer.blocks:
+        types.update(map(type, firsts))
+        types.update(map(type, seconds))
+    if types - {int}:
+        return None
+    chunks: List[str] = []
+    loose: List[int] = []
+    for firsts, seconds, crossed in answer.blocks:
+        if not crossed:
+            loose += chain.from_iterable(zip(firsts, seconds))
+        elif len(seconds) < _TAILS_MIN:
+            loose += chain.from_iterable(product(firsts, seconds))
+        else:
+            tails = "\0".join([", %r]"] * len(seconds)) % tuple(seconds)
+            chunks += [head + tails.replace("\0", "\0" + head)
+                       for head in map("[%r".__mod__, firsts)]
+    if loose:
+        chunks.append("\0".join(["[%r, %r]"] * (len(loose) >> 1))
+                      % tuple(loose))
+    return "\0".join(chunks).split("\0") if chunks else []
+
+
 def encode_pairs(answer: Set) -> bytes:
     """The sorted JSON pair list of ``answer`` — the one place it is made.
-    The sort reads the answer's iterator (a block answer's ``product`` /
-    ``zip`` chain): no pair set is built to encode one.
 
     Byte for byte ``json.dumps(sorted(map(list, answer), key=repr),
     default=str)``: JSON spells a tuple as it spells a list, and the sort
-    key is the list's ``repr``.  The pairs stay the tuples they are,
-    though — one new list per pair is one GC-tracked allocation per pair,
-    and those are what schedule the server's full collections (each one
-    walks every cached answer: tens of ms with a full result cache).
+    key is the list's ``repr``.  An all-``int`` block answer (what every
+    served graph of integer vertices returns) sorts its pairs' JSON texts
+    themselves and joins them — one sort, no second encoding
+    (:func:`_int_pair_texts`).  Any other answer sorts its tuples under
+    the ``repr`` key and ``json.dumps`` them: the sort reads the answer's
+    iterator, and the pairs stay the tuples they are — one new list per
+    pair is one GC-tracked allocation per pair, and those are what
+    schedule the server's full collections (each one walks every cached
+    answer: tens of ms with a full result cache).
     """
+    texts = _int_pair_texts(answer)
+    if texts is not None:
+        texts.sort()
+        return ("[" + ", ".join(texts) + "]").encode("ascii")
     return json.dumps(sorted(answer, key=_pair_repr),
                       default=str).encode("utf-8")
 

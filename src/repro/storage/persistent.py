@@ -132,14 +132,18 @@ class _LogBackedView:
     """``snapshot ⊗ log suffix``, queryable without a dict graph: what a
     lazily-opened primary and a tailing replica both are — a mapped base
     snapshot, a :class:`DeltaAdjacency` overlay of the log records applied
-    since, and the property sidecar maps."""
+    since, and the property sidecar maps.  ``_view_version`` is the version
+    of the last record applied, property-only ones included: the overlay
+    exists only once a structural record arrives, so it cannot carry it."""
 
     _base: Any = None
     _overlay: Optional[DeltaAdjacency] = None
+    _view_version = 0
 
     def _load_view(self, base: Any, metadata: Any) -> None:
         self._base = base
         self._overlay = None
+        self._view_version = int(metadata.version)
         self._vertex_props: Dict[Hashable, Dict[str, Any]] = \
             dict(metadata.vertex_properties)
         self._edge_props: Dict[Tuple, Dict[str, Any]] = \
@@ -169,8 +173,10 @@ class _LogBackedView:
             if self._overlay is None:
                 self._overlay = DeltaAdjacency(self._base)
             self._overlay.apply(structural)
-        if entries and self._overlay is not None:
-            self._overlay.version = int(entries[-1][0])
+        if entries:
+            self._view_version = int(entries[-1][0])
+            if self._overlay is not None:
+                self._overlay.version = self._view_version
 
     def _live_view(self) -> Any:
         return self._overlay if self._overlay is not None else self._base
@@ -651,7 +657,7 @@ class PersistentGraph(_LogBackedView):
                           self._graph._edges.items() if p}
         else:
             view = self._live_view()
-            version = view.version
+            version = self._view_version
             vertex_props = self._vertex_props
             edge_props = self._edge_props
         old_snapshot = self._manifest["snapshot"]
@@ -705,9 +711,7 @@ class PersistentGraph(_LogBackedView):
         """The journal version of the live state (what a replica chases)."""
         if self._graph is not None:
             return self._graph.version()
-        if self._overlay is not None:
-            return int(self._overlay.version)
-        return int(self._manifest["snapshot_version"])
+        return self._view_version
 
     def _check_replicating(self) -> WalSegments:
         if not self._replicate:

@@ -3,10 +3,17 @@
 The incremental snapshot contract: after **any** mutation sequence, with
 snapshots touched at arbitrary points along the way (so deltas accumulate
 over whatever base happened to be cached), ``base CSR + delta`` must answer
-exactly like a from-scratch rebuild.  Compaction-threshold crossing and the
-journal-cap rebuild fallback are exercised explicitly with deterministic
-sequences, since they are boundary behaviors a random walk may miss.
+exactly like a from-scratch rebuild.  The patched-row invariant, checked
+on every kind of overlay (a dict graph's, a lazily opened store's, a
+replica's): each row of the overlay is the rebuilt snapshot's row as a
+multiset, no row names a dead vertex, and ``row_degrees`` is exact.
+Compaction-threshold crossing and the journal-cap rebuild fallback are
+exercised explicitly with deterministic sequences, since they are boundary
+behaviors a random walk may miss.
 """
+
+import tempfile
+from collections import Counter
 
 import pytest
 from counting import counted_calls
@@ -25,7 +32,10 @@ from repro.graph.compact import (
 )
 from repro.graph.generators import uniform_random
 from repro.graph.graph import MultiRelationalGraph
+from repro.graph.sharding import row_degrees
+from repro.replication import PrimaryFeed, ReplicaGraph
 from repro.rpq import lconcat, lstar, rpq_pairs, sym
+from repro.storage import PersistentGraph
 
 VERTICES = list(range(8)) + ["x", "y"]
 LABELS = ["a", "b"]
@@ -185,6 +195,127 @@ class TestCompactionThreshold:
         snapshot = adjacency_snapshot(graph)
         assert isinstance(snapshot, CompactAdjacency)  # rebuilt, not patched
         assert_matches_rebuild(graph)
+
+
+#: Churn over a base holding labels a, b and vertices 0-2: "c" is a label
+#: born after the base, 3-7 / "x" / "y" vertices born after it, and "re"
+#: re-adds the edge removed last (a base edge deleted, then restored).
+churn_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("+e"), vertex, st.sampled_from(LABELS + ["c"]),
+                  vertex),
+        st.tuples(st.just("-e"), vertex, label, vertex),
+        st.tuples(st.just("+v"), vertex),
+        st.tuples(st.just("-v"), vertex),
+        st.tuples(st.just("re")),
+    ),
+    min_size=1, max_size=40,
+)
+
+CHURN_BASE = [(0, "a", 1), (1, "b", 2), (2, "a", 0), (0, "a", 2),
+              (1, "a", 1)]
+
+
+def apply_churn_op(graph, op, removed):
+    """``apply_mrg_op`` plus re-adds; ``removed`` remembers removals."""
+    if op[0] == "re":
+        if removed:
+            graph.add_edge(*removed.pop())
+    elif op[0] == "-e" and graph.has_edge(op[1], op[2], op[3]):
+        graph.remove_edge(op[1], op[2], op[3])
+        removed.append(op[1:])
+    else:
+        apply_mrg_op(graph, op)
+
+
+def assert_rows_match_rebuild(view, graph):
+    """Every row of ``view`` is the rebuilt snapshot's row as a multiset,
+    no row names a dead vertex, and ``row_degrees`` counts the rows."""
+    assert isinstance(view, DeltaAdjacency)
+    rebuilt = CompactAdjacency.build(graph)
+    dead = view.dead_vertices
+    assert set(view.vertex_ids) == set(rebuilt.vertex_ids)
+    assert view.num_edges == rebuilt.num_edges
+    degrees = [0] * view.num_slots
+    for label_name, label_id in view.label_ids.items():
+        rebuilt_label = rebuilt.label_ids.get(label_name)
+        for slot in range(view.num_slots):
+            out = view.out_neighbors(slot, label_id)
+            into = view.in_neighbors(slot, label_id)
+            degrees[slot] += len(out)
+            assert not dead.intersection(out)
+            assert not dead.intersection(into)
+            if slot in dead or rebuilt_label is None:
+                assert out == [] and into == []
+                continue
+            twin = rebuilt.vertex_ids[view.vertex_of[slot]]
+            for got, want in (
+                    (out, rebuilt.out_neighbors(twin, rebuilt_label)),
+                    (into, rebuilt.in_neighbors(twin, rebuilt_label))):
+                assert Counter(view.vertex_of[i] for i in got) == \
+                    Counter(rebuilt.vertex_of[i] for i in want)
+    assert row_degrees(view) == degrees
+
+
+class TestPatchedRows:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=churn_ops, stride=st.integers(min_value=1, max_value=4))
+    def test_graph_overlay_rows_equal_rebuild(self, ops, stride):
+        graph = MultiRelationalGraph(CHURN_BASE)
+        # The cached base turns the journal on; nothing else reads or
+        # prunes it, so this overlay replays all of it.
+        overlay = DeltaAdjacency(adjacency_snapshot(graph))
+        applied = graph.version()
+        removed = []
+        for position, op in enumerate(ops):
+            apply_churn_op(graph, op, removed)
+            if position % stride == 0:  # extend the same overlay in place
+                overlay.apply(graph.journal_since(applied))
+                applied = graph.version()
+        overlay.apply(graph.journal_since(applied))
+        assert_rows_match_rebuild(overlay, graph)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ops=churn_ops)
+    def test_lazy_store_overlay_rows_equal_rebuild(self, ops):
+        with tempfile.TemporaryDirectory() as directory:
+            path = directory + "/g"
+            with PersistentGraph.create(
+                    path, MultiRelationalGraph(CHURN_BASE)) as store:
+                graph = store.graph()
+                graph.add_edge(0, "b", 1)  # the log always holds a record
+                removed = []
+                for op in ops:
+                    apply_churn_op(graph, op, removed)
+            with PersistentGraph.open(path) as reopened:
+                assert not reopened.materialized
+                assert_rows_match_rebuild(reopened.view(), graph)
+
+    @settings(max_examples=15, deadline=None)
+    @given(ops=churn_ops, stride=st.integers(min_value=1, max_value=6))
+    def test_replica_overlay_rows_equal_rebuild(self, ops, stride):
+        with tempfile.TemporaryDirectory() as directory:
+            with PersistentGraph.create(
+                    directory + "/primary", MultiRelationalGraph(CHURN_BASE),
+                    replicate=True) as store:
+                feed = PrimaryFeed(store)
+                replica = ReplicaGraph.bootstrap(directory + "/replica",
+                                                 feed)
+                try:
+                    graph = store.graph()
+                    graph.add_edge(0, "b", 1)
+                    removed = []
+                    for position, op in enumerate(ops):
+                        apply_churn_op(graph, op, removed)
+                        if position % stride == 0:  # apply mid-churn
+                            replica.poll_once(feed)
+                    while not replica.poll_once(feed)["at_end"]:
+                        pass
+                    assert replica.applied_version == \
+                        store.replication_version()
+                    assert_rows_match_rebuild(replica.view(), graph)
+                finally:
+                    replica.close()
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="compact DiGraph kernels need numpy")

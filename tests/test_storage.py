@@ -900,3 +900,31 @@ class TestCliDb:
     def test_info_on_missing_store_errors(self, tmp_path):
         code, text = self.run_cli(["db", "info", str(tmp_path / "nope")])
         assert code == 1 and "error:" in text
+
+
+class TestLazyVersion:
+    """A lazy store's version is the last record it applied, property-only
+    records included — no overlay is formed for those, so the version
+    cannot live on one."""
+
+    @pytest.mark.parametrize("structural_first", [False, True])
+    def test_property_only_suffix_keeps_its_version(self, tmp_path,
+                                                    structural_first):
+        directory = str(tmp_path / "store")
+        with PersistentGraph.create(directory, sample_graph()) as store:
+            if structural_first:
+                store.add_edge("a", "knows", "fresh")
+            store.set_vertex_property("a", "rank", 7)
+            logged = store.segments.last_version
+            assert logged == store.graph().version()
+        with PersistentGraph.open(directory) as lazy:
+            assert not lazy.materialized
+            assert lazy.current_version() == logged
+            info = lazy.checkpoint()
+            assert info["snapshot_version"] == logged
+            assert lazy.current_version() == logged
+        with PersistentGraph.open(directory) as reopened:
+            # The fold holds record ``logged``: nothing is replayed again.
+            assert reopened.info()["recovered_wal_records"] == 0
+            assert reopened.current_version() == logged
+            assert reopened.vertex_properties("a") == {"rank": 7}

@@ -23,8 +23,12 @@ import pickle
 import sys
 import threading
 from collections.abc import Set
+from itertools import product
 
 import pytest
+from counting import counted_calls
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.concurrency import tracking_scope, witness_scope
 from repro.engine import Engine, QueryCache
@@ -210,6 +214,95 @@ class TestEncoding:
         finally:
             sys.setswitchinterval(interval)
         assert got == [expected] * 8 and answer.memo == expected
+
+
+INTS = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+MIXED = st.one_of(INTS, st.booleans(), st.text(max_size=3),
+                  st.floats(allow_nan=False), st.none(),
+                  st.tuples(st.integers(0, 3), st.integers(0, 3)))
+
+
+@st.composite
+def block_answers(draw):
+    """A ``PairBlocks`` of random disjoint crossed and zip blocks, its
+    endpoints all ``int`` (half the time) or drawn from every kind."""
+    vertices = INTS if draw(st.booleans()) else MIXED
+    seen, blocks = set(), []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            firsts = draw(st.lists(vertices, max_size=4, unique=True))
+            seconds = draw(st.lists(vertices, max_size=12, unique=True))
+            pairs = set(product(firsts, seconds))
+            if pairs & seen:
+                continue
+            blocks.append((firsts, seconds, True))
+        else:
+            pairs = set(draw(st.lists(st.tuples(vertices, vertices),
+                                      max_size=12))) - seen
+            blocks.append(([f for f, _ in pairs], [h for _, h in pairs],
+                           False))
+        seen |= pairs
+    return PairBlocks(blocks)
+
+
+def reference_bytes(answer):
+    return json.dumps(sorted(answer, key=wire._pair_repr),
+                      default=str).encode()
+
+
+class TestIntWireText:
+    """An all-``int`` block answer's wire list is its sorted pair texts;
+    every other answer is ``json.dumps``'d.  Same bytes either way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(answer=block_answers())
+    def test_bytes_equal_the_json_encoding(self, answer):
+        assert wire.encode_pairs(answer) == reference_bytes(answer)
+        plain = frozenset(answer)
+        assert wire.encode_pairs(plain) == reference_bytes(plain)
+
+    @pytest.mark.parametrize("blocks", [
+        [],
+        [((), (1, 2), True), ((3,), (), True), ((), (), False)],
+        [((7,), list(range(-12, 12)), True)],          # wide: tails once
+        [(list(range(30)), (5,), True)],               # backward orientation
+        [((1, 2), (3, 4), True), ((9, 8), (2 ** 64, -2 ** 63), False)],
+        [((1,), (True,), True)],                       # bool is not an int
+        [((False, 2), (0, 1), False)],
+        [((1,), ("1", 1.0, None, (1, 2)), True)],
+    ])
+    def test_edge_cases(self, blocks):
+        answer = PairBlocks(blocks)
+        assert wire.encode_pairs(answer) == reference_bytes(answer)
+
+    def test_empty_answers(self):
+        assert wire.encode_pairs(PairBlocks(())) == b"[]"
+        assert wire.encode_pairs(frozenset()) == b"[]"
+
+    def test_all_int_encode_calls_json_dumps_zero_times(self):
+        ints = PairBlocks([((7,), list(range(40)), True),
+                           ([1, 2, 3], [9, 8, 2 ** 64], False)])
+        mixed = PairBlocks([((7,), list(range(40)), True),
+                            ((1,), (True,), True)])
+        for answer, dumps in ((ints, 0), (mixed, 1)):
+            with counted_calls([("dumps", json, "dumps")]) as counts:
+                encoded = wire.encode_pairs(answer)
+            assert counts["dumps"] == dumps
+            assert encoded == reference_bytes(answer)
+
+    def test_int_path_allocates_no_container_per_pair(self):
+        """As for the ``json.dumps`` path: the pair texts are strings,
+        which the collector does not track, so a 5000-pair encode stays
+        under the young-generation threshold."""
+        answer = PairBlocks([((i,), tuple(range(i, i + 50)), True)
+                             for i in range(50)]
+                            + [(tuple(range(2500)),
+                                tuple(range(2500, 5000)), False)])
+        assert wire.encode_pairs(answer) == reference_bytes(answer)
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        wire.encode_pairs(answer)
+        assert gc.get_stats()[0]["collections"] == before
 
 
 class TestServedReads:
