@@ -61,6 +61,14 @@ break tomorrow:
     ``is`` / ``is not`` against a str, bytes or number literal tests
     object identity, which interning makes true or false by accident
     (ruff's ``F632``); compare with ``==``.
+``undefined-name``
+    A name read as a global must have a module-level binding (assignment,
+    ``def`` / ``class``, import, or a function's ``global`` declaration
+    that assigns it) or be a builtin, and every string in a literal
+    ``__all__`` must name a module-level binding, unless the module
+    defines ``__getattr__`` (ruff's ``F821`` / ``F822``).  Scopes come
+    from :mod:`symtable`, the compiler's own resolution; a module with a
+    star import is skipped.
 
 Suppression syntax
 ------------------
@@ -88,10 +96,12 @@ from __future__ import annotations
 
 import argparse
 import ast
+import builtins
 import io
 import json
 import os
 import re
+import symtable
 import sys
 import tokenize
 import warnings
@@ -121,6 +131,8 @@ RULES: Dict[str, str] = {
                            "break/continue outside a loop do not compile",
     "literal-identity": "is / is not against a str, bytes or number "
                         "literal; use == / !=",
+    "undefined-name": "a global read or __all__ entry with no module-level "
+                      "binding, import or builtin",
 }
 
 #: Sentinel for "every rule" in suppression tables.
@@ -683,6 +695,101 @@ def _check_literal_identity(module: _Module, out: List[Violation]) -> None:
                     "use '{}'".format(spelled, instead))
 
 
+#: Globals every module has without binding them (beyond ``builtins``).
+_MODULE_GLOBALS = frozenset({"__file__", "__builtins__", "__path__",
+                             "__cached__", "__annotations__"})
+
+_Scope = Union[ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
+               ast.ClassDef]
+
+
+def _symbol_tables(table: symtable.SymbolTable
+                   ) -> Iterable[symtable.SymbolTable]:
+    yield table
+    for child in table.get_children():
+        yield from _symbol_tables(child)
+
+
+def _first_own_load(scope: _Scope, name: str) -> Optional[int]:
+    """The first line where ``scope`` reads ``name``.
+
+    The bodies of functions and classes nested in it are theirs; their
+    decorators, defaults, annotations and bases are the scope's own reads.
+    """
+    stack: List[ast.AST] = list(scope.body)
+    lines = []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and node.id == name \
+                and isinstance(node.ctx, ast.Load):
+            lines.append(node.lineno)
+        children = ast.iter_child_nodes(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            stack.extend(c for c in children if c not in node.body)
+        else:
+            stack.extend(children)
+    return min(lines) if lines else None
+
+
+def _dunder_all(tree: ast.Module) -> Iterable[ast.Constant]:
+    """The strings of a module-level ``__all__ = [...]`` (or ``+=``)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AugAssign)):
+            continue
+        target = node.targets[0] if isinstance(node, ast.Assign) \
+            else node.target
+        if isinstance(target, ast.Name) and target.id == "__all__" \
+                and isinstance(node.value, (ast.List, ast.Tuple)):
+            yield from (element for element in node.value.elts
+                        if isinstance(element, ast.Constant)
+                        and isinstance(element.value, str))
+
+
+def _check_undefined_name(module: _Module, out: List[Violation]) -> None:
+    if any(isinstance(node, ast.ImportFrom)
+           and any(alias.name == "*" for alias in node.names)
+           for node in ast.walk(module.tree)):
+        return
+    try:
+        top = symtable.symtable(module.source, module.path, "exec")
+    except SyntaxError:
+        return  # misplaced-statement reports what does not compile
+    tables = list(_symbol_tables(top))
+    bound = {symbol.get_name() for symbol in top.get_symbols()
+             if symbol.is_assigned() or symbol.is_imported()}
+    for table in tables[1:]:
+        bound.update(symbol.get_name() for symbol in table.get_symbols()
+                     if symbol.is_declared_global() and symbol.is_assigned())
+    # A module-level __getattr__ (PEP 562) serves attributes it never
+    # binds, so __all__ may name them; global reads get no such help.
+    if "__getattr__" not in bound:
+        for element in _dunder_all(module.tree):
+            if element.value not in bound:
+                module.report(out, element, "undefined-name",
+                              "__all__ names {!r}, which the module never "
+                              "binds".format(element.value))
+    known = bound | _MODULE_GLOBALS | set(dir(builtins))
+    scopes: Dict[Tuple[int, str], _Scope] = {
+        (node.lineno, node.name): node for node in ast.walk(module.tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))}
+    for table in tables:
+        scope = module.tree if table is top else scopes.get(
+            (table.get_lineno(), table.get_name()))
+        for symbol in table.get_symbols():
+            name = symbol.get_name()
+            if name in known or not symbol.is_referenced() \
+                    or not (table is top or symbol.is_global()):
+                continue
+            # Lambdas and comprehensions report at their own line.
+            line = (None if scope is None else _first_own_load(scope, name)) \
+                or table.get_lineno() or 1
+            module.report(out, line, "undefined-name",
+                          "name {!r} is read but never bound at module "
+                          "level, imported or a builtin".format(name))
+
+
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
@@ -701,6 +808,7 @@ def lint_paths(paths: Iterable[str]) -> List[Violation]:
         _check_mutable_default(module, out)
         _check_misplaced_statement(module, out)
         _check_literal_identity(module, out)
+        _check_undefined_name(module, out)
     _check_pickle_slots(modules, out)
     return sorted(out, key=lambda v: (v.path, v.line, v.rule))
 

@@ -11,7 +11,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli db open DIR ['PATHQL' ...query options]
     python -m repro.cli db checkpoint DIR
     python -m repro.cli db info DIR [--verify]
-    python -m repro.cli db shard DIR [--shards N] [--out SUBDIR]
     python -m repro.cli serve ROOT [--host H] [--port P] [--token T=TENANT]
                                    [--workers N] [--max-concurrency N]
                                    [--queue-depth N] [--deadline-ms MS]
@@ -23,10 +22,8 @@ GraphML (``.graphml``/``.xml``); the loader dispatches on extension.
 ``db`` family manages durable graph stores (write-ahead log + mmap'd CSR
 snapshots, see ``docs/persistence.md``): ``init`` seeds a store from a
 graph file, ``open`` recovers one (optionally running a query against it),
-``checkpoint`` folds the log into a fresh snapshot generation, ``info``
-reports manifest/WAL/recovery state as JSON, and ``shard`` spills the
-store's snapshot as per-vertex-range shard files (``docs/sharding.md``)
-so parallel worker processes can mmap just the rows they own.
+``checkpoint`` folds the log into a fresh snapshot generation, and
+``info`` reports manifest/WAL/recovery state as JSON.
 
 ``serve`` runs the async HTTP/JSON query service (``docs/serving.md``)
 over a directory of stores: one subdirectory per graph name, multi-tenant
@@ -136,16 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     db_info.add_argument("directory", help="store directory")
     db_info.add_argument("--verify", action="store_true",
                          help="also checksum the snapshot data region")
-
-    db_shard = db_commands.add_parser(
-        "shard", help="spill the store's snapshot as vertex-range shard "
-                      "files for the parallel executor")
-    db_shard.add_argument("directory", help="store directory")
-    db_shard.add_argument("--shards", type=int, default=None,
-                          help="shard count (default: cpu count)")
-    db_shard.add_argument("--out", default="shards",
-                          help="output subdirectory inside the store "
-                               "(default: shards)")
 
     db_verify = db_commands.add_parser(
         "verify", help="offline CRC scrub of a store or replica directory; "
@@ -289,18 +276,6 @@ def _run_db(args, out) -> int:
                     mmap=False, verify=True)
                 info["snapshot_checksum"] = "ok"
             out.write(json.dumps(info, indent=2, default=str) + "\n")
-    elif args.db_command == "shard":
-        from repro.graph.sharding import sharded_snapshot
-        from repro.storage import write_sharded_snapshots
-        shards = args.shards if args.shards else (os.cpu_count() or 1)
-        with PersistentGraph.open(args.directory,
-                                  materialize=True) as store:
-            manifest = write_sharded_snapshots(
-                os.path.join(args.directory, args.out),
-                sharded_snapshot(store.graph(), shards),
-                name=store.info().get("name", ""))
-        manifest["directory"] = args.out
-        out.write(json.dumps(manifest, indent=2, default=str) + "\n")
     elif args.db_command == "verify":
         from repro.replication import verify_store
         report = verify_store(args.directory)

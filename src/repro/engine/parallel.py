@@ -23,25 +23,20 @@ all-sources / batch kernels out over the vertex-range partition of
 
 Worker state and fork safety
 ----------------------------
-Workers never pickle a graph.  In the default **inline** mode the pool is
-forked *after* the parent stages the snapshot payload in a module-level
-registry, so children inherit the CSR arrays copy-on-write (zero copy, and
-mmap-backed arrays stay shared through the page cache); every task carries
-the executor's registry token, so a pool repopulated after another
-executor forked cannot adopt the wrong payload.  In **file** mode
-(``shard_dir=``) tasks carry only a directory + version and workers lazily
-``mmap`` the shard files they are asked about — each worker faults in just
-the rows it owns, and the mode works under any multiprocessing start
-method.  Mutating the graph invalidates stale state by ``version()``: the
-inline pool is re-forked over a fresh payload, the file mode rewrites the
-shard directory and keeps the pool.
+Workers never pickle a graph.  The pool is forked *after* the parent
+stages the snapshot payload in a module-level registry, so children
+inherit the CSR arrays copy-on-write (zero copy, and mmap-backed arrays
+stay shared through the page cache); every task carries the executor's
+registry token, so a pool repopulated after another executor forked
+cannot adopt the wrong payload.  Mutating the graph invalidates stale
+state by ``version()``: the pool is re-forked over a fresh payload.
 
 Serial fallback
 ---------------
 ``processes=1``, a tiny graph (below ``min_edges``), a single shard, or a
-platform without ``fork`` (in inline mode) all run the *same* per-shard
-tasks in-process through the same merge — the parallel path can never
-change an answer, only its wall-clock.  The planner's
+platform without ``fork`` all run the *same* per-shard tasks in-process
+through the same merge — the parallel path can never change an answer,
+only its wall-clock.  The planner's
 :meth:`~repro.engine.planner.Planner.choose_parallelism` decides when the
 fan-out is worth it; see ``docs/sharding.md``.
 """
@@ -83,37 +78,34 @@ try:
 except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
 
-__all__ = ["ParallelExecutor", "PARALLEL_MIN_EDGES", "fork_available"]
+__all__ = ["ParallelExecutor", "PARALLEL_MIN_EDGES", "MAX_WORKERS",
+           "fork_available"]
 
 #: Below this many edges the fan-out's fixed costs (task pickling, pool
 #: scheduling) outweigh any parallel win and every call runs serially.
 PARALLEL_MIN_EDGES = 512
 
-#: Default worker count: the machine's cores, capped — query fan-out past
-#: this sees diminishing returns against merge and pickling costs.
-_MAX_DEFAULT_WORKERS = 8
+#: Worker cap: query fan-out past this sees diminishing returns against
+#: merge and pickling costs.  Bounds the default and the planner's auto
+#: worker count, and the largest ``processes`` the HTTP tier accepts.
+MAX_WORKERS = 8
 
 #: Registry of live executors' fork payloads, keyed by executor token.
 #: Children inherit the whole dict at fork time; tasks resolve their own
 #: token, so concurrent executors (and late pool repopulation) stay safe.
 _FORK_PAYLOADS: Dict[int, Dict[str, object]] = {}
 
-#: Worker-side cache of lazily opened shard/full snapshot files, keyed by
-#: ``(directory, version, which)``; stale versions of the same directory
-#: are dropped as fresh ones arrive.
-_FILE_CACHE: Dict[Tuple, object] = {}
-
 _EXECUTOR_TOKENS = itertools.count(1)
 
 
 def fork_available() -> bool:
-    """True when the zero-copy inline worker mode can be used."""
+    """True when workers can inherit the snapshot by fork."""
     import multiprocessing
     return "fork" in multiprocessing.get_all_start_methods()
 
 
 # ----------------------------------------------------------------------
-# Worker side (top-level so tasks resolve by name under any start method)
+# Worker side (top-level so the pool pickles tasks by name)
 # ----------------------------------------------------------------------
 
 def _resolve_payload(ctx: Dict) -> Dict[str, object]:
@@ -125,66 +117,6 @@ def _resolve_payload(ctx: Dict) -> Dict[str, object]:
     return payload
 
 
-def _open_cached(directory: str, version: int, num_shards: int, which):
-    """Worker-side lazy mmap of one shard (or the full snapshot) file.
-
-    The cache key carries the shard *layout* (``num_shards``) besides the
-    version: a directory rewritten with a different shard count at the
-    same graph version must never serve the old layout's row slices (a
-    2-shard ``shard-0001`` owns different rows than a 4-shard one).
-    """
-    from repro.storage.snapshots import (
-        open_adjacency_snapshot,
-        open_shard,
-        read_shard_manifest,
-    )
-    key = (directory, version, num_shards, which)
-    cached = _FILE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    manifest = read_shard_manifest(directory)
-    if manifest["version"] != version or \
-            manifest["num_shards"] != num_shards:
-        raise ExecutionError(
-            "shard directory {} holds version {} x {} shards, task wants "
-            "version {} x {} shards".format(
-                directory, manifest["version"], manifest["num_shards"],
-                version, num_shards))
-    if which == "full":
-        if not manifest.get("full"):
-            raise ExecutionError(
-                "shard directory {} has no full snapshot file".format(
-                    directory))
-        opened, _ = open_adjacency_snapshot(
-            os.path.join(directory, manifest["full"]), mmap=True)
-        if opened.version != version:
-            raise ExecutionError(
-                "{}/{} is at version {}, task wants {} (directory "
-                "partially rewritten?)".format(
-                    directory, manifest["full"], opened.version, version))
-    else:
-        opened, _ = open_shard(directory, which, mmap=True)
-    for stale in [k for k in _FILE_CACHE
-                  if k[0] == directory and k[1:3] != (version, num_shards)]:
-        del _FILE_CACHE[stale]
-    _FILE_CACHE[key] = opened
-    return opened
-
-
-def _full_snapshot(ctx: Dict):
-    if ctx["mode"] == "files":
-        return _open_cached(ctx["dir"], ctx["version"], ctx["shards"],
-                            "full")
-    return _resolve_payload(ctx)["snapshot"]
-
-
-def _shard_snapshot(ctx: Dict, index: int):
-    if ctx["mode"] == "files":
-        return _open_cached(ctx["dir"], ctx["version"], ctx["shards"],
-                            index)
-    return _resolve_payload(ctx)["sharded"].shards[index]
-
-
 def _run_task(task):
     """Execute one fan-out task; runs identically in-pool and in-process.
 
@@ -194,9 +126,10 @@ def _run_task(task):
     """
     worker_fault_point("pool.task")
     ctx, kind, args = task
+    payload = _resolve_payload(ctx)
     if kind == "rpq":
         dfa, source_spec, targets = args
-        snapshot = _full_snapshot(ctx)
+        snapshot = payload["snapshot"]
         if source_spec[0] == "range":
             source_ids = live_ids_in_range(snapshot, source_spec[1],
                                            source_spec[2])
@@ -206,16 +139,16 @@ def _run_task(task):
                                      targets=targets)
     if kind == "scatter":
         index, lo, hi, coefficients = args
-        shard = _shard_snapshot(ctx, index)
+        shard = payload["sharded"].shards[index]
         return scatter_rank_mass(shard, lo, hi, coefficients)
     if kind == "bfs":
         sources = args
-        dsnap = _resolve_payload(ctx)["digraph"]
+        dsnap = payload["digraph"]
         return {source: dsnap.bfs_distances(source) for source in sources}
     if kind == "paths":
         expression, max_length, tails = args
         from repro.automata.generator import generate_paths
-        graph = _resolve_payload(ctx)["graph"]
+        graph = payload["graph"]
         return generate_paths(graph, expression, max_length,
                               first_edge_tails=tails)
     raise ExecutionError("unknown parallel task kind {!r}".format(kind))
@@ -249,16 +182,12 @@ class ParallelExecutor:
         pagerank) or :class:`~repro.algorithms.digraph.DiGraph` (BFS
         batches).
     processes:
-        Worker count; ``None`` uses ``os.cpu_count()`` (capped — see
-        ``_MAX_DEFAULT_WORKERS``), ``1`` forces the serial fallback.
+        Worker count; ``None`` uses ``os.cpu_count()`` (capped at
+        :data:`MAX_WORKERS`), ``1`` forces the serial fallback.
     num_shards:
         Vertex-range shard count (defaults to ``processes``).
     min_edges:
         Graphs below this edge count always run serially.
-    shard_dir:
-        Switch to file mode: shard snapshot files are written to (and
-        refreshed in) this directory and workers mmap them lazily instead
-        of inheriting forked memory.
     max_task_retries:
         How many times a fan-out whose worker died (or stalled past
         ``stall_timeout``) is retried on a freshly respawned pool before
@@ -275,17 +204,15 @@ class ParallelExecutor:
     def __init__(self, graph, processes: Optional[int] = None,
                  num_shards: Optional[int] = None,
                  min_edges: int = PARALLEL_MIN_EDGES,
-                 shard_dir: Optional[str] = None,
                  max_task_retries: int = 2,
                  stall_timeout: Optional[float] = 60.0):
         cpu = os.cpu_count() or 1
         self.graph = graph
         self.processes = max(1, processes if processes is not None
-                             else min(cpu, _MAX_DEFAULT_WORKERS))
+                             else min(cpu, MAX_WORKERS))
         self.num_shards = max(1, num_shards if num_shards is not None
                               else self.processes)
         self.min_edges = min_edges
-        self.shard_dir = shard_dir
         self.max_task_retries = max(0, max_task_retries)
         self.stall_timeout = stall_timeout
         # Self-healing telemetry (see stats()): how often workers died
@@ -303,10 +230,6 @@ class ParallelExecutor:
         # (engine swap or shutdown) while a fan-out respawns the pool.
         # Witness-ordered below engine.parallel (the Engine's swap lock).
         self._pool_lock = ordered_lock("engine.pool")
-        self._files_version: Optional[int] = None
-        # Shard count actually written to shard_dir: shard_ranges clamps
-        # to the vertex count, so this can be lower than num_shards.
-        self._files_shards: Optional[int] = None
         # (version, num_shards) -> source ranges over the live snapshot
         # view: the O(labels*V) degree pass only re-runs after mutations.
         self._range_cache: Optional[Tuple] = None
@@ -315,9 +238,7 @@ class ParallelExecutor:
 
     @property
     def mode(self) -> str:
-        """``files``, ``inline`` or ``serial`` (no fork, no shard_dir)."""
-        if self.shard_dir is not None:
-            return "files"
+        """``inline`` (forked workers) or ``serial`` (no fork)."""
         return "inline" if fork_available() else "serial"
 
     def describe(self) -> str:
@@ -401,8 +322,9 @@ class ParallelExecutor:
 
     # -- state staging -------------------------------------------------
 
-    def _stage_payload(self, need: str, version: int) -> Dict:
-        """(Re)build the master-side payload for ``need`` at ``version``.
+    def _context(self, need: str, version: int) -> Dict:
+        """Stage the fork payload for ``need`` at ``version`` and return
+        the context every task carries.
 
         The payload accumulates what past calls needed, so a pool rebuilt
         for pagerank still serves RPQ tasks without another rebuild.
@@ -419,48 +341,12 @@ class ParallelExecutor:
         if need == "paths" and "graph" not in payload:
             payload["graph"] = self.graph
         _FORK_PAYLOADS[self._token] = payload
-        return payload
-
-    def _ensure_files(self, version: int) -> None:
-        """Refresh the shard directory when the graph has moved past it.
-
-        A directory that is already at (version, shard count) — spilled
-        by ``repro db shard`` or a previous executor — is adopted as-is;
-        only staleness triggers the O(V + E) fold-and-rewrite.
-        """
-        from repro.storage.snapshots import (
-            read_shard_manifest,
-            write_sharded_snapshots,
-        )
-        if self._files_version == version:
-            return
-        manifest = None
-        try:
-            manifest = read_shard_manifest(self.shard_dir)
-        except Exception:
-            pass
-        if manifest is None or manifest["version"] != version \
-                or manifest["num_shards"] != min(
-                    self.num_shards, max(manifest["num_vertices"], 1)):
-            manifest = write_sharded_snapshots(
-                self.shard_dir, sharded_snapshot(self.graph, self.num_shards))
-        self._files_version = version
-        self._files_shards = manifest["num_shards"]
-
-    def _context(self, need: str, version: int) -> Dict:
-        if self.mode == "files" and need in ("rpq", "scatter"):
-            self._ensure_files(version)
-            # The *written* shard count: shard_ranges clamps to the vertex
-            # count, so a 3-vertex graph under processes=4 still works.
-            return {"mode": "files", "dir": self.shard_dir,
-                    "version": version, "shards": self._files_shards}
-        self._stage_payload(need, version)
-        return {"mode": "inline", "token": self._token, "version": version}
+        return {"token": self._token, "version": version}
 
     #: How often the self-healing poll wakes to look for dead workers.
     _POLL_INTERVAL = 0.05
 
-    def _map(self, need: str, ctx: Dict, tasks: List, num_edges: int) -> List:
+    def _map(self, ctx: Dict, tasks: List, num_edges: int) -> List:
         """Run tasks through the pool, or in-process when serial is right.
 
         The parallel path self-heals: a fan-out whose worker died (or
@@ -471,11 +357,8 @@ class ParallelExecutor:
         is therefore only ever wall-clock — a fan-out either returns the
         exact same result as the serial path or keeps failing loudly.
         """
-        parallel = (self.processes > 1 and len(tasks) > 1
-                    and num_edges >= self.min_edges)
-        if parallel and ctx["mode"] == "inline" and not fork_available():
-            parallel = False
-        if not parallel:
+        if not (self.processes > 1 and len(tasks) > 1
+                and num_edges >= self.min_edges and fork_available()):
             return [_run_task(task) for task in tasks]
         for attempt in range(self.max_task_retries + 1):
             self._ensure_pool(ctx)
@@ -528,24 +411,17 @@ class ParallelExecutor:
     def _ensure_pool(self, ctx: Dict) -> None:
         """Fork (or keep) the worker pool matching ``ctx``.
 
-        File-mode pools survive graph mutations (workers resolve versions
-        per task); inline pools are re-forked whenever the staged payload
-        changes, because children hold a copy-on-write image frozen at
-        fork time.
+        The pool is re-forked whenever the staged payload changes, because
+        children hold a copy-on-write image frozen at fork time.
         """
         import multiprocessing
-        if ctx["mode"] == "files":
-            key: Tuple = ("files",)
-        else:
-            payload = _FORK_PAYLOADS[self._token]
-            key = ("inline", ctx["version"], frozenset(payload))
+        key = (ctx["version"], frozenset(_FORK_PAYLOADS[self._token]))
         with self._pool_lock:
             if self._pool is not None and self._pool_key == key:
                 return
             self._teardown_pool_locked()
-            context = multiprocessing.get_context(
-                "fork" if fork_available() else None)
-            self._pool = context.Pool(self.processes)
+            self._pool = multiprocessing.get_context("fork").Pool(
+                self.processes)
             self._pool_leak_token = track_resource(
                 "worker-pool", "{} process(es)".format(self.processes))
             self._pool_key = key
@@ -588,18 +464,12 @@ class ParallelExecutor:
         """
         version = self.graph.version()
         ctx = self._context("rpq", version)
-        if ctx["mode"] == "files":
-            sharded = sharded_snapshot(self.graph, self.num_shards)
-            vertex_ids = sharded.vertex_ids
-            ranges = sharded.ranges
-            num_edges = sharded.num_edges
-        else:
-            snapshot = _FORK_PAYLOADS[self._token]["snapshot"]
-            vertex_ids = snapshot.vertex_ids
-            ranges = self._source_ranges(snapshot, version)
-            num_edges = snapshot.num_edges
+        snapshot = _FORK_PAYLOADS[self._token]["snapshot"]
+        vertex_ids = snapshot.vertex_ids
         if sources is None:
-            specs = [("range", lo, hi) for lo, hi in ranges if hi > lo]
+            specs = [("range", lo, hi)
+                     for lo, hi in self._source_ranges(snapshot, version)
+                     if hi > lo]
         else:
             ids = sorted({vertex_ids[v] for v in sources if v in vertex_ids})
             specs = [("ids", chunk) for chunk in _chunks(ids, self.num_shards)]
@@ -609,7 +479,7 @@ class ParallelExecutor:
             return [PairBlocks(()) for _ in dfas]
         tasks = [(ctx, "rpq", (dfa, spec, targets))
                  for dfa in dfas for spec in specs]
-        results = self._map("rpq", ctx, tasks, num_edges)
+        results = self._map(ctx, tasks, snapshot.num_edges)
         merged = []
         per_query = len(specs)
         for index in range(len(dfas)):
@@ -642,7 +512,7 @@ class ParallelExecutor:
                  for chunk in _chunks(source_list, self.processes)]
         if not tasks:
             return {}
-        results = self._map("bfs", ctx, tasks, self.graph.size())
+        results = self._map(ctx, tasks, self.graph.size())
         merged: Dict[Hashable, Dict[Hashable, int]] = {}
         for block in results:
             merged.update(block)
@@ -668,7 +538,7 @@ class ParallelExecutor:
             return generate_paths(self.graph, expression, max_length)
         tasks = [(ctx, "paths", (expression, max_length, chunk))
                  for chunk in chunks]
-        results = self._map("paths", ctx, tasks, self.graph.size())
+        results = self._map(ctx, tasks, self.graph.size())
         merged = frozenset().union(*(r.paths for r in results))
         return PathSet(merged)
 
@@ -720,7 +590,7 @@ class ParallelExecutor:
             tasks = [(ctx, "scatter",
                       (index, lo, hi, array("d", coefficients[lo:hi])))
                      for index, (lo, hi) in enumerate(ranges)]
-            partials = self._map("scatter", ctx, tasks, num_edges)
+            partials = self._map(ctx, tasks, num_edges)
             base = damping * dangling_mass + (1.0 - damping)
             ranks = self._merge_mass(partials, teleport, base, n)
             if self._l1_delta(ranks, previous, n) < n * tolerance:

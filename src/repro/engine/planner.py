@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from repro.engine.parallel import MAX_WORKERS
 from repro.engine.plan import (
     AtomScan,
     EmptyScan,
@@ -73,10 +74,6 @@ _DIRECTION_MARGIN = 0.9
 #: much smaller ``PARALLEL_MIN_EDGES`` safety floor.)
 _PARALLEL_AUTO_MIN_EDGES = 25_000
 _PARALLEL_AUTO_MIN_SOURCES = 256
-
-#: Auto-chosen worker counts are capped here: the sweep merge and task
-#: pickling serialize past a handful of workers.
-_PARALLEL_AUTO_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -386,7 +383,7 @@ class Planner:
             return ParallelismChoice(
                 1, 1, "{} sources below the {} auto floor".format(
                     sources, _PARALLEL_AUTO_MIN_SOURCES))
-        chosen = min(cpu, _PARALLEL_AUTO_MAX_WORKERS)
+        chosen = min(cpu, MAX_WORKERS)
         return ParallelismChoice(
             chosen, chosen,
             "{} edges, {} sources over auto floors".format(edges, sources))

@@ -23,7 +23,6 @@ __all__ = [
     "AutomatonError",
     "PathQLError",
     "PathQLSyntaxError",
-    "PathQLCompileError",
     "EngineError",
     "PlanningError",
     "ExecutionError",
@@ -153,10 +152,6 @@ class PathQLSyntaxError(PathQLError, SyntaxError):
             snippet = self.text[max(0, self.position - 10):self.position + 10]
             location += " near {!r}".format(snippet)
         return "{} ({})".format(self.message, location)
-
-
-class PathQLCompileError(PathQLError):
-    """A parsed PathQL query could not be compiled against a graph."""
 
 
 class EngineError(PathAlgebraError):

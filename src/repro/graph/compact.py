@@ -821,7 +821,7 @@ def rpq_pairs_on_snapshot(snapshot, dfa,
     """:func:`rpq_pairs_compact` on an explicit snapshot view.
 
     The graph-free entry point the parallel fan-out executor needs: worker
-    processes hold a (forked or mmap-reopened) :class:`CompactAdjacency` /
+    processes hold a forked :class:`CompactAdjacency` /
     :class:`DeltaAdjacency` but no live graph object, and each sweeps only
     the ``source_ids`` slot range it owns.  ``source_ids`` (dense integer
     ids, already live) takes precedence over ``sources`` (vertex objects,

@@ -25,14 +25,13 @@ for owned sources.  Ranges are balanced by **out-degree**, not vertex
 count, so hub-heavy graphs do not starve all workers but one.
 
 The parallel fan-out/merge executor lives in
-:mod:`repro.engine.parallel`; per-shard snapshot *files* (so worker
-processes mmap only the rows they own) are written and reopened by
-:mod:`repro.storage.snapshots`.  See ``docs/sharding.md``.
+:mod:`repro.engine.parallel`; its workers inherit the shards by fork.  See
+``docs/sharding.md``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Hashable, Iterable, List, Tuple
 
 from repro.graph.compact import (
     CompactAdjacency,
@@ -185,21 +184,16 @@ class ShardedSnapshot:
         pagerank kernels' out-degree vector).
     """
 
-    __slots__ = ("version", "ranges", "shards", "vertex_of", "vertex_ids",
-                 "label_of", "label_ids", "num_edges", "degrees", "_starts")
+    __slots__ = ("version", "ranges", "shards", "vertex_of", "num_edges",
+                 "degrees", "_starts")
 
     def __init__(self, version: int, ranges: List[Tuple[int, int]],
                  shards: List[CompactAdjacency], vertex_of: List[Hashable],
-                 vertex_ids: Dict[Hashable, int], label_of: List[Hashable],
-                 label_ids: Dict[Hashable, int], num_edges: int,
-                 degrees: List[int]):
+                 num_edges: int, degrees: List[int]):
         self.version = version
         self.ranges = ranges
         self.shards = shards
         self.vertex_of = vertex_of
-        self.vertex_ids = vertex_ids
-        self.label_of = label_of
-        self.label_ids = label_ids
         self.num_edges = num_edges
         self.degrees = degrees
         self._starts = [lo for lo, _ in ranges]
@@ -242,54 +236,19 @@ class ShardedSnapshot:
                 view.label_ids, view.label_of, forward, reverse,
                 shard_edges))
         return cls(view.version, ranges, shards, view.vertex_of,
-                   view.vertex_ids, view.label_of, view.label_ids,
                    view.num_edges, degrees)
 
-    @classmethod
-    def from_shards(cls, version: int, ranges: List[Tuple[int, int]],
-                    shards: List[CompactAdjacency],
-                    num_edges: int) -> "ShardedSnapshot":
-        """Re-assemble from independently reopened shard snapshots (the
-        storage layer's path — shard files share one global vertex table)."""
-        first = shards[0]
-        return cls(version, ranges, shards, first.vertex_of,
-                   first.vertex_ids, first.label_of, first.label_ids,
-                   num_edges, row_degrees_of_shards(ranges, shards))
-
     def shard_for(self, vertex_id: int) -> int:
-        """Index of the shard owning ``vertex_id`` (one bisect — this is
-        called per row when spilling the merged full snapshot)."""
+        """Index of the shard owning ``vertex_id`` (one bisect)."""
         from bisect import bisect_right
         if not 0 <= vertex_id < self.num_vertices:
             raise IndexError("vertex id {} outside [0, {})".format(
                 vertex_id, self.num_vertices))
         return bisect_right(self._starts, vertex_id) - 1
 
-    def describe(self) -> str:
-        """One line for EXPLAIN: shard count and range/edge balance."""
-        parts = ", ".join(
-            "[{}, {}): {}e".format(lo, hi, shard.num_edges)
-            for (lo, hi), shard in zip(self.ranges, self.shards))
-        return "{} shard(s) over {} vertices ({})".format(
-            self.num_shards, self.num_vertices, parts)
-
     def __repr__(self) -> str:
         return "ShardedSnapshot<{} shards, |V|={}, |E|={}, version={}>".format(
             self.num_shards, self.num_vertices, self.num_edges, self.version)
-
-
-def row_degrees_of_shards(ranges: List[Tuple[int, int]],
-                          shards: List[CompactAdjacency]) -> List[int]:
-    """Global out-degree vector recovered from per-shard row slices."""
-    if not shards:
-        return []
-    degrees = [0] * shards[0].num_vertices
-    for (lo, hi), shard in zip(ranges, shards):
-        for label_id in range(shard.num_labels):
-            indptr, _ = shard.forward[label_id]
-            for v in range(lo, hi):
-                degrees[v] += indptr[v + 1] - indptr[v]
-    return degrees
 
 
 def sharded_snapshot(graph: Any, num_shards: int) -> ShardedSnapshot:

@@ -55,8 +55,9 @@ tenant, and the request's index on its connection.  The CLI writes each
 as one JSON line.
 
 Query bodies: ``query`` (PathQL text; or ``queries`` for a batch),
-optional ``sources`` / ``targets`` lists, ``max_length``, ``processes``,
-and ``deadline_ms`` — the per-request deadline enforced by
+optional ``sources`` / ``targets`` lists, ``max_length``, ``processes``
+(at most the executor's ``MAX_WORKERS``), and ``deadline_ms`` — the
+per-request deadline enforced by
 :class:`~repro.service.async_engine.AsyncEngine`.  The reply's ``pairs``
 is the answer as a JSON list sorted by ``repr``; it is sorted and encoded
 once per cached answer (:mod:`repro.service.wire`), in the worker thread
@@ -103,6 +104,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.replication import REPLICA_META_NAME
 
+from repro.engine.parallel import MAX_WORKERS
 from repro.errors import (
     AuthenticationError,
     DeadlineExceededError,
@@ -658,8 +660,8 @@ class HttpServer:
         return float(deadline_ms) / 1000.0
 
     @staticmethod
-    def _integer_of(body: Dict[str, Any], key: str,
-                    minimum: int) -> Optional[int]:
+    def _integer_of(body: Dict[str, Any], key: str, minimum: int,
+                    maximum: Optional[int] = None) -> Optional[int]:
         value = body.get(key)
         if value is None:
             return None
@@ -667,6 +669,9 @@ class HttpServer:
                 or value < minimum:
             raise _BadRequest(
                 "{} must be an integer >= {}".format(key, minimum))
+        if maximum is not None and value > maximum:
+            raise _BadRequest(
+                "{} must be an integer <= {}".format(key, maximum))
         return value
 
     @staticmethod
@@ -690,7 +695,10 @@ class HttpServer:
                 "sources": self._endpoints_of(body, "sources"),
                 "targets": self._endpoints_of(body, "targets"),
                 "max_length": self._integer_of(body, "max_length", 0),
-                "processes": self._integer_of(body, "processes", 1)}
+                # Each worker is a forked process: the wire may ask for
+                # at most the executor's cap.
+                "processes": self._integer_of(body, "processes", 1,
+                                              MAX_WORKERS)}
 
     async def _answer(self, handle: Any, query: str,
                       options: Dict[str, Any]) -> ServedPairs:

@@ -10,12 +10,8 @@ from repro.storage.snapshots import (
     fold_view,
     open_adjacency_snapshot,
     open_digraph_snapshot,
-    open_shard,
-    open_sharded_snapshot,
-    read_shard_manifest,
     write_adjacency_snapshot,
     write_digraph_snapshot,
-    write_sharded_snapshots,
 )
 from repro.storage.segments import (
     ReplicationCursor,
@@ -41,8 +37,4 @@ __all__ = [
     "open_adjacency_snapshot",
     "write_digraph_snapshot",
     "open_digraph_snapshot",
-    "write_sharded_snapshots",
-    "read_shard_manifest",
-    "open_shard",
-    "open_sharded_snapshot",
 ]

@@ -34,8 +34,8 @@ only the digraph kind, whose kernels are vectorised, maps through it.
 
 The mapping is never closed by hand: every carved view holds a reference
 to it, so it is unmapped when the last view is dropped (closing it under
-an exported view raises ``BufferError``).  Views do not pickle — worker
-processes reopen a snapshot by path.
+an exported view raises ``BufferError``).  Views do not pickle — the
+parallel executor's workers inherit a mapped snapshot by fork.
 
 ``data_crc32`` covers the whole data region.  It is verified on
 ``verify=True`` opens (and by ``repro db info``); the default mmap open
@@ -79,17 +79,12 @@ from repro.storage.frames import (
 
 __all__ = [
     "SNAPSHOT_MAGIC",
-    "SHARD_MANIFEST_NAME",
     "SnapshotMetadata",
     "fold_view",
     "write_adjacency_snapshot",
     "open_adjacency_snapshot",
     "write_digraph_snapshot",
     "open_digraph_snapshot",
-    "write_sharded_snapshots",
-    "read_shard_manifest",
-    "open_shard",
-    "open_sharded_snapshot",
 ]
 
 SNAPSHOT_MAGIC = b"RPCSR001"
@@ -445,167 +440,6 @@ def write_digraph_snapshot(path: str, snapshot: CompactDiGraph,
         "vertex_of": vertex_of,
     }
     _write_file(path, header, sections)
-
-
-#
-# ----------------------------------------------------------------------
-# Sharded snapshots (vertex-range shard files + manifest)
-# ----------------------------------------------------------------------
-
-SHARD_MANIFEST_NAME = "shards.json"
-
-
-class _MergedShardView:
-    """Read adapter presenting a :class:`ShardedSnapshot` as one flat view.
-
-    Exposes exactly the surface :func:`fold_view` consumes
-    (``live_vertex_ids`` / ``out_neighbors`` / interning tables), resolving
-    each row through the shard that owns it — so the full-graph snapshot
-    file can be spilled from the shards without re-walking any graph dict.
-    """
-
-    def __init__(self, sharded: Any):
-        self.sharded = sharded
-        self.vertex_of = sharded.vertex_of
-        self.label_of = sharded.label_of
-        self.num_slots = sharded.num_vertices
-
-    def live_vertex_ids(self) -> Iterable[int]:
-        return range(self.num_slots)
-
-    def out_neighbors(self, vertex_id: int, label_id: int) -> Any:
-        shard = self.sharded.shards[self.sharded.shard_for(vertex_id)]
-        return shard.out_neighbors(vertex_id, label_id)
-
-
-def _shard_file_name(index: int) -> str:
-    return "shard-{:04d}.rcsr".format(index)
-
-
-def write_sharded_snapshots(directory: str, sharded: Any, name: str = "",
-                            write_full: bool = True) -> Dict[str, Any]:
-    """Spill a :class:`~repro.graph.sharding.ShardedSnapshot` to ``directory``.
-
-    Writes one standard multirelational snapshot file per shard (global
-    vertex table, only the shard's owned rows — so a worker process maps
-    just the pages it owns), optionally one ``full.rcsr`` merged snapshot
-    for the sweep kernels that need the whole CSR, and a ``shards.json``
-    manifest recording the ranges.  Returns the manifest dict.
-    """
-    os.makedirs(directory, exist_ok=True)
-
-    def write_replacing(file_name: str, view: Any) -> None:
-        # Never truncate a live file in place: a crash mid-rewrite must
-        # not leave a half-written shard under a name the (still old)
-        # manifest vouches for, and long-lived workers may hold the old
-        # inode mmap'd — os.replace retires it without clobbering them.
-        final_path = os.path.join(directory, file_name)
-        tmp_path = final_path + ".tmp"
-        write_adjacency_snapshot(tmp_path, view, name=name,
-                                 version=sharded.version)
-        try:
-            fault_point("shard.rename")
-            os.replace(tmp_path, final_path)
-        except OSError as exc:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise StorageError(
-                "{}: shard publish failed ({})".format(final_path, exc)
-            ) from exc
-
-    files = []
-    for index, shard in enumerate(sharded.shards):
-        file_name = _shard_file_name(index)
-        write_replacing(file_name, shard)
-        files.append(file_name)
-    manifest: Dict[str, Any] = {
-        "format": 1,
-        "kind": "sharded",
-        "name": name,
-        "version": sharded.version,
-        "num_shards": sharded.num_shards,
-        "num_vertices": sharded.num_vertices,
-        "num_edges": sharded.num_edges,
-        "ranges": [[lo, hi] for lo, hi in sharded.ranges],
-        "shards": files,
-        "full": None,
-    }
-    if write_full:
-        manifest["full"] = "full.rcsr"
-        write_replacing(manifest["full"], _MergedShardView(sharded))
-    tmp_path = os.path.join(directory, SHARD_MANIFEST_NAME + ".tmp")
-    with open(tmp_path, "w", encoding="utf-8") as stream:
-        json.dump(manifest, stream, indent=2)
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp_path, os.path.join(directory, SHARD_MANIFEST_NAME))
-    return manifest
-
-
-def read_shard_manifest(directory: str) -> Dict[str, Any]:
-    """Load and sanity-check ``shards.json`` from a shard directory."""
-    path = os.path.join(directory, SHARD_MANIFEST_NAME)
-    if not os.path.exists(path):
-        raise StorageError(
-            "{} is not a shard directory (no {})".format(
-                directory, SHARD_MANIFEST_NAME))
-    with open(path, "r", encoding="utf-8") as stream:
-        manifest = json.load(stream)
-    if manifest.get("kind") != "sharded" or manifest.get("format") != 1:
-        raise StorageError("{}: unsupported shard manifest".format(path))
-    if len(manifest.get("shards", ())) != len(manifest.get("ranges", ())):
-        raise StorageError("{}: shard manifest is inconsistent".format(path))
-    return manifest
-
-
-def _open_manifest_member(directory: str, manifest: Dict[str, Any],
-                          file_name: str, mmap: bool) -> CompactAdjacency:
-    """Open one file the manifest names, cross-checking its own version.
-
-    Shard files are rewritten atomically but individually; only this
-    check makes a half-refreshed directory (some files at the next
-    version, the manifest still at the old one — or vice versa after a
-    crash) fail loudly instead of serving rows from two graph versions.
-    """
-    snapshot, _ = open_adjacency_snapshot(
-        os.path.join(directory, file_name), mmap=mmap)
-    if snapshot.version != manifest["version"]:
-        raise StorageError(
-            "{}/{} is at version {} but the shard manifest says {} — "
-            "the directory was partially rewritten; re-run the shard "
-            "spill".format(directory, file_name, snapshot.version,
-                           manifest["version"]))
-    return snapshot
-
-
-def open_shard(directory: str, index: int, mmap: bool = True
-               ) -> Tuple[CompactAdjacency, Tuple[int, int]]:
-    """Reopen one shard file: ``(snapshot, (lo, hi))``.
-
-    The worker-process entry point — only this shard's file is opened
-    (mmap-backed), nothing else in the directory is touched.
-    """
-    manifest = read_shard_manifest(directory)
-    if not 0 <= index < manifest["num_shards"]:
-        raise StorageError("{}: no shard {} (have {})".format(
-            directory, index, manifest["num_shards"]))
-    snapshot = _open_manifest_member(directory, manifest,
-                                     manifest["shards"][index], mmap)
-    lo, hi = manifest["ranges"][index]
-    return snapshot, (lo, hi)
-
-
-def open_sharded_snapshot(directory: str, mmap: bool = True) -> Any:
-    """Reopen every shard of a shard directory as a ``ShardedSnapshot``."""
-    from repro.graph.sharding import ShardedSnapshot
-    manifest = read_shard_manifest(directory)
-    shards = [_open_manifest_member(directory, manifest, file_name, mmap)
-              for file_name in manifest["shards"]]
-    ranges = [(lo, hi) for lo, hi in manifest["ranges"]]
-    return ShardedSnapshot.from_shards(manifest["version"], ranges, shards,
-                                       manifest["num_edges"])
 
 
 def open_digraph_snapshot(path: str, mmap: bool = True,

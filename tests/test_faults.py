@@ -318,23 +318,6 @@ class TestDegradedMode:
         assert outcome["generation"] >= 2
         store.close()
 
-    def test_shard_publish_fault_is_typed_and_leaves_no_tmp(self, tmp_path):
-        from repro.graph.sharding import sharded_snapshot
-        from repro.storage.snapshots import write_sharded_snapshots
-        graph = uniform_random(40, 200, labels=("a", "b"), seed=2)
-        sharded = sharded_snapshot(graph, 2)
-        target = str(tmp_path / "shards")
-        plan = FaultPlan()
-        plan.arm("shard.rename", "eio", times=1)
-        with fault_scope(plan):
-            with pytest.raises(StorageError):
-                write_sharded_snapshots(target, sharded)
-        assert not [name for name in os.listdir(target)
-                    if name.endswith(".tmp")]
-        # The device healed: the same spill now publishes cleanly.
-        manifest = write_sharded_snapshots(target, sharded)
-        assert manifest["num_shards"] == 2
-
     def test_read_fault_is_typed_not_wrong(self, tmp_path):
         store = seeded_store(tmp_path / "g")
         plan = FaultPlan()

@@ -5,10 +5,9 @@ The multiprocessing half of the sharding battery (the pool-free half is
 to stay CI-friendly) and asserts that sharded-parallel evaluation equals
 the single-core compact kernels and dict references across shard counts
 {1, 2, 7} and under delta overlays, that one executor survives graph
-mutations (stale state invalidated by ``version()``), that the file mode
-mmaps what it is told to, and that the engine-level plumbing (``pairs``,
-``pairs_batch``, ``query``, ``cache_stats``, EXPLAIN, the ``db shard``
-CLI) routes through it correctly.
+mutations (stale state invalidated by ``version()``), and that the
+engine-level plumbing (``pairs``, ``pairs_batch``, ``query``,
+``cache_stats``, EXPLAIN) routes through it correctly.
 
 Forced low thresholds (``min_edges=0``) keep the graphs small; platforms
 without the ``fork`` start method skip the pool-backed tests — the serial
@@ -97,6 +96,21 @@ class TestParallelDifferential:
         with pool_executor(graph, num_shards=4) as executor:
             got = executor.pagerank(tolerance=1.0e-12)
         assert got == want  # bit-for-bit: shard-ordered float merge
+
+    def test_more_shards_and_processes_than_vertices(self):
+        # shard_ranges clamps to the vertex count: 4 shards over 3
+        # vertices run as 3 tasks on a 4-worker pool.
+        graph = uniform_random(3, 4, labels=("a",), seed=89)
+        expression = lstar(sym("a"))
+        dfa = compile_rpq(expression, graph)
+        serial = ParallelExecutor(graph, processes=1, num_shards=4)
+        want = serial.pagerank(tolerance=1.0e-10)
+        serial.close()
+        with pool_executor(graph, processes=4, num_shards=4) as executor:
+            assert executor.rpq_pairs(dfa) == rpq_pairs(graph, expression)
+            assert executor.pagerank(tolerance=1.0e-10) == want
+            stats = executor.stats()
+            assert stats["pool_live"] and not stats["serial_fallbacks"]
 
     def test_bfs_batch_parallel_matches_digraph(self):
         rng = random.Random(19)
@@ -187,28 +201,6 @@ class TestPoolLifecycle:
         engine.close()
         # The engine stays usable for serial evaluation after close.
         assert engine.pairs("[_, a, _] . [_, b, _]*") == answer
-
-
-@needs_fork
-class TestFileMode:
-
-    def test_file_mode_parity_and_refresh(self, tmp_path):
-        graph = small_graph(seed=43)
-        directory = str(tmp_path / "shards")
-        with pool_executor(graph, num_shards=3,
-                           shard_dir=directory) as executor:
-            dfa = compile_rpq(STAR, graph)
-            assert executor.rpq_pairs(dfa) == rpq_pairs_basic(graph, STAR)
-            serial = ParallelExecutor(graph, processes=1, num_shards=3)
-            assert executor.pagerank(tolerance=1.0e-10) == \
-                serial.pagerank(tolerance=1.0e-10)
-            serial.close()
-            # Mutate: the directory must be rewritten at the new version.
-            graph.add_edge(1, "a", 2)
-            dfa = compile_rpq(STAR, graph)
-            assert executor.rpq_pairs(dfa) == rpq_pairs_basic(graph, STAR)
-        from repro.storage.snapshots import read_shard_manifest
-        assert read_shard_manifest(directory)["version"] == graph.version()
 
 
 @needs_fork
@@ -355,29 +347,3 @@ class TestSerialFallbackEverywhere:
         assert executor._pool is None
         executor.close()
 
-
-def test_cli_db_shard_writes_manifest(tmp_path, capsys):
-    import json
-    from repro import cli
-    from repro.graph.graph import MultiRelationalGraph
-    from repro.graph.io import write_triples
-    rng = random.Random(79)
-    graph = MultiRelationalGraph(name="clishard")  # string ids: CSV-safe
-    for v in range(30):
-        graph.add_vertex("v{}".format(v))
-    while graph.size() < 120:
-        graph.add_edge("v{}".format(rng.randrange(30)), rng.choice("ab"),
-                       "v{}".format(rng.randrange(30)))
-    graph_path = str(tmp_path / "g.csv")
-    write_triples(graph, graph_path)
-    store = str(tmp_path / "store")
-    assert cli.main(["db", "init", store, "--graph", graph_path]) == 0
-    capsys.readouterr()
-    assert cli.main(["db", "shard", store, "--shards", "2"]) == 0
-    manifest = json.loads(capsys.readouterr().out)
-    assert manifest["num_shards"] == 2
-    assert manifest["kind"] == "sharded"
-    from repro.storage.snapshots import read_shard_manifest
-    import os
-    assert read_shard_manifest(os.path.join(store, "shards"))["shards"] == \
-        manifest["shards"]

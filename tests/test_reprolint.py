@@ -53,6 +53,7 @@ class TestRulesFire:
             "    import numpy as _np\n"
             "except ImportError:\n"
             "    _np = None\n"
+            "HAVE_NUMPY = _np is not None\n"
             "def bad(values):\n"
             "    return _np.asarray(values)\n"
             "def good(values):\n"
@@ -65,7 +66,7 @@ class TestRulesFire:
         )
         violations = _lint_snippet(tmp_path, source)
         assert _rules(violations) == ["numpy-gate"]
-        assert violations[0].line == 6
+        assert violations[0].line == 7
         assert "'bad'" in violations[0].message
 
     def test_numpy_gate_enclosing_scope_counts(self, tmp_path):
@@ -331,6 +332,70 @@ class TestRulesFire:
             "    return x is None or x is not True or x is ... or x is y \\\n"
             "        or x == 'a' or x != 1\n"
         )
+        assert _lint_snippet(tmp_path, source) == []
+
+    def test_undefined_name_global_reads(self, tmp_path):
+        source = (
+            "import os\n"
+            "def f(x):\n"
+            "    return os.sep + x + _GONE\n"
+            "class C:\n"
+            "    size = _ALSO_GONE\n"
+            "    def m(self):\n"
+            "        return [v for v in range(3) if v in _IN_COMPREHENSION]\n"
+            "_GONE\n"
+        )
+        violations = _lint_snippet(tmp_path, source)
+        # One finding per scope that reads the name, at its own read.
+        assert _rules(violations) == ["undefined-name"] * 4
+        assert [v.line for v in violations] == [3, 5, 7, 8]
+        assert "'_GONE'" in violations[0].message
+        assert "'_ALSO_GONE'" in violations[1].message
+        assert "'_IN_COMPREHENSION'" in violations[2].message
+        assert "'_GONE'" in violations[3].message
+
+    def test_undefined_name_dunder_all_entry(self, tmp_path):
+        source = (
+            "__all__ = ['kept', 'REMOVED']\n"
+            "def kept():\n"
+            "    pass\n"
+        )
+        violations = _lint_snippet(tmp_path, source)
+        assert _rules(violations) == ["undefined-name"]
+        assert violations[0].line == 1
+        assert "'REMOVED'" in violations[0].message
+        # A module __getattr__ serves names __all__ lists lazily.
+        lazy = source + "def __getattr__(name):\n    return name\n"
+        assert _lint_snippet(tmp_path, lazy) == []
+
+    def test_bound_names_allowed(self, tmp_path):
+        source = (
+            "from __future__ import annotations\n"
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from collections import OrderedDict\n"
+            "try:\n"
+            "    import numpy as _np\n"
+            "except ImportError:\n"
+            "    _np = None\n"
+            "def setup():\n"
+            "    global _STATE\n"
+            "    _STATE = {}\n"
+            "def read(ordered: OrderedDict, later: NotYetDefined) -> int:\n"
+            "    def inner():\n"
+            "        return ordered\n"
+            "    return len(_STATE) + len(inner()) + (_np is None)\n"
+            "class Base:\n"
+            "    pass\n"
+            "class Child(Base):\n"
+            "    def m(self):\n"
+            "        return __class__, __file__, __name__, Child\n"
+            "__all__ = ('read', 'Child')\n"
+        )
+        assert _lint_snippet(tmp_path, source) == []
+
+    def test_star_import_skips_the_module(self, tmp_path):
+        source = "from os.path import *\nprint(join('a', 'b'))\n"
         assert _lint_snippet(tmp_path, source) == []
 
 

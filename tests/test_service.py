@@ -714,6 +714,7 @@ BAD_QUERY_OPTIONS = [
     {"max_length": "3"}, {"max_length": 2.5}, {"max_length": True},
     {"max_length": -1},
     {"processes": "2"}, {"processes": 0}, {"processes": True},
+    {"processes": 9},
     {"deadline_ms": True},
     {"sources": [[1, 2]]}, {"targets": [{"x": 1}]},
 ]

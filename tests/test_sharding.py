@@ -1,11 +1,10 @@
-"""Vertex-range sharding: partition structure, serial parity, shard files.
+"""Vertex-range sharding: partition structure, serial parity, determinism.
 
 The pool-free half of the sharding test battery (its multiprocessing
 sibling is ``tests/test_parallel.py``): range balancing, the per-shard CSR
 slices against the global arrays, delta-overlay densification, the serial
 executor's merge parity against the compact kernels and dict references
-across shard counts {1, 2, 7}, merge determinism, and the shard-file
-round trip through :mod:`repro.storage.snapshots`.
+across shard counts {1, 2, 7}, and merge determinism.
 """
 
 import random
@@ -308,124 +307,3 @@ class TestMergeDeterminism:
             assert max(abs(results[0][v] - other[v])
                        for v in results[0]) < 1.0e-9
 
-
-class TestShardFiles:
-
-    def test_round_trip_preserves_rows_and_manifest(self, tmp_path):
-        from repro.storage.snapshots import (
-            open_shard,
-            open_sharded_snapshot,
-            read_shard_manifest,
-            write_sharded_snapshots,
-        )
-        graph = uniform_random(80, 500, labels=("a", "b"), seed=61)
-        sharded = sharded_snapshot(graph, 3)
-        directory = str(tmp_path / "shards")
-        manifest = write_sharded_snapshots(directory, sharded, name="t")
-        assert manifest["num_shards"] == sharded.num_shards
-        assert read_shard_manifest(directory)["ranges"] == \
-            [[lo, hi] for lo, hi in sharded.ranges]
-        reopened = open_sharded_snapshot(directory, mmap=False)
-        assert reopened.ranges == sharded.ranges
-        assert reopened.num_edges == sharded.num_edges
-        for (lo, hi), shard, original in zip(reopened.ranges,
-                                             reopened.shards,
-                                             sharded.shards):
-            id_map = {v: i for i, v in enumerate(reopened.vertex_of)}
-            remap = [id_map[v] for v in sharded.vertex_of]
-            for label, label_id in original.label_ids.items():
-                new_label_id = shard.label_ids[label]
-                for v in range(lo, hi):
-                    got = sorted(shard.out_neighbors(remap[v], new_label_id))
-                    want = sorted(remap[n] for n in
-                                  original.out_neighbors(v, label_id))
-                    assert got == want
-        single, (lo, hi) = open_shard(directory, 1, mmap=False)
-        assert (lo, hi) == sharded.ranges[1]
-        assert single.num_edges == sharded.shards[1].num_edges
-
-    def test_open_rejects_bad_directories(self, tmp_path):
-        from repro.errors import StorageError
-        from repro.storage.snapshots import open_shard, read_shard_manifest
-        with pytest.raises(StorageError):
-            read_shard_manifest(str(tmp_path))
-        from repro.storage.snapshots import write_sharded_snapshots
-        graph = uniform_random(20, 60, labels=("a",), seed=67)
-        directory = str(tmp_path / "s")
-        write_sharded_snapshots(directory, sharded_snapshot(graph, 2))
-        with pytest.raises(StorageError):
-            open_shard(directory, 9)
-
-    def test_file_cache_distinguishes_shard_layouts(self, tmp_path):
-        """Same dir + version, different shard count: no stale row slices.
-
-        The worker-side file cache must key on the shard layout too — a
-        2-shard ``shard-0001`` owns different rows than a 4-shard one, so
-        serving the cached 2-shard file to a 4-shard scatter task would
-        silently zero part of the pagerank mass (regression test).
-        """
-        graph = uniform_random(90, 600, labels=("a", "b"), seed=83)
-        directory = str(tmp_path / "shards")
-        two = ParallelExecutor(graph, processes=1, num_shards=2,
-                               shard_dir=directory)
-        ranks_two = two.pagerank(tolerance=1.0e-12)
-        four = ParallelExecutor(graph, processes=1, num_shards=4,
-                                shard_dir=directory)
-        ranks_four = four.pagerank(tolerance=1.0e-12)
-        assert max(abs(ranks_two[v] - ranks_four[v])
-                   for v in ranks_two) < 1.0e-9
-        inline = ParallelExecutor(graph, processes=1, num_shards=4)
-        assert ranks_four == inline.pagerank(tolerance=1.0e-12)
-        two.close()
-        four.close()
-        inline.close()
-
-    def test_file_mode_clamps_shard_count_to_vertices(self, tmp_path):
-        """num_shards > |V|: the manifest records the clamped layout and
-        tasks must ask for that, not the requested count (regression)."""
-        graph = uniform_random(3, 4, labels=("a",), seed=89)
-        directory = str(tmp_path / "tiny")
-        executor = ParallelExecutor(graph, processes=4, num_shards=4,
-                                    min_edges=0, shard_dir=directory)
-        expression = lstar(sym("a"))
-        dfa = compile_rpq(expression, graph)
-        assert executor.rpq_pairs(dfa) == rpq_pairs(graph, expression)
-        ranks = executor.pagerank(tolerance=1.0e-10)
-        assert abs(sum(ranks.values()) - 1.0) < 1.0e-9
-        executor.close()
-
-    def test_current_shard_directory_is_adopted_not_rewritten(self, tmp_path):
-        import os
-        from repro.storage.snapshots import write_sharded_snapshots
-        graph = uniform_random(60, 400, labels=("a", "b"), seed=97)
-        directory = str(tmp_path / "pre")
-        write_sharded_snapshots(directory, sharded_snapshot(graph, 2))
-        stamps = {f: os.path.getmtime(os.path.join(directory, f))
-                  for f in os.listdir(directory)}
-        executor = ParallelExecutor(graph, processes=1, num_shards=2,
-                                    shard_dir=directory)
-        dfa = compile_rpq(lstar(sym("a")), graph)
-        executor.rpq_pairs(dfa)
-        after = {f: os.path.getmtime(os.path.join(directory, f))
-                 for f in os.listdir(directory)}
-        assert after == stamps  # adopted as-is, no refold/rewrite
-        executor.close()
-
-    def test_file_backed_rpq_answers_match(self, tmp_path):
-        from repro.graph.compact import rpq_pairs_on_snapshot
-        from repro.storage.snapshots import (
-            open_adjacency_snapshot,
-            read_shard_manifest,
-            write_sharded_snapshots,
-        )
-        import os
-        graph = uniform_random(80, 500, labels=("a", "b"), seed=71)
-        expression = lconcat(sym("a"), lstar(sym("b")))
-        dfa = compile_rpq(expression, graph)
-        directory = str(tmp_path / "shards")
-        write_sharded_snapshots(directory, sharded_snapshot(graph, 2))
-        manifest = read_shard_manifest(directory)
-        full, _ = open_adjacency_snapshot(
-            os.path.join(directory, manifest["full"]))
-        assert rpq_pairs_on_snapshot(full, dfa) == \
-            rpq_pairs(graph, expression)
