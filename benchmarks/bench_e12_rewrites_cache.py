@@ -9,8 +9,6 @@ Two engine features measured against their absence:
   mutation between repeats forces recomputation).
 """
 
-import pytest
-
 from repro.engine import Engine, QueryCache
 from repro.engine.rewrite import factor_unions
 from repro.regex import atom, evaluate, join, union

@@ -13,7 +13,6 @@ from repro.algorithms import pagerank
 from repro.core.projection import (
     extract_relation,
     ignore_labels,
-    project_label_sequence,
     project_paths,
 )
 from repro.datasets import scholarly_graph

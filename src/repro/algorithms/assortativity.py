@@ -10,7 +10,7 @@ discrete assortativity is the normalized trace of the label mixing matrix.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Hashable
+from typing import Dict, Hashable
 
 from repro.algorithms.digraph import DiGraph
 from repro.errors import AlgorithmError

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable
 
 from repro.algorithms.digraph import DiGraph
-from repro.errors import AlgorithmError, ConvergenceError
+from repro.errors import ConvergenceError
 
 __all__ = [
     "degree_centrality",

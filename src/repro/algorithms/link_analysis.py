@@ -7,7 +7,6 @@ against NetworkX in the tests.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Hashable, Tuple
 
 from repro.algorithms.digraph import DiGraph

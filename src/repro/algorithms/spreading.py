@@ -10,7 +10,7 @@ can consume section IV-C projections.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable
 
 from repro.algorithms.digraph import DiGraph
 from repro.errors import AlgorithmError

@@ -75,7 +75,7 @@ import ast
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.analysis.lint import (
     _MUTATORS,

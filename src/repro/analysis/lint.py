@@ -15,12 +15,13 @@ break tomorrow:
     exempted with a suppression comment on the ``class`` line.
 ``kernel-mutation``
     The traversal kernels in ``graph/compact.py``,
-    ``graph/compact_digraph.py`` and ``graph/sharding.py`` receive live graph/snapshot objects that other
-    queries share.  Module-level kernel functions must never mutate
-    structures reached through their ``graph`` / ``snapshot`` / ``view``
-    / ``shard`` parameters — no mutating method calls, no subscript or
-    attribute assignment through those roots.  (The sanctioned snapshot
-    cache goes through ``setattr``, which stays visible and greppable.)
+    ``graph/compact_digraph.py`` and ``graph/sharding.py`` receive live
+    graph/snapshot objects that other queries share.  Module-level kernel
+    functions must never mutate structures reached through their
+    ``graph`` / ``snapshot`` / ``view`` parameters — no mutating method
+    calls, no subscript or attribute assignment through those roots.
+    (The sanctioned snapshot cache goes through ``setattr``, which stays
+    visible and greppable.)
 ``pickle-slots``
     Everything reachable from a :class:`~repro.engine.parallel.ParallelExecutor`
     task payload crosses a process boundary.  A class that combines
@@ -69,6 +70,12 @@ break tomorrow:
     defines ``__getattr__`` (ruff's ``F821`` / ``F822``).  Scopes come
     from :mod:`symtable`, the compiler's own resolution; a module with a
     star import is skipped.
+``unused-import``
+    A module-level import in a module other than an ``__init__.py`` binds
+    a name that nothing in the module reads — not code, not a literal
+    ``__all__`` entry, not a string annotation (ruff's ``F401``).
+    ``__future__`` and star imports are exempt.  A name the module only
+    re-exports belongs in its ``__all__``.
 
 Suppression syntax
 ------------------
@@ -133,6 +140,8 @@ RULES: Dict[str, str] = {
                         "literal; use == / !=",
     "undefined-name": "a global read or __all__ entry with no module-level "
                       "binding, import or builtin",
+    "unused-import": "a module-level import outside __init__.py that the "
+                     "module never reads and __all__ does not list",
 }
 
 #: Sentinel for "every rule" in suppression tables.
@@ -158,7 +167,7 @@ _MUTATORS = frozenset({
 })
 
 #: Parameter names through which kernel functions reach shared state.
-_KERNEL_ROOTS = frozenset({"graph", "snapshot", "view", "shard", "sharded"})
+_KERNEL_ROOTS = frozenset({"graph", "snapshot", "view"})
 
 #: Files the kernel-mutation rule applies to.
 _KERNEL_FILES = frozenset({"compact.py", "compact_digraph.py", "sharding.py"})
@@ -790,6 +799,71 @@ def _check_undefined_name(module: _Module, out: List[Violation]) -> None:
                           "level, imported or a builtin".format(name))
 
 
+def _module_level_imports(tree: ast.Module
+                          ) -> Iterable[Tuple[str, ast.AST]]:
+    """``(bound name, import node)`` for imports outside any def/class."""
+    stack: List[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _string_annotation_names(tree: ast.Module) -> Set[str]:
+    """Names read inside string annotations (``def f(x: "Graph")``)."""
+    annotations: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            annotations.extend(
+                arg.annotation for arg in
+                arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+                + [arguments.vararg, arguments.kwarg]
+                if arg is not None and arg.annotation is not None)
+            if node.returns is not None:
+                annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names: Set[str] = set()
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if not (isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)):
+                continue
+            try:
+                parsed = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            names.update(name.id for name in ast.walk(parsed)
+                         if isinstance(name, ast.Name))
+    return names
+
+
+def _check_unused_import(module: _Module, out: List[Violation]) -> None:
+    if os.path.basename(module.path) == "__init__.py":
+        return
+    read = {node.id for node in ast.walk(module.tree)
+            if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    read.update(element.value for element in _dunder_all(module.tree))
+    read |= _string_annotation_names(module.tree)
+    for name, node in _module_level_imports(module.tree):
+        if name not in read:
+            module.report(out, node, "unused-import",
+                          "{!r} is imported but never read (list it in "
+                          "__all__ to re-export it)".format(name))
+
+
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
@@ -809,6 +883,7 @@ def lint_paths(paths: Iterable[str]) -> List[Violation]:
         _check_misplaced_statement(module, out)
         _check_literal_identity(module, out)
         _check_undefined_name(module, out)
+        _check_unused_import(module, out)
     _check_pickle_slots(modules, out)
     return sorted(out, key=lambda v: (v.path, v.line, v.rule))
 

@@ -18,7 +18,7 @@ question directly, which is the whole point of section IV-C.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable
 
 from repro.algorithms.digraph import DiGraph
 from repro.algorithms.pagerank import pagerank

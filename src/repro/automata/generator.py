@@ -27,7 +27,7 @@ property tests assert exact agreement).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.core.path import EPSILON, Path
 from repro.core.pathset import PathSet

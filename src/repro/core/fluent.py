@@ -22,7 +22,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Hashable, Iterable, Iterator, List, Optional
+from typing import Callable, FrozenSet, Hashable, Iterator, List, Optional
 
 from repro.core.edge import Edge
 from repro.core.path import Path

@@ -21,7 +21,7 @@ object bundling the binary edge set with provenance and conversion helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Sequence, Tuple
 
 from repro.core.pathset import PathSet
 from repro.core.traversal import labeled_traversal

@@ -21,7 +21,7 @@ supported by the ``exclude_*`` fields of :class:`Step`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, FrozenSet, Hashable, Iterable, List, Optional, Sequence
 
 from repro.core.edge import Edge

@@ -16,7 +16,6 @@ Three domains, each deterministic given its seed:
 from __future__ import annotations
 
 import random
-from typing import List
 
 from repro.graph.graph import MultiRelationalGraph
 

@@ -30,7 +30,7 @@ by the statistics' per-label degree profiles) picks among three kernels:
 How a read is evaluated is one decision, :meth:`Engine.route` (lower ->
 merge endpoint filters with the bound vertices -> pre-flight DFA and
 emptiness verdict -> planner direction -> planner parallelism), with five
-outcomes: a kernel above runs (or the sharded fan-out of a forward sweep);
+outcomes: a kernel above runs (or the seed-range fan-out of a forward sweep);
 the filters exclude a bound vertex, or pre-flight proved the answer empty
 (no kernel at all); the expression binds interior vertices or needs
 literals / products; or an explicit ``max_length`` bounds the answer, which
@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.automata.recognizer import Recognizer
@@ -288,24 +288,20 @@ class Engine:
 
     # -- parallel fan-out plumbing -------------------------------------
 
-    def _executor(self, choice):
-        """The engine's :class:`ParallelExecutor`, matched to ``choice``.
+    def _executor(self, processes: int):
+        """The engine's :class:`ParallelExecutor` with ``processes`` workers.
 
         One executor (and its worker pool) persists across calls; asking
-        for a different worker or shard count replaces it.
+        for a different worker count replaces it.
         """
         from repro.engine.parallel import ParallelExecutor
         with self._parallel_lock:
             executor = self._parallel
-            if executor is not None \
-                    and executor.processes == choice.processes \
-                    and executor.num_shards == choice.shards:
+            if executor is not None and executor.processes == processes:
                 return executor
             if executor is not None:
                 executor.close()
-            executor = ParallelExecutor(self.graph,
-                                        processes=choice.processes,
-                                        num_shards=choice.shards)
+            executor = ParallelExecutor(self.graph, processes=processes)
             self._parallel = executor
             return executor
 
@@ -375,8 +371,8 @@ class Engine:
         with the same arguments would take — the compact product-BFS
         kernels or bounded path materialization, the direction the cost
         model picks for the endpoint filters (with its frontier-work
-        estimates), whether the sharded fan-out runs it (over how many
-        processes and shards) — then the state of the graph's compact
+        estimates), whether the fan-out runs it (over how many
+        processes) — then the state of the graph's compact
         snapshot cache (cold, base CSR, or delta overlay awaiting
         compaction) and the engine's cache hit rates — so staleness,
         parallelism and cache wins are all visible next to the plan.
@@ -486,7 +482,7 @@ class Engine:
             return compact.rpq_pairs_backward(
                 self.graph, dfa, route.targets, sources=route.sources)
         if kernel == "fan-out":
-            return self._executor(route.parallelism).rpq_pairs(
+            return self._executor(route.parallelism.processes).rpq_pairs(
                 dfa, sources=route.sources, targets=route.targets)
         return compact.rpq_pairs_compact(self.graph, dfa, route.sources,
                                          targets=route.targets)
@@ -565,7 +561,7 @@ class Engine:
         ``sources``/``targets`` of ``None`` mean all vertices; otherwise
         only pairs whose endpoints are in the given sets are returned.
 
-        ``processes`` controls the sharded fan-out of broad forward sweeps
+        ``processes`` controls the fan-out of broad forward sweeps
         (see :mod:`repro.engine.parallel`): ``None`` lets the planner's
         cost threshold decide from graph and source-set size, ``1`` forces
         single-core, ``N > 1`` requests N workers.  Selective directions
@@ -620,8 +616,8 @@ class Engine:
 
         Every member takes the answer loop :meth:`pairs` takes (one cache
         lookup, one :meth:`route`), except that label-only members routed
-        to the sharded fan-out are held back and evaluated in **one** pool
-        dispatch over one shared snapshot — (query, shard) tasks
+        to the fan-out are held back and evaluated in **one** pool
+        dispatch over one shared snapshot — (query, seed range) tasks
         interleave, so a batch of small sweeps still keeps every worker
         busy.  Members routed anywhere else (another direction, a bound
         vertex, the bounded fallback, no kernel at all) are answered
@@ -635,7 +631,8 @@ class Engine:
                                 processes, version, pool)
                    for expression in expressions]
         if pool:
-            merged = self._executor(pool[0].parallelism).rpq_pairs_batch(
+            executor = self._executor(pool[0].parallelism.processes)
+            merged = executor.rpq_pairs_batch(
                 [route.diagnostics.dfa for route in pool],
                 sources=sources, targets=targets)
             deferred = [index for index, answer in enumerate(results)
@@ -698,11 +695,8 @@ class Engine:
                    and processes is not None and processes > 1)
         started = time.perf_counter()
         if fan_out:
-            from repro.engine.planner import ParallelismChoice
-            choice = ParallelismChoice(
-                processes, processes,
-                "explicit processes={}".format(processes))
-            paths = self._executor(choice).generate_paths(expression, bound)
+            paths = self._executor(processes).generate_paths(expression,
+                                                             bound)
         else:
             paths = run_strategy(strategy, self.graph, expression, plan,
                                  bound, limit)

@@ -1,25 +1,19 @@
-"""The parallel fan-out/merge query executor over vertex-range shards.
+"""The parallel fan-out/merge query executor: RPQ seeds split by range.
 
 One :class:`ParallelExecutor` binds a graph to a persistent
-``multiprocessing`` worker pool and fans the embarrassingly parallel
-all-sources / batch kernels out over the vertex-range partition of
-:mod:`repro.graph.sharding`:
+``multiprocessing`` worker pool and fans its embarrassingly parallel
+sweeps out over degree-balanced seed ranges
+(:func:`repro.graph.sharding.shard_ranges`), one range per worker:
 
 * **RPQ sweeps** (:meth:`ParallelExecutor.rpq_pairs`) — each worker runs
-  the product-BFS kernel for the sources its shard owns, batch-shared like
-  any many-seed call (over the shared full CSR; a sweep's cone crosses
-  shard boundaries, its *seeds* do not) and returns the answer's blocks
-  (:class:`~repro.graph.pairs.PairBlocks`); disjoint seeds make disjoint
-  blocks, so the merge is their concatenation — deterministic, no pair
-  pickled or hashed.
-* **BFS batches** (:meth:`ParallelExecutor.bfs_distances`) — the source
-  batch splits evenly, each worker runs the vectorized per-source kernel,
-  distance maps merge disjointly.
-* **Pagerank power iteration** (:meth:`ParallelExecutor.pagerank`) — the
-  one *scatter-style* kernel: each worker reads **only its own shard's
-  rows** (cross-shard edges live on the source side), returning a partial
-  rank-mass vector per iteration; the master sums partials in shard order,
-  so the merged floats are bit-for-bit identical to the serial fallback.
+  the product-BFS kernel for the sources its range owns, batch-shared like
+  any many-seed call, over the one shared CSR snapshot (a sweep's cone
+  crosses range boundaries, its *seeds* do not) and returns the answer's
+  blocks (:class:`~repro.graph.pairs.PairBlocks`); disjoint seeds make
+  disjoint blocks, so the merge is their concatenation — deterministic,
+  no pair pickled or hashed.
+* **Bounded path generation** (:meth:`ParallelExecutor.generate_paths`) —
+  the ``automaton`` strategy split by first-edge tail, merged by union.
 
 Worker state and fork safety
 ----------------------------
@@ -33,8 +27,8 @@ state by ``version()``: the pool is re-forked over a fresh payload.
 
 Serial fallback
 ---------------
-``processes=1``, a tiny graph (below ``min_edges``), a single shard, or a
-platform without ``fork`` all run the *same* per-shard tasks in-process
+``processes=1``, a tiny graph (below ``min_edges``), a single range, or a
+platform without ``fork`` all run the *same* per-range tasks in-process
 through the same merge — the parallel path can never change an answer,
 only its wall-clock.  The planner's
 :meth:`~repro.engine.planner.Planner.choose_parallelism` decides when the
@@ -47,36 +41,14 @@ import itertools
 import os
 import threading
 import time
-from array import array
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from repro.concurrency import ordered_lock, release_resource, track_resource
-from repro.errors import (
-    AlgorithmError,
-    ConvergenceError,
-    ExecutionError,
-    WorkerPoolError,
-)
+from repro.errors import ExecutionError, WorkerPoolError
 from repro.faults import worker_fault_point
-from repro.graph.compact import (
-    HAVE_NUMPY,
-    adjacency_snapshot,
-    digraph_snapshot,
-    rpq_pairs_on_snapshot,
-)
+from repro.graph.compact import adjacency_snapshot, rpq_pairs_on_snapshot
 from repro.graph.pairs import PairBlocks
-from repro.graph.sharding import (
-    live_ids_in_range,
-    row_degrees,
-    scatter_rank_mass,
-    shard_ranges,
-    sharded_snapshot,
-)
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+from repro.graph.sharding import live_ids_in_range, row_degrees, shard_ranges
 
 __all__ = ["ParallelExecutor", "PARALLEL_MIN_EDGES", "MAX_WORKERS",
            "fork_available"]
@@ -137,14 +109,6 @@ def _run_task(task):
             source_ids = source_spec[1]
         return rpq_pairs_on_snapshot(snapshot, dfa, source_ids=source_ids,
                                      targets=targets)
-    if kind == "scatter":
-        index, lo, hi, coefficients = args
-        shard = payload["sharded"].shards[index]
-        return scatter_rank_mass(shard, lo, hi, coefficients)
-    if kind == "bfs":
-        sources = args
-        dsnap = payload["digraph"]
-        return {source: dsnap.bfs_distances(source) for source in sources}
     if kind == "paths":
         expression, max_length, tails = args
         from repro.automata.generator import generate_paths
@@ -178,14 +142,11 @@ class ParallelExecutor:
     Parameters
     ----------
     graph:
-        A :class:`~repro.graph.graph.MultiRelationalGraph` (RPQ sweeps,
-        pagerank) or :class:`~repro.algorithms.digraph.DiGraph` (BFS
-        batches).
+        The :class:`~repro.graph.graph.MultiRelationalGraph` to sweep.
     processes:
-        Worker count; ``None`` uses ``os.cpu_count()`` (capped at
+        Worker count, and so the number of seed ranges a sweep splits
+        into; ``None`` uses ``os.cpu_count()`` (capped at
         :data:`MAX_WORKERS`), ``1`` forces the serial fallback.
-    num_shards:
-        Vertex-range shard count (defaults to ``processes``).
     min_edges:
         Graphs below this edge count always run serially.
     max_task_retries:
@@ -202,7 +163,6 @@ class ParallelExecutor:
     """
 
     def __init__(self, graph, processes: Optional[int] = None,
-                 num_shards: Optional[int] = None,
                  min_edges: int = PARALLEL_MIN_EDGES,
                  max_task_retries: int = 2,
                  stall_timeout: Optional[float] = 60.0):
@@ -210,8 +170,6 @@ class ParallelExecutor:
         self.graph = graph
         self.processes = max(1, processes if processes is not None
                              else min(cpu, MAX_WORKERS))
-        self.num_shards = max(1, num_shards if num_shards is not None
-                              else self.processes)
         self.min_edges = min_edges
         self.max_task_retries = max(0, max_task_retries)
         self.stall_timeout = stall_timeout
@@ -230,8 +188,8 @@ class ParallelExecutor:
         # (engine swap or shutdown) while a fan-out respawns the pool.
         # Witness-ordered below engine.parallel (the Engine's swap lock).
         self._pool_lock = ordered_lock("engine.pool")
-        # (version, num_shards) -> source ranges over the live snapshot
-        # view: the O(labels*V) degree pass only re-runs after mutations.
+        # version -> source ranges over the live snapshot view: the
+        # O(labels*V) degree pass only re-runs after mutations.
         self._range_cache: Optional[Tuple] = None
 
     # -- lifecycle -----------------------------------------------------
@@ -243,8 +201,7 @@ class ParallelExecutor:
 
     def describe(self) -> str:
         """One line for EXPLAIN output."""
-        return "{} process(es) x {} shard(s), {} mode".format(
-            self.processes, self.num_shards, self.mode)
+        return "{} process(es), {} mode".format(self.processes, self.mode)
 
     #: How long a graceful shutdown waits for in-flight tasks before
     #: falling back to ``terminate()``.
@@ -327,17 +284,13 @@ class ParallelExecutor:
         the context every task carries.
 
         The payload accumulates what past calls needed, so a pool rebuilt
-        for pagerank still serves RPQ tasks without another rebuild.
+        for path generation still serves RPQ tasks without another rebuild.
         """
         payload = _FORK_PAYLOADS.get(self._token)
         if payload is None or payload["version"] != version:
             payload = {"version": version}
         if need == "rpq" and "snapshot" not in payload:
             payload["snapshot"] = adjacency_snapshot(self.graph)
-        if need == "scatter" and "sharded" not in payload:
-            payload["sharded"] = sharded_snapshot(self.graph, self.num_shards)
-        if need == "bfs" and "digraph" not in payload:
-            payload["digraph"] = digraph_snapshot(self.graph)
         if need == "paths" and "graph" not in payload:
             payload["graph"] = self.graph
         _FORK_PAYLOADS[self._token] = payload
@@ -430,12 +383,11 @@ class ParallelExecutor:
 
     def _source_ranges(self, snapshot, version: int):
         """Out-degree-balanced source ranges over the live snapshot view,
-        memoized per (version, shard count)."""
-        key = (version, self.num_shards)
-        if self._range_cache is not None and self._range_cache[0] == key:
+        one per worker, memoized per version."""
+        if self._range_cache is not None and self._range_cache[0] == version:
             return self._range_cache[1]
-        ranges = shard_ranges(row_degrees(snapshot), self.num_shards)
-        self._range_cache = (key, ranges)
+        ranges = shard_ranges(row_degrees(snapshot), self.processes)
+        self._range_cache = (version, ranges)
         return ranges
 
     # -- kernels -------------------------------------------------------
@@ -454,11 +406,11 @@ class ParallelExecutor:
         """One fan-out for many compiled queries over one snapshot.
 
         The batch amortizes pool setup and snapshot staging: every
-        (query, shard) pair becomes one task in a single ``pool.map``, so
+        (query, range) pair becomes one task in a single ``pool.map``, so
         a dashboard's expression batch keeps all workers busy even when
         individual queries are small.  Results keep the input order.
 
-        Shards own disjoint sources, so a query's answer is its shards'
+        Ranges own disjoint sources, so a query's answer is its ranges'
         blocks side by side: workers pickle blocks (kilobytes), and the
         merge hashes no pair.
         """
@@ -472,7 +424,7 @@ class ParallelExecutor:
                      if hi > lo]
         else:
             ids = sorted({vertex_ids[v] for v in sources if v in vertex_ids})
-            specs = [("ids", chunk) for chunk in _chunks(ids, self.num_shards)]
+            specs = [("ids", chunk) for chunk in _chunks(ids, self.processes)]
         if targets is not None:
             targets = frozenset(targets)
         if not specs:
@@ -483,39 +435,9 @@ class ParallelExecutor:
         merged = []
         per_query = len(specs)
         for index in range(len(dfas)):
-            shards = results[index * per_query:(index + 1) * per_query]
+            parts = results[index * per_query:(index + 1) * per_query]
             merged.append(PairBlocks(itertools.chain.from_iterable(
-                shard.blocks for shard in shards)))
-        return merged
-
-    def bfs_distances(self, sources: Iterable[Hashable]
-                      ) -> Dict[Hashable, Dict[Hashable, int]]:
-        """``{source: {vertex: hops}}`` for a batch of BFS sources.
-
-        The executor must be bound to a :class:`DiGraph`; sources split
-        evenly across workers (each BFS costs the whole graph, so balance
-        is by count) and the per-source maps merge disjointly.  Unknown
-        source vertices raise exactly as ``DiGraph.bfs_distances`` would —
-        a batch wrapper must not silently shrink its result.  Without
-        numpy the batch runs serially through the graph's own kernel.
-        """
-        from repro.errors import VertexNotFoundError
-        source_list = list(sources)
-        for source in source_list:
-            if not self.graph.has_vertex(source):
-                raise VertexNotFoundError(source)
-        if not HAVE_NUMPY:
-            return {s: self.graph.bfs_distances(s) for s in source_list}
-        version = self.graph.version()
-        ctx = self._context("bfs", version)
-        tasks = [(ctx, "bfs", chunk)
-                 for chunk in _chunks(source_list, self.processes)]
-        if not tasks:
-            return {}
-        results = self._map(ctx, tasks, self.graph.size())
-        merged: Dict[Hashable, Dict[Hashable, int]] = {}
-        for block in results:
-            merged.update(block)
+                part.blocks for part in parts)))
         return merged
 
     def generate_paths(self, expression, max_length: int):
@@ -541,92 +463,6 @@ class ParallelExecutor:
         results = self._map(ctx, tasks, self.graph.size())
         merged = frozenset().union(*(r.paths for r in results))
         return PathSet(merged)
-
-    def pagerank(self, damping: float = 0.85,
-                 personalization: Optional[Dict[Hashable, float]] = None,
-                 max_iterations: int = 200,
-                 tolerance: float = 1.0e-10) -> Dict[Hashable, float]:
-        """Label-blind pagerank over the multi-relational graph's shards.
-
-        Same semantics as :func:`repro.algorithms.pagerank.pagerank` with
-        every edge (any label) weighted 1: damped walk, dangling-mass
-        redistribution, optional personalization, L1 convergence scaled by
-        n, :class:`ConvergenceError` at the iteration cap.  Each iteration
-        fans one scatter task per shard (workers read only their own rows)
-        and sums the partial mass vectors in shard order — serial and
-        parallel runs produce bit-identical ranks.
-        """
-        if not 0.0 <= damping <= 1.0:
-            raise AlgorithmError("damping must be within [0, 1]")
-        version = self.graph.version()
-        ctx = self._context("scatter", version)
-        sharded = sharded_snapshot(self.graph, self.num_shards)
-        n = sharded.num_vertices
-        if n == 0:
-            return {}
-        vertex_of = sharded.vertex_of
-        if personalization is None:
-            teleport = [1.0 / n] * n
-        else:
-            total = float(sum(personalization.values()))
-            if total <= 0.0:
-                raise AlgorithmError(
-                    "personalization must have positive total mass")
-            teleport = [personalization.get(v, 0.0) / total
-                        for v in vertex_of]
-        degrees = sharded.degrees
-        ranges = sharded.ranges
-        num_edges = sharded.num_edges
-        ranks = list(teleport)
-        for _ in range(max_iterations):
-            previous = ranks
-            coefficients = [
-                damping * previous[v] / degrees[v] if degrees[v] else 0.0
-                for v in range(n)]
-            dangling_mass = sum(previous[v] for v in range(n)
-                                if not degrees[v])
-            # array('d') slices pickle as flat buffers — the per-iteration
-            # task payloads stay a fraction of the scatter work they buy.
-            tasks = [(ctx, "scatter",
-                      (index, lo, hi, array("d", coefficients[lo:hi])))
-                     for index, (lo, hi) in enumerate(ranges)]
-            partials = self._map(ctx, tasks, num_edges)
-            base = damping * dangling_mass + (1.0 - damping)
-            ranks = self._merge_mass(partials, teleport, base, n)
-            if self._l1_delta(ranks, previous, n) < n * tolerance:
-                return dict(zip(vertex_of, ranks))
-        raise ConvergenceError("pagerank", max_iterations, tolerance)
-
-    @staticmethod
-    def _merge_mass(partials: List[List[float]], teleport: List[float],
-                    base: float, n: int) -> List[float]:
-        """Sum shard partials in shard order, then add the teleport term.
-
-        numpy only accelerates the element-wise adds; the addition order is
-        the same as the scalar fallback's, so both produce identical bits.
-        """
-        if _np is not None:
-            accumulated = _np.asarray(partials[0], dtype=_np.float64)
-            for partial in partials[1:]:
-                accumulated = accumulated + _np.asarray(partial,
-                                                        dtype=_np.float64)
-            accumulated = accumulated + base * _np.asarray(
-                teleport, dtype=_np.float64)
-            return accumulated.tolist()
-        ranks = list(partials[0])
-        for partial in partials[1:]:
-            for v in range(n):
-                ranks[v] += partial[v]
-        for v in range(n):
-            ranks[v] += base * teleport[v]
-        return ranks
-
-    @staticmethod
-    def _l1_delta(ranks: List[float], previous: List[float], n: int) -> float:
-        if _np is not None:
-            return float(_np.abs(_np.asarray(ranks)
-                                 - _np.asarray(previous)).sum())
-        return sum(abs(ranks[v] - previous[v]) for v in range(n))
 
     def __repr__(self) -> str:
         return "ParallelExecutor<{}, pool={}>".format(

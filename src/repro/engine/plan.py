@@ -13,10 +13,10 @@ itself for ``EXPLAIN`` output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-from repro.regex.ast import Atom, Literal, RegexExpr
+from repro.regex.ast import Atom, Literal
 
 __all__ = [
     "PlanNode",

@@ -21,7 +21,7 @@ asserts plan-result invariance — only resource use does (experiment E9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.engine.parallel import MAX_WORKERS
 from repro.engine.plan import (
@@ -114,16 +114,15 @@ class DirectionChoice:
 
 @dataclass(frozen=True)
 class ParallelismChoice:
-    """Outcome of the sharded-parallel cost threshold
+    """Outcome of the parallel fan-out cost threshold
     (:meth:`Planner.choose_parallelism`).
 
     ``processes == 1`` means single-core; otherwise the executor should fan
-    out over ``shards`` vertex-range shards with ``processes`` workers.
-    ``reason`` says why, verbatim, for EXPLAIN output.
+    the sweep's seeds out over ``processes`` workers, one degree-balanced
+    seed range each.  ``reason`` says why, verbatim, for EXPLAIN output.
     """
 
     processes: int
-    shards: int
     reason: str
 
     @property
@@ -134,8 +133,8 @@ class ParallelismChoice:
         """One-line summary for EXPLAIN output."""
         if not self.parallel:
             return "single-core ({})".format(self.reason)
-        return "parallel, {} process(es) x {} shard(s) ({})".format(
-            self.processes, self.shards, self.reason)
+        return "parallel, {} process(es) ({})".format(
+            self.processes, self.reason)
 
 
 @dataclass(frozen=True)
@@ -143,9 +142,10 @@ class PairsRoute:
     """How one ``Engine.pairs`` read is evaluated (``Engine.route``).
 
     ``kernel`` names what runs: ``"forward"`` / ``"backward"`` /
-    ``"bidirectional"`` single-core, ``"fan-out"`` (sharded forward sweep),
-    ``"none"`` or ``"bounded"`` (``automaton`` strategy: not eligible, or
-    ``max_length`` given — ``constrained`` is ``None``).  ``sources`` /
+    ``"bidirectional"`` single-core, ``"fan-out"`` (forward sweep split
+    by seed range), ``"none"`` or ``"bounded"`` (``automaton`` strategy:
+    not eligible, or ``max_length`` given — ``constrained`` is ``None``).
+    ``sources`` /
     ``targets`` are the endpoint filters merged with the bound vertices,
     ``empty`` the reason no kernel needs to run, ``diagnostics`` the
     pre-flight record if consulted, the last two the planner's picks.
@@ -335,13 +335,13 @@ class Planner:
                                seeds=seeds)
 
     # ------------------------------------------------------------------
-    # Sharded-parallel threshold (the fan-out executor's go / no-go)
+    # Parallel fan-out threshold (the executor's go / no-go)
     # ------------------------------------------------------------------
 
     def choose_parallelism(self, num_sources: Optional[int] = None,
                            processes: Optional[int] = None,
                            direction: str = "forward") -> ParallelismChoice:
-        """Sharded-parallel vs single-core for one pairs-style sweep.
+        """Fanned-out vs single-core for one pairs-style sweep.
 
         The fan-out only pays when there is enough independent per-source
         work to split: the graph must carry real edge volume, the source
@@ -354,18 +354,16 @@ class Planner:
         safety floor) but never parallelizes a selective direction.
         """
         if direction != "forward":
-            return ParallelismChoice(1, 1, "selective {} evaluation stays "
+            return ParallelismChoice(1, "selective {} evaluation stays "
                                      "single-core".format(direction))
         if num_sources is not None and num_sources < 2:
-            return ParallelismChoice(1, 1, "a {}-source sweep cannot be "
+            return ParallelismChoice(1, "a {}-source sweep cannot be "
                                      "split".format(num_sources))
         if processes is not None:
             if processes <= 1:
-                return ParallelismChoice(1, 1, "explicit processes=1")
-            chosen = max(1, processes)
+                return ParallelismChoice(1, "explicit processes=1")
             return ParallelismChoice(
-                chosen, chosen,
-                "explicit processes={}".format(processes))
+                processes, "explicit processes={}".format(processes))
         # Read last: a selective or explicit pick needs none of these, and
         # os.cpu_count() alone is ~2 us of a point read's ~80.
         import os
@@ -374,19 +372,19 @@ class Planner:
         sources = self.statistics.vertex_count if num_sources is None \
             else num_sources
         if cpu < 2:
-            return ParallelismChoice(1, 1, "single-core machine")
+            return ParallelismChoice(1, "single-core machine")
         if edges < _PARALLEL_AUTO_MIN_EDGES:
             return ParallelismChoice(
-                1, 1, "{} edges below the {} auto floor".format(
+                1, "{} edges below the {} auto floor".format(
                     edges, _PARALLEL_AUTO_MIN_EDGES))
         if sources < _PARALLEL_AUTO_MIN_SOURCES:
             return ParallelismChoice(
-                1, 1, "{} sources below the {} auto floor".format(
+                1, "{} sources below the {} auto floor".format(
                     sources, _PARALLEL_AUTO_MIN_SOURCES))
         chosen = min(cpu, MAX_WORKERS)
         return ParallelismChoice(
-            chosen, chosen,
-            "{} edges, {} sources over auto floors".format(edges, sources))
+            chosen, "{} edges, {} sources over auto floors".format(
+                edges, sources))
 
     # ------------------------------------------------------------------
 

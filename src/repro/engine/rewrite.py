@@ -25,8 +25,6 @@ from typing import Callable, List, Tuple
 from repro.core.pathset import PathSet
 from repro.regex.ast import (
     EMPTY,
-    EPSILON,
-    Atom,
     Empty,
     Epsilon,
     Join,

@@ -12,7 +12,7 @@ measures the planner against.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Hashable, Iterable, NamedTuple, Optional
+from typing import Dict, Hashable, Iterable, NamedTuple
 
 from repro.graph.graph import MultiRelationalGraph
 from repro.regex.ast import (

@@ -454,10 +454,9 @@ def fold_adjacency_pairs(view) -> Tuple[List[Hashable], List[Hashable],
     a :class:`DeltaAdjacency` overlay alike (both expose
     ``live_vertex_ids`` / ``out_neighbors``) — tombstoned vertex slots are
     dropped and ids re-densified, per-label edge pairs come out as each
-    vertex reads (its patched row, else its base slice).  Both the snapshot
-    store's checkpoint fold (:func:`repro.storage.snapshots.fold_view`) and
-    the sharding layer's overlay densification build on this, so the fold
-    invariants live in exactly one place.
+    vertex reads (its patched row, else its base slice).  The snapshot
+    store's checkpoint fold (:func:`repro.storage.snapshots.fold_view`)
+    builds on this.
     """
     live = list(view.live_vertex_ids())
     slots = view.num_slots
@@ -833,7 +832,7 @@ def rpq_pairs_on_snapshot(snapshot, dfa,
     elif isinstance(source_ids, range) or (
             isinstance(source_ids, list)
             and all(map(lt, source_ids[:-1], source_ids[1:]))):
-        # A shard's slot range or id chunk: strictly ascending, so already
+        # A worker's seed range or id chunk: strictly ascending, so already
         # free of repeats (the shared sweep sizes and slices its seeds).
         seed_ids = source_ids
     else:

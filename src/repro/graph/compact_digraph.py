@@ -88,39 +88,12 @@ class CompactDiGraph:  # reprolint: ignore[numpy-gate] -- numpy-only by contract
         self.edge_keys = None
         self._scalar_fwd = None
 
-    @classmethod
-    def from_csr(cls, version: int, vertex_of: List[Hashable],
-                 vertex_ids: Dict[Hashable, int], tails, heads, weights,
-                 fwd_indptr, fwd_indices, rev_indptr, rev_indices,
-                 und_indptr, und_indices, out_weight) -> "CompactDiGraph":
-        """Adopt fully prebuilt arrays (CSR included) without any recompute.
-
-        The snapshot store's reopen path: unlike :meth:`from_arrays`, which
-        re-derives the three CSR index families with sorts (touching every
-        edge), this constructor trusts the arrays it is handed — under
-        ``np.memmap`` nothing is faulted in until a kernel slices it.
-        """
-        self = cls.__new__(cls)
-        self.version = version
-        self.vertex_of = vertex_of
-        self.vertex_ids = vertex_ids
-        self.tails = tails
-        self.heads = heads
-        self.weights = weights
-        self.fwd_indptr, self.fwd_indices = fwd_indptr, fwd_indices
-        self.rev_indptr, self.rev_indices = rev_indptr, rev_indices
-        self.und_indptr, self.und_indices = und_indptr, und_indices
-        self.out_weight = out_weight
-        self.edge_keys = None
-        self._scalar_fwd = None
-        return self
-
     def _edge_key_array(self):
         """Packed ``(tail << 32) | head`` identity keys, built on first use.
 
         Only the delta-overlay machinery needs these (one vectorized
-        ``isin`` masks removed base edges), so query-only snapshots —
-        including mmap-backed reopens — never pay for them."""
+        ``isin`` masks removed base edges), so query-only snapshots never
+        pay for them."""
         if self.edge_keys is None:
             self.edge_keys = (self.tails << _KEY_SHIFT) | self.heads
         return self.edge_keys

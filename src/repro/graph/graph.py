@@ -32,14 +32,12 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
 )
 
 from repro.core.edge import Edge
-from repro.core.path import Path
 from repro.core.pathset import PathSet
 from repro.errors import (
     DuplicateVertexError,

@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import xml.etree.ElementTree as ElementTree
-from typing import Any, Dict, Hashable, IO, Iterable, Union
+from typing import Any, Dict, IO, Union
 
 from repro.errors import SerializationError
 from repro.graph.graph import MultiRelationalGraph

@@ -9,7 +9,7 @@ planner-facing wrapper that adds selectivity math).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable
 
 from repro.graph.graph import MultiRelationalGraph
 

@@ -26,7 +26,7 @@ The lexer is a hand-rolled scanner with precise error positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import List, Union
 
 from repro.errors import PathQLSyntaxError
 

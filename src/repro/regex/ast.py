@@ -25,7 +25,7 @@ generator, and the test suite property-checks the two against each other.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.edge import Edge
 from repro.core.path import Path

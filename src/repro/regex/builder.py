@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Hashable, Optional
 
 from repro.core.pathset import PathSet
-from repro.errors import RegexError
 from repro.regex.ast import (
     EMPTY,
     EPSILON,

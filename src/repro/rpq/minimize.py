@@ -18,7 +18,7 @@ label level.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
 from repro.rpq.labelregex import (
     LabelDFA,

@@ -116,7 +116,6 @@ from repro.errors import (
     ReplicationCursorGapError,
     ReplicationError,
     ServiceError,
-    StorageError,
     StoreDegradedError,
     UnknownGraphError,
 )
@@ -154,6 +153,17 @@ AccessLog = Callable[[Dict[str, Any]], None]
 
 class _BadRequest(ServiceError):
     """Malformed request framing or body (HTTP 400)."""
+
+
+def _refuse_constant(name: str) -> Any:
+    raise ValueError("{} is not a JSON number".format(name))
+
+
+#: Request bodies are strict JSON: ``NaN`` / ``Infinity`` / ``-Infinity``
+#: are Python extensions.  A NaN vertex id would be logged and never found
+#: again (it equals nothing, itself included), a NaN deadline expires at
+#: once; refusing them here makes both a 400.
+_BODY_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 class _PayloadTooLarge(_BadRequest):
@@ -630,7 +640,7 @@ class HttpServer:
         if not body:
             return {}
         try:
-            parsed = json.loads(body.decode("utf-8"))
+            parsed = _BODY_DECODER.decode(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise _BadRequest("body is not valid JSON: {}".format(exc)) \
                 from exc
@@ -888,9 +898,12 @@ class ReplicaHttpServer(HttpServer):
             except ValueError as exc:
                 raise _BadRequest(
                     "max_staleness_ms must be a number") from exc
-        if not isinstance(value, (int, float)) or value < 0:
-            raise _BadRequest("max_staleness_ms must be a non-negative "
-                              "number")
+        # bool is an int, and NaN compares false with every bound: refuse
+        # both, and infinity, rather than serve past a bound never checked.
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not 0 <= value < float("inf"):
+            raise _BadRequest("max_staleness_ms must be a finite "
+                              "non-negative number")
         return float(value)
 
     async def _read_only(self, handle: Any, body: Dict[str, Any],

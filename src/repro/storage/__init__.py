@@ -9,9 +9,7 @@ from repro.storage.snapshots import (
     SnapshotMetadata,
     fold_view,
     open_adjacency_snapshot,
-    open_digraph_snapshot,
     write_adjacency_snapshot,
-    write_digraph_snapshot,
 )
 from repro.storage.segments import (
     ReplicationCursor,
@@ -35,6 +33,4 @@ __all__ = [
     "fold_view",
     "write_adjacency_snapshot",
     "open_adjacency_snapshot",
-    "write_digraph_snapshot",
-    "open_digraph_snapshot",
 ]

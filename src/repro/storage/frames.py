@@ -62,15 +62,21 @@ def check_loggable(entry: Tuple) -> None:
     """Reject entries the JSON framing cannot round-trip faithfully.
 
     Vertex and label identifiers must be JSON scalars (str/int/float/bool/
-    None); property maps must be JSON-encodable dicts.  Raises
+    None) other than NaN, which equals nothing — itself included — so a
+    logged NaN id could never be found or removed again; property maps
+    must be strict-JSON dicts (no NaN or infinities).  Raises
     :class:`StorageError` naming the offending value.
     """
     for arg in entry:
         if isinstance(arg, _SCALARS):
+            if arg != arg:
+                raise StorageError(
+                    "cannot log {!r}: a NaN id equals nothing, itself "
+                    "included".format(arg))
             continue
         if isinstance(arg, dict):
             try:
-                json.dumps(arg)
+                json.dumps(arg, allow_nan=False)
             except (TypeError, ValueError) as exc:
                 raise StorageError(
                     "property map {!r} is not JSON-serializable: {}".format(

@@ -1,8 +1,8 @@
 """The snapshot store: CSR adjacency spilled to a versioned binary layout.
 
 A snapshot file holds one :class:`~repro.graph.compact.CompactAdjacency`
-(or :class:`~repro.graph.compact.CompactDiGraph`) frozen at a graph
-version, in a layout designed to be **mapped**, not parsed::
+frozen at a graph version, in a layout designed to be **mapped**, not
+parsed::
 
     +--------------------+  offset 0
     | magic   "RPCSR001" |  8 bytes
@@ -13,11 +13,10 @@ version, in a layout designed to be **mapped**, not parsed::
     |  space-padded to a |  properties, name, version, data_crc32
     |  16-byte boundary) |
     +--------------------+  data_offset = 16 + header_len
-    | CSR array data     |  int64 LE arrays, back to back; float64
-    |                    |  section last (digraph weights only)
+    | CSR array data     |  int64 LE arrays, back to back
     +--------------------+
 
-For the multi-relational kind the data region is, per label ``l``:
+The data region is, per label ``l``:
 ``fwd_indptr`` (n+1), ``fwd_indices`` (m_l), ``rev_indptr`` (n+1),
 ``rev_indices`` (m_l).  All array offsets are *computed* from the header's
 ``label_counts`` — the layout is deterministic, so reopening maps the file
@@ -29,8 +28,7 @@ row yields plain Python ``int``s, so the interpreter-loop kernels run at
 heap-list speed.  ``mmap=False`` (and any big-endian host) loads the
 region eagerly into ``array.array('q')`` instead: same indexing/slicing
 contract, same ``int`` cells, no mapping — mmap is a fast path, never a
-correctness dependency.  The multi-relational open never touches numpy;
-only the digraph kind, whose kernels are vectorised, maps through it.
+correctness dependency.  The open never touches numpy.
 
 The mapping is never closed by hand: every carved view holds a reference
 to it, so it is unmapped when the last view is dropped (closing it under
@@ -65,7 +63,6 @@ from repro.errors import StorageError
 from repro.faults import fault_point
 from repro.graph.compact import (
     CompactAdjacency,
-    CompactDiGraph,
     _build_csr,
     fold_adjacency_pairs,
 )
@@ -83,8 +80,6 @@ __all__ = [
     "fold_view",
     "write_adjacency_snapshot",
     "open_adjacency_snapshot",
-    "write_digraph_snapshot",
-    "open_digraph_snapshot",
 ]
 
 SNAPSHOT_MAGIC = b"RPCSR001"
@@ -93,7 +88,6 @@ SNAPSHOT_MAGIC = b"RPCSR001"
 _PRELUDE_SIZE = len(SNAPSHOT_MAGIC) + FRAME_HEADER
 _ALIGN = 16
 _INT_DTYPE = "<i8"
-_FLOAT_DTYPE = "<f8"
 
 
 class SnapshotMetadata:
@@ -305,8 +299,7 @@ def fold_view(view: Any) -> Tuple[List[Hashable], List[Hashable],
     The checkpoint's fold step — tombstoned vertex slots dropped, ids
     re-densified, per-label edge pairs merged (base minus removals plus
     additions).  The actual fold lives in
-    :func:`repro.graph.compact.fold_adjacency_pairs`, shared with the
-    sharding layer's overlay densification so the invariants cannot drift.
+    :func:`repro.graph.compact.fold_adjacency_pairs`.
     """
     return fold_adjacency_pairs(view)
 
@@ -407,79 +400,3 @@ def open_adjacency_snapshot(path: str, mmap: bool = True,
                                 header.get("version", 0), vertex_properties,
                                 edge_properties, path)
     return snapshot, metadata
-
-
-# ----------------------------------------------------------------------
-# Single-relational (DiGraph) snapshots
-# ----------------------------------------------------------------------
-
-def write_digraph_snapshot(path: str, snapshot: CompactDiGraph,
-                           name: str = "") -> None:
-    """Spill one :class:`CompactDiGraph` (CSR arrays included) to ``path``."""
-    if _np is None:
-        raise StorageError("digraph snapshots require numpy")
-    vertex_of = list(snapshot.vertex_of)
-    _check_identifiers(vertex_of, "vertex ids")
-    n = snapshot.num_vertices
-    m = len(snapshot.tails)
-    int_arrays = (snapshot.tails, snapshot.heads,
-                  snapshot.fwd_indptr, snapshot.fwd_indices,
-                  snapshot.rev_indptr, snapshot.rev_indices,
-                  snapshot.und_indptr, snapshot.und_indices)
-    sections = [_np.ascontiguousarray(a, dtype=_INT_DTYPE).tobytes()
-                for a in int_arrays]
-    for a in (snapshot.weights, snapshot.out_weight):
-        sections.append(_np.ascontiguousarray(a, dtype=_FLOAT_DTYPE).tobytes())
-    header = {
-        "format": 1,
-        "kind": "digraph",
-        "name": name,
-        "version": snapshot.version,
-        "num_vertices": n,
-        "num_edges": m,
-        "vertex_of": vertex_of,
-    }
-    _write_file(path, header, sections)
-
-
-def open_digraph_snapshot(path: str, mmap: bool = True,
-                          verify: bool = False) -> CompactDiGraph:
-    """Reopen a digraph snapshot; CSR index arrays are adopted, not rebuilt."""
-    if _np is None:
-        raise StorageError("digraph snapshots require numpy")
-    header, data_offset = _read_header(path)
-    if header.get("kind") != "digraph":
-        raise StorageError("{}: expected a digraph snapshot, found kind "
-                           "{!r}".format(path, header.get("kind")))
-    if verify:
-        _verify_data_crc(path, data_offset, header["data_crc32"])
-    vertex_of = _decode_ids(header["vertex_of"])
-    n, m = header["num_vertices"], header["num_edges"]
-    if len(vertex_of) != n:
-        raise StorageError("{}: snapshot header is inconsistent".format(path))
-    int_lengths = (m, m, n + 1, m, n + 1, m, n + 1, 2 * m)
-    total_ints = sum(int_lengths)
-    if mmap and total_ints and (m + n):
-        ints = _np.memmap(path, dtype=_INT_DTYPE, mode="r",
-                          offset=data_offset, shape=(total_ints,))
-        floats = _np.memmap(path, dtype=_FLOAT_DTYPE, mode="r",
-                            offset=data_offset + 8 * total_ints,
-                            shape=(m + n,))
-    else:
-        ints = _np.fromfile(path, dtype=_INT_DTYPE, count=total_ints,
-                            offset=data_offset)
-        floats = _np.fromfile(path, dtype=_FLOAT_DTYPE, count=m + n,
-                              offset=data_offset + 8 * total_ints)
-    if len(ints) != total_ints or len(floats) != m + n:
-        raise StorageError("{}: snapshot data region is truncated".format(path))
-    views = []
-    cursor = 0
-    for length in int_lengths:
-        views.append(ints[cursor:cursor + length])
-        cursor += length
-    tails, heads, fwd_ip, fwd_ix, rev_ip, rev_ix, und_ip, und_ix = views
-    weights, out_weight = floats[:m], floats[m:]
-    vertex_ids = {v: i for i, v in enumerate(vertex_of)}
-    return CompactDiGraph.from_csr(
-        header.get("version", 0), vertex_of, vertex_ids, tails, heads,
-        weights, fwd_ip, fwd_ix, rev_ip, rev_ix, und_ip, und_ix, out_weight)

@@ -24,8 +24,8 @@ Fully deterministic given ``seed``; no global random state is touched.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Tuple
 
 from repro.automata.nfa import NFA, build_nfa
 from repro.core.path import EPSILON, Path

@@ -39,7 +39,6 @@ from repro.rpq.labelregex import (
     LabelDFA,
     LabelEmpty,
     LabelEpsilon,
-    accepts_label_word,
     lconcat,
     lstar,
     lunion,

@@ -27,7 +27,6 @@ from repro.engine.parallel import fork_available
 from repro.graph import compact
 from repro.graph.compact import (
     HAVE_NUMPY,
-    CompactAdjacency,
     adjacency_snapshot,
     digraph_snapshot,
     rpq_pairs_on_snapshot,

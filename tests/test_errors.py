@@ -1,7 +1,5 @@
 """Exception hierarchy tests: catchability and message quality."""
 
-import pytest
-
 from repro import errors
 
 

@@ -8,9 +8,7 @@ automata + engine + algorithms together.
 
 import io
 
-import pytest
-
-from repro import MultiRelationalGraph, Traversal
+from repro import Traversal
 from repro.algorithms import pagerank, spreading_activation
 from repro.core.projection import project_label_sequence, project_paths
 from repro.datasets import scholarly_graph, software_community, travel_network

@@ -21,7 +21,6 @@ from repro.regex import (
     join,
     literal,
     star,
-    union,
 )
 
 

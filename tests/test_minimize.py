@@ -1,6 +1,5 @@
 """Tests for label-DFA minimization and language equivalence."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

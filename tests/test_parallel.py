@@ -1,13 +1,14 @@
 """The parallel fan-out executor: real worker pools, merge parity, reuse.
 
-The multiprocessing half of the sharding battery (the pool-free half is
-``tests/test_sharding.py``): every test here actually forks workers (two,
-to stay CI-friendly) and asserts that sharded-parallel evaluation equals
-the single-core compact kernels and dict references across shard counts
-{1, 2, 7} and under delta overlays, that one executor survives graph
-mutations (stale state invalidated by ``version()``), and that the
-engine-level plumbing (``pairs``, ``pairs_batch``, ``query``,
-``cache_stats``, EXPLAIN) routes through it correctly.
+The multiprocessing half of the fan-out battery (the pool-free half is
+``tests/test_sharding.py``): the tests here fork workers (two unless a
+test asks for more, to stay CI-friendly; one seed range per worker) and
+assert that fanned-out evaluation equals the single-core compact kernels
+and dict references across {1, 2, 7} workers and under delta overlays,
+that one executor survives graph mutations (stale state invalidated by
+``version()``), and that the engine-level plumbing (``pairs``,
+``pairs_batch``, ``query``, ``cache_stats``, EXPLAIN) routes through it
+correctly.
 
 Forced low thresholds (``min_edges=0``) keep the graphs small; platforms
 without the ``fork`` start method skip the pool-backed tests — the serial
@@ -15,10 +16,10 @@ fallback they would degrade to is covered by the sibling module.
 """
 
 import random
+import sys
 
 import pytest
 
-from repro.algorithms.digraph import DiGraph
 from repro.engine import Engine
 from repro.engine.parallel import ParallelExecutor, fork_available
 from repro.graph.compact import _SHARED_BATCH, adjacency_snapshot
@@ -52,7 +53,7 @@ class TestParallelDifferential:
         adjacency_snapshot(graph)
         rng = random.Random(7)
         vertices = sorted(graph.vertices())
-        with pool_executor(graph, num_shards=count) as executor:
+        with pool_executor(graph, processes=count) as executor:
             for step in range(5):
                 tail, head = rng.choice(vertices), rng.choice(vertices)
                 if graph.has_edge(tail, "b", head):
@@ -70,9 +71,9 @@ class TestParallelDifferential:
         sources = frozenset(vertices[::3])
         targets = frozenset(vertices[::5])
         dfa = compile_rpq(STAR, graph)
-        with pool_executor(graph, num_shards=3) as parallel:
+        with pool_executor(graph, processes=3) as parallel:
             got = parallel.rpq_pairs(dfa, sources=sources, targets=targets)
-        serial = ParallelExecutor(graph, processes=1, num_shards=3)
+        serial = ParallelExecutor(graph, processes=3, min_edges=sys.maxsize)
         assert got == serial.rpq_pairs(dfa, sources=sources, targets=targets)
         serial.close()
 
@@ -82,70 +83,43 @@ class TestParallelDifferential:
         graph = uniform_random(2 * _SHARED_BATCH + 150, 2600,
                                labels=("a", "b", "c"), seed=17)
         dfa = compile_rpq(STAR, graph)
-        with pool_executor(graph, num_shards=2) as executor:
+        with pool_executor(graph) as executor:
             answer = executor.rpq_pairs(dfa)
             stats = executor.stats()
             assert stats["pool_live"] and not stats["serial_fallbacks"]
         assert answer == rpq_pairs_basic(graph, STAR)
 
-    def test_pagerank_parallel_is_bit_identical_to_serial(self):
-        graph = small_graph(seed=17)
-        serial = ParallelExecutor(graph, processes=1, num_shards=4)
-        want = serial.pagerank(tolerance=1.0e-12)
-        serial.close()
-        with pool_executor(graph, num_shards=4) as executor:
-            got = executor.pagerank(tolerance=1.0e-12)
-        assert got == want  # bit-for-bit: shard-ordered float merge
-
     def test_more_shards_and_processes_than_vertices(self):
-        # shard_ranges clamps to the vertex count: 4 shards over 3
+        # shard_ranges clamps to the vertex count: 4 seed ranges over 3
         # vertices run as 3 tasks on a 4-worker pool.
         graph = uniform_random(3, 4, labels=("a",), seed=89)
         expression = lstar(sym("a"))
         dfa = compile_rpq(expression, graph)
-        serial = ParallelExecutor(graph, processes=1, num_shards=4)
-        want = serial.pagerank(tolerance=1.0e-10)
-        serial.close()
-        with pool_executor(graph, processes=4, num_shards=4) as executor:
+        with pool_executor(graph, processes=4) as executor:
             assert executor.rpq_pairs(dfa) == rpq_pairs(graph, expression)
-            assert executor.pagerank(tolerance=1.0e-10) == want
             stats = executor.stats()
             assert stats["pool_live"] and not stats["serial_fallbacks"]
-
-    def test_bfs_batch_parallel_matches_digraph(self):
-        rng = random.Random(19)
-        digraph = DiGraph()
-        for v in range(200):
-            digraph.add_vertex(v)
-        while digraph.size() < 1500:
-            digraph.add_edge(rng.randrange(200), rng.randrange(200))
-        sources = list(range(0, 200, 3))
-        with pool_executor(digraph) as executor:
-            got = executor.bfs_distances(sources)
-        assert got == {s: digraph.bfs_distances(s) for s in sources}
 
 
 @needs_fork
 class TestPoolLifecycle:
 
     def test_one_executor_survives_graph_mutations(self):
-        """Fork safety: stale shard state is invalidated by version()."""
+        """Fork safety: a stale snapshot is invalidated by version()."""
         graph = small_graph(seed=23)
-        with pool_executor(graph, num_shards=2) as executor:
+        with pool_executor(graph) as executor:
             for step in range(4):
                 dfa = compile_rpq(STAR, graph)
                 assert executor.rpq_pairs(dfa) == \
                     rpq_pairs_basic(graph, STAR)
-                ranks = executor.pagerank(tolerance=1.0e-10)
-                serial = ParallelExecutor(graph, processes=1, num_shards=2)
-                assert ranks == serial.pagerank(tolerance=1.0e-10)
-                serial.close()
+                stats = executor.stats()
+                assert stats["pool_live"] and not stats["serial_fallbacks"]
                 graph.add_edge("m{}".format(step), "a",
                                sorted(graph.vertices(), key=repr)[0])
 
     def test_stale_inline_pool_is_replaced_not_reused(self):
         graph = small_graph(seed=29)
-        with pool_executor(graph, num_shards=2) as executor:
+        with pool_executor(graph) as executor:
             dfa = compile_rpq(STAR, graph)
             executor.rpq_pairs(dfa)
             first_key = executor._pool_key
@@ -298,8 +272,9 @@ class TestEnginePlumbing:
         engine = Engine(graph)
         try:
             text = engine.explain(self.QUERY, processes=2)
-            assert "pairs parallelism: parallel, 2 process(es) x 2 " \
-                   "shard(s)" in text
+            assert "pairs parallelism: parallel, 2 process(es) " \
+                   "(explicit processes=2)" in text
+            assert "shard" not in text
             assert "caches: dfa" in text
             text = engine.explain(self.QUERY)
             assert "pairs parallelism:" in text

@@ -6,11 +6,9 @@ from repro.core.path import EPSILON as EPSILON_PATH
 from repro.core.path import Path
 from repro.core.pathset import PathSet
 from repro.errors import RegexError
-from repro.graph.graph import MultiRelationalGraph
 from repro.regex import (
     EMPTY,
     EPSILON,
-    Atom,
     Join,
     Literal,
     Product,

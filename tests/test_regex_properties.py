@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import Recognizer, StackAutomaton, generate_paths
-from repro.core.path import Path
 from repro.graph.graph import MultiRelationalGraph
 from repro.regex import (
     EPSILON,

@@ -40,7 +40,6 @@ from counting import counted_calls
 
 from repro.concurrency import tracking_scope, witness_scope
 from repro.errors import (
-    ReplicaReadOnlyError,
     ReplicaStaleError,
     ReplicationCorruptionError,
     ReplicationCursorGapError,

@@ -29,7 +29,6 @@ from counting import counted_calls
 from repro.concurrency import tracking_scope, witness_scope
 from repro.engine import Engine, QueryCache
 from repro.errors import (
-    AuthenticationError,
     DeadlineExceededError,
     OverloadedError,
     QuotaExceededError,
@@ -715,7 +714,7 @@ BAD_QUERY_OPTIONS = [
     {"max_length": -1},
     {"processes": "2"}, {"processes": 0}, {"processes": True},
     {"processes": 9},
-    {"deadline_ms": True},
+    {"deadline_ms": True}, {"deadline_ms": float("nan")},
     {"sources": [[1, 2]]}, {"targets": [{"x": 1}]},
 ]
 
@@ -747,18 +746,9 @@ class TestRequestValidation:
                 assert payload["retriable"] is False
         self.on_primary(store_root, scenario)
 
-    def test_replica_refuses_bad_query_options(self, tmp_path):
+    def on_replica(self, tmp_path, scenario):
         from repro.replication import PrimaryFeed, ReplicaGraph
         from repro.service.http import ReplicaHttpServer
-
-        async def scenario(server):
-            for options in BAD_QUERY_OPTIONS:
-                if "deadline_ms" in options:
-                    continue  # a replica read takes no deadline
-                status, payload = await dispatch(
-                    server, "query", dict({"query": "[_, a, _]"}, **options))
-                assert status == 400, (options, payload)
-                assert payload["retriable"] is False
         with PersistentGraph.create(str(tmp_path / "alpha"), chain_graph(),
                                     name="alpha", replicate=True) as store:
             replica = ReplicaGraph.bootstrap(str(tmp_path / "rep"),
@@ -768,8 +758,41 @@ class TestRequestValidation:
             finally:
                 replica.close()
 
+    def test_replica_refuses_bad_query_options(self, tmp_path):
+        async def scenario(server):
+            for options in BAD_QUERY_OPTIONS:
+                if "deadline_ms" in options:
+                    continue  # a replica read takes no deadline
+                status, payload = await dispatch(
+                    server, "query", dict({"query": "[_, a, _]"}, **options))
+                assert status == 400, (options, payload)
+                assert payload["retriable"] is False
+        self.on_replica(tmp_path, scenario)
+
+    @pytest.mark.parametrize("form, bound", [
+        ("body", "true"), ("body", '"nan"'), ("body", "1e999"),
+        ("header", "nan"), ("header", "inf")])
+    def test_replica_refuses_malformed_staleness_bounds(self, tmp_path,
+                                                        form, bound):
+        # A bool is an int, NaN passes every comparison by failing it, and
+        # 1e999 is valid JSON that parses to infinity: none is a bound.
+        body, headers = '{"query": "[_, a, _]"}', {}
+        if form == "body":
+            body = body[:-1] + ', "max_staleness_ms": ' + bound + "}"
+        else:
+            headers["x-repro-max-staleness-ms"] = bound
+
+        async def scenario(server):
+            status, payload, _ = await server._dispatch(
+                "POST", "/v1/graphs/alpha/query", headers, body.encode())
+            assert status == 400, payload
+            assert "max_staleness_ms" in payload["error"]
+            assert payload["retriable"] is False
+        self.on_replica(tmp_path, scenario)
+
     @pytest.mark.parametrize("bad_triple", [[[1], "a", 2],
-                                            [1, {"x": 1}, 2]])
+                                            [1, {"x": 1}, 2],
+                                            [1, "a", float("nan")]])
     def test_refused_mutate_batch_applies_nothing(self, store_root,
                                                   bad_triple):
         # /mutate is not idempotent: a 400 must mean "nothing happened".

@@ -27,7 +27,6 @@ from repro.engine import Engine
 from repro.errors import StorageError
 from repro.faults import FaultPlan, fault_scope
 from repro.graph.compact import (
-    HAVE_NUMPY,
     CompactAdjacency,
     DeltaAdjacency,
     adjacency_snapshot,
@@ -321,37 +320,6 @@ class TestSnapshotFiles:
         assert snapshot.num_vertices == 0 and snapshot.num_edges == 0
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="digraph snapshots need numpy")
-class TestDigraphSnapshotFiles:
-    def test_round_trip_serves_kernels(self, tmp_path):
-        from repro.algorithms.digraph import DiGraph
-        from repro.graph.compact import digraph_snapshot
-        from repro.storage import open_digraph_snapshot, write_digraph_snapshot
-        rng = random.Random(7)
-        g = DiGraph()
-        for v in range(30):
-            g.add_vertex(v)
-        for _ in range(80):
-            g.add_edge(rng.randrange(30), rng.randrange(30),
-                       rng.choice((0.5, 1.0)))
-        built = digraph_snapshot(g)
-        path = str(tmp_path / "d.rcsr")
-        write_digraph_snapshot(path, built)
-        reopened = open_digraph_snapshot(path, mmap=True)
-        assert reopened.num_vertices == built.num_vertices
-        for source in (0, 7, 29):
-            assert reopened.bfs_distances(source) == built.bfs_distances(source)
-        assert list(reopened.strongly_connected_component_labels()) == \
-            list(built.strongly_connected_component_labels())
-        assert reopened.geodesic_summary() == built.geodesic_summary()
-        assert reopened.closeness_centrality_scores() == \
-            built.closeness_centrality_scores()
-
-
-# ----------------------------------------------------------------------
-# PersistentGraph lifecycle
-# ----------------------------------------------------------------------
-
 class TestPersistentGraphLifecycle:
     def test_create_mutate_reopen_lazily(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -501,6 +469,26 @@ class TestPersistentGraphLifecycle:
             assert g.version() == before  # nothing applied at all
         with PersistentGraph.open(directory) as reopened:
             assert reopened.graph() == g  # durable state agrees too
+
+    def test_nan_is_rejected_before_applying(self, tmp_path):
+        # NaN equals nothing, itself included: a logged NaN id could never
+        # be found or removed again, and JSON proper has no NaN at all.
+        nan = float("nan")
+        directory = str(tmp_path / "store")
+        with PersistentGraph.create(directory, graph=sample_graph()) as store:
+            graph = store.graph()
+            before = graph.version()
+            with pytest.raises(StorageError, match="NaN"):
+                graph.add_edge(1, "a", nan)
+            with pytest.raises(StorageError):
+                graph.add_vertex(nan)
+            with pytest.raises(StorageError):
+                graph.set_vertex_property("a", "score", nan)
+            assert graph.version() == before
+            assert not graph.has_vertex(1)
+            assert graph.vertex_properties("a") == {}
+        with PersistentGraph.open(directory) as reopened:
+            assert reopened.graph() == sample_graph()
 
     def test_closed_store_rejects_reads(self, tmp_path):
         directory = str(tmp_path / "store")

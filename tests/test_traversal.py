@@ -13,7 +13,6 @@ from repro.core.traversal import (
     source_traversal,
     traverse,
 )
-from repro.graph.graph import MultiRelationalGraph
 
 
 class TestStep:
