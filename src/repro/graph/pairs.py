@@ -58,9 +58,9 @@ class PairBlocks(Set):
 
     ``memo`` starts unset and is opaque here: one slot for whatever a
     caller derives from the answer and wants back with it (the serving
-    tier keeps the encoded wire bytes there; read it with
-    ``getattr(answer, "memo", None)``).  Pickling ships the blocks, not the
-    pairs, and drops the memo.
+    tier keeps the encoded wire bytes there, one entry per form; read it
+    with ``getattr(answer, "memo", None)``).  Pickling ships the blocks,
+    not the pairs, and drops the memo.
 
     The lazy set and the memo are each filled by one idempotent
     assignment — racing threads store equal values — so neither is locked.

@@ -34,9 +34,11 @@ engine needs once multiple callers hit it at once:
   answered straight from the event loop (O(lookup), no executor round
   trip, no slot).  Invalidation is by mutation version, which the cache
   key embeds.  :meth:`AsyncEngine.served_pairs` — the HTTP tier's read —
-  also hands back the answer's wire bytes: encoded once, in the worker
-  thread that computed the answer, and kept in the cached answer's memo
-  slot (:mod:`repro.service.wire`), so a hit never sorts or encodes.
+  also hands back the answer's wire bytes in the form the request asked
+  for (a sorted pair list, or the blocks as they are): encoded once per
+  form, in the worker thread that computed the answer, and kept in the
+  cached answer's memo slot (:mod:`repro.service.wire`), so a hit never
+  sorts or encodes.
 """
 
 from __future__ import annotations
@@ -368,18 +370,22 @@ class AsyncEngine:
                            targets: Optional[Iterable] = None,
                            max_length: Optional[int] = None,
                            processes: Optional[int] = None,
-                           deadline: Optional[float] = None) -> ServedPairs:
+                           deadline: Optional[float] = None,
+                           blocks: bool = False) -> ServedPairs:
         """:meth:`pairs` for a caller that writes the answer out.
 
-        Returns the answer with its wire bytes and whether it was a
-        loop-side cache hit — reported with the answer, so concurrent
-        requests cannot be mistaken for one another.  A miss is encoded
-        in the worker thread that computed it (inside the deadline) and
-        the bytes stay in the cached answer's memo; a hit reads them back.
+        Returns the answer with its wire bytes — as blocks when
+        ``blocks`` asks and the answer allows it, else the sorted pair
+        list (:func:`~repro.service.wire.serve_pairs`) — and whether it
+        was a loop-side cache hit, reported with the answer so concurrent
+        requests cannot be mistaken for one another.  A miss encodes the
+        asked-for form only, in the worker thread that computed it
+        (inside the deadline), and the bytes stay in the cached answer's
+        memo; a hit reads them back.
         """
         return await self._read_pairs(
             query, sources, targets, max_length, processes, deadline,
-            serve_pairs)
+            lambda answer, cached: serve_pairs(answer, cached, blocks))
 
     async def _read_batch(self, queries: Iterable[Union[str, RegexExpr]],
                           sources: Optional[Iterable],
@@ -433,12 +439,13 @@ class AsyncEngine:
             targets: Optional[Iterable] = None,
             max_length: Optional[int] = None,
             processes: Optional[int] = None,
-            deadline: Optional[float] = None) -> List[ServedPairs]:
+            deadline: Optional[float] = None,
+            blocks: bool = False) -> List[ServedPairs]:
         """:meth:`pairs_batch` with every answer's wire bytes (see
         :meth:`served_pairs`; a batch does not report cache hits)."""
         return await self._read_batch(
             queries, sources, targets, max_length, processes, deadline,
-            serve_pairs)
+            lambda answer: serve_pairs(answer, blocks=blocks))
 
     async def query(self, query: Union[str, RegexExpr],
                     strategy: str = "materialized",

@@ -3,9 +3,13 @@
 Stdlib-only, over a plain socket: the client frames HTTP/1.1 the way the
 server does (``docs/serving.md``, *Wire path*) — one ``sendall`` per
 request, the reply head split by hand, exactly ``Content-Length`` body
-bytes.  One connection per request unless ``keep_alive`` is set.  The
-client owns the *retry half* of the service's backoff contract
-(``docs/robustness.md``):
+bytes.  One connection per request unless ``keep_alive`` is set.  Every
+request sends ``Accept: application/x-repro-pair-blocks+json``, so a
+query's answer travels as the kernel's blocks whenever the server can
+send them (:mod:`repro.service.wire`); ``query`` / ``query_batch`` hand
+it back under ``"pairs"`` as a :class:`~repro.graph.pairs.PairBlocks`
+either way.  The client owns the *retry half* of the service's backoff
+contract (``docs/robustness.md``):
 
 * **Only idempotent operations are retried** — ``query``, ``explain``,
   ``stats``, ``list_graphs``.  A query re-asked computes the same
@@ -15,9 +19,11 @@ client owns the *retry half* of the service's backoff contract
 * **Retriable failures** are HTTP 429 (shed / over quota), 503 (store
   degraded), 504 (deadline expired) and transport errors (connection
   refused / reset — e.g. an injected ``http.connection_drop`` — or a
-  reply the client cannot frame,
-  :class:`~repro.errors.WireProtocolError`).  Any other error status
-  raises :class:`~repro.errors.RemoteQueryError` immediately.
+  reply the client cannot frame or read: a success whose body is not a
+  JSON object, or a query answer that is malformed or disagrees with
+  its ``count`` — :class:`~repro.errors.WireProtocolError`).  Any other
+  error status raises :class:`~repro.errors.RemoteQueryError`
+  immediately.
 * **Capped exponential backoff with jitter**: attempt *n* sleeps
   ``backoff_base * 2**n`` seconds, capped at ``backoff_cap``, then
   equal-jittered (half fixed, half uniform-random from a seedable RNG
@@ -41,7 +47,7 @@ import random
 import re
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlencode, urlsplit
 
 from repro.errors import (
@@ -52,6 +58,8 @@ from repro.errors import (
     RetryBudgetExceededError,
     WireProtocolError,
 )
+from repro.graph.pairs import PairBlocks
+from repro.service.wire import BLOCKS_TYPE, decode_answer, decode_batch
 
 __all__ = ["ReproClient", "RemoteFeed", "RETRIABLE_STATUSES"]
 
@@ -196,9 +204,11 @@ class ReproClient:
         self._fixed_head = (
             " HTTP/1.1\r\nHost: {}:{}\r\n"
             "Content-Type: application/json\r\n"
+            "Accept: {}\r\n"
             "Connection: {}\r\n{}Content-Length: ".format(
                 "[{}]".format(self.host) if ":" in self.host else self.host,
-                self.port, "keep-alive" if keep_alive else "close",
+                self.port, BLOCKS_TYPE,
+                "keep-alive" if keep_alive else "close",
                 "Authorization: Bearer {}\r\n".format(token)
                 if token else ""))
         #: Total retries slept across this client's lifetime.
@@ -253,11 +263,28 @@ class ReproClient:
 
     @staticmethod
     def _decode(data: bytes) -> Dict[str, Any]:
+        """An error reply's body as a dict, ``{}`` when it is not one."""
         try:
             payload = json.loads(data.decode("utf-8")) if data else {}
         except (ValueError, UnicodeDecodeError):
             return {}
         return payload if isinstance(payload, dict) else {}
+
+    @staticmethod
+    def _success(data: bytes) -> Dict[str, Any]:
+        """A success reply's body, which must be a JSON object: anything
+        else is a :class:`~repro.errors.WireProtocolError`, never a
+        silent empty answer."""
+        try:
+            payload = json.loads(data.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise WireProtocolError(
+                "success reply body is not JSON: {}".format(exc)) from exc
+        if not isinstance(payload, dict):
+            raise WireProtocolError(
+                "success reply body is a JSON {}, not an object".format(
+                    type(payload).__name__))
+        return payload
 
     @staticmethod
     def _retry_after(headers: Dict[str, str],
@@ -284,7 +311,12 @@ class ReproClient:
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None,
                  idempotent: bool = True,
-                 operation: str = "request") -> Dict[str, Any]:
+                 operation: str = "request",
+                 read: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]]
+                 = None) -> Dict[str, Any]:
+        """One operation under the retry policy.  A success's body goes
+        through :meth:`_success` and then ``read``; either refusing it
+        (:class:`~repro.errors.WireProtocolError`) is a transport error."""
         payload_bytes = json.dumps(body).encode("utf-8") \
             if body is not None else b""
         attempts: List[Tuple[Any, float]] = []
@@ -296,6 +328,9 @@ class ReproClient:
             try:
                 status, headers, data = self._transport(
                     method, path, payload_bytes)
+                if status < 400:
+                    payload = self._success(data)
+                    return read(payload) if read is not None else payload
             except OSError as exc:
                 last_status = None
                 last_error = "{}: {}".format(type(exc).__name__, exc)
@@ -309,8 +344,6 @@ class ReproClient:
                 failure = type(exc).__name__
             else:
                 payload = self._decode(data)
-                if status < 400:
-                    return payload
                 last_status = status
                 last_error = "HTTP {}: {}".format(
                     status, payload.get("error", "unknown error"))
@@ -348,19 +381,24 @@ class ReproClient:
               max_length: Optional[int] = None,
               processes: Optional[int] = None,
               deadline_ms: Optional[float] = None) -> Dict[str, Any]:
-        """Full JSON answer for one PathQL query (retried on 429/503/504)."""
+        """The JSON reply to one PathQL query (retried on 429/503/504).
+        Its answer is under ``"pairs"`` as a ``PairBlocks`` — the ``Set``
+        of ``(source, target)`` tuples in-process ``Engine.pairs``
+        returns — whichever form the server sent
+        (:func:`~repro.service.wire.decode_answer`)."""
         return self._request(
             "POST", self._graph_path(graph, "query"),
             self._query_body(query=query, sources=sources, targets=targets,
                              max_length=max_length, processes=processes,
                              deadline_ms=deadline_ms),
-            idempotent=True, operation="query({!r})".format(query))
+            idempotent=True, operation="query({!r})".format(query),
+            read=decode_answer)
 
     def query_pairs(self, graph: str, query: str,
-                    **options: Any) -> Set[Tuple[Any, Any]]:
-        """Just the answer set, as hashable ``(source, target)`` tuples."""
+                    **options: Any) -> PairBlocks:
+        """Just the answer set (an empty one if the reply carries none)."""
         payload = self.query(graph, query, **options)
-        return {tuple(pair) for pair in payload.get("pairs", [])}
+        return payload.get("pairs", PairBlocks(()))
 
     def query_batch(self, graph: str, queries: Sequence[str], *,
                     sources: Optional[Sequence[Any]] = None,
@@ -368,14 +406,16 @@ class ReproClient:
                     max_length: Optional[int] = None,
                     processes: Optional[int] = None,
                     deadline_ms: Optional[float] = None) -> Dict[str, Any]:
-        """One round trip for many queries over one graph snapshot."""
+        """One round trip for many queries over one graph snapshot; each
+        of ``"results"`` carries its answer as :meth:`query` does."""
         return self._request(
             "POST", self._graph_path(graph, "query"),
             self._query_body(queries=list(queries), sources=sources,
                              targets=targets, max_length=max_length,
                              processes=processes, deadline_ms=deadline_ms),
             idempotent=True,
-            operation="query_batch({} queries)".format(len(queries)))
+            operation="query_batch({} queries)".format(len(queries)),
+            read=decode_batch)
 
     def explain(self, graph: str, query: str,
                 **options: Any) -> str:

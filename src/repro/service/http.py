@@ -14,7 +14,8 @@ GET         ``/healthz``                             liveness (no auth)
 GET         ``/readyz``                              readiness (no auth)
 GET         ``/v1/graphs``                           registry listing
 POST        ``/v1/graphs/{name}/query``              ``{"query": ...}`` →
-                                                     sorted pair list,
+                                                     sorted pair list (or
+                                                     blocks, negotiated),
                                                      encoded once per
                                                      cached answer
 POST        ``/v1/graphs/{name}/explain``            EXPLAIN text
@@ -59,9 +60,13 @@ optional ``sources`` / ``targets`` lists, ``max_length``, ``processes``
 (at most the executor's ``MAX_WORKERS``), and ``deadline_ms`` — the
 per-request deadline enforced by
 :class:`~repro.service.async_engine.AsyncEngine`.  The reply's ``pairs``
-is the answer as a JSON list sorted by ``repr``; it is sorted and encoded
-once per cached answer (:mod:`repro.service.wire`), in the worker thread
-that computed it, and a cache hit splices those bytes into the response.
+is the answer as a JSON list sorted by ``repr``.  A request sending
+``Accept: application/x-repro-pair-blocks+json`` gets the answer's
+``blocks`` instead, unsorted, whenever every endpoint is a type JSON
+round-trips exactly (the reply's ``Content-Type`` then names that type);
+any other answer goes out flat.  Each form is encoded at most once per
+cached answer (:mod:`repro.service.wire`), in the worker thread that
+computed it, and a cache hit splices those bytes into the response.
 
 Auth and backoff contract
 -------------------------
@@ -120,8 +125,10 @@ from repro.errors import (
     UnknownGraphError,
 )
 from repro.faults import fault_hook
+from repro.graph.pairs import PairBlocks
 from repro.service.registry import GraphHandle, GraphRegistry
-from repro.service.wire import ServedPairs, encode_payload, serve_pairs
+from repro.service.wire import (ServedPairs, encode_reply, serve_pairs,
+                                wants_blocks)
 
 __all__ = ["HttpServer", "ReplicaHttpServer", "serve", "serve_replica"]
 
@@ -379,15 +386,14 @@ class HttpServer:
         """Write one response; returns the body's length.
 
         A ``bytes`` payload is a binary body.  A dict is JSON, and may
-        carry its ``pairs`` (or each ``results[i]["pairs"]``) as a
+        carry its ``pairs`` / ``blocks`` (or each ``results[i]``'s) as a
         pre-encoded fragment, which
-        :func:`~repro.service.wire.encode_payload` writes out verbatim.
+        :func:`~repro.service.wire.encode_reply` writes out verbatim.
         """
         if isinstance(payload, bytes):
             data, content_type = payload, "application/octet-stream"
         else:
-            data = encode_payload(payload)
-            content_type = "application/json"
+            data, content_type = encode_reply(payload)
         head = ["HTTP/1.1 {} {}".format(status,
                                         _STATUS_TEXT.get(status, "Status")),
                 "Content-Type: {}".format(content_type),
@@ -656,7 +662,7 @@ class HttpServer:
         runner = self._ACTIONS.get((method, action))
         if runner is None:
             raise UnknownGraphError("{} {}".format(method, action))
-        return await getattr(self, runner)(handle, body, tenant)
+        return await getattr(self, runner)(handle, body, tenant, headers)
 
     @staticmethod
     def _deadline_of(body: Dict[str, Any]) -> Optional[float]:
@@ -711,43 +717,52 @@ class HttpServer:
                                               MAX_WORKERS)}
 
     async def _answer(self, handle: Any, query: str,
-                      options: Dict[str, Any]) -> ServedPairs:
-        return await handle.async_engine.served_pairs(query, **options)
+                      options: Dict[str, Any], blocks: bool) -> ServedPairs:
+        return await handle.async_engine.served_pairs(query, blocks=blocks,
+                                                      **options)
 
     async def _answer_batch(self, handle: Any, queries: List[str],
-                            options: Dict[str, Any]) -> List[ServedPairs]:
+                            options: Dict[str, Any],
+                            blocks: bool) -> List[ServedPairs]:
         return await handle.async_engine.served_pairs_batch(
-            queries, **options)
+            queries, blocks=blocks, **options)
 
     async def _action_query(self, handle: Any, body: Dict[str, Any],
-                            tenant: str) -> Dict[str, Any]:
-        """One query or a batch.  ``pairs`` goes out as the answer's
-        pre-encoded fragment (see :mod:`repro.service.wire`)."""
+                            tenant: str,
+                            headers: Dict[str, str]) -> Dict[str, Any]:
+        """One query or a batch.  Each answer goes out as its pre-encoded
+        fragment, under ``blocks`` when the request's ``Accept`` asks for
+        them and the answer allows it, else under ``pairs`` (see
+        :mod:`repro.service.wire`)."""
         options = self._read_options(body)
+        blocks = wants_blocks(headers.get("accept", ""))
         payload = self._query_envelope(handle, tenant)
         if "queries" in body:
             queries = body["queries"]
             if not isinstance(queries, list) or not all(
                     isinstance(q, str) for q in queries):
                 raise _BadRequest("queries must be a list of PathQL strings")
-            served = await self._answer_batch(handle, queries, options)
+            served = await self._answer_batch(handle, queries, options,
+                                              blocks)
             payload["results"] = [
-                {"query": q, "count": len(s.answer), "pairs": s.fragment}
+                {"query": q, "count": len(s.answer), s.key: s.fragment}
                 for q, s in zip(queries, served)]
             return payload
         query = body.get("query")
         if not isinstance(query, str):
             raise _BadRequest('body must carry "query" (PathQL text)')
-        answer, fragment, cached = await self._answer(handle, query, options)
+        answer, key, fragment, cached = await self._answer(
+            handle, query, options, blocks)
         payload.update(query=query, count=len(answer))
         if cached is not None:
             payload["cached"] = cached
-        payload["pairs"] = fragment
+        payload[key] = fragment
         return payload
 
     async def _action_explain(self, handle: GraphHandle,
                               body: Dict[str, Any],
-                              tenant: str) -> Dict[str, Any]:
+                              tenant: str,
+                              headers: Dict[str, str]) -> Dict[str, Any]:
         query = body.get("query")
         if not isinstance(query, str):
             raise _BadRequest('body must carry "query" (PathQL text)')
@@ -759,13 +774,15 @@ class HttpServer:
 
     async def _action_stats(self, handle: GraphHandle,
                             body: Dict[str, Any],
-                            tenant: str) -> Dict[str, Any]:
+                            tenant: str,
+                            headers: Dict[str, str]) -> Dict[str, Any]:
         return {"graph": handle.name, "info": handle.info(),
                 "registry": self.registry.stats()}
 
     async def _action_mutate(self, handle: GraphHandle,
                              body: Dict[str, Any],
-                             tenant: str) -> Dict[str, Any]:
+                             tenant: str,
+                             headers: Dict[str, str]) -> Dict[str, Any]:
         additions = body.get("add_edges", [])
         removals = body.get("remove_edges", [])
         for triples, label_ in ((additions, "add_edges"),
@@ -801,7 +818,8 @@ class HttpServer:
 
     async def _action_checkpoint(self, handle: GraphHandle,
                                  body: Dict[str, Any],
-                                 tenant: str) -> Dict[str, Any]:
+                                 tenant: str,
+                                 headers: Dict[str, str]) -> Dict[str, Any]:
         info = await handle.checkpoint(deadline=self._deadline_of(body))
         return {"graph": handle.name, "info": info}
 
@@ -907,11 +925,13 @@ class ReplicaHttpServer(HttpServer):
         return float(value)
 
     async def _read_only(self, handle: Any, body: Dict[str, Any],
-                         tenant: str) -> Dict[str, Any]:
+                         tenant: str,
+                         headers: Dict[str, str]) -> Dict[str, Any]:
         raise ReplicaReadOnlyError(self.replica.directory)
 
     async def _action_stats(self, handle: Any, body: Dict[str, Any],
-                            tenant: str) -> Dict[str, Any]:
+                            tenant: str,
+                            headers: Dict[str, str]) -> Dict[str, Any]:
         payload = {"graph": self.replica.graph_name,
                    "info": self.replica.info()}
         if self.tailer is not None:
@@ -931,7 +951,7 @@ class ReplicaHttpServer(HttpServer):
                 "targets": self._endpoints_of(body, "targets")}
 
     async def _answer(self, handle: Any, query: str,
-                      options: Dict[str, Any]) -> ServedPairs:
+                      options: Dict[str, Any], blocks: bool) -> ServedPairs:
         from repro.engine.rewrite import normalize
         from repro.lang import parse
         from repro.rpq.evaluation import lower_to_constrained_query
@@ -945,16 +965,18 @@ class ReplicaHttpServer(HttpServer):
                 "answers label-path pairs() queries only".format(query))
         merged = constrained.merge_filters(**options)
         if merged is None:  # a bound endpoint the caller's filter excludes
-            return serve_pairs(frozenset())
+            return serve_pairs(PairBlocks(()), blocks=blocks)
         # Kernel and encode in one executor hop; a replica keeps no
         # result cache, so there is no hit to report.
         return await asyncio.get_running_loop().run_in_executor(
             None, lambda: serve_pairs(self.replica.pairs(
-                constrained.label_expression, *merged)))
+                constrained.label_expression, *merged), blocks=blocks))
 
     async def _answer_batch(self, handle: Any, queries: List[str],
-                            options: Dict[str, Any]) -> List[ServedPairs]:
-        return [await self._answer(handle, q, options) for q in queries]
+                            options: Dict[str, Any],
+                            blocks: bool) -> List[ServedPairs]:
+        return [await self._answer(handle, q, options, blocks)
+                for q in queries]
 
 
 async def serve(root: str, host: str = "127.0.0.1", port: int = 8080,

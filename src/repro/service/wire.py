@@ -1,14 +1,25 @@
-"""The wire form of a ``pairs()`` answer, encoded once per cached answer.
+"""The wire forms of a ``pairs()`` answer, each encoded once per cached answer.
 
-A served answer is a canonical JSON list: the pairs as two-element lists,
-sorted by their ``repr`` (``"[7, 12]" < "[7, 1]"`` — the order is wire
-contract, not a natural sort).  That list is a pure function of an
-immutable answer set, so it is computed once and kept in the answer's
-``memo`` slot (:class:`~repro.graph.pairs.PairBlocks`), where it lives
-exactly as long as the result-cache entry does.  A response is then the
-small envelope encoded fresh plus those bytes spliced in
-(:func:`encode_payload`); nothing is sorted or re-encoded on a cache hit,
-and no block of the answer is touched.
+A served answer goes out in one of two forms, chosen per request:
+
+* **flat** (the default) — ``"pairs"``, a canonical JSON list: the pairs
+  as two-element lists, sorted by their ``repr`` (``"[7, 12]" < "[7, 1]"``
+  — the order is wire contract, not a natural sort);
+* **blocks** — ``"blocks"``, the answer's own disjoint blocks as
+  ``[firsts, seconds, crossed]`` triples in the kernel's order, unsorted
+  (:class:`~repro.graph.pairs.PairBlocks`).  A request asks for it with
+  ``Accept: application/x-repro-pair-blocks+json`` (:data:`BLOCKS_TYPE`);
+  it is sent only when every endpoint is a type JSON gives back exactly
+  (``int``, ``str``, ``float``, ``bool``, ``None``), and any other answer
+  gets the flat form.
+
+Either form is a pure function of an immutable answer set, so it is
+computed at most once and kept in the answer's ``memo`` slot — one entry
+per form — where it lives exactly as long as the result-cache entry does.
+A response is then the small envelope encoded fresh plus those bytes
+spliced in (:func:`encode_reply`); nothing is sorted or re-encoded on a
+cache hit, and no block of the answer is touched.  :func:`decode_answer`
+is the client's side: either form back to a ``PairBlocks``.
 """
 
 from __future__ import annotations
@@ -16,12 +27,27 @@ from __future__ import annotations
 import json
 from collections.abc import Set
 from itertools import chain, product
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.errors import WireProtocolError
 from repro.graph.pairs import PairBlocks
 
-__all__ = ["ServedPairs", "encode_pairs", "encode_payload", "pairs_fragment",
-           "serve_pairs"]
+__all__ = ["BLOCKS_TYPE", "JSON_TYPE", "ServedPairs", "decode_answer",
+           "decode_batch", "encode_blocks", "encode_pairs", "encode_payload",
+           "encode_reply", "pairs_fragment", "serve_pairs", "wants_blocks"]
+
+#: The media type of a reply that may carry block answers; a request
+#: naming it in ``Accept`` asks for them.
+BLOCKS_TYPE = "application/x-repro-pair-blocks+json"
+
+#: The media type of every other JSON reply.
+JSON_TYPE = "application/json"
+
+#: Endpoint types JSON round-trips exactly, and so may travel as blocks.
+_JSON_EXACT = frozenset({int, str, float, bool, type(None)})
+
+#: The payload keys that may carry a pre-encoded answer.
+_FRAGMENT_KEYS = ("pairs", "blocks")
 
 
 #: ``repr([tail, head])`` of a pair, made from the tuple as it is.
@@ -33,6 +59,15 @@ _pair_repr = "[%r, %r]".__mod__
 #: two-seeds-one-vertex rectangles) are cheaper flattened into the one
 #: ``%`` all zip pairs share than paying that per-block setup.
 _TAILS_MIN = 8
+
+
+def _endpoint_types(answer: PairBlocks) -> set:
+    """The exact types of every block member of ``answer``."""
+    types: set = set()
+    for firsts, seconds, _ in answer.blocks:
+        types.update(map(type, firsts))
+        types.update(map(type, seconds))
+    return types
 
 
 def _int_pair_texts(answer: Set) -> Optional[List[str]]:
@@ -49,13 +84,7 @@ def _int_pair_texts(answer: Set) -> Optional[List[str]]:
     ``true``), as does every other ``int`` subclass, whose ``repr`` may
     differ from its JSON.
     """
-    if not isinstance(answer, PairBlocks):
-        return None
-    types: set = set()
-    for firsts, seconds, _ in answer.blocks:
-        types.update(map(type, firsts))
-        types.update(map(type, seconds))
-    if types - {int}:
+    if not isinstance(answer, PairBlocks) or _endpoint_types(answer) - {int}:
         return None
     chunks: List[str] = []
     loose: List[int] = []
@@ -97,34 +126,79 @@ def encode_pairs(answer: Set) -> bytes:
                       default=str).encode("utf-8")
 
 
-def pairs_fragment(answer: Set) -> bytes:
-    """``encode_pairs(answer)``, through the answer's memo slot if it has one
-    (every engine answer does; a plain ``frozenset`` has nowhere to keep it).
+def encode_blocks(answer: Set) -> Optional[bytes]:
+    """The JSON block list of ``answer``, or None when it cannot travel as
+    blocks (not a ``PairBlocks``, or an endpoint outside the types JSON
+    round-trips exactly — those go out flat).
 
-    An unfilled memo (an entry an in-process ``Engine.pairs`` caller put
-    in the cache) is filled on first serve; racing fillers store equal
-    bytes, so the assignment needs no lock.
+    The blocks are dumped as they are, in the kernel's order: a block
+    tuple is already the ``[firsts, seconds, crossed]`` triple.  Nothing
+    is sorted and no pair is made.
     """
-    fragment = getattr(answer, "memo", None)
-    if fragment is None:
-        fragment = encode_pairs(answer)
+    if not isinstance(answer, PairBlocks) \
+            or _endpoint_types(answer) - _JSON_EXACT:
+        return None
+    # ``default=list``: a member sequence that is not a list or tuple.
+    return json.dumps(answer.blocks, default=list).encode("utf-8")
+
+
+def _fragment(answer: Set, blocks: bool) -> Tuple[str, bytes]:
+    """``(key, bytes)`` of ``answer`` in the form asked for — ``"blocks"``
+    when ``blocks`` and the answer allows it, else ``"pairs"`` — through
+    the answer's memo if it has one (every engine answer does; a plain
+    ``frozenset`` has nowhere to keep it).
+
+    The memo maps a form to its bytes (``None`` under ``"blocks"``: the
+    answer goes out flat), so a form is encoded at most once per cached
+    answer and only when a request asks for it.  An unfilled memo (an
+    entry an in-process ``Engine.pairs`` caller put in the cache) is
+    filled on first serve; racing fillers store equal bytes, so no
+    assignment needs a lock (a filler losing the race to create the memo
+    costs one more encode, never a wrong byte).
+    """
+    memo = getattr(answer, "memo", None)
+    if memo is None:
+        memo = {}
         if isinstance(answer, PairBlocks):
-            answer.memo = fragment
-    return fragment
+            answer.memo = memo
+    if blocks:
+        if "blocks" not in memo:
+            memo["blocks"] = encode_blocks(answer)
+        if memo["blocks"] is not None:
+            return "blocks", memo["blocks"]
+    fragment = memo.get("pairs")
+    if fragment is None:
+        fragment = memo["pairs"] = encode_pairs(answer)
+    return "pairs", fragment
+
+
+def pairs_fragment(answer: Set) -> bytes:
+    """``encode_pairs(answer)``, through the answer's memo slot."""
+    return _fragment(answer, False)[1]
 
 
 class ServedPairs(NamedTuple):
     """One answer ready to be written out."""
 
     answer: Set
-    fragment: bytes  #: the encoded pair list
+    key: str  #: the payload key: ``"pairs"`` or ``"blocks"``
+    fragment: bytes  #: the encoded answer
     cached: Optional[bool]  #: result-cache hit; None where not reported
 
 
-def serve_pairs(answer: Set,
-                cached: Optional[bool] = None) -> ServedPairs:
-    """Encode ``answer`` in the calling thread (or reuse its memo)."""
-    return ServedPairs(answer, pairs_fragment(answer), cached)
+def serve_pairs(answer: Set, cached: Optional[bool] = None,
+                blocks: bool = False) -> ServedPairs:
+    """Encode ``answer`` in the calling thread (or reuse its memo), as
+    blocks when ``blocks`` asks and the answer allows it."""
+    key, fragment = _fragment(answer, blocks)
+    return ServedPairs(answer, key, fragment, cached)
+
+
+def wants_blocks(accept: str) -> bool:
+    """Whether an ``Accept`` header value names :data:`BLOCKS_TYPE`."""
+    return BLOCKS_TYPE in accept and any(
+        part.split(";", 1)[0].strip() == BLOCKS_TYPE
+        for part in accept.split(","))
 
 
 def _splice(fields: Dict[str, Any], key: str, fragment: bytes) -> bytes:
@@ -136,18 +210,113 @@ def _splice(fields: Dict[str, Any], key: str, fragment: bytes) -> bytes:
                      fragment, b"}"))
 
 
-def encode_payload(payload: Dict[str, Any]) -> bytes:
-    """A response body: ``json.dumps(payload, default=str)``, except that a
-    ``bytes`` value under ``"pairs"`` — of the payload, or of every item
-    of its ``"results"`` list — is a pre-encoded fragment and is spliced
-    in as is (``json.dumps`` would ``str()`` it into the body)."""
-    pairs = payload.get("pairs")
-    if isinstance(pairs, bytes):
-        return _splice(payload, "pairs", pairs)
+def _fragment_key(fields: Any) -> Optional[str]:
+    """The key under which a dict carries a pre-encoded answer, if any."""
+    if isinstance(fields, dict):
+        for key in _FRAGMENT_KEYS:
+            if isinstance(fields.get(key), bytes):
+                return key
+    return None
+
+
+def encode_reply(payload: Dict[str, Any]) -> Tuple[bytes, str]:
+    """A response body and its ``Content-Type``.
+
+    The body is ``json.dumps(payload, default=str)``, except that a
+    ``bytes`` value under ``"pairs"`` or ``"blocks"`` — of the payload, or
+    of every item of its ``"results"`` list — is a pre-encoded fragment
+    and is spliced in as is (``json.dumps`` would ``str()`` it into the
+    body).  The type is :data:`BLOCKS_TYPE` when a ``"blocks"`` fragment
+    is in the body, :data:`JSON_TYPE` otherwise.
+    """
+    key = _fragment_key(payload)
+    if key is not None:
+        return (_splice(payload, key, payload[key]),
+                BLOCKS_TYPE if key == "blocks" else JSON_TYPE)
     results = payload.get("results")
-    if isinstance(results, list) and results and all(
-            isinstance(item, dict) and isinstance(item.get("pairs"), bytes)
-            for item in results):
-        return _splice(payload, "results", b"[" + b", ".join(
-            _splice(item, "pairs", item["pairs"]) for item in results) + b"]")
-    return json.dumps(payload, default=str).encode("utf-8")
+    if isinstance(results, list) and results:
+        keys = [_fragment_key(item) for item in results]
+        if all(keys):
+            return (_splice(payload, "results", b"[" + b", ".join(
+                _splice(item, key, item[key])
+                for item, key in zip(results, keys)) + b"]"),
+                BLOCKS_TYPE if "blocks" in keys else JSON_TYPE)
+    return json.dumps(payload, default=str).encode("utf-8"), JSON_TYPE
+
+
+def encode_payload(payload: Dict[str, Any]) -> bytes:
+    """The body of :func:`encode_reply`."""
+    return encode_reply(payload)[0]
+
+
+def _malformed(what: str) -> WireProtocolError:
+    return WireProtocolError("malformed answer: {}".format(what))
+
+
+def _blocks_answer(blocks: Any) -> PairBlocks:
+    """A decoded ``"blocks"`` value as a ``PairBlocks``, shape-checked."""
+    if type(blocks) is not list:
+        raise _malformed("blocks is not a list")
+    checked = []
+    for block in blocks:
+        if type(block) is not list or len(block) != 3:
+            raise _malformed("a block is not a [firsts, seconds, crossed] "
+                             "triple")
+        firsts, seconds, crossed = block
+        if type(firsts) is not list or type(seconds) is not list \
+                or type(crossed) is not bool:
+            raise _malformed("a block's sides are not two lists and a "
+                             "bool")
+        if not crossed and len(firsts) != len(seconds):
+            raise _malformed("a zip block's sides differ in length")
+        checked.append((firsts, seconds, crossed))
+    return PairBlocks(checked)
+
+
+def _flat_answer(pairs: Any) -> PairBlocks:
+    """A decoded ``"pairs"`` list as one zip block, shape-checked."""
+    if type(pairs) is not list or not all(
+            type(pair) is list and len(pair) == 2 for pair in pairs):
+        raise _malformed("pairs is not a list of [source, target] lists")
+    if not pairs:
+        return PairBlocks(())
+    return PairBlocks([([pair[0] for pair in pairs],
+                        [pair[1] for pair in pairs], False)])
+
+
+def decode_answer(item: Dict[str, Any]) -> Dict[str, Any]:
+    """A decoded query reply (or batch item) with its answer, in either
+    form, replaced by a ``PairBlocks`` under ``"pairs"``; returns ``item``.
+
+    A flat list becomes one zip block.  A ``"blocks"`` value that is not
+    a list of ``[list, list, bool]`` triples (a zip block's sides equally
+    long), a ``"pairs"`` value that is not a list of two-element lists,
+    or a ``count`` other than the answer's length is a
+    :class:`~repro.errors.WireProtocolError`.  The length is arithmetic
+    over the blocks: no pair is made.  An item with neither key is left
+    as it is.
+    """
+    if "blocks" in item:
+        answer = _blocks_answer(item.pop("blocks"))
+    elif "pairs" in item:
+        answer = _flat_answer(item["pairs"])
+    else:
+        return item
+    count = item.get("count")
+    if count is not None and count != len(answer):
+        raise _malformed("count {!r} but {} pairs".format(count,
+                                                          len(answer)))
+    item["pairs"] = answer
+    return item
+
+
+def decode_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A decoded batch reply with :func:`decode_answer` applied to every
+    item of its ``"results"``; returns ``payload``."""
+    results = payload.get("results", [])
+    if type(results) is not list or not all(
+            isinstance(item, dict) for item in results):
+        raise _malformed("results is not a list of objects")
+    for item in results:
+        decode_answer(item)
+    return payload

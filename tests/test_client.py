@@ -37,7 +37,9 @@ from repro.errors import (
     WireProtocolError,
 )
 from repro.graph.graph import MultiRelationalGraph
+from repro.graph.pairs import PairBlocks
 from repro.service.client import RETRIABLE_STATUSES, ReproClient, _read_reply
+from repro.service.wire import BLOCKS_TYPE
 from repro.storage import PersistentGraph
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -194,6 +196,84 @@ class TestRetryPolicy:
     def test_rejects_non_http_scheme(self):
         with pytest.raises(ClientError):
             ReproClient("ftp://example:21")
+
+
+#: Success replies whose body is not a JSON object.
+GARBLED = {"truncated": b'{"pairs": [[0, 1]', "array": b"[[0, 1]]",
+           "not-utf8": b"\xff\xfe", "empty": b""}
+
+
+class TestAnswers:
+    @pytest.mark.parametrize("name", sorted(GARBLED))
+    def test_garbled_success_is_retried_never_an_empty_answer(self, name):
+        client, transport, slept = make_client(
+            [(200, {}, GARBLED[name]), ok({"pairs": [[0, 1]], "count": 1})])
+        assert client.query_pairs("g", "[_, a, _]") == {(0, 1)}
+        assert len(slept) == 1 and len(transport.requests) == 2
+        client, _, _ = make_client([(200, {}, GARBLED[name])] * 2,
+                                   max_retries=1)
+        with pytest.raises(RetryBudgetExceededError) as exc:
+            client.query("g", "[_, a, _]")
+        assert [kind for kind, _ in exc.value.attempts] == \
+            ["WireProtocolError"]
+
+    @pytest.mark.parametrize("name", sorted(GARBLED))
+    def test_garbled_success_fails_a_mutation_at_once(self, name):
+        for call in (lambda c: c.mutate("g", add_edges=[(0, "a", 1)]),
+                     lambda c: c.checkpoint("g")):
+            client, transport, slept = make_client(
+                [(200, {}, GARBLED[name]), ok({})])
+            with pytest.raises(ClientError, match="non-idempotent") as exc:
+                call(client)
+            assert isinstance(exc.value.__cause__, WireProtocolError)
+            assert slept == [] and len(transport.requests) == 1
+
+    def test_block_reply_is_the_answer_set(self):
+        client, _, _ = make_client([ok({
+            "count": 5, "cached": True,
+            "blocks": [[[0], [1, 2, 3], True], [[7, 8], ["x", None],
+                                                False]]})])
+        reply = client.query("g", "[_, a, _]")
+        assert isinstance(reply["pairs"], PairBlocks)
+        assert reply["pairs"] == {(0, 1), (0, 2), (0, 3), (7, "x"),
+                                  (8, None)}
+        assert "blocks" not in reply and reply["cached"] is True
+
+    def test_query_pairs_returns_the_decoded_blocks_themselves(self):
+        client, _, _ = make_client([ok({"count": 1, "blocks": [
+            [[0], [1], True]]}), ok({"count": 1, "pairs": [[0, 1]]})])
+        for _ in range(2):   # block reply, then a flat one
+            answer = client.query_pairs("g", "[_, a, _]")
+            assert isinstance(answer, PairBlocks) and answer == {(0, 1)}
+        assert answer.blocks == [([0], [1], False)]    # one zip block
+
+    def test_batch_items_are_decoded_each_in_its_form(self):
+        client, _, _ = make_client([ok({"results": [
+            {"query": "q1", "count": 2, "blocks": [[[0], [1, 2], True]]},
+            {"query": "q2", "count": 1, "pairs": [[3, 4]]},
+            {"query": "q3", "count": 0, "blocks": []}]})])
+        results = client.query_batch("g", ["q1", "q2", "q3"])["results"]
+        assert [item["pairs"] for item in results] == \
+            [{(0, 1), (0, 2)}, {(3, 4)}, set()]
+
+    @pytest.mark.parametrize("body", [
+        {"count": 3, "blocks": [[[0], [1], True]]},
+        {"count": 1, "blocks": [[[0], [1]]]},
+        {"count": 2, "pairs": [[0, 1]]},
+        {"results": [{"count": 1, "blocks": [[[0, 1], [1], False]]}]},
+        {"results": {"q": 1}},
+    ])
+    def test_malformed_answer_or_wrong_count_is_retried(self, body):
+        good = {"count": 1, "blocks": [[[0], [1], True]]}
+        if "results" in body:
+            good = {"results": [good]}
+        client, transport, slept = make_client([ok(body), ok(good)])
+        if "results" in body:
+            got = client.query_batch("g", ["q"])["results"][0]["pairs"]
+        else:
+            got = client.query_pairs("g", "q")
+        assert got == {(0, 1)}
+        assert len(slept) == 1 and len(transport.requests) == 2
 
 
 @pytest.fixture
@@ -505,6 +585,7 @@ class TestTransport:
         assert (method, path) == ("POST", "/v1/graphs/g/query")
         assert json.loads(body) == {"query": "[_, a, _]", "sources": [3]}
         assert headers["Authorization"] == "Bearer t"
+        assert headers["Accept"] == BLOCKS_TYPE
         assert headers["Connection"] == "keep-alive"
         assert headers["Content-Length"] == str(len(body))
         assert headers["Host"].startswith("127.0.0.1:")
@@ -523,7 +604,7 @@ class TestTransport:
     def test_close_delimited_reply_reads_to_eof(self):
         with stdlib_peer("eof") as (url, seen):
             client = ReproClient(url, keep_alive=True)
-            assert client.query("g", "[_, a, _]")["pairs"] == [[0, 1]]
+            assert client.query("g", "[_, a, _]")["pairs"] == {(0, 1)}
             # HTTP/1.0 and no length: nothing to reuse.
             assert client._socket is None
             assert client.query("g", "[_, a, _]")["n"] == 2
@@ -549,7 +630,7 @@ class TestTransport:
             client = ReproClient(peer.url, max_retries=0)
             for _ in steps:
                 assert client.query("g", "[_, a, _]") == {
-                    "pairs": [[0, 1]], "count": 1}
+                    "pairs": {(0, 1)}, "count": 1}
         assert len(peer.requests) == len(steps)
 
     @settings(max_examples=150, deadline=None)

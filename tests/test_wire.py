@@ -13,17 +13,22 @@ What this file pins down:
   ``true``, whatever other connections do meanwhile) and one served
   request is one hit or one miss in the cache statistics,
 * a warm hit does not normalize the compiled expression again,
-* ``Engine.pairs`` keeps its in-process contract with a cache attached.
+* ``Engine.pairs`` keeps its in-process contract with a cache attached,
+* a request that negotiates blocks gets the answer's blocks whenever its
+  endpoints round-trip through JSON exactly — the same set, decoded by
+  the SDK's decoder, as the flat reply — and the flat bytes otherwise;
+  a negotiated miss encodes the blocks once in the worker, a hit nothing.
 """
 
 import asyncio
 import gc
 import json
 import pickle
+import re
 import sys
 import threading
 from collections.abc import Set
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from counting import counted_calls
@@ -32,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.concurrency import tracking_scope, witness_scope
 from repro.engine import Engine, QueryCache
+from repro.errors import WireProtocolError
 from repro.graph.generators import uniform_random
 from repro.graph.graph import MultiRelationalGraph
 from repro.graph.pairs import PairBlocks
@@ -187,7 +193,7 @@ class TestEncoding:
         assert len(calls) == 2  # nowhere to keep it
         cached = PairBlocks.from_pairs(plain)
         assert wire.pairs_fragment(cached) == b"[[1, 2]]"
-        assert wire.pairs_fragment(cached) is cached.memo
+        assert wire.pairs_fragment(cached) is cached.memo["pairs"]
         assert len(calls) == 3
 
     def test_racing_fillers_agree(self):
@@ -213,7 +219,7 @@ class TestEncoding:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert got == [expected] * 8 and answer.memo == expected
+        assert got == [expected] * 8 and answer.memo["pairs"] == expected
 
 
 INTS = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
@@ -479,7 +485,7 @@ class TestCachedFlagAndCounters:
                 for _ in range(3):
                     hit = await service.served_pairs(QUERY, sources=[0])
                     assert hit.cached is True
-                    assert hit.fragment is first.answer.memo
+                    assert hit.fragment is first.answer.memo["pairs"]
                 assert await service.pairs(QUERY, sources=[0]) \
                     == first.answer
                 assert normalized == []
@@ -584,7 +590,7 @@ class TestInProcessContract:
         engine = Engine(chain_graph(), cache=QueryCache(capacity=4))
         answer = engine.pairs("[_, b, _]")
         fragment = wire.pairs_fragment(answer)
-        assert engine.cached_pairs("[_, b, _]").memo is fragment
+        assert engine.cached_pairs("[_, b, _]").memo["pairs"] is fragment
         assert pickle.loads(pickle.dumps(answer)) == answer
         engine.cache.clear()
         assert engine.cached_pairs("[_, b, _]") is None
@@ -599,3 +605,233 @@ class TestInProcessContract:
         assert engine.cached_pairs("[_, b, _]") is not None
         assert (cache.hits, cache.misses) == (1, 1)
         assert Engine(chain_graph()).cached_pairs("[_, b, _]") is None
+
+
+async def exchange(server, path, body, accept=None):
+    """One request through ``_dispatch`` + ``_respond``, with ``accept`` as
+    its ``Accept`` header: ``(status, Content-Type, body bytes)``."""
+    headers = {"accept": accept} if accept is not None else {}
+    status, payload, extra = await server._dispatch(
+        "POST", path, headers, json.dumps(body).encode())
+    writer = NullWriter()
+    await server._respond(writer, status, payload, extra)
+    head, _, data = writer.data.partition(b"\r\n\r\n")
+    assert "Content-Length: {}".format(len(data)).encode() in head
+    return status, re.search(rb"Content-Type: (\S+)", head).group(1) \
+        .decode(), data
+
+
+def json_exact(answer):
+    """Whether every endpoint is a type JSON gives back as it was."""
+    return all(type(member) in (int, str, float, bool, type(None))
+               for firsts, seconds, _ in answer.blocks
+               for member in chain(firsts, seconds))
+
+
+def agree(flat, negotiated, answer):
+    """One flat and one negotiated reply item carry the same answer; the
+    negotiated one as blocks exactly when its endpoints allow it.  Returns
+    whether it did."""
+    assert negotiated["count"] == flat["count"] == len(answer)
+    if not json_exact(answer):
+        assert negotiated == flat     # the flat form, as is
+        return False
+    assert "pairs" not in negotiated
+    decoded = wire.decode_answer(dict(negotiated))["pairs"]
+    assert isinstance(decoded, PairBlocks) and len(decoded) == len(answer)
+    assert decoded == {tuple(pair) for pair in flat["pairs"]} == answer
+    return True
+
+
+class StubReplica:
+    """What ``ReplicaHttpServer`` reads of a replica, answering queries
+    with the answers it is handed, in order."""
+
+    graph_name = "g"
+    applied_version = 1
+
+    def __init__(self):
+        self.answers = []
+
+    def lag(self):
+        return 0, 0.0
+
+    def pairs(self, expression, sources=None, targets=None):
+        return self.answers.pop(0)
+
+
+class TestBlockReplies:
+    BATCH = ["[_, a, _]", "[_, b, _]"]
+
+    def check_server(self, server, path, serve):
+        """Single and batch replies with and without the header, over
+        drawn answers that ``serve(answers)`` arranges to be computed."""
+        @settings(max_examples=40, deadline=None)
+        @given(answers=st.lists(block_answers(), min_size=2, max_size=2))
+        def negotiated_equals_flat(answers):
+            async def replies(body):
+                out = []
+                for accept in (None, wire.BLOCKS_TYPE):
+                    serve(answers)
+                    status, content_type, data = await exchange(
+                        server, path, body, accept)
+                    assert status == 200
+                    reply = json.loads(data)
+                    reply.pop("elapsed_ms")
+                    out.append((content_type, reply))
+                return out
+
+            (flat_type, flat), (blocks_type, negotiated) = \
+                loop.run_until_complete(replies({"query": "[_, a, _]"}))
+            assert flat_type == wire.JSON_TYPE
+            as_blocks = agree(flat, negotiated, answers[0])
+            assert blocks_type == (wire.BLOCKS_TYPE if as_blocks
+                                   else wire.JSON_TYPE)
+            (flat_type, flat), (blocks_type, negotiated) = \
+                loop.run_until_complete(replies({"queries": self.BATCH}))
+            assert flat_type == wire.JSON_TYPE
+            assert flat.keys() == negotiated.keys()
+            as_blocks = [agree(f, n, answer) for f, n, answer in zip(
+                flat["results"], negotiated["results"], answers)]
+            assert blocks_type == (wire.BLOCKS_TYPE if any(as_blocks)
+                                   else wire.JSON_TYPE)
+
+        loop = asyncio.new_event_loop()
+        try:
+            negotiated_equals_flat()
+        finally:
+            loop.run_until_complete(server.stop())
+            loop.close()
+
+    def test_primary_negotiated_reply_decodes_to_the_flat_set(
+            self, store_root):
+        registry = GraphRegistry(store_root, max_workers=2)
+        handle = registry.acquire("alpha")
+        registry.release("alpha")
+        drawn = []
+        # Every request misses the cache and computes the drawn answers.
+        handle.engine.pairs = lambda expression, **options: drawn[0]
+        handle.engine.pairs_batch = \
+            lambda expressions, **options: list(drawn)
+
+        def serve(answers):
+            drawn[:] = answers
+        self.check_server(HttpServer(registry), "/v1/graphs/alpha/query",
+                          serve)
+
+    def test_replica_negotiated_reply_decodes_to_the_flat_set(self):
+        replica = StubReplica()
+
+        def serve(answers):
+            replica.answers = list(answers)
+        self.check_server(ReplicaHttpServer(replica), "/v1/graphs/g/query",
+                          serve)
+
+    def test_real_answers_travel_as_blocks(self, store_root):
+        async def scenario(server, registry):
+            path = "/v1/graphs/alpha/query"
+            engine = Engine(chain_graph())
+            for body in ({"query": QUERY}, {"query": QUERY, "sources": [3]},
+                         {"query": "[_, zz, _]"}):
+                _, content_type, data = await exchange(
+                    server, path, body, "text/html, " + wire.BLOCKS_TYPE)
+                assert content_type == wire.BLOCKS_TYPE
+                reply = wire.decode_answer(json.loads(data))
+                assert reply["pairs"] == engine.pairs(
+                    body["query"], sources=frozenset(body.get("sources",
+                                                              [])) or None)
+        run_server(store_root, scenario)
+
+    def test_negotiated_hit_encodes_nothing_and_miss_encodes_blocks_once(
+            self, store_root):
+        def by_thread(name):
+            def key(*args, **kwargs):
+                main = threading.current_thread() is threading.main_thread()
+                return name + (" on the loop" if main else " in a worker")
+            return key
+
+        async def scenario(server, registry):
+            path = "/v1/graphs/alpha/query"
+            with counted_calls([
+                    (by_thread("encode_blocks"), wire, "encode_blocks"),
+                    (by_thread("encode_pairs"), wire, "encode_pairs")
+            ]) as counts:
+                _, _, miss = await exchange(server, path, {"query": QUERY},
+                                            wire.BLOCKS_TYPE)
+                assert dict(counts) == {"encode_blocks in a worker": 1}
+                hits = [(await exchange(server, path, {"query": QUERY},
+                                        wire.BLOCKS_TYPE))[2]
+                        for _ in range(3)]
+                assert dict(counts) == {"encode_blocks in a worker": 1}
+            assert json.loads(miss)["cached"] is False
+            assert all(json.loads(hit)["cached"] is True for hit in hits)
+            answer = registry.acquire("alpha").engine.cached_pairs(QUERY)
+            registry.release("alpha")
+            assert set(answer.memo) == {"blocks"}
+            assert not answer.materialised
+        run_server(store_root, scenario)
+
+    def test_racing_fillers_of_both_forms_get_their_own_bytes(self):
+        """Loop and workers may fill one memo with both forms at once:
+        whoever loses the race to create the memo re-encodes, and every
+        filler still gets the bytes of the form it asked for."""
+        answer = PairBlocks([((i,), tuple(range(i, i + 30)), True)
+                             for i in range(40)])
+        expected = {"pairs": wire.encode_pairs(answer),
+                    "blocks": wire.encode_blocks(answer)}
+        got, start = [], threading.Barrier(8)
+
+        def fill(blocks):
+            start.wait(5)
+            got.append(wire.serve_pairs(answer, blocks=blocks)[1:3])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(i % 2 == 0,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(got) == sorted(list(expected.items()) * 4)
+        assert all(answer.memo[key] == expected[key] for key in answer.memo)
+
+    @pytest.mark.parametrize("item", [
+        {"count": 1, "blocks": {"0": [1]}},
+        {"count": 1, "blocks": [[[0], [1]]]},
+        {"count": 1, "blocks": [[[0], [1], 1]]},
+        {"count": 1, "blocks": [[0, [1], True]]},
+        {"count": 1, "blocks": [[[0, 1], [1], False]]},
+        {"count": 3, "blocks": [[[0], [1, 2], True]]},
+        {"count": 0, "blocks": [[[0], [1], False]]},
+        {"count": 2, "pairs": [[0, 1]]},
+        {"count": 1, "pairs": [[0, 1, 2]]},
+        {"pairs": {"0": 1}},
+    ])
+    def test_malformed_answer_or_wrong_count_is_a_wire_error(self, item):
+        with pytest.raises(WireProtocolError):
+            wire.decode_answer(item)
+
+    def test_decoding_never_builds_a_pair(self):
+        side = list(range(1000))
+        item = wire.decode_answer({"count": 10 ** 6 + 3, "blocks": [
+            [side, side, True], [[1, 2, 3], [4, 5, 6], False]]})
+        answer = item["pairs"]
+        assert len(answer) == 10 ** 6 + 3 and not answer.materialised
+        flat = wire.decode_answer({"count": 2, "pairs": [[1, 2], [3, 4]]})
+        assert flat["pairs"].blocks == [([1, 3], [2, 4], False)]
+        assert wire.decode_answer({"graph": "g"}) == {"graph": "g"}
+
+    @pytest.mark.parametrize("accept, wanted", [
+        ("", False),
+        ("application/json", False),
+        (wire.BLOCKS_TYPE, True),
+        ("application/json, {}; q=0.9".format(wire.BLOCKS_TYPE), True),
+        (wire.BLOCKS_TYPE + "-v2", False),
+    ])
+    def test_accept_header_names_the_block_type(self, accept, wanted):
+        assert wire.wants_blocks(accept) is wanted
