@@ -2,15 +2,15 @@
 
 Every error raised by this package derives from :class:`PathAlgebraError`, so
 callers can catch a single base class at API boundaries.  Subclasses are
-organized by subsystem: the graph store, the algebra core, the regular
-expression layer, the automata layer, the PathQL language, and the engine.
+grouped by subsystem: the graph store, the algebra core, the regular
+expression layer, the automata layer, the PathQL language, and the engine;
+a subsystem has its own base class only where code raises or catches it.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "PathAlgebraError",
-    "GraphError",
     "VertexNotFoundError",
     "EdgeNotFoundError",
     "DuplicateVertexError",
@@ -21,9 +21,7 @@ __all__ = [
     "IndexOutOfRangeError",
     "RegexError",
     "AutomatonError",
-    "PathQLError",
     "PathQLSyntaxError",
-    "EngineError",
     "PlanningError",
     "ExecutionError",
     "SerializationError",
@@ -37,7 +35,6 @@ __all__ = [
     "WorkerPoolError",
     "AlgorithmError",
     "ConvergenceError",
-    "ConcurrencyError",
     "LockOrderViolation",
     "ResourceLeakError",
     "ServiceError",
@@ -57,11 +54,7 @@ class PathAlgebraError(Exception):
     """Base class for every exception raised by :mod:`repro`."""
 
 
-class GraphError(PathAlgebraError):
-    """Base class for errors raised by the multi-relational graph store."""
-
-
-class VertexNotFoundError(GraphError, KeyError):
+class VertexNotFoundError(PathAlgebraError, KeyError):
     """A referenced vertex does not exist in the graph."""
 
     def __init__(self, vertex):
@@ -72,7 +65,7 @@ class VertexNotFoundError(GraphError, KeyError):
         return "vertex {!r} is not in the graph".format(self.vertex)
 
 
-class EdgeNotFoundError(GraphError, KeyError):
+class EdgeNotFoundError(PathAlgebraError, KeyError):
     """A referenced edge does not exist in the graph."""
 
     def __init__(self, edge):
@@ -83,11 +76,11 @@ class EdgeNotFoundError(GraphError, KeyError):
         return "edge {!r} is not in the graph".format(self.edge)
 
 
-class DuplicateVertexError(GraphError, ValueError):
+class DuplicateVertexError(PathAlgebraError, ValueError):
     """A vertex was added twice with ``strict=True``."""
 
 
-class LabelNotFoundError(GraphError, KeyError):
+class LabelNotFoundError(PathAlgebraError, KeyError):
     """A referenced edge label (relation type) does not exist in the graph."""
 
     def __init__(self, label):
@@ -131,11 +124,7 @@ class AutomatonError(PathAlgebraError):
     """Base class for errors in the automata layer."""
 
 
-class PathQLError(PathAlgebraError):
-    """Base class for errors in the PathQL language front end."""
-
-
-class PathQLSyntaxError(PathQLError, SyntaxError):
+class PathQLSyntaxError(PathAlgebraError, SyntaxError):
     """The PathQL source text could not be tokenized or parsed."""
 
     def __init__(self, message, position=None, text=None):
@@ -154,23 +143,19 @@ class PathQLSyntaxError(PathQLError, SyntaxError):
         return "{} ({})".format(self.message, location)
 
 
-class EngineError(PathAlgebraError):
-    """Base class for errors raised by the traversal engine."""
-
-
-class PlanningError(EngineError):
+class PlanningError(PathAlgebraError):
     """The planner could not produce a plan for a query."""
 
 
-class ExecutionError(EngineError):
+class ExecutionError(PathAlgebraError):
     """Plan execution failed."""
 
 
-class SerializationError(GraphError):
+class SerializationError(PathAlgebraError):
     """A graph could not be read from or written to an external format."""
 
 
-class StorageError(GraphError):
+class StorageError(PathAlgebraError):
     """The durable storage layer (WAL / snapshot store) hit invalid state.
 
     Raised for unreadable manifests, snapshot files with a bad magic or
@@ -329,11 +314,7 @@ class WireProtocolError(ClientError, ConnectionError):
     """
 
 
-class ConcurrencyError(PathAlgebraError):
-    """Base class for errors raised by the concurrency witness layer."""
-
-
-class LockOrderViolation(ConcurrencyError):
+class LockOrderViolation(PathAlgebraError):
     """The armed lock-order witness saw a cyclic acquisition order.
 
     Raised *before* the offending acquire blocks, so the witness
@@ -353,7 +334,7 @@ class LockOrderViolation(ConcurrencyError):
         super().__init__(message)
 
 
-class ResourceLeakError(ConcurrencyError):
+class ResourceLeakError(PathAlgebraError):
     """The armed leak registry closed out with live tracked resources.
 
     ``leaks`` is a list of ``(kind, detail)`` pairs — one per resource

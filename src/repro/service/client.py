@@ -16,14 +16,12 @@ contract (``docs/robustness.md``):
   answer; a mutation re-sent may double-apply, so ``mutate`` and
   ``checkpoint`` raise on the *first* failure (including transport
   errors, where the outcome on the server is unknown).
-* **Retriable failures** are HTTP 429 (shed / over quota), 503 (store
-  degraded), 504 (deadline expired) and transport errors (connection
-  refused / reset — e.g. an injected ``http.connection_drop`` — or a
-  reply the client cannot frame or read: a success whose body is not a
-  JSON object, or a query answer that is malformed or disagrees with
-  its ``count`` — :class:`~repro.errors.WireProtocolError`).  Any other
-  error status raises :class:`~repro.errors.RemoteQueryError`
-  immediately.
+* **Retriable failures** are the statuses the server's own table calls
+  transient (:data:`~repro.service.wire.RETRIABLE_STATUSES`; the status
+  table is in ``docs/serving.md``) and transport errors, which include
+  a reply the client cannot frame or read
+  (:class:`~repro.errors.WireProtocolError`).  Any other error status
+  raises :class:`~repro.errors.RemoteQueryError` immediately.
 * **Capped exponential backoff with jitter**: attempt *n* sleeps
   ``backoff_base * 2**n`` seconds, capped at ``backoff_cap``, then
   equal-jittered (half fixed, half uniform-random from a seedable RNG
@@ -59,12 +57,14 @@ from repro.errors import (
     WireProtocolError,
 )
 from repro.graph.pairs import PairBlocks
-from repro.service.wire import BLOCKS_TYPE, decode_answer, decode_batch
+from repro.service.wire import (BLOCKS_TYPE, ERROR_CONTRACT,
+                                RETRIABLE_STATUSES, decode_answer,
+                                decode_batch)
 
 __all__ = ["ReproClient", "RemoteFeed", "RETRIABLE_STATUSES"]
 
-#: Statuses the server documents as transient (retriable: true).
-RETRIABLE_STATUSES = frozenset({429, 503, 504})
+#: The status of a cursor that fell off the primary's retained log.
+_CURSOR_GAP = ERROR_CONTRACT[ReplicationCursorGapError].status
 
 #: ``transport(method, path, body) -> (status, lowercase headers, body)``.
 Transport = Callable[[str, str, bytes],
@@ -381,7 +381,7 @@ class ReproClient:
               max_length: Optional[int] = None,
               processes: Optional[int] = None,
               deadline_ms: Optional[float] = None) -> Dict[str, Any]:
-        """The JSON reply to one PathQL query (retried on 429/503/504).
+        """The JSON reply to one PathQL query (retried when retriable).
         Its answer is under ``"pairs"`` as a ``PairBlocks`` — the ``Set``
         of ``(source, target)`` tuples in-process ``Engine.pairs``
         returns — whichever form the server sent
@@ -485,8 +485,7 @@ class ReproClient:
         if graph:
             path += "?" + urlencode({"graph": graph})
         status, headers, data = self._transport("GET", path, b"")
-        self._raise_replication_status(status, headers, data,
-                                       "replication_snapshot")
+        self._raise_replication_status(status, data, "replication_snapshot")
         return data, {
             "graph": headers.get("x-repro-graph-name", ""),
             "snapshot": headers.get("x-repro-snapshot", ""),
@@ -508,12 +507,8 @@ class ReproClient:
             params["max_bytes"] = max_bytes
         path = "/replication/wal?" + urlencode(params)
         status, headers, data = self._transport("GET", path, b"")
-        if status == 410:
-            payload = self._decode(data)
-            raise ReplicationCursorGapError(
-                cursor, str(payload.get("first_retained", "unknown")))
-        self._raise_replication_status(status, headers, data,
-                                       "replication_wal")
+        self._raise_replication_status(status, data, "replication_wal",
+                                       cursor)
         return data, {
             "graph": headers.get("x-repro-graph-name", ""),
             "cursor": headers.get("x-repro-next-cursor", cursor),
@@ -522,12 +517,17 @@ class ReproClient:
             "bytes": int(headers.get("x-repro-bytes", len(data))),
         }
 
-    def _raise_replication_status(self, status: int,
-                                  headers: Dict[str, str], data: bytes,
-                                  operation: str) -> None:
+    def _raise_replication_status(self, status: int, data: bytes,
+                                  operation: str, cursor: str = "") -> None:
+        """A feed reply's status as the tailer's error: the cursor gap
+        (re-bootstrap), a transient :class:`ReplicationError` (poll
+        again) or :class:`RemoteQueryError`."""
         if status < 400:
             return
         payload = self._decode(data)
+        if status == _CURSOR_GAP:
+            raise ReplicationCursorGapError(
+                cursor, str(payload.get("first_retained", "unknown")))
         if status in RETRIABLE_STATUSES:
             raise ReplicationError(
                 "{} failed: HTTP {}: {}".format(

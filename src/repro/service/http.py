@@ -32,8 +32,6 @@ WAL-shipped replication — binary bodies whose metadata travels in
 ``X-Repro-*`` headers (snapshot version, start/next cursor, primary
 version, intended byte count).  They are only served by
 ``repro serve --replicate``; see ``docs/replication.md``.
-A cursor that has fallen off the retained log gets **410 Gone** — the
-replica must re-bootstrap, retrying is pointless.
 
 Keep-alive
 ----------
@@ -68,26 +66,13 @@ any other answer goes out flat.  Each form is encoded at most once per
 cached answer (:mod:`repro.service.wire`), in the worker thread that
 computed it, and a cache hit splices those bytes into the response.
 
-Auth and backoff contract
--------------------------
+Auth and the error contract
+---------------------------
 ``tokens`` maps bearer tokens to tenant names; requests must send
 ``Authorization: Bearer <token>`` (pass no tokens to run open, every
-caller the ``"anonymous"`` tenant).  Error mapping:
-
-* 401 — missing/unknown token (``WWW-Authenticate: Bearer``),
-* 404 — unknown graph name,
-* 400 — malformed body, PathQL syntax/compile errors,
-* 413 — request body over the size cap (``retriable: false`` — the same
-  payload will never fit; resending it is pointless),
-* 429 — shed by admission control or tenant quota; the ``Retry-After``
-  header carries the backoff seconds to wait before retrying,
-* 503 — the store is in read-only degraded mode (WAL write failed);
-  queries still serve, mutations are refused with ``retriable: true``
-  and ``Retry-After`` — a checkpoint heals the store (see
-  ``docs/robustness.md``),
-* 504 — the request's ``deadline_ms`` expired (queued or running); retry
-  with a larger budget or at lower load,
-* 500 — anything else (the body names the exception class).
+caller the ``"anonymous"`` tenant).  Every failure, framing included,
+becomes its reply through :func:`repro.service.wire.error_reply`; the
+status table is in ``docs/serving.md``.
 
 ``GET /readyz`` (no auth) distinguishes *ready* from merely live: 200
 only while the registry is open, no open store is degraded, and every
@@ -112,22 +97,17 @@ from repro.replication import REPLICA_META_NAME
 from repro.engine.parallel import MAX_WORKERS
 from repro.errors import (
     AuthenticationError,
-    DeadlineExceededError,
-    OverloadedError,
-    PathAlgebraError,
     ReplicaReadOnlyError,
-    ReplicaStaleError,
-    ReplicationCorruptionError,
-    ReplicationCursorGapError,
     ReplicationError,
-    ServiceError,
-    StoreDegradedError,
     UnknownGraphError,
 )
 from repro.faults import fault_hook
 from repro.graph.pairs import PairBlocks
 from repro.service.registry import GraphHandle, GraphRegistry
-from repro.service.wire import (ServedPairs, encode_reply, serve_pairs,
+from repro.service.wire import (BadRequestError, PayloadTooLargeError,
+                                RouteNotFoundError, ServedPairs,
+                                encode_reply, error_reply,
+                                replica_lag_header, serve_pairs,
                                 wants_blocks)
 
 __all__ = ["HttpServer", "ReplicaHttpServer", "serve", "serve_replica"]
@@ -148,7 +128,7 @@ MAX_SHIP_BYTES = 8 * 1024 * 1024
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 401: "Unauthorized", 403: "Forbidden",
-    404: "Not Found", 405: "Method Not Allowed", 410: "Gone",
+    404: "Not Found", 410: "Gone",
     413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -156,10 +136,6 @@ _STATUS_TEXT = {
 
 #: An access-log sink: receives one JSON-ready dict per served request.
 AccessLog = Callable[[Dict[str, Any]], None]
-
-
-class _BadRequest(ServiceError):
-    """Malformed request framing or body (HTTP 400)."""
 
 
 def _refuse_constant(name: str) -> Any:
@@ -171,10 +147,6 @@ def _refuse_constant(name: str) -> Any:
 #: again (it equals nothing, itself included), a NaN deadline expires at
 #: once; refusing them here makes both a 400.
 _BODY_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
-
-
-class _PayloadTooLarge(_BadRequest):
-    """Request body over ``max_body`` (HTTP 413, never retriable)."""
 
 
 def _is_scalar(value: Any) -> bool:
@@ -272,19 +244,13 @@ class HttpServer:
                     await self._read_request(reader)
             except _ConnectionClosed:
                 return
-            except _PayloadTooLarge as error:
-                await self._respond(writer, 413,
-                                    {"error": str(error),
-                                     "retriable": False})
-                return
-            except (_BadRequest, asyncio.IncompleteReadError,
+            except (BadRequestError, asyncio.IncompleteReadError,
                     ConnectionError) as error:
                 if transport.is_closing():
                     return  # the watchdog fired: nobody left to tell
-                await self._respond(writer, 400,
-                                    {"error": str(error)
-                                     or "bad request",
-                                     "retriable": False})
+                if not isinstance(error, BadRequestError):
+                    error = BadRequestError(str(error) or "bad request")
+                await self._respond(writer, *error_reply(error))
                 return
             finally:
                 watchdog.cancel()
@@ -352,14 +318,14 @@ class HttpServer:
                 raise _ConnectionClosed() from exc
             raise
         except asyncio.LimitOverrunError as exc:
-            raise _BadRequest("request head too large") from exc
+            raise BadRequestError("request head too large") from exc
         lines = head[:-4].decode("latin-1").split("\r\n")
         request_line = lines[0].strip()
         if not request_line:
-            raise _BadRequest("empty request")
+            raise BadRequestError("empty request")
         parts = request_line.split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise _BadRequest("malformed request line")
+            raise BadRequestError("malformed request line")
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         for line in lines[1:]:
@@ -369,11 +335,11 @@ class HttpServer:
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError as exc:
-            raise _BadRequest("bad Content-Length") from exc
+            raise BadRequestError("bad Content-Length") from exc
         if length < 0:
-            raise _BadRequest("bad Content-Length")
+            raise BadRequestError("bad Content-Length")
         if length > self.max_body:
-            raise _PayloadTooLarge(
+            raise PayloadTooLargeError(
                 "body of {} bytes exceeds the {} byte limit".format(
                     length, self.max_body))
         body = await reader.readexactly(length) if length else b""
@@ -417,71 +383,15 @@ class HttpServer:
                         headers: Dict[str, str], body: bytes
                         ) -> Tuple[int, Union[Dict[str, Any], bytes],
                                    Dict[str, str]]:
-        """Route and map every failure to its documented status code."""
+        """Route, and turn any failure into its reply by the one table
+        (:data:`repro.service.wire.ERROR_CONTRACT`)."""
         try:
             return await self._route(method, path, headers, body)
-        except AuthenticationError as error:
-            return 401, {"error": str(error), "retriable": False}, \
-                {"WWW-Authenticate": "Bearer"}
-        except UnknownGraphError as error:
-            return 404, {"error": str(error), "retriable": False}, {}
-        except DeadlineExceededError as error:
-            return 504, {"error": str(error), "retriable": True,
-                         "phase": error.phase}, {}
-        except OverloadedError as error:
-            # The backoff contract: 429 + Retry-After, client retries
-            # with jittered exponential backoff from that floor.
-            return 429, {"error": str(error), "retriable": True,
-                         "retry_after": error.retry_after}, \
-                {"Retry-After": "{:g}".format(error.retry_after)}
-        except _BadRequest as error:
-            return 400, {"error": str(error), "retriable": False}, {}
-        except ReplicaReadOnlyError as error:
-            # A mutation sent to a replica: refusing is permanent until
-            # the operator promotes, so 403, never retried.
-            return 403, {"error": str(error), "retriable": False,
-                         "replica": True, "read_only": True}, {}
-        except ReplicationCursorGapError as error:
-            # The cursor fell off the retained log; re-asking with the
-            # same cursor can never succeed — the replica re-bootstraps.
-            return 410, {"error": str(error), "retriable": False,
-                         "rebootstrap": True, "cursor": error.cursor,
-                         "first_retained": error.retained}, {}
-        except ReplicaStaleError as error:
-            return 503, {"error": str(error), "retriable": True,
-                         "stale": True,
-                         "lag_records": error.lag_records,
-                         "lag_seconds": error.lag_seconds,
-                         "retry_after": error.retry_after}, \
-                {"Retry-After": "{:g}".format(error.retry_after),
-                 "X-Repro-Replica-Lag": "records={}; seconds={:.3f}".format(
-                     error.lag_records, error.lag_seconds)}
-        except ReplicationCorruptionError as error:
-            return 500, {"error": str(error), "retriable": False,
-                         "type": type(error).__name__}, {}
-        except ReplicationError as error:
-            # Transient feed failure (e.g. an injected ship fault):
-            # retriable, same contract as a degraded store.
-            return 503, {"error": str(error), "retriable": True}, \
-                {"Retry-After": "1"}
-        except StoreDegradedError as error:
-            # Must precede PathAlgebraError: StoreDegradedError is a
-            # StorageError and would otherwise map to a terminal 400.
-            # Degradation is transient — a checkpoint heals the store —
-            # so the contract is 503 + Retry-After, client may retry.
-            return 503, {"error": str(error), "retriable": True,
-                         "degraded": True,
-                         "retry_after": error.retry_after}, \
-                {"Retry-After": "{:g}".format(error.retry_after)}
-        except PathAlgebraError as error:
-            return 400, {"error": str(error), "retriable": False,
-                         "type": type(error).__name__}, {}
-        except Exception as error:  # pragma: no cover - defensive surface
-            return 500, {"error": str(error), "retriable": False,
-                         "type": type(error).__name__}, {}
+        except Exception as error:
+            return error_reply(error)
 
     #: ``(method, action)`` of ``/v1/graphs/{name}/{action}`` -> the method
-    #: that serves it; anything else is a 404.
+    #: that serves it; anything else is a route miss (404).
     _ACTIONS = {
         ("POST", "query"): "_action_query",
         ("POST", "explain"): "_action_explain",
@@ -512,11 +422,10 @@ class HttpServer:
             return 200, self._graph_listing(), self._response_headers(None)
         if path.startswith("/replication/"):
             return await self._route_replication(method, path, params)
-        name, action = self._parse_graph_path(path)
+        name, runner = self._graph_route(method, path)
         with self._resolve(name, tenant) as handle:
             payload = await self._run_action(
-                handle, method, action, self._parse_body(body), tenant,
-                headers)
+                handle, runner, self._parse_body(body), tenant, headers)
             extra = self._response_headers(handle)
         payload.setdefault("elapsed_ms", round(
             (time.perf_counter() - started) * 1000.0, 3))
@@ -565,12 +474,12 @@ class HttpServer:
                                  ) -> Tuple[int, bytes, Dict[str, str]]:
         action = path[len("/replication/"):]
         if method != "GET" or action not in ("snapshot", "wal"):
-            raise UnknownGraphError("{} {}".format(method, path))
+            raise RouteNotFoundError(method, path)
         name = params.get("graph", "")
         if not name:
             names = self.registry.list_graphs()
             if len(names) != 1:
-                raise _BadRequest(
+                raise BadRequestError(
                     "graph parameter required ({} graphs "
                     "served)".format(len(names)))
             name = names[0]
@@ -579,7 +488,7 @@ class HttpServer:
         handle = self.registry.acquire(name)
         try:
             if not handle.store.replicating:
-                raise _BadRequest(
+                raise BadRequestError(
                     "store {!r} does not serve its log; serve with "
                     "--replicate to ship replication".format(name))
             feed = PrimaryFeed(handle.store)
@@ -597,21 +506,21 @@ class HttpServer:
                 }
             cursor = params.get("cursor", "")
             if not cursor:
-                raise _BadRequest("cursor parameter required")
+                raise BadRequestError("cursor parameter required")
             try:
                 from repro.storage.segments import ReplicationCursor
                 ReplicationCursor.parse(cursor)
             except ReplicationError as exc:
                 # A malformed token is the client's bug (400), not a
                 # transient feed failure (503).
-                raise _BadRequest(str(exc)) from exc
+                raise BadRequestError(str(exc)) from exc
             try:
                 max_bytes = min(MAX_SHIP_BYTES,
                                 int(params.get("max_bytes", 1 << 20)))
             except ValueError as exc:
-                raise _BadRequest("bad max_bytes") from exc
+                raise BadRequestError("bad max_bytes") from exc
             if max_bytes <= 0:
-                raise _BadRequest("max_bytes must be positive")
+                raise BadRequestError("max_bytes must be positive")
             data, meta = await loop.run_in_executor(
                 None, feed.wal, cursor, max_bytes)
             return 200, data, {
@@ -634,13 +543,14 @@ class HttpServer:
                 "missing or unknown bearer token")
         return self.tokens[token.strip()]
 
-    @staticmethod
-    def _parse_graph_path(path: str) -> Tuple[str, str]:
+    def _graph_route(self, method: str, path: str) -> Tuple[str, str]:
+        """``(graph name, serving method)`` of
+        ``/v1/graphs/{name}/{action}``; anything else is a route miss."""
         parts = [p for p in path.split("/") if p]
-        # /v1/graphs/{name}/{action}
-        if len(parts) == 4 and parts[0] == "v1" and parts[1] == "graphs":
-            return parts[2], parts[3]
-        raise UnknownGraphError(path)
+        if len(parts) == 4 and parts[0] == "v1" and parts[1] == "graphs" \
+                and (method, parts[3]) in self._ACTIONS:
+            return parts[2], self._ACTIONS[method, parts[3]]
+        raise RouteNotFoundError(method, path)
 
     def _parse_body(self, body: bytes) -> Dict[str, Any]:
         if not body:
@@ -648,20 +558,17 @@ class HttpServer:
         try:
             parsed = _BODY_DECODER.decode(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
-            raise _BadRequest("body is not valid JSON: {}".format(exc)) \
-                from exc
+            raise BadRequestError(
+                "body is not valid JSON: {}".format(exc)) from exc
         if not isinstance(parsed, dict):
-            raise _BadRequest("body must be a JSON object")
+            raise BadRequestError("body must be a JSON object")
         return parsed
 
     # -- actions -------------------------------------------------------
 
-    async def _run_action(self, handle: Any, method: str, action: str,
+    async def _run_action(self, handle: Any, runner: str,
                           body: Dict[str, Any], tenant: str,
                           headers: Dict[str, str]) -> Dict[str, Any]:
-        runner = self._ACTIONS.get((method, action))
-        if runner is None:
-            raise UnknownGraphError("{} {}".format(method, action))
         return await getattr(self, runner)(handle, body, tenant, headers)
 
     @staticmethod
@@ -672,7 +579,7 @@ class HttpServer:
         if isinstance(deadline_ms, bool) \
                 or not isinstance(deadline_ms, (int, float)) \
                 or deadline_ms <= 0:
-            raise _BadRequest("deadline_ms must be a positive number")
+            raise BadRequestError("deadline_ms must be a positive number")
         return float(deadline_ms) / 1000.0
 
     @staticmethod
@@ -683,10 +590,10 @@ class HttpServer:
             return None
         if isinstance(value, bool) or not isinstance(value, int) \
                 or value < minimum:
-            raise _BadRequest(
+            raise BadRequestError(
                 "{} must be an integer >= {}".format(key, minimum))
         if maximum is not None and value > maximum:
-            raise _BadRequest(
+            raise BadRequestError(
                 "{} must be an integer <= {}".format(key, maximum))
         return value
 
@@ -697,7 +604,7 @@ class HttpServer:
             return None
         if not isinstance(value, list) \
                 or not all(_is_scalar(v) for v in value):
-            raise _BadRequest(
+            raise BadRequestError(
                 "{} must be a list of scalar vertices".format(key))
         return frozenset(value)
 
@@ -741,7 +648,8 @@ class HttpServer:
             queries = body["queries"]
             if not isinstance(queries, list) or not all(
                     isinstance(q, str) for q in queries):
-                raise _BadRequest("queries must be a list of PathQL strings")
+                raise BadRequestError(
+                    "queries must be a list of PathQL strings")
             served = await self._answer_batch(handle, queries, options,
                                               blocks)
             payload["results"] = [
@@ -750,7 +658,7 @@ class HttpServer:
             return payload
         query = body.get("query")
         if not isinstance(query, str):
-            raise _BadRequest('body must carry "query" (PathQL text)')
+            raise BadRequestError('body must carry "query" (PathQL text)')
         answer, key, fragment, cached = await self._answer(
             handle, query, options, blocks)
         payload.update(query=query, count=len(answer))
@@ -765,7 +673,7 @@ class HttpServer:
                               headers: Dict[str, str]) -> Dict[str, Any]:
         query = body.get("query")
         if not isinstance(query, str):
-            raise _BadRequest('body must carry "query" (PathQL text)')
+            raise BadRequestError('body must carry "query" (PathQL text)')
         # /query's options, read the same way: EXPLAIN describes the
         # request /query would run.
         text = await handle.async_engine.explain(
@@ -793,11 +701,12 @@ class HttpServer:
                     isinstance(t, list) and len(t) == 3
                     and all(_is_scalar(member) for member in t)
                     for t in triples):
-                raise _BadRequest(
+                raise BadRequestError(
                     "{} must be a list of [tail, label, head] triples "
                     "of JSON scalars".format(label_))
         if not additions and not removals:
-            raise _BadRequest("mutate body carries no add_edges/remove_edges")
+            raise BadRequestError(
+                "mutate body carries no add_edges/remove_edges")
 
         def apply(graph: Any) -> Dict[str, int]:
             added = removed = 0
@@ -882,26 +791,22 @@ class ReplicaHttpServer(HttpServer):
         yield self.replica
 
     def _response_headers(self, handle: Any) -> Dict[str, str]:
-        records, seconds = self.replica.lag()
-        return {
-            "X-Repro-Replica-Lag":
-                "records={}; seconds={:.3f}".format(records, seconds),
-            "X-Repro-Graph-Version": str(self.replica.applied_version),
-        }
+        return {"X-Repro-Replica-Lag": replica_lag_header(*self.replica.lag()),
+                "X-Repro-Graph-Version": str(self.replica.applied_version)}
 
     async def _route_replication(self, method: str, path: str,
                                  params: Dict[str, str]
                                  ) -> Tuple[int, bytes, Dict[str, str]]:
-        raise UnknownGraphError(path)  # a replica serves no feed
+        raise RouteNotFoundError(method, path)  # a replica serves no feed
 
-    async def _run_action(self, handle: Any, method: str, action: str,
+    async def _run_action(self, handle: Any, runner: str,
                           body: Dict[str, Any], tenant: str,
                           headers: Dict[str, str]) -> Dict[str, Any]:
         bound = self._staleness_bound(headers, body)
         if bound is not None:
             self.replica.check_staleness(bound)
-        return await super()._run_action(handle, method, action, body,
-                                         tenant, headers)
+        return await super()._run_action(handle, runner, body, tenant,
+                                         headers)
 
     @staticmethod
     def _staleness_bound(headers: Dict[str, str],
@@ -914,14 +819,14 @@ class ReplicaHttpServer(HttpServer):
             try:
                 value = float(value)
             except ValueError as exc:
-                raise _BadRequest(
+                raise BadRequestError(
                     "max_staleness_ms must be a number") from exc
         # bool is an int, and NaN compares false with every bound: refuse
         # both, and infinity, rather than serve past a bound never checked.
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
                 or not 0 <= value < float("inf"):
-            raise _BadRequest("max_staleness_ms must be a finite "
-                              "non-negative number")
+            raise BadRequestError("max_staleness_ms must be a finite "
+                                  "non-negative number")
         return float(value)
 
     async def _read_only(self, handle: Any, body: Dict[str, Any],
@@ -945,7 +850,7 @@ class ReplicaHttpServer(HttpServer):
     def _read_options(self, body: Dict[str, Any]) -> Dict[str, Any]:
         for unsupported in ("max_length", "processes"):
             if body.get(unsupported) is not None:
-                raise _BadRequest(
+                raise BadRequestError(
                     "{} is not supported on a replica".format(unsupported))
         return {"sources": self._endpoints_of(body, "sources"),
                 "targets": self._endpoints_of(body, "targets")}
@@ -960,7 +865,7 @@ class ReplicaHttpServer(HttpServer):
         # the primary engine routes eligible queries through.
         constrained = lower_to_constrained_query(normalize(parse(query)))
         if constrained is None:
-            raise _BadRequest(
+            raise BadRequestError(
                 "query {!r} needs the bounded edge-set engine; a replica "
                 "answers label-path pairs() queries only".format(query))
         merged = constrained.merge_filters(**options)

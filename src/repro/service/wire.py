@@ -20,6 +20,11 @@ A response is then the small envelope encoded fresh plus those bytes
 spliced in (:func:`encode_reply`); nothing is sorted or re-encoded on a
 cache hit, and no block of the answer is touched.  :func:`decode_answer`
 is the client's side: either form back to a ``PairBlocks``.
+
+The error contract lives here too, because both sides read it:
+:func:`error_reply` turns any error into the server's reply by
+:data:`ERROR_CONTRACT`, and the SDK retries :data:`RETRIABLE_STATUSES`
+(``docs/serving.md`` has the status table).
 """
 
 from __future__ import annotations
@@ -27,14 +32,21 @@ from __future__ import annotations
 import json
 from collections.abc import Set
 from itertools import chain, product
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.errors import WireProtocolError
+from repro.errors import (
+    AuthenticationError, DeadlineExceededError, OverloadedError,
+    PathAlgebraError, ReplicaReadOnlyError, ReplicaStaleError,
+    ReplicationCorruptionError, ReplicationCursorGapError, ReplicationError,
+    ServiceError, StoreDegradedError, UnknownGraphError, WireProtocolError)
 from repro.graph.pairs import PairBlocks
 
-__all__ = ["BLOCKS_TYPE", "JSON_TYPE", "ServedPairs", "decode_answer",
-           "decode_batch", "encode_blocks", "encode_pairs", "encode_payload",
-           "encode_reply", "pairs_fragment", "serve_pairs", "wants_blocks"]
+__all__ = ["BLOCKS_TYPE", "ERROR_CONTRACT", "JSON_TYPE", "RETRIABLE_STATUSES",
+           "BadRequestError", "PayloadTooLargeError", "RouteNotFoundError",
+           "ServedPairs", "decode_answer", "decode_batch", "encode_blocks",
+           "encode_pairs", "encode_payload", "encode_reply", "error_reply",
+           "pairs_fragment", "replica_lag_header", "serve_pairs",
+           "wants_blocks"]
 
 #: The media type of a reply that may carry block answers; a request
 #: naming it in ``Accept`` asks for them.
@@ -320,3 +332,102 @@ def decode_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
     for item in results:
         decode_answer(item)
     return payload
+
+
+# -- the error contract ------------------------------------------------------
+
+
+class BadRequestError(ServiceError):
+    """Malformed request framing or body (HTTP 400)."""
+
+
+class PayloadTooLargeError(BadRequestError):
+    """Request body over the server's cap (HTTP 413; never retriable, the
+    same payload will never fit)."""
+
+
+class RouteNotFoundError(ServiceError):
+    """No route serves this method and path (HTTP 404)."""
+
+    def __init__(self, method: str, path: str):
+        super().__init__("no route for {} {}".format(method, path))
+
+
+#: The statuses the contract calls transient: their replies say
+#: ``retriable: true``, and an idempotent SDK call retries them.
+RETRIABLE_STATUSES = frozenset({429, 503, 504})
+
+
+def replica_lag_header(records: int, seconds: float) -> str:
+    """The ``X-Repro-Replica-Lag`` value of a replica's lag."""
+    return "records={}; seconds={:.3f}".format(records, seconds)
+
+
+def _nothing(error: Any) -> Dict[str, Any]:
+    return {}
+
+
+def _type(error: Any) -> Dict[str, Any]:
+    return {"type": type(error).__name__}
+
+
+class Contract(NamedTuple):
+    """An error class's reply: its status, and the body fields and the
+    headers it adds to every error reply's ``error`` and ``retriable``."""
+
+    status: int
+    fields: Callable[[Any], Dict[str, Any]] = _nothing
+    headers: Callable[[Any], Dict[str, str]] = _nothing
+
+
+#: Error class -> its reply.  :func:`error_reply` walks the error's MRO, so
+#: a subclass takes its nearest listed ancestor's row and the order of the
+#: rows decides nothing.
+ERROR_CONTRACT: Dict[type, Contract] = {
+    AuthenticationError: Contract(
+        401, headers=lambda e: {"WWW-Authenticate": "Bearer"}),
+    UnknownGraphError: Contract(404),
+    RouteNotFoundError: Contract(404),
+    BadRequestError: Contract(400),
+    PayloadTooLargeError: Contract(413),
+    OverloadedError: Contract(429, lambda e: {"retry_after": e.retry_after}),
+    DeadlineExceededError: Contract(504, lambda e: {"phase": e.phase}),
+    # Refused until the operator promotes the replica.
+    ReplicaReadOnlyError: Contract(
+        403, lambda e: {"replica": True, "read_only": True}),
+    # The same cursor can never succeed again: the replica re-bootstraps.
+    ReplicationCursorGapError: Contract(
+        410, lambda e: {"rebootstrap": True, "cursor": e.cursor,
+                        "first_retained": e.retained}),
+    ReplicaStaleError: Contract(
+        503, lambda e: {"stale": True, "lag_records": e.lag_records,
+                        "lag_seconds": e.lag_seconds,
+                        "retry_after": e.retry_after},
+        lambda e: {"X-Repro-Replica-Lag": replica_lag_header(
+            e.lag_records, e.lag_seconds)}),
+    ReplicationCorruptionError: Contract(500, _type),
+    # Any other feed failure (an injected ship fault) is transient.
+    ReplicationError: Contract(503, lambda e: {"retry_after": 1}),
+    # A checkpoint heals a degraded store.
+    StoreDegradedError: Contract(
+        503, lambda e: {"degraded": True, "retry_after": e.retry_after}),
+    PathAlgebraError: Contract(400, _type),
+    Exception: Contract(500, _type),
+}
+
+
+def error_reply(error: Exception
+                ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    """``(status, body, headers)`` of the reply to ``error``: the body is
+    ``error`` (the message), ``retriable`` (the status is one of
+    :data:`RETRIABLE_STATUSES`) and the row's fields; the headers are the
+    row's, plus ``Retry-After`` exactly when the body has ``retry_after``."""
+    row = next(ERROR_CONTRACT[cls] for cls in type(error).__mro__
+               if cls in ERROR_CONTRACT)
+    body: Dict[str, Any] = {"error": str(error),
+                            "retriable": row.status in RETRIABLE_STATUSES}
+    body.update(row.fields(error))
+    headers = row.headers(error)
+    if "retry_after" in body:
+        headers["Retry-After"] = "{:g}".format(body["retry_after"])
+    return row.status, body, headers

@@ -790,6 +790,36 @@ class TestRequestValidation:
             assert payload["retriable"] is False
         self.on_replica(tmp_path, scenario)
 
+    ROUTE_MISSES = [("GET", "/v1/graphs/alpha/query"),
+                    ("POST", "/v1/graphs/alpha/stats"),
+                    ("DELETE", "/v1/graphs/alpha/mutate"),
+                    ("GET", "/nope"), ("POST", "/v1/graphs"),
+                    ("GET", "/replication/foo")]
+
+    def test_route_miss_names_the_route_not_a_graph(self, store_root,
+                                                    tmp_path):
+        # A route no server serves is a 404 that names the method and
+        # path, not a missing graph; a real unknown graph keeps its own
+        # message.
+        async def scenario(server):
+            misses = list(self.ROUTE_MISSES)
+            if hasattr(server, "replica"):  # no explain, no feed
+                misses += [("POST", "/v1/graphs/alpha/explain"),
+                           ("GET", "/replication/wal")]
+            for method, path in misses:
+                status, payload, _ = await server._dispatch(
+                    method, path, {}, b"")
+                assert status == 404, (method, path, payload)
+                assert payload == {"error": "no route for {} {}".format(
+                    method, path), "retriable": False}
+            status, payload, _ = await server._dispatch(
+                "POST", "/v1/graphs/nope/query", {}, b'{"query": "[_, a, _]"}')
+            assert status == 404
+            assert payload["error"] == "no graph store named 'nope' in " \
+                "the registry"
+        self.on_primary(store_root, scenario)
+        self.on_replica(tmp_path, scenario)
+
     @pytest.mark.parametrize("bad_triple", [[[1], "a", 2],
                                             [1, {"x": 1}, 2],
                                             [1, "a", float("nan")]])

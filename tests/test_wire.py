@@ -17,7 +17,9 @@ What this file pins down:
 * a request that negotiates blocks gets the answer's blocks whenever its
   endpoints round-trip through JSON exactly — the same set, decoded by
   the SDK's decoder, as the flat reply — and the flat bytes otherwise;
-  a negotiated miss encodes the blocks once in the worker, a hit nothing.
+  a negotiated miss encodes the blocks once in the worker, a hit nothing,
+* the error contract: every row of ``wire.ERROR_CONTRACT`` as the server
+  sends it and as the SDK acts on it.
 """
 
 import asyncio
@@ -25,6 +27,7 @@ import gc
 import json
 import pickle
 import re
+import socket
 import sys
 import threading
 from collections.abc import Set
@@ -37,14 +40,30 @@ from hypothesis import strategies as st
 
 from repro.concurrency import tracking_scope, witness_scope
 from repro.engine import Engine, QueryCache
-from repro.errors import WireProtocolError
+from repro.errors import (
+    AuthenticationError,
+    DeadlineExceededError,
+    OverloadedError,
+    PathQLSyntaxError,
+    QuotaExceededError,
+    RemoteQueryError,
+    ReplicaReadOnlyError,
+    ReplicaStaleError,
+    ReplicationCorruptionError,
+    ReplicationCursorGapError,
+    ReplicationError,
+    StoreDegradedError,
+    UnknownGraphError,
+    WireProtocolError,
+)
 from repro.graph.generators import uniform_random
 from repro.graph.graph import MultiRelationalGraph
 from repro.graph.pairs import PairBlocks
 from repro.replication import PrimaryFeed, ReplicaGraph
 from repro.service import AsyncEngine, GraphRegistry, HttpServer
 from repro.service import wire
-from repro.service.http import ReplicaHttpServer
+from repro.service.client import ReproClient, _read_reply
+from repro.service.http import _STATUS_TEXT as STATUS_TEXT, ReplicaHttpServer
 from repro.storage import PersistentGraph
 
 CHAIN = 40
@@ -835,3 +854,137 @@ class TestBlockReplies:
     ])
     def test_accept_header_names_the_block_type(self, accept, wanted):
         assert wire.wants_blocks(accept) is wanted
+
+
+def row_of(error):
+    """The class whose :data:`wire.ERROR_CONTRACT` row answers ``error``."""
+    return next(cls for cls in type(error).__mro__
+                if cls in wire.ERROR_CONTRACT)
+
+
+#: ``(error, status, body fields beyond error/retriable, headers)``: the
+#: reply each error got from the ``except`` ladder the table replaced.
+#: Every row of the table needs at least one example here.
+CONTRACT = [
+    (AuthenticationError("no token"), 401, {},
+     {"WWW-Authenticate": "Bearer"}),
+    (UnknownGraphError("nope"), 404, {}, {}),
+    (wire.RouteNotFoundError("GET", "/nope"), 404, {}, {}),
+    (wire.BadRequestError("bad body"), 400, {}, {}),
+    (wire.PayloadTooLargeError("too big"), 413, {}, {}),
+    (OverloadedError("shed", retry_after=0.5), 429, {"retry_after": 0.5},
+     {"Retry-After": "0.5"}),
+    (QuotaExceededError("t", 2, retry_after=2.0), 429, {"retry_after": 2.0},
+     {"Retry-After": "2"}),
+    (DeadlineExceededError(0.01, phase="queued"), 504, {"phase": "queued"},
+     {}),
+    (ReplicaReadOnlyError("/replica"), 403,
+     {"replica": True, "read_only": True}, {}),
+    (ReplicationCursorGapError("0:0", "3"), 410,
+     {"rebootstrap": True, "cursor": "0:0", "first_retained": "3"}, {}),
+    (ReplicaStaleError(7, 1.5, 100, retry_after=0.25), 503,
+     {"stale": True, "lag_records": 7, "lag_seconds": 1.5,
+      "retry_after": 0.25},
+     {"Retry-After": "0.25",
+      "X-Repro-Replica-Lag": "records=7; seconds=1.500"}),
+    (ReplicationCorruptionError("segment 1"), 500,
+     {"type": "ReplicationCorruptionError"}, {}),
+    (ReplicationError("ship fault"), 503, {"retry_after": 1},
+     {"Retry-After": "1"}),
+    (StoreDegradedError("/store", "fsync", retry_after=3.0), 503,
+     {"degraded": True, "retry_after": 3.0}, {"Retry-After": "3"}),
+    (PathQLSyntaxError("bad token", 1, "[$"), 400,
+     {"type": "PathQLSyntaxError"}, {}),
+    (RuntimeError("boom"), 500, {"type": "RuntimeError"}, {}),
+]
+CONTRACT_IDS = [type(error).__name__ for error, *_ in CONTRACT]
+
+
+class TestErrorContract:
+    """The one table both sides import: what the server sends for each
+    error class, and what the SDK does with that reply."""
+
+    def test_every_row_has_an_example(self):
+        assert {row_of(error) for error, *_ in CONTRACT} == \
+            set(wire.ERROR_CONTRACT)
+
+    @staticmethod
+    def reply(error):
+        """``error`` raised from a stubbed route, through ``_dispatch``
+        and ``_respond``: ``(status, body, headers, raw reply bytes)``."""
+        async def route(method, path, headers, body):
+            raise error
+
+        async def run():
+            server = HttpServer(None)
+            server._route = route
+            status, body, headers = await server._dispatch(
+                "GET", "/v1/graphs/g/stats", {}, b"")
+            writer = NullWriter()
+            await server._respond(writer, status, body, headers)
+            return status, body, headers, writer.data
+        return asyncio.run(run())
+
+    @staticmethod
+    def sdk_reads(raw):
+        """``raw`` as the SDK's own framing reads it off a socket:
+        ``(status, lowercase headers, body)``."""
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            ours.sendall(raw)
+            ours.shutdown(socket.SHUT_WR)
+            return _read_reply(theirs)[:3]
+
+    @pytest.mark.parametrize("error, status, fields, headers", CONTRACT,
+                             ids=CONTRACT_IDS)
+    def test_server_reply(self, error, status, fields, headers):
+        got, body, extra, raw = self.reply(error)
+        assert got == status
+        assert raw.startswith("HTTP/1.1 {} {}\r\n".format(
+            status, STATUS_TEXT[status]).encode())
+        retriable = status in (429, 503, 504)
+        assert retriable is (status in wire.RETRIABLE_STATUSES)
+        assert body == dict({"error": str(error), "retriable": retriable},
+                            **fields)
+        assert extra == headers
+        assert ("Retry-After" in extra) is ("retry_after" in body)
+        _, sent_headers, sent_body = self.sdk_reads(raw)
+        assert json.loads(sent_body) == json.loads(json.dumps(body))
+        for name, value in headers.items():
+            assert sent_headers[name.lower()] == value
+
+    @pytest.mark.parametrize("error, status, fields, headers", CONTRACT,
+                             ids=CONTRACT_IDS)
+    def test_sdk_reads_the_reply_the_way_it_was_meant(self, error, status,
+                                                      fields, headers):
+        _, body, _, raw = self.reply(error)
+        answers = [self.sdk_reads(raw), (200, {}, b'{"graphs": ["g"]}')]
+        slept = []
+        client = ReproClient("http://127.0.0.1:1", backoff_base=0.001,
+                             jitter_seed=1, sleeper=slept.append,
+                             transport=lambda *request: answers.pop(0))
+        # An idempotent call retries exactly the retriable replies, with
+        # Retry-After as the floor of its backoff (and no floor without).
+        if body["retriable"]:
+            assert client.list_graphs() == ["g"] and len(slept) == 1
+            if "retry_after" in body:
+                assert slept[0] == pytest.approx(body["retry_after"])
+            else:
+                assert slept[0] <= 0.001
+        else:
+            with pytest.raises(RemoteQueryError) as refused:
+                client.list_graphs()
+            assert (refused.value.status, refused.value.payload) == \
+                (status, body)
+            assert slept == []
+        # The replication feed: a gap re-bootstraps, a transient failure
+        # polls again, anything else is the caller's error.
+        feed = ReproClient("http://127.0.0.1:1",
+                           transport=lambda *request: self.sdk_reads(raw))
+        expected = ReplicationCursorGapError if status == 410 else \
+            ReplicationError if body["retriable"] else RemoteQueryError
+        with pytest.raises(expected) as failed:
+            feed.replication_wal("0:0")
+        assert type(failed.value) is expected
+        if expected is ReplicationCursorGapError:
+            assert failed.value.retained == "3"
