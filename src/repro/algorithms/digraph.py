@@ -21,8 +21,6 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
-    List,
-    Optional,
     Tuple,
 )
 
@@ -38,11 +36,6 @@ class DiGraph:
         self._succ: Dict[Hashable, Dict[Hashable, float]] = {}
         self._pred: Dict[Hashable, Dict[Hashable, float]] = {}
         self._version = 0
-        # Structural mutation journal mirroring MultiRelationalGraph's: the
-        # compact snapshot layer replays it to patch edge arrays in place of
-        # a full O(V + E) rebuild.  Covers versions (_journal_floor, _version].
-        self._journal: List[Tuple] = []
-        self._journal_floor = 0
         for tail, head in edges:
             self.add_edge(tail, head)
 
@@ -56,7 +49,6 @@ class DiGraph:
             self._succ[vertex] = {}
             self._pred[vertex] = {}
             self._version += 1
-            self._journal_append(("+v", vertex))
 
     def add_edge(self, tail: Hashable, head: Hashable, weight: float = 1.0) -> None:
         """Add (or re-weight) the edge ``tail -> head``."""
@@ -65,65 +57,21 @@ class DiGraph:
         self._succ[tail][head] = float(weight)
         self._pred[head][tail] = float(weight)
         self._version += 1
-        self._journal_append(("+e", tail, head, float(weight)))
 
     def remove_edge(self, tail: Hashable, head: Hashable) -> None:
         """Remove one edge (KeyError if absent)."""
         del self._succ[tail][head]
         del self._pred[head][tail]
         self._version += 1
-        self._journal_append(("-e", tail, head))
 
     def version(self) -> int:
         """A counter bumped by every mutation (cache-invalidation token).
 
         :mod:`repro.graph.compact` keys its :class:`CompactDiGraph`
-        snapshots on this, mirroring ``MultiRelationalGraph.version()``.
+        snapshot on this: the first algorithm call after a mutation
+        rebuilds it.
         """
         return self._version
-
-    # ------------------------------------------------------------------
-    # Structural mutation journal (compact-snapshot delta source)
-    # ------------------------------------------------------------------
-
-    #: Same cap semantics as MultiRelationalGraph: past it the journal is
-    #: dropped and snapshot consumers rebuild from scratch.
-    _JOURNAL_CAP = 65536
-
-    #: Kept in sync with ``repro.graph.compact._CACHE_ATTR``.
-    _SNAPSHOT_CACHE_ATTR = "_compact_snapshot_cache"
-
-    def _journal_append(self, entry: Tuple) -> None:
-        """Record one structural op, tagged with the version it produced."""
-        if not self._journal and \
-                getattr(self, self._SNAPSHOT_CACHE_ATTR, None) is None:
-            # Journaling starts lazily with the first snapshot build; until
-            # then the pinned floor tells consumers the gap is uncovered.
-            self._journal_floor = self._version
-            return
-        self._journal.append((self._version,) + entry)
-        if len(self._journal) > self._JOURNAL_CAP:
-            del self._journal[:]
-            self._journal_floor = self._version
-
-    def journal_since(self, version: int) -> Optional[List[Tuple]]:
-        """Structural ops after ``version`` (``(version_after, op, *args)``),
-        or ``None`` when the journal no longer reaches back that far.
-
-        ``op`` is ``"+v"``, ``"+e"`` (payload includes the weight — re-adding
-        an existing edge re-weights it) or ``"-e"``.
-        """
-        if version < self._journal_floor:
-            return None
-        return [entry for entry in self._journal if entry[0] > version]
-
-    def prune_journal(self, version: int) -> None:
-        """Drop journal entries at or before ``version`` (already consumed)."""
-        if self._journal and self._journal[0][0] <= version:
-            self._journal = [entry for entry in self._journal
-                             if entry[0] > version]
-        if version > self._journal_floor:
-            self._journal_floor = version
 
     # ------------------------------------------------------------------
     # Inspection

@@ -48,13 +48,12 @@ instance, keyed on the graph's ``version()`` mutation counter:
   journaled that far back), the cache transparently falls back to a full
   rebuild — incrementality is a fast path, never a correctness dependency.
 
-:class:`CompactDiGraph` follows the same protocol with vectorized array
-surgery: removed base edges are masked with one ``np.isin`` over packed
-edge keys, added edges are appended, and the CSR index arrays are
-re-derived by C-speed sorts — orders of magnitude cheaper than re-walking
-the successor dicts in the interpreter.  Handed-out ``CompactDiGraph``
-instances stay immutable; ``DeltaAdjacency`` overlays are live views that
-track their graph (documented, deliberate — kernels fetch them per call).
+:class:`CompactDiGraph` has no overlay: it is cached per ``version()`` and
+a DiGraph mutated between algorithm calls is rebuilt in O(V + E) on the
+next one (every DiGraph the code builds is only read once built).
+Handed-out ``CompactDiGraph`` instances stay immutable;
+``DeltaAdjacency`` overlays are live views that track their graph
+(documented, deliberate — kernels fetch them per call).
 
 numpy is optional.  The :class:`CompactAdjacency`/:class:`DeltaAdjacency`
 kernels are interpreter loops over Python ``int`` cells — lists when
@@ -527,8 +526,6 @@ def snapshot_state(graph) -> str:
     cached = getattr(graph, _CACHE_ATTR, None)
     if cached is None:
         return "cold (first compact query builds the base CSR)"
-    if isinstance(cached, _DiGraphDelta):
-        cached = cached.snapshot
     pending = graph.version() - cached.version
     suffix = ", {} mutation(s) pending replay".format(pending) if pending else ""
     if isinstance(cached, DeltaAdjacency):
@@ -1022,10 +1019,9 @@ def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
 
 
 # The single-relational half, re-exported.  Imported last: it reads
-# ``_CACHE_ATTR`` and ``compaction_due`` from this module while loading.
+# ``_CACHE_ATTR`` from this module while loading.
 from repro.graph.compact_digraph import (  # noqa: E402
     CompactDiGraph,
-    _DiGraphDelta,
     digraph_snapshot,
     digraph_snapshot_if_large,
 )

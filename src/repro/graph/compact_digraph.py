@@ -5,27 +5,24 @@ Split from :mod:`repro.graph.compact` (which re-exports every name here,
 so imports need not change): this half is numpy-only and label-blind —
 BFS, components, Tarjan SCC, geodesic sweeps, centrality and pagerank
 over one CSR — and shares with the RPQ backend only the snapshot-cache
-attribute and the compaction threshold.  The snapshot lifecycle (lazy
-build, journal-replayed delta, vectorized compaction) is described in
-that module's docstring.
+attribute.  A snapshot is built on first use and cached per
+``DiGraph.version()``; a DiGraph mutated between algorithm calls is
+rebuilt in O(V + E) on the next one.  Every DiGraph the code builds is
+only read once built, so there is no delta to replay.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 try:  # every kernel here is vectorized; without numpy callers keep theirs.
     import numpy as _np
 except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
 
-from repro.graph.compact import _CACHE_ATTR, compaction_due
+from repro.graph.compact import _CACHE_ATTR
 
 __all__ = ["CompactDiGraph", "digraph_snapshot", "digraph_snapshot_if_large"]
-
-#: Bit width of the head id inside a packed ``(tail << SHIFT) | head`` edge
-#: key — collision-free for any graph this process can hold.
-_KEY_SHIFT = 32
 
 
 class CompactDiGraph:  # reprolint: ignore[numpy-gate] -- numpy-only by contract
@@ -35,15 +32,14 @@ class CompactDiGraph:  # reprolint: ignore[numpy-gate] -- numpy-only by contract
     ``weights``) and forward/reverse/undirected CSR index arrays — the
     inputs the vectorized BFS, component flood-fill and pagerank kernels
     consume, and (as lazily cached plain lists) the integer-indexed Tarjan
-    SCC / Brandes betweenness kernels.  Immutable once built; the
-    incremental layer produces successors via :meth:`from_arrays`.  Only
+    SCC / Brandes betweenness kernels.  Immutable once built.  Only
     constructed when numpy is importable.
     """
 
     __slots__ = ("version", "vertex_ids", "vertex_of", "tails", "heads",
                  "weights", "fwd_indptr", "fwd_indices", "rev_indptr",
                  "rev_indices", "und_indptr", "und_indices", "out_weight",
-                 "edge_keys", "_scalar_fwd")
+                 "_scalar_fwd")
 
     def __init__(self, digraph):
         vertex_of = list(digraph._succ)
@@ -57,27 +53,12 @@ class CompactDiGraph:  # reprolint: ignore[numpy-gate] -- numpy-only by contract
                 tails.append(tail_id)
                 heads.append(vertex_ids[head])
                 weights.append(weight)
-        self._finish(digraph.version(), vertex_of, vertex_ids,
-                     _np.asarray(tails, dtype=_np.int64),
-                     _np.asarray(heads, dtype=_np.int64),
-                     _np.asarray(weights, dtype=_np.float64))
-
-    @classmethod
-    def from_arrays(cls, version: int, vertex_of: List[Hashable],
-                    vertex_ids: Dict[Hashable, int], tails, heads,
-                    weights) -> "CompactDiGraph":
-        """Build a snapshot directly from edge arrays (the delta path)."""
-        self = cls.__new__(cls)
-        self._finish(version, vertex_of, vertex_ids, tails, heads, weights)
-        return self
-
-    def _finish(self, version, vertex_of, vertex_ids, tails, heads, weights):
-        self.version = version
+        self.version = digraph.version()
         self.vertex_of = vertex_of
         self.vertex_ids = vertex_ids
-        self.tails = tails
-        self.heads = heads
-        self.weights = weights
+        self.tails = tails = _np.asarray(tails, dtype=_np.int64)
+        self.heads = heads = _np.asarray(heads, dtype=_np.int64)
+        self.weights = weights = _np.asarray(weights, dtype=_np.float64)
         n = len(vertex_of)
         self.fwd_indptr, self.fwd_indices = self._csr(tails, heads, n)
         self.rev_indptr, self.rev_indices = self._csr(heads, tails, n)
@@ -85,18 +66,7 @@ class CompactDiGraph:  # reprolint: ignore[numpy-gate] -- numpy-only by contract
         both_heads = _np.concatenate([heads, tails])
         self.und_indptr, self.und_indices = self._csr(both_tails, both_heads, n)
         self.out_weight = _np.bincount(tails, weights=weights, minlength=n)
-        self.edge_keys = None
         self._scalar_fwd = None
-
-    def _edge_key_array(self):
-        """Packed ``(tail << 32) | head`` identity keys, built on first use.
-
-        Only the delta-overlay machinery needs these (one vectorized
-        ``isin`` masks removed base edges), so query-only snapshots never
-        pay for them."""
-        if self.edge_keys is None:
-            self.edge_keys = (self.tails << _KEY_SHIFT) | self.heads
-        return self.edge_keys
 
     @staticmethod
     def _csr(sources, targets, n):
@@ -392,124 +362,20 @@ class CompactDiGraph:  # reprolint: ignore[numpy-gate] -- numpy-only by contract
             self.num_vertices, len(self.tails), self.version)
 
 
-class _DiGraphDelta:  # reprolint: ignore[numpy-gate] -- only built around a CompactDiGraph
-    """Cache entry pairing a base :class:`CompactDiGraph` with pending deltas.
+def digraph_snapshot(digraph) -> Optional[CompactDiGraph]:
+    """The cached :class:`CompactDiGraph` of ``digraph``, or None when
+    numpy is missing.
 
-    Journal replay accumulates removed-edge keys and an added-edge table;
-    :meth:`materialize` then produces an up-to-date immutable snapshot with
-    vectorized array surgery (one ``isin`` mask + one concatenate + C-speed
-    CSR sorts) instead of re-walking the successor dicts in the
-    interpreter.  Past the compaction threshold the materialized snapshot
-    is promoted to be the new base and the delta tables reset.
-    """
-
-    __slots__ = ("base", "snapshot", "vertex_ids", "vertex_of",
-                 "removed_keys", "extra", "delta_ops")
-
-    def __init__(self, base: CompactDiGraph):
-        self.base = base
-        self.snapshot = base
-        self.vertex_ids = dict(base.vertex_ids)
-        self.vertex_of = list(base.vertex_of)
-        self.removed_keys: Set[int] = set()
-        self.extra: Dict[Tuple[int, int], float] = {}
-        self.delta_ops = 0
-
-    def apply(self, entries: List[Tuple]) -> None:
-        """Replay journal entries into the delta tables."""
-        vertex_ids = self.vertex_ids
-        for entry in entries:
-            op = entry[1]
-            if op == "+e":
-                tail_id = vertex_ids[entry[2]]
-                head_id = vertex_ids[entry[3]]
-                # Uniform move (add, re-add, or re-weight): mask any base
-                # occurrence and carry the live weight in the extra table.
-                self.removed_keys.add((tail_id << _KEY_SHIFT) | head_id)
-                self.extra[(tail_id, head_id)] = entry[4]
-            elif op == "-e":
-                tail_id = vertex_ids[entry[2]]
-                head_id = vertex_ids[entry[3]]
-                self.removed_keys.add((tail_id << _KEY_SHIFT) | head_id)
-                self.extra.pop((tail_id, head_id), None)
-            elif op == "+v":
-                vertex = entry[2]
-                if vertex not in vertex_ids:
-                    vertex_ids[vertex] = len(self.vertex_of)
-                    self.vertex_of.append(vertex)
-        self.delta_ops += len(entries)
-
-    def materialize(self, version: int) -> CompactDiGraph:
-        """An immutable snapshot of base ⊖ removed ⊕ extra at ``version``."""
-        base = self.base
-        tails, heads, weights = base.tails, base.heads, base.weights
-        if self.removed_keys:
-            removed = _np.fromiter(self.removed_keys, dtype=_np.int64,
-                                   count=len(self.removed_keys))
-            keep = _np.isin(base._edge_key_array(), removed, invert=True)
-            tails = tails[keep]
-            heads = heads[keep]
-            weights = weights[keep]
-        if self.extra:
-            count = len(self.extra)
-            extra_tails = _np.fromiter((t for t, _ in self.extra),
-                                       dtype=_np.int64, count=count)
-            extra_heads = _np.fromiter((h for _, h in self.extra),
-                                       dtype=_np.int64, count=count)
-            extra_weights = _np.fromiter(self.extra.values(),
-                                         dtype=_np.float64, count=count)
-            tails = _np.concatenate([tails, extra_tails])
-            heads = _np.concatenate([heads, extra_heads])
-            weights = _np.concatenate([weights, extra_weights])
-        self.snapshot = CompactDiGraph.from_arrays(
-            version, list(self.vertex_of), dict(self.vertex_ids),
-            tails, heads, weights)
-        return self.snapshot
-
-    def compact(self) -> None:
-        """Fold the delta: the materialized snapshot becomes the new base."""
-        self.base = self.snapshot
-        self.removed_keys.clear()
-        self.extra.clear()
-        self.delta_ops = 0
-
-
-def digraph_snapshot(digraph, incremental: bool = True
-                     ) -> Optional[CompactDiGraph]:
-    """The cached :class:`CompactDiGraph`, or None when numpy is missing.
-
-    Same lifecycle as :func:`adjacency_snapshot`: cached on the instance,
-    keyed on ``digraph.version()``; after mutations the journal is replayed
-    into array-surgery deltas and a fresh immutable snapshot is materialized
-    in vectorized time, falling back to a full dict-walk rebuild only when
-    the journal cannot cover the gap (or ``incremental=False``).  Deltas
-    fold into a new base past the compaction threshold.
+    Cached on the instance and keyed on ``digraph.version()``: the first
+    call after a mutation rebuilds the snapshot in O(V + E).
     """
     if _np is None:
         return None
-    cache = getattr(digraph, _CACHE_ATTR, None)
-    version = digraph.version()
-    if isinstance(cache, _DiGraphDelta):
-        if cache.snapshot.version == version:
-            return cache.snapshot
-        if incremental:
-            entries = digraph.journal_since(cache.snapshot.version)
-            if entries is not None:
-                if not entries:
-                    # Property-only version bumps: retag, skip the surgery.
-                    cache.snapshot.version = version
-                    digraph.prune_journal(version)
-                    return cache.snapshot
-                cache.apply(entries)
-                snapshot = cache.materialize(version)
-                if compaction_due(cache.delta_ops, len(cache.base.tails)):
-                    cache.compact()
-                digraph.prune_journal(version)
-                return snapshot
-    base = CompactDiGraph(digraph)
-    setattr(digraph, _CACHE_ATTR, _DiGraphDelta(base))
-    digraph.prune_journal(version)
-    return base
+    snapshot = getattr(digraph, _CACHE_ATTR, None)
+    if snapshot is None or snapshot.version != digraph.version():
+        snapshot = CompactDiGraph(digraph)
+        setattr(digraph, _CACHE_ATTR, snapshot)
+    return snapshot
 
 
 def digraph_snapshot_if_large(digraph) -> Optional[CompactDiGraph]:

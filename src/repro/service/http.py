@@ -97,12 +97,14 @@ from repro.replication import REPLICA_META_NAME
 from repro.engine.parallel import MAX_WORKERS
 from repro.errors import (
     AuthenticationError,
+    DeadlineExceededError,
     ReplicaReadOnlyError,
     ReplicationError,
     UnknownGraphError,
 )
 from repro.faults import fault_hook
 from repro.graph.pairs import PairBlocks
+from repro.service.async_engine import Deadline
 from repro.service.registry import GraphHandle, GraphRegistry
 from repro.service.wire import (BadRequestError, PayloadTooLargeError,
                                 RouteNotFoundError, ServedPairs,
@@ -737,8 +739,9 @@ class ReplicaHttpServer(HttpServer):
     """The read-only HTTP front end of one tailing replica.
 
     Same wire protocol and error contract as :class:`HttpServer` minus
-    everything that writes: ``query``/``explain-free`` reads serve from
-    the replica's applied state, ``mutate``/``checkpoint`` get **403**
+    everything that writes: ``query`` reads (there is no ``explain``)
+    serve from the replica's applied state, under the request's
+    ``deadline_ms`` like the primary's; ``mutate``/``checkpoint`` get **403**
     (:class:`~repro.errors.ReplicaReadOnlyError` — promote first), and
     ``/readyz`` reports *catching-up* (503) until the tailer has caught
     up at least once and is currently healthy.
@@ -852,8 +855,11 @@ class ReplicaHttpServer(HttpServer):
             if body.get(unsupported) is not None:
                 raise BadRequestError(
                     "{} is not supported on a replica".format(unsupported))
-        return {"sources": self._endpoints_of(body, "sources"),
-                "targets": self._endpoints_of(body, "targets")}
+        options = super()._read_options(body)
+        # One budget for the request, a batch's queries included.
+        return {"deadline": Deadline(options["deadline"]),
+                "sources": options["sources"],
+                "targets": options["targets"]}
 
     async def _answer(self, handle: Any, query: str,
                       options: Dict[str, Any], blocks: bool) -> ServedPairs:
@@ -868,14 +874,24 @@ class ReplicaHttpServer(HttpServer):
             raise BadRequestError(
                 "query {!r} needs the bounded edge-set engine; a replica "
                 "answers label-path pairs() queries only".format(query))
-        merged = constrained.merge_filters(**options)
+        merged = constrained.merge_filters(options["sources"],
+                                           options["targets"])
         if merged is None:  # a bound endpoint the caller's filter excludes
             return serve_pairs(PairBlocks(()), blocks=blocks)
+        deadline = options["deadline"]
+        deadline.check()
         # Kernel and encode in one executor hop; a replica keeps no
-        # result cache, so there is no hit to report.
-        return await asyncio.get_running_loop().run_in_executor(
+        # result cache, so there is no hit to report.  The hop is waited
+        # on only until the deadline (shielded: an abandoned kernel runs
+        # out in its thread, its result dropped).
+        future = asyncio.get_running_loop().run_in_executor(
             None, lambda: serve_pairs(self.replica.pairs(
                 constrained.label_expression, *merged), blocks=blocks))
+        try:
+            return await asyncio.wait_for(asyncio.shield(future),
+                                          deadline.remaining())
+        except asyncio.TimeoutError:
+            raise DeadlineExceededError(deadline.seconds) from None
 
     async def _answer_batch(self, handle: Any, queries: List[str],
                             options: Dict[str, Any],

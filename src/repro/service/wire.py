@@ -2,7 +2,8 @@
 
 A served answer goes out in one of two forms, chosen per request:
 
-* **flat** (the default) — ``"pairs"``, a canonical JSON list: the pairs
+* **flat** (the default, and the compatibility form: the SDK never asks
+  for it) — ``"pairs"``, a canonical JSON list: the pairs
   as two-element lists, sorted by their ``repr`` (``"[7, 12]" < "[7, 1]"``
   — the order is wire contract, not a natural sort);
 * **blocks** — ``"blocks"``, the answer's own disjoint blocks as
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Set
-from itertools import chain, product
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     AuthenticationError, DeadlineExceededError, OverloadedError,
@@ -44,9 +44,8 @@ from repro.graph.pairs import PairBlocks
 __all__ = ["BLOCKS_TYPE", "ERROR_CONTRACT", "JSON_TYPE", "RETRIABLE_STATUSES",
            "BadRequestError", "PayloadTooLargeError", "RouteNotFoundError",
            "ServedPairs", "decode_answer", "decode_batch", "encode_blocks",
-           "encode_pairs", "encode_payload", "encode_reply", "error_reply",
-           "pairs_fragment", "replica_lag_header", "serve_pairs",
-           "wants_blocks"]
+           "encode_pairs", "encode_reply", "error_reply",
+           "replica_lag_header", "serve_pairs", "wants_blocks"]
 
 #: The media type of a reply that may carry block answers; a request
 #: naming it in ``Accept`` asks for them.
@@ -66,13 +65,6 @@ _FRAGMENT_KEYS = ("pairs", "blocks")
 _pair_repr = "[%r, %r]".__mod__
 
 
-#: A crossed block with at least this many seconds formats them once and
-#: prefixes every head to the lot; smaller blocks (a sweep's many
-#: two-seeds-one-vertex rectangles) are cheaper flattened into the one
-#: ``%`` all zip pairs share than paying that per-block setup.
-_TAILS_MIN = 8
-
-
 def _endpoint_types(answer: PairBlocks) -> set:
     """The exact types of every block member of ``answer``."""
     types: set = set()
@@ -82,58 +74,16 @@ def _endpoint_types(answer: PairBlocks) -> set:
     return types
 
 
-def _int_pair_texts(answer: Set) -> Optional[List[str]]:
-    """The JSON text of every pair of a block answer whose endpoints are
-    all exact ``int`` s, or None for any other answer.
-
-    For such a pair ``"[%r, %r]"`` — the wire sort key — already is the
-    pair's JSON, so the texts are built straight from the blocks: a wide
-    crossed block formats its ``", %r]"`` tails once and prefixes each
-    ``"[%r"`` head to all of them; every other pair is flattened into one
-    ``%`` over a NUL-joined ``"[%r, %r]"`` template.  The texts are cut
-    apart by one ``split`` at the end, so no pair costs an interpreter
-    step.  ``bool`` fails the exact type test (``repr(True)`` is not
-    ``true``), as does every other ``int`` subclass, whose ``repr`` may
-    differ from its JSON.
-    """
-    if not isinstance(answer, PairBlocks) or _endpoint_types(answer) - {int}:
-        return None
-    chunks: List[str] = []
-    loose: List[int] = []
-    for firsts, seconds, crossed in answer.blocks:
-        if not crossed:
-            loose += chain.from_iterable(zip(firsts, seconds))
-        elif len(seconds) < _TAILS_MIN:
-            loose += chain.from_iterable(product(firsts, seconds))
-        else:
-            tails = "\0".join([", %r]"] * len(seconds)) % tuple(seconds)
-            chunks += [head + tails.replace("\0", "\0" + head)
-                       for head in map("[%r".__mod__, firsts)]
-    if loose:
-        chunks.append("\0".join(["[%r, %r]"] * (len(loose) >> 1))
-                      % tuple(loose))
-    return "\0".join(chunks).split("\0") if chunks else []
-
-
 def encode_pairs(answer: Set) -> bytes:
     """The sorted JSON pair list of ``answer`` — the one place it is made.
 
     Byte for byte ``json.dumps(sorted(map(list, answer), key=repr),
     default=str)``: JSON spells a tuple as it spells a list, and the sort
-    key is the list's ``repr``.  An all-``int`` block answer (what every
-    served graph of integer vertices returns) sorts its pairs' JSON texts
-    themselves and joins them — one sort, no second encoding
-    (:func:`_int_pair_texts`).  Any other answer sorts its tuples under
-    the ``repr`` key and ``json.dumps`` them: the sort reads the answer's
-    iterator, and the pairs stay the tuples they are — one new list per
-    pair is one GC-tracked allocation per pair, and those are what
-    schedule the server's full collections (each one walks every cached
-    answer: tens of ms with a full result cache).
+    key is the list's ``repr``.  The sort reads the answer's iterator and
+    the pairs stay the tuples they are, so no list is made per pair.
+    This is the compatibility form: a client that asks for blocks never
+    gets it (``docs/serving.md``, *Answers as blocks*, has the cost).
     """
-    texts = _int_pair_texts(answer)
-    if texts is not None:
-        texts.sort()
-        return ("[" + ", ".join(texts) + "]").encode("ascii")
     return json.dumps(sorted(answer, key=_pair_repr),
                       default=str).encode("utf-8")
 
@@ -182,11 +132,6 @@ def _fragment(answer: Set, blocks: bool) -> Tuple[str, bytes]:
     if fragment is None:
         fragment = memo["pairs"] = encode_pairs(answer)
     return "pairs", fragment
-
-
-def pairs_fragment(answer: Set) -> bytes:
-    """``encode_pairs(answer)``, through the answer's memo slot."""
-    return _fragment(answer, False)[1]
 
 
 class ServedPairs(NamedTuple):
@@ -254,11 +199,6 @@ def encode_reply(payload: Dict[str, Any]) -> Tuple[bytes, str]:
                 for item, key in zip(results, keys)) + b"]"),
                 BLOCKS_TYPE if "blocks" in keys else JSON_TYPE)
     return json.dumps(payload, default=str).encode("utf-8"), JSON_TYPE
-
-
-def encode_payload(payload: Dict[str, Any]) -> bytes:
-    """The body of :func:`encode_reply`."""
-    return encode_reply(payload)[0]
 
 
 def _malformed(what: str) -> WireProtocolError:

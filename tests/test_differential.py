@@ -11,10 +11,11 @@ alike — answers identically to the dict/hash reference implementations:
   on the single-relational ``DiGraph``.
 
 Across the parametrized seeds the module executes well over 1000
-mutation+query steps, and each harness asserts that both the
-delta-overlay state and the post-compaction (fresh base) state were
+mutation+query steps, and the multi-relational harness asserts that both
+the delta-overlay state and the post-compaction (fresh base) state were
 actually traversed — so snapshot staleness, journal replay bugs and
-compaction regressions all fail loudly here.
+compaction regressions all fail loudly here.  A ``DiGraph`` snapshot has
+no overlay; its harness checks the per-version rebuild.
 """
 
 import random
@@ -371,8 +372,6 @@ class TestDiGraphKernelDifferential:
         while graph.size() < 140:
             graph.add_edge(rng.randrange(36), rng.randrange(36),
                            rng.choice((0.5, 1.0, 2.0)))
-        overlay_steps = 0
-        base_identities = set()
         for step in range(250):
             if rng.random() < 0.55 or graph.size() == 0:
                 tail = rng.randrange(36)
@@ -425,15 +424,6 @@ class TestDiGraphKernelDifferential:
                     DiGraph._COMPACT_MIN_ORDER = original
                 assert max(abs(fast_ranks[v] - slow_ranks[v])
                            for v in fast_ranks) < 1.0e-9
-
-            cache = getattr(graph, compact._CACHE_ATTR)
-            if cache.delta_ops > 0:
-                overlay_steps += 1
-            base_identities.add(id(cache.base))
-        # Deltas were actually consulted, and at least one compaction folded
-        # them into a fresh base.
-        assert overlay_steps > 0
-        assert len(base_identities) > 1
 
 
 class TestPrunedDfaDifferential:

@@ -715,6 +715,7 @@ BAD_QUERY_OPTIONS = [
     {"processes": "2"}, {"processes": 0}, {"processes": True},
     {"processes": 9},
     {"deadline_ms": True}, {"deadline_ms": float("nan")},
+    {"deadline_ms": "soon"}, {"deadline_ms": -5},
     {"sources": [[1, 2]]}, {"targets": [{"x": 1}]},
 ]
 
@@ -761,12 +762,36 @@ class TestRequestValidation:
     def test_replica_refuses_bad_query_options(self, tmp_path):
         async def scenario(server):
             for options in BAD_QUERY_OPTIONS:
-                if "deadline_ms" in options:
-                    continue  # a replica read takes no deadline
                 status, payload = await dispatch(
                     server, "query", dict({"query": "[_, a, _]"}, **options))
                 assert status == 400, (options, payload)
                 assert payload["retriable"] is False
+        self.on_replica(tmp_path, scenario)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_replica_read_past_its_deadline_is_a_504(self, tmp_path,
+                                                     monkeypatch, batch):
+        # The kernel outlives the budget: the reply is the primary's 504,
+        # sent at the deadline, not when the kernel finally returns.
+        async def scenario(server):
+            body = {"queries": ["[_, a, _]", "[_, b, _]"]} if batch \
+                else {"query": "[_, a, _]"}
+            status, payload = await dispatch(
+                server, "query", dict(body, deadline_ms=10_000))
+            assert status == 200, payload
+            original = server.replica.pairs
+
+            def slow_pairs(*args, **kwargs):
+                time.sleep(1.0)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(server.replica, "pairs", slow_pairs)
+            started = time.monotonic()
+            status, payload = await dispatch(
+                server, "query", dict(body, deadline_ms=50))
+            assert time.monotonic() - started < 0.9
+            assert status == 504, payload
+            assert payload["retriable"] is True
+            assert payload["phase"] == "running"
         self.on_replica(tmp_path, scenario)
 
     @pytest.mark.parametrize("form, bound", [

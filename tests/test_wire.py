@@ -91,6 +91,10 @@ def legacy_pairs(answer):
     return sorted(map(list, answer), key=repr)
 
 
+def legacy_bytes(answer):
+    return json.dumps(legacy_pairs(answer), default=str).encode()
+
+
 def legacy_decoded(payload):
     return json.loads(json.dumps(payload, default=str))
 
@@ -152,95 +156,6 @@ def count_encodes(monkeypatch):
     return calls
 
 
-class TestEncoding:
-    def test_order_and_spelling_are_the_old_inline_ones(self):
-        answer = frozenset({(7, 12), (7, 1), (10, 2), (1, 7)})
-        assert wire.encode_pairs(answer) == \
-            json.dumps(legacy_pairs(answer)).encode()
-        # repr order, not natural order: "[7, 12]" < "[7, 1]".
-        assert json.loads(wire.encode_pairs(answer)) == \
-            [[1, 7], [10, 2], [7, 12], [7, 1]]
-
-    def test_mixed_and_non_json_native_vertices(self):
-        answer = frozenset({(1, "1"), ("b", 2), (b"raw", 3), (2.5, None),
-                            ((1, 2), "t")})
-        assert wire.encode_pairs(answer) == json.dumps(
-            legacy_pairs(answer), default=str).encode()
-        payload = {"graph": "g", "count": len(answer), "when": b"x"}
-        spliced = wire.encode_payload(
-            dict(payload, pairs=wire.encode_pairs(answer)))
-        assert json.loads(spliced) == legacy_decoded(
-            dict(payload, pairs=legacy_pairs(answer)))
-
-    def test_encoding_allocates_no_container_per_pair(self):
-        """A list per pair is a GC-tracked allocation per pair; in the
-        server those schedule the full collections that walk every cached
-        answer.  Counted, not timed: a 5000-pair encode stays under the
-        young-generation threshold (the old inline form passed it 7x)."""
-        answer = frozenset((i, i * 7 % 1501) for i in range(5000))
-        assert wire.encode_pairs(answer) == \
-            json.dumps(legacy_pairs(answer)).encode()
-        gc.collect()
-        before = gc.get_stats()[0]["collections"]
-        wire.encode_pairs(answer)
-        assert gc.get_stats()[0]["collections"] == before
-
-    def test_payload_without_a_fragment_is_plain_json(self):
-        for payload in ({"status": "ok"}, {"results": []},
-                        {"pairs": [[1, 2]], "count": 1},
-                        {"results": [{"pairs": [[1, 2]]}]}):
-            assert wire.encode_payload(payload) == \
-                json.dumps(payload).encode()
-
-    def test_fragment_is_spliced_never_stringified(self):
-        body = wire.encode_payload({"count": 1, "pairs": b"[[1, 2]]",
-                                    "elapsed_ms": 0.1})
-        assert json.loads(body) == {"count": 1, "elapsed_ms": 0.1,
-                                    "pairs": [[1, 2]]}
-        assert wire.encode_payload({"pairs": b"[]"}) == b'{"pairs": []}'
-        batch = wire.encode_payload({"graph": "g", "results": [
-            {"query": "q1", "count": 1, "pairs": b"[[1, 2]]"},
-            {"query": "q2", "count": 0, "pairs": b"[]"}]})
-        assert json.loads(batch) == {"graph": "g", "results": [
-            {"query": "q1", "count": 1, "pairs": [[1, 2]]},
-            {"query": "q2", "count": 0, "pairs": []}]}
-
-    def test_fragment_memo_on_plain_and_cached_answers(self, monkeypatch):
-        calls = count_encodes(monkeypatch)
-        plain = frozenset({(1, 2)})
-        assert wire.pairs_fragment(plain) == wire.pairs_fragment(plain)
-        assert len(calls) == 2  # nowhere to keep it
-        cached = PairBlocks.from_pairs(plain)
-        assert wire.pairs_fragment(cached) == b"[[1, 2]]"
-        assert wire.pairs_fragment(cached) is cached.memo["pairs"]
-        assert len(calls) == 3
-
-    def test_racing_fillers_agree(self):
-        """Loop and workers may fill one memo at once: no lock, because
-        every filler stores equal bytes and every reader gets them."""
-        answer = PairBlocks.from_pairs(
-            (i, (i * 7) % 500) for i in range(500))
-        expected = wire.encode_pairs(answer)
-        got, start = [], threading.Barrier(8)
-
-        def fill():
-            start.wait(5)
-            got.append(wire.pairs_fragment(answer))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=fill) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(10)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [expected] * 8 and answer.memo["pairs"] == expected
-
-
 INTS = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
 MIXED = st.one_of(INTS, st.booleans(), st.text(max_size=3),
                   st.floats(allow_nan=False), st.none(),
@@ -270,26 +185,50 @@ def block_answers(draw):
     return PairBlocks(blocks)
 
 
-def reference_bytes(answer):
-    return json.dumps(sorted(answer, key=wire._pair_repr),
-                      default=str).encode()
+class TestEncoding:
+    def test_order_and_spelling_are_the_old_inline_ones(self):
+        answer = frozenset({(7, 12), (7, 1), (10, 2), (1, 7)})
+        assert wire.encode_pairs(answer) == \
+            json.dumps(legacy_pairs(answer)).encode()
+        # repr order, not natural order: "[7, 12]" < "[7, 1]".
+        assert json.loads(wire.encode_pairs(answer)) == \
+            [[1, 7], [10, 2], [7, 12], [7, 1]]
 
+    def test_mixed_and_non_json_native_vertices(self):
+        answer = frozenset({(1, "1"), ("b", 2), (b"raw", 3), (2.5, None),
+                            ((1, 2), "t")})
+        assert wire.encode_pairs(answer) == json.dumps(
+            legacy_pairs(answer), default=str).encode()
+        payload = {"graph": "g", "count": len(answer), "when": b"x"}
+        spliced = wire.encode_reply(
+            dict(payload, pairs=wire.encode_pairs(answer)))[0]
+        assert json.loads(spliced) == legacy_decoded(
+            dict(payload, pairs=legacy_pairs(answer)))
 
-class TestIntWireText:
-    """An all-``int`` block answer's wire list is its sorted pair texts;
-    every other answer is ``json.dumps``'d.  Same bytes either way."""
+    def test_encoding_allocates_no_container_per_pair(self):
+        """A list per pair is a GC-tracked allocation per pair; in the
+        server those schedule the full collections that walk every cached
+        answer.  Counted, not timed: a 5000-pair encode stays under the
+        young-generation threshold (the old inline form passed it 7x)."""
+        answer = frozenset((i, i * 7 % 1501) for i in range(5000))
+        assert wire.encode_pairs(answer) == \
+            json.dumps(legacy_pairs(answer)).encode()
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        wire.encode_pairs(answer)
+        assert gc.get_stats()[0]["collections"] == before
 
     @settings(max_examples=300, deadline=None)
     @given(answer=block_answers())
     def test_bytes_equal_the_json_encoding(self, answer):
-        assert wire.encode_pairs(answer) == reference_bytes(answer)
+        assert wire.encode_pairs(answer) == legacy_bytes(answer)
         plain = frozenset(answer)
-        assert wire.encode_pairs(plain) == reference_bytes(plain)
+        assert wire.encode_pairs(plain) == legacy_bytes(plain)
 
     @pytest.mark.parametrize("blocks", [
         [],
         [((), (1, 2), True), ((3,), (), True), ((), (), False)],
-        [((7,), list(range(-12, 12)), True)],          # wide: tails once
+        [((7,), list(range(-12, 12)), True)],
         [(list(range(30)), (5,), True)],               # backward orientation
         [((1, 2), (3, 4), True), ((9, 8), (2 ** 64, -2 ** 63), False)],
         [((1,), (True,), True)],                       # bool is not an int
@@ -298,36 +237,67 @@ class TestIntWireText:
     ])
     def test_edge_cases(self, blocks):
         answer = PairBlocks(blocks)
-        assert wire.encode_pairs(answer) == reference_bytes(answer)
+        assert wire.encode_pairs(answer) == legacy_bytes(answer)
 
     def test_empty_answers(self):
         assert wire.encode_pairs(PairBlocks(())) == b"[]"
         assert wire.encode_pairs(frozenset()) == b"[]"
 
-    def test_all_int_encode_calls_json_dumps_zero_times(self):
-        ints = PairBlocks([((7,), list(range(40)), True),
-                           ([1, 2, 3], [9, 8, 2 ** 64], False)])
-        mixed = PairBlocks([((7,), list(range(40)), True),
-                            ((1,), (True,), True)])
-        for answer, dumps in ((ints, 0), (mixed, 1)):
-            with counted_calls([("dumps", json, "dumps")]) as counts:
-                encoded = wire.encode_pairs(answer)
-            assert counts["dumps"] == dumps
-            assert encoded == reference_bytes(answer)
+    def test_payload_without_a_fragment_is_plain_json(self):
+        for payload in ({"status": "ok"}, {"results": []},
+                        {"pairs": [[1, 2]], "count": 1},
+                        {"results": [{"pairs": [[1, 2]]}]}):
+            assert wire.encode_reply(payload)[0] == \
+                json.dumps(payload).encode()
 
-    def test_int_path_allocates_no_container_per_pair(self):
-        """As for the ``json.dumps`` path: the pair texts are strings,
-        which the collector does not track, so a 5000-pair encode stays
-        under the young-generation threshold."""
-        answer = PairBlocks([((i,), tuple(range(i, i + 50)), True)
-                             for i in range(50)]
-                            + [(tuple(range(2500)),
-                                tuple(range(2500, 5000)), False)])
-        assert wire.encode_pairs(answer) == reference_bytes(answer)
-        gc.collect()
-        before = gc.get_stats()[0]["collections"]
-        wire.encode_pairs(answer)
-        assert gc.get_stats()[0]["collections"] == before
+    def test_fragment_is_spliced_never_stringified(self):
+        body = wire.encode_reply({"count": 1, "pairs": b"[[1, 2]]",
+                                  "elapsed_ms": 0.1})[0]
+        assert json.loads(body) == {"count": 1, "elapsed_ms": 0.1,
+                                    "pairs": [[1, 2]]}
+        assert wire.encode_reply({"pairs": b"[]"})[0] == b'{"pairs": []}'
+        batch = wire.encode_reply({"graph": "g", "results": [
+            {"query": "q1", "count": 1, "pairs": b"[[1, 2]]"},
+            {"query": "q2", "count": 0, "pairs": b"[]"}]})[0]
+        assert json.loads(batch) == {"graph": "g", "results": [
+            {"query": "q1", "count": 1, "pairs": [[1, 2]]},
+            {"query": "q2", "count": 0, "pairs": []}]}
+
+    def test_fragment_memo_on_plain_and_cached_answers(self, monkeypatch):
+        calls = count_encodes(monkeypatch)
+        plain = frozenset({(1, 2)})
+        assert wire.serve_pairs(plain).fragment == \
+            wire.serve_pairs(plain).fragment
+        assert len(calls) == 2  # nowhere to keep it
+        cached = PairBlocks.from_pairs(plain)
+        assert wire.serve_pairs(cached).fragment == b"[[1, 2]]"
+        assert wire.serve_pairs(cached).fragment is cached.memo["pairs"]
+        assert len(calls) == 3
+
+    def test_racing_fillers_agree(self):
+        """Loop and workers may fill one memo at once: no lock, because
+        every filler stores equal bytes and every reader gets them."""
+        answer = PairBlocks.from_pairs(
+            (i, (i * 7) % 500) for i in range(500))
+        expected = wire.encode_pairs(answer)
+        got, start = [], threading.Barrier(8)
+
+        def fill():
+            start.wait(5)
+            got.append(wire.serve_pairs(answer).fragment)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected] * 8 and answer.memo["pairs"] == expected
 
 
 class TestServedReads:
@@ -596,19 +566,20 @@ class TestInProcessContract:
         answer = engine.pairs("([_, a, _] | [_, b, _])* . [_, c, _]")
         assert len(answer) > 100_000
         assert sum(1 for _ in answer) == len(answer)
-        fragment = wire.pairs_fragment(answer)
+        fragment = wire.serve_pairs(answer).fragment
         assert fragment.count(b"], [") + 1 == len(answer)
         members = sum(len(firsts) + len(seconds)
                       for firsts, seconds, _ in answer.blocks)
         assert members * 50 < len(answer)
         again = engine.cached_pairs("([_, a, _] | [_, b, _])* . [_, c, _]")
-        assert again is answer and wire.pairs_fragment(again) is fragment
+        assert again is answer
+        assert wire.serve_pairs(again).fragment is fragment
         assert len(calls) == 1 and not answer.materialised
 
     def test_memo_survives_with_the_entry_and_pickles(self):
         engine = Engine(chain_graph(), cache=QueryCache(capacity=4))
         answer = engine.pairs("[_, b, _]")
-        fragment = wire.pairs_fragment(answer)
+        fragment = wire.serve_pairs(answer).fragment
         assert engine.cached_pairs("[_, b, _]").memo["pairs"] is fragment
         assert pickle.loads(pickle.dumps(answer)) == answer
         engine.cache.clear()
