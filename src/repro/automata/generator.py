@@ -27,7 +27,7 @@ property tests assert exact agreement).
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Set, Tuple
+from typing import Set, Tuple
 
 from repro.core.path import EPSILON, Path
 from repro.core.pathset import PathSet
@@ -40,8 +40,7 @@ __all__ = ["generate_paths", "StackAutomaton"]
 
 
 def generate_paths(graph: MultiRelationalGraph, expression: RegexExpr,
-                   max_length: int,
-                   first_edge_tails: Optional[frozenset] = None) -> PathSet:
+                   max_length: int) -> PathSet:
     """All paths of ``graph`` (length <= ``max_length``) matching ``expression``.
 
     The workhorse regular-path-query evaluator: a product construction
@@ -49,13 +48,6 @@ def generate_paths(graph: MultiRelationalGraph, expression: RegexExpr,
     Configurations carry the concrete path built so far plus the adjacency
     exemption flag (see :mod:`repro.automata.recognizer` for the flag's
     semantics).
-
-    ``first_edge_tails`` restricts only the *initial* expansion: non-empty
-    results keep exactly the paths whose first edge starts in the set
-    (later expansions — adjacency-driven or product-exempt — are never
-    filtered).  Every path has a unique first edge, so disjoint tail sets
-    partition the full result set; the parallel executor fans the sweep
-    out over such partitions and unions the path sets back together.
     """
     if max_length < 0:
         raise AutomatonError("max_length must be >= 0")
@@ -85,9 +77,6 @@ def generate_paths(graph: MultiRelationalGraph, expression: RegexExpr,
                 candidates = matcher.candidate_edges(graph, path.head)
             else:
                 candidates = matcher.all_edges(graph)
-            if first_edge_tails is not None and not path:
-                candidates = [e for e in candidates
-                              if e.tail in first_edge_tails]
             for e in candidates:
                 push_closure(target, path.concat(Path((e,))), False)
     return PathSet(accepted)

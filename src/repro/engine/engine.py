@@ -501,29 +501,17 @@ class Engine:
 
     def _answer(self, expression: RegexExpr, sources: Optional[frozenset],
                 targets: Optional[frozenset], max_length: Optional[int],
-                processes: Optional[int], version: int,
-                pool: Optional[list] = None) -> Optional[PairBlocks]:
+                processes: Optional[int], version: int) -> PairBlocks:
         """One :meth:`pairs` answer: cache probe -> route -> run -> put.
-        A batch passes ``pool``: a label-only fan-out route (its filters
-        are the batch's own) joins it, unanswered, for the one dispatch."""
+        The answer is filed under ``version`` as the kernel returned it
+        (blocks, memo slot and all), never a copy."""
         cached = self._probe(expression, sources, targets, max_length,
                              version)
         if cached is not None:
             return cached
         route = self.route(expression, sources, targets, max_length,
                            processes)
-        if pool is not None and route.kernel == "fan-out" \
-                and route.constrained.label_only:
-            pool.append(route)
-            return None
-        return self._remember(expression, sources, targets, max_length,
-                              version, self._run(route, expression))
-
-    def _remember(self, expression: RegexExpr, sources: Optional[frozenset],
-                  targets: Optional[frozenset], max_length: Optional[int],
-                  version: int, answer: PairBlocks) -> PairBlocks:
-        """File a computed :meth:`pairs` answer under ``version``: the
-        kernel's own object (blocks, memo slot and all), never a copy."""
+        answer = self._run(route, expression)
         if self.cache is not None:
             self.cache.put(
                 expression, max_length, version, "pairs", answer,
@@ -612,53 +600,28 @@ class Engine:
                     targets: Optional[frozenset] = None,
                     max_length: Optional[int] = None,
                     processes: Optional[int] = None) -> list:
-        """:meth:`pairs` for many expressions, amortizing one fan-out.
+        """:meth:`pairs` for many expressions, at one graph version.
 
-        Every member takes the answer loop :meth:`pairs` takes (one cache
-        lookup, one :meth:`route`), except that label-only members routed
-        to the fan-out are held back and evaluated in **one** pool
-        dispatch over one shared snapshot — (query, seed range) tasks
-        interleave, so a batch of small sweeps still keeps every worker
-        busy.  Members routed anywhere else (another direction, a bound
-        vertex, the bounded fallback, no kernel at all) are answered
-        inline.  Results keep the input order.
+        Every member is its own read: one cache lookup, one :meth:`route`
+        and that route's kernel, exactly as :meth:`pairs` takes it.
+        Results keep the input order.
         """
         expressions = [self.compile(query) for query in queries]
         sources, targets = _frozen(sources), _frozen(targets)
         version = self.graph.version()
-        pool: list = []  # fan-out routes awaiting the one pool dispatch
-        results = [self._answer(expression, sources, targets, max_length,
-                                processes, version, pool)
-                   for expression in expressions]
-        if pool:
-            executor = self._executor(pool[0].parallelism.processes)
-            merged = executor.rpq_pairs_batch(
-                [route.diagnostics.dfa for route in pool],
-                sources=sources, targets=targets)
-            deferred = [index for index, answer in enumerate(results)
-                        if answer is None]
-            for index, answer in zip(deferred, merged):
-                results[index] = self._remember(
-                    expressions[index], sources, targets, max_length,
-                    version, answer)
-        return results
+        return [self._answer(expression, sources, targets, max_length,
+                             processes, version)
+                for expression in expressions]
 
     def query(self, query: Union[str, RegexExpr], strategy: str = "materialized",
               max_length: Optional[int] = None,
-              limit: Optional[int] = None,
-              processes: Optional[int] = None) -> QueryResult:
+              limit: Optional[int] = None) -> QueryResult:
         """Run a query and return its :class:`QueryResult`.
 
         ``strategy`` is one of ``materialized`` (planned, set-at-a-time),
         ``streaming`` (lazy pipeline, respects ``limit`` early),
         ``automaton`` (per-path product BFS) or ``stack`` (the paper's
         section IV-B construction).
-
-        ``processes > 1`` fans the ``automaton`` strategy out over
-        first-edge-tail partitions (identical result set, merged by
-        union); it is explicit-only here — materializing and pickling
-        whole path sets is only worth it when the caller says so — and is
-        ignored for the other strategies and for ``limit`` queries.
         """
         if strategy not in STRATEGIES:
             raise ExecutionError(
@@ -691,15 +654,9 @@ class Engine:
             planner = Planner(self.statistics(), max_length=bound,
                               optimize_joins=self.optimize)
             plan = planner.plan(expression)
-        fan_out = (strategy == "automaton" and limit is None
-                   and processes is not None and processes > 1)
         started = time.perf_counter()
-        if fan_out:
-            paths = self._executor(processes).generate_paths(expression,
-                                                             bound)
-        else:
-            paths = run_strategy(strategy, self.graph, expression, plan,
-                                 bound, limit)
+        paths = run_strategy(strategy, self.graph, expression, plan, bound,
+                             limit)
         elapsed = time.perf_counter() - started
         if cacheable:
             self.cache.put(expression, bound, version,

@@ -1,19 +1,16 @@
 """The parallel fan-out/merge query executor: RPQ seeds split by range.
 
 One :class:`ParallelExecutor` binds a graph to a persistent
-``multiprocessing`` worker pool and fans its embarrassingly parallel
-sweeps out over degree-balanced seed ranges
-(:func:`repro.graph.sharding.shard_ranges`), one range per worker:
-
-* **RPQ sweeps** (:meth:`ParallelExecutor.rpq_pairs`) — each worker runs
-  the product-BFS kernel for the sources its range owns, batch-shared like
-  any many-seed call, over the one shared CSR snapshot (a sweep's cone
-  crosses range boundaries, its *seeds* do not) and returns the answer's
-  blocks (:class:`~repro.graph.pairs.PairBlocks`); disjoint seeds make
-  disjoint blocks, so the merge is their concatenation — deterministic,
-  no pair pickled or hashed.
-* **Bounded path generation** (:meth:`ParallelExecutor.generate_paths`) —
-  the ``automaton`` strategy split by first-edge tail, merged by union.
+``multiprocessing`` worker pool and does one job: it splits one RPQ
+sweep's seeds (:meth:`ParallelExecutor.rpq_pairs`) into degree-balanced
+ranges (:func:`repro.graph.sharding.shard_ranges`), one range per
+worker.  Each worker runs the product-BFS kernel for the sources its
+range owns, batch-shared like any many-seed call, over the one shared
+CSR snapshot (a sweep's cone crosses range boundaries, its *seeds* do
+not) and returns the answer's blocks
+(:class:`~repro.graph.pairs.PairBlocks`); disjoint seeds make disjoint
+blocks, so the merge is their concatenation — deterministic, no pair
+pickled or hashed.
 
 Worker state and fork safety
 ----------------------------
@@ -97,25 +94,15 @@ def _run_task(task):
     very tasks in the parent cannot be killed by the fault it is healing.
     """
     worker_fault_point("pool.task")
-    ctx, kind, args = task
-    payload = _resolve_payload(ctx)
-    if kind == "rpq":
-        dfa, source_spec, targets = args
-        snapshot = payload["snapshot"]
-        if source_spec[0] == "range":
-            source_ids = live_ids_in_range(snapshot, source_spec[1],
-                                           source_spec[2])
-        else:
-            source_ids = source_spec[1]
-        return rpq_pairs_on_snapshot(snapshot, dfa, source_ids=source_ids,
-                                     targets=targets)
-    if kind == "paths":
-        expression, max_length, tails = args
-        from repro.automata.generator import generate_paths
-        graph = payload["graph"]
-        return generate_paths(graph, expression, max_length,
-                              first_edge_tails=tails)
-    raise ExecutionError("unknown parallel task kind {!r}".format(kind))
+    ctx, dfa, source_spec, targets = task
+    snapshot = _resolve_payload(ctx)["snapshot"]
+    if source_spec[0] == "range":
+        source_ids = live_ids_in_range(snapshot, source_spec[1],
+                                       source_spec[2])
+    else:
+        source_ids = source_spec[1]
+    return rpq_pairs_on_snapshot(snapshot, dfa, source_ids=source_ids,
+                                 targets=targets)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +168,7 @@ class ParallelExecutor:
         self.serial_fallbacks = 0
         self._token = next(_EXECUTOR_TOKENS)
         self._pool = None
-        self._pool_key: Optional[Tuple] = None
+        self._pool_key: Optional[int] = None
         self._pool_pids: FrozenSet[int] = frozenset()
         self._pool_leak_token: Optional[int] = None
         # Guards pool spawn/teardown: the service tier can drive a close
@@ -279,21 +266,14 @@ class ParallelExecutor:
 
     # -- state staging -------------------------------------------------
 
-    def _context(self, need: str, version: int) -> Dict:
-        """Stage the fork payload for ``need`` at ``version`` and return
-        the context every task carries.
-
-        The payload accumulates what past calls needed, so a pool rebuilt
-        for path generation still serves RPQ tasks without another rebuild.
-        """
+    def _context(self, version: int) -> Dict:
+        """Stage the snapshot at ``version`` as the fork payload and
+        return the context every task carries."""
         payload = _FORK_PAYLOADS.get(self._token)
         if payload is None or payload["version"] != version:
-            payload = {"version": version}
-        if need == "rpq" and "snapshot" not in payload:
-            payload["snapshot"] = adjacency_snapshot(self.graph)
-        if need == "paths" and "graph" not in payload:
-            payload["graph"] = self.graph
-        _FORK_PAYLOADS[self._token] = payload
+            _FORK_PAYLOADS[self._token] = {
+                "version": version,
+                "snapshot": adjacency_snapshot(self.graph)}
         return {"token": self._token, "version": version}
 
     #: How often the self-healing poll wakes to look for dead workers.
@@ -364,11 +344,12 @@ class ParallelExecutor:
     def _ensure_pool(self, ctx: Dict) -> None:
         """Fork (or keep) the worker pool matching ``ctx``.
 
-        The pool is re-forked whenever the staged payload changes, because
-        children hold a copy-on-write image frozen at fork time.
+        The pool is re-forked whenever the staged snapshot's version
+        changes, because children hold a copy-on-write image frozen at
+        fork time.
         """
         import multiprocessing
-        key = (ctx["version"], frozenset(_FORK_PAYLOADS[self._token]))
+        key = ctx["version"]
         with self._pool_lock:
             if self._pool is not None and self._pool_key == key:
                 return
@@ -395,27 +376,14 @@ class ParallelExecutor:
     def rpq_pairs(self, dfa, sources: Optional[Iterable[Hashable]] = None,
                   targets: Optional[Iterable[Hashable]] = None
                   ) -> PairBlocks:
-        """All-sources (or batch-source) RPQ pairs, fanned out and merged."""
-        return self.rpq_pairs_batch([dfa], sources=sources,
-                                    targets=targets)[0]
+        """All-sources (or batch-source) RPQ pairs, fanned out and merged.
 
-    def rpq_pairs_batch(self, dfas: List,
-                        sources: Optional[Iterable[Hashable]] = None,
-                        targets: Optional[Iterable[Hashable]] = None
-                        ) -> List[PairBlocks]:
-        """One fan-out for many compiled queries over one snapshot.
-
-        The batch amortizes pool setup and snapshot staging: every
-        (query, range) pair becomes one task in a single ``pool.map``, so
-        a dashboard's expression batch keeps all workers busy even when
-        individual queries are small.  Results keep the input order.
-
-        Ranges own disjoint sources, so a query's answer is its ranges'
-        blocks side by side: workers pickle blocks (kilobytes), and the
-        merge hashes no pair.
+        Ranges own disjoint sources, so the answer is their blocks side
+        by side: workers pickle blocks (kilobytes), and the merge hashes
+        no pair.
         """
         version = self.graph.version()
-        ctx = self._context("rpq", version)
+        ctx = self._context(version)
         snapshot = _FORK_PAYLOADS[self._token]["snapshot"]
         vertex_ids = snapshot.vertex_ids
         if sources is None:
@@ -427,42 +395,10 @@ class ParallelExecutor:
             specs = [("ids", chunk) for chunk in _chunks(ids, self.processes)]
         if targets is not None:
             targets = frozenset(targets)
-        if not specs:
-            return [PairBlocks(()) for _ in dfas]
-        tasks = [(ctx, "rpq", (dfa, spec, targets))
-                 for dfa in dfas for spec in specs]
+        tasks = [(ctx, dfa, spec, targets) for spec in specs]
         results = self._map(ctx, tasks, snapshot.num_edges)
-        merged = []
-        per_query = len(specs)
-        for index in range(len(dfas)):
-            parts = results[index * per_query:(index + 1) * per_query]
-            merged.append(PairBlocks(itertools.chain.from_iterable(
-                part.blocks for part in parts)))
-        return merged
-
-    def generate_paths(self, expression, max_length: int):
-        """The ``automaton`` strategy fanned out over first-edge tails.
-
-        Every accepted path has a unique first edge, so partitioning the
-        *initial* expansion by the first edge's tail partitions the result
-        set; workers run the unrestricted product BFS from there and the
-        path sets merge by union.  Serial fallback returns the plain
-        single-process evaluation (identical by construction).
-        """
-        from repro.automata.generator import generate_paths
-        from repro.core.pathset import PathSet
-        version = self.graph.version()
-        ctx = self._context("paths", version)
-        vertices = sorted(self.graph.vertices(), key=repr)
-        chunks = [frozenset(chunk)
-                  for chunk in _chunks(vertices, self.processes)]
-        if len(chunks) <= 1:
-            return generate_paths(self.graph, expression, max_length)
-        tasks = [(ctx, "paths", (expression, max_length, chunk))
-                 for chunk in chunks]
-        results = self._map(ctx, tasks, self.graph.size())
-        merged = frozenset().union(*(r.paths for r in results))
-        return PathSet(merged)
+        return PairBlocks(itertools.chain.from_iterable(
+            part.blocks for part in results))
 
     def __repr__(self) -> str:
         return "ParallelExecutor<{}, pool={}>".format(

@@ -15,6 +15,7 @@ __all__ = [
     "EdgeNotFoundError",
     "DuplicateVertexError",
     "LabelNotFoundError",
+    "WildcardIdError",
     "AlgebraError",
     "DisjointConcatenationError",
     "EmptyPathProjectionError",
@@ -89,6 +90,19 @@ class LabelNotFoundError(PathAlgebraError, KeyError):
 
     def __str__(self):
         return "label {!r} is not in the graph".format(self.label)
+
+
+class WildcardIdError(PathAlgebraError, ValueError):
+    """``None`` was given as a vertex or a label: it is the wildcard of
+    :meth:`MultiRelationalGraph.match` and of an ``Atom``, so it names
+    no element of ``V`` or ``Omega``."""
+
+    def __init__(self, role: str):
+        super().__init__(role)
+        self.role = role
+
+    def __str__(self):
+        return "None cannot be a {}: it is the wildcard".format(self.role)
 
 
 class AlgebraError(PathAlgebraError):

@@ -44,6 +44,7 @@ from repro.errors import (
     EdgeNotFoundError,
     LabelNotFoundError,
     VertexNotFoundError,
+    WildcardIdError,
 )
 
 __all__ = ["MultiRelationalGraph"]
@@ -112,8 +113,11 @@ class MultiRelationalGraph:
         """Add a vertex; merging properties if it already exists.
 
         With ``strict=True`` re-adding an existing vertex raises
-        :class:`DuplicateVertexError` instead of merging.
+        :class:`DuplicateVertexError` instead of merging.  ``None`` is
+        the wildcard, never a vertex (:class:`WildcardIdError`).
         """
+        if vertex is None:
+            raise WildcardIdError("vertex")
         if self._wal_sinks:
             self._wal_precheck(("+v", vertex))
             if properties:
@@ -138,8 +142,13 @@ class MultiRelationalGraph:
 
         Adding an existing edge merges its properties (edge identity is the
         triple itself — ``E`` is a *set*, so there are no parallel duplicates
-        of one triple).
+        of one triple).  ``None`` is the wildcard, never a vertex or a
+        label (:class:`WildcardIdError`).
         """
+        if tail is None or head is None:
+            raise WildcardIdError("vertex")
+        if label is None:
+            raise WildcardIdError("label")
         e = Edge(tail, label, head)
         if self._wal_sinks:
             self._wal_precheck(("+e", tail, label, head))

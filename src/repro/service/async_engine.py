@@ -394,24 +394,20 @@ class AsyncEngine:
                           processes: Optional[int],
                           deadline: Optional[float],
                           finish: Callable[[PairBlocks], Any]) -> List[Any]:
-        """``finish`` of every answer of a batch, in the worker thread."""
+        """``finish`` of every answer of a batch, in one executor hop:
+        each member is its own :meth:`Engine.pairs` read, after a
+        cooperative budget check (a no-op for an unbounded budget)."""
         budget = self._deadline(deadline)
         expressions = [self._compile(query) for query in queries]
-        if budget.seconds is None:
-            work = lambda d: [finish(answer) for answer in
-                              self.engine.pairs_batch(
-                                  expressions, sources=sources,
-                                  targets=targets, max_length=max_length,
-                                  processes=processes)]
-        else:
-            def work(d: Deadline) -> List[Any]:
-                out = []
-                for expression in expressions:
-                    d.check()
-                    out.append(finish(self.engine.pairs(
-                        expression, sources=sources, targets=targets,
-                        max_length=max_length, processes=processes)))
-                return out
+
+        def work(d: Deadline) -> List[Any]:
+            out = []
+            for expression in expressions:
+                d.check()
+                out.append(finish(self.engine.pairs(
+                    expression, sources=sources, targets=targets,
+                    max_length=max_length, processes=processes)))
+            return out
         return await self._run("read", work, budget)
 
     async def pairs_batch(self, queries: Iterable[Union[str, RegexExpr]],
@@ -423,11 +419,9 @@ class AsyncEngine:
                           ) -> List[PairBlocks]:
         """Awaitable :meth:`Engine.pairs_batch`.
 
-        Without a deadline the whole batch goes down as one engine call
-        (one pool fan-out).  Under a deadline the batch runs query by
-        query with a cooperative check between items, so an expired
-        budget stops after the current item instead of finishing the
-        whole batch in a doomed thread.
+        The batch runs query by query with a cooperative check between
+        items, so an expired or cancelled budget stops after the current
+        item instead of finishing the whole batch in a doomed thread.
         """
         return await self._read_batch(
             queries, sources, targets, max_length, processes, deadline,
@@ -446,22 +440,6 @@ class AsyncEngine:
         return await self._read_batch(
             queries, sources, targets, max_length, processes, deadline,
             lambda answer: serve_pairs(answer, blocks=blocks))
-
-    async def query(self, query: Union[str, RegexExpr],
-                    strategy: str = "materialized",
-                    max_length: Optional[int] = None,
-                    limit: Optional[int] = None,
-                    processes: Optional[int] = None,
-                    deadline: Optional[float] = None) -> Any:
-        """Awaitable :meth:`Engine.query` (path-materializing strategies)."""
-        budget = self._deadline(deadline)
-        expression = self._compile(query)
-        return await self._run(
-            "read",
-            lambda d: self.engine.query(expression, strategy=strategy,
-                                        max_length=max_length, limit=limit,
-                                        processes=processes),
-            budget)
 
     async def explain(self, query: Union[str, RegexExpr],
                       deadline: Optional[float] = None, **options: Any) -> str:

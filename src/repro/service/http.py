@@ -151,11 +151,12 @@ def _refuse_constant(name: str) -> Any:
 _BODY_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-def _is_scalar(value: Any) -> bool:
+def _is_id(value: Any) -> bool:
     """Vertex and label ids are JSON scalars — what the log can hold
-    (:func:`repro.storage.frames.check_loggable`) and a set can hash; of
-    a parsed JSON body only lists and objects are not."""
-    return not isinstance(value, (list, dict))
+    (:func:`repro.storage.frames.check_loggable`) and a set can hash —
+    other than ``null``, which is the wildcard of a match and an atom;
+    of a parsed JSON body, lists, objects and ``null`` are not ids."""
+    return value is not None and not isinstance(value, (list, dict))
 
 
 class _ConnectionClosed(Exception):
@@ -605,9 +606,9 @@ class HttpServer:
         if value is None:
             return None
         if not isinstance(value, list) \
-                or not all(_is_scalar(v) for v in value):
+                or not all(_is_id(v) for v in value):
             raise BadRequestError(
-                "{} must be a list of scalar vertices".format(key))
+                "{} must be a list of non-null scalar vertices".format(key))
         return frozenset(value)
 
     def _query_envelope(self, handle: Any, tenant: str) -> Dict[str, Any]:
@@ -701,11 +702,11 @@ class HttpServer:
             # batch must leave nothing of itself behind.
             if not isinstance(triples, list) or not all(
                     isinstance(t, list) and len(t) == 3
-                    and all(_is_scalar(member) for member in t)
+                    and all(_is_id(member) for member in t)
                     for t in triples):
                 raise BadRequestError(
                     "{} must be a list of [tail, label, head] triples "
-                    "of JSON scalars".format(label_))
+                    "of non-null JSON scalars".format(label_))
         if not additions and not removals:
             raise BadRequestError(
                 "mutate body carries no add_edges/remove_edges")

@@ -193,7 +193,7 @@ KERNEL_ENTRIES = (
     ("forward", compact, "rpq_pairs_compact"),
     ("backward", compact, "rpq_pairs_backward"),
     ("bidirectional", compact, "rpq_pairs_bidirectional"),
-    ("fan-out", ParallelExecutor, "rpq_pairs_batch"),
+    ("fan-out", ParallelExecutor, "rpq_pairs"),
 )
 
 

@@ -8,6 +8,7 @@ from repro.errors import (
     EdgeNotFoundError,
     LabelNotFoundError,
     VertexNotFoundError,
+    WildcardIdError,
 )
 from repro.graph.graph import MultiRelationalGraph
 
@@ -88,6 +89,25 @@ class TestMutation:
         added = g.add_edges([("a", "r", "b"), Edge("b", "r", "c")])
         assert len(added) == 2
         assert g.size() == 2
+
+    @pytest.mark.parametrize("triple, role", [((1, "a", None), "vertex"),
+                                              ((None, "a", 2), "vertex"),
+                                              ((1, None, 2), "label")])
+    def test_none_is_the_wildcard_never_an_id(self, triple, role):
+        # None is the "any" of match() and of an Atom: stored as a vertex,
+        # (1, a, None) and (5, b, 6) made [_, a, _] . [_, b, _] a joint
+        # path for the automaton strategy and not for the materialized one.
+        g = MultiRelationalGraph([(5, "b", 6)])
+        version = g.version()
+        with pytest.raises(WildcardIdError) as info:
+            g.add_edge(*triple)
+        assert info.value.role == role
+        with pytest.raises(WildcardIdError):
+            g.add_vertex(None)
+        with pytest.raises(WildcardIdError):
+            MultiRelationalGraph([triple])
+        assert g.version() == version
+        assert set(g.vertices()) == {5, 6} and g.size() == 1
 
 
 class TestInspection:

@@ -7,7 +7,7 @@ assert that fanned-out evaluation equals the single-core compact kernels
 and dict references across {1, 2, 7} workers and under delta overlays,
 that one executor survives graph mutations (stale state invalidated by
 ``version()``), and that the engine-level plumbing (``pairs``,
-``pairs_batch``, ``query``, ``cache_stats``, EXPLAIN) routes through it
+``pairs_batch``, ``cache_stats``, EXPLAIN) routes through it
 correctly.
 
 Forced low thresholds (``min_edges=0``) keep the graphs small; platforms
@@ -205,31 +205,10 @@ class TestEnginePlumbing:
         finally:
             engine.close()
 
-    def test_batch_shares_one_pool_dispatch(self, monkeypatch):
-        # Two fan-out members and one that cannot be split: the batch
-        # still reaches the pool exactly once, with both DFAs.
-        graph = small_graph(seed=53)
-        queries = [self.QUERY, "[0, a, _] . [_, b, _]*", "[_, c, _]"]
-        dispatched = []
-        original = ParallelExecutor.rpq_pairs_batch
-
-        def counted(executor, dfas, **filters):
-            dispatched.append(len(dfas))
-            return original(executor, dfas, **filters)
-
-        monkeypatch.setattr(ParallelExecutor, "rpq_pairs_batch", counted)
-        engine = Engine(graph)
-        try:
-            got = engine.pairs_batch(queries, processes=2)
-            assert dispatched == [2]
-            assert got == [engine.pairs(q) for q in queries]
-        finally:
-            engine.close()
-
     def test_deadline_batch_goes_item_by_item_through_public_pairs(self):
-        # AsyncEngine's deadline mode checks the budget between members,
-        # so it must keep calling the public Engine.pairs (which tests
-        # and operators wrap), never the batch loop.
+        # AsyncEngine checks the budget between members, with or without
+        # a deadline, so it must keep calling the public Engine.pairs
+        # (which tests and operators wrap), never the batch loop.
         import asyncio
 
         from repro.service import AsyncEngine
@@ -245,27 +224,17 @@ class TestEnginePlumbing:
             return original(expression, **options)
 
         engine.pairs = public_pairs
-        engine.pairs_batch = None  # must not be reached under a deadline
+        engine.pairs_batch = None  # a batch is its members' reads
 
-        async def run():
+        async def run(deadline):
             async with AsyncEngine(engine, max_workers=2) as service:
                 return await service.pairs_batch(queries, processes=1,
-                                                 deadline=30.0)
+                                                 deadline=deadline)
 
-        assert asyncio.run(run()) == want
-        assert seen == [1] * len(queries)
-
-    def test_query_automaton_fan_out_matches_serial(self):
-        graph = small_graph(seed=59)
-        engine = Engine(graph)
-        try:
-            serial = engine.query(self.QUERY, strategy="automaton",
-                                  max_length=2)
-            fanned = engine.query(self.QUERY, strategy="automaton",
-                                  max_length=2, processes=2)
-            assert fanned.paths == serial.paths
-        finally:
-            engine.close()
+        for deadline in (30.0, None):
+            seen.clear()
+            assert asyncio.run(run(deadline)) == want, deadline
+            assert seen == [1] * len(queries), deadline
 
     def test_explain_reports_parallelism_and_caches(self):
         graph = small_graph(seed=61)

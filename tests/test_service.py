@@ -716,7 +716,7 @@ BAD_QUERY_OPTIONS = [
     {"processes": 9},
     {"deadline_ms": True}, {"deadline_ms": float("nan")},
     {"deadline_ms": "soon"}, {"deadline_ms": -5},
-    {"sources": [[1, 2]]}, {"targets": [{"x": 1}]},
+    {"sources": [[1, 2]]}, {"targets": [{"x": 1}]}, {"sources": [1, None]},
 ]
 
 
@@ -847,7 +847,10 @@ class TestRequestValidation:
 
     @pytest.mark.parametrize("bad_triple", [[[1], "a", 2],
                                             [1, {"x": 1}, 2],
-                                            [1, "a", float("nan")]])
+                                            [1, "a", float("nan")],
+                                            [None, "a", 2],
+                                            [1, None, 2],
+                                            [1, "a", None]])
     def test_refused_mutate_batch_applies_nothing(self, store_root,
                                                   bad_triple):
         # /mutate is not idempotent: a 400 must mean "nothing happened".

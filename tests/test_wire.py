@@ -54,6 +54,7 @@ from repro.errors import (
     ReplicationError,
     StoreDegradedError,
     UnknownGraphError,
+    WildcardIdError,
     WireProtocolError,
 )
 from repro.graph.generators import uniform_random
@@ -699,10 +700,9 @@ class TestBlockReplies:
         handle = registry.acquire("alpha")
         registry.release("alpha")
         drawn = []
-        # Every request misses the cache and computes the drawn answers.
-        handle.engine.pairs = lambda expression, **options: drawn[0]
-        handle.engine.pairs_batch = \
-            lambda expressions, **options: list(drawn)
+        # Every request misses the cache and computes the drawn answers,
+        # in order: a batch is its members' pairs() reads.
+        handle.engine.pairs = lambda expression, **options: drawn.pop(0)
 
         def serve(answers):
             drawn[:] = answers
@@ -866,6 +866,7 @@ CONTRACT = [
      {"degraded": True, "retry_after": 3.0}, {"Retry-After": "3"}),
     (PathQLSyntaxError("bad token", 1, "[$"), 400,
      {"type": "PathQLSyntaxError"}, {}),
+    (WildcardIdError("label"), 400, {"type": "WildcardIdError"}, {}),
     (RuntimeError("boom"), 500, {"type": "RuntimeError"}, {}),
 ]
 CONTRACT_IDS = [type(error).__name__ for error, *_ in CONTRACT]
