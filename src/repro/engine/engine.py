@@ -175,10 +175,11 @@ class Engine:
         self._dfa_cache: "OrderedDict" = OrderedDict()
         self._dfa_cache_hits = 0
         self._dfa_cache_misses = 0
-        # Lazily created fan-out executor (see repro.engine.parallel);
-        # rebuilt when a call asks for a different worker count.  The lock
-        # keeps the swap-and-close safe when a service tier drives one
-        # engine from several executor threads.
+        # Lazily created fan-out executor (see repro.engine.parallel), one
+        # per engine, its pool at the executor's default size: a call's
+        # ``processes`` only sets how many seed ranges (so how many busy
+        # workers) its sweep splits into, so no call closes a pool another
+        # one is using.  The lock makes racing first fan-outs create one.
         self._parallel = None
         self._parallel_lock = ordered_lock("engine.parallel")
 
@@ -288,22 +289,15 @@ class Engine:
 
     # -- parallel fan-out plumbing -------------------------------------
 
-    def _executor(self, processes: int):
-        """The engine's :class:`ParallelExecutor` with ``processes`` workers.
-
-        One executor (and its worker pool) persists across calls; asking
-        for a different worker count replaces it.
-        """
+    def _executor(self):
+        """The engine's one :class:`ParallelExecutor` (``min(cpu,
+        MAX_WORKERS)`` workers), created by the first fan-out and kept
+        until :meth:`close`."""
         from repro.engine.parallel import ParallelExecutor
         with self._parallel_lock:
-            executor = self._parallel
-            if executor is not None and executor.processes == processes:
-                return executor
-            if executor is not None:
-                executor.close()
-            executor = ParallelExecutor(self.graph, processes=processes)
-            self._parallel = executor
-            return executor
+            if self._parallel is None:
+                self._parallel = ParallelExecutor(self.graph)
+            return self._parallel
 
     def pool_healthy(self) -> bool:
         """Whether the lazy parallel pool (if started) has no dead workers.
@@ -325,7 +319,7 @@ class Engine:
         """Release the parallel worker pool (if one was ever started).
 
         Idempotent and thread-safe: a server shutdown may race a late
-        query's executor swap, and both may run `close` more than once —
+        query's first fan-out, and both may run `close` more than once —
         the pool is drained gracefully exactly once either way (see
         :meth:`ParallelExecutor.close`), so no semaphores or workers leak.
         """
@@ -469,11 +463,7 @@ class Engine:
         if kernel == "none":
             return PairBlocks(())
         if kernel == "bounded":
-            result = self.query(expression, strategy="automaton",
-                                max_length=route.max_length)
-            return PairBlocks.from_pairs(endpoint_pairs(
-                result.paths, expression, self.graph,
-                sources=route.sources, targets=route.targets))
+            return self._bounded_pairs(route, expression)
         dfa = route.diagnostics.dfa
         if kernel == "bidirectional":
             return compact.rpq_pairs_bidirectional(
@@ -482,10 +472,25 @@ class Engine:
             return compact.rpq_pairs_backward(
                 self.graph, dfa, route.targets, sources=route.sources)
         if kernel == "fan-out":
-            return self._executor(route.parallelism.processes).rpq_pairs(
-                dfa, sources=route.sources, targets=route.targets)
+            return self._executor().rpq_pairs(
+                dfa, sources=route.sources, targets=route.targets,
+                parts=route.parallelism.processes)
         return compact.rpq_pairs_compact(self.graph, dfa, route.sources,
                                          targets=route.targets)
+
+    def _bounded_pairs(self, route: PairsRoute,
+                       expression: RegexExpr) -> PairBlocks:
+        """Endpoint pairs of the automaton strategy's witness paths, which
+        are scratch: no cache entry but the caller's pair answer."""
+        from repro.analysis.query import analyze_expression
+        bound = route.max_length if route.max_length is not None \
+            else self.default_max_length
+        paths = PathSet() if analyze_expression(expression, self.graph).empty \
+            else run_strategy("automaton", self.graph, expression, None,
+                              bound, None)
+        return PairBlocks.from_pairs(endpoint_pairs(
+            paths, expression, self.graph,
+            sources=route.sources, targets=route.targets))
 
     def _probe(self, expression: RegexExpr, sources: Optional[frozenset],
                targets: Optional[frozenset], max_length: Optional[int],

@@ -4,13 +4,13 @@ One :class:`ParallelExecutor` binds a graph to a persistent
 ``multiprocessing`` worker pool and does one job: it splits one RPQ
 sweep's seeds (:meth:`ParallelExecutor.rpq_pairs`) into degree-balanced
 ranges (:func:`repro.graph.sharding.shard_ranges`), one range per
-worker.  Each worker runs the product-BFS kernel for the sources its
-range owns, batch-shared like any many-seed call, over the one shared
-CSR snapshot (a sweep's cone crosses range boundaries, its *seeds* do
-not) and returns the answer's blocks
-(:class:`~repro.graph.pairs.PairBlocks`); disjoint seeds make disjoint
-blocks, so the merge is their concatenation — deterministic, no pair
-pickled or hashed.
+worker unless the call asks for another count.  Each worker runs the
+product-BFS kernel for the sources its range owns, batch-shared like
+any many-seed call, over the one shared CSR snapshot (a sweep's cone
+crosses range boundaries, its *seeds* do not) and returns the answer's
+blocks (:class:`~repro.graph.pairs.PairBlocks`); disjoint seeds make
+disjoint blocks, so the merge is their concatenation — deterministic,
+no pair pickled or hashed.
 
 Worker state and fork safety
 ----------------------------
@@ -132,8 +132,9 @@ class ParallelExecutor:
         The :class:`~repro.graph.graph.MultiRelationalGraph` to sweep.
     processes:
         Worker count, and so the number of seed ranges a sweep splits
-        into; ``None`` uses ``os.cpu_count()`` (capped at
-        :data:`MAX_WORKERS`), ``1`` forces the serial fallback.
+        into unless :meth:`rpq_pairs` names ``parts``; ``None`` uses
+        ``os.cpu_count()`` (capped at :data:`MAX_WORKERS`), ``1`` forces
+        the serial fallback.
     min_edges:
         Graphs below this edge count always run serially.
     max_task_retries:
@@ -172,12 +173,13 @@ class ParallelExecutor:
         self._pool_pids: FrozenSet[int] = frozenset()
         self._pool_leak_token: Optional[int] = None
         # Guards pool spawn/teardown: the service tier can drive a close
-        # (engine swap or shutdown) while a fan-out respawns the pool.
-        # Witness-ordered below engine.parallel (the Engine's swap lock).
+        # (shutdown) while a fan-out respawns the pool.  Witness-ordered
+        # below engine.parallel (the Engine's executor lock).
         self._pool_lock = ordered_lock("engine.pool")
-        # version -> source ranges over the live snapshot view: the
-        # O(labels*V) degree pass only re-runs after mutations.
-        self._range_cache: Optional[Tuple] = None
+        # version -> row degrees of the live snapshot view: the
+        # O(labels*V) degree pass only re-runs after mutations, whatever
+        # range count a call asks for.
+        self._degree_cache: Optional[Tuple] = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -362,37 +364,39 @@ class ParallelExecutor:
             self._pool_pids = frozenset(
                 worker.pid for worker in self._pool._pool)
 
-    def _source_ranges(self, snapshot, version: int):
-        """Out-degree-balanced source ranges over the live snapshot view,
-        one per worker, memoized per version."""
-        if self._range_cache is not None and self._range_cache[0] == version:
-            return self._range_cache[1]
-        ranges = shard_ranges(row_degrees(snapshot), self.processes)
-        self._range_cache = (version, ranges)
-        return ranges
+    def _source_ranges(self, snapshot, version: int, parts: int):
+        """``parts`` out-degree-balanced source ranges over the live
+        snapshot view; its degrees are memoized per version."""
+        cached = self._degree_cache
+        if cached is None or cached[0] != version:
+            cached = self._degree_cache = (version, row_degrees(snapshot))
+        return shard_ranges(cached[1], parts)
 
     # -- kernels -------------------------------------------------------
 
     def rpq_pairs(self, dfa, sources: Optional[Iterable[Hashable]] = None,
-                  targets: Optional[Iterable[Hashable]] = None
-                  ) -> PairBlocks:
+                  targets: Optional[Iterable[Hashable]] = None,
+                  parts: Optional[int] = None) -> PairBlocks:
         """All-sources (or batch-source) RPQ pairs, fanned out and merged.
 
-        Ranges own disjoint sources, so the answer is their blocks side
-        by side: workers pickle blocks (kilobytes), and the merge hashes
-        no pair.
+        The seeds split into ``parts`` ranges (default: one per worker),
+        which the pool's workers take in turn.  Ranges own disjoint
+        sources, so the answer is their blocks side by side: workers
+        pickle blocks (kilobytes), and the merge hashes no pair.
         """
+        parts = self.processes if parts is None else max(1, parts)
         version = self.graph.version()
         ctx = self._context(version)
         snapshot = _FORK_PAYLOADS[self._token]["snapshot"]
         vertex_ids = snapshot.vertex_ids
         if sources is None:
             specs = [("range", lo, hi)
-                     for lo, hi in self._source_ranges(snapshot, version)
+                     for lo, hi in self._source_ranges(snapshot, version,
+                                                       parts)
                      if hi > lo]
         else:
             ids = sorted({vertex_ids[v] for v in sources if v in vertex_ids})
-            specs = [("ids", chunk) for chunk in _chunks(ids, self.processes)]
+            specs = [("ids", chunk) for chunk in _chunks(ids, parts)]
         if targets is not None:
             targets = frozenset(targets)
         tasks = [(ctx, dfa, spec, targets) for spec in specs]

@@ -18,7 +18,8 @@ Delta rules on base mutations:
 * deletions are the same with -1,
 * when ``a == b`` the edge plays both roles (and may chain with itself).
 
-The view subscribes to the graph's mutation events; `as_projection()`
+The view subscribes to the graph's committed mutation records (only
+``+e`` / ``-e`` move it); `as_projection()`
 exposes the current state as a standard :class:`BinaryProjection`.  The
 tests mutate randomly and assert the view always equals a from-scratch
 recomputation.
@@ -41,7 +42,7 @@ class JoinView:
     Parameters
     ----------
     graph:
-        The base graph; the view registers itself as a mutation listener.
+        The base graph; the view subscribes to its mutation records.
     first_label / second_label:
         The ``a`` and ``b`` of ``E_ab``.
 
@@ -60,7 +61,7 @@ class JoinView:
         self._weights: Dict[Tuple[Hashable, Hashable], int] = {}
         self._closed = False
         self._rebuild()
-        graph.subscribe(self._on_event)
+        graph.subscribe(self._on_record)
 
     # ------------------------------------------------------------------
 
@@ -84,10 +85,12 @@ class JoinView:
         else:
             self._weights[pair] = count
 
-    def _on_event(self, event: str, e: Edge) -> None:
-        if self._closed:
+    def _on_record(self, record: Tuple) -> None:
+        op = record[1]
+        if self._closed or (op != "+e" and op != "-e"):
             return
-        delta = 1 if event == "add_edge" else -1
+        e = Edge(*record[2:5])
+        delta = 1 if op == "+e" else -1
         # Role 1: e is an A-edge (t -a-> h); partners are B-edges out of h.
         if e.label == self.first_label:
             for partner in self.graph.match(tail=e.head, label=self.second_label):
@@ -132,7 +135,7 @@ class JoinView:
     def close(self) -> None:
         """Detach from the base graph; the view freezes at its last state."""
         if not self._closed:
-            self.graph.unsubscribe(self._on_event)
+            self.graph.unsubscribe(self._on_record)
             self._closed = True
 
     def __enter__(self) -> "JoinView":

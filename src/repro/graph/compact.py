@@ -15,11 +15,12 @@ the compact numeric backend the hot paths share instead:
   reverse.  Neighbor expansion is then two slices — no Edge objects, no
   set allocation, no hashing.
 * :class:`DeltaAdjacency` — a **delta overlay** over a base snapshot:
-  one merged row per touched vertex, label and direction, replayed from
-  the graph's mutation journal, so point mutations cost O(delta) instead
-  of an O(V + E) rebuild.  Kernels read a touched vertex's row and every
-  other vertex's CSR slice through the shared block interface, so an
-  expansion costs the same on an overlay as on a base snapshot.
+  one merged row per touched vertex, label and direction, patched by
+  each committed mutation record, so point mutations cost O(delta)
+  instead of an O(V + E) rebuild.  Kernels read a touched vertex's row
+  and every other vertex's CSR slice through the shared block
+  interface, so an expansion costs the same on an overlay as on a base
+  snapshot.
 * :class:`CompactDiGraph` — the analogous snapshot of the single-relational
   :class:`~repro.algorithms.digraph.DiGraph`, with numpy edge/CSR arrays
   feeding the vectorized BFS / component / pagerank kernels plus the
@@ -33,27 +34,26 @@ the compact numeric backend the hot paths share instead:
 Snapshot lifecycle (incremental)
 --------------------------------
 Snapshots are built **lazily** on first use and cached on the graph
-instance, keyed on the graph's ``version()`` mutation counter:
+instance, tagged with the graph's ``version()``:
 
 * A mutation-free workload pays the O(V + E) base build once and reuses it.
-* After mutations, :func:`adjacency_snapshot` replays the graph's
-  structural **mutation journal** (``graph.journal_since``) into a
-  :class:`DeltaAdjacency` overlay — O(delta) work, no rebuild.  The overlay
-  is itself cached and extended in place by subsequent mutation batches.
+* The first build subscribes the graph's snapshot feed
+  (:func:`install_snapshot`): from then on every committed mutation
+  record patches the cached view inside the write — a structural record
+  into a :class:`DeltaAdjacency` overlay, O(1) per record; a property
+  record only retags the version.  :func:`adjacency_snapshot` never
+  patches: it returns the cached view, or builds one.
 * Once the accumulated delta exceeds a fraction of the base edge count
   (:data:`COMPACTION_FRACTION`, floored at :data:`COMPACTION_MIN_OPS`), the
-  overlay is **compacted**: folded back into a fresh base CSR, restoring
-  slice-only adjacency lookups.
-* When the journal cannot cover the gap (capped, or the graph was never
-  journaled that far back), the cache transparently falls back to a full
-  rebuild — incrementality is a fast path, never a correctness dependency.
+  feed drops the overlay and the next read **compacts**: it builds a
+  fresh base CSR, restoring slice-only adjacency lookups.
 
 :class:`CompactDiGraph` has no overlay: it is cached per ``version()`` and
 a DiGraph mutated between algorithm calls is rebuilt in O(V + E) on the
 next one (every DiGraph the code builds is only read once built).
 Handed-out ``CompactDiGraph`` instances stay immutable;
-``DeltaAdjacency`` overlays are live views that track their graph
-(documented, deliberate — kernels fetch them per call).
+``DeltaAdjacency`` overlays are live views that their graph's commits
+patch in place (documented, deliberate — kernels fetch them per call).
 
 numpy is optional.  The :class:`CompactAdjacency`/:class:`DeltaAdjacency`
 kernels are interpreter loops over Python ``int`` cells — lists when
@@ -66,10 +66,12 @@ implementations.
 
 from __future__ import annotations
 
+import weakref
 from itertools import compress
 from operator import lt
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.concurrency import ordered_lock
 from repro.graph.pairs import Block, PairBlocks
 
 try:  # only the DiGraph kernels (compact_digraph.py) need numpy.
@@ -82,6 +84,7 @@ __all__ = [
     "DeltaAdjacency",
     "CompactDiGraph",
     "adjacency_snapshot",
+    "install_snapshot",
     "digraph_snapshot",
     "digraph_snapshot_if_large",
     "fold_adjacency_pairs",
@@ -276,11 +279,12 @@ class DeltaAdjacency:
 
     Holds one **patched row** per touched vertex, per label and direction
     (``rows_out`` / ``rows_in``: ``label_id -> {vertex_id: [neighbor_id,
-    ...]}``), replayed from the graph's mutation journal: a row is copied
-    from the base CSR the first time a mutation touches it and edited in
-    place from then on, so it always holds base slice minus removals plus
-    additions.  Extended interning maps cover vertices and labels born
-    after the base build.  Removed vertices leave **tombstone** slots:
+    ...]}``), patched by mutation records (a graph's commits, or a
+    store's log replayed at open): a row is copied from the base CSR the
+    first time a mutation touches it and edited in place from then on,
+    so it always holds base slice minus removals plus additions.
+    Extended interning maps cover vertices and labels born after the
+    base build.  Removed vertices leave **tombstone** slots:
     their id stays allocated (dead) and a re-added vertex gets a fresh id,
     so base CSR ids never ambiguate.  Kernels read through
     :meth:`out_block`/:meth:`in_block` exactly as they do on a base
@@ -288,7 +292,7 @@ class DeltaAdjacency:
     raw CSR slice.
 
     Unlike a base snapshot, an overlay is a **live view**: it is extended in
-    place as further mutation batches are replayed into it.  Fetch it per
+    place as further mutation records are applied to it.  Fetch it per
     query (as every kernel does) rather than holding one across mutations.
     """
 
@@ -324,10 +328,10 @@ class DeltaAdjacency:
         """Vertex-id address space, dead slots included (array sizing)."""
         return len(self.vertex_of)
 
-    # -- journal replay ----------------------------------------------------
+    # -- mutation records --------------------------------------------------
 
-    def apply(self, entries: List[Tuple]) -> None:
-        """Replay journal entries (``(version, op, *args)``) into the delta."""
+    def apply(self, entries: Sequence[Tuple]) -> None:
+        """Patch structural ``(version, op, *args)`` records into the delta."""
         for entry in entries:
             op = entry[1]
             if op == "+e":
@@ -347,8 +351,8 @@ class DeltaAdjacency:
         self.vertex_of.append(vertex)
 
     def _remove_vertex(self, vertex: Hashable) -> None:
-        # Incident edges were already journaled as "-e" ops (their rows are
-        # empty now); only the slot dies.  The tombstoned id is unreachable
+        # Incident edges were already applied as "-e" records (their rows
+        # are empty now); only the slot dies.  The tombstoned id is unreachable
         # from here on.
         self.dead_vertices.add(self.vertex_ids.pop(vertex))
 
@@ -479,59 +483,94 @@ def fold_adjacency_pairs(view) -> Tuple[List[Hashable], List[Hashable],
     return vertex_of, label_of, per_label, num_edges
 
 
-def adjacency_snapshot(graph, incremental: bool = True):
-    """The cached compact adjacency for ``graph``, patched or rebuilt when stale.
+class _SnapshotFeed:
+    """The graph's one snapshot subscriber: keeps its cached view current.
 
-    Returns a :class:`CompactAdjacency` (clean cache or fresh build) or a
-    :class:`DeltaAdjacency` (journal-replayed overlay) — both expose the
-    same read interface.  The incremental path costs O(delta) per mutation
-    batch; it degrades to a full O(V + E) rebuild when the journal cannot
-    cover the gap, when ``incremental=False``, or when the accumulated
-    delta crosses the compaction threshold (:func:`compaction_due`).
+    A structural record patches the view (the first one wraps a base in
+    a :class:`DeltaAdjacency`), a property record retags its version.
+    The view is dropped — the next read builds a fresh base — once its
+    delta crosses :func:`compaction_due`, or when it is not at the
+    version just before the record (patching could not make it current).
+    """
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph):
+        # Weak: the graph holds its feed, and a reference cycle would keep
+        # every dropped graph alive until the next full collection.
+        self.graph = weakref.ref(graph)
+
+    def __call__(self, record: Tuple) -> None:
+        graph = self.graph()  # alive: it is the one committing
+        cached = getattr(graph, _CACHE_ATTR, None)
+        if cached is None:
+            return
+        version, op = record[0], record[1]
+        if cached.version != version - 1:
+            cached = None
+        elif op == "pv" or op == "pe":
+            cached.version = version
+        else:
+            if not isinstance(cached, DeltaAdjacency):
+                cached = DeltaAdjacency(cached)
+            cached.apply((record,))
+            cached.version = version
+            if compaction_due(cached.delta_ops, cached.base.num_edges):
+                cached = None
+        setattr(graph, _CACHE_ATTR, cached)
+
+
+#: Where a graph keeps its :class:`_SnapshotFeed`, once subscribed.
+_FEED_ATTR = "_compact_snapshot_feed"
+
+#: Serializes the first subscription of a graph's feed.
+_FEED_LOCK = ordered_lock("graph.snapshot_feed")
+
+
+def install_snapshot(graph, view) -> None:
+    """Make ``view`` — ``graph`` at ``graph.version()`` — its cached
+    snapshot, kept current at commit.  The first install subscribes the
+    graph's one :class:`_SnapshotFeed`, under a lock: two first reads
+    racing subscribe one."""
+    if getattr(graph, _FEED_ATTR, None) is None:
+        with _FEED_LOCK:
+            if getattr(graph, _FEED_ATTR, None) is None:
+                feed = _SnapshotFeed(graph)
+                graph.subscribe(feed)
+                setattr(graph, _FEED_ATTR, feed)
+    setattr(graph, _CACHE_ATTR, view)
+
+
+def adjacency_snapshot(graph, incremental: bool = True):
+    """The compact adjacency of ``graph`` at its current version.
+
+    The cached view (a :class:`CompactAdjacency`, or the
+    :class:`DeltaAdjacency` its commits patched; one read interface), or
+    a fresh base when there is none or ``incremental=False`` asks to
+    fold the overlay.  A read never patches: commits do.
     """
     cached = getattr(graph, _CACHE_ATTR, None)
-    version = graph.version()
-    if cached is not None and cached.version == version:
+    if incremental and cached is not None \
+            and cached.version == graph.version():
         return cached
-    if incremental and cached is not None:
-        entries = graph.journal_since(cached.version)
-        if entries is not None:
-            if not entries:
-                # Property-only version bumps: structure unchanged, retag
-                # the cached snapshot instead of forming a useless overlay.
-                cached.version = version
-                graph.prune_journal(version)
-                return cached
-            overlay = cached if isinstance(cached, DeltaAdjacency) \
-                else DeltaAdjacency(cached)
-            overlay.apply(entries)
-            overlay.version = version
-            if not compaction_due(overlay.delta_ops, overlay.base.num_edges):
-                setattr(graph, _CACHE_ATTR, overlay)
-                graph.prune_journal(version)
-                return overlay
-            # Threshold crossed: fall through and fold into a fresh base.
     snapshot = CompactAdjacency.build(graph)
-    setattr(graph, _CACHE_ATTR, snapshot)
-    graph.prune_journal(version)
+    install_snapshot(graph, snapshot)
     return snapshot
 
 
 def snapshot_state(graph) -> str:
     """A one-line description of the graph's compact-snapshot cache state.
 
-    Surfaced by ``Engine.explain`` so snapshot staleness and overlay growth
-    are visible next to the plan.
+    Surfaced by ``Engine.explain`` so overlay growth is visible next to
+    the plan.
     """
     cached = getattr(graph, _CACHE_ATTR, None)
-    if cached is None:
+    if cached is None or cached.version != graph.version():
         return "cold (first compact query builds the base CSR)"
-    pending = graph.version() - cached.version
-    suffix = ", {} mutation(s) pending replay".format(pending) if pending else ""
     if isinstance(cached, DeltaAdjacency):
-        return "delta overlay ({} op(s) over base v{}){}".format(
-            cached.delta_ops, cached.base.version, suffix)
-    return "base CSR (v{}){}".format(cached.version, suffix)
+        return "delta overlay ({} op(s) over base v{})".format(
+            cached.delta_ops, cached.base.version)
+    return "base CSR (v{})".format(cached.version)
 
 
 # ----------------------------------------------------------------------

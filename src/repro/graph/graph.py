@@ -87,20 +87,13 @@ class MultiRelationalGraph:
         # label -> [distinct tails, distinct heads]: how many of the two
         # bucket kinds above the label has, kept in step with them.
         self._label_ends: Dict[Hashable, List[int]] = {}
-        self._listeners: List = []
         # Pattern -> frozenset cache for match(); valid for one version only,
         # so repeated atom resolution stops allocating fresh frozensets.
         self._match_cache: Dict[Tuple, FrozenSet[Edge]] = {}
         self._match_cache_version = -1
-        # Structural mutation journal: ``(version_after, op, *args)`` entries
-        # covering versions in ``(_journal_floor, _version]``.  The compact
-        # snapshot layer replays it to patch CSR overlays instead of paying
-        # an O(V + E) rebuild per mutation; see :mod:`repro.graph.compact`.
-        self._journal: List[Tuple] = []
-        self._journal_floor = 0
-        # Durable-log sinks (see :mod:`repro.storage`): each receives every
-        # structural *and* property mutation as ``(version_after, op, *args)``.
-        self._wal_sinks: List = []
+        # Whatever hears committed records (see subscribe); replaced, never
+        # edited, so a commit iterates a tuple nobody changes under it.
+        self._subscribers: Tuple = ()
         for item in edges:
             e = item if isinstance(item, Edge) else Edge(*item)
             self.add_edge(e.tail, e.label, e.head)
@@ -118,22 +111,22 @@ class MultiRelationalGraph:
         """
         if vertex is None:
             raise WildcardIdError("vertex")
-        if self._wal_sinks:
-            self._wal_precheck(("+v", vertex))
-            if properties:
-                self._wal_precheck(("pv", vertex, dict(properties)))
-        if vertex in self._vertices:
-            if strict:
-                raise DuplicateVertexError(
-                    "vertex {!r} already exists".format(vertex))
+        exists = vertex in self._vertices
+        entries = [] if exists else [("+v", vertex)]
+        if properties:
+            entries.append(("pv", vertex, dict(properties)))
+        # Vetoed even when nothing commits: a degraded store must refuse a
+        # retried write, not answer it as if it were durable.
+        self._precheck(entries)
+        if exists and strict:
+            raise DuplicateVertexError(
+                "vertex {!r} already exists".format(vertex))
+        if exists:
             self._vertices[vertex].update(properties)
-            self._version += 1
         else:
             self._vertices[vertex] = dict(properties)
-            self._version += 1
-            self._journal_append(("+v", vertex))
-        if properties and self._wal_sinks:
-            self._wal_emit(("pv", vertex, dict(properties)))
+        for entry in entries:
+            self._commit(entry)
         return vertex
 
     def add_edge(self, tail: Hashable, label: Hashable, head: Hashable,
@@ -150,18 +143,27 @@ class MultiRelationalGraph:
         if label is None:
             raise WildcardIdError("label")
         e = Edge(tail, label, head)
-        if self._wal_sinks:
-            self._wal_precheck(("+e", tail, label, head))
-            if properties:
-                self._wal_precheck(("pe", tail, label, head, dict(properties)))
         if e in self._edges:
-            self._edges[e].update(properties)
-            self._version += 1
-            if properties and self._wal_sinks:
-                self._wal_emit(("pe", tail, label, head, dict(properties)))
+            merged = (("pe", tail, label, head, dict(properties)),) \
+                if properties else ()
+            # Vetoed even when nothing commits, as in add_vertex.
+            self._precheck(merged)
+            if merged:
+                self._edges[e].update(properties)
+                self._commit(merged[0])
             return e
-        self.add_vertex(tail)
-        self.add_vertex(head)
+        born = []
+        if tail not in self._vertices:
+            born.append(("+v", tail))
+        if head not in self._vertices and head != tail:
+            born.append(("+v", head))
+        linked = [("+e", tail, label, head)]
+        if properties:
+            linked.append(("pe", tail, label, head, dict(properties)))
+        self._precheck(born + linked)
+        for entry in born:
+            self._vertices[entry[1]] = {}
+            self._commit(entry)
         self._edges[e] = dict(properties)
         self._out[tail].add(e)
         self._in[head].add(e)
@@ -174,12 +176,8 @@ class MultiRelationalGraph:
         ends[1] += not in_bucket
         out_bucket.add(e)
         in_bucket.add(e)
-        self._version += 1
-        self._journal_append(("+e", tail, label, head))
-        if properties and self._wal_sinks:
-            self._wal_emit(("pe", tail, label, head, dict(properties)))
-        for listener in self._listeners:
-            listener("add_edge", e)
+        for entry in linked:
+            self._commit(entry)
         return e
 
     def add_edges(self, triples: Iterable) -> List[Edge]:
@@ -200,8 +198,14 @@ class MultiRelationalGraph:
         e = Edge(tail, label, head)
         if e not in self._edges:
             raise EdgeNotFoundError(e)
-        if self._wal_sinks:
-            self._wal_precheck(("-e", tail, label, head))
+        entry = ("-e", tail, label, head)
+        self._precheck((entry,))
+        self._unlink(e)
+        self._commit(entry)
+
+    def _unlink(self, e: Edge) -> None:
+        """Drop one present edge from the edge dict and every index."""
+        tail, label, head = e.tail, e.label, e.head
         del self._edges[e]
         # Prune every index symmetrically: an empty bucket left behind is an
         # unbounded memory leak under add/remove churn (and would make the
@@ -221,10 +225,6 @@ class MultiRelationalGraph:
             ends[1] -= (label, head) not in self._in_by_label
         else:
             del self._label_ends[label]
-        self._version += 1
-        self._journal_append(("-e", tail, label, head))
-        for listener in self._listeners:
-            listener("remove_edge", e)
 
     def remove_vertex(self, vertex: Hashable) -> None:
         """Remove a vertex and every edge incident to it.
@@ -236,16 +236,16 @@ class MultiRelationalGraph:
         """
         if vertex not in self._vertices:
             raise VertexNotFoundError(vertex)
-        if self._wal_sinks:
-            self._wal_precheck(("-v", vertex))
-        for e in list(self._out.get(vertex, ())) + list(self._in.get(vertex, ())):
-            if e in self._edges:
-                self.remove_edge(e.tail, e.label, e.head)
-        self._out.pop(vertex, None)
-        self._in.pop(vertex, None)
+        incident = list(dict.fromkeys(itertools.chain(
+            self._out.get(vertex, ()), self._in.get(vertex, ()))))
+        entries = [("-e", e.tail, e.label, e.head) for e in incident]
+        entries.append(("-v", vertex))
+        self._precheck(entries)
+        for e, entry in zip(incident, entries):
+            self._unlink(e)
+            self._commit(entry)
         del self._vertices[vertex]
-        self._version += 1
-        self._journal_append(("-v", vertex))
+        self._commit(entries[-1])
 
     # ------------------------------------------------------------------
     # Basic inspection
@@ -289,7 +289,8 @@ class MultiRelationalGraph:
 
 
     def version(self) -> int:
-        """A counter bumped by every mutation (cache-invalidation token)."""
+        """The version of the last committed record (cache-invalidation
+        token); a call that changes nothing leaves it alone."""
         return self._version
 
     def advance_version(self, floor: int) -> None:
@@ -302,8 +303,8 @@ class MultiRelationalGraph:
         consumer would silently drop them.  The storage tier calls this
         after materialization with the durable floor so the clock stays
         monotonic across process restarts.  Jumping the clock is safe:
-        versions are an ordering token, gaps are already routine (one
-        ``add_edge`` can bump it three times).
+        versions are an ordering token that consumers compare, never
+        count.
         """
         if floor > self._version:
             self._version = floor
@@ -319,115 +320,54 @@ class MultiRelationalGraph:
         return self._graph_token
 
     # ------------------------------------------------------------------
-    # Structural mutation journal (compact-snapshot delta source)
+    # Commit: one versioned record per mutation, to every subscriber
     # ------------------------------------------------------------------
 
-    #: Journal entries are dropped wholesale past this length; consumers then
-    #: fall back to a full snapshot rebuild, so the cap only bounds memory.
-    _JOURNAL_CAP = 65536
-
-    #: Where the compact layer caches snapshots; kept in sync with
-    #: ``repro.graph.compact._CACHE_ATTR`` (the differential tests fail
-    #: loudly on a mismatch: no overlay would ever form).
-    _SNAPSHOT_CACHE_ATTR = "_compact_snapshot_cache"
-
-    def _journal_append(self, entry: Tuple) -> None:
-        """Record one structural op, tagged with the version it produced.
-
-        The journal entry lands *before* the WAL sinks see the op: a sink
-        may raise (a failed durable append flips the store read-only),
-        and the in-memory journal must already agree with the applied
-        structure when it does — otherwise the compact snapshot cache
-        would stamp the new version onto a view missing this very op and
-        serve silently wrong answers ever after.
-        """
-        if not self._journal and \
-                getattr(self, self._SNAPSHOT_CACHE_ATTR, None) is None:
-            # No snapshot consumer exists yet: journaling would only retain
-            # memory.  Keep the floor pinned so a later consumer knows the
-            # gap is uncovered and rebuilds.
-            self._journal_floor = self._version
-        else:
-            self._journal.append((self._version,) + entry)
-            if len(self._journal) > self._JOURNAL_CAP:
-                del self._journal[:]
-                self._journal_floor = self._version
-        if self._wal_sinks:
-            self._wal_emit(entry)
-
-    def journal_since(self, version: int) -> Optional[List[Tuple]]:
-        """Structural ops applied after ``version``, oldest first.
-
-        Each entry is ``(version_after, op, *args)`` with ``op`` one of
-        ``"+v"``, ``"-v"``, ``"+e"``, ``"-e"``.  Property-only mutations bump
-        :meth:`version` without a journal entry — they never change
-        structure.  Returns ``None`` when the journal no longer reaches back
-        to ``version`` (capped or pruned), meaning a delta cannot be formed
-        and the consumer must rebuild from scratch.
-        """
-        if version < self._journal_floor:
-            return None
-        return [entry for entry in self._journal if entry[0] > version]
-
-    def prune_journal(self, version: int) -> None:
-        """Drop journal entries at or before ``version`` (already consumed)."""
-        if self._journal and self._journal[0][0] <= version:
-            self._journal = [entry for entry in self._journal
-                             if entry[0] > version]
-        if version > self._journal_floor:
-            self._journal_floor = version
-
-    def _wal_emit(self, entry: Tuple) -> None:
-        """Forward one mutation (structural or property) to every WAL sink."""
-        record = (self._version,) + entry
-        for sink in self._wal_sinks:
-            sink(record)
-
-    def _wal_precheck(self, entry: Tuple) -> None:
-        """Let every sink veto a mutation BEFORE any state changes.
-
-        A sink that cannot represent the entry (e.g. a tuple vertex id in
-        the JSON-framed log) must get the chance to raise while the graph,
-        journal and durable log still agree — raising from the post-apply
-        emit would leave the in-memory store permanently ahead of all of
-        them.  Called only when sinks are attached; sinks without a
-        ``precheck`` attribute accept everything.
-        """
-        for sink in self._wal_sinks:
-            precheck = getattr(sink, "precheck", None)
+    def _precheck(self, entries) -> None:
+        """Let every subscriber veto a call's records BEFORE any state
+        changes (a store's log refuses what it cannot frame, or everything
+        once read-only): raising from :meth:`_commit` would leave the
+        graph ahead of its subscribers."""
+        for subscriber in self._subscribers:
+            precheck = getattr(subscriber, "precheck", None)
             if precheck is not None:
-                precheck(entry)
+                precheck(entries)
 
-    def attach_wal_sink(self, sink) -> None:
-        """Register ``sink((version_after, op, *args))`` for every mutation.
+    def _commit(self, entry: Tuple) -> None:
+        """Take the next version and hand ``(version, op, *args)`` to every
+        subscriber, once the record's change is applied.  One that raises
+        (a failed log append) does not keep the rest from the record — the
+        snapshot must still patch in an op the graph holds; the first
+        error is re-raised after all have run."""
+        self._version += 1
+        if not self._subscribers:
+            return
+        record = (self._version,) + entry
+        error = None
+        for subscriber in self._subscribers:
+            try:
+                subscriber(record)
+            except Exception as exc:  # every subscriber sees the record
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
 
-        Unlike the bounded structural journal (which exists only to patch
-        compact snapshots and drops property ops entirely), sinks see the
-        **complete** durable event stream: ``+v``/``-v``/``+e``/``-e`` plus
-        ``("pv", vertex, {props})`` and ``("pe", tail, label, head,
-        {props})`` property merges.  Used by
-        :class:`repro.storage.PersistentGraph` to append the write-ahead
-        log.
+    def subscribe(self, subscriber) -> None:
+        """Register ``subscriber(record)`` for every committed mutation.
+
+        ``record`` is ``(version, op, *args)``, ``op`` one of ``+v`` /
+        ``-v`` / ``+e`` / ``-e`` / ``pv`` / ``pe``, one version each: a
+        vertex or edge added with properties commits its ``+`` record,
+        then its property record.  An optional ``subscriber.precheck``
+        may veto a call's entries first (:meth:`_precheck`).
         """
-        self._wal_sinks.append(sink)
+        self._subscribers += (subscriber,)
 
-    def detach_wal_sink(self, sink) -> None:
-        """Remove a previously attached WAL sink (no-op if absent)."""
-        if sink in self._wal_sinks:
-            self._wal_sinks.remove(sink)
-
-    def subscribe(self, listener) -> None:
-        """Register ``listener(event, edge)`` for edge mutations.
-
-        ``event`` is ``"add_edge"`` or ``"remove_edge"``.  Used by
-        incrementally-maintained views (:mod:`repro.engine.views`).
-        """
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener) -> None:
-        """Remove a previously registered listener (no-op if absent)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
+    def unsubscribe(self, subscriber) -> None:
+        """Remove a previously registered subscriber (no-op if absent)."""
+        self._subscribers = tuple(
+            known for known in self._subscribers if known != subscriber)
 
     def __len__(self) -> int:
         return len(self._edges)
@@ -474,12 +414,10 @@ class MultiRelationalGraph:
         """Set one property on an existing vertex."""
         if vertex not in self._vertices:
             raise VertexNotFoundError(vertex)
-        if self._wal_sinks:
-            self._wal_precheck(("pv", vertex, {key: value}))
+        entry = ("pv", vertex, {key: value})
+        self._precheck((entry,))
         self._vertices[vertex][key] = value
-        self._version += 1
-        if self._wal_sinks:
-            self._wal_emit(("pv", vertex, {key: value}))
+        self._commit(entry)
 
     def set_edge_property(self, tail: Hashable, label: Hashable, head: Hashable,
                           key: str, value: Any) -> None:
@@ -487,12 +425,10 @@ class MultiRelationalGraph:
         e = Edge(tail, label, head)
         if e not in self._edges:
             raise EdgeNotFoundError(e)
-        if self._wal_sinks:
-            self._wal_precheck(("pe", tail, label, head, {key: value}))
+        entry = ("pe", tail, label, head, {key: value})
+        self._precheck((entry,))
         self._edges[e][key] = value
-        self._version += 1
-        if self._wal_sinks:
-            self._wal_emit(("pe", tail, label, head, {key: value}))
+        self._commit(entry)
 
     # ------------------------------------------------------------------
     # The paper's set-builder notation (section IV-A)

@@ -16,9 +16,9 @@ same rule (:class:`_LogBackedView`).
 Lifecycle
 ---------
 * :meth:`PersistentGraph.create` seeds generation 1 from a (possibly empty)
-  in-memory graph and attaches itself as a mutation sink: from then on
-  every structural and property mutation of that graph is appended to the
-  log — once.
+  in-memory graph and subscribes its log sink: from then on every record
+  the graph commits, structural or property, is appended to the log —
+  once, at the version it was committed at.
 * :meth:`PersistentGraph.open` is the cheap path back: it **maps** the
   manifest's snapshot (``mmap`` — CSR pages fault in lazily) and
   replays the log suffix through the existing
@@ -28,8 +28,9 @@ Lifecycle
 * Mutating a lazily-opened store (or asking for :meth:`graph`)
   **materializes** the dict-indexed
   :class:`~repro.graph.graph.MultiRelationalGraph` once, installs the
-  already-mapped snapshot view as its compact-snapshot cache (so the first
-  compact query after materialization is still rebuild-free), and resumes
+  already-mapped snapshot view as its compact-snapshot cache
+  (:func:`~repro.graph.compact.install_snapshot`, so the first compact
+  query after materialization is still rebuild-free), and resumes
   logging.
 * :meth:`checkpoint` folds base + overlay into a fresh dense snapshot
   (generation ``g+1``), atomically swaps the manifest to name it together
@@ -37,7 +38,7 @@ Lifecycle
   the old snapshot and the sealed log segments.  A crash before the swap
   leaves the old snapshot and the whole suffix; after it, replay skips by
   version what the new snapshot already holds.
-* :meth:`close` flushes the log and detaches; reopening recovers exactly
+* :meth:`close` flushes the log and unsubscribes; reopening recovers exactly
   the durable prefix (torn tail records are truncated, never replayed).
 """
 
@@ -51,9 +52,9 @@ from repro.concurrency import ordered_rlock, release_resource, track_resource
 from repro.errors import StorageError, StoreDegradedError
 from repro.faults import fault_point
 from repro.graph.compact import (
-    _CACHE_ATTR,
     DeltaAdjacency,
     adjacency_snapshot,
+    install_snapshot,
     rpq_pairs_on_snapshot,
 )
 from repro.graph.graph import MultiRelationalGraph
@@ -220,13 +221,13 @@ def publish_generation(directory: str, manifest: Dict[str, Any],
 
 
 class _WalSink:
-    """The mutation sink attached to a store's graph.
+    """The store's subscriber on its graph: every committed record to the log.
 
     ``precheck`` runs *before* the graph mutates (see
-    :meth:`MultiRelationalGraph._wal_precheck`): an entry the JSON framing
+    :meth:`MultiRelationalGraph._precheck`): an entry the JSON framing
     cannot represent — or a store already in read-only degraded mode —
-    is rejected while graph, journal and log still agree.  The call
-    itself appends the already-applied mutation to the log; if *that*
+    is rejected while graph, snapshot and log still agree.  The call
+    itself appends the already-applied record to the log; if *that*
     append fails the store flips degraded (the triggering mutation stays
     applied in memory and keeps serving; it becomes durable again at the
     healing checkpoint, which folds the live state and restarts the log
@@ -244,9 +245,10 @@ class _WalSink:
         except (StorageError, OSError) as exc:
             raise self.store._enter_degraded(str(exc)) from exc
 
-    def precheck(self, entry: Tuple) -> None:
+    def precheck(self, entries: Iterable[Tuple]) -> None:
         self.store._check_writable()
-        check_loggable(entry)
+        for entry in entries:
+            check_loggable(entry)
 
 
 class PersistentGraph(_LogBackedView):
@@ -331,7 +333,7 @@ class PersistentGraph(_LogBackedView):
             raise
         store = cls(directory, manifest, log, mmap=True, replicate=replicate)
         store._graph = graph
-        graph.attach_wal_sink(store._wal_sink)
+        graph.subscribe(store._wal_sink)
         return store
 
     @classmethod
@@ -389,7 +391,7 @@ class PersistentGraph(_LogBackedView):
         return store
 
     def close(self) -> None:
-        """Flush the log and detach; the store directory is then quiescent.
+        """Flush the log and unsubscribe; the directory is then quiescent.
 
         Idempotent and thread-safe: a server shutdown may close a store
         from its lifecycle thread while a late request handler does the
@@ -399,7 +401,7 @@ class PersistentGraph(_LogBackedView):
             if self._closed:
                 return
             if self._graph is not None:
-                self._graph.detach_wal_sink(self._wal_sink)
+                self._graph.unsubscribe(self._wal_sink)
             try:
                 self._log.close()
             except (StorageError, OSError):
@@ -457,7 +459,7 @@ class PersistentGraph(_LogBackedView):
         Materialization walks the mapped CSR once to rebuild the hash
         indices, then installs the *same* mapped view as the graph's
         compact-snapshot cache — so compact queries stay rebuild-free —
-        and attaches the log sink so further mutations are logged.
+        and subscribes the log sink so further mutations are logged.
         """
         with self._lock:
             self._check_open()
@@ -493,9 +495,8 @@ class PersistentGraph(_LogBackedView):
         # interned stay valid, so the first compact query after
         # materialization slices the same mmap pages instead of rebuilding.
         view.version = graph.version()
-        setattr(graph, _CACHE_ATTR, view)
-        graph.prune_journal(graph.version())
-        graph.attach_wal_sink(self._wal_sink)
+        install_snapshot(graph, view)
+        graph.subscribe(self._wal_sink)
         return graph
 
     def _check_open(self) -> None:
@@ -752,8 +753,8 @@ class PersistentGraph(_LogBackedView):
 
         This is the newest version a replica can *reach* — the last
         record in the log (or the snapshot version when the log is
-        empty).  Deliberately not :meth:`current_version`: the live
-        graph clock advances on no-op mutations that log nothing, so
+        empty).  Deliberately not :meth:`current_version`: in degraded
+        mode the live graph commits records the log could not take, and
         measuring replica lag against it would never read zero.
         """
         with self._lock:

@@ -136,6 +136,16 @@ class TestQueryCache:
         assert len(engine.cache) == 0
         assert engine.cache.hits == 0
 
+    def test_bounded_pairs_files_only_its_pair_answer(self):
+        # A bounded read projects its pairs from witness paths; those
+        # paths are scratch, not a second cache entry next to the answer.
+        graph = MultiRelationalGraph(
+            [(i, "a", (i + 1) % 12) for i in range(12)])
+        engine = Engine(graph, cache=QueryCache(16))
+        assert engine.route(engine.compile("[_, _, _]*")).kernel == "bounded"
+        engine.pairs("[_, _, _]*")
+        assert [key[0] for key in engine.cache._entries] == ["pairs"]
+
     def test_sources_and_targets_key_the_cache(self, engine):
         """PR 7 regression: sources/targets entered ``pairs()`` in PR 3
         but the cache key never learned them, so a source-restricted call

@@ -7,9 +7,11 @@ exactly like a from-scratch rebuild.  The patched-row invariant, checked
 on every kind of overlay (a dict graph's, a lazily opened store's, a
 replica's): each row of the overlay is the rebuilt snapshot's row as a
 multiset, no row names a dead vertex, and ``row_degrees`` is exact.
-Compaction-threshold crossing and the journal-cap rebuild fallback are
-exercised explicitly with deterministic sequences, since they are boundary
-behaviors a random walk may miss.  A single-relational ``DiGraph`` has no
+Compaction-threshold crossing is exercised explicitly with deterministic
+sequences, since it is a boundary behavior a random walk may miss.  The
+overlay is patched at commit, so reads never write it: readers racing
+after a write, and a write whose log append fails, both leave it equal
+to a rebuild.  A single-relational ``DiGraph`` has no
 overlay: its snapshot after any churn equals the graph, and it is rebuilt
 once per mutate-then-read step.
 """
@@ -36,7 +38,7 @@ from repro.graph.generators import uniform_random
 from repro.graph.graph import MultiRelationalGraph
 from repro.graph.sharding import row_degrees
 from repro.replication import PrimaryFeed, ReplicaGraph
-from repro.rpq import lconcat, lstar, rpq_pairs, sym
+from repro.rpq import lconcat, lstar, rpq_pairs, rpq_pairs_basic, sym
 from repro.storage import PersistentGraph
 
 VERTICES = list(range(8)) + ["x", "y"]
@@ -147,8 +149,8 @@ class TestCompactionThreshold:
         # Both sides of the threshold were traversed, repeatedly.
         assert "DeltaAdjacency" in seen
         assert seen.count("CompactAdjacency") >= 2
-        # Compaction consumed the journal up to the current version.
-        assert graph.journal_since(graph.version()) == []
+        # The last commit left the cache at the graph's version.
+        assert adjacency_snapshot(graph).version == graph.version()
 
     def test_below_the_threshold_mutate_then_query_never_rebuilds(self):
         # "Incremental beats a rebuild per mutation", counted: up to the
@@ -168,7 +170,20 @@ class TestCompactionThreshold:
                     graph.add_edge(tail, "a", head)
                 rpq_pairs(graph, expression, sources={tail})
         assert counts == {}
-        assert getattr(graph, compact._CACHE_ATTR).delta_ops == steps
+        assert adjacency_snapshot(graph).delta_ops == steps
+
+    def test_a_read_after_a_write_patches_nothing(self):
+        # The write patches the overlay at commit; the read that follows
+        # only fetches it.
+        graph = uniform_random(200, 800, labels=("a", "b"), seed=19)
+        expression = lconcat(sym("a"), lstar(sym("b")))
+        rpq_pairs(graph, expression, sources={0})
+        graph.add_edge(0, "a", 199)
+        with counted_calls([("apply", DeltaAdjacency, "apply"),
+                            ("build", CompactAdjacency, "build")]) as counts:
+            assert rpq_pairs(graph, expression, sources={0}) == \
+                rpq_pairs_basic(graph, expression, sources={0})
+        assert counts == {}
 
     def test_default_threshold_scales_with_base_edges(self):
         assert not compact.compaction_due(64, 0)
@@ -177,16 +192,128 @@ class TestCompactionThreshold:
         assert not compact.compaction_due(2500, 10000)
         assert compact.compaction_due(2501, 10000)
 
-    def test_journal_cap_falls_back_to_full_rebuild(self, monkeypatch):
-        monkeypatch.setattr(MultiRelationalGraph, "_JOURNAL_CAP", 8)
-        graph = MultiRelationalGraph([(0, "a", 1)])
-        base = adjacency_snapshot(graph)
-        for i in range(20):  # blows past the cap: journal is dropped wholesale
-            graph.add_edge(i, "b", i + 1)
-        assert graph.journal_since(base.version) is None
-        snapshot = adjacency_snapshot(graph)
-        assert isinstance(snapshot, CompactAdjacency)  # rebuilt, not patched
+
+class TestPatchedAtCommit:
+    """Commits patch the cached overlay; reads only fetch it."""
+
+    def test_readers_racing_after_a_write_all_answer(self):
+        # Four readers start together right after a batch of commits over
+        # a cached overlay.  A read must not write the shared overlay:
+        # two readers patching in the same removals fail one of them
+        # with a bare ValueError (an untyped 500 on a server).
+        import random
+        import sys
+        import threading
+
+        from repro.engine import Engine
+        query = "[_, a, _] . [_, b, _]*"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the readers finely
+        try:
+            for round_ in range(4):
+                graph = uniform_random(600, 3000, labels=("a", "b"),
+                                       seed=5)
+                engine = Engine(graph)
+                graph.add_edge(0, "a", 1)
+                engine.pairs(query, sources={0}, processes=1)
+                graph.add_edge(1, "b", 2)  # the cache is an overlay now
+                engine.pairs(query, sources={0}, processes=1)
+                rng = random.Random(round_)
+                for e in rng.sample(sorted(graph.edge_set(), key=repr), 200):
+                    graph.remove_edge(e.tail, e.label, e.head)
+                for _ in range(400):
+                    graph.add_edge(rng.randrange(600), rng.choice("ab"),
+                                   rng.randrange(600))
+                barrier = threading.Barrier(4)
+                answers, errors = {}, []
+
+                def read(source):
+                    barrier.wait()
+                    try:
+                        answers[source] = engine.pairs(
+                            query, sources={source}, processes=1)
+                    except Exception as exc:  # the race's symptom
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read, args=(source,))
+                           for source in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert errors == [], "round {}".format(round_)
+                for source, answer in answers.items():
+                    assert answer == rpq_pairs_basic(
+                        graph, lconcat(sym("a"), lstar(sym("b"))),
+                        sources={source})
+                assert_matches_rebuild(graph)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_dropped_graph_is_freed_without_a_cycle_collection(self):
+        # The graph holds its snapshot feed: a feed holding the graph back
+        # would keep every dropped graph, snapshot included, alive until
+        # a full collection (peak memory of a run that rebuilds graphs).
+        import gc
+        import weakref
+        graph = MultiRelationalGraph(CHURN_BASE)
+        adjacency_snapshot(graph)
+        graph.add_edge(0, "b", 2)
+        alive = weakref.ref(graph)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del graph
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_failing_subscriber_does_not_starve_the_snapshot(self):
+        # A subscriber ahead of the snapshot feed raises on every record:
+        # the feed still patches each op the graph applied, and the
+        # first error reaches the caller.
+        graph = MultiRelationalGraph(CHURN_BASE)
+        seen = []
+
+        def failing(record):
+            seen.append(record)
+            raise RuntimeError("log down")
+
+        graph.subscribe(failing)
+        adjacency_snapshot(graph)  # the feed subscribes after it
+        with pytest.raises(RuntimeError, match="log down"):
+            graph.add_edge(0, "b", 2)
+        with pytest.raises(RuntimeError, match="log down"):
+            graph.remove_edge(0, "a", 1)
+        assert [record[1] for record in seen] == ["+e", "-e"]
+        assert adjacency_snapshot(graph).version == graph.version()
         assert_matches_rebuild(graph)
+
+    def test_snapshot_survives_a_failed_log_append(self, tmp_path):
+        # A log append that fails flips the store degraded after the
+        # graph applied the op: the snapshot built before the failure
+        # must hold that op too, or the store would serve a view
+        # missing it.
+        from repro.errors import StoreDegradedError
+        from repro.faults import FaultPlan, fault_scope
+        with PersistentGraph.create(str(tmp_path / "g"),
+                                    MultiRelationalGraph(CHURN_BASE),
+                                    sync="always") as store:
+            graph = store.graph()
+            before = adjacency_snapshot(graph)
+            plan = FaultPlan()
+            plan.arm("wal.fsync", "eio", times=1)
+            with fault_scope(plan):
+                with pytest.raises(StoreDegradedError):
+                    graph.add_edge(2, "b", 0)
+            assert plan.fired() == 1 and store.degraded
+            assert graph.has_edge(2, "b", 0)
+            after = adjacency_snapshot(graph)
+            assert after.version == graph.version()
+            assert isinstance(after, DeltaAdjacency) and after.base is before
+            assert_matches_rebuild(graph)
+            assert store.view() is after
 
 
 #: Churn over a base holding labels a, b and vertices 0-2: "c" is a label
@@ -254,17 +381,17 @@ class TestPatchedRows:
     @given(ops=churn_ops, stride=st.integers(min_value=1, max_value=4))
     def test_graph_overlay_rows_equal_rebuild(self, ops, stride):
         graph = MultiRelationalGraph(CHURN_BASE)
-        # The cached base turns the journal on; nothing else reads or
-        # prunes it, so this overlay replays all of it.
-        overlay = DeltaAdjacency(adjacency_snapshot(graph))
-        applied = graph.version()
+        # A private overlay fed by its own subscription, in batches.
+        overlay = DeltaAdjacency(CompactAdjacency.build(graph))
+        pending = []
+        graph.subscribe(pending.append)
         removed = []
         for position, op in enumerate(ops):
             apply_churn_op(graph, op, removed)
             if position % stride == 0:  # extend the same overlay in place
-                overlay.apply(graph.journal_since(applied))
-                applied = graph.version()
-        overlay.apply(graph.journal_since(applied))
+                overlay.apply(pending)
+                pending.clear()
+        overlay.apply(pending)
         assert_rows_match_rebuild(overlay, graph)
 
     @settings(max_examples=20, deadline=None)

@@ -43,7 +43,6 @@ from repro.algorithms.geodesics import (
 )
 from repro.algorithms.pagerank import pagerank
 from repro.errors import AlgorithmError
-from repro.graph import compact
 from repro.graph.compact import (
     _SHARED_BATCH,
     _SHARED_MIN_SEEDS,
@@ -51,6 +50,7 @@ from repro.graph.compact import (
     CompactAdjacency,
     DeltaAdjacency,
     adjacency_snapshot,
+    install_snapshot,
     rpq_pairs_on_snapshot,
 )
 from repro.graph.generators import uniform_random
@@ -127,7 +127,7 @@ class TestRpqDifferential:
             else:
                 assert rpq_pairs(graph, expression) == \
                     rpq_pairs_basic(graph, expression), "step {}".format(step)
-            cache_states.add(type(getattr(graph, compact._CACHE_ATTR)).__name__)
+            cache_states.add(type(adjacency_snapshot(graph)).__name__)
             if step % 60 == 0:
                 # Overlay vs from-scratch rebuild: structural agreement.
                 snapshot = adjacency_snapshot(graph)
@@ -236,7 +236,7 @@ class TestDirectionalRpqDifferential:
             write_adjacency_snapshot(path, view, version=graph.version())
             view, _ = open_adjacency_snapshot(path, mmap=True)
             assert isinstance(view.reverse[0][1], memoryview)
-        setattr(graph, compact._CACHE_ATTR, view)
+        install_snapshot(graph, view)
         return graph, view
 
     @pytest.mark.parametrize("backend", ["heap", "overlay", "mmap"])

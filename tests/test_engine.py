@@ -241,7 +241,7 @@ class TestPairsRoute:
         query = "[_, alpha, _] . [_, beta, _]*"
         for max_length, count, named, poisoned in (
                 (None, 16, "Engine.pairs() runs the compact product-BFS "
-                           "kernels", (engine, "query")),
+                           "kernels", (engine, "_bounded_pairs")),
                 (1, 7, "explicit max_length=1 bounds the answer; "
                        "Engine.pairs() runs the bounded automaton strategy",
                  (compact, "_sweep"))):
@@ -366,7 +366,8 @@ class TestRouteProperty:
                 assert route.kernel == ("fan-out" if route.parallelism.parallel
                                         else route.direction.direction)
             with counted_calls(KERNEL_ENTRIES
-                               + (("bounded", engine, "query"),)) as counts:
+                               + (("bounded", engine, "_bounded_pairs"),)
+                               ) as counts:
                 answer = engine.pairs(expression, **options)
             assert counts == ({} if route.kernel == "none"
                               else {route.kernel: 1})

@@ -266,6 +266,13 @@ class TestDegradedMode:
         # before durability failed); queries must serve it exactly.
         assert reference.has_edge("u", "a", "v")
         assert store.pairs(STAR) == rpq_pairs_basic(reference, STAR)
+        # A retry of the triggering write is refused too, although it
+        # would change nothing: answering it would call an edge that only
+        # lives in memory durable.  So is re-adding a known vertex.
+        with pytest.raises(StoreDegradedError):
+            store.add_edge("u", "a", "v")
+        with pytest.raises(StoreDegradedError):
+            store.add_vertex("u")
         # Further mutations are refused *before* touching state.
         with pytest.raises(StoreDegradedError):
             store.add_edge("x", "a", "y")

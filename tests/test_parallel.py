@@ -192,6 +192,49 @@ class TestEnginePlumbing:
         finally:
             engine.close()
 
+    def test_reads_naming_different_processes_share_one_pool(self):
+        # A read naming another ``processes`` used to close the executor
+        # a concurrent read was fanning out on ("worker holds no payload
+        # ... (stale pool?)").  One pool per engine: ``processes`` only
+        # sets how many seed ranges a read splits into.
+        import threading
+        graph = uniform_random(600, 4000, labels=("a", "b"), seed=3)
+        engine = Engine(graph)
+        want = rpq_pairs_basic(graph, lconcat(sym("a"), sym("b")))
+        # Fork the pool before the threads start: a fork racing another
+        # thread can inherit a lock it holds.
+        assert engine.pairs("[_, a, _] . [_, b, _]", processes=2) == want
+        # Forked at the default size, not at the first caller's count.
+        assert engine._parallel.processes == ParallelExecutor(graph).processes
+        errors, executors = [], set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two readers finely
+
+        def reader(processes):
+            try:
+                for _ in range(15):
+                    assert engine.pairs("[_, a, _] . [_, b, _]",
+                                        processes=processes) == want
+                    executors.add(id(engine._parallel))
+            except Exception as exc:  # the race's symptom
+                errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=reader, args=(processes,),
+                                        daemon=True)
+                       for processes in (2, 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), \
+            "a read is wedged on a torn-down pool"
+        engine.close()
+        assert errors == []
+        assert len(executors) == 1
+
     def test_pairs_batch_keeps_order_and_parity(self):
         graph = small_graph(seed=53)
         queries = [self.QUERY, "[_, c, _]", "[0, a, _] . [_, b, _]*",

@@ -234,6 +234,31 @@ class TestLoopback:
             _assert_equal_answers(replica, store)
             replica.close()
 
+    def test_replica_applies_vertex_and_edge_born_with_properties(
+            self, tmp_path):
+        # A vertex or edge added with properties commits its "+" record
+        # and its property record at one version each; two records at
+        # one version would be rejected as a non-monotonic run on every
+        # poll, wedging the replica.
+        with _primary(tmp_path) as store:
+            feed = PrimaryFeed(store)
+            replica = ReplicaGraph.bootstrap(str(tmp_path / "rep"), feed)
+            try:
+                _catch_up(replica, feed)
+                store.add_vertex("x", kind="new")
+                store.add_edge("x", "c", "y", weight=3)
+                _catch_up(replica, feed)
+                assert replica.applied_version == store.current_version()
+                versions = [record[0] for record in
+                            store.segments.iter_entries()]
+                assert versions == sorted(set(versions))
+                assert replica.vertex_properties("x") == {"kind": "new"}
+                assert replica.edge_properties("x", "c", "y") == \
+                    {"weight": 3}
+                _assert_equal_answers(replica, store)
+            finally:
+                replica.close()
+
     def test_drained_poll_does_no_cursor_io(self, tmp_path):
         """A poll that moved nothing does not republish ``replica.json``
         (its fsyncs would sit under the lock every replica read takes):

@@ -142,6 +142,12 @@ class TestReadiness:
                 host, port, "POST", "/v1/graphs/alpha/query",
                 {"query": "[_, b, _]"})
             assert status == 200 and payload["pairs"] == [[0, CHAIN]]
+            # A retried write is refused with the same 503 contract, even
+            # one whose first edge the failed call left in memory.
+            status, payload, _ = await http_request(
+                host, port, "POST", "/v1/graphs/alpha/mutate",
+                {"add_edges": edges[:1]})
+            assert status == 503 and payload["retriable"] is True
             # Further mutations are refused with the same 503 contract.
             status, payload, _ = await http_request(
                 host, port, "POST", "/v1/graphs/alpha/mutate",

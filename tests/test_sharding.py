@@ -12,6 +12,7 @@ import random
 import sys
 
 import pytest
+from counting import counted_calls
 
 from repro.engine.parallel import ParallelExecutor
 from repro.graph.compact import adjacency_snapshot
@@ -99,6 +100,24 @@ class TestSerialExecutorParity:
             assert split_answer == rpq_pairs(graph, expression)
             assert split_answer == rpq_pairs_basic(graph, expression)
         assert executor._pool is None  # the ranges ran in-process
+        executor.close()
+
+    def test_parts_sets_the_range_count_and_degrees_run_once(self):
+        # An Engine's one executor splits each read into the ranges its
+        # ``processes`` names; reads alternating their count at one
+        # version share one degree pass.
+        import repro.engine.parallel as parallel
+        graph = small_graph(seed=25)
+        expression = EXPRESSIONS["star"]
+        dfa = compile_rpq(expression, graph)
+        want = rpq_pairs_basic(graph, expression)
+        executor = in_process_executor(graph, 2)
+        entries = [("degrees", parallel, "row_degrees"),
+                   (lambda degrees, parts: parts, parallel, "shard_ranges")]
+        with counted_calls(entries) as counts:
+            for parts in (3, 1, 7, 3):
+                assert executor.rpq_pairs(dfa, parts=parts) == want
+        assert counts == {"degrees": 1, 3: 2, 1: 1, 7: 1}
         executor.close()
 
     @pytest.mark.parametrize("count", SHARD_COUNTS)
