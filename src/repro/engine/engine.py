@@ -144,7 +144,9 @@ class Engine:
     Parameters
     ----------
     graph:
-        The multi-relational graph to query.
+        The multi-relational graph to query, or a lazy store or replica
+        (:class:`~repro.storage.persistent._LogBackedView`): ``pairs``
+        over those runs every route but ``bounded``.
     default_max_length:
         Bound applied when a query does not specify one (stars make
         unbounded result sets possible, so a bound always exists).
@@ -481,8 +483,13 @@ class Engine:
     def _bounded_pairs(self, route: PairsRoute,
                        expression: RegexExpr) -> PairBlocks:
         """Endpoint pairs of the automaton strategy's witness paths, which
-        are scratch: no cache entry but the caller's pair answer."""
+        are scratch: no cache entry but the caller's pair answer.  The
+        strategy walks the dict graph, so a view source refuses it."""
         from repro.analysis.query import analyze_expression
+        if not isinstance(self.graph, MultiRelationalGraph):
+            raise ExecutionError("the bounded edge-set strategy needs the "
+                                 "dict graph, which a {} does not have"
+                                 .format(type(self.graph).__name__))
         bound = route.max_length if route.max_length is not None \
             else self.default_max_length
         paths = PathSet() if analyze_expression(expression, self.graph).empty \

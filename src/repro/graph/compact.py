@@ -88,6 +88,7 @@ __all__ = [
     "digraph_snapshot",
     "digraph_snapshot_if_large",
     "fold_adjacency_pairs",
+    "label_counts",
     "rpq_pairs_compact",
     "rpq_pairs_on_snapshot",
     "rpq_pairs_backward",
@@ -481,6 +482,32 @@ def fold_adjacency_pairs(view) -> Tuple[List[Hashable], List[Hashable],
         per_label.append(pairs)
         num_edges += len(pairs)
     return vertex_of, label_of, per_label, num_edges
+
+
+def _row_counts(block: AdjacencyBlock) -> Tuple[int, int]:
+    """``(edges, non-empty rows)`` of one label side: the CSR offsets,
+    with each patched row counted in place of its base row."""
+    indptr, _, patched, base_n = block
+    edges = indptr[base_n]
+    ends = sum(map(lt, indptr[:base_n], indptr[1:base_n + 1]))
+    for vertex_id, row in patched.items():
+        degree = indptr[vertex_id + 1] - indptr[vertex_id] \
+            if vertex_id < base_n else 0
+        edges += len(row) - degree
+        ends += bool(row) - (degree > 0)
+    return edges, ends
+
+
+def label_counts(view) -> Dict[Hashable, Tuple[int, int, int]]:
+    """``label -> (edges, distinct tails, distinct heads)`` of every label
+    with a live edge of ``view``: ``label_fanout`` counted off the CSR."""
+    counts = {}
+    for label_id, label in enumerate(view.label_of):
+        edges, tails = _row_counts(view.out_block(label_id))
+        if edges:
+            counts[label] = (edges, tails,
+                             _row_counts(view.in_block(label_id))[1])
+    return counts
 
 
 class _SnapshotFeed:

@@ -54,8 +54,10 @@ import random
 import re
 import shutil
 import time
+from contextlib import contextmanager
 from threading import Event
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from repro.concurrency import ordered_lock, release_resource, track_resource
 from repro.errors import (
@@ -67,6 +69,7 @@ from repro.errors import (
 )
 from repro.faults import fault_hook, fault_point
 from repro.graph.pairs import PairBlocks
+from repro.rpq.evaluation import rpq_pairs
 from repro.storage.persistent import (
     MANIFEST_NAME,
     PersistentGraph,
@@ -244,14 +247,12 @@ class ReplicaGraph(_LogBackedView):
         self._load_view(base, smeta)
         self._segments = segments
         self._cursor = ReplicationCursor.parse(str(meta["cursor"]))
-        self._applied_version = int(meta["applied_version"])
         self._primary_version = int(meta.get("primary_version",
                                              meta["applied_version"]))
         self._lock = ordered_lock("replication.replica")
-        self._closed = False
         now = time.monotonic()
         self._last_contact = now
-        self._caught_up_at = now if self._applied_version \
+        self._caught_up_at = now if self._view_version \
             >= self._primary_version else None
         self._rebootstraps = 0
         self._leak_token = track_resource("replica", self.directory)
@@ -334,9 +335,7 @@ class ReplicaGraph(_LogBackedView):
             replica.close()
             raise
         replica._apply(entries)
-        if entries:
-            replica._applied_version = int(entries[-1][0])
-        replica._meta["applied_version"] = replica._applied_version
+        replica._meta["applied_version"] = replica._view_version
         return replica
 
     # -- applying ------------------------------------------------------
@@ -392,7 +391,7 @@ class ReplicaGraph(_LogBackedView):
                                                  second[0]))
             stale = 0
             while stale < len(entries) \
-                    and int(entries[stale][0]) <= self._applied_version:
+                    and int(entries[stale][0]) <= self._view_version:
                 stale += 1
             fresh = entries[stale:]
             try:
@@ -404,15 +403,13 @@ class ReplicaGraph(_LogBackedView):
             self._segments.extend_run(fresh, data, offsets[stale:])
             self._segments.flush()
             self._apply(fresh)
-            if fresh:
-                self._applied_version = int(fresh[-1][0])
             self._cursor = ReplicationCursor.parse(str(meta["cursor"]))
             self._primary_version = max(
-                self._applied_version, int(meta.get("version",
-                                                    self._applied_version)))
+                self._view_version, int(meta.get("version",
+                                                 self._view_version)))
             now = time.monotonic()
             self._last_contact = now
-            if self._applied_version >= self._primary_version:
+            if self._view_version >= self._primary_version:
                 self._caught_up_at = now
             self._persist_meta()
             records, seconds = self._lag_locked()
@@ -423,7 +420,7 @@ class ReplicaGraph(_LogBackedView):
 
     def _persist_meta(self) -> None:  # guarded-by: _lock
         self._meta.update(cursor=self._cursor.token(),
-                          applied_version=self._applied_version,
+                          applied_version=self._view_version,
                           primary_version=self._primary_version)
         if self._meta == self._published:
             # A drained poll moves nothing: republishing the same file
@@ -460,14 +457,13 @@ class ReplicaGraph(_LogBackedView):
             self._segments.reset_base(snapshot_version)
             self._load_view(base, smeta)
             self._cursor = ReplicationCursor.parse(str(meta["cursor"]))
-            self._applied_version = snapshot_version
             self._primary_version = int(meta.get("version",
                                                  snapshot_version))
             self._meta.update(snapshot=snapshot_name,
                               snapshot_version=snapshot_version)
             now = time.monotonic()
             self._last_contact = now
-            self._caught_up_at = now if self._applied_version \
+            self._caught_up_at = now if self._view_version \
                 >= self._primary_version else None
             self._rebootstraps += 1
             self._persist_meta()
@@ -479,26 +475,25 @@ class ReplicaGraph(_LogBackedView):
 
     # -- reads ---------------------------------------------------------
 
-    def view(self) -> Any:
-        """The live compact adjacency (overlay once records applied)."""
+    @contextmanager
+    def pinned(self) -> Iterator[None]:
+        """Hold the replica at one applied batch: no apply or re-bootstrap
+        runs until the block exits.  A read that takes the version, then
+        the view, runs inside it."""
         with self._lock:
             self._check_open()
-            return self._live_view()
+            yield
 
     def pairs(self, expression: Any,
               sources: Optional[Iterable[Hashable]] = None,
               targets: Optional[Iterable[Hashable]] = None
               ) -> PairBlocks:
-        """RPQ reachability at the replica's applied cursor.
-
-        Runs the same compact product-BFS kernels the primary runs; at
-        equal versions the answer sets are identical by construction
-        (same snapshot bytes, same records, same kernels).
-        """
-        with self._lock:
-            self._check_open()
-            return self._view_pairs(self._live_view(), expression, sources,
-                                    targets)
+        """RPQ reachability at the replica's applied cursor, through
+        :func:`~repro.rpq.evaluation.rpq_pairs` with the replica
+        :meth:`pinned`: at equal versions the primary's answer (same
+        snapshot bytes, same records, same kernels)."""
+        with self.pinned():
+            return rpq_pairs(self, expression, sources, targets)
 
     def vertex_properties(self, vertex: Hashable) -> Dict[str, Any]:
         with self._lock:
@@ -513,7 +508,7 @@ class ReplicaGraph(_LogBackedView):
 
     @property
     def applied_version(self) -> int:
-        return self._applied_version
+        return self._view_version
 
     @property
     def primary_version(self) -> int:
@@ -544,7 +539,7 @@ class ReplicaGraph(_LogBackedView):
             return self._lag_locked()
 
     def _lag_locked(self) -> Tuple[int, float]:
-        records = max(0, self._primary_version - self._applied_version)
+        records = max(0, self._primary_version - self._view_version)
         now = time.monotonic()
         if records == 0:
             seconds = now - self._last_contact
@@ -569,8 +564,7 @@ class ReplicaGraph(_LogBackedView):
 
     def info(self) -> Dict[str, Any]:
         with self._lock:
-            self._check_open()
-            view = self._live_view()
+            view = self.view()
             records, seconds = self._lag_locked()
             return {
                 "directory": self.directory,
@@ -579,7 +573,7 @@ class ReplicaGraph(_LogBackedView):
                 "primary": str(self._meta.get("primary", "")),
                 "snapshot": str(self._meta.get("snapshot", "")),
                 "snapshot_version": int(self._meta["snapshot_version"]),
-                "applied_version": self._applied_version,
+                "applied_version": self._view_version,
                 "primary_version": self._primary_version,
                 "cursor": self._cursor.token(),
                 "lag_records": records,
@@ -591,11 +585,6 @@ class ReplicaGraph(_LogBackedView):
 
     # -- lifecycle -----------------------------------------------------
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StorageError(
-                "replica {} is closed".format(self.directory))
-
     def close(self) -> None:
         with self._lock:
             if self._closed:
@@ -604,8 +593,7 @@ class ReplicaGraph(_LogBackedView):
             try:
                 self._segments.close()
             finally:
-                self._base = None
-                self._overlay = None
+                self._compact_snapshot_cache = None
                 release_resource(self._leak_token)
 
     def __enter__(self) -> "ReplicaGraph":
@@ -616,7 +604,7 @@ class ReplicaGraph(_LogBackedView):
 
     def __repr__(self) -> str:
         return "ReplicaGraph<{}, applied={}, cursor={}{}>".format(
-            self.directory, self._applied_version, self._cursor,
+            self.directory, self._view_version, self._cursor,
             ", closed" if self._closed else "")
 
 
@@ -757,7 +745,7 @@ def promote_replica(directory: str) -> Dict[str, Any]:
             raise ReplicationCorruptionError(
                 "segment scrub failed at {}".format(report["first_corrupt"]))
         with replica._lock:
-            version = replica._applied_version
+            version = replica.applied_version
             old_snapshot = os.path.basename(str(replica._meta["snapshot"]))
             match = _SNAPSHOT_RE.match(old_snapshot)
             # Shipped segments are provenance now: the checkpoint names
@@ -768,7 +756,7 @@ def promote_replica(directory: str) -> Dict[str, Any]:
                 directory,
                 {"kind": "multirelational", "name": replica.graph_name,
                  "generation": int(match.group(1)) if match else 0},
-                log.cursor_after_reset(), replica._live_view(), version,
+                log.cursor_after_reset(), replica.view(), version,
                 {v: p for v, p in replica._vertex_props.items() if p},
                 {k: p for k, p in replica._edge_props.items() if p})
             log.reset_base(version)

@@ -49,7 +49,6 @@ from repro.rpq.labelregex import (
 
 __all__ = [
     "compile_rpq",
-    "compile_rpq_over",
     "rpq_pairs",
     "rpq_pairs_basic",
     "rpq_pairs_to_targets",
@@ -69,12 +68,7 @@ def compile_rpq(expression: LabelExpr, graph: MultiRelationalGraph) -> LabelDFA:
     Symbols outside the graph's alphabet are kept (they simply never fire),
     so expressions are portable across graphs.
     """
-    return compile_rpq_over(expression, graph.labels())
-
-
-def compile_rpq_over(expression: LabelExpr, labels) -> LabelDFA:
-    """:func:`compile_rpq` over a label set (a snapshot view has no graph)."""
-    alphabet = set(labels) | set(expression.symbols())
+    alphabet = set(graph.labels()) | set(expression.symbols())
     return determinize(build_label_nfa(expression), alphabet)
 
 
@@ -95,9 +89,10 @@ def rpq_pairs(graph: MultiRelationalGraph, expression: LabelExpr,
     many sources share one walk per batch, carried through the product as
     bitmasks, so a configuration several of them reach is expanded once —
     the paper's set-at-a-time join.  Under mutation the snapshot is maintained
-    incrementally — the graph's journal is replayed into a delta overlay
-    the kernel consults alongside the base CSR, so point updates between
-    queries cost O(delta), not an O(V + E) rebuild.
+    incrementally — each committed record patches a delta overlay the
+    kernel consults alongside the base CSR, so point updates between
+    queries cost O(delta), not an O(V + E) rebuild.  ``graph`` may also be
+    a lazy store or a replica: their live view is the snapshot.
     :func:`rpq_pairs_basic` keeps the direct per-source product BFS as the
     reference implementation; :func:`rpq_pairs_to_targets` and
     :func:`rpq_pairs_between` are the backward and bidirectional variants

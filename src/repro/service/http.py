@@ -89,28 +89,27 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.replication import REPLICA_META_NAME
 
+from repro.engine.cache import QueryCache
+from repro.engine.engine import Engine
 from repro.engine.parallel import MAX_WORKERS
 from repro.errors import (
     AuthenticationError,
-    DeadlineExceededError,
     ReplicaReadOnlyError,
     ReplicationError,
     UnknownGraphError,
 )
 from repro.faults import fault_hook
 from repro.graph.pairs import PairBlocks
-from repro.service.async_engine import Deadline
+from repro.service.async_engine import AsyncEngine
 from repro.service.registry import GraphHandle, GraphRegistry
 from repro.service.wire import (BadRequestError, PayloadTooLargeError,
-                                RouteNotFoundError, ServedPairs,
-                                encode_reply, error_reply,
-                                replica_lag_header, serve_pairs,
-                                wants_blocks)
+                                RouteNotFoundError, encode_reply,
+                                error_reply, replica_lag_header, wants_blocks)
 
 __all__ = ["HttpServer", "ReplicaHttpServer", "serve", "serve_replica"]
 
@@ -626,17 +625,6 @@ class HttpServer:
                 "processes": self._integer_of(body, "processes", 1,
                                               MAX_WORKERS)}
 
-    async def _answer(self, handle: Any, query: str,
-                      options: Dict[str, Any], blocks: bool) -> ServedPairs:
-        return await handle.async_engine.served_pairs(query, blocks=blocks,
-                                                      **options)
-
-    async def _answer_batch(self, handle: Any, queries: List[str],
-                            options: Dict[str, Any],
-                            blocks: bool) -> List[ServedPairs]:
-        return await handle.async_engine.served_pairs_batch(
-            queries, blocks=blocks, **options)
-
     async def _action_query(self, handle: Any, body: Dict[str, Any],
                             tenant: str,
                             headers: Dict[str, str]) -> Dict[str, Any]:
@@ -653,8 +641,8 @@ class HttpServer:
                     isinstance(q, str) for q in queries):
                 raise BadRequestError(
                     "queries must be a list of PathQL strings")
-            served = await self._answer_batch(handle, queries, options,
-                                              blocks)
+            served = await handle.async_engine.served_pairs_batch(
+                queries, blocks=blocks, **options)
             payload["results"] = [
                 {"query": q, "count": len(s.answer), s.key: s.fragment}
                 for q, s in zip(queries, served)]
@@ -662,8 +650,9 @@ class HttpServer:
         query = body.get("query")
         if not isinstance(query, str):
             raise BadRequestError('body must carry "query" (PathQL text)')
-        answer, key, fragment, cached = await self._answer(
-            handle, query, options, blocks)
+        answer, key, fragment, cached = \
+            await handle.async_engine.served_pairs(query, blocks=blocks,
+                                                   **options)
         payload.update(query=query, count=len(answer))
         if cached is not None:
             payload["cached"] = cached
@@ -736,14 +725,30 @@ class HttpServer:
         return {"graph": handle.name, "info": info}
 
 
+class _ReplicaEngine(Engine):
+    """An :class:`Engine` over a replica: ``pairs`` — every read the
+    server makes — holds it ``pinned`` from its version read until its
+    kernel returns, so it sees one applied batch.  A cache probe reads
+    only the version and takes no lock."""
+
+    def pairs(self, *args: Any, **kwargs: Any) -> PairBlocks:
+        with self.graph.pinned():
+            return super().pairs(*args, **kwargs)
+
+
 class ReplicaHttpServer(HttpServer):
     """The read-only HTTP front end of one tailing replica.
 
     Same wire protocol and error contract as :class:`HttpServer` minus
     everything that writes: ``query`` reads (there is no ``explain``)
-    serve from the replica's applied state, under the request's
-    ``deadline_ms`` like the primary's; ``mutate``/``checkpoint`` get **403**
-    (:class:`~repro.errors.ReplicaReadOnlyError` — promote first), and
+    run through ``AsyncEngine(Engine(replica))`` — the primary's route,
+    planner, pre-flight, DFA cache, result cache and ``deadline_ms``
+    handling — over the replica's applied state.  A shape the primary
+    routes ``bounded`` (``max_length``, interior-bound atoms, literals,
+    products) needs the dict graph: a **400**
+    (:class:`~repro.errors.ExecutionError`).  ``mutate``/``checkpoint``
+    get **403** (:class:`~repro.errors.ReplicaReadOnlyError` — promote
+    first), and
     ``/readyz`` reports *catching-up* (503) until the tailer has caught
     up at least once and is currently healthy.
 
@@ -769,10 +774,14 @@ class ReplicaHttpServer(HttpServer):
         super().__init__(None, **options)  # type: ignore[arg-type]
         self.replica = replica
         self.tailer = tailer
+        self.async_engine = AsyncEngine(
+            _ReplicaEngine(replica, cache=QueryCache(256)))
 
     async def stop(self, deadline: Optional[float] = 30.0) -> None:
-        """Stop accepting; the caller owns the replica's lifecycle."""
+        """Stop accepting, drain and close the engine; the caller owns
+        the replica's lifecycle."""
         await self.stop_listening()
+        await self.async_engine.aclose(deadline=deadline)
 
     # -- per-server hooks ----------------------------------------------
 
@@ -790,9 +799,11 @@ class ReplicaHttpServer(HttpServer):
 
     @contextmanager
     def _resolve(self, name: str, tenant: str) -> Iterator[Any]:
+        # The server is its one graph's handle: the inherited query
+        # action reads ``handle.async_engine``.
         if name != self.replica.graph_name:
             raise UnknownGraphError(name)
-        yield self.replica
+        yield self
 
     def _response_headers(self, handle: Any) -> Dict[str, str]:
         return {"X-Repro-Replica-Lag": replica_lag_header(*self.replica.lag()),
@@ -850,55 +861,6 @@ class ReplicaHttpServer(HttpServer):
     def _query_envelope(self, handle: Any, tenant: str) -> Dict[str, Any]:
         return {"graph": self.replica.graph_name, "tenant": tenant,
                 "replica": True}
-
-    def _read_options(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        for unsupported in ("max_length", "processes"):
-            if body.get(unsupported) is not None:
-                raise BadRequestError(
-                    "{} is not supported on a replica".format(unsupported))
-        options = super()._read_options(body)
-        # One budget for the request, a batch's queries included.
-        return {"deadline": Deadline(options["deadline"]),
-                "sources": options["sources"],
-                "targets": options["targets"]}
-
-    async def _answer(self, handle: Any, query: str,
-                      options: Dict[str, Any], blocks: bool) -> ServedPairs:
-        from repro.engine.rewrite import normalize
-        from repro.lang import parse
-        from repro.rpq.evaluation import lower_to_constrained_query
-        # Replicas run the compact pairs kernel only, so the query must
-        # lower to a (possibly endpoint-bound) label RPQ — same fast path
-        # the primary engine routes eligible queries through.
-        constrained = lower_to_constrained_query(normalize(parse(query)))
-        if constrained is None:
-            raise BadRequestError(
-                "query {!r} needs the bounded edge-set engine; a replica "
-                "answers label-path pairs() queries only".format(query))
-        merged = constrained.merge_filters(options["sources"],
-                                           options["targets"])
-        if merged is None:  # a bound endpoint the caller's filter excludes
-            return serve_pairs(PairBlocks(()), blocks=blocks)
-        deadline = options["deadline"]
-        deadline.check()
-        # Kernel and encode in one executor hop; a replica keeps no
-        # result cache, so there is no hit to report.  The hop is waited
-        # on only until the deadline (shielded: an abandoned kernel runs
-        # out in its thread, its result dropped).
-        future = asyncio.get_running_loop().run_in_executor(
-            None, lambda: serve_pairs(self.replica.pairs(
-                constrained.label_expression, *merged), blocks=blocks))
-        try:
-            return await asyncio.wait_for(asyncio.shield(future),
-                                          deadline.remaining())
-        except asyncio.TimeoutError:
-            raise DeadlineExceededError(deadline.seconds) from None
-
-    async def _answer_batch(self, handle: Any, queries: List[str],
-                            options: Dict[str, Any],
-                            blocks: bool) -> List[ServedPairs]:
-        return [await self._answer(handle, q, options, blocks)
-                for q in queries]
 
 
 async def serve(root: str, host: str = "127.0.0.1", port: int = 8080,

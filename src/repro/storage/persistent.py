@@ -11,7 +11,9 @@ A persistent store is a directory::
 The state is always ``snapshot ⊗ log suffix``: the manifest names a
 snapshot and its journal version, and recovery replays the log records
 with a greater version over it.  Primaries and replicas recover by that
-same rule (:class:`_LogBackedView`).
+same rule (:class:`_LogBackedView`), which is also the source
+:class:`~repro.engine.engine.Engine` reads a lazy store or a replica
+through: version, labels, label statistics and the live compact view.
 
 Lifecycle
 ---------
@@ -55,10 +57,11 @@ from repro.graph.compact import (
     DeltaAdjacency,
     adjacency_snapshot,
     install_snapshot,
-    rpq_pairs_on_snapshot,
+    label_counts,
 )
 from repro.graph.graph import MultiRelationalGraph
 from repro.graph.pairs import PairBlocks
+from repro.rpq.evaluation import rpq_pairs
 from repro.storage.frames import check_loggable
 from repro.storage.segments import (
     SEGMENTS_DIRNAME,
@@ -133,18 +136,22 @@ class _LogBackedView:
     """``snapshot ⊗ log suffix``, queryable without a dict graph: what a
     lazily-opened primary and a tailing replica both are — a mapped base
     snapshot, a :class:`DeltaAdjacency` overlay of the log records applied
-    since, and the property sidecar maps.  ``_view_version`` is the version
-    of the last record applied, property-only ones included: the overlay
-    exists only once a structural record arrives, so it cannot carry it."""
+    since, and the property sidecar maps.  It is the source an
+    :class:`~repro.engine.engine.Engine` reads in place of a graph: the
+    live view sits in the slot :func:`~repro.graph.compact.adjacency_snapshot`
+    reads, tagged with ``_view_version`` (the last record applied,
+    property-only ones included), and the label statistics are counted
+    off it once per version."""
 
-    _base: Any = None
-    _overlay: Optional[DeltaAdjacency] = None
+    _compact_snapshot_cache: Any = None
     _view_version = 0
+    _closed = False
+    _counts: Optional[Tuple[int, Dict[Hashable, Tuple]]] = None
 
     def _load_view(self, base: Any, metadata: Any) -> None:
-        self._base = base
-        self._overlay = None
+        self._compact_snapshot_cache = base
         self._view_version = int(metadata.version)
+        self._counts = None
         self._vertex_props: Dict[Hashable, Dict[str, Any]] = \
             dict(metadata.vertex_properties)
         self._edge_props: Dict[Tuple, Dict[str, Any]] = \
@@ -170,28 +177,58 @@ class _LogBackedView:
                 elif op == "-e":
                     self._edge_props.pop((entry[2], entry[3], entry[4]),
                                          None)
+        view = self._compact_snapshot_cache
         if structural:
-            if self._overlay is None:
-                self._overlay = DeltaAdjacency(self._base)
-            self._overlay.apply(structural)
+            if not isinstance(view, DeltaAdjacency):
+                view = self._compact_snapshot_cache = DeltaAdjacency(view)
+            view.apply(structural)
         if entries:
-            self._view_version = int(entries[-1][0])
-            if self._overlay is not None:
-                self._overlay.version = self._view_version
+            self._view_version = view.version = int(entries[-1][0])
 
-    def _live_view(self) -> Any:
-        return self._overlay if self._overlay is not None else self._base
+    def view(self) -> Any:
+        """The live compact adjacency (patched in place by applies)."""
+        self._check_open()
+        return self._compact_snapshot_cache
 
-    @staticmethod
-    def _view_pairs(view: Any, expression: Any,
-                    sources: Optional[Iterable[Hashable]],
-                    targets: Optional[Iterable[Hashable]]) -> PairBlocks:
-        """The compact product-BFS kernel over ``view`` (handed in: the
-        caller fetched it under whatever lock guards it)."""
-        from repro.rpq.evaluation import compile_rpq_over
-        return rpq_pairs_on_snapshot(
-            view, compile_rpq_over(expression, view.label_ids),
-            sources=sources, targets=targets)
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StorageError("{!r} is closed".format(self))
+
+    def version(self) -> int:
+        """The version of the last applied record (the cache-key version)."""
+        return self._view_version
+
+    def order(self) -> int:
+        """``|V|`` of the live state (overlay-aware, no materialization)."""
+        return self.view().num_vertices
+
+    def size(self) -> int:
+        """``|E|`` of the live state (overlay-aware, no materialization)."""
+        return self.view().num_edges
+
+    def _label_counts(self) -> Dict[Hashable, Tuple[int, int, int]]:
+        view = self.view()
+        counts = self._counts
+        if counts is None or counts[0] != view.version:
+            counts = self._counts = (view.version, label_counts(view))
+        return counts[1]
+
+    def labels(self) -> FrozenSet[Hashable]:
+        """The labels with at least one live edge."""
+        return frozenset(self._label_counts())
+
+    def label_histogram(self) -> Dict[Hashable, int]:
+        """``label -> edge count`` over the live edges."""
+        return {label: counts[0]
+                for label, counts in self._label_counts().items()}
+
+    def label_fanout(self, label: Hashable) -> Tuple[int, int, int]:
+        """``(edges, distinct tails, distinct heads)`` of one label."""
+        return self._label_counts().get(label, (0, 0, 0))
+
+    def vertices(self) -> FrozenSet[Hashable]:
+        view = self.view()
+        return frozenset(view.vertex_of[i] for i in view.live_vertex_ids())
 
 
 def publish_generation(directory: str, manifest: Dict[str, Any],
@@ -263,7 +300,6 @@ class PersistentGraph(_LogBackedView):
         self._replicate = replicate
         self._graph: Optional[MultiRelationalGraph] = None
         self._wal_sink = _WalSink(self)
-        self._closed = False
         # Reason string while in read-only degraded mode (log writes
         # failed), None while writable.  Sticky until a checkpoint heals.
         self._degraded: Optional[str] = None
@@ -411,8 +447,7 @@ class PersistentGraph(_LogBackedView):
                 if self._degraded is None:
                     raise
             finally:
-                self._base = None
-                self._overlay = None
+                self._compact_snapshot_cache = None
                 self._closed = True
                 release_resource(self._leak_token)
 
@@ -440,13 +475,9 @@ class PersistentGraph(_LogBackedView):
     # ------------------------------------------------------------------
 
     def view(self) -> Any:
-        """The live compact adjacency: overlay if log records were
-        replayed, the (mmap) base otherwise, or the attached graph's own
-        snapshot once materialized."""
-        self._check_open()
-        if self._graph is not None:
-            return adjacency_snapshot(self._graph)
-        return self._live_view()
+        """The live compact adjacency, the graph's own once materialized."""
+        view = super().view()
+        return view if self._graph is None else adjacency_snapshot(self._graph)
 
     @property
     def materialized(self) -> bool:
@@ -468,7 +499,7 @@ class PersistentGraph(_LogBackedView):
             return self._graph
 
     def _materialize(self) -> MultiRelationalGraph:
-        view = self._live_view()
+        view = self.view()
         graph = MultiRelationalGraph(name=self._manifest.get("name", ""))
         vertex_of = view.vertex_of
         live = list(view.live_vertex_ids())
@@ -489,7 +520,7 @@ class PersistentGraph(_LogBackedView):
         # any replica tailing it) has already seen: the rebuild restarted
         # the counter, and reused versions would be dropped by version
         # dedup downstream.
-        graph.advance_version(max(self.current_version(),
+        graph.advance_version(max(self.version(),
                                   self._log.last_version))
         # Adopt the mapped view as the graph's snapshot cache: the ids it
         # interned stay valid, so the first compact query after
@@ -498,11 +529,6 @@ class PersistentGraph(_LogBackedView):
         install_snapshot(graph, view)
         graph.subscribe(self._wal_sink)
         return graph
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StorageError(
-                "graph store {} is closed".format(self.directory))
 
     # ------------------------------------------------------------------
     # Degraded mode (read-only after a log write failure)
@@ -545,21 +571,6 @@ class PersistentGraph(_LogBackedView):
     # Reads (lazy-friendly)
     # ------------------------------------------------------------------
 
-    def order(self) -> int:
-        """``|V|`` of the live state (overlay-aware, no materialization)."""
-        return self.view().num_vertices
-
-    def size(self) -> int:
-        """``|E|`` of the live state (overlay-aware, no materialization)."""
-        return self.view().num_edges
-
-    def vertices(self) -> FrozenSet[Hashable]:
-        view = self.view()
-        return frozenset(view.vertex_of[i] for i in view.live_vertex_ids())
-
-    def labels(self) -> FrozenSet[Hashable]:
-        return frozenset(self.view().label_ids)
-
     def vertex_properties(self, vertex: Hashable) -> Dict[str, Any]:
         if self._graph is not None:
             return self._graph.vertex_properties(vertex)
@@ -578,8 +589,9 @@ class PersistentGraph(_LogBackedView):
         """RPQ reachability over the durable state.
 
         ``expression`` is a label expression (:func:`repro.rpq.sym` etc.);
-        evaluation runs the compact product-BFS kernel against the mapped
-        snapshot (plus overlay), whether or not the store is materialized.
+        :func:`~repro.rpq.evaluation.rpq_pairs` evaluates it over this
+        store as its source while lazy, over the dict graph once
+        materialized.
         """
         self._check_open()
         try:
@@ -587,7 +599,9 @@ class PersistentGraph(_LogBackedView):
         except OSError as exc:
             raise StorageError(
                 "{}: read failed ({})".format(self.directory, exc)) from exc
-        return self._view_pairs(self.view(), expression, sources, targets)
+        graph = self._graph
+        return rpq_pairs(self if graph is None else graph, expression,
+                         sources, targets)
 
     # ------------------------------------------------------------------
     # Mutations (materialize-on-write)
@@ -657,7 +671,7 @@ class PersistentGraph(_LogBackedView):
             edge_props = {(e.tail, e.label, e.head): dict(p) for e, p in
                           self._graph._edges.items() if p}
         else:
-            view = self._live_view()
+            view = self.view()
             version = self._view_version
             vertex_props = self._vertex_props
             edge_props = self._edge_props
@@ -708,7 +722,7 @@ class PersistentGraph(_LogBackedView):
         """True when this handle serves the replication feed."""
         return self._replicate
 
-    def current_version(self) -> int:
+    def version(self) -> int:
         """The journal version of the live state (what a replica chases)."""
         if self._graph is not None:
             return self._graph.version()
@@ -753,7 +767,7 @@ class PersistentGraph(_LogBackedView):
 
         This is the newest version a replica can *reach* — the last
         record in the log (or the snapshot version when the log is
-        empty).  Deliberately not :meth:`current_version`: in degraded
+        empty).  Deliberately not :meth:`version`: in degraded
         mode the live graph commits records the log could not take, and
         measuring replica lag against it would never read zero.
         """

@@ -1,9 +1,10 @@
 """One log file: durable, fsync-batched append of CRC-framed records.
 
-The structural mutation journal :class:`~repro.graph.graph.MultiRelationalGraph`
-already maintains for its compact snapshots is *exactly* the event stream a
-write-ahead log needs.  :class:`WriteAheadLog` is the single-file append
-primitive that makes it durable; a store's log
+Every record a :class:`~repro.graph.graph.MultiRelationalGraph` commits
+goes to its subscribers once, at its version — the store's log sink among
+them — and that record stream is what a write-ahead log needs.
+:class:`WriteAheadLog` is the single-file append primitive that makes it
+durable; a store's log
 (:class:`~repro.storage.segments.WalSegments`) is a sequence of such files,
 the newest of which is open for appends through this class.  The record
 format lives in :mod:`repro.storage.frames`.

@@ -248,7 +248,7 @@ class TestLoopback:
                 store.add_vertex("x", kind="new")
                 store.add_edge("x", "c", "y", weight=3)
                 _catch_up(replica, feed)
-                assert replica.applied_version == store.current_version()
+                assert replica.applied_version == store.version()
                 versions = [record[0] for record in
                             store.segments.iter_entries()]
                 assert versions == sorted(set(versions))

@@ -754,8 +754,15 @@ class TestRequestValidation:
                                     name="alpha", replicate=True) as store:
             replica = ReplicaGraph.bootstrap(str(tmp_path / "rep"),
                                              PrimaryFeed(store))
+
+            async def run():
+                server = ReplicaHttpServer(replica)
+                try:
+                    await scenario(server)
+                finally:
+                    await server.stop()
             try:
-                asyncio.run(scenario(ReplicaHttpServer(replica)))
+                asyncio.run(run())
             finally:
                 replica.close()
 
@@ -776,15 +783,17 @@ class TestRequestValidation:
         async def scenario(server):
             body = {"queries": ["[_, a, _]", "[_, b, _]"]} if batch \
                 else {"query": "[_, a, _]"}
+            # Filtered, so the budgeted read below is not a cache hit.
             status, payload = await dispatch(
-                server, "query", dict(body, deadline_ms=10_000))
+                server, "query", dict(body, deadline_ms=10_000, sources=[0]))
             assert status == 200, payload
-            original = server.replica.pairs
+            engine = server.async_engine.engine
+            original = engine.pairs
 
             def slow_pairs(*args, **kwargs):
                 time.sleep(1.0)
                 return original(*args, **kwargs)
-            monkeypatch.setattr(server.replica, "pairs", slow_pairs)
+            monkeypatch.setattr(engine, "pairs", slow_pairs)
             started = time.monotonic()
             status, payload = await dispatch(
                 server, "query", dict(body, deadline_ms=50))

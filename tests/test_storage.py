@@ -907,12 +907,12 @@ class TestLazyVersion:
             assert logged == store.graph().version()
         with PersistentGraph.open(directory) as lazy:
             assert not lazy.materialized
-            assert lazy.current_version() == logged
+            assert lazy.version() == logged
             info = lazy.checkpoint()
             assert info["snapshot_version"] == logged
-            assert lazy.current_version() == logged
+            assert lazy.version() == logged
         with PersistentGraph.open(directory) as reopened:
             # The fold holds record ``logged``: nothing is replayed again.
             assert reopened.info()["recovered_wal_records"] == 0
-            assert reopened.current_version() == logged
+            assert reopened.version() == logged
             assert reopened.vertex_properties("a") == {"rank": 7}

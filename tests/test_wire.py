@@ -501,12 +501,14 @@ class TestReplicaReplies:
 
         async def scenario():
             path = "/v1/graphs/g/query"
-            for _ in range(2):  # a replica keeps no result cache
+            for repeat in range(2):  # the repeat is a result-cache hit
                 status, reply = await post(server, path, {"query": QUERY})
                 assert status == 200
                 assert set(reply) == {"graph", "tenant", "replica", "query",
-                                      "count", "pairs", "elapsed_ms"}
+                                      "count", "cached", "pairs",
+                                      "elapsed_ms"}
                 assert reply["replica"] is True
+                assert reply["cached"] is (repeat == 1)
                 assert reply["pairs"] == legacy_pairs(engine.pairs(QUERY))
                 assert reply["count"] == len(reply["pairs"])
             queries = [QUERY, "[0, b, _]"]
@@ -526,6 +528,7 @@ class TestReplicaReplies:
             status, _ = await post(server, path,
                                    {"query": QUERY, "max_length": 3})
             assert status == 400
+            await server.stop()
         asyncio.run(scenario())
 
 
@@ -635,20 +638,17 @@ def agree(flat, negotiated, answer):
 
 
 class StubReplica:
-    """What ``ReplicaHttpServer`` reads of a replica, answering queries
-    with the answers it is handed, in order."""
+    """What ``ReplicaHttpServer`` reads of a replica when its engine's
+    ``pairs`` is patched out."""
 
     graph_name = "g"
     applied_version = 1
 
-    def __init__(self):
-        self.answers = []
-
     def lag(self):
         return 0, 0.0
 
-    def pairs(self, expression, sources=None, targets=None):
-        return self.answers.pop(0)
+    def version(self):
+        return self.applied_version
 
 
 class TestBlockReplies:
@@ -710,12 +710,16 @@ class TestBlockReplies:
                           serve)
 
     def test_replica_negotiated_reply_decodes_to_the_flat_set(self):
-        replica = StubReplica()
+        server = ReplicaHttpServer(StubReplica())
+        drawn = []
+        # As on the primary: every request misses the cache and computes
+        # the drawn answers, in order.
+        server.async_engine.engine.pairs = \
+            lambda expression, **options: drawn.pop(0)
 
         def serve(answers):
-            replica.answers = list(answers)
-        self.check_server(ReplicaHttpServer(replica), "/v1/graphs/g/query",
-                          serve)
+            drawn[:] = answers
+        self.check_server(server, "/v1/graphs/g/query", serve)
 
     def test_real_answers_travel_as_blocks(self, store_root):
         async def scenario(server, registry):
