@@ -8,12 +8,13 @@ engine performs on every compiled query:
 * **Unknown-label detection** — labels the expression mentions that carry
   no edge in the graph can never fire; they are reported as warnings and
   drive the emptiness analysis below.
-* **DFA pruning** (:func:`prune_dfa`) — subset construction can emit
-  states that are unreachable from the start state or *dead* (no path to
-  an accepting state).  Both are removed, preserving the language exactly:
-  a product-BFS config ``(vertex, state)`` on a pruned state could never
-  contribute a result pair, so pruning shrinks the product space the
-  kernels sweep.
+* **DFA minimisation** (:func:`prune_dfa`) — subset construction can
+  emit states that are unreachable from the start state, *dead* (no path
+  to an accepting state) or equivalent to another state (same residual
+  language).  Moore's algorithm removes all three, preserving the
+  language exactly, so the kernels sweep the product with the minimal
+  DFA: a closure such as ``(a|b)* c`` walks ``|V| x 2`` configurations
+  instead of the subset construction's ``|V| x 4``.
 * **Provable emptiness** — a query whose language is empty, or whose
   every accepting run requires a label absent from the graph, provably
   answers the empty set.  ``Engine.pairs`` / ``Engine.query`` /
@@ -61,6 +62,7 @@ from repro.rpq.labelregex import (
     LabelStar,
     LabelUnion,
 )
+from repro.rpq.minimize import minimize
 
 __all__ = [
     "QueryDiagnostics",
@@ -112,75 +114,38 @@ def label_expression_size(expression: LabelExpr) -> int:
 
 
 # ----------------------------------------------------------------------
-# DFA pruning
+# DFA minimisation and reachability
 # ----------------------------------------------------------------------
 
 def _reachable(transitions: List[Dict[Hashable, int]], start: int,
-               allowed: Optional[FrozenSet[Hashable]] = None
-               ) -> FrozenSet[int]:
-    """States reachable from ``start``; ``allowed`` restricts the labels
-    the walk may follow (``None`` = every transition)."""
+               allowed: FrozenSet[Hashable]) -> FrozenSet[int]:
+    """States reachable from ``start`` over ``allowed`` labels only."""
     seen = {start}
     stack = [start]
     while stack:
         state = stack.pop()
         for label, target in transitions[state].items():
-            if allowed is not None and label not in allowed:
-                continue
-            if target not in seen:
+            if label in allowed and target not in seen:
                 seen.add(target)
                 stack.append(target)
     return frozenset(seen)
 
 
-def _co_reachable(transitions: List[Dict[Hashable, int]],
-                  accepting: FrozenSet[int]) -> FrozenSet[int]:
-    """States from which some accepting state is reachable."""
-    inverse: List[List[int]] = [[] for _ in transitions]
-    for source, row in enumerate(transitions):
-        for target in row.values():
-            inverse[target].append(source)
-    seen = set(accepting)
-    stack = list(accepting)
-    while stack:
-        state = stack.pop()
-        for source in inverse[state]:
-            if source not in seen:
-                seen.add(source)
-                stack.append(source)
-    return frozenset(seen)
-
-
 def prune_dfa(dfa: LabelDFA) -> Tuple[LabelDFA, int]:
-    """Remove unreachable and dead DFA states, preserving the language.
+    """The minimal DFA of ``dfa``'s language, over the labels it uses.
 
-    A state is *useful* when it is reachable from the start state and can
-    still reach an accepting state.  Transitions into non-useful states
-    are dropped (they become the implicit dead state — exactly the
-    semantics :meth:`LabelDFA.step` already gives missing entries), and
-    the useful states are renumbered densely with the start state first.
+    :func:`repro.rpq.minimize.minimize` drops every state that is
+    unreachable from the start or *dead* (cannot reach acceptance) and
+    merges states with equal residual languages; the start state is
+    numbered 0.  Labels no transition uses cannot separate two states, so
+    minimising over the used labels alone gives the same automaton.
 
-    Returns ``(pruned_dfa, removed_state_count)``.  When the start state
-    itself is useless (the language is empty) the result is the canonical
-    one-state reject-everything DFA.
+    Returns ``(minimal_dfa, removed_state_count)``.  When the language is
+    empty the result is the canonical one-state reject-everything DFA.
     """
-    useful = (_reachable(dfa.transitions, dfa.start)
-              & _co_reachable(dfa.transitions, dfa.accepting))
-    if dfa.start not in useful:
-        # Empty language: nothing is useful, keep a lone rejecting state.
-        return LabelDFA(0, frozenset(), [{}]), max(dfa.num_states - 1, 0)
-    removed = dfa.num_states - len(useful)
-    if not removed:
-        return dfa, 0
-    order = [dfa.start] + sorted(s for s in useful if s != dfa.start)
-    renumber = {old: new for new, old in enumerate(order)}
-    transitions: List[Dict[Hashable, int]] = []
-    for old in order:
-        transitions.append({label: renumber[target]
-                            for label, target in dfa.transitions[old].items()
-                            if target in useful})
-    accepting = frozenset(renumber[s] for s in dfa.accepting if s in useful)
-    return LabelDFA(0, accepting, transitions), removed
+    minimal = minimize(dfa, {label for row in dfa.transitions
+                             for label in row})
+    return minimal, dfa.num_states - minimal.num_states
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +159,7 @@ class QueryDiagnostics:
     ``empty`` is a *proof*, not a heuristic: when True the query's answer
     is the empty set on the graph whose label alphabet was analyzed, and
     the engine returns ∅ without dispatching a kernel.  ``dfa`` is the
-    pruned, language-equivalent automaton the kernels should run when the
+    minimal, language-equivalent automaton the kernels should run when the
     query is satisfiable.
     """
 
@@ -210,7 +175,7 @@ class QueryDiagnostics:
 
     @property
     def state_count(self) -> int:
-        """States the (pruned) automaton actually serves."""
+        """States the minimal automaton actually serves."""
         return self.dfa.num_states
 
     def describe(self) -> str:
@@ -221,8 +186,8 @@ class QueryDiagnostics:
                          self.star_height, self.expression_size,
                          self.state_count))
         if self.pruned_states:
-            lines.append("  dfa pruning: {} of {} state(s) were dead or "
-                         "unreachable and were removed".format(
+            lines.append("  dfa pruning: {} of {} state(s) were dead, "
+                         "unreachable or equivalent and were removed".format(
                              self.pruned_states, self.original_states))
         for warning in self.warnings:
             lines.append("  warning: {}".format(warning))
@@ -295,7 +260,7 @@ def analyze_compiled_query(dfa: LabelDFA, expression: LabelExpr,
     """
     mentioned = expression.symbols()
     unknown = frozenset(mentioned - graph_labels)
-    pruned, removed = prune_dfa(dfa)
+    minimal, removed = prune_dfa(dfa)
     warnings: List[str] = []
     if unknown:
         warnings.append("label(s) {} never occur in this graph".format(
@@ -303,20 +268,20 @@ def analyze_compiled_query(dfa: LabelDFA, expression: LabelExpr,
 
     empty = False
     reason: Optional[str] = None
-    if not pruned.accepting:
-        # prune_dfa collapsed everything: no accepting state was reachable
-        # at all, so the language itself is empty on every graph.
+    if not minimal.accepting:
+        # Minimisation collapsed everything: no accepting state was
+        # reachable at all, so the language itself is empty on every graph.
         empty = True
         reason = "the expression's language is empty"
     else:
-        alive = _reachable(pruned.transitions, pruned.start,
+        alive = _reachable(minimal.transitions, minimal.start,
                            allowed=graph_labels)
-        if not (alive & pruned.accepting):
+        if not (alive & minimal.accepting):
             empty = True
             reason = ("no accepting state is reachable using labels that "
                       "occur in the graph")
     return QueryDiagnostics(
-        dfa=pruned,
+        dfa=minimal,
         unknown_labels=unknown,
         empty=empty,
         empty_reason=reason,

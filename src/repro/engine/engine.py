@@ -227,12 +227,12 @@ class Engine:
         """Pre-flight analysis for a label expression, via the LRU cache.
 
         Compiles the expression (subset construction), then runs
-        :func:`repro.analysis.query.analyze_compiled_query` over it:
-        dead/unreachable DFA states are pruned (language-preserving),
-        unknown labels become warnings, and provable emptiness — an empty
-        language, or no accepting state reachable through labels the graph
-        actually carries — becomes a verdict :meth:`pairs` /
-        :meth:`pairs_batch` short-circuit on.
+        :func:`repro.analysis.query.analyze_compiled_query` over it: the
+        DFA is minimised (dead, unreachable and equivalent states go; the
+        language is unchanged), unknown labels become warnings, and
+        provable emptiness — an empty language, or no accepting state
+        reachable through labels the graph actually carries — becomes a
+        verdict :meth:`pairs` / :meth:`pairs_batch` short-circuit on.
 
         Keyed by ``(expression, label alphabet)`` — the alphabet frozenset
         is the "alphabet version": mutations that do not add or retire a
@@ -257,11 +257,10 @@ class Engine:
         return diagnostics
 
     def compiled_dfa(self, label_expression):
-        """The (pruned) DFA for a label expression, via the LRU cache.
+        """The minimal DFA for a label expression, via the LRU cache.
 
-        The automaton comes out of :meth:`preflight`, so dead and
-        unreachable states are already pruned — same language, smaller
-        product space for the kernels.
+        The automaton comes out of :meth:`preflight`, so it is already
+        minimal — same language, smallest product space for the kernels.
         """
         return self.preflight(label_expression).dfa
 
@@ -446,7 +445,7 @@ class Engine:
                           max_length=self.default_max_length,
                           optimize_joins=self.optimize)
         num_sources = None if sources is None else len(sources)
-        # The planner caps per-level frontiers at |V| x the pruned DFA's
+        # The planner caps per-level frontiers at |V| x the minimal DFA's
         # state count (the product space the kernels actually walk).
         direction = planner.choose_rpq_direction(
             constrained.label_expression, num_sources,

@@ -288,7 +288,7 @@ class Planner:
         are explicit and small; forward wins ties, preserving the
         pre-cost-model behavior on symmetric graphs.
 
-        ``states`` is the (pruned) DFA state count from pre-flight
+        ``states`` is the minimal DFA's state count from pre-flight
         analysis: the product BFS walks ``(vertex, state)`` configurations,
         so the per-level frontier cap is ``|V| x |Q|``, not ``|V|``.  The
         default of 1 reproduces the pre-analysis model.

@@ -643,9 +643,12 @@ def _seed_ids(snapshot, vertices: Optional[Iterable[Hashable]]):
 #: A one-directional call with at least this many seeds walks the product
 #: with all of them on board (:func:`_shared_sweep`); with fewer it runs the
 #: stamped per-seed loop, as every served few-seed query did before.  On the
-#: 1500-vertex serve graph closures (T1, T3) break even at 3-4 seeds and
-#: are 2x / 4x ahead at 16, while a two-hop (T2) has nothing to share and
-#: stays ~1.5x behind at any count (docs/compact_backend.md has the table).
+#: 1500-vertex serve graph, with the minimal DFA, closures (T1, T3) break
+#: even at 2-3 seeds and are 3x / 5x ahead at 16, while a two-hop (T2) has
+#: nothing to share and stays ~1.4x behind at any count.  The floor stays
+#: at 16: a lower one would also speed up the cold serve benchmark's
+#: 4-source reads, whose bounded op stream a faster run can exhaust
+#: (docs/compact_backend.md has the table and the cap).
 _SHARED_MIN_SEEDS = 16
 
 #: Seeds per shared batch, one mask bit each: wider masks make every ``|``

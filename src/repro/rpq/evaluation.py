@@ -72,6 +72,15 @@ def compile_rpq(expression: LabelExpr, graph: MultiRelationalGraph) -> LabelDFA:
     return determinize(build_label_nfa(expression), alphabet)
 
 
+def _kernel_dfa(expression: LabelExpr,
+                graph: MultiRelationalGraph) -> LabelDFA:
+    """The minimal DFA the compact kernels run: the automaton
+    ``Engine.preflight`` hands them (:func:`repro.analysis.query.prune_dfa`),
+    while :func:`rpq_pairs_basic` keeps the raw subset construction."""
+    from repro.analysis.query import prune_dfa  # it imports this package
+    return prune_dfa(compile_rpq(expression, graph))[0]
+
+
 def rpq_pairs(graph: MultiRelationalGraph, expression: LabelExpr,
               sources: Optional[FrozenSet[Hashable]] = None,
               targets: Optional[FrozenSet[Hashable]] = None
@@ -83,8 +92,9 @@ def rpq_pairs(graph: MultiRelationalGraph, expression: LabelExpr,
     ``targets`` restricts the emitted pairs by target vertex.
 
     The traversal runs on the compact integer-indexed adjacency snapshot
-    (:mod:`repro.graph.compact`): the DFA is compiled once and every source
-    shares the same snapshot and per-(state, label) CSR transition table.
+    (:mod:`repro.graph.compact`): the minimal DFA is built once and every
+    source shares the same snapshot and per-(state, label) CSR transition
+    table.
     A few sources each run their own BFS over one stamped visited array;
     many sources share one walk per batch, carried through the product as
     bitmasks, so a configuration several of them reach is expanded once —
@@ -99,8 +109,8 @@ def rpq_pairs(graph: MultiRelationalGraph, expression: LabelExpr,
     (identical answers, different cost shapes — the engine's direction
     model picks among the three).
     """
-    dfa = compile_rpq(expression, graph)
-    return rpq_pairs_compact(graph, dfa, sources, targets=targets)
+    return rpq_pairs_compact(graph, _kernel_dfa(expression, graph), sources,
+                             targets=targets)
 
 
 def rpq_pairs_to_targets(graph: MultiRelationalGraph, expression: LabelExpr,
@@ -115,8 +125,8 @@ def rpq_pairs_to_targets(graph: MultiRelationalGraph, expression: LabelExpr,
     [_, a, j]``-style suffix-bound queries).  Answers are identical to the
     forward kernel's by construction; the differential suite enforces it.
     """
-    dfa = compile_rpq(expression, graph)
-    return rpq_pairs_backward(graph, dfa, targets, sources=sources)
+    return rpq_pairs_backward(graph, _kernel_dfa(expression, graph), targets,
+                              sources=sources)
 
 
 def rpq_pairs_between(graph: MultiRelationalGraph, expression: LabelExpr,
@@ -130,8 +140,8 @@ def rpq_pairs_between(graph: MultiRelationalGraph, expression: LabelExpr,
     meets — the point-to-point fast path
     (:func:`repro.graph.compact.rpq_pairs_bidirectional`).
     """
-    dfa = compile_rpq(expression, graph)
-    return rpq_pairs_bidirectional(graph, dfa, sources, targets)
+    return rpq_pairs_bidirectional(graph, _kernel_dfa(expression, graph),
+                                   sources, targets)
 
 
 def rpq_pairs_basic(graph: MultiRelationalGraph, expression: LabelExpr,

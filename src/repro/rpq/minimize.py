@@ -4,7 +4,8 @@ Because the label alphabet Omega is finite, the [8]-style automata admit
 the classical constructions the paper's edge-set automata do not:
 
 * :func:`minimize` — Moore's partition-refinement minimization (the
-  canonical minimal DFA, up to state naming),
+  canonical minimal DFA; pre-flight, :func:`repro.analysis.query.prune_dfa`,
+  hands it to every product kernel),
 * :func:`equivalent` — language equivalence by product BFS over the two
   automata's reachable pair space,
 * :func:`expressions_equivalent` — one-call equivalence of two label
@@ -43,63 +44,70 @@ def _complete_step(dfa: LabelDFA, state: int, label: Hashable) -> int:
 def minimize(dfa: LabelDFA, alphabet: Iterable[Hashable]) -> LabelDFA:
     """Moore's algorithm: merge states with identical residual languages.
 
-    The input is implicitly completed with a dead state; the dead class is
+    Only states reachable from the start over ``alphabet`` take part.  The
+    automaton is implicitly completed with a dead state, whose class is
     dropped again on output (missing transitions mean rejection, matching
-    :class:`LabelDFA` conventions).
+    :class:`LabelDFA` conventions), so every state that cannot reach
+    acceptance goes with it.  The start state is numbered 0 and the others
+    in breadth-first order, which makes the result canonical.
     """
     alphabet = sorted(set(alphabet), key=repr)
-    states: List[int] = list(range(dfa.num_states)) + [_DEAD]
+    rows = dfa.transitions
+    states: List[int] = [dfa.start]
+    seen = {dfa.start}
+    for state in states:  # breadth-first: the list grows as it is walked
+        for label in alphabet:
+            target = rows[state].get(label)
+            if target is not None and target not in seen:
+                seen.add(target)
+                states.append(target)
+    states.append(_DEAD)
 
     # Initial partition: accepting vs non-accepting (dead is non-accepting).
-    def is_accepting(state: int) -> bool:
-        return state in dfa.accepting
-
     partition: Dict[int, int] = {
-        state: (1 if is_accepting(state) else 0) for state in states}
+        state: int(state in dfa.accepting) for state in states}
+    classes = len(set(partition.values()))
     while True:
-        # Signature: own class + class of each labeled successor.
-        signatures: Dict[int, Tuple] = {}
-        for state in states:
-            signatures[state] = (
-                partition[state],
-                tuple(partition[_complete_step(dfa, state, label)]
-                      for label in alphabet),
-            )
+        # Signature: own class + class of each labeled successor.  The new
+        # partition refines the old one, so an unchanged class count means
+        # it is stable.
         renumber: Dict[Tuple, int] = {}
         refined: Dict[int, int] = {}
         for state in states:
-            signature = signatures[state]
-            if signature not in renumber:
-                renumber[signature] = len(renumber)
-            refined[state] = renumber[signature]
-        if refined == partition:
-            break
+            signature = (partition[state],) + tuple(
+                partition[_complete_step(dfa, state, label)]
+                for label in alphabet)
+            refined[state] = renumber.setdefault(signature, len(renumber))
         partition = refined
+        if len(renumber) == classes:
+            break
+        classes = len(renumber)
 
-    # Build the quotient, skipping the dead class entirely.
     dead_class = partition[_DEAD]
-    class_ids = sorted(set(partition.values()) - {dead_class})
-    index_of = {cls: position for position, cls in enumerate(class_ids)}
-    transitions: List[Dict[Hashable, int]] = [{} for _ in class_ids]
-    for state in range(dfa.num_states):
-        cls = partition[state]
-        if cls == dead_class:
-            continue
-        source = index_of[cls]
-        for label in alphabet:
-            target_state = _complete_step(dfa, state, label)
-            target_class = partition[target_state]
-            if target_class == dead_class:
-                continue
-            transitions[source][label] = index_of[target_class]
-    accepting = frozenset(
-        index_of[partition[state]] for state in dfa.accepting
-        if partition[state] != dead_class)
-    start_class = partition[dfa.start]
-    if start_class == dead_class:
+    if partition[dfa.start] == dead_class:
         # The language is empty: a single non-accepting state suffices.
         return LabelDFA(0, frozenset(), [{}])
-    return LabelDFA(index_of[start_class], accepting, transitions)
+    # Build the quotient from one representative per live class, numbered
+    # by its first state in breadth-first order: start first.
+    index_of: Dict[int, int] = {}
+    representatives: List[int] = []
+    for state in states:
+        if partition[state] not in index_of \
+                and partition[state] != dead_class:
+            index_of[partition[state]] = len(representatives)
+            representatives.append(state)
+    transitions: List[Dict[Hashable, int]] = []
+    for state in representatives:
+        row: Dict[Hashable, int] = {}
+        for label in alphabet:
+            target = index_of.get(partition[_complete_step(dfa, state, label)])
+            if target is not None:
+                row[label] = target
+        transitions.append(row)
+    accepting = frozenset(index_of[partition[state]]
+                          for state in representatives
+                          if state in dfa.accepting)
+    return LabelDFA(0, accepting, transitions)
 
 
 def equivalent(first: LabelDFA, second: LabelDFA,

@@ -86,10 +86,18 @@ class TestPruneDfa:
         assert removed == 1
 
     def test_useful_dfa_untouched(self):
+        # Every state of a*'s subset construction is useful, but its two
+        # states are equivalent: the minimal DFA has one.
         dfa = compile_rpq(lstar(sym("a")), graph_abc())
         pruned, removed = prune_dfa(dfa)
+        assert (pruned.num_states, removed) == (1, dfa.num_states - 1)
+        for word in ([], ["a"], ["a", "a"], ["b"], ["a", "b"]):
+            assert _dfa_accepts(pruned, word) == _dfa_accepts(dfa, word)
+        # An already-minimal DFA comes back as it was.
+        again, removed = prune_dfa(pruned)
         assert removed == 0
-        assert pruned.num_states == dfa.num_states
+        assert (again.start, again.accepting, again.transitions) == \
+            (pruned.start, pruned.accepting, pruned.transitions)
 
 
 def _dfa_accepts(dfa, word):

@@ -14,7 +14,7 @@ from repro.rpq import (
     lunion,
     sym,
 )
-from repro.rpq.labelregex import LabelEpsilon
+from repro.rpq.labelregex import LabelDFA, LabelEpsilon
 from repro.rpq.minimize import equivalent, expressions_equivalent, minimize
 
 ALPHABET = ["a", "b"]
@@ -63,6 +63,22 @@ class TestMinimize:
         assert small.num_states == 1
         assert not small.accepts([])
         assert not small.accepts(["a"])
+
+    def test_unreachable_states_are_dropped(self):
+        # State 2 accepts but nothing reaches it: the minimal DFA for 'a'
+        # has two states, the start numbered 0.
+        dfa = LabelDFA(0, frozenset({1, 2}), [{"a": 1}, {}, {"b": 2}])
+        small = minimize(dfa, ALPHABET)
+        assert small.num_states == 2
+        assert (small.start, small.accepting) == (0, frozenset({1}))
+        assert small.transitions == [{"a": 1}, {}]
+
+    def test_start_state_is_numbered_zero(self):
+        dfa = LabelDFA(1, frozenset({0}), [{"a": 0}, {"b": 0}])
+        small = minimize(dfa, ALPHABET)
+        assert small.start == 0
+        assert small.accepts(["b"]) and small.accepts(["b", "a"])
+        assert not small.accepts([]) and not small.accepts(["a"])
 
     def test_idempotent(self):
         dfa = dfa_of(lconcat(sym("a"), lstar(sym("b"))))
