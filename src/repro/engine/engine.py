@@ -13,7 +13,7 @@ expression lowers to a :class:`~repro.rpq.ConstrainedQuery` (every atom is
 ``[_, a, _]``, except that the *first* may bind its tail and the *last* its
 head — detected by :func:`repro.rpq.lower_to_constrained_query`), it is
 evaluated by the compact product-BFS kernels of :mod:`repro.graph.compact`:
-the DFA comes from a per-engine compilation cache keyed on ``(expression,
+the DFA comes from the engine's pre-flight memo keyed on ``(expression,
 label alphabet)``, the graph's integer-indexed CSR snapshot from the
 version-keyed snapshot cache (patched incrementally after mutations), and
 a **direction cost model** (:meth:`Planner.choose_rpq_direction`, driven
@@ -58,8 +58,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Optional, Tuple, Union
 
 from repro.automata.recognizer import Recognizer
@@ -85,6 +85,29 @@ __all__ = ["Engine", "QueryResult"]
 #: id can be reissued to a new one with a matching fresh ``version()`` —
 #: exactly the shared-cache collision the token exists to prevent.
 _ANONYMOUS_TOKENS = itertools.count(1)
+
+
+#: Compiled-query memo capacity (PathQL text -> normalized AST).
+_COMPILE_CACHE_CAP = 256
+
+
+def _compile_text(text: str) -> RegexExpr:
+    """PathQL text -> normalized AST (:meth:`Engine.compile`'s memo)."""
+    from repro.engine.rewrite import normalize
+    return normalize(parse(text))
+
+
+def _preflight(graph, label_expression, labels) -> "QueryDiagnostics":
+    """:meth:`Engine.preflight` over ``graph``, whose labels are ``labels``."""
+    from repro.analysis.query import analyze_compiled_query
+    from repro.rpq.evaluation import compile_rpq
+    return analyze_compiled_query(compile_rpq(label_expression, graph),
+                                  label_expression, labels)
+
+
+def _statistics(graph, version: int) -> GraphStatistics:
+    """:meth:`Engine.statistics` of ``graph`` at ``version``."""
+    return GraphStatistics(graph)
 
 
 def _frozen(vertices) -> Optional[frozenset]:
@@ -155,8 +178,8 @@ class Engine:
         optimizer's benefit — experiment E9 does exactly that).
     """
 
-    #: Compiled-DFA cache capacity (LRU) — bounds memory on engines serving
-    #: many distinct query shapes.
+    #: Pre-flight (compiled-DFA) memo capacity — bounds memory on engines
+    #: serving many distinct query shapes.  Read when an engine is built.
     _DFA_CACHE_CAP = 128
 
     def __init__(self, graph: MultiRelationalGraph,
@@ -171,12 +194,12 @@ class Engine:
         token = getattr(graph, "graph_token", None)
         self._graph_token = token() if callable(token) \
             else ("anon", next(_ANONYMOUS_TOKENS))
-        self._statistics: Optional[GraphStatistics] = None
-        self._statistics_version: Optional[int] = None
-        # (label expression, label alphabet) -> compiled DFA, LRU-bounded.
-        self._dfa_cache: "OrderedDict" = OrderedDict()
-        self._dfa_cache_hits = 0
-        self._dfa_cache_misses = 0
+        # A read's memos: one lru_cache each over a module-level function
+        # (no reference back to the engine), thread-safe and counted.
+        self._compile_text = lru_cache(_COMPILE_CACHE_CAP)(_compile_text)
+        self._preflight = lru_cache(self._DFA_CACHE_CAP)(
+            partial(_preflight, graph))
+        self._statistics = lru_cache(1)(partial(_statistics, graph))
         # Lazily created fan-out executor (see repro.engine.parallel), one
         # per engine, its pool at the executor's default size: a call's
         # ``processes`` only sets how many seed ranges (so how many busy
@@ -209,7 +232,7 @@ class Engine:
         return engine
 
     def statistics(self) -> GraphStatistics:
-        """Current graph statistics, refreshed on ``graph.version()``.
+        """Current graph statistics, memoised on ``graph.version()``.
 
         Keyed on the mutation counter rather than the edge count: a
         remove+add cycle leaves ``size()`` unchanged while shifting label
@@ -217,14 +240,11 @@ class Engine:
         rebuild per mutation batch instead of comparing structure on every
         access.
         """
-        version = self.graph.version()
-        if self._statistics is None or self._statistics_version != version:
-            self._statistics = GraphStatistics(self.graph)
-            self._statistics_version = version
-        return self._statistics
+        return self._statistics(self.graph.version())
 
     def preflight(self, label_expression) -> "QueryDiagnostics":
-        """Pre-flight analysis for a label expression, via the LRU cache.
+        """Pre-flight analysis for a label expression, memoised
+        (``_DFA_CACHE_CAP`` entries, least recently used out first).
 
         Compiles the expression (subset construction), then runs
         :func:`repro.analysis.query.analyze_compiled_query` over it: the
@@ -237,27 +257,13 @@ class Engine:
         Keyed by ``(expression, label alphabet)`` — the alphabet frozenset
         is the "alphabet version": mutations that do not add or retire a
         label keep every cached entry valid, so steady-state repeated
-        queries pay neither re-determinization nor re-analysis.
+        queries pay neither re-determinization nor re-analysis.  The memo
+        is a ``functools.lru_cache``, so concurrent reads share it safely.
         """
-        from repro.analysis.query import analyze_compiled_query
-        from repro.rpq.evaluation import compile_rpq
-        key = (label_expression, self.graph.labels())
-        diagnostics = self._dfa_cache.get(key)
-        if diagnostics is None:
-            self._dfa_cache_misses += 1
-            dfa = compile_rpq(label_expression, self.graph)
-            diagnostics = analyze_compiled_query(
-                dfa, label_expression, self.graph.labels())
-            self._dfa_cache[key] = diagnostics
-            if len(self._dfa_cache) > self._DFA_CACHE_CAP:
-                self._dfa_cache.popitem(last=False)
-        else:
-            self._dfa_cache_hits += 1
-            self._dfa_cache.move_to_end(key)
-        return diagnostics
+        return self._preflight(label_expression, self.graph.labels())
 
     def compiled_dfa(self, label_expression):
-        """The minimal DFA for a label expression, via the LRU cache.
+        """The minimal DFA for a label expression, via :meth:`preflight`.
 
         The automaton comes out of :meth:`preflight`, so it is already
         minimal — same language, smallest product space for the kernels.
@@ -266,8 +272,8 @@ class Engine:
 
     def dfa_cache_info(self) -> Tuple[int, int, int]:
         """``(hits, misses, current size)`` of the compiled-DFA cache."""
-        return self._dfa_cache_hits, self._dfa_cache_misses, \
-            len(self._dfa_cache)
+        info = self._preflight.cache_info()
+        return info.hits, info.misses, info.currsize
 
     def cache_stats(self) -> dict:
         """Combined hit/miss/occupancy stats for both engine caches.
@@ -281,7 +287,7 @@ class Engine:
         stats = {
             "dfa_cache": {"hits": hits, "misses": misses,
                           "entries": entries,
-                          "capacity": self._DFA_CACHE_CAP},
+                          "capacity": self._preflight.cache_info().maxsize},
             "query_cache": None,
         }
         if self.cache is not None:
@@ -336,15 +342,18 @@ class Engine:
         self.close()
 
     def compile(self, query: Union[str, RegexExpr]) -> RegexExpr:
-        """PathQL text -> AST (ASTs pass through), algebraically normalized.
+        """PathQL text or an AST -> the algebraically normalized AST.
 
         Normalization (see :mod:`repro.engine.rewrite`) simplifies, folds
         constant sub-expressions, and factors shared union prefixes —
-        language-preserving by construction and by property test.
+        language-preserving by construction and by property test.  Text
+        is memoised (256 entries), so a repeated query is not parsed or
+        normalized again; an AST is normalized on every call.
         """
+        if isinstance(query, str):
+            return self._compile_text(query)
         from repro.engine.rewrite import normalize
-        expression = parse(query) if isinstance(query, str) else query
-        return normalize(expression)
+        return normalize(query)
 
     def plan(self, query: Union[str, RegexExpr],
              max_length: Optional[int] = None) -> PlanNode:
@@ -593,19 +602,9 @@ class Engine:
         :meth:`pairs` looks the key up again and records that outcome, so
         probe-then-compute is one cache lookup in the statistics.
         """
-        return self._cached_pairs(self.compile(query), sources, targets,
-                                  max_length)
-
-    def _cached_pairs(self, expression: RegexExpr,
-                      sources: Optional[frozenset],
-                      targets: Optional[frozenset],
-                      max_length: Optional[int]) -> Optional[PairBlocks]:
-        """:meth:`cached_pairs` for an expression :meth:`compile` already
-        returned (the service tier keeps those: normalizing a normalized
-        AST again is most of a warm probe's cost)."""
-        return self._probe(expression, _frozen(sources), _frozen(targets),
-                           max_length, self.graph.version(),
-                           record_miss=False)
+        return self._probe(self.compile(query), _frozen(sources),
+                           _frozen(targets), max_length,
+                           self.graph.version(), record_miss=False)
 
     def pairs_batch(self, queries, sources: Optional[frozenset] = None,
                     targets: Optional[frozenset] = None,

@@ -459,8 +459,8 @@ def fold_adjacency_pairs(view) -> Tuple[List[Hashable], List[Hashable],
     ``live_vertex_ids`` / ``out_neighbors``) — tombstoned vertex slots are
     dropped and ids re-densified, per-label edge pairs come out as each
     vertex reads (its patched row, else its base slice).  The snapshot
-    store's checkpoint fold (:func:`repro.storage.snapshots.fold_view`)
-    builds on this.
+    store's checkpoint fold
+    (:func:`repro.storage.snapshots.write_adjacency_snapshot`) calls it.
     """
     live = list(view.live_vertex_ids())
     slots = view.num_slots

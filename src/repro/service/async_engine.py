@@ -25,6 +25,7 @@ engine needs once multiple callers hit it at once:
   (and a registry checkpoint) waits for in-flight queries to drain and
   runs alone.  Every query therefore sees a graph frozen at one version,
   and every cached result is keyed by the version it was computed at.
+  A source with its own writer (a replica's tailer) is held ``pinned()``.
 * **Admission control** — when the FIFO is already ``max_queue_depth``
   deep, new work is shed with a retriable
   :class:`~repro.errors.OverloadedError` instead of queuing into an
@@ -38,16 +39,21 @@ engine needs once multiple callers hit it at once:
   for (a sorted pair list, or the blocks as they are): encoded once per
   form, in the worker thread that computed the answer, and kept in the
   cached answer's memo slot (:mod:`repro.service.wire`), so a hit never
-  sorts or encodes.
+  sorts or encodes — and the graph version the answer is exact at.
+
+The facade passes PathQL text through; :meth:`Engine.compile` memoises it.
+Text compiles on the loop first, so a syntax error takes no slot.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
+from contextlib import contextmanager, nullcontext
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Tuple, Union)
 
 from repro.concurrency import ordered_lock, release_resource, track_resource
 from repro.engine.engine import Engine
@@ -60,9 +66,6 @@ __all__ = ["AsyncEngine", "Deadline"]
 
 #: Default worker-thread count for a standalone AsyncEngine.
 DEFAULT_WORKERS = 4
-
-#: Compiled-query LRU capacity (PathQL text -> normalized AST).
-_COMPILE_CACHE_CAP = 256
 
 
 class Deadline:
@@ -167,7 +170,6 @@ class AsyncEngine:
         self._active_readers = 0
         self._writer_active = False
         self._waiters: Deque[Tuple[str, "asyncio.Future"]] = deque()
-        self._compiled: "OrderedDict[str, RegexExpr]" = OrderedDict()
         self._closed = False
         # Guards only the close() idempotency flip: slot state stays
         # loop-confined, but teardown can race between the event loop and
@@ -178,23 +180,6 @@ class AsyncEngine:
             "deadline_exceeded": 0, "shed": 0, "cache_fast_hits": 0,
             "mutations": 0,
         }
-
-    # -- compilation (loop side, cached) -------------------------------
-
-    def _compile(self, query: Union[str, RegexExpr]) -> RegexExpr:
-        """Parse+normalize via a small LRU so the loop never re-parses a
-        hot query string (ASTs pass straight through)."""
-        if not isinstance(query, str):
-            return query
-        expression = self._compiled.get(query)
-        if expression is None:
-            expression = self.engine.compile(query)
-            self._compiled[query] = expression
-            if len(self._compiled) > _COMPILE_CACHE_CAP:
-                self._compiled.popitem(last=False)
-        else:
-            self._compiled.move_to_end(query)
-        return expression
 
     # -- slot management (loop side) -----------------------------------
 
@@ -330,29 +315,39 @@ class AsyncEngine:
 
     # -- public query surface ------------------------------------------
 
+    @contextmanager
+    def _held(self) -> Iterator[int]:
+        """The version a worker-side read answers at, held for the block
+        (by the reader slot, and a source's own ``pinned()`` if it has
+        one)."""
+        graph = self.engine.graph
+        pinned = getattr(graph, "pinned", None)
+        with pinned() if pinned is not None else nullcontext():
+            yield graph.version()
+
     async def _read_pairs(self, query: Union[str, RegexExpr],
                           sources: Optional[Iterable],
                           targets: Optional[Iterable],
                           max_length: Optional[int],
                           processes: Optional[int],
                           deadline: Optional[float],
-                          finish: Callable[[PairBlocks, bool], Any]) -> Any:
-        """One ``pairs`` read: ``finish(answer, cached)`` of a loop-side
-        cache hit, else of the executor's evaluation — run in the worker
-        thread that produced the answer, under the same deadline."""
-        budget = self._deadline(deadline)
-        expression = self._compile(query)
-        hit = self.engine._cached_pairs(expression, sources, targets,
-                                        max_length)
-        if hit is not None:
+                          finish: Callable[[PairBlocks, Optional[bool], int],
+                                           Any]) -> Any:
+        """One ``pairs`` read: ``finish(answer, cached, version)`` of a
+        loop-side cache hit, else of a batch of one.  ``version`` is the
+        one the answer is exact at: a hit counts only when the graph kept
+        one version across the probe (the loop holds no slot, so a write
+        may commit meanwhile)."""
+        graph = self.engine.graph
+        version = graph.version()
+        hit = self.engine.cached_pairs(query, sources, targets, max_length)
+        if hit is not None and graph.version() == version:
             self.counters["cache_fast_hits"] += 1
-            return finish(hit, True)
-        return await self._run(
-            "read",
-            lambda d: finish(self.engine.pairs(
-                expression, sources=sources, targets=targets,
-                max_length=max_length, processes=processes), False),
-            budget)
+            return finish(hit, True, version)
+        return (await self._read_batch(
+            [query], sources, targets, max_length, processes, deadline,
+            lambda answer, cached, version: finish(answer, False, version)
+        ))[0]
 
     async def pairs(self, query: Union[str, RegexExpr],
                     sources: Optional[Iterable] = None,
@@ -363,7 +358,7 @@ class AsyncEngine:
         """Awaitable :meth:`Engine.pairs` with deadline + fast cache path."""
         return await self._read_pairs(
             query, sources, targets, max_length, processes, deadline,
-            lambda answer, cached: answer)
+            lambda answer, cached, version: answer)
 
     async def served_pairs(self, query: Union[str, RegexExpr],
                            sources: Optional[Iterable] = None,
@@ -376,16 +371,18 @@ class AsyncEngine:
 
         Returns the answer with its wire bytes — as blocks when
         ``blocks`` asks and the answer allows it, else the sorted pair
-        list (:func:`~repro.service.wire.serve_pairs`) — and whether it
-        was a loop-side cache hit, reported with the answer so concurrent
-        requests cannot be mistaken for one another.  A miss encodes the
+        list (:func:`~repro.service.wire.serve_pairs`) — whether it was a
+        loop-side cache hit and the graph version it is exact at, both
+        reported with the answer so concurrent requests cannot be
+        mistaken for one another.  A miss encodes the
         asked-for form only, in the worker thread that computed it
         (inside the deadline), and the bytes stay in the cached answer's
         memo; a hit reads them back.
         """
         return await self._read_pairs(
             query, sources, targets, max_length, processes, deadline,
-            lambda answer, cached: serve_pairs(answer, cached, blocks))
+            lambda answer, cached, version: serve_pairs(
+                answer, cached, blocks, version))
 
     async def _read_batch(self, queries: Iterable[Union[str, RegexExpr]],
                           sources: Optional[Iterable],
@@ -393,21 +390,27 @@ class AsyncEngine:
                           max_length: Optional[int],
                           processes: Optional[int],
                           deadline: Optional[float],
-                          finish: Callable[[PairBlocks], Any]) -> List[Any]:
-        """``finish`` of every answer of a batch, in one executor hop:
-        each member is its own :meth:`Engine.pairs` read, after a
-        cooperative budget check (a no-op for an unbounded budget)."""
+                          finish: Callable[[PairBlocks, Optional[bool], int],
+                                           Any]) -> List[Any]:
+        """``finish(answer, None, version)`` of every answer of a batch,
+        in one executor hop, all at one held version: each member is its
+        own :meth:`Engine.pairs` read, after a cooperative budget check
+        (a no-op for an unbounded budget)."""
         budget = self._deadline(deadline)
-        expressions = [self._compile(query) for query in queries]
+        queries = list(queries)
+        for query in queries:
+            self.engine.compile(query)  # a syntax error takes no slot
 
         def work(d: Deadline) -> List[Any]:
-            out = []
-            for expression in expressions:
-                d.check()
-                out.append(finish(self.engine.pairs(
-                    expression, sources=sources, targets=targets,
-                    max_length=max_length, processes=processes)))
-            return out
+            answers = []
+            with self._held() as version:
+                for query in queries:
+                    d.check()
+                    answers.append(self.engine.pairs(
+                        query, sources=sources, targets=targets,
+                        max_length=max_length, processes=processes))
+            # Encoding needs the answers only: the source is let go first.
+            return [finish(answer, None, version) for answer in answers]
         return await self._run("read", work, budget)
 
     async def pairs_batch(self, queries: Iterable[Union[str, RegexExpr]],
@@ -425,7 +428,7 @@ class AsyncEngine:
         """
         return await self._read_batch(
             queries, sources, targets, max_length, processes, deadline,
-            lambda answer: answer)
+            lambda answer, cached, version: answer)
 
     async def served_pairs_batch(
             self, queries: Iterable[Union[str, RegexExpr]],
@@ -435,20 +438,21 @@ class AsyncEngine:
             processes: Optional[int] = None,
             deadline: Optional[float] = None,
             blocks: bool = False) -> List[ServedPairs]:
-        """:meth:`pairs_batch` with every answer's wire bytes (see
-        :meth:`served_pairs`; a batch does not report cache hits)."""
+        """:meth:`pairs_batch` with every answer's wire bytes and their
+        one version (see :meth:`served_pairs`; a batch does not report
+        cache hits)."""
         return await self._read_batch(
             queries, sources, targets, max_length, processes, deadline,
-            lambda answer: serve_pairs(answer, blocks=blocks))
+            lambda answer, cached, version: serve_pairs(
+                answer, cached, blocks, version))
 
     async def explain(self, query: Union[str, RegexExpr],
                       deadline: Optional[float] = None, **options: Any) -> str:
         """Awaitable :meth:`Engine.explain` (its keywords pass through)."""
         budget = self._deadline(deadline)
-        expression = self._compile(query)
+        self.engine.compile(query)  # a syntax error takes no slot
         return await self._run(
-            "read", lambda d: self.engine.explain(expression, **options),
-            budget)
+            "read", lambda d: self.engine.explain(query, **options), budget)
 
     async def mutate(self, mutator: Callable[..., Any],
                      deadline: Optional[float] = None) -> Any:

@@ -79,7 +79,9 @@ only while the registry is open, no open store is degraded, and every
 parallel pool is healthy; otherwise 503 with the failing checks listed.
 
 Every response carries ``X-Repro-Graph-Version`` when a graph was
-resolved, so clients can correlate answers with mutation versions.
+resolved, so clients can correlate answers with mutation versions; on a
+``/query`` reply it is the version the answer is exact at (every member
+of a batch is answered at that one version), not one read afterwards.
 """
 
 from __future__ import annotations
@@ -104,7 +106,6 @@ from repro.errors import (
     UnknownGraphError,
 )
 from repro.faults import fault_hook
-from repro.graph.pairs import PairBlocks
 from repro.service.async_engine import AsyncEngine
 from repro.service.registry import GraphHandle, GraphRegistry
 from repro.service.wire import (BadRequestError, PayloadTooLargeError,
@@ -115,6 +116,10 @@ __all__ = ["HttpServer", "ReplicaHttpServer", "serve", "serve_replica"]
 
 #: Largest accepted request body; bigger payloads get a 413.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: The payload key a query action leaves its answer's version under, for
+#: ``_route`` to move into the ``X-Repro-Graph-Version`` header.
+_ANSWER_VERSION = "_answer_version"
 
 #: Budget for a client to deliver its request head + body.
 READ_TIMEOUT = 30.0
@@ -428,7 +433,8 @@ class HttpServer:
         with self._resolve(name, tenant) as handle:
             payload = await self._run_action(
                 handle, runner, self._parse_body(body), tenant, headers)
-            extra = self._response_headers(handle)
+            extra = self._response_headers(
+                handle, payload.pop(_ANSWER_VERSION, None))
         payload.setdefault("elapsed_ms", round(
             (time.perf_counter() - started) * 1000.0, 3))
         return 200, payload, extra
@@ -458,11 +464,14 @@ class HttpServer:
         finally:
             admission.release()
 
-    def _response_headers(self, handle: Any) -> Dict[str, str]:
-        """Headers for a 200 (``handle`` is None outside a graph scope)."""
+    def _response_headers(self, handle: Any,
+                          version: Optional[int] = None) -> Dict[str, str]:
+        """Headers for a 200 (``handle`` is None outside a graph scope);
+        ``version`` is a query answer's, else the graph's current one."""
         if handle is None:
             return {}
-        return {"X-Repro-Graph-Version": str(handle.engine.graph.version())}
+        return {"X-Repro-Graph-Version": str(
+            handle.engine.graph.version() if version is None else version)}
 
     @staticmethod
     def _split_target(target: str) -> Tuple[str, Dict[str, str]]:
@@ -646,17 +655,20 @@ class HttpServer:
             payload["results"] = [
                 {"query": q, "count": len(s.answer), s.key: s.fragment}
                 for q, s in zip(queries, served)]
+            if served:
+                payload[_ANSWER_VERSION] = served[0].version
             return payload
         query = body.get("query")
         if not isinstance(query, str):
             raise BadRequestError('body must carry "query" (PathQL text)')
-        answer, key, fragment, cached = \
+        answer, key, fragment, cached, version = \
             await handle.async_engine.served_pairs(query, blocks=blocks,
                                                    **options)
         payload.update(query=query, count=len(answer))
         if cached is not None:
             payload["cached"] = cached
         payload[key] = fragment
+        payload[_ANSWER_VERSION] = version
         return payload
 
     async def _action_explain(self, handle: GraphHandle,
@@ -725,17 +737,6 @@ class HttpServer:
         return {"graph": handle.name, "info": info}
 
 
-class _ReplicaEngine(Engine):
-    """An :class:`Engine` over a replica: ``pairs`` — every read the
-    server makes — holds it ``pinned`` from its version read until its
-    kernel returns, so it sees one applied batch.  A cache probe reads
-    only the version and takes no lock."""
-
-    def pairs(self, *args: Any, **kwargs: Any) -> PairBlocks:
-        with self.graph.pinned():
-            return super().pairs(*args, **kwargs)
-
-
 class ReplicaHttpServer(HttpServer):
     """The read-only HTTP front end of one tailing replica.
 
@@ -754,7 +755,9 @@ class ReplicaHttpServer(HttpServer):
 
     Every graph-scoped response carries
     ``X-Repro-Replica-Lag: records=N; seconds=S`` and
-    ``X-Repro-Graph-Version`` (the applied version).  A request may
+    ``X-Repro-Graph-Version`` (a ``/query`` answer's applied version —
+    the facade holds the replica ``pinned()`` across a worker-side read
+    and a whole batch — else the current one).  A request may
     bound its tolerated staleness with ``max_staleness_ms`` in the body
     (or the ``X-Repro-Max-Staleness-Ms`` header): when the replica's
     uncertainty window exceeds the bound the request gets **503** with
@@ -775,7 +778,7 @@ class ReplicaHttpServer(HttpServer):
         self.replica = replica
         self.tailer = tailer
         self.async_engine = AsyncEngine(
-            _ReplicaEngine(replica, cache=QueryCache(256)))
+            Engine(replica, cache=QueryCache(256)))
 
     async def stop(self, deadline: Optional[float] = 30.0) -> None:
         """Stop accepting, drain and close the engine; the caller owns
@@ -805,9 +808,12 @@ class ReplicaHttpServer(HttpServer):
             raise UnknownGraphError(name)
         yield self
 
-    def _response_headers(self, handle: Any) -> Dict[str, str]:
+    def _response_headers(self, handle: Any,
+                          version: Optional[int] = None) -> Dict[str, str]:
         return {"X-Repro-Replica-Lag": replica_lag_header(*self.replica.lag()),
-                "X-Repro-Graph-Version": str(self.replica.applied_version)}
+                "X-Repro-Graph-Version": str(
+                    self.replica.applied_version if version is None
+                    else version)}
 
     async def _route_replication(self, method: str, path: str,
                                  params: Dict[str, str]

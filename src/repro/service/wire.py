@@ -141,14 +141,16 @@ class ServedPairs(NamedTuple):
     key: str  #: the payload key: ``"pairs"`` or ``"blocks"``
     fragment: bytes  #: the encoded answer
     cached: Optional[bool]  #: result-cache hit; None where not reported
+    version: Optional[int]  #: the graph version the answer is exact at
 
 
 def serve_pairs(answer: Set, cached: Optional[bool] = None,
-                blocks: bool = False) -> ServedPairs:
+                blocks: bool = False,
+                version: Optional[int] = None) -> ServedPairs:
     """Encode ``answer`` in the calling thread (or reuse its memo), as
     blocks when ``blocks`` asks and the answer allows it."""
     key, fragment = _fragment(answer, blocks)
-    return ServedPairs(answer, key, fragment, cached)
+    return ServedPairs(answer, key, fragment, cached, version)
 
 
 def wants_blocks(accept: str) -> bool:

@@ -7,7 +7,6 @@ for the on-disk formats and crash-consistency guarantees.
 from repro.storage.persistent import PersistentGraph
 from repro.storage.snapshots import (
     SnapshotMetadata,
-    fold_view,
     open_adjacency_snapshot,
     write_adjacency_snapshot,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "decode_frames",
     "scrub_wal_file",
     "SnapshotMetadata",
-    "fold_view",
     "write_adjacency_snapshot",
     "open_adjacency_snapshot",
 ]

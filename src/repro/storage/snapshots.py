@@ -77,7 +77,6 @@ from repro.storage.frames import (
 __all__ = [
     "SNAPSHOT_MAGIC",
     "SnapshotMetadata",
-    "fold_view",
     "write_adjacency_snapshot",
     "open_adjacency_snapshot",
 ]
@@ -289,22 +288,6 @@ def _decode_ids(values: Iterable[Hashable]) -> List[Hashable]:
 
 
 # ----------------------------------------------------------------------
-# Folding (delta overlay -> dense arrays)
-# ----------------------------------------------------------------------
-
-def fold_view(view: Any) -> Tuple[List[Hashable], List[Hashable],
-                             List[List[Tuple[int, int]]], int]:
-    """Flatten any snapshot view to ``(vertex_of, label_of, pairs, |E|)``.
-
-    The checkpoint's fold step — tombstoned vertex slots dropped, ids
-    re-densified, per-label edge pairs merged (base minus removals plus
-    additions).  The actual fold lives in
-    :func:`repro.graph.compact.fold_adjacency_pairs`.
-    """
-    return fold_adjacency_pairs(view)
-
-
-# ----------------------------------------------------------------------
 # Multi-relational snapshots
 # ----------------------------------------------------------------------
 
@@ -314,10 +297,12 @@ def write_adjacency_snapshot(path: str, view: Any, name: str = "",
                              edge_properties: Optional[Dict[Tuple, Dict[str, Any]]] = None) -> None:
     """Spill one adjacency view (base or overlay) to ``path``.
 
-    ``view`` is anything :func:`fold_view` accepts; properties are carried
-    in the header sidecar (sparse — only non-empty maps are stored).
+    ``view`` is anything :func:`~repro.graph.compact.fold_adjacency_pairs`
+    folds (the checkpoint's fold: tombstoned vertex slots dropped, ids
+    re-densified); properties are carried in the header sidecar (sparse —
+    only non-empty maps are stored).
     """
-    vertex_of, label_of, per_label, num_edges = fold_view(view)
+    vertex_of, label_of, per_label, num_edges = fold_adjacency_pairs(view)
     _check_identifiers(vertex_of, "vertex ids")
     _check_identifiers(label_of, "label ids")
     n = len(vertex_of)

@@ -17,8 +17,8 @@ the engine's source.  Four gates:
 * **counted** — a second identical replica read compiles no DFA and
   dispatches no kernel;
 * **race** — reads racing a tailer that applies the primary's batches:
-  each answer is ``rpq_pairs_basic`` at an applied version between the
-  one before the request and the one its reply reports.
+  each answer is ``rpq_pairs_basic`` at exactly the applied version its
+  reply reports (no earlier than the one before the request).
 """
 
 import asyncio
@@ -380,12 +380,10 @@ class TestReadsRacingTheTailer:
                 graph.remove_edge(entry[2], entry[3], entry[4])
             states.append(graph.copy())
         for query, sources, targets, before, reported, answer in replies:
-            window = [position for position, version in enumerate(versions)
-                      if before <= version <= reported]
-            assert window, (before, reported)
-            matches = [position for position in window
-                       if answer_at(position, query, sources,
-                                    targets) == answer]
-            assert matches, (query, sources, targets, before, reported)
+            assert before <= reported and reported in versions, \
+                (before, reported)
+            assert answer_at(versions.index(reported), query, sources,
+                             targets) == answer, \
+                (query, sources, targets, before, reported)
         assert len(replies) >= 40
         assert versions[-1] > versions[0] + 100

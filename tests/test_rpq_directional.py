@@ -280,9 +280,10 @@ class TestCompiledDfaCache:
         hits, misses, _ = engine.dfa_cache_info()
         assert misses == 1 and hits == 1
 
-    def test_cache_is_lru_bounded(self, diamond):
+    def test_cache_is_lru_bounded(self, diamond, monkeypatch):
+        # The capacity is read when the engine is built.
+        monkeypatch.setattr(Engine, "_DFA_CACHE_CAP", 4)
         engine = Engine(diamond)
-        engine._DFA_CACHE_CAP = 4
         for i in range(10):
             engine.compiled_dfa(lconcat(*[sym("a")] * (i + 1)))
         assert engine.dfa_cache_info()[2] == 4
