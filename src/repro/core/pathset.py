@@ -83,12 +83,11 @@ class PathSet:
     2
     """
 
-    __slots__ = ("_paths", "_by_tail", "_by_head")
+    __slots__ = ("_paths", "_by_tail")
 
     def __init__(self, paths: Iterable = ()):  # noqa: D107 - documented on class
         self._paths: FrozenSet[Path] = frozenset(_as_path(p) for p in paths)
         self._by_tail: Optional[Dict[Hashable, List[Path]]] = None
-        self._by_head: Optional[Dict[Hashable, List[Path]]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -371,16 +370,6 @@ class PathSet:
                     index[p.tail].append(p)
             self._by_tail = dict(index)
         return self._by_tail
-
-    def _head_index(self) -> Dict[Hashable, List[Path]]:
-        """Bucket non-empty paths by head vertex (for right-to-left joins)."""
-        if self._by_head is None:
-            index: Dict[Hashable, List[Path]] = defaultdict(list)
-            for p in self._paths:
-                if p:
-                    index[p.head].append(p)
-            self._by_head = dict(index)
-        return self._by_head
 
     def __repr__(self) -> str:
         if not self._paths:

@@ -430,10 +430,11 @@ class Engine:
         the module docstring): :meth:`pairs` / :meth:`pairs_batch` run the
         :class:`~repro.engine.planner.PairsRoute`, :meth:`explain` prints
         it.  ``expression`` is what :meth:`compile` returned; an explicit
-        ``max_length`` skips the lowering."""
+        ``max_length`` skips the lowering.  A wildcard label ``_`` lowers to
+        the union of the graph's labels, so it routes like that union."""
         from repro.rpq.evaluation import lower_to_constrained_query
         constrained = None if max_length is not None \
-            else lower_to_constrained_query(expression)
+            else lower_to_constrained_query(expression, self.graph.labels())
         if constrained is None:
             return PairsRoute("bounded", None, sources, targets, max_length)
         merged = constrained.merge_filters(sources, targets)

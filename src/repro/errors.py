@@ -321,7 +321,8 @@ class WireProtocolError(ClientError, ConnectionError):
     """The peer's reply is not HTTP/1.1 as ``repro serve`` frames it.
 
     Chunked coding, a 1xx status, a head over 64 KB, a non-numeric status
-    or ``Content-Length``, or the connection ending inside a reply.  It is
+    or ``Content-Length``, the connection ending inside a reply, or a
+    replication feed reply missing or garbling a metadata header.  It is
     a :class:`ConnectionError`, so the SDK's retry loop — and every caller
     that catches :class:`OSError` around a fetch — treats it as the
     transport failure it is.

@@ -107,21 +107,31 @@ _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{6})\.rcsr$")
 # Primary side
 # ----------------------------------------------------------------------
 
-def _torn(data: bytes, fraction: float) -> bytes:
-    """``data`` cut short (never empty, never whole) — an injected torn ship."""
-    return data[:min(len(data) - 1, max(1, int(len(data) * fraction)))]
+def _injected(site: str, data: bytes) -> Tuple[bytes, Optional[str]]:
+    """``data`` as the fault armed at ``site`` leaves it, and the fault's
+    kind: ``torn`` cuts it short (never empty, never whole), ``eio`` /
+    ``enospc`` raise, anything else leaves it whole."""
+    fault = fault_hook(site)
+    if fault is None:
+        return data, None
+    if fault.kind in ("eio", "enospc"):
+        raise ReplicationError("injected feed failure at " + site)
+    if fault.kind == "torn":
+        data = data[:min(len(data) - 1,
+                         max(1, int(len(data) * fault.fraction)))]
+    return data, fault.kind
 
 
 class PrimaryFeed:
     """The primary's replication read surface over one open store.
 
-    Both reads return ``(bytes, meta)`` where ``meta`` is JSON-scalar
-    metadata the HTTP tier forwards as ``X-Repro-*`` headers (and the
-    in-process loopback used by tests and benches passes through
-    verbatim).  ``meta["bytes"]`` is always the *intended* payload length
+    Both reads return ``(bytes, meta)``, ``meta`` holding the fields
+    :data:`repro.service.wire.FEED_FIELDS` lists (the HTTP tier's
+    headers).  ``meta["bytes"]`` is always the *intended* payload length
     — the replica rejects any reply whose body does not match, which is
     what turns a torn ship into a typed error even when the cut lands on
-    a frame boundary.
+    a frame boundary.  A store not opened with ``replicate=True`` serves
+    no feed: the constructor raises :class:`~repro.errors.StorageError`.
 
     Fault sites (kinds in parentheses): ``replication.snapshot`` (torn,
     eio) models primary death mid-bootstrap; ``replication.ship`` (torn,
@@ -130,48 +140,46 @@ class PrimaryFeed:
     """
 
     def __init__(self, store: PersistentGraph):
+        if not store.replicating:
+            raise StorageError(
+                "store {} was not opened with replicate=True and does not "
+                "serve replication".format(store.directory))
         self.store = store
+
+    def _frontier(self) -> int:
+        """The newest version a replica can *reach*: not the store's
+        :meth:`version`, which in degraded mode counts records the log
+        could not take, so lag measured against it would never read 0."""
+        return max(self.store.snapshot_version,
+                   self.store.segments.last_version)
 
     def snapshot(self) -> Tuple[bytes, Dict[str, Any]]:
         """Snapshot bytes + bootstrap metadata (version, start cursor)."""
-        data, meta = self.store.replication_bootstrap()
-        meta["bytes"] = len(data)
-        fault = fault_hook("replication.snapshot")
-        if fault is not None:
-            if fault.kind == "torn":
-                data = _torn(data, fault.fraction)
-            elif fault.kind in ("eio", "enospc"):
-                raise ReplicationError(
-                    "injected snapshot feed failure at replication.snapshot")
-        return data, meta
+        data, name, snapshot_version, cursor = self.store.snapshot_cut()
+        meta = {"graph": self.store.name, "snapshot": name,
+                "snapshot_version": snapshot_version,
+                "cursor": cursor.token(), "version": self._frontier(),
+                "bytes": len(data)}
+        return _injected("replication.snapshot", data)[0], meta
 
     def wal(self, cursor_token: str,
             max_bytes: int = 1 << 20) -> Tuple[bytes, Dict[str, Any]]:
-        """The CRC-framed record run at ``cursor_token`` + next cursor."""
+        """The CRC-framed record run at ``cursor_token`` + next cursor;
+        the log is flushed first, so every durable record ships."""
         cursor = ReplicationCursor.parse(cursor_token)
-        result = self.store.replication_read(cursor, max_bytes=max_bytes)
-        data, next_cursor, at_end = result.data, result.cursor, result.at_end
-        meta: Dict[str, Any] = {
-            "graph": self.store.name,
-            "bytes": len(data),
-            "version": self.store.replication_version(),
-        }
-        fault = fault_hook("replication.ship")
-        if fault is not None:
-            if fault.kind == "torn":
-                data = _torn(data, fault.fraction)
-            elif fault.kind == "dup":
-                # Re-serve this run on the next poll too: the replica
-                # sees the same records twice (and, interleaved with
-                # fresh runs, out of order) — version dedup must absorb
-                # them without double-applying.
-                next_cursor, at_end = cursor, False
-            elif fault.kind in ("eio", "enospc"):
-                raise ReplicationError(
-                    "injected wal feed failure at replication.ship")
-        meta["cursor"] = next_cursor.token()
-        meta["at_end"] = at_end
-        return data, meta
+        log = self.store.segments
+        log.flush()
+        data, next_cursor, at_end = log.read_from(cursor, max_bytes=max_bytes)
+        shipped, fault = _injected("replication.ship", data)
+        if fault == "dup":
+            # Re-serve this run on the next poll too: the replica sees
+            # the same records twice (and, interleaved with fresh runs,
+            # out of order) — version dedup must absorb them without
+            # double-applying.
+            next_cursor, at_end = cursor, False
+        return shipped, {"graph": self.store.name, "bytes": len(data),
+                         "version": self._frontier(),
+                         "cursor": next_cursor.token(), "at_end": at_end}
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +198,18 @@ def _clear_replica_files(directory: str, keep: str) -> None:
             os.unlink(path)
 
 
+def _fetch(read: Callable[..., Tuple[bytes, Dict[str, Any]]], *args: Any
+           ) -> Tuple[bytes, Dict[str, Any]]:
+    """``read(*args)`` of a feed, refused unless the payload is the
+    ``meta["bytes"]`` the primary meant to send (a torn ship)."""
+    data, meta = read(*args)
+    if len(data) != meta["bytes"]:
+        raise ReplicationCorruptionError(
+            "{} ship truncated: got {} of {} bytes".format(
+                read.__name__, len(data), meta["bytes"]))
+    return data, meta
+
+
 def _fetch_snapshot(directory: str, source: Any, what: str
                     ) -> Tuple[str, Any, Any, Dict[str, Any]]:
     """Fetch, length-check, write and CRC-verify the primary's snapshot.
@@ -198,13 +218,8 @@ def _fetch_snapshot(directory: str, source: Any, what: str
     the file durably in ``directory``.  Nothing is committed here: the
     caller's ``replica.json`` write is the commit point.
     """
-    data, meta = source.snapshot()
-    expected = int(meta.get("bytes", len(data)))
-    if len(data) != expected:
-        raise ReplicationCorruptionError(
-            "{} snapshot truncated: got {} of {} bytes (primary died "
-            "mid-ship?)".format(what, len(data), expected))
-    snapshot_name = os.path.basename(str(meta["snapshot"]))
+    data, meta = _fetch(source.snapshot)
+    snapshot_name = os.path.basename(meta["snapshot"])
     if not _SNAPSHOT_RE.match(snapshot_name):
         raise ReplicationError(
             "primary sent unexpected snapshot name {!r}".format(
@@ -274,19 +289,19 @@ class ReplicaGraph(_LogBackedView):
         snapshot_name, base, smeta, meta = _fetch_snapshot(
             directory, source, "bootstrap")
         _clear_replica_files(directory, keep=snapshot_name)
-        snapshot_version = int(meta["snapshot_version"])
+        snapshot_version = meta["snapshot_version"]
         segments = WalSegments(os.path.join(directory, SEGMENTS_DIRNAME),
                                base_version=snapshot_version)
         replica_meta = {
             "format": 1,
             "kind": "replica",
-            "graph": str(meta.get("graph", "")),
+            "graph": meta["graph"],
             "primary": primary,
             "snapshot": snapshot_name,
             "snapshot_version": snapshot_version,
-            "cursor": str(meta["cursor"]),
+            "cursor": meta["cursor"],
             "applied_version": snapshot_version,
-            "primary_version": int(meta.get("version", snapshot_version)),
+            "primary_version": meta["version"],
         }
         try:
             publish_json(os.path.join(directory, REPLICA_META_NAME),
@@ -359,12 +374,7 @@ class ReplicaGraph(_LogBackedView):
         # Fetch and decode outside the lock: a poll must never stall
         # concurrent reads (or, in single-process setups, the very
         # event loop serving the primary) on the network.
-        data, meta = source.wal(cursor.token(), max_bytes=max_bytes)
-        expected = int(meta.get("bytes", len(data)))
-        if len(data) != expected:
-            raise ReplicationCorruptionError(
-                "wal ship truncated: got {} of {} bytes at cursor "
-                "{}".format(len(data), expected, cursor))
+        data, meta = _fetch(source.wal, cursor.token(), max_bytes)
         entries, offsets = decode_frames(data, with_spans=True)
         with self._lock:
             self._check_open()
@@ -403,10 +413,8 @@ class ReplicaGraph(_LogBackedView):
             self._segments.extend_run(fresh, data, offsets[stale:])
             self._segments.flush()
             self._apply(fresh)
-            self._cursor = ReplicationCursor.parse(str(meta["cursor"]))
-            self._primary_version = max(
-                self._view_version, int(meta.get("version",
-                                                 self._view_version)))
+            self._cursor = ReplicationCursor.parse(meta["cursor"])
+            self._primary_version = max(self._view_version, meta["version"])
             now = time.monotonic()
             self._last_contact = now
             if self._view_version >= self._primary_version:
@@ -414,7 +422,7 @@ class ReplicaGraph(_LogBackedView):
             self._persist_meta()
             records, seconds = self._lag_locked()
             return {"fetched": len(entries), "applied": len(fresh),
-                    "at_end": bool(meta.get("at_end", False)),
+                    "at_end": meta["at_end"],
                     "lag_records": records, "lag_seconds": seconds,
                     "cursor": self._cursor.token()}
 
@@ -453,12 +461,11 @@ class ReplicaGraph(_LogBackedView):
             self._check_open()
             old_snapshot = os.path.join(
                 self.directory, os.path.basename(str(self._meta["snapshot"])))
-            snapshot_version = int(meta["snapshot_version"])
+            snapshot_version = meta["snapshot_version"]
             self._segments.reset_base(snapshot_version)
             self._load_view(base, smeta)
-            self._cursor = ReplicationCursor.parse(str(meta["cursor"]))
-            self._primary_version = int(meta.get("version",
-                                                 snapshot_version))
+            self._cursor = ReplicationCursor.parse(meta["cursor"])
+            self._primary_version = meta["version"]
             self._meta.update(snapshot=snapshot_name,
                               snapshot_version=snapshot_version)
             now = time.monotonic()
@@ -653,20 +660,23 @@ class ReplicaTailer:
         return delay / 2.0 + self._rng.random() * (delay / 2.0)
 
     def step(self) -> float:
-        """One poll; returns how long to sleep before the next one."""
+        """One poll; returns how long to sleep before the next one.  A
+        typed feed error, a failed re-bootstrap after a gap included,
+        counts a failure and backs off: it never ends :meth:`run`."""
         try:
-            report = self.replica.poll_once(self.source,
-                                            max_bytes=self.max_bytes)
-        except ReplicationCursorGapError as exc:
-            self.failures += 1
-            self.consecutive_failures += 1
-            self.last_error = str(exc)
-            self._emit("gap", {"error": str(exc)})
-            self.replica.rebootstrap(self.source)
-            self._emit("rebootstrap", self.replica.info())
-            self.consecutive_failures = 0
-            self.last_error = None
-            return 0.0
+            try:
+                report = self.replica.poll_once(self.source,
+                                                max_bytes=self.max_bytes)
+            except ReplicationCursorGapError as exc:
+                self.failures += 1
+                self.consecutive_failures += 1
+                self.last_error = str(exc)
+                self._emit("gap", {"error": str(exc)})
+                self.replica.rebootstrap(self.source)
+                self._emit("rebootstrap", self.replica.info())
+                self.consecutive_failures = 0
+                self.last_error = None
+                return 0.0
         except (ReplicationError, StorageError, OSError) as exc:
             self.failures += 1
             self.consecutive_failures += 1

@@ -294,7 +294,21 @@ def lift_to_edge_expression(expression: LabelExpr):
 _MAX_REPEAT_EXPANSION = 16
 
 
-def lower_to_label_expression(expression) -> Optional[LabelExpr]:
+def _atom_label(atom, alphabet: Optional[FrozenSet[Hashable]]
+                ) -> Optional[LabelExpr]:
+    """``atom``'s label, or for the wildcard ``_`` the union of
+    ``alphabet`` (``None`` without one; nothing for an empty one)."""
+    if atom.label is not None:
+        return LabelSymbol(atom.label)
+    if alphabet is None:
+        return None
+    labels = sorted(alphabet, key=repr)  # one expression per alphabet
+    return LabelUnion(map(LabelSymbol, labels)) if labels else LabelEmpty()
+
+
+def lower_to_label_expression(expression,
+                              alphabet: Optional[FrozenSet[Hashable]] = None
+                              ) -> Optional[LabelExpr]:
     """The partial inverse of :func:`lift_to_edge_expression`.
 
     Translate an edge-set expression into the label formulation when — and
@@ -302,7 +316,9 @@ def lower_to_label_expression(expression) -> Optional[LabelExpr]:
     combined by union, join, star or bounded repeat.  Such expressions
     constrain nothing but the label word, so their endpoint-pair semantics
     coincide with the label RPQ and :func:`rpq_pairs` can answer them with
-    the compact frontier kernel (the engine's ``pairs`` fast path).
+    the compact frontier kernel (the engine's ``pairs`` fast path).  Given
+    the graph's label ``alphabet``, a wildcard label ``[_, _, _]`` lowers
+    too, to the union of its labels; without one it does not.
 
     Returns ``None`` for anything that genuinely needs the edge-set algebra:
     atoms binding a tail or head vertex, literal path sets, concatenative
@@ -325,24 +341,24 @@ def lower_to_label_expression(expression) -> Optional[LabelExpr]:
     if isinstance(expr, Epsilon):
         return LabelEpsilon()
     if isinstance(expr, Atom):
-        if expr.tail is None and expr.head is None and expr.label is not None:
-            return LabelSymbol(expr.label)
+        if expr.tail is None and expr.head is None:
+            return _atom_label(expr, alphabet)
         return None
     if isinstance(expr, Union):
-        parts = [lower_to_label_expression(p) for p in expr.parts]
+        parts = [lower_to_label_expression(p, alphabet) for p in expr.parts]
         if any(p is None for p in parts):
             return None
         return LabelUnion(parts)
     if isinstance(expr, Join):
-        parts = [lower_to_label_expression(p) for p in expr.parts]
+        parts = [lower_to_label_expression(p, alphabet) for p in expr.parts]
         if any(p is None for p in parts):
             return None
         return LabelConcat(parts)
     if isinstance(expr, Star):
-        inner = lower_to_label_expression(expr.inner)
+        inner = lower_to_label_expression(expr.inner, alphabet)
         return None if inner is None else LabelStar(inner)
     if isinstance(expr, Repeat):
-        inner = lower_to_label_expression(expr.inner)
+        inner = lower_to_label_expression(expr.inner, alphabet)
         if inner is None or expr.minimum > _MAX_REPEAT_EXPANSION:
             return None
         required = [inner] * expr.minimum
@@ -417,7 +433,9 @@ class ConstrainedQuery:
         return "vertex-bound lowering ({})".format(", ".join(bounds))
 
 
-def lower_to_constrained_query(expression) -> Optional[ConstrainedQuery]:
+def lower_to_constrained_query(expression,
+                               alphabet: Optional[FrozenSet[Hashable]] = None
+                               ) -> Optional[ConstrainedQuery]:
     """Lower an edge expression to a :class:`ConstrainedQuery` when possible.
 
     Extends :func:`lower_to_label_expression` to vertex-bound *ends*: a
@@ -428,26 +446,27 @@ def lower_to_constrained_query(expression) -> Optional[ConstrainedQuery]:
     tail the path's first vertex and the suffix atom's head its last, so
     endpoint-pair answers coincide with the constrained label RPQ.  A lone
     atom may bind either or both of its endpoints (``[i, a, j]`` is the
-    single-edge point query).
+    single-edge point query).  ``alphabet`` is as for
+    :func:`lower_to_label_expression`.
 
     Returns ``None`` when the expression binds an *interior* vertex
     (including ``[i, a, j]`` used as a join prefix — its head pins the
-    second vertex), omits the label on a bound atom, or otherwise needs
-    the full edge-set algebra (literals, products, unions over bound
+    second vertex), has a wildcard label and no alphabet, or otherwise
+    needs the full edge-set algebra (literals, products, unions over bound
     atoms): those still route through the bounded ``automaton`` strategy.
     """
     from repro.regex.ast import Atom, Join
 
-    label_only = lower_to_label_expression(expression)
+    label_only = lower_to_label_expression(expression, alphabet)
     if label_only is not None:
         return ConstrainedQuery(label_only)
     expr = expression
     if isinstance(expr, Atom):
-        if expr.label is None:
-            return None
-        # tail/head are not both None here, or the label-only lowering
-        # above would have taken the expression.
-        return ConstrainedQuery(LabelSymbol(expr.label), expr.tail, expr.head)
+        # A label or an alphabet here means a bound tail or head, or the
+        # label-only lowering above would have taken the expression.
+        label = _atom_label(expr, alphabet)
+        return None if label is None \
+            else ConstrainedQuery(label, expr.tail, expr.head)
     if not isinstance(expr, Join):
         return None
     parts = expr.parts
@@ -456,18 +475,20 @@ def lower_to_constrained_query(expression) -> Optional[ConstrainedQuery]:
     target: Optional[Hashable] = None
     lowered: List[LabelExpr] = []
     for index, part in enumerate(parts):
-        lowered_part = lower_to_label_expression(part)
+        lowered_part = lower_to_label_expression(part, alphabet)
         if lowered_part is not None:
             lowered.append(lowered_part)
             continue
-        if isinstance(part, Atom) and part.label is not None:
+        label = _atom_label(part, alphabet) \
+            if isinstance(part, Atom) else None
+        if label is not None:
             if index == 0 and part.tail is not None and part.head is None:
                 source = part.tail
-                lowered.append(LabelSymbol(part.label))
+                lowered.append(label)
                 continue
             if index == last and part.head is not None and part.tail is None:
                 target = part.head
-                lowered.append(LabelSymbol(part.label))
+                lowered.append(label)
                 continue
         return None
     if source is None and target is None:  # pragma: no cover - label-only

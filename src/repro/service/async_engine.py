@@ -9,18 +9,16 @@ engine needs once multiple callers hit it at once:
   time; the rest wait in a FIFO.  One heavy sweep occupies one slot, so it
   cannot starve point queries out of the pool (they drain through the
   remaining slots while it runs).
-* **Per-query deadlines** — a ``deadline`` budget in seconds covers the
-  whole trip (queue wait included).  When it expires the awaiting caller
-  gets :class:`~repro.errors.DeadlineExceededError` immediately; the
-  budget is also visible to the worker side (see below), so abandoned
-  work stops at the next cooperative checkpoint instead of burning a
-  slot to completion.
-* **Cooperative cancellation** — cancelling the awaiting task (or an
-  expired deadline) flips the query's :class:`Deadline`; worker code
-  checks it *before* the kernel starts and between batch items.  A kernel
-  already inside its product BFS finishes that one dispatch — its slot is
-  released the moment the thread returns, never earlier, so abandonment
-  can neither over-commit the executor nor poison it.
+* **Per-query deadlines and cancellation** — a ``deadline`` budget in
+  seconds bounds the caller's *wait* for the whole trip, queue wait
+  included: on expiry (or when the awaiting task is cancelled) the caller
+  gets :class:`~repro.errors.DeadlineExceededError` immediately and the
+  query's :class:`Deadline` flips.  Worker code checks it only *before*
+  the kernel starts and between batch items, so it skips work not yet
+  started but does not stop a running kernel: that kernel finishes its
+  dispatch and holds its slot until its thread returns.  So abandonment
+  can neither over-commit the executor nor poison it, but two abandoned
+  long reads can wedge a two-worker engine (``ROADMAP.md``, item 2).
 * **Reader/writer exclusivity** — queries share slots; :meth:`mutate`
   (and a registry checkpoint) waits for in-flight queries to drain and
   runs alone.  Every query therefore sees a graph frozen at one version,

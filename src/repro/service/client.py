@@ -59,7 +59,7 @@ from repro.errors import (
 from repro.graph.pairs import PairBlocks
 from repro.service.wire import (BLOCKS_TYPE, ERROR_CONTRACT,
                                 RETRIABLE_STATUSES, decode_answer,
-                                decode_batch)
+                                decode_batch, feed_meta)
 
 __all__ = ["ReproClient", "RemoteFeed", "RETRIABLE_STATUSES"]
 
@@ -471,82 +471,21 @@ class ReproClient:
         status, _, data = self._transport("GET", "/readyz", b"")
         return status == 200, self._decode(data)
 
-    # -- replication feed (single shot; the tailer owns the backoff) ---
-
-    def replication_snapshot(self, graph: Optional[str] = None
-                             ) -> Tuple[bytes, Dict[str, Any]]:
-        """Fetch the primary's snapshot bytes + bootstrap metadata.
-
-        Single-shot on purpose: the replica tailer runs its own paced
-        retry loop, and a multi-megabyte body is nothing to re-send
-        blindly.  Transport errors propagate as :class:`OSError`.
-        """
-        path = "/replication/snapshot"
-        if graph:
-            path += "?" + urlencode({"graph": graph})
-        status, headers, data = self._transport("GET", path, b"")
-        self._raise_replication_status(status, data, "replication_snapshot")
-        return data, {
-            "graph": headers.get("x-repro-graph-name", ""),
-            "snapshot": headers.get("x-repro-snapshot", ""),
-            "snapshot_version": int(
-                headers.get("x-repro-snapshot-version", "0")),
-            "cursor": headers.get("x-repro-replication-cursor", ""),
-            "version": int(headers.get("x-repro-primary-version", "0")),
-            "bytes": int(headers.get("x-repro-bytes", len(data))),
-        }
-
-    def replication_wal(self, cursor: str, graph: Optional[str] = None,
-                        max_bytes: Optional[int] = None
-                        ) -> Tuple[bytes, Dict[str, Any]]:
-        """Fetch the CRC-framed WAL run at ``cursor`` (single shot)."""
-        params: Dict[str, Any] = {"cursor": cursor}
-        if graph:
-            params["graph"] = graph
-        if max_bytes is not None:
-            params["max_bytes"] = max_bytes
-        path = "/replication/wal?" + urlencode(params)
-        status, headers, data = self._transport("GET", path, b"")
-        self._raise_replication_status(status, data, "replication_wal",
-                                       cursor)
-        return data, {
-            "graph": headers.get("x-repro-graph-name", ""),
-            "cursor": headers.get("x-repro-next-cursor", cursor),
-            "at_end": headers.get("x-repro-at-end", "0") == "1",
-            "version": int(headers.get("x-repro-primary-version", "0")),
-            "bytes": int(headers.get("x-repro-bytes", len(data))),
-        }
-
-    def _raise_replication_status(self, status: int, data: bytes,
-                                  operation: str, cursor: str = "") -> None:
-        """A feed reply's status as the tailer's error: the cursor gap
-        (re-bootstrap), a transient :class:`ReplicationError` (poll
-        again) or :class:`RemoteQueryError`."""
-        if status < 400:
-            return
-        payload = self._decode(data)
-        if status == _CURSOR_GAP:
-            raise ReplicationCursorGapError(
-                cursor, str(payload.get("first_retained", "unknown")))
-        if status in RETRIABLE_STATUSES:
-            raise ReplicationError(
-                "{} failed: HTTP {}: {}".format(
-                    operation, status, payload.get("error", "unknown")))
-        raise RemoteQueryError(status, payload, operation)
-
     def __repr__(self) -> str:
         return "ReproClient<http://{}:{}, max_retries={}>".format(
             self.host, self.port, self.max_retries)
 
 
 class RemoteFeed:
-    """The replica-side feed protocol over a :class:`ReproClient`.
+    """The replica-side feed over a :class:`ReproClient`: the protocol
+    :class:`repro.replication.PrimaryFeed` speaks in process.
 
-    Adapts the client's raw replication fetches to the ``snapshot()`` /
-    ``wal(cursor, max_bytes)`` protocol
-    :class:`repro.replication.ReplicaGraph` consumes — the same protocol
-    :class:`repro.replication.PrimaryFeed` speaks in process, so chaos
-    tests exercise the identical replica code path without sockets.
+    Each fetch is single-shot: the replica tailer owns the retry loop.
+    ``meta`` is read by :func:`~repro.service.wire.feed_meta` (a missing
+    or malformed field is a :class:`~repro.errors.WireProtocolError`); an
+    error status is the cursor gap (re-bootstrap), a transient
+    :class:`ReplicationError` (poll again) or a
+    :class:`~repro.errors.RemoteQueryError`.
     """
 
     def __init__(self, client: ReproClient, graph: Optional[str] = None):
@@ -554,9 +493,30 @@ class RemoteFeed:
         self.graph = graph
 
     def snapshot(self) -> Tuple[bytes, Dict[str, Any]]:
-        return self.client.replication_snapshot(self.graph)
+        return self._fetch("snapshot", {})
 
     def wal(self, cursor_token: str,
             max_bytes: int = 1 << 20) -> Tuple[bytes, Dict[str, Any]]:
-        return self.client.replication_wal(cursor_token, graph=self.graph,
-                                           max_bytes=max_bytes)
+        return self._fetch("wal", {"cursor": cursor_token,
+                                   "max_bytes": max_bytes})
+
+    def _fetch(self, action: str, params: Dict[str, Any]
+               ) -> Tuple[bytes, Dict[str, Any]]:
+        if self.graph:
+            params["graph"] = self.graph
+        path = "/replication/" + action
+        if params:
+            path += "?" + urlencode(params)
+        status, headers, data = self.client._transport("GET", path, b"")
+        if status < 400:
+            return data, feed_meta(action, headers)
+        payload = self.client._decode(data)
+        if status == _CURSOR_GAP:
+            raise ReplicationCursorGapError(
+                params.get("cursor", ""),
+                str(payload.get("first_retained", "unknown")))
+        if status in RETRIABLE_STATUSES:
+            raise ReplicationError(
+                "replication {} failed: HTTP {}: {}".format(
+                    action, status, payload.get("error", "unknown")))
+        raise RemoteQueryError(status, payload, "replication " + action)

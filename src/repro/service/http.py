@@ -29,8 +29,8 @@ GET         ``/replication/wal?cursor=S:O``          WAL frame run (binary)
 The two ``/replication/*`` reads (authenticated; ``?graph=`` selects the
 store, optional when exactly one is served) are the primary side of
 WAL-shipped replication — binary bodies whose metadata travels in
-``X-Repro-*`` headers (snapshot version, start/next cursor, primary
-version, intended byte count).  They are only served by
+``X-Repro-*`` headers, one per field of
+:data:`repro.service.wire.FEED_FIELDS`.  They are only served by
 ``repro serve --replicate``; see ``docs/replication.md``.
 
 Keep-alive
@@ -81,7 +81,10 @@ parallel pool is healthy; otherwise 503 with the failing checks listed.
 Every response carries ``X-Repro-Graph-Version`` when a graph was
 resolved, so clients can correlate answers with mutation versions; on a
 ``/query`` reply it is the version the answer is exact at (every member
-of a batch is answered at that one version), not one read afterwards.
+of a batch is answered at that one version), and on a ``/mutate`` or
+``/checkpoint`` reply the version its write left, taken in the writer
+slot — never one read afterwards.  Those two bodies carry it as
+``version`` too.
 """
 
 from __future__ import annotations
@@ -89,12 +92,14 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.replication import REPLICA_META_NAME
+from repro.replication import (REPLICA_META_NAME, PrimaryFeed, ReplicaGraph,
+                               ReplicaTailer)
 
 from repro.engine.cache import QueryCache
 from repro.engine.engine import Engine
@@ -107,17 +112,20 @@ from repro.errors import (
 )
 from repro.faults import fault_hook
 from repro.service.async_engine import AsyncEngine
+from repro.service.client import RemoteFeed, ReproClient
 from repro.service.registry import GraphHandle, GraphRegistry
-from repro.service.wire import (BadRequestError, PayloadTooLargeError,
-                                RouteNotFoundError, encode_reply,
-                                error_reply, replica_lag_header, wants_blocks)
+from repro.service.wire import (FEED_FIELDS, BadRequestError,
+                                PayloadTooLargeError, RouteNotFoundError,
+                                encode_reply, error_reply, feed_headers,
+                                replica_lag_header, wants_blocks)
+from repro.storage.segments import ReplicationCursor
 
 __all__ = ["HttpServer", "ReplicaHttpServer", "serve", "serve_replica"]
 
 #: Largest accepted request body; bigger payloads get a 413.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
-#: The payload key a query action leaves its answer's version under, for
+#: The payload key an action leaves its reply's version under, for
 #: ``_route`` to move into the ``X-Repro-Graph-Version`` header.
 _ANSWER_VERSION = "_answer_version"
 
@@ -483,8 +491,10 @@ class HttpServer:
     async def _route_replication(self, method: str, path: str,
                                  params: Dict[str, str]
                                  ) -> Tuple[int, bytes, Dict[str, str]]:
+        """A feed read's bytes, and its ``meta`` as headers; a store not
+        serving its log is refused by :class:`PrimaryFeed` itself (400)."""
         action = path[len("/replication/"):]
-        if method != "GET" or action not in ("snapshot", "wal"):
+        if method != "GET" or action not in FEED_FIELDS:
             raise RouteNotFoundError(method, path)
         name = params.get("graph", "")
         if not name:
@@ -494,53 +504,32 @@ class HttpServer:
                     "graph parameter required ({} graphs "
                     "served)".format(len(names)))
             name = names[0]
-        from repro.replication import PrimaryFeed
-        loop = asyncio.get_running_loop()
         handle = self.registry.acquire(name)
         try:
-            if not handle.store.replicating:
-                raise BadRequestError(
-                    "store {!r} does not serve its log; serve with "
-                    "--replicate to ship replication".format(name))
             feed = PrimaryFeed(handle.store)
-            if action == "snapshot":
-                data, meta = await loop.run_in_executor(
-                    None, feed.snapshot)
-                return 200, data, {
-                    "X-Repro-Graph-Name": str(meta["graph"]),
-                    "X-Repro-Snapshot": str(meta["snapshot"]),
-                    "X-Repro-Snapshot-Version":
-                        str(meta["snapshot_version"]),
-                    "X-Repro-Replication-Cursor": str(meta["cursor"]),
-                    "X-Repro-Primary-Version": str(meta["version"]),
-                    "X-Repro-Bytes": str(meta["bytes"]),
-                }
-            cursor = params.get("cursor", "")
-            if not cursor:
-                raise BadRequestError("cursor parameter required")
-            try:
-                from repro.storage.segments import ReplicationCursor
-                ReplicationCursor.parse(cursor)
-            except ReplicationError as exc:
-                # A malformed token is the client's bug (400), not a
-                # transient feed failure (503).
-                raise BadRequestError(str(exc)) from exc
-            try:
-                max_bytes = min(MAX_SHIP_BYTES,
-                                int(params.get("max_bytes", 1 << 20)))
-            except ValueError as exc:
-                raise BadRequestError("bad max_bytes") from exc
-            if max_bytes <= 0:
-                raise BadRequestError("max_bytes must be positive")
-            data, meta = await loop.run_in_executor(
-                None, feed.wal, cursor, max_bytes)
-            return 200, data, {
-                "X-Repro-Graph-Name": str(meta["graph"]),
-                "X-Repro-Next-Cursor": str(meta["cursor"]),
-                "X-Repro-At-End": "1" if meta["at_end"] else "0",
-                "X-Repro-Primary-Version": str(meta["version"]),
-                "X-Repro-Bytes": str(meta["bytes"]),
-            }
+            args: Tuple[Any, ...] = ()
+            if action == "wal":
+                cursor = params.get("cursor", "")
+                if not cursor:
+                    raise BadRequestError("cursor parameter required")
+                try:
+                    ReplicationCursor.parse(cursor)
+                except ReplicationError as exc:
+                    # A malformed token is the client's bug (400), not a
+                    # transient feed failure (503).
+                    raise BadRequestError(str(exc)) from exc
+                try:
+                    max_bytes = min(MAX_SHIP_BYTES,
+                                    int(params.get("max_bytes", 1 << 20)))
+                except ValueError as exc:
+                    raise BadRequestError("bad max_bytes") from exc
+                if max_bytes <= 0:
+                    raise BadRequestError("max_bytes must be positive")
+                args = (cursor, max_bytes)
+            # The feed's method is named after its action.
+            data, meta = await asyncio.get_running_loop().run_in_executor(
+                None, getattr(feed, action), *args)
+            return 200, data, feed_headers(action, meta)
         finally:
             self.registry.release(name)
 
@@ -721,12 +710,15 @@ class HttpServer:
                 if graph.has_edge(tail, label, head):
                     graph.remove_edge(tail, label, head)
                     removed += 1
-            return {"added": added, "removed": removed}
+            # Read inside the writer slot: once it is released another
+            # write may commit, and its version is not this batch's.
+            return {"added": added, "removed": removed,
+                    "version": graph.version()}
 
         outcome = await handle.async_engine.mutate(
             apply, deadline=self._deadline_of(body))
-        outcome.update(graph=handle.name,
-                       version=handle.engine.graph.version())
+        outcome.update(graph=handle.name)
+        outcome[_ANSWER_VERSION] = outcome["version"]
         return outcome
 
     async def _action_checkpoint(self, handle: GraphHandle,
@@ -734,7 +726,10 @@ class HttpServer:
                                  tenant: str,
                                  headers: Dict[str, str]) -> Dict[str, Any]:
         info = await handle.checkpoint(deadline=self._deadline_of(body))
-        return {"graph": handle.name, "info": info}
+        # The folded generation's version, taken in the writer slot.
+        version = info["snapshot_version"]
+        return {"graph": handle.name, "info": info, "version": version,
+                _ANSWER_VERSION: version}
 
 
 class ReplicaHttpServer(HttpServer):
@@ -918,11 +913,6 @@ async def serve_replica(directory: str, primary_url: str,
     serves read-only queries throughout — including while catching up
     (``/readyz`` says so).  ``repro serve --replica-of URL`` lands here.
     """
-    import threading
-
-    from repro.replication import ReplicaGraph, ReplicaTailer
-    from repro.service.client import RemoteFeed, ReproClient
-
     client = ReproClient(primary_url, token=primary_token,
                          keep_alive=True, jitter_seed=seed)
     source = RemoteFeed(client, graph=graph)

@@ -25,7 +25,10 @@ is the client's side: either form back to a ``PairBlocks``.
 The error contract lives here too, because both sides read it:
 :func:`error_reply` turns any error into the server's reply by
 :data:`ERROR_CONTRACT`, and the SDK retries :data:`RETRIABLE_STATUSES`
-(``docs/serving.md`` has the status table).
+(``docs/serving.md`` has the status table).  So does the replication
+feed's reply schema, :data:`FEED_FIELDS`: the server writes a feed reply's
+headers with :func:`feed_headers` and the SDK reads them back with
+:func:`feed_meta` (``docs/replication.md`` has the field table).
 """
 
 from __future__ import annotations
@@ -41,11 +44,12 @@ from repro.errors import (
     ServiceError, StoreDegradedError, UnknownGraphError, WireProtocolError)
 from repro.graph.pairs import PairBlocks
 
-__all__ = ["BLOCKS_TYPE", "ERROR_CONTRACT", "JSON_TYPE", "RETRIABLE_STATUSES",
-           "BadRequestError", "PayloadTooLargeError", "RouteNotFoundError",
-           "ServedPairs", "decode_answer", "decode_batch", "encode_blocks",
-           "encode_pairs", "encode_reply", "error_reply",
-           "replica_lag_header", "serve_pairs", "wants_blocks"]
+__all__ = ["BLOCKS_TYPE", "ERROR_CONTRACT", "FEED_FIELDS", "JSON_TYPE",
+           "RETRIABLE_STATUSES", "BadRequestError", "PayloadTooLargeError",
+           "RouteNotFoundError", "ServedPairs", "decode_answer",
+           "decode_batch", "encode_blocks", "encode_pairs", "encode_reply",
+           "error_reply", "feed_headers", "feed_meta", "replica_lag_header",
+           "serve_pairs", "wants_blocks"]
 
 #: The media type of a reply that may carry block answers; a request
 #: naming it in ``Accept`` asks for them.
@@ -274,6 +278,70 @@ def decode_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
     for item in results:
         decode_answer(item)
     return payload
+
+
+# -- the replication feed ----------------------------------------------------
+
+
+class FeedField(NamedTuple):
+    """One metadata field of a feed reply: ``meta`` key, header, type."""
+
+    key: str
+    header: str
+    type: type
+
+
+#: Feed action (``GET /replication/<action>``) -> the fields of its reply's
+#: ``meta``, one header each.  ``bytes`` is the payload length the primary
+#: meant to send, so a replica can tell a torn ship from a short run.
+FEED_FIELDS: Dict[str, Tuple[FeedField, ...]] = {
+    "snapshot": (
+        FeedField("graph", "X-Repro-Graph-Name", str),
+        FeedField("snapshot", "X-Repro-Snapshot", str),
+        FeedField("snapshot_version", "X-Repro-Snapshot-Version", int),
+        FeedField("cursor", "X-Repro-Replication-Cursor", str),
+        FeedField("version", "X-Repro-Primary-Version", int),
+        FeedField("bytes", "X-Repro-Bytes", int),
+    ),
+    "wal": (
+        FeedField("graph", "X-Repro-Graph-Name", str),
+        FeedField("cursor", "X-Repro-Next-Cursor", str),
+        FeedField("at_end", "X-Repro-At-End", bool),
+        FeedField("version", "X-Repro-Primary-Version", int),
+        FeedField("bytes", "X-Repro-Bytes", int),
+    ),
+}
+
+#: A field type -> (encode, decode); a decode gives None for a value that
+#: is not one: an int is decimal digits, a bool ``"1"`` or ``"0"``.
+_FEED_CODECS: Dict[type, Tuple[Callable[..., Any], ...]] = {
+    str: (str, str),
+    int: (str, lambda text: int(text)
+          if text.isascii() and text.isdigit() else None),
+    bool: (lambda value: "1" if value else "0", {"1": True, "0": False}.get),
+}
+
+
+def feed_headers(action: str, meta: Dict[str, Any]) -> Dict[str, str]:
+    """The headers of a feed reply whose metadata is ``meta``."""
+    return {field.header: _FEED_CODECS[field.type][0](meta[field.key])
+            for field in FEED_FIELDS[action]}
+
+
+def feed_meta(action: str, headers: Dict[str, str]) -> Dict[str, Any]:
+    """The ``meta`` of a feed reply, read from its (lower-cased) headers;
+    a missing or malformed field is a
+    :class:`~repro.errors.WireProtocolError`, never a default."""
+    meta: Dict[str, Any] = {}
+    for field in FEED_FIELDS[action]:
+        text = headers.get(field.header.lower())
+        value = None if text is None else _FEED_CODECS[field.type][1](text)
+        if value is None:
+            raise WireProtocolError("malformed feed reply: {} {}".format(
+                field.header, "missing" if text is None
+                else "is {!r}".format(text)))
+        meta[field.key] = value
+    return meta
 
 
 # -- the error contract ------------------------------------------------------

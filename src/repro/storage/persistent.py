@@ -67,7 +67,6 @@ from repro.storage.segments import (
     SEGMENTS_DIRNAME,
     SEGMENTS_MANIFEST_NAME,
     ReplicationCursor,
-    ShipResult,
     WalSegments,
     publish_json,
     read_json,
@@ -330,8 +329,9 @@ class PersistentGraph(_LogBackedView):
         snapshotted as the first generation, so bulk loads should happen
         *before* ``create`` (no per-record log append) and churn after.
         Every store journals into the same log; ``replicate=True`` only
-        lets this handle *serve* it to replicas (the ``replication_*``
-        reads behind ``GET /replication/*``, :mod:`repro.replication`).
+        lets this handle *serve* it to replicas (through
+        :class:`~repro.replication.PrimaryFeed`, behind
+        ``GET /replication/*``).
         """
         os.makedirs(directory, exist_ok=True)
         if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
@@ -728,66 +728,25 @@ class PersistentGraph(_LogBackedView):
             return self._graph.version()
         return self._view_version
 
-    def _check_replicating(self) -> WalSegments:
-        if not self._replicate:
-            raise StorageError(
-                "store {} was not opened with replicate=True and does not "
-                "serve replication".format(self.directory))
-        return self._log
+    @property
+    def snapshot_version(self) -> int:
+        """The version the live snapshot generation holds."""
+        return int(self._manifest["snapshot_version"])
 
-    def replication_bootstrap(self) -> Tuple[bytes, Dict[str, Any]]:
-        """Snapshot bytes + metadata for a replica bootstrap.
-
-        Runs under the store lock so the snapshot file, its manifest
-        version, and the start cursor are one consistent cut — a
-        concurrent checkpoint cannot swap generations mid-read.  The
-        returned cursor covers every record after ``snapshot_version``
-        (the log only ever restarts *at* a snapshot already published).
-        """
+    def snapshot_cut(self) -> Tuple[bytes, str, int, ReplicationCursor]:
+        """A replica's bootstrap: the live snapshot's bytes, file name and
+        version, and the log cursor every later record lies at or after —
+        one cut, under the store lock, so a concurrent checkpoint cannot
+        swap generations mid-read (the log only restarts *at* a snapshot
+        already published)."""
         with self._lock:
             self._check_open()
-            segments = self._check_replicating()
-            segments.flush()
-            snapshot_version = int(self._manifest["snapshot_version"])
-            path = os.path.join(self.directory, self._manifest["snapshot"])
-            with open(path, "rb") as stream:
+            self._log.flush()
+            name = str(self._manifest["snapshot"])
+            version = self.snapshot_version
+            with open(os.path.join(self.directory, name), "rb") as stream:
                 data = stream.read()
-            meta = {
-                "graph": self._manifest.get("name", ""),
-                "snapshot": str(self._manifest["snapshot"]),
-                "snapshot_version": snapshot_version,
-                "cursor": segments.cursor_for_version(
-                    snapshot_version).token(),
-                "version": max(snapshot_version, segments.last_version),
-            }
-            return data, meta
-
-    def replication_version(self) -> int:
-        """The shipped-log frontier a caught-up replica converges to.
-
-        This is the newest version a replica can *reach* — the last
-        record in the log (or the snapshot version when the log is
-        empty).  Deliberately not :meth:`version`: in degraded
-        mode the live graph commits records the log could not take, and
-        measuring replica lag against it would never read zero.
-        """
-        with self._lock:
-            self._check_open()
-            segments = self._check_replicating()
-            return max(int(self._manifest["snapshot_version"]),
-                       segments.last_version)
-
-    def replication_read(self, cursor: ReplicationCursor,
-                         max_bytes: int = 1 << 20) -> ShipResult:
-        """The CRC-framed log suffix at ``cursor`` (durable records only).
-
-        Flushes the log first so a tailing replica's lag is bounded by
-        the poll interval, not the fsync batch size.
-        """
-        self._check_open()
-        segments = self._check_replicating()
-        segments.flush()
-        return segments.read_from(cursor, max_bytes=max_bytes)
+            return data, name, version, self._log.cursor_for_version(version)
 
     # ------------------------------------------------------------------
     # Introspection

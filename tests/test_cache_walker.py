@@ -142,8 +142,9 @@ class TestQueryCache:
         graph = MultiRelationalGraph(
             [(i, "a", (i + 1) % 12) for i in range(12)])
         engine = Engine(graph, cache=QueryCache(16))
-        assert engine.route(engine.compile("[_, _, _]*")).kernel == "bounded"
-        engine.pairs("[_, _, _]*")
+        assert engine.route(engine.compile("[_, a, _]*"),
+                            max_length=8).kernel == "bounded"
+        engine.pairs("[_, a, _]*", max_length=8)
         assert [key[0] for key in engine.cache._entries] == ["pairs"]
 
     def test_sources_and_targets_key_the_cache(self, engine):

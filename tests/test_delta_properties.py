@@ -430,8 +430,8 @@ class TestPatchedRows:
                             replica.poll_once(feed)
                     while not replica.poll_once(feed)["at_end"]:
                         pass
-                    assert replica.applied_version == \
-                        store.replication_version()
+                    assert replica.applied_version == feed.wal(
+                        replica.cursor.token())[1]["version"]
                     assert_rows_match_rebuild(replica.view(), graph)
                 finally:
                     replica.close()

@@ -13,7 +13,9 @@ a ``functools.lru_cache``; the service tier keeps none of its own.  Gates:
   one ``GraphStatistics`` per version;
 * **version** — a primary's ``/query`` reply (a miss, a hit, a batch)
   reports the version its answer is exact at, even when a write commits
-  before the reply.
+  before the reply; a ``/mutate`` or ``/checkpoint`` reply, in its body
+  and its header, the version its own write left, with eight writes in
+  flight.
 """
 
 import asyncio
@@ -203,3 +205,55 @@ class TestReplyVersion:
             assert reported == version < final
             for result in payload.get("results", [payload]):
                 assert frozenset(map(tuple, result["pairs"])) == expected
+
+    def writes_in_flight(self, tmp_path, bodies, in_flight=8):
+        """Dispatch ``(action, body)`` pairs through a primary, at most
+        ``in_flight`` at once; returns ``(action, payload, header)``s."""
+        root = tmp_path / "graphs"
+        root.mkdir()
+        PersistentGraph.create(str(root / "g"), small_graph(),
+                               name="g").close()
+
+        async def run():
+            server = HttpServer(GraphRegistry(str(root), max_workers=2))
+            gate = asyncio.Semaphore(in_flight)
+
+            async def send(action, body):
+                async with gate:
+                    status, payload, headers = await server._dispatch(
+                        "POST", "/v1/graphs/g/" + action, {},
+                        json.dumps(body).encode())
+                assert status == 200, payload
+                return (action, payload,
+                        int(headers["X-Repro-Graph-Version"]))
+            try:
+                return await asyncio.gather(
+                    *(send(action, body) for action, body in bodies))
+            finally:
+                await server.stop()
+        return asyncio.run(run())
+
+    def test_concurrent_mutates_each_report_their_own_version(self, tmp_path):
+        # Each batch adds one edge between fresh vertices, so each leaves
+        # a version of its own; reading it after the writer slot is
+        # released would name a later batch's instead.
+        replies = self.writes_in_flight(tmp_path, [
+            ("mutate", {"add_edges": [[100 + i, "a", 200 + i]]})
+            for i in range(80)])
+        versions = [payload["version"] for _, payload, _ in replies]
+        assert [header for _, _, header in replies] == versions
+        assert len(set(versions)) == 80
+
+    def test_a_checkpoint_reports_the_version_it_folded(self, tmp_path):
+        bodies = [("mutate", {"add_edges": [[100 + i, "a", 200 + i]]})
+                  for i in range(40)]
+        for slot in range(0, 40, 5):
+            bodies.insert(slot, ("checkpoint", {}))
+        replies = self.writes_in_flight(tmp_path, bodies)
+        for action, payload, header in replies:
+            assert header == payload["version"]
+            if action == "checkpoint":
+                assert payload["version"] == \
+                    payload["info"]["snapshot_version"]
+        assert len({payload["version"] for action, payload, _ in replies
+                    if action == "mutate"}) == 40

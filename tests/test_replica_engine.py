@@ -132,12 +132,13 @@ class TestLabels:
 
 class Deployment:
     """A primary registry serving ``g`` and a caught-up replica of it,
-    one ``HttpServer`` each, driven on one event loop."""
+    one ``HttpServer`` each, driven on one event loop.  ``graph`` replaces
+    :func:`base_graph` and its :func:`churn`."""
 
-    def __init__(self, tmp_path):
+    def __init__(self, tmp_path, graph=None):
         root = tmp_path / "graphs"
         root.mkdir()
-        PersistentGraph.create(str(root / NAME), base_graph(),
+        PersistentGraph.create(str(root / NAME), graph or base_graph(),
                                name=NAME).close()
         self.registry = GraphRegistry(str(root), max_workers=2,
                                       replicate=True)
@@ -148,7 +149,8 @@ class Deployment:
         self.store = handle.store
         feed = PrimaryFeed(self.store)
         self.replica = ReplicaGraph.bootstrap(str(tmp_path / "rep"), feed)
-        churn(self.graph)
+        if graph is None:
+            churn(self.graph)
         while not self.replica.poll_once(feed)["at_end"]:
             pass
         # A poll of property records only: the view's version moves too.
@@ -167,11 +169,10 @@ class Deployment:
             self.replica.close()
 
 
-#: Label-only, endpoint-bound, dead and unknown labels, and the shapes
-#: the primary routes ``bounded``: interior bindings, wildcard labels,
-#: literals and products.  The wildcard shape is a bounded repetition:
-#: ``[_, _, _]*`` enumerates every path of up to 8 edges on the primary,
-#: seconds per example.
+#: Label-only, endpoint-bound, wildcard-label, dead and unknown labels,
+#: and the shapes the primary routes ``bounded``: interior bindings,
+#: literals and products.  A wildcard label is the union of the graph's
+#: labels, so ``[_, _, _]{1,2}`` runs on the kernel on both sides.
 QUERIES = [
     "[_, a, _]", "[_, a, _] . [_, b, _]*", "([_, a, _] | [_, c, _])*",
     "[_, b, _]{2}", "[0, a, _] . [_, b, _]*", "[_, a, _] . [_, b, 3]",
@@ -179,8 +180,7 @@ QUERIES = [
     "[_, a, _] . [5, b, _]", "[_, _, _]{1,2}", "{(0, a, 1)}",
     "[_, a, _] & [_, b, _]", "[_, a, _",
 ]
-BOUNDED = {"[_, a, _] . [5, b, _]", "[_, _, _]{1,2}", "{(0, a, 1)}",
-           "[_, a, _] & [_, b, _]"}
+BOUNDED = {"[_, a, _] . [5, b, _]", "{(0, a, 1)}", "[_, a, _] & [_, b, _]"}
 endpoints = st.one_of(st.none(), st.lists(
     st.sampled_from(list(range(0, 42, 3)) + [99]), max_size=4))
 
@@ -217,6 +217,34 @@ class TestRepliesMatchThePrimary:
 
         try:
             same_reply()
+        finally:
+            deployment.close()
+
+
+class TestWildcardLabel:
+    def test_the_wildcard_star_runs_on_the_kernel_on_both_sides(self,
+                                                                 tmp_path):
+        # ``_`` is the union of the graph's labels: on the 12-cycle,
+        # ``[_, _, _]*`` is every pair, as ``[_, a, _]*`` is, not the 108
+        # the bounded enumeration's default path length reaches.
+        cycle = MultiRelationalGraph(
+            [(i, "a", (i + 1) % 12) for i in range(12)], name=NAME)
+        deployment = Deployment(tmp_path, cycle)
+        try:
+            engine = deployment.registry.acquire(NAME).engine
+            deployment.registry.release(NAME)
+            body = {"query": "[_, _, _]*"}
+            assert engine.route(engine.compile(body["query"])).kernel \
+                == "forward"
+            primary = deployment.loop.run_until_complete(
+                dispatch(deployment.primary, body))
+            replica = deployment.loop.run_until_complete(
+                dispatch(deployment.server, body))
+            assert primary[0] == 200 and json.loads(primary[1])["count"] \
+                == 144
+            assert replica[:2] == primary[:2]
+            assert replica[2]["X-Repro-Graph-Version"] == \
+                primary[2]["X-Repro-Graph-Version"]
         finally:
             deployment.close()
 

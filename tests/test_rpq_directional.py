@@ -35,8 +35,10 @@ from repro.regex.builder import literal
 from repro.rpq import (
     ConstrainedQuery,
     LabelConcat,
+    LabelEmpty,
     LabelStar,
     LabelSymbol,
+    LabelUnion,
     compile_rpq,
     lconcat,
     lower_to_constrained_query,
@@ -247,6 +249,42 @@ class TestLowerToConstrainedQuery:
             union(atom(tail="i", label="a"), atom(label="b"))) is None
         assert lower_to_constrained_query(
             star(atom(tail="i", label="a"))) is None
+
+    def test_a_wildcard_label_lowers_to_the_alphabet(self):
+        # Without an alphabet ``_`` does not lower; with one it is the
+        # union of its labels, in one order per alphabet.
+        alphabet = frozenset({"b", "a"})
+        either = LabelUnion((LabelSymbol("a"), LabelSymbol("b")))
+        assert lower_to_constrained_query(star(atom())) is None
+        assert lower_to_constrained_query(star(atom()), alphabet) == \
+            ConstrainedQuery(LabelStar(either))
+        assert lower_to_constrained_query(
+            join(atom(tail="i"), atom(label="a", head="j")), alphabet) == \
+            ConstrainedQuery(LabelConcat((either, LabelSymbol("a"))),
+                             "i", "j")
+        assert lower_to_constrained_query(atom(head="j"), alphabet) == \
+            ConstrainedQuery(either, None, "j")
+        assert lower_to_constrained_query(atom(), frozenset()) == \
+            ConstrainedQuery(LabelEmpty())
+        # An interior binding still needs the edge-set algebra.
+        assert lower_to_constrained_query(
+            join(atom(), atom(tail="i"), atom()), alphabet) is None
+
+    def test_the_wildcard_routes_like_its_label_union(self):
+        cycle = MultiRelationalGraph(
+            [(i, "a", (i + 1) % 12) for i in range(12)])
+        engine = Engine(cycle)
+        for query in ("[_, _, _]*", "[_, a, _]*"):
+            assert engine.route(engine.compile(query)).kernel == "forward"
+            assert len(engine.pairs(query)) == 144
+        # Interior bindings, literals, products and an explicit
+        # ``max_length`` stay on the bounded strategy.
+        for query, max_length in (("[_, _, _] . [3, _, _]", None),
+                                  ("{(0, a, 1)}", None),
+                                  ("[_, _, _] & [_, a, _]", None),
+                                  ("[_, _, _]*", 4)):
+            assert engine.route(engine.compile(query),
+                                max_length=max_length).kernel == "bounded"
 
 
 class TestCompiledDfaCache:

@@ -63,7 +63,7 @@ from repro.graph.pairs import PairBlocks
 from repro.replication import PrimaryFeed, ReplicaGraph
 from repro.service import AsyncEngine, GraphRegistry, HttpServer
 from repro.service import wire
-from repro.service.client import ReproClient, _read_reply
+from repro.service.client import RemoteFeed, ReproClient, _read_reply
 from repro.service.http import _STATUS_TEXT as STATUS_TEXT, ReplicaHttpServer
 from repro.storage import PersistentGraph
 
@@ -955,12 +955,13 @@ class TestErrorContract:
             assert slept == []
         # The replication feed: a gap re-bootstraps, a transient failure
         # polls again, anything else is the caller's error.
-        feed = ReproClient("http://127.0.0.1:1",
-                           transport=lambda *request: self.sdk_reads(raw))
+        feed = RemoteFeed(ReproClient(
+            "http://127.0.0.1:1",
+            transport=lambda *request: self.sdk_reads(raw)))
         expected = ReplicationCursorGapError if status == 410 else \
             ReplicationError if body["retriable"] else RemoteQueryError
         with pytest.raises(expected) as failed:
-            feed.replication_wal("0:0")
+            feed.wal("0:0")
         assert type(failed.value) is expected
         if expected is ReplicationCursorGapError:
             assert failed.value.retained == "3"
