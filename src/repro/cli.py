@@ -255,8 +255,7 @@ def _run_db(args, out) -> int:
                                     name=args.name) as store:
             out.write(json.dumps(store.info(), indent=2, default=str) + "\n")
     elif args.db_command == "open":
-        with PersistentGraph.open(args.directory,
-                                  materialize=args.pathql is not None) as store:
+        with PersistentGraph.open(args.directory) as store:
             if args.pathql is None:
                 out.write(json.dumps(store.info(), indent=2, default=str) + "\n")
             else:

@@ -60,7 +60,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 from repro.automata.recognizer import Recognizer
 from repro.concurrency import ordered_lock
@@ -167,9 +167,9 @@ class Engine:
     Parameters
     ----------
     graph:
-        The multi-relational graph to query, or a lazy store or replica
-        (:class:`~repro.storage.persistent._LogBackedView`): ``pairs``
-        over those runs every route but ``bounded``.
+        The multi-relational graph to query, or a store or replica
+        (:class:`~repro.storage.persistent._LogBackedView`), whose view
+        the kernels read (path walks: see :meth:`_dict_graph`).
     default_max_length:
         Bound applied when a query does not specify one (stars make
         unbounded result sets possible, so a bound always exists).
@@ -182,7 +182,7 @@ class Engine:
     #: serving many distinct query shapes.  Read when an engine is built.
     _DFA_CACHE_CAP = 128
 
-    def __init__(self, graph: MultiRelationalGraph,
+    def __init__(self, graph: Any,
                  default_max_length: int = 8, optimize: bool = True,
                  cache: Optional["QueryCache"] = None):
         self.graph = graph
@@ -215,18 +215,17 @@ class Engine:
              optimize: bool = True, cache=None) -> "Engine":
         """An engine over a durable graph store (see :mod:`repro.storage`).
 
-        Opens the store at ``directory`` — mapping its latest CSR snapshot
-        and replaying the write-ahead-log suffix — materializes the dict
-        indices the path-materializing strategies need (the mapped snapshot
-        is adopted as the compact cache, so the ``pairs`` fast path still
-        serves from mmap), and binds the engine to the result.  Mutations
-        through ``engine.graph`` keep appending to the store's WAL; the
-        store handle is exposed as ``engine.store`` for ``checkpoint()`` /
-        ``close()``.
+        Opens the store at ``directory`` lazily — its latest CSR snapshot
+        mapped, the log suffix replayed into the overlay — and binds the
+        engine to the store itself (also ``engine.store``, for
+        ``checkpoint()`` / ``close()``).  ``pairs`` serves from the mapped
+        view; the first write through ``engine.graph``, a ``bounded`` read
+        or :meth:`query` materializes the dict graph, which keeps
+        appending to the store's log.
         """
         from repro.storage import PersistentGraph
-        store = PersistentGraph.open(directory, materialize=True)
-        engine = cls(store.graph(), default_max_length=default_max_length,
+        store = PersistentGraph.open(directory)
+        engine = cls(store, default_max_length=default_max_length,
                      optimize=optimize, cache=cache)
         engine.store = store
         return engine
@@ -489,23 +488,30 @@ class Engine:
         return compact.rpq_pairs_compact(self.graph, dfa, route.sources,
                                          targets=route.targets)
 
-    def _bounded_pairs(self, route: PairsRoute,
-                       expression: RegexExpr) -> PairBlocks:
-        """Endpoint pairs of the automaton strategy's witness paths, which
-        are scratch: no cache entry but the caller's pair answer.  The
-        strategy walks the dict graph, so a view source refuses it."""
-        from repro.analysis.query import analyze_expression
-        if not isinstance(self.graph, MultiRelationalGraph):
+    def _dict_graph(self) -> MultiRelationalGraph:
+        """The dict graph path walks (``bounded`` pairs, :meth:`query`)
+        need: the source, or a store's (materialized on first use)."""
+        if isinstance(self.graph, MultiRelationalGraph):
+            return self.graph
+        if not hasattr(self.graph, "graph"):
             raise ExecutionError("the bounded edge-set strategy needs the "
                                  "dict graph, which a {} does not have"
                                  .format(type(self.graph).__name__))
+        return self.graph.graph()
+
+    def _bounded_pairs(self, route: PairsRoute,
+                       expression: RegexExpr) -> PairBlocks:
+        """Endpoint pairs of the automaton strategy's witness paths, which
+        are scratch: no cache entry but the caller's pair answer."""
+        from repro.analysis.query import analyze_expression
+        graph = self._dict_graph()
         bound = route.max_length if route.max_length is not None \
             else self.default_max_length
-        paths = PathSet() if analyze_expression(expression, self.graph).empty \
-            else run_strategy("automaton", self.graph, expression, None,
+        paths = PathSet() if analyze_expression(expression, graph).empty \
+            else run_strategy("automaton", graph, expression, None,
                               bound, None)
         return PairBlocks.from_pairs(endpoint_pairs(
-            paths, expression, self.graph,
+            paths, expression, graph,
             sources=route.sources, targets=route.targets))
 
     def _probe(self, expression: RegexExpr, sources: Optional[frozenset],
@@ -641,7 +647,8 @@ class Engine:
         from repro.analysis.query import analyze_expression
         expression = self.compile(query)
         bound = max_length if max_length is not None else self.default_max_length
-        diagnostics = analyze_expression(expression, self.graph)
+        graph = self._dict_graph()
+        diagnostics = analyze_expression(expression, graph)
         if diagnostics.empty:
             # Structural pre-flight proved the language empty over this
             # graph (absent labels/vertices, empty literals, ...): skip
@@ -666,8 +673,7 @@ class Engine:
                               optimize_joins=self.optimize)
             plan = planner.plan(expression)
         started = time.perf_counter()
-        paths = run_strategy(strategy, self.graph, expression, plan, bound,
-                             limit)
+        paths = run_strategy(strategy, graph, expression, plan, bound, limit)
         elapsed = time.perf_counter() - started
         if cacheable:
             self.cache.put(expression, bound, version,

@@ -129,7 +129,7 @@ class ParallelExecutor:
     Parameters
     ----------
     graph:
-        The :class:`~repro.graph.graph.MultiRelationalGraph` to sweep.
+        The graph, store or replica to sweep (an engine's source).
     processes:
         Worker count, and so the number of seed ranges a sweep splits
         into unless :meth:`rpq_pairs` names ``parts``; ``None`` uses

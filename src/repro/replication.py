@@ -600,7 +600,7 @@ class ReplicaGraph(_LogBackedView):
             try:
                 self._segments.close()
             finally:
-                self._compact_snapshot_cache = None
+                self._live = None
                 release_resource(self._leak_token)
 
     def __enter__(self) -> "ReplicaGraph":

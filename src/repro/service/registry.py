@@ -26,8 +26,9 @@ shedding lives in the :class:`AsyncEngine` underneath; both errors carry
 
 Lifecycle
 ---------
-``acquire`` opens a store on first use (``materialize=True`` — the serving
-tier needs the mutable dict graph) and bumps the handle's refcount;
+``acquire`` opens a store on first use — lazily: the engine reads the
+mapped snapshot and log overlay, and the first ``/mutate`` (or ``bounded``
+read) materializes the dict graph — and bumps the handle's refcount;
 ``release`` drops it.  Handles at refcount 0 stay warm for the next caller
 until ``max_open`` forces the least-recently-used idle one closed, or
 :meth:`GraphRegistry.close` tears everything down (engine pools drained
@@ -201,9 +202,8 @@ class GraphRegistry:
         if not os.path.exists(os.path.join(directory, MANIFEST_NAME)):
             raise UnknownGraphError(name)
         self._evict_idle()
-        store = PersistentGraph.open(directory, materialize=True,
-                                     replicate=self.replicate)
-        engine = Engine(store.graph(), cache=self._cache)
+        store = PersistentGraph.open(directory, replicate=self.replicate)
+        engine = Engine(store, cache=self._cache)
         async_engine = AsyncEngine(
             engine,
             max_concurrency=self.max_concurrency

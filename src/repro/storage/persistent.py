@@ -51,6 +51,7 @@ import shutil
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from repro.concurrency import ordered_rlock, release_resource, track_resource
+from repro.core.edge import Edge
 from repro.errors import StorageError, StoreDegradedError
 from repro.faults import fault_point
 from repro.graph.compact import (
@@ -137,18 +138,17 @@ class _LogBackedView:
     snapshot, a :class:`DeltaAdjacency` overlay of the log records applied
     since, and the property sidecar maps.  It is the source an
     :class:`~repro.engine.engine.Engine` reads in place of a graph: the
-    live view sits in the slot :func:`~repro.graph.compact.adjacency_snapshot`
-    reads, tagged with ``_view_version`` (the last record applied,
-    property-only ones included), and the label statistics are counted
-    off it once per version."""
+    kernels, label counts (once per version), membership and ``match``
+    read :meth:`view`, tagged with ``_view_version`` (the last record
+    applied, property-only ones included)."""
 
-    _compact_snapshot_cache: Any = None
+    _live: Any = None
     _view_version = 0
     _closed = False
     _counts: Optional[Tuple[int, Dict[Hashable, Tuple]]] = None
 
     def _load_view(self, base: Any, metadata: Any) -> None:
-        self._compact_snapshot_cache = base
+        self._live = base
         self._view_version = int(metadata.version)
         self._counts = None
         self._vertex_props: Dict[Hashable, Dict[str, Any]] = \
@@ -176,10 +176,10 @@ class _LogBackedView:
                 elif op == "-e":
                     self._edge_props.pop((entry[2], entry[3], entry[4]),
                                          None)
-        view = self._compact_snapshot_cache
+        view = self._live
         if structural:
             if not isinstance(view, DeltaAdjacency):
-                view = self._compact_snapshot_cache = DeltaAdjacency(view)
+                view = self._live = DeltaAdjacency(view)
             view.apply(structural)
         if entries:
             self._view_version = view.version = int(entries[-1][0])
@@ -187,7 +187,12 @@ class _LogBackedView:
     def view(self) -> Any:
         """The live compact adjacency (patched in place by applies)."""
         self._check_open()
-        return self._compact_snapshot_cache
+        return self._live
+
+    @property
+    def _compact_snapshot_cache(self) -> Any:
+        """What :func:`~repro.graph.compact.adjacency_snapshot` reads."""
+        return self.view()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -228,6 +233,37 @@ class _LogBackedView:
     def vertices(self) -> FrozenSet[Hashable]:
         view = self.view()
         return frozenset(view.vertex_of[i] for i in view.live_vertex_ids())
+
+    def has_vertex(self, vertex: Hashable) -> bool:
+        return vertex in self.view().vertex_ids
+
+    def has_label(self, label: Hashable) -> bool:
+        return label in self._label_counts()
+
+    def has_edge(self, tail: Hashable, label: Hashable,
+                 head: Hashable) -> bool:
+        return bool(self.match(tail, label, head))
+
+    def match(self, tail: Optional[Hashable] = None,
+              label: Optional[Hashable] = None,
+              head: Optional[Hashable] = None) -> FrozenSet[Edge]:
+        """The live edges a pattern matches (``None`` is the wildcard), off
+        a bound end's rows (CSR slice or patched row), else every tail's."""
+        view = self.view()
+        ids, vertex_of = view.vertex_ids, view.vertex_of
+        if {tail, head} - {None} - ids.keys():
+            return frozenset()
+        label_ids = [i for i, name in enumerate(view.label_of)
+                     if label is None or name == label]
+        if tail is None and head is not None:
+            return frozenset(Edge(vertex_of[t], view.label_of[l], head)
+                             for l in label_ids
+                             for t in view.in_neighbors(ids[head], l))
+        tails = view.live_vertex_ids() if tail is None else [ids[tail]]
+        return frozenset(Edge(vertex_of[t], view.label_of[l], vertex_of[h])
+                         for l in label_ids for t in tails
+                         for h in view.out_neighbors(t, l)
+                         if head is None or vertex_of[h] == head)
 
 
 def publish_generation(directory: str, manifest: Dict[str, Any],
@@ -383,8 +419,8 @@ class PersistentGraph(_LogBackedView):
         ``memoryview``s of one ``mmap``, log records newer than the
         snapshot land in a :class:`DeltaAdjacency` overlay, and queries run
         through the compact kernels directly.  ``materialize=True``
-        additionally builds the dict store up front (required before
-        mutating; otherwise done on the first write).
+        additionally builds the dict store up front (otherwise the first
+        write, or an engine's first path walk, builds it).
 
         The replay starts at the log position the last checkpoint
         recorded, so it reads the un-checkpointed suffix only.  A
@@ -447,7 +483,7 @@ class PersistentGraph(_LogBackedView):
                 if self._degraded is None:
                     raise
             finally:
-                self._compact_snapshot_cache = None
+                self._live = None
                 self._closed = True
                 release_resource(self._leak_token)
 
@@ -479,6 +515,11 @@ class PersistentGraph(_LogBackedView):
         view = super().view()
         return view if self._graph is None else adjacency_snapshot(self._graph)
 
+    def _label_counts(self) -> Dict[Hashable, Tuple[int, int, int]]:
+        graph = self._graph  # a dict graph maintains them: O(labels)
+        return super()._label_counts() if graph is None else \
+            {label: graph.label_fanout(label) for label in graph.labels()}
+
     @property
     def materialized(self) -> bool:
         """True once the dict-indexed graph exists in memory."""
@@ -496,6 +537,7 @@ class PersistentGraph(_LogBackedView):
             self._check_open()
             if self._graph is None:
                 self._graph = self._materialize()
+                self._live = None  # the graph's snapshot cache serves now
             return self._graph
 
     def _materialize(self) -> MultiRelationalGraph:
@@ -590,8 +632,7 @@ class PersistentGraph(_LogBackedView):
 
         ``expression`` is a label expression (:func:`repro.rpq.sym` etc.);
         :func:`~repro.rpq.evaluation.rpq_pairs` evaluates it over this
-        store as its source while lazy, over the dict graph once
-        materialized.
+        store as its source, lazy or materialized (:meth:`view`).
         """
         self._check_open()
         try:
@@ -599,9 +640,7 @@ class PersistentGraph(_LogBackedView):
         except OSError as exc:
             raise StorageError(
                 "{}: read failed ({})".format(self.directory, exc)) from exc
-        graph = self._graph
-        return rpq_pairs(self if graph is None else graph, expression,
-                         sources, targets)
+        return rpq_pairs(self, expression, sources, targets)
 
     # ------------------------------------------------------------------
     # Mutations (materialize-on-write)
@@ -663,18 +702,14 @@ class PersistentGraph(_LogBackedView):
         # will produce; a healthy checkpoint the flushed end.
         cursor = self._log.cursor_after_reset() if healing \
             else self._log.end_cursor()
+        view, version = self.view(), self.version()
         if self._graph is not None:
-            view = adjacency_snapshot(self._graph)
-            version = self._graph.version()
             vertex_props = {v: dict(p) for v, p in
                             self._graph._vertices.items() if p}
             edge_props = {(e.tail, e.label, e.head): dict(p) for e, p in
                           self._graph._edges.items() if p}
         else:
-            view = self.view()
-            version = self._view_version
-            vertex_props = self._vertex_props
-            edge_props = self._edge_props
+            vertex_props, edge_props = self._vertex_props, self._edge_props
         old_snapshot = self._manifest["snapshot"]
         self._manifest = publish_generation(
             self.directory, self._manifest, cursor, view, version,
