@@ -218,10 +218,10 @@ class Engine:
         Opens the store at ``directory`` lazily — its latest CSR snapshot
         mapped, the log suffix replayed into the overlay — and binds the
         engine to the store itself (also ``engine.store``, for
-        ``checkpoint()`` / ``close()``).  ``pairs`` serves from the mapped
-        view; the first write through ``engine.graph``, a ``bounded`` read
-        or :meth:`query` materializes the dict graph, which keeps
-        appending to the store's log.
+        ``checkpoint()`` / ``close()``).  ``pairs`` and writes through
+        ``engine.graph`` run on the mapped view; a ``bounded`` read or
+        :meth:`query` materializes the dict graph, which keeps appending
+        to the store's log.
         """
         from repro.storage import PersistentGraph
         store = PersistentGraph.open(directory)

@@ -89,6 +89,7 @@ __all__ = [
     "digraph_snapshot_if_large",
     "fold_adjacency_pairs",
     "label_counts",
+    "patch_label_counts",
     "rpq_pairs_compact",
     "rpq_pairs_on_snapshot",
     "rpq_pairs_backward",
@@ -508,6 +509,33 @@ def label_counts(view) -> Dict[Hashable, Tuple[int, int, int]]:
             counts[label] = (edges, tails,
                              _row_counts(view.in_block(label_id))[1])
     return counts
+
+
+def patch_label_counts(counts: Dict[Hashable, Tuple[int, int, int]],
+                       view: "DeltaAdjacency", record: Tuple) -> None:
+    """Carry ``counts`` (:func:`label_counts` of ``view``) across one
+    structural record just applied to the overlay ``view``.
+
+    A ``+e`` / ``-e`` moves its label's edge count by one, and its tail
+    (head) count by one when the edge's patched out- (in-) row has just
+    turned non-empty / empty; a label left without edges is dropped.
+    Vertex records move no count: a removed vertex's edges went first,
+    as ``-e`` records."""
+    op = record[1]
+    if op != "+e" and op != "-e":
+        return
+    tail, label, head = record[2], record[3], record[4]
+    label_id = view.label_ids[label]
+    step, edge_row = (1, 1) if op == "+e" else (-1, 0)
+    edges, tails, heads = counts.get(label, (0, 0, 0))
+    edges += step
+    if edges:
+        ids = view.vertex_ids
+        tails += step * (len(view.rows_out[label_id][ids[tail]]) == edge_row)
+        heads += step * (len(view.rows_in[label_id][ids[head]]) == edge_row)
+        counts[label] = (edges, tails, heads)
+    else:
+        del counts[label]
 
 
 class _SnapshotFeed:

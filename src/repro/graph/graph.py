@@ -121,12 +121,14 @@ class MultiRelationalGraph:
         if exists and strict:
             raise DuplicateVertexError(
                 "vertex {!r} already exists".format(vertex))
-        if exists:
+        # Each record's change, then its commit: a commit that raises
+        # (a failed log append) leaves no later record's change behind.
+        if not exists:
+            self._vertices[vertex] = {}
+            self._commit(entries[0])
+        if properties:
             self._vertices[vertex].update(properties)
-        else:
-            self._vertices[vertex] = dict(properties)
-        for entry in entries:
-            self._commit(entry)
+            self._commit(entries[-1])
         return vertex
 
     def add_edge(self, tail: Hashable, label: Hashable, head: Hashable,
@@ -164,7 +166,7 @@ class MultiRelationalGraph:
         for entry in born:
             self._vertices[entry[1]] = {}
             self._commit(entry)
-        self._edges[e] = dict(properties)
+        self._edges[e] = {}
         self._out[tail].add(e)
         self._in[head].add(e)
         self._rel[label].add(e)
@@ -176,8 +178,10 @@ class MultiRelationalGraph:
         ends[1] += not in_bucket
         out_bucket.add(e)
         in_bucket.add(e)
-        for entry in linked:
-            self._commit(entry)
+        self._commit(linked[0])
+        if properties:
+            self._edges[e].update(properties)
+            self._commit(linked[1])
         return e
 
     def add_edges(self, triples: Iterable) -> List[Edge]:

@@ -504,12 +504,12 @@ class ReplicaGraph(_LogBackedView):
 
     def vertex_properties(self, vertex: Hashable) -> Dict[str, Any]:
         with self._lock:
-            return dict(self._vertex_props.get(vertex, {}))
+            return super().vertex_properties(vertex)
 
     def edge_properties(self, tail: Hashable, label: Hashable,
                         head: Hashable) -> Dict[str, Any]:
         with self._lock:
-            return dict(self._edge_props.get((tail, label, head), {}))
+            return super().edge_properties(tail, label, head)
 
     # -- staleness -----------------------------------------------------
 

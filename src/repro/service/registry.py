@@ -27,8 +27,9 @@ shedding lives in the :class:`AsyncEngine` underneath; both errors carry
 Lifecycle
 ---------
 ``acquire`` opens a store on first use — lazily: the engine reads the
-mapped snapshot and log overlay, and the first ``/mutate`` (or ``bounded``
-read) materializes the dict graph — and bumps the handle's refcount;
+mapped snapshot and log overlay, ``/mutate`` writes through them, and
+only a ``bounded`` read materializes the dict graph — and bumps the
+handle's refcount;
 ``release`` drops it.  Handles at refcount 0 stay warm for the next caller
 until ``max_open`` forces the least-recently-used idle one closed, or
 :meth:`GraphRegistry.close` tears everything down (engine pools drained

@@ -27,13 +27,16 @@ Lifecycle
   :class:`~repro.graph.compact.DeltaAdjacency` overlay machinery.  The
   reopened store serves RPQ/pairs queries immediately, without rebuilding
   the dict store or loading the full CSR.
-* Mutating a lazily-opened store (or asking for :meth:`graph`)
-  **materializes** the dict-indexed
+* Mutating a lazily-opened store writes through the view: membership is
+  checked off the CSR row plus its patched row, and each record is
+  applied by :meth:`_LogBackedView._apply` — the replica's apply — then
+  appended to the log.  No dict graph is built.
+* Asking for :meth:`graph` **materializes** the dict-indexed
   :class:`~repro.graph.graph.MultiRelationalGraph` once, installs the
   already-mapped snapshot view as its compact-snapshot cache
   (:func:`~repro.graph.compact.install_snapshot`, so the first compact
   query after materialization is still rebuild-free), and resumes
-  logging.
+  logging through the graph's commits.
 * :meth:`checkpoint` folds base + overlay into a fresh dense snapshot
   (generation ``g+1``), atomically swaps the manifest to name it together
   with the log position it covers, and only then drops what it folded —
@@ -46,19 +49,29 @@ Lifecycle
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable, List,
+                    Optional, Tuple)
 
 from repro.concurrency import ordered_rlock, release_resource, track_resource
 from repro.core.edge import Edge
-from repro.errors import StorageError, StoreDegradedError
+from repro.errors import (
+    DuplicateVertexError,
+    EdgeNotFoundError,
+    StorageError,
+    StoreDegradedError,
+    VertexNotFoundError,
+    WildcardIdError,
+)
 from repro.faults import fault_point
 from repro.graph.compact import (
     DeltaAdjacency,
     adjacency_snapshot,
     install_snapshot,
     label_counts,
+    patch_label_counts,
 )
 from repro.graph.graph import MultiRelationalGraph
 from repro.graph.pairs import PairBlocks
@@ -138,14 +151,16 @@ class _LogBackedView:
     snapshot, a :class:`DeltaAdjacency` overlay of the log records applied
     since, and the property sidecar maps.  It is the source an
     :class:`~repro.engine.engine.Engine` reads in place of a graph: the
-    kernels, label counts (once per version), membership and ``match``
-    read :meth:`view`, tagged with ``_view_version`` (the last record
-    applied, property-only ones included)."""
+    kernels, membership, ``match`` and property reads read :meth:`view`,
+    tagged with ``_view_version`` (the last record applied, property-only
+    ones included).  Label counts are counted off the view once per
+    :meth:`_load_view`, by the first read that needs them, and patched
+    per record from then on."""
 
     _live: Any = None
     _view_version = 0
     _closed = False
-    _counts: Optional[Tuple[int, Dict[Hashable, Tuple]]] = None
+    _counts: Optional[Dict[Hashable, Tuple[int, int, int]]] = None
 
     def _load_view(self, base: Any, metadata: Any) -> None:
         self._live = base
@@ -159,9 +174,10 @@ class _LogBackedView:
     # Callers hold their own lock (or are still constructing): the
     # overlay and sidecar maps are only read through that same lock.
     def _apply(self, entries: List[Tuple]) -> None:  # reprorace: ignore[unguarded-write]
-        """Apply log records: structure to the overlay, property merges
-        to the sidecar maps (deletes drop the matching maps)."""
-        structural: List[Tuple] = []
+        """Apply log records: structure to the overlay and to the label
+        counts (once counted), property merges to the sidecar maps
+        (deletes drop the matching maps)."""
+        view, counts = self._live, self._counts
         for entry in entries:
             op = entry[1]
             if op == "pv":
@@ -170,17 +186,16 @@ class _LogBackedView:
                 self._edge_props.setdefault(
                     (entry[2], entry[3], entry[4]), {}).update(entry[5])
             else:
-                structural.append(entry)
+                if not isinstance(view, DeltaAdjacency):
+                    view = self._live = DeltaAdjacency(view)
+                view.apply((entry,))
+                if counts is not None:
+                    patch_label_counts(counts, view, entry)
                 if op == "-v":
                     self._vertex_props.pop(entry[2], None)
                 elif op == "-e":
                     self._edge_props.pop((entry[2], entry[3], entry[4]),
                                          None)
-        view = self._live
-        if structural:
-            if not isinstance(view, DeltaAdjacency):
-                view = self._live = DeltaAdjacency(view)
-            view.apply(structural)
         if entries:
             self._view_version = view.version = int(entries[-1][0])
 
@@ -212,10 +227,9 @@ class _LogBackedView:
 
     def _label_counts(self) -> Dict[Hashable, Tuple[int, int, int]]:
         view = self.view()
-        counts = self._counts
-        if counts is None or counts[0] != view.version:
-            counts = self._counts = (view.version, label_counts(view))
-        return counts[1]
+        if self._counts is None:
+            self._counts = label_counts(view)
+        return self._counts
 
     def labels(self) -> FrozenSet[Hashable]:
         """The labels with at least one live edge."""
@@ -242,7 +256,15 @@ class _LogBackedView:
 
     def has_edge(self, tail: Hashable, label: Hashable,
                  head: Hashable) -> bool:
-        return bool(self.match(tail, label, head))
+        """``(tail, label, head) in E``, off the tail's row (``None`` is
+        never an id here, as in the dict graph)."""
+        view = self.view()
+        ids = view.vertex_ids
+        tail_id, head_id = ids.get(tail), ids.get(head)
+        label_id = view.label_ids.get(label)
+        return tail_id is not None and head_id is not None \
+            and label_id is not None \
+            and head_id in view.out_neighbors(tail_id, label_id)
 
     def match(self, tail: Optional[Hashable] = None,
               label: Optional[Hashable] = None,
@@ -264,6 +286,19 @@ class _LogBackedView:
                          for l in label_ids for t in tails
                          for h in view.out_neighbors(t, l)
                          if head is None or vertex_of[h] == head)
+
+    def vertex_properties(self, vertex: Hashable) -> Dict[str, Any]:
+        """A copy of ``vertex``'s property map."""
+        if not self.has_vertex(vertex):
+            raise VertexNotFoundError(vertex)
+        return dict(self._vertex_props.get(vertex, {}))
+
+    def edge_properties(self, tail: Hashable, label: Hashable,
+                        head: Hashable) -> Dict[str, Any]:
+        """A copy of one edge's property map."""
+        if not self.has_edge(tail, label, head):
+            raise EdgeNotFoundError(Edge(tail, label, head))
+        return dict(self._edge_props.get((tail, label, head), {}))
 
 
 def publish_generation(directory: str, manifest: Dict[str, Any],
@@ -321,6 +356,24 @@ class _WalSink:
         self.store._check_writable()
         for entry in entries:
             check_loggable(entry)
+
+
+def _lazy_write(mutator: Callable[..., Any]) -> Callable[..., Any]:
+    """A store mutator: while the store is lazy, ``mutator`` itself, run
+    under the store lock (a checkpoint cannot swap the view mid-write);
+    it checks membership off the view by the dict graph's rules — its
+    no-ops, its errors and the order it raises them in — and writes
+    through :meth:`PersistentGraph._write`.  Once materialized, the dict
+    graph's method of the same name, whose commits reach the log sink."""
+    @functools.wraps(mutator)
+    def write(store: "PersistentGraph", *args: Any, **kwargs: Any) -> Any:
+        with store._lock:
+            store._check_open()
+            graph = store._graph
+            if graph is None:
+                return mutator(store, *args, **kwargs)
+        return getattr(graph, mutator.__name__)(*args, **kwargs)
+    return write
 
 
 class PersistentGraph(_LogBackedView):
@@ -418,9 +471,10 @@ class PersistentGraph(_LogBackedView):
         The default is the lazy read path: CSR arrays stay on disk behind
         ``memoryview``s of one ``mmap``, log records newer than the
         snapshot land in a :class:`DeltaAdjacency` overlay, and queries run
-        through the compact kernels directly.  ``materialize=True``
-        additionally builds the dict store up front (otherwise the first
-        write, or an engine's first path walk, builds it).
+        through the compact kernels directly, and writes go through the
+        view too.  ``materialize=True`` additionally builds the dict store
+        up front (otherwise :meth:`graph` — an engine's first path walk —
+        builds it).
 
         The replay starts at the log position the last checkpoint
         recorded, so it reads the un-checkpointed suffix only.  A
@@ -537,7 +591,8 @@ class PersistentGraph(_LogBackedView):
             self._check_open()
             if self._graph is None:
                 self._graph = self._materialize()
-                self._live = None  # the graph's snapshot cache serves now
+                # The graph's snapshot cache and label counts serve now.
+                self._live = self._counts = None
             return self._graph
 
     def _materialize(self) -> MultiRelationalGraph:
@@ -616,13 +671,13 @@ class PersistentGraph(_LogBackedView):
     def vertex_properties(self, vertex: Hashable) -> Dict[str, Any]:
         if self._graph is not None:
             return self._graph.vertex_properties(vertex)
-        return dict(self._vertex_props.get(vertex, {}))
+        return super().vertex_properties(vertex)
 
     def edge_properties(self, tail: Hashable, label: Hashable,
                         head: Hashable) -> Dict[str, Any]:
         if self._graph is not None:
             return self._graph.edge_properties(tail, label, head)
-        return dict(self._edge_props.get((tail, label, head), {}))
+        return super().edge_properties(tail, label, head)
 
     def pairs(self, expression: Any,
               sources: Optional[Iterable[Hashable]] = None,
@@ -643,30 +698,82 @@ class PersistentGraph(_LogBackedView):
         return rpq_pairs(self, expression, sources, targets)
 
     # ------------------------------------------------------------------
-    # Mutations (materialize-on-write)
+    # Mutations: through the view while lazy, else the dict graph's
     # ------------------------------------------------------------------
 
-    def add_vertex(self, vertex: Hashable, **properties: Any) -> Hashable:
-        return self.graph().add_vertex(vertex, **properties)
+    def _write(self, entries: List[Tuple]) -> None:  # guarded-by: _lock
+        """The lazy store's write step, in :meth:`MultiRelationalGraph.
+        _commit`'s order: the log's veto over the whole call first, then
+        per record the next version, :meth:`_apply` (the replica's apply)
+        and the log append.  A failed append leaves its record applied
+        and the store degraded."""
+        self._wal_sink.precheck(entries)
+        floor = max(self._view_version, self._log.last_version)
+        for version, entry in enumerate(entries, floor + 1):
+            record = (version,) + entry
+            self._apply([record])
+            self._wal_sink(record)
 
+    @_lazy_write
+    def add_vertex(self, vertex: Hashable, strict: bool = False,
+                   **properties: Any) -> Hashable:
+        if vertex is None:
+            raise WildcardIdError("vertex")
+        exists = self.has_vertex(vertex)
+        entries: List[Tuple] = [] if exists else [("+v", vertex)]
+        if properties:
+            entries.append(("pv", vertex, dict(properties)))
+        if exists and strict:
+            self._wal_sink.precheck(entries)  # a degraded store says so
+            raise DuplicateVertexError(
+                "vertex {!r} already exists".format(vertex))
+        self._write(entries)
+        return vertex
+
+    @_lazy_write
     def add_edge(self, tail: Hashable, label: Hashable, head: Hashable,
-                 **properties: Any) -> Any:
-        return self.graph().add_edge(tail, label, head, **properties)
+                 **properties: Any) -> Edge:
+        if tail is None or head is None:
+            raise WildcardIdError("vertex")
+        if label is None:
+            raise WildcardIdError("label")
+        entries: List[Tuple] = []
+        if not self.has_edge(tail, label, head):
+            entries = [("+v", vertex) for vertex in dict.fromkeys((tail, head))
+                       if not self.has_vertex(vertex)]
+            entries.append(("+e", tail, label, head))
+        if properties:
+            entries.append(("pe", tail, label, head, dict(properties)))
+        self._write(entries)
+        return Edge(tail, label, head)
 
+    @_lazy_write
     def remove_edge(self, tail: Hashable, label: Hashable,
                     head: Hashable) -> None:
-        self.graph().remove_edge(tail, label, head)
+        if not self.has_edge(tail, label, head):
+            raise EdgeNotFoundError(Edge(tail, label, head))
+        self._write([("-e", tail, label, head)])
 
+    @_lazy_write
     def remove_vertex(self, vertex: Hashable) -> None:
-        self.graph().remove_vertex(vertex)
+        if not self.has_vertex(vertex):
+            raise VertexNotFoundError(vertex)
+        incident = self.match(tail=vertex) | self.match(head=vertex)
+        self._write([("-e",) + edge for edge in incident] + [("-v", vertex)])
 
+    @_lazy_write
     def set_vertex_property(self, vertex: Hashable, key: str,
                             value: Any) -> None:
-        self.graph().set_vertex_property(vertex, key, value)
+        if not self.has_vertex(vertex):
+            raise VertexNotFoundError(vertex)
+        self._write([("pv", vertex, {key: value})])
 
+    @_lazy_write
     def set_edge_property(self, tail: Hashable, label: Hashable,
                           head: Hashable, key: str, value: Any) -> None:
-        self.graph().set_edge_property(tail, label, head, key, value)
+        if not self.has_edge(tail, label, head):
+            raise EdgeNotFoundError(Edge(tail, label, head))
+        self._write([("pe", tail, label, head, {key: value})])
 
     # ------------------------------------------------------------------
     # Checkpoint
@@ -818,7 +925,7 @@ class PersistentGraph(_LogBackedView):
             "degraded_reason": self._degraded,
             "order": view.num_vertices,
             "size": view.num_edges,
-            "labels": view.num_labels,
+            "labels": len(self.labels()),
             "overlay_ops": overlay_ops,
             "replicating": self._replicate,
         }
