@@ -220,8 +220,8 @@ class Engine:
         engine to the store itself (also ``engine.store``, for
         ``checkpoint()`` / ``close()``).  ``pairs`` and writes through
         ``engine.graph`` run on the mapped view; a ``bounded`` read or
-        :meth:`query` materializes the dict graph, which keeps appending
-        to the store's log.
+        :meth:`query` materializes the dict graph, whose writes reach the
+        store's view and log.
         """
         from repro.storage import PersistentGraph
         store = PersistentGraph.open(directory)

@@ -10,33 +10,29 @@ A persistent store is a directory::
 
 The state is always ``snapshot ⊗ log suffix``: the manifest names a
 snapshot and its journal version, and recovery replays the log records
-with a greater version over it.  Primaries and replicas recover by that
-same rule (:class:`_LogBackedView`), which is also the source
-:class:`~repro.engine.engine.Engine` reads a lazy store or a replica
-through: version, labels, label statistics and the live compact view.
+with a greater version over it.  Primaries and replicas hold it by that
+same rule (:class:`_LogBackedView`), the one state a store has and the
+source :class:`~repro.engine.engine.Engine` reads a store or a replica
+through: version, labels, label statistics, properties and the live
+compact view.
 
 Lifecycle
 ---------
 * :meth:`PersistentGraph.create` seeds generation 1 from a (possibly empty)
-  in-memory graph and subscribes its log sink: from then on every record
-  the graph commits, structural or property, is appended to the log —
-  once, at the version it was committed at.
+  in-memory graph, maps it as :meth:`~PersistentGraph.open` does, and
+  subscribes the store's write step to the graph.
 * :meth:`PersistentGraph.open` is the cheap path back: it **maps** the
   manifest's snapshot (``mmap`` — CSR pages fault in lazily) and
-  replays the log suffix through the existing
-  :class:`~repro.graph.compact.DeltaAdjacency` overlay machinery.  The
-  reopened store serves RPQ/pairs queries immediately, without rebuilding
-  the dict store or loading the full CSR.
-* Mutating a lazily-opened store writes through the view: membership is
-  checked off the CSR row plus its patched row, and each record is
-  applied by :meth:`_LogBackedView._apply` — the replica's apply — then
-  appended to the log.  No dict graph is built.
-* Asking for :meth:`graph` **materializes** the dict-indexed
-  :class:`~repro.graph.graph.MultiRelationalGraph` once, installs the
-  already-mapped snapshot view as its compact-snapshot cache
-  (:func:`~repro.graph.compact.install_snapshot`, so the first compact
-  query after materialization is still rebuild-free), and resumes
-  logging through the graph's commits.
+  replays the log suffix into a
+  :class:`~repro.graph.compact.DeltaAdjacency` overlay.  The reopened
+  store serves queries without building a dict graph or loading the CSR.
+* Every record is written by one step (:class:`_WalSink`): under the
+  store lock, :meth:`_LogBackedView._apply` — the replica's apply — then
+  the log append.  A store's mutators check membership off the view;
+  with a dict graph (attached by ``create`` or built by
+  :meth:`~PersistentGraph.graph`) they are the graph's, whose commits
+  reach the same step: the graph writes in front of the view, never
+  serves in its place.
 * :meth:`checkpoint` folds base + overlay into a fresh dense snapshot
   (generation ``g+1``), atomically swaps the manifest to name it together
   with the log position it covers, and only then drops what it folded —
@@ -69,7 +65,6 @@ from repro.faults import fault_point
 from repro.graph.compact import (
     DeltaAdjacency,
     adjacency_snapshot,
-    install_snapshot,
     label_counts,
     patch_label_counts,
 )
@@ -147,7 +142,7 @@ def _upgrade_legacy(directory: str, manifest: Dict[str, Any]
 
 class _LogBackedView:
     """``snapshot ⊗ log suffix``, queryable without a dict graph: what a
-    lazily-opened primary and a tailing replica both are — a mapped base
+    store and a tailing replica both are — a mapped base
     snapshot, a :class:`DeltaAdjacency` overlay of the log records applied
     since, and the property sidecar maps.  It is the source an
     :class:`~repro.engine.engine.Engine` reads in place of a graph: the
@@ -328,17 +323,19 @@ def publish_generation(directory: str, manifest: Dict[str, Any],
 
 
 class _WalSink:
-    """The store's subscriber on its graph: every committed record to the log.
+    """The store's one write step, and its subscriber on an attached graph.
 
-    ``precheck`` runs *before* the graph mutates (see
+    ``precheck`` runs *before* anything mutates (see
     :meth:`MultiRelationalGraph._precheck`): an entry the JSON framing
     cannot represent — or a store already in read-only degraded mode —
-    is rejected while graph, snapshot and log still agree.  The call
-    itself appends the already-applied record to the log; if *that*
-    append fails the store flips degraded (the triggering mutation stays
-    applied in memory and keeps serving; it becomes durable again at the
-    healing checkpoint, which folds the live state and restarts the log
-    so no replica can tail across the gap).
+    is rejected while graph, view and log still agree.  The call takes
+    the store lock (a checkpoint cannot swap the view under it), applies
+    the record to the view by :meth:`_LogBackedView._apply` — the
+    replica's apply — and appends it to the log; if *that* append fails
+    the store flips degraded (the record stays applied and keeps
+    serving; it becomes durable again at the healing checkpoint, which
+    folds the view and restarts the log so no replica can tail across
+    the gap).
     """
 
     __slots__ = ("store",)
@@ -347,10 +344,13 @@ class _WalSink:
         self.store = store
 
     def __call__(self, record: Tuple) -> None:
-        try:
-            self.store._log.append(record)
-        except (StorageError, OSError) as exc:
-            raise self.store._enter_degraded(str(exc)) from exc
+        store = self.store
+        with store._lock:
+            store._apply([record])
+            try:
+                store._log.append(record)
+            except (StorageError, OSError) as exc:
+                raise store._enter_degraded(str(exc)) from exc
 
     def precheck(self, entries: Iterable[Tuple]) -> None:
         self.store._check_writable()
@@ -359,12 +359,13 @@ class _WalSink:
 
 
 def _lazy_write(mutator: Callable[..., Any]) -> Callable[..., Any]:
-    """A store mutator: while the store is lazy, ``mutator`` itself, run
-    under the store lock (a checkpoint cannot swap the view mid-write);
+    """A store mutator, run under the store lock (a checkpoint cannot
+    swap the view mid-write).  Without a dict graph, ``mutator`` itself:
     it checks membership off the view by the dict graph's rules — its
     no-ops, its errors and the order it raises them in — and writes
-    through :meth:`PersistentGraph._write`.  Once materialized, the dict
-    graph's method of the same name, whose commits reach the log sink."""
+    through :meth:`PersistentGraph._write`.  With one, the dict graph's
+    method of the same name, whose commits reach the same write step
+    (:class:`_WalSink`)."""
     @functools.wraps(mutator)
     def write(store: "PersistentGraph", *args: Any, **kwargs: Any) -> Any:
         with store._lock:
@@ -372,7 +373,7 @@ def _lazy_write(mutator: Callable[..., Any]) -> Callable[..., Any]:
             graph = store._graph
             if graph is None:
                 return mutator(store, *args, **kwargs)
-        return getattr(graph, mutator.__name__)(*args, **kwargs)
+            return getattr(graph, mutator.__name__)(*args, **kwargs)
     return write
 
 
@@ -391,11 +392,10 @@ class PersistentGraph(_LogBackedView):
         # Reason string while in read-only degraded mode (log writes
         # failed), None while writable.  Sticky until a checkpoint heals.
         self._degraded: Optional[str] = None
-        # Serializes lifecycle transitions (materialize / checkpoint /
-        # close): the service tier shares one store between query threads
-        # and an admin endpoint, and e.g. two first-mutation calls racing
-        # materialization must build the dict indices exactly once.
-        # Re-entrant (checkpoint's heal path re-enters _enter_degraded)
+        # Serializes writes with lifecycle transitions (materialize /
+        # checkpoint / close): the service tier shares one store between
+        # query threads and an admin endpoint.  Re-entrant (a forwarded
+        # write re-enters it in the write step, a heal in _enter_degraded)
         # and witness-ordered above storage.segments and storage.wal.
         self._lock = ordered_rlock("storage.store")
         self._recovery: Dict[str, Any] = {"wal_records": 0,
@@ -412,11 +412,14 @@ class PersistentGraph(_LogBackedView):
                name: str = "", sync: str = "batch",
                batch_size: int = 64,
                replicate: bool = False) -> "PersistentGraph":
-        """Initialize a store directory (generation 1) and attach to ``graph``.
+        """Initialize a store directory (generation 1) and attach ``graph``.
 
         ``graph`` defaults to a fresh empty graph; an existing graph is
-        snapshotted as the first generation, so bulk loads should happen
-        *before* ``create`` (no per-record log append) and churn after.
+        snapshotted as the first generation, which the store then maps as
+        :meth:`open` does, so bulk loads should happen *before* ``create``
+        (no per-record log append) and churn after.  The graph stays a
+        writer in front of the store: each record it commits is applied
+        to the store's view and logged (:class:`_WalSink`).
         Every store journals into the same log; ``replicate=True`` only
         lets this handle *serve* it to replicas (through
         :class:`~repro.replication.PrimaryFeed`, behind
@@ -457,6 +460,7 @@ class PersistentGraph(_LogBackedView):
             log.close()  # the store was never born; don't leak its log
             raise
         store = cls(directory, manifest, log, mmap=True, replicate=replicate)
+        store._map_generation()
         store._graph = graph
         graph.subscribe(store._wal_sink)
         return store
@@ -472,9 +476,9 @@ class PersistentGraph(_LogBackedView):
         ``memoryview``s of one ``mmap``, log records newer than the
         snapshot land in a :class:`DeltaAdjacency` overlay, and queries run
         through the compact kernels directly, and writes go through the
-        view too.  ``materialize=True`` additionally builds the dict store
+        view too.  ``materialize=True`` additionally builds the dict graph
         up front (otherwise :meth:`graph` — an engine's first path walk —
-        builds it).
+        builds it); the view stays the store's state either way.
 
         The replay starts at the log position the last checkpoint
         recorded, so it reads the un-checkpointed suffix only.  A
@@ -564,15 +568,11 @@ class PersistentGraph(_LogBackedView):
     # Views and materialization
     # ------------------------------------------------------------------
 
-    def view(self) -> Any:
-        """The live compact adjacency, the graph's own once materialized."""
-        view = super().view()
-        return view if self._graph is None else adjacency_snapshot(self._graph)
-
-    def _label_counts(self) -> Dict[Hashable, Tuple[int, int, int]]:
-        graph = self._graph  # a dict graph maintains them: O(labels)
-        return super()._label_counts() if graph is None else \
-            {label: graph.label_fanout(label) for label in graph.labels()}
+    def _map_generation(self) -> None:
+        """Load the manifest's snapshot generation as the view."""
+        self._load_view(*open_adjacency_snapshot(
+            os.path.join(self.directory, self._manifest["snapshot"]),
+            mmap=self._mmap))
 
     @property
     def materialized(self) -> bool:
@@ -582,17 +582,17 @@ class PersistentGraph(_LogBackedView):
     def graph(self) -> MultiRelationalGraph:
         """The mutable dict-indexed graph, materialized on first use.
 
-        Materialization walks the mapped CSR once to rebuild the hash
-        indices, then installs the *same* mapped view as the graph's
-        compact-snapshot cache — so compact queries stay rebuild-free —
-        and subscribes the log sink so further mutations are logged.
+        Materialization walks the view once to rebuild the hash indices
+        and subscribes the store's write step (:class:`_WalSink`), so each
+        record the graph commits is applied to the view and logged.  The
+        view stays the store's state: reads of the store never go to the
+        graph, and the graph builds its own compact snapshot on its first
+        direct compact read.
         """
         with self._lock:
             self._check_open()
             if self._graph is None:
                 self._graph = self._materialize()
-                # The graph's snapshot cache and label counts serve now.
-                self._live = self._counts = None
             return self._graph
 
     def _materialize(self) -> MultiRelationalGraph:
@@ -619,11 +619,6 @@ class PersistentGraph(_LogBackedView):
         # dedup downstream.
         graph.advance_version(max(self.version(),
                                   self._log.last_version))
-        # Adopt the mapped view as the graph's snapshot cache: the ids it
-        # interned stay valid, so the first compact query after
-        # materialization slices the same mmap pages instead of rebuilding.
-        view.version = graph.version()
-        install_snapshot(graph, view)
         graph.subscribe(self._wal_sink)
         return graph
 
@@ -650,10 +645,8 @@ class PersistentGraph(_LogBackedView):
     def _enter_degraded(self, reason: str) -> StoreDegradedError:
         """Flip (sticky) into degraded mode; returns the error to raise.
 
-        Takes the store lock: the log sink calls this from whichever
-        thread's mutation hit the write failure (after the log's own lock
-        is released), racing any concurrent checkpoint heal.  Re-entrant
-        from ``_checkpoint_locked`` — the lock is an RLock.
+        Takes the store lock (re-entrant from the write step and from
+        ``_checkpoint_locked``): :meth:`flush` calls it without holding it.
         """
         with self._lock:
             if self._degraded is None:
@@ -665,19 +658,8 @@ class PersistentGraph(_LogBackedView):
             raise StoreDegradedError(self.directory, self._degraded)
 
     # ------------------------------------------------------------------
-    # Reads (lazy-friendly)
+    # Reads
     # ------------------------------------------------------------------
-
-    def vertex_properties(self, vertex: Hashable) -> Dict[str, Any]:
-        if self._graph is not None:
-            return self._graph.vertex_properties(vertex)
-        return super().vertex_properties(vertex)
-
-    def edge_properties(self, tail: Hashable, label: Hashable,
-                        head: Hashable) -> Dict[str, Any]:
-        if self._graph is not None:
-            return self._graph.edge_properties(tail, label, head)
-        return super().edge_properties(tail, label, head)
 
     def pairs(self, expression: Any,
               sources: Optional[Iterable[Hashable]] = None,
@@ -687,7 +669,7 @@ class PersistentGraph(_LogBackedView):
 
         ``expression`` is a label expression (:func:`repro.rpq.sym` etc.);
         :func:`~repro.rpq.evaluation.rpq_pairs` evaluates it over this
-        store as its source, lazy or materialized (:meth:`view`).
+        store's :meth:`view`.
         """
         self._check_open()
         try:
@@ -698,21 +680,18 @@ class PersistentGraph(_LogBackedView):
         return rpq_pairs(self, expression, sources, targets)
 
     # ------------------------------------------------------------------
-    # Mutations: through the view while lazy, else the dict graph's
+    # Mutations: through the view, or the dict graph's in front of it
     # ------------------------------------------------------------------
 
     def _write(self, entries: List[Tuple]) -> None:  # guarded-by: _lock
-        """The lazy store's write step, in :meth:`MultiRelationalGraph.
-        _commit`'s order: the log's veto over the whole call first, then
-        per record the next version, :meth:`_apply` (the replica's apply)
-        and the log append.  A failed append leaves its record applied
-        and the store degraded."""
+        """A call's records without a dict graph, in :meth:`
+        MultiRelationalGraph._commit`'s order: the log's veto over the
+        whole call first, then per record the next version and the write
+        step (:class:`_WalSink`)."""
         self._wal_sink.precheck(entries)
         floor = max(self._view_version, self._log.last_version)
         for version, entry in enumerate(entries, floor + 1):
-            record = (version,) + entry
-            self._apply([record])
-            self._wal_sink(record)
+            self._wal_sink((version,) + entry)
 
     @_lazy_write
     def add_vertex(self, vertex: Hashable, strict: bool = False,
@@ -809,18 +788,11 @@ class PersistentGraph(_LogBackedView):
         # will produce; a healthy checkpoint the flushed end.
         cursor = self._log.cursor_after_reset() if healing \
             else self._log.end_cursor()
-        view, version = self.view(), self.version()
-        if self._graph is not None:
-            vertex_props = {v: dict(p) for v, p in
-                            self._graph._vertices.items() if p}
-            edge_props = {(e.tail, e.label, e.head): dict(p) for e, p in
-                          self._graph._edges.items() if p}
-        else:
-            vertex_props, edge_props = self._vertex_props, self._edge_props
+        version = self.version()
         old_snapshot = self._manifest["snapshot"]
         self._manifest = publish_generation(
-            self.directory, self._manifest, cursor, view, version,
-            vertex_props, edge_props)
+            self.directory, self._manifest, cursor, self.view(), version,
+            self._vertex_props, self._edge_props)
         # Every live entry is folded into the published generation: the
         # store is durable again.
         self._degraded = None
@@ -842,12 +814,9 @@ class PersistentGraph(_LogBackedView):
             os.unlink(os.path.join(self.directory, old_snapshot))
         except OSError:
             pass
-        if self._graph is None:
-            # Lazy stores re-map the folded snapshot: the overlay's work is
-            # now baked into dense base arrays.
-            self._load_view(*open_adjacency_snapshot(
-                os.path.join(self.directory, self._manifest["snapshot"]),
-                mmap=self._mmap))
+        # Re-map the folded snapshot: the overlay's work is now baked into
+        # dense base arrays.
+        self._map_generation()
         return self.info()
 
     # ------------------------------------------------------------------
@@ -863,12 +832,6 @@ class PersistentGraph(_LogBackedView):
     def replicating(self) -> bool:
         """True when this handle serves the replication feed."""
         return self._replicate
-
-    def version(self) -> int:
-        """The journal version of the live state (what a replica chases)."""
-        if self._graph is not None:
-            return self._graph.version()
-        return self._view_version
 
     @property
     def snapshot_version(self) -> int:

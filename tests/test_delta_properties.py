@@ -313,7 +313,11 @@ class TestPatchedAtCommit:
             assert after.version == graph.version()
             assert isinstance(after, DeltaAdjacency) and after.base is before
             assert_matches_rebuild(graph)
-            assert store.view() is after
+            # The store's own view took the op too, before the append.
+            view = store.view()
+            assert view.version == graph.version() and store.has_edge(2, "b", 0)
+            assert view.num_edges == CompactAdjacency.build(graph).num_edges
+            assert frozenset(store.match()) == graph.edge_set()
 
 
 #: Churn over a base holding labels a, b and vertices 0-2: "c" is a label

