@@ -55,13 +55,14 @@ Handed-out ``CompactDiGraph`` instances stay immutable;
 ``DeltaAdjacency`` overlays are live views that their graph's commits
 patch in place (documented, deliberate — kernels fetch them per call).
 
-numpy is optional.  The :class:`CompactAdjacency`/:class:`DeltaAdjacency`
-kernels are interpreter loops over Python ``int`` cells — lists when
-built, ``memoryview.cast("q")`` slices when mapped from a store (a boxed
-numpy scalar per neighbor costs ~5x); the :class:`CompactDiGraph` kernels
-are vectorized and require numpy — when it is unavailable
-``digraph_snapshot`` returns ``None`` and callers keep their pure-Python
-implementations.
+numpy is optional, and this module never imports it.  The
+:class:`CompactAdjacency`/:class:`DeltaAdjacency` kernels are interpreter
+loops over Python ``int`` cells — lists when built, ``memoryview.cast("q")``
+slices when mapped from a store (a boxed numpy scalar per neighbor costs
+~5x); the :class:`CompactDiGraph` kernels are vectorized and require numpy,
+which the first ``digraph_snapshot`` call imports — when it is unavailable
+(``HAVE_NUMPY`` false) ``digraph_snapshot`` returns ``None`` and callers
+keep their pure-Python implementations.
 """
 
 from __future__ import annotations
@@ -73,11 +74,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 
 from repro.concurrency import ordered_lock
 from repro.graph.pairs import Block, PairBlocks
-
-try:  # only the DiGraph kernels (compact_digraph.py) need numpy.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 __all__ = [
     "CompactAdjacency",
@@ -100,9 +96,6 @@ __all__ = [
     "COMPACTION_FRACTION",
     "HAVE_NUMPY",
 ]
-
-#: True when the vectorized DiGraph kernels are available.
-HAVE_NUMPY = _np is not None
 
 #: Attribute name under which snapshots are cached on graph instances.
 _CACHE_ATTR = "_compact_snapshot_cache"
@@ -1118,6 +1111,7 @@ def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
 # The single-relational half, re-exported.  Imported last: it reads
 # ``_CACHE_ATTR`` from this module while loading.
 from repro.graph.compact_digraph import (  # noqa: E402
+    HAVE_NUMPY,
     CompactDiGraph,
     digraph_snapshot,
     digraph_snapshot_if_large,

@@ -5,24 +5,30 @@ Split from :mod:`repro.graph.compact` (which re-exports every name here,
 so imports need not change): this half is numpy-only and label-blind —
 BFS, components, Tarjan SCC, geodesic sweeps, centrality and pagerank
 over one CSR — and shares with the RPQ backend only the snapshot-cache
-attribute.  A snapshot is built on first use and cached per
-``DiGraph.version()``; a DiGraph mutated between algorithm calls is
-rebuilt in O(V + E) on the next one.  Every DiGraph the code builds is
-only read once built, so there is no delta to replay.
+attribute.  numpy is imported by the first snapshot build, so a process
+that never runs a DiGraph kernel (a server) never loads it.  A snapshot
+is built on first use and cached per ``DiGraph.version()``; a DiGraph
+mutated between algorithm calls is rebuilt in O(V + E) on the next one.
+Every DiGraph the code builds is only read once built, so there is no
+delta to replay.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
-
-try:  # every kernel here is vectorized; without numpy callers keep theirs.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+from importlib.util import find_spec
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.graph.compact import _CACHE_ATTR
 
-__all__ = ["CompactDiGraph", "digraph_snapshot", "digraph_snapshot_if_large"]
+__all__ = ["CompactDiGraph", "digraph_snapshot", "digraph_snapshot_if_large",
+           "HAVE_NUMPY"]
+
+#: True when the vectorized DiGraph kernels are available.
+HAVE_NUMPY = find_spec("numpy") is not None
+
+#: numpy, imported by the first :func:`digraph_snapshot` call: every kernel
+#: here is vectorized, and nothing else in the package needs it.
+_np: Any = None
 
 
 class CompactDiGraph:  # reprolint: ignore[numpy-gate] -- numpy-only by contract
@@ -367,10 +373,17 @@ def digraph_snapshot(digraph) -> Optional[CompactDiGraph]:
     numpy is missing.
 
     Cached on the instance and keyed on ``digraph.version()``: the first
-    call after a mutation rebuilds the snapshot in O(V + E).
+    call after a mutation rebuilds the snapshot in O(V + E).  The first
+    call imports numpy.
     """
-    if _np is None:
+    global _np
+    if not HAVE_NUMPY:
         return None
+    if _np is None:
+        try:
+            import numpy as _np
+        except ImportError:  # pragma: no cover - found but broken
+            return None
     snapshot = getattr(digraph, _CACHE_ATTR, None)
     if snapshot is None or snapshot.version != digraph.version():
         snapshot = CompactDiGraph(digraph)

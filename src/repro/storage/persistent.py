@@ -63,8 +63,8 @@ from repro.errors import (
 )
 from repro.faults import fault_point
 from repro.graph.compact import (
+    CompactAdjacency,
     DeltaAdjacency,
-    adjacency_snapshot,
     label_counts,
     patch_label_counts,
 )
@@ -440,9 +440,11 @@ class PersistentGraph(_LogBackedView):
             "snapshot": "snapshot-000001.rcsr",
             "snapshot_version": version,
         }
-        view = adjacency_snapshot(graph)
+        # Built, not cached on the graph: the store's view is the one its
+        # writes patch, and a cached copy would be patched beside it.
         write_adjacency_snapshot(
-            os.path.join(directory, manifest["snapshot"]), view,
+            os.path.join(directory, manifest["snapshot"]),
+            CompactAdjacency.build(graph),
             name=manifest["name"], version=version,
             vertex_properties={v: p for v, p in graph._vertices.items() if p},
             edge_properties={(e.tail, e.label, e.head): p

@@ -28,7 +28,8 @@ row yields plain Python ``int``s, so the interpreter-loop kernels run at
 heap-list speed.  ``mmap=False`` (and any big-endian host) loads the
 region eagerly into ``array.array('q')`` instead: same indexing/slicing
 contract, same ``int`` cells, no mapping — mmap is a fast path, never a
-correctness dependency.  The open never touches numpy.
+correctness dependency.  The store never touches numpy: the writer packs
+the cells with ``array.array('q')`` as well.
 
 The mapping is never closed by hand: every carved view holds a reference
 to it, so it is unmapped when the last view is dropped (closing it under
@@ -53,11 +54,6 @@ import os
 import sys
 import zlib
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 from repro.errors import StorageError
 from repro.faults import fault_point
@@ -86,7 +82,6 @@ SNAPSHOT_MAGIC = b"RPCSR001"
 # The JSON header is one length+crc32 frame (repro.storage.frames).
 _PRELUDE_SIZE = len(SNAPSHOT_MAGIC) + FRAME_HEADER
 _ALIGN = 16
-_INT_DTYPE = "<i8"
 
 
 class SnapshotMetadata:
@@ -122,22 +117,12 @@ def _check_identifiers(values: Iterable[Hashable], what: str) -> None:
             raise StorageError("{}: {}".format(what, exc)) from exc
 
 
-def _int_cells(values: Iterable[int]) -> Any:
-    """An int64 buffer for ``values`` — numpy array, or array.array('q')."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.int64)
-    return array.array("q", values)
-
-
-def _cell_bytes(cells: Any) -> bytes:
-    if _np is not None and isinstance(cells, _np.ndarray):
-        return cells.astype(_INT_DTYPE, copy=False).tobytes()
-    raw = cells.tobytes()
+def _cell_bytes(values: Iterable[int]) -> bytes:
+    """``values`` packed as little-endian int64 cells."""
+    cells = array.array("q", values)
     if sys.byteorder != "little":  # pragma: no cover - x86/arm are LE
-        swapped = cells.__copy__() if hasattr(cells, "__copy__") else cells[:]
-        swapped.byteswap()
-        raw = swapped.tobytes()
-    return raw
+        cells.byteswap()
+    return cells.tobytes()
 
 
 def _write_file(path: str, header: Dict[str, Any],
@@ -314,7 +299,7 @@ def write_adjacency_snapshot(path: str, view: Any, name: str = "",
         rev_indptr, rev_indices = _build_csr(
             n, ((h, t) for t, h in pairs), len(pairs))
         for cells in (fwd_indptr, fwd_indices, rev_indptr, rev_indices):
-            sections.append(_cell_bytes(_int_cells(cells)))
+            sections.append(_cell_bytes(cells))
     packed_vertices, packed_edges = _encode_properties(
         vertex_of, label_of, vertex_properties, edge_properties)
     header = {

@@ -13,6 +13,9 @@ What this file pins down:
   dict graph, whose view stays equal to that graph,
 * a write through the attached graph racing a checkpoint's publish waits
   for the store lock, so it lands in the view the checkpoint maps after,
+* a write through a created store patches one overlay, the store's
+  (counted: one ``DeltaAdjacency.apply`` per structural record), and the
+  attached graph keeps no compact snapshot of its own,
 * a served ``/mutate`` sequence that crosses a ``/checkpoint`` makes zero
   ``PersistentGraph._materialize`` and zero ``MultiRelationalGraph``
   constructions, and every ``/query`` reply is exact at its
@@ -272,6 +275,26 @@ class TestWriteStepLock:
         with PersistentGraph.open(path) as reopened:
             assert reopened.has_edge(3, "c", 0)
             assert_same(reopened, graph)
+
+
+class TestCreatedStorePatchesOneView:
+    def test_one_overlay_apply_per_write(self, tmp_path):
+        graph = uniform_random(200, 1200, labels=("a", "b", "c"), seed=5)
+        edges = sorted(graph.match(), key=repr)
+        with PersistentGraph.create(str(tmp_path / "store"), graph,
+                                    sync="none") as store:
+            assert getattr(graph, compact._CACHE_ATTR, None) is None
+            with counted_calls([("apply", compact.DeltaAdjacency,
+                                 "apply")]) as counts:
+                for i, edge in enumerate(edges[:64]):
+                    target = store if i % 2 else graph
+                    target.remove_edge(*edge)
+                    target.add_edge(edge.tail, edge.label, edge.head)
+                store.add_edge("new", "a", "newer")  # +v, +v, +e
+            assert counts["apply"] == 64 * 2 + 3
+            assert getattr(graph, compact._CACHE_ATTR, None) is None
+            assert frozenset(store.match()) == graph.edge_set()
+            assert store.version() == graph.version()
 
 
 def mutate_body(adds=(), removes=()):
