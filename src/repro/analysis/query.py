@@ -20,7 +20,8 @@ engine performs on every compiled query:
   answers the empty set.  ``Engine.pairs`` / ``Engine.query`` /
   ``Engine.pairs_batch`` short-circuit such queries to ∅ with **zero**
   kernel dispatch; the differential and hypothesis suites pin the verdict
-  to the ground truth.
+  to the ground truth.  A :class:`~repro.graph.compact.Guard` is judged
+  by its label: whether its vertex exists is each kernel call's to see.
 
 Complexity estimates (star height, DFA state count, expression size) ride
 along in the diagnostics and feed the planner's direction cost model —
@@ -41,9 +42,11 @@ from typing import (
     Hashable,
     List,
     Optional,
+    Set,
     Tuple,
 )
 
+from repro.graph.compact import Guard, symbol_label
 from repro.regex.ast import (
     Atom,
     Empty,
@@ -70,6 +73,7 @@ __all__ = [
     "analyze_compiled_query",
     "analyze_expression",
     "prune_dfa",
+    "pinned_ends",
     "star_height",
     "label_expression_size",
 ]
@@ -124,8 +128,8 @@ def _reachable(transitions: List[Dict[Hashable, int]], start: int,
     stack = [start]
     while stack:
         state = stack.pop()
-        for label, target in transitions[state].items():
-            if label in allowed and target not in seen:
+        for symbol, target in transitions[state].items():
+            if symbol_label(symbol) in allowed and target not in seen:
                 seen.add(target)
                 stack.append(target)
     return frozenset(seen)
@@ -148,6 +152,26 @@ def prune_dfa(dfa: LabelDFA) -> Tuple[LabelDFA, int]:
     return minimal, dfa.num_states - minimal.num_states
 
 
+def pinned_ends(dfa: LabelDFA) -> Tuple[Optional[Hashable],
+                                        Optional[Hashable]]:
+    """``(source, target)``: the vertex every run the DFA accepts starts
+    (ends) at, when each move out of the non-accepting start state (into
+    an accepting state) is a :class:`~repro.graph.compact.Guard` binding
+    that tail (head); else ``None``."""
+    if dfa.start in dfa.accepting:
+        return None, None
+
+    def common(symbols, end: str) -> Optional[Hashable]:
+        vertices = {getattr(symbol, end) if type(symbol) is Guard else None
+                    for symbol in symbols}
+        return vertices.pop() if len(vertices) == 1 else None
+
+    return (common(dfa.transitions[dfa.start], "tail"),
+            common([symbol for row in dfa.transitions
+                    for symbol, target in row.items()
+                    if target in dfa.accepting], "head"))
+
+
 # ----------------------------------------------------------------------
 # Diagnostics containers
 # ----------------------------------------------------------------------
@@ -160,7 +184,7 @@ class QueryDiagnostics:
     is the empty set on the graph whose label alphabet was analyzed, and
     the engine returns ∅ without dispatching a kernel.  ``dfa`` is the
     minimal, language-equivalent automaton the kernels should run when the
-    query is satisfiable.
+    query is satisfiable, ``pinned`` its :func:`pinned_ends`.
     """
 
     dfa: LabelDFA
@@ -172,6 +196,7 @@ class QueryDiagnostics:
     star_height: int
     expression_size: int
     warnings: Tuple[str, ...]
+    pinned: Tuple[Optional[Hashable], Optional[Hashable]] = (None, None)
 
     @property
     def state_count(self) -> int:
@@ -180,25 +205,15 @@ class QueryDiagnostics:
 
     def describe(self) -> str:
         """The EXPLAIN ``diagnostics:`` section (multi-line, indented)."""
-        lines = ["diagnostics:"]
-        lines.append("  complexity: star-height {}, expression size {}, "
-                     "dfa {} state(s)".format(
-                         self.star_height, self.expression_size,
-                         self.state_count))
+        lines = ["  complexity: star-height {}, expression size {}, "
+                 "dfa {} state(s)".format(self.star_height,
+                                          self.expression_size,
+                                          self.state_count)]
         if self.pruned_states:
             lines.append("  dfa pruning: {} of {} state(s) were dead, "
                          "unreachable or equivalent and were removed".format(
                              self.pruned_states, self.original_states))
-        for warning in self.warnings:
-            lines.append("  warning: {}".format(warning))
-        if self.empty:
-            lines.append("  verdict: provably empty — {}; the engine "
-                         "short-circuits to the empty result with no "
-                         "kernel dispatch".format(self.empty_reason))
-        else:
-            lines.append("  verdict: satisfiable (no pre-flight "
-                         "obstruction found)")
-        return "\n".join(lines)
+        return _section(lines, self)
 
 
 @dataclass(frozen=True)
@@ -206,8 +221,8 @@ class ExpressionDiagnostics:
     """Pre-flight verdict for a general edge-set expression.
 
     The structural analogue of :class:`QueryDiagnostics` for expressions
-    that do not lower to a label RPQ (interior vertex bindings, literals,
-    products): emptiness is proved by structural recursion — an atom over
+    that do not lower to a label RPQ (literals, products, oversized
+    repeats): emptiness is proved by structural recursion — an atom over
     a label or vertex the graph has never seen resolves to ∅, and ∅
     propagates through joins and non-nullable repeats.
     """
@@ -222,19 +237,21 @@ class ExpressionDiagnostics:
 
     def describe(self) -> str:
         """The EXPLAIN ``diagnostics:`` section (multi-line, indented)."""
-        lines = ["diagnostics:"]
-        lines.append("  complexity: star-height {}, expression size {}"
-                     .format(self.star_height, self.expression_size))
-        for warning in self.warnings:
-            lines.append("  warning: {}".format(warning))
-        if self.empty:
-            lines.append("  verdict: provably empty — {}; the engine "
-                         "short-circuits to the empty result with no "
-                         "kernel dispatch".format(self.empty_reason))
-        else:
-            lines.append("  verdict: satisfiable (no pre-flight "
-                         "obstruction found)")
-        return "\n".join(lines)
+        return _section(["  complexity: star-height {}, expression size {}"
+                         .format(self.star_height, self.expression_size)],
+                        self)
+
+
+def _section(lines: List[str], diagnostics) -> str:
+    """``diagnostics:``, the complexity ``lines``, then the warnings and
+    the verdict of either diagnostics record."""
+    verdict = "  verdict: provably empty — {}; the engine short-circuits " \
+        "to the empty result with no kernel dispatch".format(
+            diagnostics.empty_reason) if diagnostics.empty \
+        else "  verdict: satisfiable (no pre-flight obstruction found)"
+    return "\n".join(["diagnostics:"] + lines + [
+        "  warning: {}".format(warning) for warning in diagnostics.warnings
+    ] + [verdict])
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +275,7 @@ def analyze_compiled_query(dfa: LabelDFA, expression: LabelExpr,
     labels — and the start state is not itself accepting (the empty word)
     — no pair can ever be produced.
     """
-    mentioned = expression.symbols()
+    mentioned = frozenset(map(symbol_label, expression.symbols()))
     unknown = frozenset(mentioned - graph_labels)
     minimal, removed = prune_dfa(dfa)
     warnings: List[str] = []
@@ -289,7 +306,8 @@ def analyze_compiled_query(dfa: LabelDFA, expression: LabelExpr,
         pruned_states=removed,
         star_height=star_height(expression),
         expression_size=label_expression_size(expression),
-        warnings=tuple(warnings))
+        warnings=tuple(warnings),
+        pinned=pinned_ends(minimal))
 
 
 # ----------------------------------------------------------------------
@@ -345,29 +363,19 @@ def _structurally_empty(expression: RegexExpr, graph: Any) -> Optional[str]:
     return None
 
 
-def _expression_labels(expression: RegexExpr) -> FrozenSet[Hashable]:
-    """All labels named by the expression's atoms (wildcards excluded)."""
-    labels = set()
-    for atom in expression.atoms():
-        if isinstance(atom, Atom) and atom.label is not None:
-            labels.add(atom.label)
-        elif isinstance(atom, Literal):
-            for path in atom.path_set:
-                for edge in path:
-                    labels.add(edge.label)
-    return frozenset(labels)
-
-
-def _expression_vertices(expression: RegexExpr) -> FrozenSet[Hashable]:
-    """All vertices bound by the expression's atoms."""
-    vertices = set()
+def _expression_names(expression: RegexExpr
+                      ) -> Tuple[Set[Hashable], Set[Hashable]]:
+    """``(labels, vertices)`` the expression's atoms name (wildcards
+    excluded): labels of atoms and literal edges, vertices atoms bind."""
+    labels, vertices = set(), set()
     for atom in expression.atoms():
         if isinstance(atom, Atom):
-            if atom.tail is not None:
-                vertices.add(atom.tail)
-            if atom.head is not None:
-                vertices.add(atom.head)
-    return frozenset(vertices)
+            labels.add(atom.label)
+            vertices.update((atom.tail, atom.head))
+        elif isinstance(atom, Literal):
+            labels.update(edge.label for path in atom.path_set
+                          for edge in path)
+    return labels - {None}, vertices - {None}
 
 
 def analyze_expression(expression: RegexExpr, graph: Any) -> ExpressionDiagnostics:
@@ -378,10 +386,9 @@ def analyze_expression(expression: RegexExpr, graph: Any) -> ExpressionDiagnosti
     ``Engine.explain`` for the diagnostics section of non-lowerable
     queries.
     """
-    mentioned = _expression_labels(expression)
+    mentioned, bound = _expression_names(expression)
     unknown = frozenset(label for label in mentioned
                         if not graph.has_label(label))
-    bound = _expression_vertices(expression)
     missing = frozenset(vertex for vertex in bound
                         if not graph.has_vertex(vertex))
     warnings: List[str] = []

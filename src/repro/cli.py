@@ -213,7 +213,7 @@ def _run_lint_query(graph: MultiRelationalGraph, pathql: str, out) -> int:
     if route.constrained is not None:
         diagnostics = route.diagnostics
         out.write("route: pairs fast path ({})\n".format(
-            route.constrained.describe()))
+            route.constrained.describe(diagnostics.pinned)))
     else:
         diagnostics = analyze_expression(expression, graph)
         out.write("route: bounded automaton fallback (edge-set algebra)\n")

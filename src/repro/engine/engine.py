@@ -8,16 +8,16 @@ The pairs fast path
 -------------------
 Beyond the four path-materializing strategies, :meth:`Engine.pairs` answers
 the *reachability* question — which ``(source, target)`` pairs are connected
-by a matching path — without materializing any path.  When the compiled
-expression lowers to a :class:`~repro.rpq.ConstrainedQuery` (every atom is
-``[_, a, _]``, except that the *first* may bind its tail and the *last* its
-head — detected by :func:`repro.rpq.lower_to_constrained_query`), it is
-evaluated by the compact product-BFS kernels of :mod:`repro.graph.compact`:
-the DFA comes from the engine's pre-flight memo keyed on ``(expression,
-label alphabet)``, the graph's integer-indexed CSR snapshot from the
-version-keyed snapshot cache (patched incrementally after mutations), and
-a **direction cost model** (:meth:`Planner.choose_rpq_direction`, driven
-by the statistics' per-label degree profiles) picks among three kernels:
+by a matching path — without materializing any path.  An expression built
+from atoms (``[_, a, _]`` a label, an atom binding a vertex anywhere a
+:class:`~repro.graph.compact.Guard`) by union, join, star and small
+repeats lowers to a label RPQ (:func:`repro.rpq.lower_to_constrained_query`)
+that the compact product-BFS kernels of :mod:`repro.graph.compact`
+evaluate: the DFA comes from the engine's pre-flight memo keyed on
+``(expression, label alphabet)``, the CSR snapshot from the version-keyed
+snapshot cache (patched incrementally after mutations), and a **direction
+cost model** (:meth:`Planner.choose_rpq_direction`, driven by per-label
+degree profiles) picks among three kernels:
 
 * **forward** — product BFS from the sources over the forward CSR (one
   search per source, or one bit-parallel search per batch of many),
@@ -28,16 +28,15 @@ by the statistics' per-label degree profiles) picks among three kernels:
   (vertex, state) meets — the point-to-point fast path.
 
 How a read is evaluated is one decision, :meth:`Engine.route` (lower ->
-merge endpoint filters with the bound vertices -> pre-flight DFA and
-emptiness verdict -> planner direction -> planner parallelism), with five
-outcomes: a kernel above runs (or the seed-range fan-out of a forward sweep);
-the filters exclude a bound vertex, or pre-flight proved the answer empty
-(no kernel at all); the expression binds interior vertices or needs
-literals / products; or an explicit ``max_length`` bounds the answer, which
-the *unbounded* kernels (true Kleene-star reachability) cannot honor.  The
-last two run the bounded ``automaton`` strategy and project endpoints from
-the witness paths (:func:`repro.engine.executor.endpoint_pairs` keeps the
-filter/reflexive semantics identical).  :meth:`Engine.pairs` and every
+pre-flight DFA and emptiness verdict -> narrow the endpoint filters to the
+vertices guards pin -> planner direction -> planner parallelism): a kernel
+above runs (or the seed-range fan-out of a forward sweep); none runs when
+pre-flight proves the answer empty or no vertex passes the filters; and
+literals, products, oversized repeats or an explicit ``max_length`` (which
+the *unbounded* kernels cannot honor) run the bounded ``automaton``
+strategy, projecting endpoints from the witness paths
+(:func:`repro.engine.executor.endpoint_pairs` keeps the filter/reflexive
+semantics identical).  :meth:`Engine.pairs` and every
 :meth:`Engine.pairs_batch` member run that route and ``EXPLAIN`` prints it
 (the trailing ``pairs ...`` lines), so what is described is what runs.
 
@@ -108,6 +107,15 @@ def _preflight(graph, label_expression, labels) -> "QueryDiagnostics":
 def _statistics(graph, version: int) -> GraphStatistics:
     """:meth:`Engine.statistics` of ``graph`` at ``version``."""
     return GraphStatistics(graph)
+
+
+def _pin(vertices: Optional[frozenset], pinned) -> Optional[frozenset]:
+    """An endpoint filter narrowed to the vertex a guard pins every run's
+    end to (``None``: unpinned); the guard stays in the DFA regardless."""
+    if pinned is None:
+        return vertices
+    return frozenset((pinned,)) if vertices is None or pinned in vertices \
+        else frozenset()
 
 
 def _frozen(vertices) -> Optional[frozenset]:
@@ -395,11 +403,8 @@ class Engine:
                            max_length, processes)
         diagnostics = route.diagnostics
         if diagnostics is None:
-            # Not consulted: filters excluded the bound vertex first, or
-            # the bounded strategy runs (its pre-flight is structural).
-            diagnostics = analyze_expression(expression, self.graph) \
-                if route.constrained is None \
-                else self.preflight(route.constrained.label_expression)
+            # The bounded strategy runs: its pre-flight is structural.
+            diagnostics = analyze_expression(expression, self.graph)
         snapshot_note = "compact snapshot: " \
             + compact.snapshot_state(self.graph)
         return text + "\n" + route.describe() + "\n" + snapshot_note \
@@ -436,12 +441,6 @@ class Engine:
             else lower_to_constrained_query(expression, self.graph.labels())
         if constrained is None:
             return PairsRoute("bounded", None, sources, targets, max_length)
-        merged = constrained.merge_filters(sources, targets)
-        if merged is None:
-            return PairsRoute("none", constrained, sources, targets,
-                              empty="endpoint filters exclude the bound "
-                                    "vertex (empty result)")
-        sources, targets = merged
         diagnostics = self.preflight(constrained.label_expression)
         if diagnostics.empty:
             # Pre-flight proved the answer is empty (empty language, or no
@@ -450,6 +449,11 @@ class Engine:
                               empty="pre-flight analysis proved the result "
                                     "empty (short-circuit, no kernel "
                                     "dispatch)", diagnostics=diagnostics)
+        sources, targets = map(_pin, (sources, targets), diagnostics.pinned)
+        if sources == frozenset() or targets == frozenset():
+            return PairsRoute("none", constrained, sources, targets,
+                              empty="no vertex passes the endpoint filters "
+                                    "(empty result)", diagnostics=diagnostics)
         planner = Planner(self.statistics(),
                           max_length=self.default_max_length,
                           optimize_joins=self.optimize)
@@ -560,18 +564,14 @@ class Engine:
         the sweep computed, so an all-sources answer costs its members,
         not a tuple per pair, until a caller asks for a hash table.
 
-        Expressions lowering to a constrained label RPQ (label-only, or
-        vertex-bound only at the ends — see module docstring) run the
-        compact product-BFS kernels: exact, *unbounded* reachability
-        semantics, with the compiled DFA served from the engine's cache
-        and the traversal direction (forward / backward / bidirectional)
-        chosen by the statistics-driven cost model.  The fast path only
-        applies when no ``max_length`` is given — an explicit bound is
-        honored by routing through the bounded ``automaton`` strategy
-        instead, like every expression that needs the edge-set algebra
-        (interior-bound atoms, literals, products), projecting endpoint
-        pairs from the length-limited witness paths with identical
-        filter/reflexive semantics (:func:`~repro.engine.executor.endpoint_pairs`).
+        Expressions that lower to a label RPQ (see module docstring) run
+        the compact product-BFS kernels: exact, *unbounded* reachability,
+        the DFA served from the engine's cache and the direction (forward
+        / backward / bidirectional) chosen by the cost model.  Literals,
+        products, oversized repeats and an explicit ``max_length`` run the
+        bounded ``automaton`` strategy, projecting endpoint pairs from the
+        witness paths with identical filter/reflexive semantics
+        (:func:`~repro.engine.executor.endpoint_pairs`).
 
         ``sources``/``targets`` of ``None`` mean all vertices; otherwise
         only pairs whose endpoints are in the given sets are returned.

@@ -37,7 +37,7 @@ from repro.engine.plan import (
 )
 from repro.engine.stats import GraphStatistics
 from repro.errors import PlanningError
-from repro.graph.compact import _SHARED_BATCH, _SHARED_MIN_SEEDS
+from repro.graph.compact import _SHARED_BATCH, _SHARED_MIN_SEEDS, symbol_label
 from repro.regex.ast import (
     Atom,
     Empty,
@@ -145,10 +145,10 @@ class PairsRoute:
     ``"bidirectional"`` single-core, ``"fan-out"`` (forward sweep split
     by seed range), ``"none"`` or ``"bounded"`` (``automaton`` strategy:
     not eligible, or ``max_length`` given — ``constrained`` is ``None``).
-    ``sources`` /
-    ``targets`` are the endpoint filters merged with the bound vertices,
-    ``empty`` the reason no kernel needs to run, ``diagnostics`` the
-    pre-flight record if consulted, the last two the planner's picks.
+    ``sources`` / ``targets`` are the endpoint filters narrowed to the
+    vertices guards pin (``diagnostics.pinned``), ``empty`` the reason no
+    kernel needs to run, ``diagnostics`` the pre-flight record (set
+    whenever ``constrained`` is), the last two the planner's picks.
     """
 
     kernel: str
@@ -168,12 +168,14 @@ class PairsRoute:
                 return ("pairs fast path: not used — explicit max_length={} "
                         "bounds the answer; Engine.pairs() runs the bounded "
                         "automaton strategy").format(self.max_length)
-            return ("pairs fast path: not eligible — expression binds interior "
-                    "vertices or needs the edge-set algebra; Engine.pairs() "
-                    "falls back to bounded automaton evaluation")
+            return ("pairs fast path: not eligible — expression needs the "
+                    "edge-set algebra (a literal, a product or an oversized "
+                    "repeat); Engine.pairs() falls back to bounded automaton "
+                    "evaluation")
         note = ("pairs fast path: eligible — {}; Engine.pairs() runs "
                 "the compact product-BFS kernels (unbounded, no path "
-                "materialization)").format(self.constrained.describe())
+                "materialization)").format(
+            self.constrained.describe(self.diagnostics.pinned))
         if self.kernel == "none":
             return "{}\npairs direction: n/a — {}\npairs parallelism: " \
                 "n/a (empty result)".format(note, self.empty)
@@ -296,7 +298,8 @@ class Planner:
         statistics = self.statistics
         vertex_count = max(statistics.vertex_count, 1)
         frontier_cap = vertex_count * max(states, 1)
-        labels = label_expression.symbols()
+        # A guard is priced as its label: a sound over-estimate.
+        labels = frozenset(map(symbol_label, label_expression.symbols()))
         forward_growth = statistics.forward_growth(labels)
         backward_growth = statistics.backward_growth(labels)
         horizon = max(self.max_length, 1)

@@ -29,7 +29,8 @@ the compact numeric backend the hot paths share instead:
 * :func:`rpq_pairs_compact` — the frontier-set BFS over the
   (vertex, dfa-state) product that powers :func:`repro.rpq.rpq_pairs` and
   the engine's ``pairs`` fast path: one search per seed for a few seeds,
-  one bit-parallel search per batch of seeds for many.
+  one bit-parallel search per batch of seeds for many.  A :class:`Guard`
+  symbol (an atom binding a vertex) resolves to its bound vertex's rows.
 
 Snapshot lifecycle (incremental)
 --------------------------------
@@ -72,6 +73,8 @@ from itertools import compress
 from operator import lt
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
+from dataclasses import dataclass
+
 from repro.concurrency import ordered_lock
 from repro.graph.pairs import Block, PairBlocks
 
@@ -79,6 +82,8 @@ __all__ = [
     "CompactAdjacency",
     "DeltaAdjacency",
     "CompactDiGraph",
+    "Guard",
+    "symbol_label",
     "adjacency_snapshot",
     "install_snapshot",
     "digraph_snapshot",
@@ -625,6 +630,52 @@ def snapshot_state(graph) -> str:
 # RPQ product-BFS kernels (vertex x dfa-state search over CSR + delta)
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Guard:
+    """The paper's atom ``[tail, label, head]`` with a vertex bound, as a
+    DFA symbol next to the plain labels (``None`` = any vertex).  An edge
+    fires every symbol it matches — ``a`` and ``Guard(a, u, v)`` alike —
+    and a guard equals only a guard, never a tuple label."""
+
+    label: Hashable
+    tail: Optional[Hashable] = None
+    head: Optional[Hashable] = None
+
+    def __str__(self) -> str:
+        return "[{}, {}, {}]".format(*("_" if end is None else end for end
+                                       in (self.tail, self.label, self.head)))
+
+
+def symbol_label(symbol: Hashable) -> Hashable:
+    """The edge label a DFA symbol reads: a guard's label, or the symbol."""
+    return symbol.label if type(symbol) is Guard else symbol
+
+
+def _guard_rows(snapshot, guard: Guard, label_id: int,
+                reverse: bool) -> Dict[int, List[int]]:
+    """``{vertex_id: [neighbor_id, ...]}`` of the edges ``guard`` matches,
+    keyed by tail (by head when ``reverse``), read off the bound tail's
+    out-row or else the bound head's in-row.  A bound vertex the snapshot
+    lacks matches nothing: decided per call, so a later one is seen."""
+    vertex_ids = snapshot.vertex_ids
+    tail, head = vertex_ids.get(guard.tail), vertex_ids.get(guard.head)
+    if (tail is None) != (guard.tail is None) \
+            or (head is None) != (guard.head is None):
+        return {}
+    if tail is not None:
+        edges = [(tail, vertex_id) for vertex_id
+                 in snapshot.out_neighbors(tail, label_id)
+                 if head is None or vertex_id == head]
+    else:
+        edges = [(vertex_id, head)
+                 for vertex_id in snapshot.in_neighbors(head, label_id)]
+    rows: Dict[int, List[int]] = {}
+    for edge in edges:
+        here, there = edge[::-1] if reverse else edge
+        rows.setdefault(here, []).append(there)
+    return rows
+
+
 def _product_moves(snapshot, dfa, reverse: bool) -> List[List[Tuple]]:
     """``moves[state] -> [(adjacency block fields..., neighbor state)]``.
 
@@ -633,7 +684,8 @@ def _product_moves(snapshot, dfa, reverse: bool) -> List[List[Tuple]]:
     *out*-block and ``q`` under ``p``; reversed, the *in*-block and ``p``
     under ``q``, so a step walks in-neighbors while undoing the DFA move —
     exactly the product automaton of the reversed graph with the reversed
-    NFA, restricted to the states the forward DFA already built.
+    NFA, restricted to the states the forward DFA already built.  A
+    :class:`Guard`'s block is patched rows only (:func:`_guard_rows`).
 
     :func:`_sweep` and :func:`_propagate` inline the block read (the
     vertex's patched row if the overlay touched it, else its base CSR
@@ -643,12 +695,20 @@ def _product_moves(snapshot, dfa, reverse: bool) -> List[List[Tuple]]:
     block_of = snapshot.in_block if reverse else snapshot.out_block
     moves: List[List[Tuple]] = [[] for _ in range(dfa.num_states)]
     for state in range(dfa.num_states):
-        for label, next_state in dfa.transitions[state].items():
-            label_id = snapshot.label_ids.get(label)
-            if label_id is not None:
-                here, there = (next_state, state) if reverse \
-                    else (state, next_state)
-                moves[here].append(block_of(label_id) + (there,))
+        for symbol, next_state in dfa.transitions[state].items():
+            label_id = snapshot.label_ids.get(symbol_label(symbol))
+            if label_id is None:
+                continue
+            if type(symbol) is Guard:
+                rows = _guard_rows(snapshot, symbol, label_id, reverse)
+                if not rows:
+                    continue
+                block = (_EMPTY_INDPTR, _EMPTY_INDICES, rows, 0)
+            else:
+                block = block_of(label_id)
+            here, there = (next_state, state) if reverse \
+                else (state, next_state)
+            moves[here].append(block + (there,))
     return moves
 
 

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.core.path import EPSILON, Path
 from repro.core.pathset import PathSet
 from repro.graph.compact import (
+    Guard,
     rpq_pairs_backward,
     rpq_pairs_bidirectional,
     rpq_pairs_compact,
@@ -45,6 +46,7 @@ from repro.rpq.labelregex import (
     LabelUnion,
     build_label_nfa,
     determinize,
+    lconcat,
 )
 
 __all__ = [
@@ -278,7 +280,10 @@ def lift_to_edge_expression(expression: LabelExpr):
     if isinstance(expr, LabelEpsilon):
         return EDGE_EPSILON
     if isinstance(expr, LabelSymbol):
-        return atom(label=expr.label)
+        symbol = expr.label
+        if type(symbol) is Guard:
+            return atom(symbol.tail, symbol.label, symbol.head)
+        return atom(label=symbol)
     if isinstance(expr, LabelUnion):
         return union(*(lift_to_edge_expression(p) for p in expr.parts))
     if isinstance(expr, LabelConcat):
@@ -294,16 +299,23 @@ def lift_to_edge_expression(expression: LabelExpr):
 _MAX_REPEAT_EXPANSION = 16
 
 
-def _atom_label(atom, alphabet: Optional[FrozenSet[Hashable]]
-                ) -> Optional[LabelExpr]:
-    """``atom``'s label, or for the wildcard ``_`` the union of
+def _atom_symbols(atom, alphabet: Optional[FrozenSet[Hashable]]
+                  ) -> Optional[LabelExpr]:
+    """``atom`` as DFA symbols: its label, or a :class:`Guard` when it
+    binds a vertex; for the wildcard ``_`` the union of one per label of
     ``alphabet`` (``None`` without one; nothing for an empty one)."""
+    bound = atom.tail is not None or atom.head is not None
+
+    def symbol(label: Hashable) -> LabelSymbol:
+        return LabelSymbol(Guard(label, atom.tail, atom.head) if bound
+                           else label)
+
     if atom.label is not None:
-        return LabelSymbol(atom.label)
+        return symbol(atom.label)
     if alphabet is None:
         return None
     labels = sorted(alphabet, key=repr)  # one expression per alphabet
-    return LabelUnion(map(LabelSymbol, labels)) if labels else LabelEmpty()
+    return LabelUnion(map(symbol, labels)) if labels else LabelEmpty()
 
 
 def lower_to_label_expression(expression,
@@ -311,19 +323,19 @@ def lower_to_label_expression(expression,
                               ) -> Optional[LabelExpr]:
     """The partial inverse of :func:`lift_to_edge_expression`.
 
-    Translate an edge-set expression into the label formulation when — and
-    only when — it is *label-only*: every atom is of the shape ``[_, a, _]``,
-    combined by union, join, star or bounded repeat.  Such expressions
-    constrain nothing but the label word, so their endpoint-pair semantics
-    coincide with the label RPQ and :func:`rpq_pairs` can answer them with
-    the compact frontier kernel (the engine's ``pairs`` fast path).  Given
-    the graph's label ``alphabet``, a wildcard label ``[_, _, _]`` lowers
-    too, to the union of its labels; without one it does not.
+    Translate an edge-set expression built from atoms by union, join,
+    star or a small bounded repeat into the label formulation: ``[_, a,
+    _]`` becomes the symbol ``a``, an atom binding its tail and/or head
+    the guarded symbol ``Guard(a, i, j)``, which fires only on a matching
+    edge.  A join's label word spells its joint path edge by edge, so
+    endpoint-pair answers coincide with the label RPQ's and the compact
+    kernels answer them (the engine's ``pairs`` fast path).  Given the
+    graph's label ``alphabet``, a wildcard label ``_`` lowers to the union
+    of its labels; without one it does not.
 
-    Returns ``None`` for anything that genuinely needs the edge-set algebra:
-    atoms binding a tail or head vertex, literal path sets, concatenative
-    products (they admit disjoint, non-path concatenations), and oversized
-    repeats.
+    Returns ``None`` for what genuinely needs the edge-set algebra:
+    literal path sets, concatenative products (they admit disjoint,
+    non-path concatenations) and oversized repeats.
     """
     from repro.regex.ast import (
         Atom,
@@ -341,156 +353,70 @@ def lower_to_label_expression(expression,
     if isinstance(expr, Epsilon):
         return LabelEpsilon()
     if isinstance(expr, Atom):
-        if expr.tail is None and expr.head is None:
-            return _atom_label(expr, alphabet)
-        return None
-    if isinstance(expr, Union):
+        return _atom_symbols(expr, alphabet)
+    if isinstance(expr, (Union, Join)):
         parts = [lower_to_label_expression(p, alphabet) for p in expr.parts]
         if any(p is None for p in parts):
             return None
-        return LabelUnion(parts)
-    if isinstance(expr, Join):
-        parts = [lower_to_label_expression(p, alphabet) for p in expr.parts]
-        if any(p is None for p in parts):
-            return None
-        return LabelConcat(parts)
+        return LabelUnion(parts) if isinstance(expr, Union) \
+            else LabelConcat(parts)
     if isinstance(expr, Star):
         inner = lower_to_label_expression(expr.inner, alphabet)
         return None if inner is None else LabelStar(inner)
-    if isinstance(expr, Repeat):
+    if isinstance(expr, Repeat) and max(
+            expr.minimum, expr.maximum or 0) <= _MAX_REPEAT_EXPANSION:
         inner = lower_to_label_expression(expr.inner, alphabet)
-        if inner is None or expr.minimum > _MAX_REPEAT_EXPANSION:
+        if inner is None:
             return None
-        required = [inner] * expr.minimum
-        if expr.maximum is None:
-            return LabelConcat(required + [LabelStar(inner)]) if required \
-                else LabelStar(inner)
-        if expr.maximum > _MAX_REPEAT_EXPANSION:
-            return None
-        optional = [LabelUnion((inner, LabelEpsilon()))] * (expr.maximum - expr.minimum)
-        parts = required + optional
-        if not parts:
-            return LabelEpsilon()
-        if len(parts) == 1:
-            return parts[0]
-        return LabelConcat(parts)
+        return lconcat(*[inner] * expr.minimum, *(
+            [LabelStar(inner)] if expr.maximum is None
+            else [LabelUnion((inner, LabelEpsilon()))]
+            * (expr.maximum - expr.minimum)))
     return None
 
 
 @dataclass(frozen=True)
 class ConstrainedQuery:
-    """A label RPQ plus optional bound endpoint vertices.
-
-    The lowered form of an edge expression whose only vertex bindings sit
-    at the path's ends: ``label_expression`` constrains the label word,
-    ``source``/``target`` (``None`` = unbound) pin the path's first/last
-    vertex.  Evaluable by the compact kernels as a source/target-
-    constrained reachability query — no witness-path materialization.
-    """
+    """A lowered edge expression: the label RPQ, over labels and
+    :class:`Guard` symbols, that the kernels run."""
 
     label_expression: LabelExpr
-    source: Optional[Hashable] = None
-    target: Optional[Hashable] = None
+
+    @property
+    def guards(self) -> Tuple[Guard, ...]:
+        """The vertex-bound atoms riding the DFA, in a stable order."""
+        return tuple(sorted((symbol for symbol
+                             in self.label_expression.symbols()
+                             if type(symbol) is Guard), key=repr))
 
     @property
     def label_only(self) -> bool:
-        """True when no endpoint is bound (plain label RPQ)."""
-        return self.source is None and self.target is None
+        """True when no atom binds a vertex (plain label RPQ)."""
+        return not self.guards
 
-    def merge_filters(
-            self, sources: Optional[FrozenSet[Hashable]],
-            targets: Optional[FrozenSet[Hashable]]
-    ) -> Optional[Tuple[Optional[frozenset], Optional[frozenset]]]:
-        """Merge caller endpoint filters with the bound vertices.
-
-        Returns ``(sources, targets)`` as Optional[frozenset]s, or ``None``
-        when a bound vertex is excluded by the corresponding filter (the
-        result is provably empty).
-        """
-        if self.source is not None:
-            if sources is not None and self.source not in frozenset(sources):
-                return None
-            sources = frozenset((self.source,))
-        elif sources is not None:
-            sources = frozenset(sources)
-        if self.target is not None:
-            if targets is not None and self.target not in frozenset(targets):
-                return None
-            targets = frozenset((self.target,))
-        elif targets is not None:
-            targets = frozenset(targets)
-        return sources, targets
-
-    def describe(self) -> str:
-        """One-phrase summary for EXPLAIN output."""
-        if self.label_only:
+    def describe(self, pinned: Tuple[Optional[Hashable],
+                                     Optional[Hashable]] = (None, None)
+                 ) -> str:
+        """One phrase for EXPLAIN: the guards, and which bindings became
+        the seed or target set (``pinned``, the pre-flight's)."""
+        guards = self.guards
+        if not guards:
             return "label-only expression"
-        bounds = []
-        if self.source is not None:
-            bounds.append("source={!r}".format(self.source))
-        if self.target is not None:
-            bounds.append("target={!r}".format(self.target))
-        return "vertex-bound lowering ({})".format(", ".join(bounds))
+        source, target = pinned
+        ends = []
+        if source is not None:
+            ends.append("source={!r} is the seed set".format(source))
+        if target is not None:
+            ends.append("target={!r} the target set".format(target))
+        return "vertex bindings ride the DFA as guards {}; {}".format(
+            ", ".join(map(str, guards)),
+            ", ".join(ends) if ends else "none pins a path end")
 
 
 def lower_to_constrained_query(expression,
                                alphabet: Optional[FrozenSet[Hashable]] = None
                                ) -> Optional[ConstrainedQuery]:
-    """Lower an edge expression to a :class:`ConstrainedQuery` when possible.
-
-    Extends :func:`lower_to_label_expression` to vertex-bound *ends*: a
-    join whose first atom binds its tail (``[i, a, _] · R``), whose last
-    atom binds its head (``R · [_, a, j]``), or both, lowers to the label
-    concatenation with the bound vertices recorded as source/target
-    constraints — the paper's joint-path semantics make the prefix atom's
-    tail the path's first vertex and the suffix atom's head its last, so
-    endpoint-pair answers coincide with the constrained label RPQ.  A lone
-    atom may bind either or both of its endpoints (``[i, a, j]`` is the
-    single-edge point query).  ``alphabet`` is as for
-    :func:`lower_to_label_expression`.
-
-    Returns ``None`` when the expression binds an *interior* vertex
-    (including ``[i, a, j]`` used as a join prefix — its head pins the
-    second vertex), has a wildcard label and no alphabet, or otherwise
-    needs the full edge-set algebra (literals, products, unions over bound
-    atoms): those still route through the bounded ``automaton`` strategy.
-    """
-    from repro.regex.ast import Atom, Join
-
-    label_only = lower_to_label_expression(expression, alphabet)
-    if label_only is not None:
-        return ConstrainedQuery(label_only)
-    expr = expression
-    if isinstance(expr, Atom):
-        # A label or an alphabet here means a bound tail or head, or the
-        # label-only lowering above would have taken the expression.
-        label = _atom_label(expr, alphabet)
-        return None if label is None \
-            else ConstrainedQuery(label, expr.tail, expr.head)
-    if not isinstance(expr, Join):
-        return None
-    parts = expr.parts
-    last = len(parts) - 1
-    source: Optional[Hashable] = None
-    target: Optional[Hashable] = None
-    lowered: List[LabelExpr] = []
-    for index, part in enumerate(parts):
-        lowered_part = lower_to_label_expression(part, alphabet)
-        if lowered_part is not None:
-            lowered.append(lowered_part)
-            continue
-        label = _atom_label(part, alphabet) \
-            if isinstance(part, Atom) else None
-        if label is not None:
-            if index == 0 and part.tail is not None and part.head is None:
-                source = part.tail
-                lowered.append(label)
-                continue
-            if index == last and part.head is not None and part.tail is None:
-                target = part.head
-                lowered.append(label)
-                continue
-        return None
-    if source is None and target is None:  # pragma: no cover - label-only
-        return None                        # joins already lowered above
-    return ConstrainedQuery(LabelConcat(lowered), source, target)
+    """:func:`lower_to_label_expression` as a :class:`ConstrainedQuery`,
+    or ``None`` for the shapes that stay on the bounded strategy."""
+    lowered = lower_to_label_expression(expression, alphabet)
+    return None if lowered is None else ConstrainedQuery(lowered)

@@ -740,8 +740,8 @@ class ReplicaHttpServer(HttpServer):
     run through ``AsyncEngine(Engine(replica))`` — the primary's route,
     planner, pre-flight, DFA cache, result cache and ``deadline_ms``
     handling — over the replica's applied state.  A shape the primary
-    routes ``bounded`` (``max_length``, interior-bound atoms, literals,
-    products) needs the dict graph: a **400**
+    routes ``bounded`` (``max_length``, literals, products, oversized
+    repeats) needs the dict graph: a **400**
     (:class:`~repro.errors.ExecutionError`).  ``mutate``/``checkpoint``
     get **403** (:class:`~repro.errors.ReplicaReadOnlyError` — promote
     first), and

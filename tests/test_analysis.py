@@ -342,11 +342,20 @@ class TestLintQueryCli:
         assert "provably empty" in out.getvalue()
 
     def test_non_lowerable_reports_fallback_route(self, tmp_path):
+        # A literal path set needs the edge-set algebra; vertex bindings
+        # alone do not, they ride the DFA as guards.
+        out = io.StringIO()
+        code = cli_main(["lint-query", self._graph_file(tmp_path),
+                         "[u, a, _] . [_, b, w]* . {(w, c, u)}"], out=out)
+        assert code == 0
+        assert "bounded automaton fallback" in out.getvalue()
         out = io.StringIO()
         code = cli_main(["lint-query", self._graph_file(tmp_path),
                          "[u, a, _] . [_, b, w]* . [u, a, v]"], out=out)
         assert code == 0
-        assert "bounded automaton fallback" in out.getvalue()
+        assert "route: pairs fast path (vertex bindings ride the DFA as " \
+            "guards [u, a, v], [u, a, _], [_, b, w]; source='u' is the " \
+            "seed set, target='v' the target set)" in out.getvalue()
 
 
 # ----------------------------------------------------------------------

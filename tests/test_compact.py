@@ -27,6 +27,7 @@ from repro.engine.parallel import fork_available
 from repro.graph import compact
 from repro.graph.compact import (
     HAVE_NUMPY,
+    Guard,
     adjacency_snapshot,
     digraph_snapshot,
     rpq_pairs_on_snapshot,
@@ -479,9 +480,12 @@ class TestEnginePairsFastPath:
         assert "pairs direction:" in eligible
         bound = engine.explain("[3, alpha, _]")
         assert "pairs fast path: eligible" in bound
-        assert "vertex-bound lowering (source=3)" in bound
-        # An interior-bound vertex still needs the edge-set algebra.
-        ineligible = engine.explain("[_, alpha, 3] . [_, beta, _]")
+        assert "guards [3, alpha, _]; source=3 is the seed set" in bound
+        # An interior binding rides the DFA as a guard and pins no end.
+        interior = engine.explain("[_, alpha, 3] . [_, beta, _]")
+        assert "guards [_, alpha, 3]; none pins a path end" in interior
+        # A product still needs the edge-set algebra.
+        ineligible = engine.explain("[_, alpha, 3] & [_, beta, _]")
         assert "pairs fast path: not eligible" in ineligible
 
 
@@ -496,17 +500,25 @@ class TestLowerToLabelExpression:
             for graph in GRAPHS[:2]:
                 assert rpq_pairs(graph, lowered) == rpq_pairs(graph, expression)
 
-    def test_rejects_vertex_bound_atoms_literals_products(self):
-        from repro.regex import atom, join, literal, star
+    def test_rejects_literals_products_oversized_repeats(self):
+        from repro.regex import atom, join, literal
         from repro.rpq import lower_to_label_expression
-        assert lower_to_label_expression(atom(tail="i", label="a")) is None
+        # A vertex-bound atom lowers to a guarded symbol ...
+        assert lower_to_label_expression(atom(tail="i", label="a")) == \
+            sym(Guard("a", "i", None))
+        # ... a wildcard label only given the graph's alphabet ...
         assert lower_to_label_expression(atom()) is None
         assert lower_to_label_expression(
             join(atom(label="a"), atom(head="j"))) is None
+        # ... and literals, products and oversized repeats never do.
         assert lower_to_label_expression(
             literal([("i", "a", "j")])) is None
         assert lower_to_label_expression(
             atom(label="a") * atom(label="b")) is None
+        assert lower_to_label_expression(
+            atom(tail="i", label="a").repeat(17, None)) is None
+        assert lower_to_label_expression(
+            atom(label="a").repeat(0, 17)) is None
 
     def test_bounded_repeat_expansion(self):
         from repro.regex import atom

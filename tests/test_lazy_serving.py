@@ -13,7 +13,8 @@ What this file pins down:
   zero ``_materialize`` calls), answers equal ``rpq_pairs_basic`` before
   and after it, and EXPLAIN's snapshot line never says "cold",
 * a ``bounded`` read (``max_length``) materializes a lazy primary and
-  answers exactly; a replica still refuses it with the typed 400,
+  answers exactly; a replica still refuses it with the typed 400; an
+  interior-bound atom is not one: it runs on the view, exactly,
 * readers racing writes: every reply's ``X-Repro-Graph-Version`` names
   the version its answer is exact at, and no reader sees the version go
   backwards,
@@ -31,6 +32,7 @@ from counting import counted_calls
 from repro.concurrency import tracking_scope, witness_scope
 from repro.engine import Engine
 from repro.graph.generators import uniform_random
+from repro.graph.graph import MultiRelationalGraph
 from repro.replication import PrimaryFeed, ReplicaGraph
 from repro.rpq import lconcat, lplus, lstar, lunion, rpq_pairs_basic, sym
 from repro.service import GraphRegistry, HttpServer, wire
@@ -247,6 +249,22 @@ class TestReadsNeverMaterialize:
             served.run(scenario)
         assert served.store.materialized is False
         assert counts["materialize"] == 0
+
+
+class TestInteriorBindingStaysLazy:
+    def test_a_lazy_store_answers_an_interior_binding(self, tmp_path):
+        # A guard resolves against the mapped view: exact (12 pairs on
+        # the 12-cycle) and no dict graph built for it.
+        directory = str(tmp_path / "cycle")
+        PersistentGraph.create(directory, MultiRelationalGraph(
+            [(i, "a", (i + 1) % 12) for i in range(12)])).close()
+        with counted_materialize() as counts, \
+                PersistentGraph.open(directory) as store:
+            engine = Engine(store)
+            query = "[_, a, 3] . [_, a, _]*"
+            assert engine.route(engine.compile(query)).kernel == "forward"
+            assert len(engine.pairs(query)) == 12
+            assert not store.materialized and counts["materialize"] == 0
 
 
 class TestFirstWrite:

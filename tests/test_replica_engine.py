@@ -13,7 +13,8 @@ the engine's source.  Four gates:
   ``/query`` reply is byte-identical to the primary's, with
   ``elapsed_ms`` and the replica's ``"replica": true`` flag dropped; a
   replica 400 where the primary answers is allowed only as the typed
-  refusal of a shape the primary routes ``bounded``;
+  refusal of a shape the primary routes ``bounded`` (a literal, a
+  product, ``max_length``) — an interior-bound atom is not one;
 * **counted** — a second identical replica read compiles no DFA and
   dispatches no kernel;
 * **race** — reads racing a tailer that applies the primary's batches:
@@ -169,10 +170,11 @@ class Deployment:
             self.replica.close()
 
 
-#: Label-only, endpoint-bound, wildcard-label, dead and unknown labels,
-#: and the shapes the primary routes ``bounded``: interior bindings,
+#: Label-only, endpoint-bound, interior-bound, wildcard-label, dead and
+#: unknown labels, and the shapes the primary routes ``bounded``:
 #: literals and products.  A wildcard label is the union of the graph's
-#: labels, so ``[_, _, _]{1,2}`` runs on the kernel on both sides.
+#: labels and a bound vertex a guard, so ``[_, _, _]{1,2}`` and
+#: ``[_, a, _] . [5, b, _]`` run on the kernel on both sides.
 QUERIES = [
     "[_, a, _]", "[_, a, _] . [_, b, _]*", "([_, a, _] | [_, c, _])*",
     "[_, b, _]{2}", "[0, a, _] . [_, b, _]*", "[_, a, _] . [_, b, 3]",
@@ -180,7 +182,7 @@ QUERIES = [
     "[_, a, _] . [5, b, _]", "[_, _, _]{1,2}", "{(0, a, 1)}",
     "[_, a, _] & [_, b, _]", "[_, a, _",
 ]
-BOUNDED = {"[_, a, _] . [5, b, _]", "{(0, a, 1)}", "[_, a, _] & [_, b, _]"}
+BOUNDED = {"{(0, a, 1)}", "[_, a, _] & [_, b, _]"}
 endpoints = st.one_of(st.none(), st.lists(
     st.sampled_from(list(range(0, 42, 3)) + [99]), max_size=4))
 
@@ -245,6 +247,27 @@ class TestWildcardLabel:
             assert replica[:2] == primary[:2]
             assert replica[2]["X-Repro-Graph-Version"] == \
                 primary[2]["X-Repro-Graph-Version"]
+        finally:
+            deployment.close()
+
+
+class TestInteriorBinding:
+    def test_an_interior_binding_runs_on_the_kernel_on_both_sides(
+            self, tmp_path):
+        # ``[_, a, 3]`` binds the path's second vertex: a guard, not a
+        # bounded enumeration (8 of the 12 pairs) and not a replica 400.
+        cycle = MultiRelationalGraph(
+            [(i, "a", (i + 1) % 12) for i in range(12)], name=NAME)
+        deployment = Deployment(tmp_path, cycle)
+        try:
+            body = {"query": "[_, a, 3] . [_, a, _]*"}
+            primary = deployment.loop.run_until_complete(
+                dispatch(deployment.primary, body))
+            replica = deployment.loop.run_until_complete(
+                dispatch(deployment.server, body))
+            assert primary[0] == 200 and json.loads(primary[1])["count"] \
+                == 12
+            assert replica[:2] == primary[:2]
         finally:
             deployment.close()
 

@@ -4,8 +4,8 @@ Covers the bidirectional tentpole end to end:
 
 * backward / bidirectional kernel semantics (reflexive pairs, filters,
   missing vertices, empty languages),
-* ``lower_to_constrained_query`` — which vertex-bound shapes lower and
-  which stay on the bounded fallback,
+* ``lower_to_constrained_query`` — vertex-bound atoms lower to guarded
+  symbols, and which shapes stay on the bounded fallback,
 * the engine's compiled-DFA cache (hits, alphabet-version invalidation),
 * version-keyed statistics refresh + per-label degree profiles,
 * the planner's direction cost model on symmetric and hub-skewed graphs,
@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from repro.engine import Engine, Planner
 from repro.graph import compact
+from repro.analysis.query import pinned_ends, prune_dfa
 from repro.graph.compact import (
+    Guard,
     _SHARED_BATCH,
     _SHARED_MIN_SEEDS,
     adjacency_snapshot,
@@ -212,47 +214,67 @@ class TestLowerToConstrainedQuery:
     def test_source_bound_prefix(self):
         lowered = lower_to_constrained_query(
             join(atom(tail="i", label="a"), star(atom(label="b"))))
-        assert lowered.source == "i" and lowered.target is None
-        assert "source='i'" in lowered.describe()
+        assert lowered.guards == (Guard("a", "i"),)
+        assert not lowered.label_only
+        # The guard binds every run's first vertex: pre-flight pins it.
+        assert pinned_ends(prune_dfa(compile_rpq(
+            lowered.label_expression, MultiRelationalGraph()))[0]) \
+            == ("i", None)
+        assert "[i, a, _]; source='i' is the seed set" in \
+            lowered.describe(("i", None))
 
     def test_target_bound_suffix(self):
         lowered = lower_to_constrained_query(
             join(star(atom(label="a")), atom(label="b", head="j")))
-        assert lowered.source is None and lowered.target == "j"
+        assert lowered.label_expression == LabelConcat(
+            (LabelStar(LabelSymbol("a")), LabelSymbol(Guard("b", None, "j"))))
+        assert pinned_ends(prune_dfa(compile_rpq(
+            lowered.label_expression, MultiRelationalGraph()))[0]) \
+            == (None, "j")
 
     def test_both_ends_bound(self):
         lowered = lower_to_constrained_query(
             join(atom(tail="i", label="a"), atom(label="b"),
                  atom(label="c", head="j")))
-        assert (lowered.source, lowered.target) == ("i", "j")
         assert lowered.label_expression == LabelConcat(
-            (LabelSymbol("a"), LabelSymbol("b"), LabelSymbol("c")))
+            (LabelSymbol(Guard("a", "i")), LabelSymbol("b"),
+             LabelSymbol(Guard("c", None, "j"))))
+        assert pinned_ends(prune_dfa(compile_rpq(
+            lowered.label_expression, MultiRelationalGraph()))[0]) \
+            == ("i", "j")
 
     def test_single_atom_shapes(self):
         assert lower_to_constrained_query(atom(tail="i", label="a")) == \
-            ConstrainedQuery(LabelSymbol("a"), "i", None)
+            ConstrainedQuery(LabelSymbol(Guard("a", "i", None)))
         assert lower_to_constrained_query(atom(label="a", head="j")) == \
-            ConstrainedQuery(LabelSymbol("a"), None, "j")
+            ConstrainedQuery(LabelSymbol(Guard("a", None, "j")))
         assert lower_to_constrained_query(atom(tail="i", label="a", head="j")) \
-            == ConstrainedQuery(LabelSymbol("a"), "i", "j")
+            == ConstrainedQuery(LabelSymbol(Guard("a", "i", "j")))
+        # A guard equals only a guard, never a tuple label.
+        assert Guard("a", "i", "j") != ("a", "i", "j")
 
     def test_rejected_shapes(self):
-        # Interior bindings, missing labels, unions over bound atoms,
-        # literals: all genuinely need the edge-set algebra.
+        # Literals, products, oversized repeats and a wildcard label
+        # without an alphabet need the edge-set algebra; interior
+        # bindings and unions or stars over bound atoms do not.
+        assert lower_to_constrained_query(literal(("i", "a", "j"))) is None
         assert lower_to_constrained_query(
-            join(atom(label="a"), atom(tail="i", label="b"))) is None
+            join(atom(label="a"), atom(tail="i", label="b")
+                 * atom(label="c"))) is None
         assert lower_to_constrained_query(
-            join(atom(tail="i", label="a", head="j"),
-                 atom(label="b"))) is None
+            atom(tail="i", label="a").repeat(0, 17)) is None
         assert lower_to_constrained_query(atom(tail="i")) is None
-        assert lower_to_constrained_query(
-            union(atom(tail="i", label="a"), atom(label="b"))) is None
-        assert lower_to_constrained_query(
-            star(atom(tail="i", label="a"))) is None
+        for shape in (join(atom(label="a"), atom(tail="i", label="b")),
+                      join(atom(tail="i", label="a", head="j"),
+                           atom(label="b")),
+                      union(atom(tail="i", label="a"), atom(label="b")),
+                      star(atom(tail="i", label="a"))):
+            assert lower_to_constrained_query(shape).guards
 
     def test_a_wildcard_label_lowers_to_the_alphabet(self):
         # Without an alphabet ``_`` does not lower; with one it is the
-        # union of its labels, in one order per alphabet.
+        # union of its labels, in one order per alphabet, guarded when the
+        # atom binds a vertex.
         alphabet = frozenset({"b", "a"})
         either = LabelUnion((LabelSymbol("a"), LabelSymbol("b")))
         assert lower_to_constrained_query(star(atom())) is None
@@ -260,15 +282,15 @@ class TestLowerToConstrainedQuery:
             ConstrainedQuery(LabelStar(either))
         assert lower_to_constrained_query(
             join(atom(tail="i"), atom(label="a", head="j")), alphabet) == \
-            ConstrainedQuery(LabelConcat((either, LabelSymbol("a"))),
-                             "i", "j")
-        assert lower_to_constrained_query(atom(head="j"), alphabet) == \
-            ConstrainedQuery(either, None, "j")
+            ConstrainedQuery(LabelConcat((
+                LabelUnion((LabelSymbol(Guard("a", "i")),
+                            LabelSymbol(Guard("b", "i")))),
+                LabelSymbol(Guard("a", None, "j")))))
         assert lower_to_constrained_query(atom(), frozenset()) == \
             ConstrainedQuery(LabelEmpty())
-        # An interior binding still needs the edge-set algebra.
         assert lower_to_constrained_query(
-            join(atom(), atom(tail="i"), atom()), alphabet) is None
+            join(atom(), atom(tail="i"), atom()), alphabet).guards == \
+            (Guard("a", "i"), Guard("b", "i"))
 
     def test_the_wildcard_routes_like_its_label_union(self):
         cycle = MultiRelationalGraph(
@@ -277,10 +299,13 @@ class TestLowerToConstrainedQuery:
         for query in ("[_, _, _]*", "[_, a, _]*"):
             assert engine.route(engine.compile(query)).kernel == "forward"
             assert len(engine.pairs(query)) == 144
-        # Interior bindings, literals, products and an explicit
-        # ``max_length`` stay on the bounded strategy.
-        for query, max_length in (("[_, _, _] . [3, _, _]", None),
-                                  ("{(0, a, 1)}", None),
+        # A wildcard atom binding an interior vertex is a union of guards
+        # (tests/test_guarded_atoms.py has the 12-cycle's answers); only
+        # literals, products and an explicit ``max_length`` stay on the
+        # bounded strategy.
+        assert engine.route(engine.compile("[_, _, _] . [3, _, _]")).kernel \
+            == "forward"
+        for query, max_length in (("{(0, a, 1)}", None),
                                   ("[_, _, _] & [_, a, _]", None),
                                   ("[_, _, _]*", 4)):
             assert engine.route(engine.compile(query),
@@ -533,8 +558,8 @@ class TestEnginePairsDirectional:
 
     def test_explain_reports_direction_for_filters(self, dag_engine):
         text = dag_engine.explain("[3, a, _] . [_, b, 9]")
-        assert "vertex-bound lowering (source=3, target=9)" in text
+        assert "source=3 is the seed set, target=9 the target set" in text
         assert "pairs direction: direction=bidirectional" in text
         conflicting = dag_engine.explain("[3, a, _]",
                                          sources=frozenset({4}))
-        assert "endpoint filters exclude the bound vertex" in conflicting
+        assert "no vertex passes the endpoint filters" in conflicting
