@@ -31,22 +31,18 @@ machine-checked instead of remembered:
 from typing import Any
 
 from repro.analysis.query import (
-    ExpressionDiagnostics,
     QueryDiagnostics,
     analyze_compiled_query,
-    analyze_expression,
     prune_dfa,
     star_height,
 )
 
 __all__ = [
-    "ExpressionDiagnostics",
     "QueryDiagnostics",
     "RACE_RULES",
     "RULES",
     "Violation",
     "analyze_compiled_query",
-    "analyze_expression",
     "analyze_paths",
     "lint_paths",
     "prune_dfa",

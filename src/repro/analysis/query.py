@@ -20,8 +20,9 @@ engine performs on every compiled query:
   answers the empty set.  ``Engine.pairs`` / ``Engine.query`` /
   ``Engine.pairs_batch`` short-circuit such queries to ∅ with **zero**
   kernel dispatch; the differential and hypothesis suites pin the verdict
-  to the ground truth.  A :class:`~repro.graph.compact.Guard` is judged
-  by its label: whether its vertex exists is each kernel call's to see.
+  to the ground truth.  The memoised pass judges a
+  :class:`~repro.graph.compact.Guard` by its label; each read then checks
+  its bound vertices against the graph (:func:`absent_bindings`).
 
 Complexity estimates (star height, DFA state count, expression size) ride
 along in the diagnostics and feed the planner's direction cost model —
@@ -35,29 +36,18 @@ caches the result alongside the DFA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Dict,
     FrozenSet,
     Hashable,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
-from repro.graph.compact import Guard, symbol_label
-from repro.regex.ast import (
-    Atom,
-    Empty,
-    Join,
-    Literal,
-    Product,
-    RegexExpr,
-    Repeat,
-    Star,
-    Union,
-)
+from repro.errors import ExecutionError, QueryTooLargeError
+from repro.graph.compact import Guard, symbol_label, symbol_length
 from repro.rpq.labelregex import (
     LabelConcat,
     LabelDFA,
@@ -65,15 +55,16 @@ from repro.rpq.labelregex import (
     LabelStar,
     LabelUnion,
 )
+from repro.rpq.evaluation import SIZE_BOUND
 from repro.rpq.minimize import minimize
 
 __all__ = [
     "QueryDiagnostics",
-    "ExpressionDiagnostics",
     "analyze_compiled_query",
-    "analyze_expression",
     "prune_dfa",
+    "bound_dfa",
     "pinned_ends",
+    "absent_bindings",
     "star_height",
     "label_expression_size",
 ]
@@ -83,27 +74,18 @@ __all__ = [
 # Expression-shape measures
 # ----------------------------------------------------------------------
 
-def star_height(expression: object) -> int:
-    """Maximum star-nesting depth of an expression (label- or edge-level).
+def star_height(expression: LabelExpr) -> int:
+    """Maximum star-nesting depth of a label expression.
 
-    Unbounded repeats (``R+``, ``R{n,}``) count as stars — they expand to
-    one — while bounded repeats do not add nesting.  Star height is the
-    classical driver of RPQ product-space blowup: each star level lets
-    the DFA revisit states, so it is surfaced as a complexity estimate in
-    the EXPLAIN diagnostics.
+    Star height is the classical driver of RPQ product-space blowup: each
+    star level lets the DFA revisit states, so it is surfaced as a
+    complexity estimate in the EXPLAIN diagnostics.
     """
     expr = expression
-    if isinstance(expr, (LabelStar, Star)):
+    if isinstance(expr, LabelStar):
         return 1 + star_height(expr.inner)
-    if isinstance(expr, Repeat):
-        inner = star_height(expr.inner)
-        return (1 + inner) if expr.maximum is None else inner
     if isinstance(expr, (LabelUnion, LabelConcat)):
         return max(star_height(part) for part in expr.parts)
-    if isinstance(expr, RegexExpr):
-        children = expr.children()
-        if children:
-            return max(star_height(child) for child in children)
     return 0
 
 
@@ -123,13 +105,15 @@ def label_expression_size(expression: LabelExpr) -> int:
 
 def _reachable(transitions: List[Dict[Hashable, int]], start: int,
                allowed: FrozenSet[Hashable]) -> FrozenSet[int]:
-    """States reachable from ``start`` over ``allowed`` labels only."""
+    """States reachable from ``start`` over ``allowed`` labels, literals
+    and jumps (which read no label) only."""
     seen = {start}
     stack = [start]
     while stack:
         state = stack.pop()
         for symbol, target in transitions[state].items():
-            if symbol_label(symbol) in allowed and target not in seen:
+            label = symbol_label(symbol)
+            if (label is None or label in allowed) and target not in seen:
                 seen.add(target)
                 stack.append(target)
     return frozenset(seen)
@@ -150,6 +134,38 @@ def prune_dfa(dfa: LabelDFA) -> Tuple[LabelDFA, int]:
     minimal = minimize(dfa, {label for row in dfa.transitions
                              for label in row})
     return minimal, dfa.num_states - minimal.num_states
+
+
+def bound_dfa(dfa: LabelDFA, max_length: int) -> LabelDFA:
+    """``dfa`` cut to L(R) ∩ Σ^{≤k}: the words consuming at most
+    ``max_length`` edges (:func:`~repro.graph.compact.symbol_length` each),
+    over the reachable states ``(q, edges so far)`` — exact in every
+    kernel direction, each counter value being its own state.  Past
+    :data:`~repro.rpq.evaluation.SIZE_BOUND` states it raises
+    :class:`~repro.errors.QueryTooLargeError` before building more."""
+    if max_length < 0:
+        raise ExecutionError("max_length must be >= 0")
+    index = {(dfa.start, 0): 0}
+    order = [(dfa.start, 0)]
+    transitions: List[Dict[Hashable, int]] = []
+    for state, spent in order:  # grows while it is walked
+        row: Dict[Hashable, int] = {}
+        transitions.append(row)
+        for symbol, target in dfa.transitions[state].items():
+            key = (target, spent + symbol_length(symbol))
+            if key[1] > max_length:
+                continue
+            if key not in index:
+                if len(order) == SIZE_BOUND:
+                    raise QueryTooLargeError(
+                        "max_length={} needs more than {} automaton states"
+                        .format(max_length, SIZE_BOUND))
+                index[key] = len(order)
+                order.append(key)
+            row[symbol] = index[key]
+    return LabelDFA(0, frozenset(number for number, (state, _)
+                                 in enumerate(order)
+                                 if state in dfa.accepting), transitions)
 
 
 def pinned_ends(dfa: LabelDFA) -> Tuple[Optional[Hashable],
@@ -197,6 +213,7 @@ class QueryDiagnostics:
     expression_size: int
     warnings: Tuple[str, ...]
     pinned: Tuple[Optional[Hashable], Optional[Hashable]] = (None, None)
+    bindings: FrozenSet[Hashable] = frozenset()
 
     @property
     def state_count(self) -> int:
@@ -213,45 +230,13 @@ class QueryDiagnostics:
             lines.append("  dfa pruning: {} of {} state(s) were dead, "
                          "unreachable or equivalent and were removed".format(
                              self.pruned_states, self.original_states))
-        return _section(lines, self)
-
-
-@dataclass(frozen=True)
-class ExpressionDiagnostics:
-    """Pre-flight verdict for a general edge-set expression.
-
-    The structural analogue of :class:`QueryDiagnostics` for expressions
-    that do not lower to a label RPQ (literals, products, oversized
-    repeats): emptiness is proved by structural recursion — an atom over
-    a label or vertex the graph has never seen resolves to ∅, and ∅
-    propagates through joins and non-nullable repeats.
-    """
-
-    unknown_labels: FrozenSet[Hashable]
-    unknown_vertices: FrozenSet[Hashable]
-    empty: bool
-    empty_reason: Optional[str]
-    star_height: int
-    expression_size: int
-    warnings: Tuple[str, ...]
-
-    def describe(self) -> str:
-        """The EXPLAIN ``diagnostics:`` section (multi-line, indented)."""
-        return _section(["  complexity: star-height {}, expression size {}"
-                         .format(self.star_height, self.expression_size)],
-                        self)
-
-
-def _section(lines: List[str], diagnostics) -> str:
-    """``diagnostics:``, the complexity ``lines``, then the warnings and
-    the verdict of either diagnostics record."""
-    verdict = "  verdict: provably empty — {}; the engine short-circuits " \
-        "to the empty result with no kernel dispatch".format(
-            diagnostics.empty_reason) if diagnostics.empty \
-        else "  verdict: satisfiable (no pre-flight obstruction found)"
-    return "\n".join(["diagnostics:"] + lines + [
-        "  warning: {}".format(warning) for warning in diagnostics.warnings
-    ] + [verdict])
+        verdict = "  verdict: provably empty — {}; the engine " \
+            "short-circuits to the empty result with no kernel dispatch" \
+            .format(self.empty_reason) if self.empty \
+            else "  verdict: satisfiable (no pre-flight obstruction found)"
+        return "\n".join(["diagnostics:"] + lines + [
+            "  warning: {}".format(warning) for warning in self.warnings
+        ] + [verdict])
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +261,7 @@ def analyze_compiled_query(dfa: LabelDFA, expression: LabelExpr,
     — no pair can ever be produced.
     """
     mentioned = frozenset(map(symbol_label, expression.symbols()))
-    unknown = frozenset(mentioned - graph_labels)
+    unknown = frozenset(mentioned - graph_labels - {None})
     minimal, removed = prune_dfa(dfa)
     warnings: List[str] = []
     if unknown:
@@ -307,103 +292,32 @@ def analyze_compiled_query(dfa: LabelDFA, expression: LabelExpr,
         star_height=star_height(expression),
         expression_size=label_expression_size(expression),
         warnings=tuple(warnings),
-        pinned=pinned_ends(minimal))
+        pinned=pinned_ends(minimal),
+        bindings=frozenset(vertex for row in minimal.transitions
+                           for symbol in row if type(symbol) is Guard
+                           for vertex in (symbol.tail, symbol.head)
+                           if vertex is not None))
 
 
-# ----------------------------------------------------------------------
-# Edge-level (structural) analysis — every other expression's pre-flight
-# ----------------------------------------------------------------------
-
-def _structurally_empty(expression: RegexExpr, graph: Any) -> Optional[str]:
-    """A reason string when ``expression`` provably matches no path in
-    ``graph``, else ``None``.
-
-    Sound by construction: atoms naming an absent label or an absent
-    bound vertex resolve to ∅; ∅ is absorbing for join and product,
-    neutral for union, and survives repeats only when at least one
-    repetition is required.  Literals are graph-independent (the paper's
-    explicit path sets), so only a literally-empty literal is empty.
-    """
-    expr = expression
-    if isinstance(expr, Empty):
-        return "the expression is the empty language {}"
-    if isinstance(expr, Atom):
-        if expr.label is not None and not graph.has_label(expr.label):
-            return "atom {} names label {!r}, which carries no edge".format(
-                expr, expr.label)
-        if expr.tail is not None and not graph.has_vertex(expr.tail):
-            return "atom {} binds tail vertex {!r}, which is not in the " \
-                "graph".format(expr, expr.tail)
-        if expr.head is not None and not graph.has_vertex(expr.head):
-            return "atom {} binds head vertex {!r}, which is not in the " \
-                "graph".format(expr, expr.head)
-        return None
-    if isinstance(expr, Literal):
-        if not expr.path_set:
-            return "the literal path set is empty"
-        return None
-    if isinstance(expr, Union):
-        reasons = [_structurally_empty(part, graph) for part in expr.parts]
-        if all(reason is not None for reason in reasons):
-            return "every union branch is empty (first: {})".format(
-                reasons[0])
-        return None
-    if isinstance(expr, (Join, Product)):
-        for part in expr.parts:
-            reason = _structurally_empty(part, graph)
-            if reason is not None:
-                return reason
-        return None
-    if isinstance(expr, Star):
-        return None  # stars always contain epsilon
-    if isinstance(expr, Repeat):
-        if expr.minimum == 0:
-            return None
-        return _structurally_empty(expr.inner, graph)
-    return None
-
-
-def _expression_names(expression: RegexExpr
-                      ) -> Tuple[Set[Hashable], Set[Hashable]]:
-    """``(labels, vertices)`` the expression's atoms name (wildcards
-    excluded): labels of atoms and literal edges, vertices atoms bind."""
-    labels, vertices = set(), set()
-    for atom in expression.atoms():
-        if isinstance(atom, Atom):
-            labels.add(atom.label)
-            vertices.update((atom.tail, atom.head))
-        elif isinstance(atom, Literal):
-            labels.update(edge.label for path in atom.path_set
-                          for edge in path)
-    return labels - {None}, vertices - {None}
-
-
-def analyze_expression(expression: RegexExpr, graph: Any) -> ExpressionDiagnostics:
-    """Pre-flight analysis of a general edge-set expression against a graph.
-
-    Used by ``Engine.query`` for every expression (including those that
-    also get the sharper DFA analysis through the pairs fast path) and by
-    ``Engine.explain`` for the diagnostics section of non-lowerable
-    queries.
-    """
-    mentioned, bound = _expression_names(expression)
-    unknown = frozenset(label for label in mentioned
-                        if not graph.has_label(label))
-    missing = frozenset(vertex for vertex in bound
-                        if not graph.has_vertex(vertex))
-    warnings: List[str] = []
-    if unknown:
-        warnings.append("label(s) {} never occur in this graph".format(
-            ", ".join(sorted(repr(label) for label in unknown))))
-    if missing:
-        warnings.append("bound vertex(es) {} are not in this graph".format(
-            ", ".join(sorted(repr(vertex) for vertex in missing))))
-    reason = _structurally_empty(expression, graph)
-    return ExpressionDiagnostics(
-        unknown_labels=unknown,
-        unknown_vertices=missing,
-        empty=reason is not None,
-        empty_reason=reason,
-        star_height=star_height(expression),
-        expression_size=expression.size(),
-        warnings=tuple(warnings))
+def absent_bindings(diagnostics: QueryDiagnostics, has_vertex,
+                    graph_labels: FrozenSet[Hashable]) -> QueryDiagnostics:
+    """``diagnostics`` judged on one graph's vertices, which the memo
+    (keyed per label alphabet) cannot see: without the transitions of
+    guards on vertices ``has_vertex`` rejects, either no accepting state
+    is reachable (provably empty) or those vertices become a warning."""
+    absent = {vertex for vertex in diagnostics.bindings
+              if not has_vertex(vertex)}
+    if not absent or diagnostics.empty:
+        return diagnostics
+    named = ", ".join(sorted(map(repr, absent)))
+    dfa = diagnostics.dfa
+    kept = [{symbol: target for symbol, target in row.items()
+             if type(symbol) is not Guard
+             or (symbol.tail not in absent and symbol.head not in absent)}
+            for row in dfa.transitions]
+    if _reachable(kept, dfa.start, graph_labels) & dfa.accepting:
+        return replace(diagnostics, warnings=diagnostics.warnings + (
+            "bound vertex(es) {} are not in this graph".format(named),))
+    return replace(diagnostics, empty=True, empty_reason=(
+        "every accepting run passes a guard on bound vertex(es) {}, which "
+        "are not in this graph".format(named)))

@@ -206,17 +206,11 @@ def _run_lint_query(graph: MultiRelationalGraph, pathql: str, out) -> int:
     proves it empty over this graph — so the command doubles as a gate in
     scripts that vet queries before shipping them.
     """
-    from repro.analysis.query import analyze_expression
     engine = Engine(graph)
-    expression = engine.compile(pathql)
-    route = engine.route(expression)
-    if route.constrained is not None:
-        diagnostics = route.diagnostics
-        out.write("route: pairs fast path ({})\n".format(
-            route.constrained.describe(diagnostics.pinned)))
-    else:
-        diagnostics = analyze_expression(expression, graph)
-        out.write("route: bounded automaton fallback (edge-set algebra)\n")
+    route = engine.route(engine.compile(pathql))
+    diagnostics = route.diagnostics
+    out.write("route: pairs fast path ({})\n".format(
+        route.constrained.describe(diagnostics.pinned)))
     out.write(diagnostics.describe() + "\n")
     return 1 if diagnostics.empty else 0
 

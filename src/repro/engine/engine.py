@@ -8,16 +8,15 @@ The pairs fast path
 -------------------
 Beyond the four path-materializing strategies, :meth:`Engine.pairs` answers
 the *reachability* question — which ``(source, target)`` pairs are connected
-by a matching path — without materializing any path.  An expression built
-from atoms (``[_, a, _]`` a label, an atom binding a vertex anywhere a
-:class:`~repro.graph.compact.Guard`) by union, join, star and small
-repeats lowers to a label RPQ (:func:`repro.rpq.lower_to_constrained_query`)
-that the compact product-BFS kernels of :mod:`repro.graph.compact`
-evaluate: the DFA comes from the engine's pre-flight memo keyed on
-``(expression, label alphabet)``, the CSR snapshot from the version-keyed
-snapshot cache (patched incrementally after mutations), and a **direction
-cost model** (:meth:`Planner.choose_rpq_direction`, driven by per-label
-degree profiles) picks among three kernels:
+by a matching path — without materializing any path.  Every expression
+lowers to a label RPQ (:func:`repro.rpq.lower_to_constrained_query`: atoms
+to labels or :class:`~repro.graph.compact.Guard` symbols, literal paths to
+pinned moves, products to a jump) that the compact product-BFS kernels of
+:mod:`repro.graph.compact` evaluate: the DFA comes from the engine's
+pre-flight memo (``max_length`` cuts it to the words of at most that many
+edges), the CSR snapshot from the version-keyed snapshot cache, and a
+**direction cost model** (:meth:`Planner.choose_rpq_direction`) picks among
+three kernels:
 
 * **forward** — product BFS from the sources over the forward CSR (one
   search per source, or one bit-parallel search per batch of many),
@@ -30,15 +29,10 @@ degree profiles) picks among three kernels:
 How a read is evaluated is one decision, :meth:`Engine.route` (lower ->
 pre-flight DFA and emptiness verdict -> narrow the endpoint filters to the
 vertices guards pin -> planner direction -> planner parallelism): a kernel
-above runs (or the seed-range fan-out of a forward sweep); none runs when
-pre-flight proves the answer empty or no vertex passes the filters; and
-literals, products, oversized repeats or an explicit ``max_length`` (which
-the *unbounded* kernels cannot honor) run the bounded ``automaton``
-strategy, projecting endpoints from the witness paths
-(:func:`repro.engine.executor.endpoint_pairs` keeps the filter/reflexive
-semantics identical).  :meth:`Engine.pairs` and every
-:meth:`Engine.pairs_batch` member run that route and ``EXPLAIN`` prints it
-(the trailing ``pairs ...`` lines), so what is described is what runs.
+above runs (or the seed-range fan-out of a forward sweep), or none when
+pre-flight proves the answer empty or no vertex passes the filters.
+:meth:`Engine.pairs` and every :meth:`Engine.pairs_batch` member run that
+route and ``EXPLAIN`` prints it, so what is described is what runs.
 
 Example
 -------
@@ -66,7 +60,7 @@ from repro.concurrency import ordered_lock
 from repro.core.path import Path
 from repro.core.pathset import PathSet
 from repro.core.projection import BinaryProjection, project_paths
-from repro.engine.executor import STRATEGIES, endpoint_pairs, run_strategy
+from repro.engine.executor import STRATEGIES, run_strategy
 from repro.engine.plan import PlanNode
 from repro.engine.planner import PairsRoute, Planner
 from repro.engine.stats import GraphStatistics
@@ -96,12 +90,16 @@ def _compile_text(text: str) -> RegexExpr:
     return normalize(parse(text))
 
 
-def _preflight(graph, label_expression, labels) -> "QueryDiagnostics":
+def _preflight(graph, label_expression, labels,
+               max_length) -> "QueryDiagnostics":
     """:meth:`Engine.preflight` over ``graph``, whose labels are ``labels``."""
-    from repro.analysis.query import analyze_compiled_query
+    from repro.analysis.query import analyze_compiled_query, bound_dfa, \
+        prune_dfa
     from repro.rpq.evaluation import compile_rpq
-    return analyze_compiled_query(compile_rpq(label_expression, graph),
-                                  label_expression, labels)
+    dfa = compile_rpq(label_expression, graph)
+    if max_length is not None:
+        dfa = bound_dfa(prune_dfa(dfa)[0], max_length)
+    return analyze_compiled_query(dfa, label_expression, labels)
 
 
 def _statistics(graph, version: int) -> GraphStatistics:
@@ -227,9 +225,9 @@ class Engine:
         mapped, the log suffix replayed into the overlay — and binds the
         engine to the store itself (also ``engine.store``, for
         ``checkpoint()`` / ``close()``).  ``pairs`` and writes through
-        ``engine.graph`` run on the mapped view; a ``bounded`` read or
-        :meth:`query` materializes the dict graph, whose writes reach the
-        store's view and log.
+        ``engine.graph`` run on the mapped view; only :meth:`query`
+        materializes the dict graph, whose writes reach the store's view
+        and log.
         """
         from repro.storage import PersistentGraph
         store = PersistentGraph.open(directory)
@@ -249,11 +247,13 @@ class Engine:
         """
         return self._statistics(self.graph.version())
 
-    def preflight(self, label_expression) -> "QueryDiagnostics":
+    def preflight(self, label_expression,
+                  max_length: Optional[int] = None) -> "QueryDiagnostics":
         """Pre-flight analysis for a label expression, memoised
         (``_DFA_CACHE_CAP`` entries, least recently used out first).
 
-        Compiles the expression (subset construction), then runs
+        Compiles the expression (cut to the words of at most
+        ``max_length`` edges: :func:`~repro.analysis.query.bound_dfa`), runs
         :func:`repro.analysis.query.analyze_compiled_query` over it: the
         DFA is minimised (dead, unreachable and equivalent states go; the
         language is unchanged), unknown labels become warnings, and
@@ -261,13 +261,12 @@ class Engine:
         reachable through labels the graph actually carries — becomes a
         verdict :meth:`pairs` / :meth:`pairs_batch` short-circuit on.
 
-        Keyed by ``(expression, label alphabet)`` — the alphabet frozenset
-        is the "alphabet version": mutations that do not add or retire a
-        label keep every cached entry valid, so steady-state repeated
-        queries pay neither re-determinization nor re-analysis.  The memo
+        Keyed by ``(expression, label alphabet, max_length)``: mutations
+        that do not add or retire a label keep every entry valid.  The memo
         is a ``functools.lru_cache``, so concurrent reads share it safely.
         """
-        return self._preflight(label_expression, self.graph.labels())
+        return self._preflight(label_expression, self.graph.labels(),
+                               max_length)
 
     def compiled_dfa(self, label_expression):
         """The minimal DFA for a label expression, via :meth:`preflight`.
@@ -376,39 +375,27 @@ class Engine:
                 sources: Optional[frozenset] = None,
                 targets: Optional[frozenset] = None,
                 processes: Optional[int] = None) -> str:
-        """EXPLAIN: the annotated plan tree, plus pairs-fast-path routing.
+        """EXPLAIN: the annotated plan tree, plus pairs routing.
 
         The trailing lines print the :meth:`route` a :meth:`pairs` call
-        with the same arguments would take — the compact product-BFS
-        kernels or bounded path materialization, the direction the cost
-        model picks for the endpoint filters (with its frontier-work
-        estimates), whether the fan-out runs it (over how many
-        processes) — then the state of the graph's compact
-        snapshot cache (cold, base CSR, or delta overlay awaiting
-        compaction) and the engine's cache hit rates — so staleness,
-        parallelism and cache wins are all visible next to the plan.
-
-        The output closes with a ``diagnostics:`` section from pre-flight
-        analysis (see :mod:`repro.analysis.query`): star-height and DFA
-        state-count complexity estimates, pruned-state counts, warnings
-        about labels the graph has never seen, and — when the analysis can
+        with the same arguments would take — the kernel, the direction the
+        cost model picks (with its frontier-work estimates), the fan-out —
+        then the compact snapshot cache's state and the engine's cache hit
+        rates, and close with the pre-flight's ``diagnostics:`` section
+        (:mod:`repro.analysis.query`): complexity estimates, pruned states,
+        warnings about absent labels or bound vertices, and — when it can
         prove it — a "provably empty" verdict, which :meth:`pairs`,
-        :meth:`pairs_batch` and :meth:`query` short-circuit on without a
-        kernel dispatch.
+        :meth:`pairs_batch` and :meth:`query` short-circuit on.
         """
-        from repro.analysis.query import analyze_expression
         expression = self.compile(query)
         text = self.plan(expression, max_length).explain()
         route = self.route(expression, _frozen(sources), _frozen(targets),
                            max_length, processes)
-        diagnostics = route.diagnostics
-        if diagnostics is None:
-            # The bounded strategy runs: its pre-flight is structural.
-            diagnostics = analyze_expression(expression, self.graph)
         snapshot_note = "compact snapshot: " \
             + compact.snapshot_state(self.graph)
         return text + "\n" + route.describe() + "\n" + snapshot_note \
-            + "\n" + self._cache_note() + "\n" + diagnostics.describe()
+            + "\n" + self._cache_note() + "\n" \
+            + route.diagnostics.describe()
 
     def _cache_note(self) -> str:
         """The EXPLAIN line summarizing :meth:`cache_stats`."""
@@ -433,18 +420,21 @@ class Engine:
         """How :meth:`pairs` evaluates one read — decided once, here (see
         the module docstring): :meth:`pairs` / :meth:`pairs_batch` run the
         :class:`~repro.engine.planner.PairsRoute`, :meth:`explain` prints
-        it.  ``expression`` is what :meth:`compile` returned; an explicit
-        ``max_length`` skips the lowering.  A wildcard label ``_`` lowers to
+        it.  ``expression`` is what :meth:`compile` returned; ``max_length``
+        bounds the pre-flight's automaton.  A wildcard label ``_`` lowers to
         the union of the graph's labels, so it routes like that union."""
+        from repro.analysis.query import absent_bindings
         from repro.rpq.evaluation import lower_to_constrained_query
-        constrained = None if max_length is not None \
-            else lower_to_constrained_query(expression, self.graph.labels())
-        if constrained is None:
-            return PairsRoute("bounded", None, sources, targets, max_length)
-        diagnostics = self.preflight(constrained.label_expression)
+        labels = self.graph.labels()
+        constrained = lower_to_constrained_query(expression, labels)
+        diagnostics = self.preflight(constrained.label_expression, max_length)
+        if diagnostics.bindings:  # checked per read: vertices come and go
+            diagnostics = absent_bindings(diagnostics, self.graph.has_vertex,
+                                          labels)
         if diagnostics.empty:
             # Pre-flight proved the answer is empty (empty language, or no
-            # accepting state reachable through labels the graph carries).
+            # accepting state reachable through labels and bound vertices
+            # the graph carries).
             return PairsRoute("none", constrained, sources, targets,
                               empty="pre-flight analysis proved the result "
                                     "empty (short-circuit, no kernel "
@@ -471,13 +461,11 @@ class Engine:
             constrained, sources, targets, diagnostics=diagnostics,
             direction=direction, parallelism=parallelism)
 
-    def _run(self, route: PairsRoute, expression: RegexExpr) -> PairBlocks:
-        """Evaluate ``route`` (``expression``'s) in this process."""
+    def _run(self, route: PairsRoute) -> PairBlocks:
+        """Evaluate ``route`` in this process."""
         kernel = route.kernel
         if kernel == "none":
             return PairBlocks(())
-        if kernel == "bounded":
-            return self._bounded_pairs(route, expression)
         dfa = route.diagnostics.dfa
         if kernel == "bidirectional":
             return compact.rpq_pairs_bidirectional(
@@ -493,30 +481,15 @@ class Engine:
                                          targets=route.targets)
 
     def _dict_graph(self) -> MultiRelationalGraph:
-        """The dict graph path walks (``bounded`` pairs, :meth:`query`)
-        need: the source, or a store's (materialized on first use)."""
+        """The dict graph :meth:`query`'s path walks need: the source, or a
+        store's (materialized on first use)."""
         if isinstance(self.graph, MultiRelationalGraph):
             return self.graph
         if not hasattr(self.graph, "graph"):
-            raise ExecutionError("the bounded edge-set strategy needs the "
-                                 "dict graph, which a {} does not have"
+            raise ExecutionError("path queries need the dict graph, which a "
+                                 "{} does not have"
                                  .format(type(self.graph).__name__))
         return self.graph.graph()
-
-    def _bounded_pairs(self, route: PairsRoute,
-                       expression: RegexExpr) -> PairBlocks:
-        """Endpoint pairs of the automaton strategy's witness paths, which
-        are scratch: no cache entry but the caller's pair answer."""
-        from repro.analysis.query import analyze_expression
-        graph = self._dict_graph()
-        bound = route.max_length if route.max_length is not None \
-            else self.default_max_length
-        paths = PathSet() if analyze_expression(expression, graph).empty \
-            else run_strategy("automaton", graph, expression, None,
-                              bound, None)
-        return PairBlocks.from_pairs(endpoint_pairs(
-            paths, expression, graph,
-            sources=route.sources, targets=route.targets))
 
     def _probe(self, expression: RegexExpr, sources: Optional[frozenset],
                targets: Optional[frozenset], max_length: Optional[int],
@@ -542,7 +515,7 @@ class Engine:
             return cached
         route = self.route(expression, sources, targets, max_length,
                            processes)
-        answer = self._run(route, expression)
+        answer = self._run(route)
         if self.cache is not None:
             self.cache.put(
                 expression, max_length, version, "pairs", answer,
@@ -564,14 +537,11 @@ class Engine:
         the sweep computed, so an all-sources answer costs its members,
         not a tuple per pair, until a caller asks for a hash table.
 
-        Expressions that lower to a label RPQ (see module docstring) run
-        the compact product-BFS kernels: exact, *unbounded* reachability,
-        the DFA served from the engine's cache and the direction (forward
-        / backward / bidirectional) chosen by the cost model.  Literals,
-        products, oversized repeats and an explicit ``max_length`` run the
-        bounded ``automaton`` strategy, projecting endpoint pairs from the
-        witness paths with identical filter/reflexive semantics
-        (:func:`~repro.engine.executor.endpoint_pairs`).
+        Every expression runs the compact product-BFS kernels (see the
+        module docstring): exact reachability, the DFA served from the
+        engine's cache and the direction (forward / backward /
+        bidirectional) chosen by the cost model.  ``max_length=k`` answers
+        the walks of at most ``k`` edges, exactly.
 
         ``sources``/``targets`` of ``None`` mean all vertices; otherwise
         only pairs whose endpoints are in the given sets are returned.
@@ -644,14 +614,12 @@ class Engine:
             raise ExecutionError(
                 "unknown strategy {!r}; expected one of {}".format(
                     strategy, STRATEGIES))
-        from repro.analysis.query import analyze_expression
         expression = self.compile(query)
         bound = max_length if max_length is not None else self.default_max_length
         graph = self._dict_graph()
-        diagnostics = analyze_expression(expression, graph)
-        if diagnostics.empty:
-            # Structural pre-flight proved the language empty over this
-            # graph (absent labels/vertices, empty literals, ...): skip
+        if self.route(expression).kernel == "none":
+            # The pairs pre-flight proved no path matches over this graph
+            # (absent labels or bound vertices, an empty language): skip
             # planning, caching and execution entirely.
             return QueryResult(paths=PathSet(), expression=expression,
                                strategy=strategy, max_length=bound,

@@ -151,19 +151,12 @@ def endpoint_pairs(paths: PathSet, expression: RegexExpr,
                    ) -> frozenset:
     """Project witness paths to filtered ``(source, target)`` endpoint pairs.
 
-    The single definition of the ``Engine.pairs`` fallback semantics, kept
-    in lock-step with the compact reachability kernels:
-
-    * non-empty paths contribute ``(tail, head)`` when the tail passes the
-      ``sources`` filter and the head the ``targets`` filter;
-    * a nullable expression additionally matches the empty path *at every
-      vertex*, contributing the reflexive pair ``(v, v)`` for each live
-      vertex that passes **both** filters — the same rule the kernels
-      apply via the DFA's accepting start state.
-
-    Keeping one implementation prevents the fast and fallback paths from
-    drifting (the historical bug: filters applied to witness paths but not
-    to the reflexive completion, or vice versa).
+    The path strategies' meaning of an ``Engine.pairs`` answer, and its
+    test oracle: non-empty paths contribute ``(tail, head)`` when the tail
+    passes the ``sources`` filter and the head the ``targets`` filter; a
+    nullable expression also matches the empty path *at every graph
+    vertex* passing **both** filters — the rule the kernels apply via the
+    DFA's accepting start state.
     """
     source_ok = None if sources is None else frozenset(sources)
     target_ok = None if targets is None else frozenset(targets)

@@ -43,7 +43,11 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 from repro.concurrency import ordered_lock, release_resource, track_resource
 from repro.errors import ExecutionError, WorkerPoolError
 from repro.faults import worker_fault_point
-from repro.graph.compact import adjacency_snapshot, rpq_pairs_on_snapshot
+from repro.graph.compact import (
+    _call_view,
+    adjacency_snapshot,
+    rpq_pairs_on_snapshot,
+)
 from repro.graph.pairs import PairBlocks
 from repro.graph.sharding import live_ids_in_range, row_degrees, shard_ranges
 
@@ -388,7 +392,9 @@ class ParallelExecutor:
         version = self.graph.version()
         ctx = self._context(version)
         snapshot = _FORK_PAYLOADS[self._token]["snapshot"]
-        vertex_ids = snapshot.vertex_ids
+        # A vertex only a literal names is seeded by its call-local id.
+        view, sources = _call_view(snapshot, dfa, sources)
+        vertex_ids = view.vertex_ids
         if sources is None:
             specs = [("range", lo, hi)
                      for lo, hi in self._source_ranges(snapshot, version,

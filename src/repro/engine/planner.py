@@ -143,19 +143,17 @@ class PairsRoute:
 
     ``kernel`` names what runs: ``"forward"`` / ``"backward"`` /
     ``"bidirectional"`` single-core, ``"fan-out"`` (forward sweep split
-    by seed range), ``"none"`` or ``"bounded"`` (``automaton`` strategy:
-    not eligible, or ``max_length`` given — ``constrained`` is ``None``).
-    ``sources`` / ``targets`` are the endpoint filters narrowed to the
-    vertices guards pin (``diagnostics.pinned``), ``empty`` the reason no
-    kernel needs to run, ``diagnostics`` the pre-flight record (set
-    whenever ``constrained`` is), the last two the planner's picks.
+    by seed range) or ``"none"``.  ``sources`` / ``targets`` are the
+    endpoint filters narrowed to the vertices guards pin
+    (``diagnostics.pinned``), ``empty`` the reason no kernel needs to run,
+    ``diagnostics`` the pre-flight record, the last two the planner's
+    picks.
     """
 
     kernel: str
-    constrained: Optional["ConstrainedQuery"]
+    constrained: "ConstrainedQuery"
     sources: Optional[frozenset]
     targets: Optional[frozenset]
-    max_length: Optional[int] = None
     empty: Optional[str] = None
     diagnostics: Optional["QueryDiagnostics"] = None
     direction: Optional[DirectionChoice] = None
@@ -163,17 +161,8 @@ class PairsRoute:
 
     def describe(self) -> str:
         """The ``pairs ...`` lines of EXPLAIN output."""
-        if self.kernel == "bounded":
-            if self.max_length is not None:
-                return ("pairs fast path: not used — explicit max_length={} "
-                        "bounds the answer; Engine.pairs() runs the bounded "
-                        "automaton strategy").format(self.max_length)
-            return ("pairs fast path: not eligible — expression needs the "
-                    "edge-set algebra (a literal, a product or an oversized "
-                    "repeat); Engine.pairs() falls back to bounded automaton "
-                    "evaluation")
         note = ("pairs fast path: eligible — {}; Engine.pairs() runs "
-                "the compact product-BFS kernels (unbounded, no path "
+                "the compact product-BFS kernels (exact, no path "
                 "materialization)").format(
             self.constrained.describe(self.diagnostics.pinned))
         if self.kernel == "none":

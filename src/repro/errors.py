@@ -25,6 +25,7 @@ __all__ = [
     "PathQLSyntaxError",
     "PlanningError",
     "ExecutionError",
+    "QueryTooLargeError",
     "SerializationError",
     "StorageError",
     "StoreDegradedError",
@@ -163,6 +164,12 @@ class PlanningError(PathAlgebraError):
 
 class ExecutionError(PathAlgebraError):
     """Plan execution failed."""
+
+
+class QueryTooLargeError(ExecutionError):
+    """A read would build an automaton past the fixed size bound (a huge
+    repeat, or a huge ``max_length``): refused before it is built, never
+    truncated."""
 
 
 class SerializationError(PathAlgebraError):

@@ -69,6 +69,7 @@ keep their pure-Python implementations.
 from __future__ import annotations
 
 import weakref
+from collections import ChainMap
 from itertools import compress
 from operator import lt
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
@@ -83,7 +84,12 @@ __all__ = [
     "DeltaAdjacency",
     "CompactDiGraph",
     "Guard",
+    "Pinned",
+    "Jump",
+    "LEAVE",
+    "ENTER",
     "symbol_label",
+    "symbol_length",
     "adjacency_snapshot",
     "install_snapshot",
     "digraph_snapshot",
@@ -646,9 +652,110 @@ class Guard:
                                        in (self.tail, self.label, self.head)))
 
 
+@dataclass(frozen=True)
+class Pinned:
+    """A literal path ``(e1 ... en)`` as a DFA symbol: one move from
+    ``e1.tail`` to ``en.head`` over ``length`` edges, graph-independent."""
+
+    tail: Hashable
+    head: Hashable
+    length: int
+
+    def __str__(self) -> str:
+        return "{{{}..{}: {} edge(s)}}".format(self.tail, self.head,
+                                              self.length)
+
+
+@dataclass(frozen=True)
+class Jump:
+    """Half of a product's jump, over no edge: ``LEAVE`` moves any vertex
+    to a call's hub, ``ENTER`` the hub to any vertex (:class:`_CallView`)."""
+
+    enter: bool
+
+
+LEAVE, ENTER = Jump(False), Jump(True)
+
+
 def symbol_label(symbol: Hashable) -> Hashable:
-    """The edge label a DFA symbol reads: a guard's label, or the symbol."""
-    return symbol.label if type(symbol) is Guard else symbol
+    """The edge label a DFA symbol reads: a guard's label, the symbol, or
+    ``None`` for a :class:`Pinned` literal or a :class:`Jump`."""
+    if type(symbol) is Guard:
+        return symbol.label
+    return None if type(symbol) in (Pinned, Jump) else symbol
+
+
+def symbol_length(symbol: Hashable) -> int:
+    """The edges one move over ``symbol`` consumes (``max_length``'s unit)."""
+    if type(symbol) is Pinned:
+        return symbol.length
+    return 0 if type(symbol) is Jump else 1
+
+
+class _CallView:
+    """A snapshot as one kernel call over a DFA with :class:`Pinned` or
+    :class:`Jump` symbols sees it: the ids they need past ``num_slots``,
+    kept on the call, never written into the snapshot.
+
+    A vertex a literal names that the snapshot lacks gets two ids: paths
+    start at one (``vertex_ids``) and reach it at the other
+    (``head_ids``), so the empty path never pairs it with itself — that
+    pair is a graph vertex's.  Every jump passes the one ``hub`` id, so
+    the pairs through it form one crossed block.
+    """
+
+    def __init__(self, snapshot, absent: List[Hashable]):
+        slots, count = snapshot.num_slots, len(absent)
+        self.snapshot = snapshot
+        self.starts = dict(zip(absent, range(slots, slots + count)))
+        self.ends = dict(zip(absent, range(slots + count, slots + 2 * count)))
+        self.vertex_ids = ChainMap(self.starts, snapshot.vertex_ids)
+        self.head_ids = ChainMap(self.ends, snapshot.vertex_ids)
+        self.hub = slots + 2 * count
+        self.num_slots = self.hub + 1
+        self.vertex_of = list(snapshot.vertex_of) + absent + absent + [None]
+
+    def live_vertex_ids(self) -> List[int]:
+        """Live snapshot ids, then the absent vertices' start ids."""
+        return list(self.snapshot.live_vertex_ids()) \
+            + list(self.starts.values())
+
+    def block(self, symbol, reverse: bool) -> AdjacencyBlock:
+        """A literal's rows, from its tail's ids (both, for an absent
+        vertex) to its head's path-head id; a jump's: one CSR cell per id
+        holding the hub (``LEAVE``), or the hub's row of every vertex
+        (``ENTER``); reversed, the other way round."""
+        if type(symbol) is Jump:
+            if symbol.enter == reverse:
+                return (range(self.num_slots + 1), [self.hub] * self.num_slots,
+                        _NO_ROWS, self.num_slots)
+            rows = {self.hub: list(self.snapshot.live_vertex_ids())
+                    + list(self.ends.values())}
+        else:
+            tails = [self.vertex_ids[symbol.tail]] + (
+                [self.ends[symbol.tail]] if symbol.tail in self.ends else [])
+            head = self.head_ids[symbol.head]
+            rows = {head: tails} if reverse \
+                else {tail: [head] for tail in tails}
+        return _EMPTY_INDPTR, _EMPTY_INDICES, rows, 0
+
+
+def _call_view(snapshot, dfa, *filters):
+    """``(view, *filters)`` for one kernel call over ``dfa``: its
+    :class:`_CallView` when it has :class:`Pinned` or :class:`Jump`
+    symbols, else the snapshot; with absent vertices a ``None`` filter
+    becomes every vertex, so each end reads its own ids."""
+    symbols = [symbol for row in dfa.transitions for symbol in row
+               if type(symbol) in (Pinned, Jump)]
+    if not symbols:
+        return (snapshot,) + filters
+    known = snapshot.vertex_ids
+    absent = sorted({vertex for symbol in symbols if type(symbol) is Pinned
+                     for vertex in (symbol.tail, symbol.head)} - known.keys(),
+                    key=repr)
+    everyone = frozenset(known).union(absent) if absent else None
+    return (_CallView(snapshot, absent),) + tuple(
+        everyone if ends is None else ends for ends in filters)
 
 
 def _guard_rows(snapshot, guard: Guard, label_id: int,
@@ -685,39 +792,51 @@ def _product_moves(snapshot, dfa, reverse: bool) -> List[List[Tuple]]:
     under ``q``, so a step walks in-neighbors while undoing the DFA move —
     exactly the product automaton of the reversed graph with the reversed
     NFA, restricted to the states the forward DFA already built.  A
-    :class:`Guard`'s block is patched rows only (:func:`_guard_rows`).
+    :class:`Guard`'s block is patched rows only (:func:`_guard_rows`), as
+    are a literal's and a jump's (:meth:`_CallView.block`).
 
     :func:`_sweep` and :func:`_propagate` inline the block read (the
     vertex's patched row if the overlay touched it, else its base CSR
     slice) in their hot loops: a helper call per (vertex, move) expansion
     costs more than the read itself at interpreter speed.
     """
+    view = snapshot
+    if type(view) is _CallView:
+        snapshot = view.snapshot
     block_of = snapshot.in_block if reverse else snapshot.out_block
     moves: List[List[Tuple]] = [[] for _ in range(dfa.num_states)]
     for state in range(dfa.num_states):
         for symbol, next_state in dfa.transitions[state].items():
-            label_id = snapshot.label_ids.get(symbol_label(symbol))
-            if label_id is None:
-                continue
-            if type(symbol) is Guard:
-                rows = _guard_rows(snapshot, symbol, label_id, reverse)
-                if not rows:
-                    continue
-                block = (_EMPTY_INDPTR, _EMPTY_INDICES, rows, 0)
+            kind = type(symbol)
+            if kind is Pinned or kind is Jump:
+                block = view.block(symbol, reverse)
             else:
-                block = block_of(label_id)
+                label_id = snapshot.label_ids.get(symbol_label(symbol))
+                if label_id is None:
+                    continue
+                if kind is Guard:
+                    rows = _guard_rows(snapshot, symbol, label_id, reverse)
+                    if not rows:
+                        continue
+                    block = (_EMPTY_INDPTR, _EMPTY_INDICES, rows, 0)
+                else:
+                    block = block_of(label_id)
             here, there = (next_state, state) if reverse \
                 else (state, next_state)
             moves[here].append(block + (there,))
     return moves
 
 
-def _seed_ids(snapshot, vertices: Optional[Iterable[Hashable]]):
+def _seed_ids(snapshot, vertices: Optional[Iterable[Hashable]],
+              heads: bool = False):
     """Dense ids a search starts from: every live vertex for ``None``,
-    else the known vertices of the filter, deduplicated and ascending."""
+    else the known vertices of the filter, deduplicated and ascending.
+    ``heads`` reads a :class:`_CallView`'s path-head ids, for the filter a
+    search answers at (or a backward one starts from)."""
     if vertices is None:
         return snapshot.live_vertex_ids()
-    vertex_ids = snapshot.vertex_ids
+    vertex_ids = snapshot.head_ids if heads and type(snapshot) is _CallView \
+        else snapshot.vertex_ids
     return sorted({vertex_ids[v] for v in vertices if v in vertex_ids})
 
 
@@ -855,7 +974,7 @@ def _sweep(snapshot, dfa, seed_ids: Sequence[int],
     wanted_ok: Optional[bytearray] = None
     num_wanted = 0
     if wanted is not None:
-        wanted_ids = _seed_ids(snapshot, wanted)
+        wanted_ids = _seed_ids(snapshot, wanted, not reverse)
         if not wanted_ids:
             return PairBlocks(())
         num_wanted = len(wanted_ids)
@@ -974,6 +1093,7 @@ def rpq_pairs_on_snapshot(snapshot, dfa,
     interned here); both ``None`` means every live vertex.  Repeated ids
     count once: a seed swept twice would repeat its block of the answer.
     """
+    snapshot, sources, targets = _call_view(snapshot, dfa, sources, targets)
     if source_ids is None:
         seed_ids: Sequence[int] = _seed_ids(snapshot, sources)
     elif isinstance(source_ids, range) or (
@@ -1003,8 +1123,10 @@ def rpq_pairs_backward(graph, dfa,
     planner's direction model decides).  ``sources`` restricts emissions,
     and a per-target BFS stops early once every wanted source has answered.
     """
-    snapshot = adjacency_snapshot(graph)
-    return _sweep(snapshot, dfa, _seed_ids(snapshot, targets), sources, True)
+    snapshot, targets, sources = _call_view(adjacency_snapshot(graph), dfa,
+                                            targets, sources)
+    return _sweep(snapshot, dfa, _seed_ids(snapshot, targets, True), sources,
+                  True)
 
 
 def _propagate(frontier: List[int], moves: List[List[Tuple]],
@@ -1072,12 +1194,12 @@ def rpq_pairs_bidirectional(graph, dfa, sources: Iterable[Hashable],
     selective, and the reason the planner gates this kernel on bounded
     source *and* target sets.
     """
-    snapshot = adjacency_snapshot(graph)
+    snapshot = _call_view(adjacency_snapshot(graph), dfa)[0]
     num_states = dfa.num_states
     vertex_of = snapshot.vertex_of
 
     source_ids = _seed_ids(snapshot, sources)
-    target_ids = _seed_ids(snapshot, targets)
+    target_ids = _seed_ids(snapshot, targets, True)
     if not source_ids or not target_ids:
         return PairBlocks(())
 

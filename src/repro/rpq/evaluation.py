@@ -21,14 +21,20 @@ agree on path labels — which is exactly the paper's remark that its regex is
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.core.path import EPSILON, Path
 from repro.core.pathset import PathSet
+from repro.errors import ExecutionError, QueryTooLargeError, RegexError
 from repro.graph.compact import (
+    ENTER,
+    LEAVE,
     Guard,
+    Jump,
+    Pinned,
     rpq_pairs_backward,
     rpq_pairs_bidirectional,
     rpq_pairs_compact,
@@ -47,6 +53,7 @@ from repro.rpq.labelregex import (
     build_label_nfa,
     determinize,
     lconcat,
+    lunion,
 )
 
 __all__ = [
@@ -81,6 +88,17 @@ def _kernel_dfa(expression: LabelExpr,
     while :func:`rpq_pairs_basic` keeps the raw subset construction."""
     from repro.analysis.query import prune_dfa  # it imports this package
     return prune_dfa(compile_rpq(expression, graph))[0]
+
+
+def _reference_dfa(expression: LabelExpr,
+                   graph: MultiRelationalGraph) -> LabelDFA:
+    """:func:`compile_rpq` for the references, which step the DFA edge by
+    edge (:meth:`LabelDFA.moves`) and so refuse a symbol reading none."""
+    for symbol in expression.symbols():
+        if type(symbol) in (Pinned, Jump):
+            raise ExecutionError("the edge-by-edge references cannot "
+                                 "evaluate the symbol {}".format(symbol))
+    return compile_rpq(expression, graph)
 
 
 def rpq_pairs(graph: MultiRelationalGraph, expression: LabelExpr,
@@ -156,7 +174,7 @@ def rpq_pairs_basic(graph: MultiRelationalGraph, expression: LabelExpr,
     ``test_chaos.py``): it resolves adjacency through the hash indices
     (one frozenset per ``match`` pattern) instead of the compact snapshot.
     """
-    dfa = compile_rpq(expression, graph)
+    dfa = _reference_dfa(expression, graph)
     start_vertices = graph.vertices() if sources is None else sources
     answers: Set[Tuple[Hashable, Hashable]] = set()
     for source in start_vertices:
@@ -169,16 +187,14 @@ def rpq_pairs_basic(graph: MultiRelationalGraph, expression: LabelExpr,
         while queue:
             vertex, state = queue.popleft()
             for e in graph.match(tail=vertex):
-                next_state = dfa.step(state, e.label)
-                if next_state is None:
-                    continue
-                config = (e.head, next_state)
-                if config in seen:
-                    continue
-                seen.add(config)
-                if next_state in dfa.accepting:
-                    answers.add((source, e.head))
-                queue.append(config)
+                for next_state in dfa.moves(state, e):
+                    config = (e.head, next_state)
+                    if config in seen:
+                        continue
+                    seen.add(config)
+                    if next_state in dfa.accepting:
+                        answers.add((source, e.head))
+                    queue.append(config)
     return frozenset(answers)
 
 
@@ -190,17 +206,12 @@ def rpq_paths(graph: MultiRelationalGraph, expression: LabelExpr,
     Product BFS like :func:`rpq_pairs` but materializing paths; bounded by
     ``max_length`` because stars over cycles are infinite.
 
-    No dedup set is kept: every queued configuration ``(vertex, state, path)``
-    is uniquely determined by its path (the vertex is the path's head, and
-    the DFA being deterministic fixes the state as the run over the path's
-    label word), and each path is generated exactly once — its parent
-    configuration is unique and dequeued once, and source vertices are
-    deduplicated up front.  The seed implementation stored the full
-    :class:`Path` inside every entry of a ``seen`` set "guarding" against
-    revisits that cannot happen, which made memory O(paths x length) twice
-    over; the regression test pins the fixed behaviour.
+    No dedup set is kept: a queued configuration ``(vertex, state, path)``
+    is one of the few its path determines (the vertex is its head, the
+    states the DFA's runs over its edges), so storing paths in a ``seen``
+    set would only cost memory; the regression test pins that.
     """
-    dfa = compile_rpq(expression, graph)
+    dfa = _reference_dfa(expression, graph)
     start_vertices = frozenset(graph.vertices() if sources is None else sources)
     out: Set[Path] = set()
     queue: deque = deque()
@@ -215,13 +226,11 @@ def rpq_paths(graph: MultiRelationalGraph, expression: LabelExpr,
         if len(path) >= max_length:
             continue
         for e in graph.match(tail=vertex):
-            next_state = dfa.step(state, e.label)
-            if next_state is None:
-                continue
             grown = path.concat(Path((e,)))
-            if next_state in dfa.accepting:
-                out.add(grown)
-            queue.append((e.head, next_state, grown))
+            for next_state in dfa.moves(state, e):
+                if next_state in dfa.accepting:
+                    out.add(grown)
+                queue.append((e.head, next_state, grown))
     return PathSet(out)
 
 
@@ -237,7 +246,7 @@ def regular_simple_paths(graph: MultiRelationalGraph, expression: LabelExpr,
     """
     if not graph.has_vertex(source) or not graph.has_vertex(target):
         return PathSet.empty()
-    dfa = compile_rpq(expression, graph)
+    dfa = _reference_dfa(expression, graph)
     bound = max_length if max_length is not None else graph.order() - 1
     results: Set[Path] = set()
 
@@ -250,11 +259,10 @@ def regular_simple_paths(graph: MultiRelationalGraph, expression: LabelExpr,
         for e in graph.match(tail=vertex):
             if e.head in visited:
                 continue
-            next_state = dfa.step(state, e.label)
-            if next_state is None:
-                continue
             visited.add(e.head)
-            backtrack(e.head, next_state, path.concat(Path((e,))), visited)
+            for next_state in dfa.moves(state, e):
+                backtrack(e.head, next_state, path.concat(Path((e,))),
+                          visited)
             visited.discard(e.head)
 
     backtrack(source, dfa.start, EPSILON, {source})
@@ -293,17 +301,17 @@ def lift_to_edge_expression(expression: LabelExpr):
     raise TypeError("unknown label expression {!r}".format(expr))
 
 
-#: Bounded-repeat expansion limit for :func:`lower_to_label_expression` —
-#: beyond this the expanded concatenation stops being cheaper than the
-#: generic evaluator.
-_MAX_REPEAT_EXPANSION = 16
+#: The most nodes one lowered repeat may have and the most states a
+#: ``max_length`` automaton may have: past it a read raises
+#: :class:`~repro.errors.QueryTooLargeError` before building either.
+SIZE_BOUND = 1024
 
 
 def _atom_symbols(atom, alphabet: Optional[FrozenSet[Hashable]]
-                  ) -> Optional[LabelExpr]:
+                  ) -> LabelExpr:
     """``atom`` as DFA symbols: its label, or a :class:`Guard` when it
     binds a vertex; for the wildcard ``_`` the union of one per label of
-    ``alphabet`` (``None`` without one; nothing for an empty one)."""
+    ``alphabet`` (nothing for an empty one)."""
     bound = atom.tail is not None or atom.head is not None
 
     def symbol(label: Hashable) -> LabelSymbol:
@@ -313,72 +321,107 @@ def _atom_symbols(atom, alphabet: Optional[FrozenSet[Hashable]]
     if atom.label is not None:
         return symbol(atom.label)
     if alphabet is None:
-        return None
+        raise ExecutionError("the wildcard label of {} lowers to the "
+                             "graph's label alphabet; none was given"
+                             .format(atom))
     labels = sorted(alphabet, key=repr)  # one expression per alphabet
     return LabelUnion(map(symbol, labels)) if labels else LabelEmpty()
 
 
+def _split_epsilon(expr: LabelExpr) -> Tuple[LabelExpr, bool]:
+    """``(expr without the empty word, whether expr matched it)``."""
+    if isinstance(expr, LabelEpsilon):
+        return LabelEmpty(), True
+    if isinstance(expr, LabelStar):
+        return lconcat(_split_epsilon(expr.inner)[0], expr), True
+    if isinstance(expr, LabelUnion):
+        split = [_split_epsilon(part) for part in expr.parts]
+        return (LabelUnion(part for part, _ in split),
+                any(nullable for _, nullable in split))
+    if isinstance(expr, LabelConcat):
+        first, nullable = _split_epsilon(expr.parts[0])
+        if len(expr.parts) == 1:
+            return first, nullable
+        rest = lconcat(*expr.parts[1:])
+        rest_plus, rest_nullable = _split_epsilon(rest)
+        plus = LabelConcat((first, rest))
+        return (LabelUnion((plus, rest_plus)) if nullable else plus,
+                nullable and rest_nullable)
+    return expr, False
+
+
+def _product(left: LabelExpr, right: LabelExpr) -> LabelExpr:
+    """``left & right``: the non-empty halves glued by a jump, plus
+    ``right`` when ``left`` matches the empty path and ``left`` when
+    ``right`` does (the empty path is the product's identity)."""
+    (left_plus, left_nullable), (right_plus, right_nullable) = map(
+        _split_epsilon, (left, right))
+    return lunion(lconcat(left_plus, LabelSymbol(LEAVE), LabelSymbol(ENTER),
+                          right_plus),
+                  *([right] if left_nullable else []),
+                  *([left] if right_nullable else []))
+
+
 def lower_to_label_expression(expression,
                               alphabet: Optional[FrozenSet[Hashable]] = None
-                              ) -> Optional[LabelExpr]:
-    """The partial inverse of :func:`lift_to_edge_expression`.
+                              ) -> LabelExpr:
+    """Lower an edge-set expression to the label RPQ the kernels run.
 
-    Translate an edge-set expression built from atoms by union, join,
-    star or a small bounded repeat into the label formulation: ``[_, a,
-    _]`` becomes the symbol ``a``, an atom binding its tail and/or head
-    the guarded symbol ``Guard(a, i, j)``, which fires only on a matching
-    edge.  A join's label word spells its joint path edge by edge, so
-    endpoint-pair answers coincide with the label RPQ's and the compact
-    kernels answer them (the engine's ``pairs`` fast path).  Given the
-    graph's label ``alphabet``, a wildcard label ``_`` lowers to the union
-    of its labels; without one it does not.
-
-    Returns ``None`` for what genuinely needs the edge-set algebra:
-    literal path sets, concatenative products (they admit disjoint,
-    non-path concatenations) and oversized repeats.
+    The inverse of :func:`lift_to_edge_expression`, total: ``[_, a, _]``
+    becomes the symbol ``a``, an atom binding a vertex ``Guard(a, i, j)``,
+    a literal path a :class:`Pinned` move, ``R & Q`` :func:`_product`'s
+    jump, a repeat its expansion.  A wildcard label ``_`` lowers to the
+    union of ``alphabet``'s labels; without one it raises
+    :class:`~repro.errors.ExecutionError`, as does a repeat past
+    :data:`SIZE_BOUND` nodes (:class:`~repro.errors.QueryTooLargeError`,
+    before the expansion is built).
     """
-    from repro.regex.ast import (
-        Atom,
-        Empty,
-        Epsilon,
-        Join,
-        Repeat,
-        Star,
-        Union,
-    )
+    from repro.analysis.query import label_expression_size
+    from repro.regex import ast
 
     expr = expression
-    if isinstance(expr, Empty):
+    if isinstance(expr, ast.Empty):
         return LabelEmpty()
-    if isinstance(expr, Epsilon):
+    if isinstance(expr, ast.Epsilon):
         return LabelEpsilon()
-    if isinstance(expr, Atom):
+    if isinstance(expr, ast.Atom):
         return _atom_symbols(expr, alphabet)
-    if isinstance(expr, (Union, Join)):
-        parts = [lower_to_label_expression(p, alphabet) for p in expr.parts]
-        if any(p is None for p in parts):
-            return None
-        return LabelUnion(parts) if isinstance(expr, Union) \
-            else LabelConcat(parts)
-    if isinstance(expr, Star):
-        inner = lower_to_label_expression(expr.inner, alphabet)
-        return None if inner is None else LabelStar(inner)
-    if isinstance(expr, Repeat) and max(
-            expr.minimum, expr.maximum or 0) <= _MAX_REPEAT_EXPANSION:
-        inner = lower_to_label_expression(expr.inner, alphabet)
-        if inner is None:
-            return None
+    if isinstance(expr, ast.Literal):
+        return lunion(*(LabelSymbol(Pinned(path.tail, path.head, len(path)))
+                        if path else LabelEpsilon()
+                        for path in sorted(expr.path_set, key=repr)))
+    parts = [lower_to_label_expression(part, alphabet)
+             for part in expr.children()]
+    if isinstance(expr, ast.Union):
+        return LabelUnion(parts)
+    if isinstance(expr, ast.Join):
+        return LabelConcat(parts)
+    if isinstance(expr, ast.Product):
+        return functools.reduce(_product, parts)
+    if isinstance(expr, ast.Star):
+        return LabelStar(parts[0])
+    if isinstance(expr, ast.Repeat):
+        inner = parts[0]
+        copies = max(expr.minimum, expr.maximum or 0) \
+            + (expr.maximum is None)
+        if copies * label_expression_size(inner) > SIZE_BOUND:
+            raise QueryTooLargeError(
+                "{} expands to {} copies of a {}-node expression, past the "
+                "{}-node bound".format(expr, copies,
+                                       label_expression_size(inner),
+                                       SIZE_BOUND))
         return lconcat(*[inner] * expr.minimum, *(
             [LabelStar(inner)] if expr.maximum is None
             else [LabelUnion((inner, LabelEpsilon()))]
             * (expr.maximum - expr.minimum)))
-    return None
+    raise RegexError("cannot lower {!r}".format(expr))
 
 
 @dataclass(frozen=True)
 class ConstrainedQuery:
-    """A lowered edge expression: the label RPQ, over labels and
-    :class:`Guard` symbols, that the kernels run."""
+    """A lowered edge expression: the label RPQ, over labels,
+    :class:`Guard`, :class:`Pinned` and :class:`Jump` symbols, that the
+    kernels run."""
 
     label_expression: LabelExpr
 
@@ -389,34 +432,34 @@ class ConstrainedQuery:
                              in self.label_expression.symbols()
                              if type(symbol) is Guard), key=repr))
 
-    @property
-    def label_only(self) -> bool:
-        """True when no atom binds a vertex (plain label RPQ)."""
-        return not self.guards
-
     def describe(self, pinned: Tuple[Optional[Hashable],
                                      Optional[Hashable]] = (None, None)
                  ) -> str:
-        """One phrase for EXPLAIN: the guards, and which bindings became
-        the seed or target set (``pinned``, the pre-flight's)."""
-        guards = self.guards
-        if not guards:
-            return "label-only expression"
-        source, target = pinned
-        ends = []
-        if source is not None:
-            ends.append("source={!r} is the seed set".format(source))
-        if target is not None:
-            ends.append("target={!r} the target set".format(target))
-        return "vertex bindings ride the DFA as guards {}; {}".format(
-            ", ".join(map(str, guards)),
-            ", ".join(ends) if ends else "none pins a path end")
+        """One phrase for EXPLAIN: the guards and which bindings became
+        the seed or target set (``pinned``, the pre-flight's), the
+        literal moves, and whether a product's jump rides along."""
+        symbols = self.label_expression.symbols()
+        notes = []
+        if self.guards:
+            ends = ["{}={!r} {}".format(end, vertex, role) for end, vertex, role
+                    in zip(("source", "target"), pinned,
+                           ("is the seed set", "the target set"))
+                    if vertex is not None]
+            notes.append("vertex bindings ride the DFA as guards {}; {}"
+                         .format(", ".join(map(str, self.guards)),
+                                 ", ".join(ends) or "none pins a path end"))
+        literals = sorted(str(symbol) for symbol in symbols
+                          if type(symbol) is Pinned)
+        if literals:
+            notes.append("literal paths ride it as pinned moves " +
+                         ", ".join(literals))
+        if LEAVE in symbols:
+            notes.append("a product's jump passes one hub per kernel call")
+        return "; ".join(notes) or "label-only expression"
 
 
 def lower_to_constrained_query(expression,
                                alphabet: Optional[FrozenSet[Hashable]] = None
-                               ) -> Optional[ConstrainedQuery]:
-    """:func:`lower_to_label_expression` as a :class:`ConstrainedQuery`,
-    or ``None`` for the shapes that stay on the bounded strategy."""
-    lowered = lower_to_label_expression(expression, alphabet)
-    return None if lowered is None else ConstrainedQuery(lowered)
+                               ) -> ConstrainedQuery:
+    """:func:`lower_to_label_expression` as a :class:`ConstrainedQuery`."""
+    return ConstrainedQuery(lower_to_label_expression(expression, alphabet))

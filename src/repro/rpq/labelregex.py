@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import RegexError
+from repro.graph.compact import Guard
 
 __all__ = [
     "LabelExpr",
@@ -359,6 +360,8 @@ class LabelDFA:
         self.start = start
         self.accepting = accepting
         self.transitions = transitions
+        self.guarded = any(type(symbol) is Guard for row in transitions
+                           for symbol in row)
 
     @property
     def num_states(self) -> int:
@@ -369,6 +372,19 @@ class LabelDFA:
         if state is None:
             return None
         return self.transitions[state].get(label)
+
+    def moves(self, state: int, edge) -> Set[int]:
+        """The targets out of ``state`` of every symbol ``edge`` fires —
+        its label and the guards on its tail, its head or both, as the
+        compact kernels fire them (deterministic over symbols, not over
+        edges)."""
+        row = self.transitions[state]
+        label = edge.label
+        symbols = [label]
+        if self.guarded:
+            symbols += (Guard(label, edge.tail), Guard(label, None, edge.head),
+                        Guard(label, edge.tail, edge.head))
+        return {row[symbol] for symbol in symbols if symbol in row}
 
     def accepts(self, word: Iterable[Hashable]) -> bool:
         """Run the word; accept iff the final state is accepting."""

@@ -739,11 +739,10 @@ class ReplicaHttpServer(HttpServer):
     everything that writes: ``query`` reads (there is no ``explain``)
     run through ``AsyncEngine(Engine(replica))`` — the primary's route,
     planner, pre-flight, DFA cache, result cache and ``deadline_ms``
-    handling — over the replica's applied state.  A shape the primary
-    routes ``bounded`` (``max_length``, literals, products, oversized
-    repeats) needs the dict graph: a **400**
-    (:class:`~repro.errors.ExecutionError`).  ``mutate``/``checkpoint``
-    get **403** (:class:`~repro.errors.ReplicaReadOnlyError` — promote
+    handling — over the replica's applied state, so every shape answers
+    as the primary's does, and an oversized repeat or ``max_length`` is
+    the same **400** (:class:`~repro.errors.QueryTooLargeError`).
+    ``mutate``/``checkpoint`` get **403** (:class:`~repro.errors.ReplicaReadOnlyError` — promote
     first), and
     ``/readyz`` reports *catching-up* (503) until the tailer has caught
     up at least once and is currently healthy.

@@ -28,7 +28,7 @@ Lifecycle
 ---------
 ``acquire`` opens a store on first use — lazily: the engine reads the
 mapped snapshot and log overlay, ``/mutate`` writes through them, and
-only a ``bounded`` read materializes the dict graph — and bumps the
+no read materializes the dict graph — and bumps the
 handle's refcount;
 ``release`` drops it.  Handles at refcount 0 stay warm for the next caller
 until ``max_open`` forces the least-recently-used idle one closed, or

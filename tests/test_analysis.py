@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.query import (
     analyze_compiled_query,
-    analyze_expression,
     prune_dfa,
     star_height,
 )
@@ -159,48 +158,51 @@ class TestAnalyzeCompiledQuery:
 
 
 # ----------------------------------------------------------------------
-# Structural expression analysis (edge-set level)
+# Edge-set expressions: the one pre-flight, through lowering
 # ----------------------------------------------------------------------
+
+def verdict(expression):
+    """The pre-flight a read of ``expression`` on ``graph_abc`` runs."""
+    engine = Engine(graph_abc())
+    return engine.route(engine.compile(expression)).diagnostics
+
 
 class TestAnalyzeExpression:
     def test_empty_node(self):
-        diag = analyze_expression(Empty(), graph_abc())
-        assert diag.empty
+        assert verdict(Empty()).empty
 
     def test_absent_label_atom(self):
-        diag = analyze_expression(Atom(None, "zz", None), graph_abc())
+        diag = verdict(Atom(None, "zz", None))
         assert diag.empty
         assert diag.unknown_labels == frozenset({"zz"})
 
     def test_absent_bound_vertex(self):
-        diag = analyze_expression(Atom("ghost", "a", None), graph_abc())
+        diag = verdict(Atom("ghost", "a", None))
         assert diag.empty
-        assert "ghost" in diag.unknown_vertices
+        assert "'ghost'" in diag.empty_reason
 
     def test_join_with_empty_operand_is_empty(self):
-        join = Join((Atom(None, "a", None), Atom(None, "zz", None)))
-        assert analyze_expression(join, graph_abc()).empty
+        assert verdict(Join((Atom(None, "a", None),
+                             Atom(None, "zz", None)))).empty
 
     def test_union_needs_all_empty(self):
-        union = Union((Atom(None, "zz", None), Atom(None, "a", None)))
-        assert not analyze_expression(union, graph_abc()).empty
-        union = Union((Atom(None, "zz", None), Atom(None, "yy", None)))
-        assert analyze_expression(union, graph_abc()).empty
+        assert not verdict(Union((Atom(None, "zz", None),
+                                  Atom(None, "a", None)))).empty
+        assert verdict(Union((Atom(None, "zz", None),
+                              Atom(None, "yy", None)))).empty
 
     def test_star_never_empty(self):
-        star = Star(Atom(None, "zz", None))
-        assert not analyze_expression(star, graph_abc()).empty
+        assert not verdict(Star(Atom(None, "zz", None))).empty
 
     def test_repeat_minimum_zero_not_empty(self):
         inner = Atom(None, "zz", None)
-        assert not analyze_expression(Repeat(inner, 0, 3),
-                                      graph_abc()).empty
-        assert analyze_expression(Repeat(inner, 1, 3), graph_abc()).empty
+        assert not verdict(Repeat(inner, 0, 3)).empty
+        assert verdict(Repeat(inner, 1, 3)).empty
 
     def test_empty_literal(self):
-        assert analyze_expression(Literal(frozenset()), graph_abc()).empty
+        assert verdict(Literal(frozenset())).empty
         lit = Literal(frozenset({Path([("u", "a", "v")])}))
-        assert not analyze_expression(lit, graph_abc()).empty
+        assert not verdict(lit).empty
 
 
 # ----------------------------------------------------------------------
@@ -277,9 +279,11 @@ class TestEngineShortCircuit:
         assert len(result.paths) == 0
 
     def test_bounded_pairs_fallback_short_circuits(self, poisoned_kernels):
-        # max_length routes through query(); still no kernel dispatch and
-        # still the empty answer.
+        # max_length cuts the pre-flight's automaton; an absent label still
+        # proves the answer empty: no kernel dispatch, the empty answer.
         engine = Engine(graph_abc())
+        assert engine.route(engine.compile("[_, zz, _]"),
+                            max_length=3).kernel == "none"
         assert engine.pairs("[_, zz, _]", max_length=3) == frozenset()
 
     def test_nullable_star_still_dispatches(self):
@@ -341,14 +345,15 @@ class TestLintQueryCli:
         assert code == 1
         assert "provably empty" in out.getvalue()
 
-    def test_non_lowerable_reports_fallback_route(self, tmp_path):
-        # A literal path set needs the edge-set algebra; vertex bindings
-        # alone do not, they ride the DFA as guards.
+    def test_literals_and_guards_report_the_kernel_route(self, tmp_path):
+        # Every shape lowers: a literal path rides the DFA as a pinned
+        # move, vertex bindings as guards.
         out = io.StringIO()
         code = cli_main(["lint-query", self._graph_file(tmp_path),
                          "[u, a, _] . [_, b, w]* . {(w, c, u)}"], out=out)
         assert code == 0
-        assert "bounded automaton fallback" in out.getvalue()
+        assert "literal paths ride it as pinned moves {w..u: 1 edge(s)}" \
+            in out.getvalue()
         out = io.StringIO()
         code = cli_main(["lint-query", self._graph_file(tmp_path),
                          "[u, a, _] . [_, b, w]* . [u, a, v]"], out=out)
@@ -425,16 +430,10 @@ def test_provably_empty_implies_no_pairs(graph, expression):
     if diag.empty:
         assert reference == frozenset(), \
             "analyzer claimed empty but reference found {}".format(reference)
-    # And pruning never changes the language as the kernels see it: when
-    # the query lowers to the unbounded fast path, the engine (pruned DFA)
-    # agrees with the reference on every example.  (Non-lowerable shapes
-    # route through the *bounded* automaton fallback, where parity with
-    # the unbounded reference is out of scope here.)
-    from repro.rpq.evaluation import lower_to_constrained_query
+    # And pruning never changes the language as the kernels see it: the
+    # engine (pruned DFA) agrees with the reference on every example.
     engine = Engine(graph)
-    compiled = engine.compile(_as_regex(expression))
-    if lower_to_constrained_query(compiled) is not None:
-        assert engine.pairs(compiled) == reference
+    assert engine.pairs(engine.compile(_as_regex(expression))) == reference
 
 
 def _as_regex(label_expression):

@@ -137,15 +137,16 @@ class TestQueryCache:
         assert engine.cache.hits == 0
 
     def test_bounded_pairs_files_only_its_pair_answer(self):
-        # A bounded read projects its pairs from witness paths; those
-        # paths are scratch, not a second cache entry next to the answer.
+        # A bounded read runs a kernel over the automaton its bound cuts:
+        # one pair answer is filed, under the bound, and nothing else.
         graph = MultiRelationalGraph(
             [(i, "a", (i + 1) % 12) for i in range(12)])
         engine = Engine(graph, cache=QueryCache(16))
         assert engine.route(engine.compile("[_, a, _]*"),
-                            max_length=8).kernel == "bounded"
-        engine.pairs("[_, a, _]*", max_length=8)
+                            max_length=8).kernel == "forward"
+        assert len(engine.pairs("[_, a, _]*", max_length=8)) == 12 * 9
         assert [key[0] for key in engine.cache._entries] == ["pairs"]
+        assert len(engine.pairs("[_, a, _]*")) == 144  # its own entry
 
     def test_sources_and_targets_key_the_cache(self, engine):
         """PR 7 regression: sources/targets entered ``pairs()`` in PR 3

@@ -237,7 +237,7 @@ class TestPairBlocks:
     @given(graph=st.sampled_from(GRAPHS[:4]),
            expression=st.sampled_from(EXPRESSIONS),
            route=st.sampled_from(("forward", "backward", "bidirectional",
-                                  "bounded")),
+                                  "max_length")),
            seeds=st.sampled_from((1, 15, 16, 17, 40)),
            batch=st.sampled_from((7, 1024)), pick=st.randoms())
     @settings(max_examples=40, deadline=None)
@@ -484,9 +484,11 @@ class TestEnginePairsFastPath:
         # An interior binding rides the DFA as a guard and pins no end.
         interior = engine.explain("[_, alpha, 3] . [_, beta, _]")
         assert "guards [_, alpha, 3]; none pins a path end" in interior
-        # A product still needs the edge-set algebra.
-        ineligible = engine.explain("[_, alpha, 3] & [_, beta, _]")
-        assert "pairs fast path: not eligible" in ineligible
+        # A product rides the DFA as a jump, a literal as a pinned move.
+        product = engine.explain("[_, alpha, 3] & {(3, beta, 4)}")
+        assert "pairs fast path: eligible" in product
+        assert "pinned moves {3..4: 1 edge(s)}; a product's jump" in product
+        assert "pairs direction:" in product
 
 
 class TestLowerToLabelExpression:
@@ -500,25 +502,31 @@ class TestLowerToLabelExpression:
             for graph in GRAPHS[:2]:
                 assert rpq_pairs(graph, lowered) == rpq_pairs(graph, expression)
 
-    def test_rejects_literals_products_oversized_repeats(self):
+    def test_lowers_literals_products_and_repeats(self):
+        from repro.errors import ExecutionError, QueryTooLargeError
+        from repro.graph.compact import ENTER, LEAVE, Pinned
         from repro.regex import atom, join, literal
-        from repro.rpq import lower_to_label_expression
+        from repro.rpq import lconcat, lower_to_label_expression
         # A vertex-bound atom lowers to a guarded symbol ...
         assert lower_to_label_expression(atom(tail="i", label="a")) == \
             sym(Guard("a", "i", None))
         # ... a wildcard label only given the graph's alphabet ...
-        assert lower_to_label_expression(atom()) is None
+        for wildcard in (atom(), join(atom(label="a"), atom(head="j"))):
+            with pytest.raises(ExecutionError, match="alphabet"):
+                lower_to_label_expression(wildcard)
+        # ... a literal path to the move between its ends, a product to
+        # a jump, a repeat to its expansion below the size bound.
         assert lower_to_label_expression(
-            join(atom(label="a"), atom(head="j"))) is None
-        # ... and literals, products and oversized repeats never do.
+            literal([("i", "a", "j")])) == sym(Pinned("i", "j", 1))
         assert lower_to_label_expression(
-            literal([("i", "a", "j")])) is None
+            atom(label="a") * atom(label="b")) == lconcat(
+                sym("a"), sym(LEAVE), sym(ENTER), sym("b"))
         assert lower_to_label_expression(
-            atom(label="a") * atom(label="b")) is None
+            atom(tail="i", label="a").repeat(17, None)) is not None
         assert lower_to_label_expression(
-            atom(tail="i", label="a").repeat(17, None)) is None
-        assert lower_to_label_expression(
-            atom(label="a").repeat(0, 17)) is None
+            atom(label="a").repeat(0, 17)) is not None
+        with pytest.raises(QueryTooLargeError):
+            lower_to_label_expression(atom(label="a").repeat(0, 100000))
 
     def test_bounded_repeat_expansion(self):
         from repro.regex import atom

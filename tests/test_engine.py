@@ -236,22 +236,23 @@ class TestPairsRoute:
 
     def test_explain_names_the_strategy_a_bounded_call_takes(self):
         # Drift (a): EXPLAIN with max_length described the unbounded
-        # kernels while pairs() ran the bounded automaton strategy.
+        # kernels while pairs() ran a second, path-enumerating strategy.
+        # Now a bound cuts the kernels' automaton: one route either way.
         engine = Engine(figure1_graph())
         query = "[_, alpha, _] . [_, beta, _]*"
-        for max_length, count, named, poisoned in (
-                (None, 16, "Engine.pairs() runs the compact product-BFS "
-                           "kernels", (engine, "_bounded_pairs")),
-                (1, 7, "explicit max_length=1 bounds the answer; "
-                       "Engine.pairs() runs the bounded automaton strategy",
-                 (compact, "_sweep"))):
+        for max_length, count in ((None, 16), (1, 7)):
             text = engine.explain(query, max_length=max_length)
-            assert "pairs fast path" in text and named in text
-            assert ("pairs direction:" in text) == (max_length is None)
-            with mock.patch.object(*poisoned, side_effect=AssertionError(
-                    "EXPLAIN named the other strategy")):
+            assert "Engine.pairs() runs the compact product-BFS kernels" \
+                in text and "pairs direction:" in text
+            kernel = engine.route(engine.compile(query),
+                                  max_length=max_length).kernel
+            with counted_calls(KERNEL_ENTRIES) as counts, \
+                    mock.patch.object(engine_module, "run_strategy",
+                                      side_effect=AssertionError(
+                                          "pairs() enumerated paths")):
                 assert len(engine.pairs(query,
                                         max_length=max_length)) == count
+            assert counts == {kernel: 1}
 
     @pytest.mark.parametrize("with_sources", (False, True))
     def test_batch_looks_each_member_up_once(self, with_sources):
@@ -296,10 +297,9 @@ class TestPairsRoute:
             for query, answer in zip(queries, batch):
                 assert answer == single.pairs(query, **options), query
                 assert answer == engine.pairs_batch([query], **options)[0]
-                lowered = lower_to_constrained_query(engine.compile(query))
-                if "max_length" in options or lowered is None \
-                        or not lowered.label_only:
+                if "max_length" in options:
                     continue
+                lowered = lower_to_constrained_query(engine.compile(query))
                 reference = rpq_pairs_basic(graph, lowered.label_expression,
                                             options.get("sources"))
                 wanted = options.get("targets")
@@ -333,7 +333,7 @@ _ENDPOINTS = st.one_of(
 
 class TestRouteProperty:
     # Big enough, with a horizon long enough, that the cost model picks
-    # every direction; small enough that the bounded fallback stays cheap.
+    # every direction.
     GRAPH = uniform_random(40, 160, labels=("a", "b"), seed=5)
 
     A_B_STAR = join(atom(label="a"), star(atom(label="b")))
@@ -343,7 +343,7 @@ class TestRouteProperty:
     @example(A_B_STAR, None, frozenset([4]), None, None)           # backward
     @example(A_B_STAR, frozenset([1]), frozenset([4]), None, 2)    # bidi
     @example(A_B_STAR, None, None, None, 2)                        # fan-out
-    @example(A_B_STAR, None, None, 2, None)                        # bounded
+    @example(A_B_STAR, None, None, 2, None)                        # max_length
     @example(join(atom(label="a"), atom(1, "b")), None, None, None, None)
     @example(atom(label="zz"), None, None, None, 2)                # none
     @example(atom(1, "a"), frozenset([4]), None, None, None)       # none
@@ -360,14 +360,13 @@ class TestRouteProperty:
             assert route.describe() in engine.explain(expression, **options)
             # The name the route runs under is the one its printed fields
             # spell out — EXPLAIN and the dispatch cannot part ways.
-            assert (route.kernel == "bounded") == (route.constrained is None)
+            assert route.kernel in ("forward", "backward", "bidirectional",
+                                    "fan-out", "none")
             assert (route.kernel == "none") == (route.empty is not None)
             if route.direction is not None:
                 assert route.kernel == ("fan-out" if route.parallelism.parallel
                                         else route.direction.direction)
-            with counted_calls(KERNEL_ENTRIES
-                               + (("bounded", engine, "_bounded_pairs"),)
-                               ) as counts:
+            with counted_calls(KERNEL_ENTRIES) as counts:
                 answer = engine.pairs(expression, **options)
             assert counts == ({} if route.kernel == "none"
                               else {route.kernel: 1})

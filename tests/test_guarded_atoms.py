@@ -8,15 +8,19 @@ kernels, so the answer is exact and unbounded.  What this file pins down:
 
 * a hypothesis property over atom / union / join / star / repeat ASTs
   with bindings in any position, on small random DAGs and cyclic graphs:
-  the route is never ``bounded``, and ``Engine.pairs`` and every kernel
+  the route names a kernel, and ``Engine.pairs`` and every kernel
   (forward per-seed, forward shared sweep over >= 16 seeds, backward,
   bidirectional) equal an independent oracle — the join composition of
-  the atoms' endpoint relations, and on DAGs also the bounded strategy at
-  ``max_length=|V|``, which is exact there;
+  the atoms' endpoint relations — and the dict-graph reference
+  ``rpq_pairs_basic`` over the lowered expression, which fires guards as
+  the kernels do; on DAGs also ``max_length=|V|``, which is exact there;
 * on the 12-cycle the interior-bound reads answer all 12 pairs;
 * pre-flight is memoised per label alphabet, so a guard's bound vertex
   is looked up per kernel call: one added after a read is seen by the
-  next (dict graph and lazy store);
+  next (dict graph and lazy store), and the route and EXPLAIN check it
+  per read (an absent one proves the answer empty);
+* the dict-graph references fire guards as the kernels do and refuse
+  literal and jump symbols, typed;
 * the planner prices a guard as its label.
 """
 
@@ -28,11 +32,20 @@ from hypothesis import strategies as st
 
 from repro.engine import Engine, Planner
 from repro.graph import compact
-from repro.graph.compact import _SHARED_MIN_SEEDS, Guard
+from repro.core.path import Path
+from repro.errors import ExecutionError
+from repro.graph.compact import ENTER, LEAVE, _SHARED_MIN_SEEDS, Guard, Pinned
 from repro.graph.graph import MultiRelationalGraph
 from repro.regex import atom, join, star, union
 from repro.regex.ast import Atom, Empty, Epsilon, Join, Repeat, Star, Union
-from repro.rpq import lconcat, lstar, sym
+from repro.rpq import (
+    lconcat,
+    lstar,
+    regular_simple_paths,
+    rpq_pairs_basic,
+    rpq_paths,
+    sym,
+)
 from repro.storage import PersistentGraph
 
 # ----------------------------------------------------------------------
@@ -149,13 +162,18 @@ def _check(graph, dag, expression, sources, targets):
     engine = Engine(graph)
     compiled = engine.compile(expression)
     route = engine.route(compiled, sources, targets)
-    assert route.kernel != "bounded", (expression, route.describe())
+    assert route.kernel in ("forward", "backward", "bidirectional",
+                            "fan-out", "none"), route.describe()
     truth = relation(expression, graph)
     answer = engine.pairs(expression, sources=sources, targets=targets)
-    assert answer == frozenset(
+    filtered = frozenset(
         (tail, head) for tail, head in truth
         if (sources is None or tail in sources)
-        and (targets is None or head in targets)), expression
+        and (targets is None or head in targets))
+    assert answer == filtered, expression
+    assert frozenset(pair for pair in rpq_pairs_basic(
+        graph, route.constrained.label_expression, sources)
+        if targets is None or pair[1] in targets) == filtered, expression
     if dag:
         assert answer == engine.pairs(expression, sources=sources,
                                       targets=targets,
@@ -265,6 +283,52 @@ class TestGuardChurn:
             self._grow(store)
             assert engine.pairs(self.QUERY) == {(5, 30)}
             assert not store.materialized
+
+
+class TestAbsentBindings:
+    """EXPLAIN and the route judge a guard's vertex per graph: the
+    pre-flight memo, keyed per label alphabet, cannot."""
+
+    def test_explain_sees_an_absent_bound_vertex(self):
+        graph = _cycle12()
+        engine = Engine(graph)
+        text = engine.explain(TestGuardChurn.QUERY)
+        assert "verdict: provably empty — every accepting run passes a " \
+            "guard on bound vertex(es) 30" in text
+        assert engine.route(engine.compile(TestGuardChurn.QUERY)).kernel \
+            == "none"
+        # Another branch survives: satisfiable, the vertex named.
+        text = engine.explain(TestGuardChurn.QUERY + " | [_, a, 2]")
+        assert "warning: bound vertex(es) 30 are not in this graph" in text
+        assert "verdict: satisfiable" in text
+        graph.add_vertex(30)
+        assert "verdict: satisfiable" in engine.explain(TestGuardChurn.QUERY)
+
+
+class TestReferenceEvaluators:
+    """The dict-graph references fire every symbol an edge matches, as
+    the kernels do, and refuse the symbols that read no edge."""
+
+    def test_the_references_fire_guards(self):
+        graph = _cycle12()
+        for guard in (Guard("a", 3), Guard("a", None, 4), Guard("a", 3, 4)):
+            assert rpq_pairs_basic(graph, sym(guard)) == {(3, 4)}
+        walk = lconcat(sym("a"), sym(Guard("a", 1)), lstar(sym("a")))
+        assert rpq_pairs_basic(graph, walk) == Engine(graph).pairs(
+            "[_, a, _] . [1, a, _] . [_, a, _]*")
+        assert set(rpq_paths(graph, sym(Guard("a", 3)), 2)) == {
+            Path.of((3, "a", 4))}
+        assert len(regular_simple_paths(graph, walk, 0, 5)) == 1
+
+    @pytest.mark.parametrize("symbol", (Pinned(0, 1, 1), LEAVE, ENTER))
+    def test_the_references_refuse_what_reads_no_edge(self, symbol):
+        graph = _cycle12()
+        for evaluate in (lambda: rpq_pairs_basic(graph, sym(symbol)),
+                         lambda: rpq_paths(graph, sym(symbol), 2),
+                         lambda: regular_simple_paths(graph, sym(symbol),
+                                                      0, 1)):
+            with pytest.raises(ExecutionError, match="cannot evaluate"):
+                evaluate()
 
 
 class TestGuardPricing:

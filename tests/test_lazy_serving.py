@@ -12,9 +12,9 @@ What this file pins down:
 * ``/mutate`` writes through the view and materializes nothing (counted:
   zero ``_materialize`` calls), answers equal ``rpq_pairs_basic`` before
   and after it, and EXPLAIN's snapshot line never says "cold",
-* a ``bounded`` read (``max_length``) materializes a lazy primary and
-  answers exactly; a replica still refuses it with the typed 400; an
-  interior-bound atom is not one: it runs on the view, exactly,
+* every shape — ``max_length``, literals, products, big repeats, bound
+  atoms anywhere — runs on the view of a lazy primary and of a replica,
+  exactly, and an oversized repeat is the same typed 400 on both,
 * readers racing writes: every reply's ``X-Repro-Graph-Version`` names
   the version its answer is exact at, and no reader sees the version go
   backwards,
@@ -329,25 +329,44 @@ class TestFirstWrite:
 
 class TestBoundedReads:
     BOUNDED = "[_, a, _] . [_, b, _]*"
+    #: The shapes a second, dict-graph evaluator used to answer: a bound,
+    #: a literal (one end outside the graph), a product, a big repeat.
+    SHAPES = ((BOUNDED, 3), ("{(1, a, 2, 2, b, 99)} . [_, a, _]*", None),
+              ("[_, a, _] & [_, b, _]*", None), ("[_, a, _]{17}", None))
+    OVERSIZED = "[_, a, _]{0,1000000}"
 
-    def test_a_lazy_primary_materializes_and_answers_exactly(self, tmp_path):
+    def test_a_lazy_primary_answers_every_shape_unmaterialized(self, tmp_path):
+        # Every shape runs on the view, exactly: nothing materializes.
         served = Served(tmp_path)
-        truth = Engine(served.reference).pairs(self.BOUNDED, max_length=3,
-                                               sources=[1, 2])
+        reference = Engine(served.reference)
+        truths = [reference.pairs(query, max_length=bound, sources=[1, 2])
+                  for query, bound in self.SHAPES]
 
         async def scenario(server):
-            status, payload, _ = await call(server, "POST", "query", body_of(
-                self.BOUNDED, [1, 2], max_length=3))
-            assert status == 200, payload
-            return pairs_of(payload)
+            answers = []
+            for query, bound in self.SHAPES:
+                status, payload, _ = await call(server, "POST", "query",
+                                                body_of(query, [1, 2],
+                                                        max_length=bound))
+                assert status == 200, payload
+                answers.append(pairs_of(payload))
+            status, payload, _ = await call(server, "POST", "query",
+                                            body_of(self.OVERSIZED))
+            assert status == 400 and payload["type"] == "QueryTooLargeError"
+            return answers
 
         with counted_materialize() as counts:
-            assert served.run(scenario) == truth
-        assert counts["materialize"] == 1 and served.store.materialized
+            assert served.run(scenario) == truths
+        assert sum(counts.values()) == 0 and not served.store.materialized
 
-    def test_a_replica_still_refuses_with_a_typed_400(self, tmp_path):
+    def test_a_replica_answers_every_shape_like_the_primary(self, tmp_path):
+        # Only an oversized read is refused, as on the primary; every other
+        # shape answers as the primary's engine does.
         with PersistentGraph.create(str(tmp_path / "p"), base_graph(),
                                     name=NAME, replicate=True) as store:
+            truths = [Engine(store).pairs(query, max_length=bound,
+                                          sources=[1, 2])
+                      for query, bound in self.SHAPES]
             replica = ReplicaGraph.bootstrap(str(tmp_path / "r"),
                                              PrimaryFeed(store))
             try:
@@ -355,14 +374,20 @@ class TestBoundedReads:
 
                 async def scenario():
                     try:
-                        return await call(server, "POST", "query", body_of(
-                            self.BOUNDED, [1, 2], max_length=3))
+                        replies = [await call(server, "POST", "query",
+                                              body_of(query, [1, 2],
+                                                      max_length=bound))
+                                   for query, bound in self.SHAPES]
+                        return replies, await call(server, "POST", "query",
+                                                   body_of(self.OVERSIZED))
                     finally:
                         await server.stop()
-                status, payload, _ = asyncio.run(scenario())
+                replies, refused = asyncio.run(scenario())
             finally:
                 replica.close()
-        assert status == 400 and "dict graph" in payload["error"]
+        assert [pairs_of(payload) for _, payload, _ in replies] == truths
+        status, payload, _ = refused
+        assert status == 400 and payload["type"] == "QueryTooLargeError"
         assert payload["retriable"] is False
 
 

@@ -11,10 +11,10 @@ the engine's source.  Four gates:
   pre-flight unknown-label verdict read them);
 * **replies** — a hypothesis property: at equal versions the replica's
   ``/query`` reply is byte-identical to the primary's, with
-  ``elapsed_ms`` and the replica's ``"replica": true`` flag dropped; a
-  replica 400 where the primary answers is allowed only as the typed
-  refusal of a shape the primary routes ``bounded`` (a literal, a
-  product, ``max_length``) — an interior-bound atom is not one;
+  ``elapsed_ms`` and the replica's ``"replica": true`` flag dropped,
+  for every shape — literals, products, ``max_length`` and bound atoms
+  anywhere run on the kernel on both sides, and an oversized repeat is
+  the same typed 400 on both;
 * **counted** — a second identical replica read compiles no DFA and
   dispatches no kernel;
 * **race** — reads racing a tailer that applies the primary's batches:
@@ -171,18 +171,17 @@ class Deployment:
 
 
 #: Label-only, endpoint-bound, interior-bound, wildcard-label, dead and
-#: unknown labels, and the shapes the primary routes ``bounded``:
-#: literals and products.  A wildcard label is the union of the graph's
-#: labels and a bound vertex a guard, so ``[_, _, _]{1,2}`` and
-#: ``[_, a, _] . [5, b, _]`` run on the kernel on both sides.
+#: unknown labels, literals (one naming a vertex the graph lacks),
+#: products, a big repeat, an oversized one (a 400) and a syntax error.
+#: Every shape runs on the kernel on both sides.
 QUERIES = [
     "[_, a, _]", "[_, a, _] . [_, b, _]*", "([_, a, _] | [_, c, _])*",
     "[_, b, _]{2}", "[0, a, _] . [_, b, _]*", "[_, a, _] . [_, b, 3]",
     "[1, b, _] . [_, a, 4]", "[_, z, _]", "[_, q, _] . [_, a, _]",
     "[_, a, _] . [5, b, _]", "[_, _, _]{1,2}", "{(0, a, 1)}",
-    "[_, a, _] & [_, b, _]", "[_, a, _",
+    "{(99, a, 0)} . [_, a, _]*", "[_, a, _] & [_, b, _]",
+    "[_, b, _]{17,20}", "[_, a, _]{0,100000}", "[_, a, _",
 ]
-BOUNDED = {"{(0, a, 1)}", "[_, a, _] & [_, b, _]"}
 endpoints = st.one_of(st.none(), st.lists(
     st.sampled_from(list(range(0, 42, 3)) + [99]), max_size=4))
 
@@ -204,14 +203,6 @@ class TestRepliesMatchThePrimary:
                 dispatch(deployment.primary, body))
             replica = deployment.loop.run_until_complete(
                 dispatch(deployment.server, body))
-            if primary[0] == 200 and replica[0] == 400:
-                # The one refusal: the bounded edge-set strategy needs
-                # the dict graph the replica does not have.
-                assert query in BOUNDED or max_length is not None, replica
-                refusal = json.loads(replica[1])
-                assert refusal["type"] == "ExecutionError", refusal
-                assert "bounded edge-set strategy" in refusal["error"]
-                return
             assert replica[:2] == primary[:2], (body, primary, replica)
             if primary[0] == 200:
                 assert replica[2]["X-Repro-Graph-Version"] == \
@@ -227,8 +218,7 @@ class TestWildcardLabel:
     def test_the_wildcard_star_runs_on_the_kernel_on_both_sides(self,
                                                                  tmp_path):
         # ``_`` is the union of the graph's labels: on the 12-cycle,
-        # ``[_, _, _]*`` is every pair, as ``[_, a, _]*`` is, not the 108
-        # the bounded enumeration's default path length reaches.
+        # ``[_, _, _]*`` is every pair, as ``[_, a, _]*`` is.
         cycle = MultiRelationalGraph(
             [(i, "a", (i + 1) % 12) for i in range(12)], name=NAME)
         deployment = Deployment(tmp_path, cycle)
@@ -254,8 +244,8 @@ class TestWildcardLabel:
 class TestInteriorBinding:
     def test_an_interior_binding_runs_on_the_kernel_on_both_sides(
             self, tmp_path):
-        # ``[_, a, 3]`` binds the path's second vertex: a guard, not a
-        # bounded enumeration (8 of the 12 pairs) and not a replica 400.
+        # ``[_, a, 3]`` binds the path's second vertex: a guard, exact on
+        # both sides.
         cycle = MultiRelationalGraph(
             [(i, "a", (i + 1) % 12) for i in range(12)], name=NAME)
         deployment = Deployment(tmp_path, cycle)

@@ -635,11 +635,14 @@ class TestReplicaHttp:
             assert headers.get("Retry-After")
             assert "records=" in headers.get("X-Repro-Replica-Lag", "")
 
-            # Unsupported engine options are rejected, not mis-served.
+            # A bound runs on the replica's kernel, as on the primary's.
+            bounded = dict(query, max_length=4)
             status, _h, payload = await loop.run_in_executor(
-                None, lambda: _http(endpoints["replica"] + qpath,
-                                    dict(query, max_length=4)))
-            assert status == 400
+                None, lambda: _http(endpoints["replica"] + qpath, bounded))
+            assert status == 200
+            _s, _h, primary_bounded = await loop.run_in_executor(
+                None, lambda: _http(endpoints["primary"] + qpath, bounded))
+            assert payload["pairs"] == primary_bounded["pairs"]
 
             replica_stop.set()
             await asyncio.wait_for(replica_task, 15)

@@ -5,11 +5,11 @@ Covers the bidirectional tentpole end to end:
 * backward / bidirectional kernel semantics (reflexive pairs, filters,
   missing vertices, empty languages),
 * ``lower_to_constrained_query`` — vertex-bound atoms lower to guarded
-  symbols, and which shapes stay on the bounded fallback,
+  symbols, literals to pinned moves, products to jumps; what raises,
 * the engine's compiled-DFA cache (hits, alphabet-version invalidation),
 * version-keyed statistics refresh + per-label degree profiles,
 * the planner's direction cost model on symmetric and hub-skewed graphs,
-* fast-path vs automaton-fallback parity on vertex-bound queries,
+* kernel vs automaton-strategy parity on vertex-bound queries,
   including nullable reflexive semantics under endpoint filters.
 """
 
@@ -23,8 +23,13 @@ from hypothesis import strategies as st
 from repro.engine import Engine, Planner
 from repro.graph import compact
 from repro.analysis.query import pinned_ends, prune_dfa
+from repro.engine.executor import endpoint_pairs
+from repro.errors import ExecutionError, QueryTooLargeError
 from repro.graph.compact import (
+    ENTER,
+    LEAVE,
     Guard,
+    Pinned,
     _SHARED_BATCH,
     _SHARED_MIN_SEEDS,
     adjacency_snapshot,
@@ -209,13 +214,13 @@ class TestLowerToConstrainedQuery:
             join(atom(label="a"), star(atom(label="b"))))
         assert lowered == ConstrainedQuery(
             LabelConcat((LabelSymbol("a"), LabelStar(LabelSymbol("b")))))
-        assert lowered.label_only
+        assert not lowered.guards
 
     def test_source_bound_prefix(self):
         lowered = lower_to_constrained_query(
             join(atom(tail="i", label="a"), star(atom(label="b"))))
         assert lowered.guards == (Guard("a", "i"),)
-        assert not lowered.label_only
+        assert lowered.guards
         # The guard binds every run's first vertex: pre-flight pins it.
         assert pinned_ends(prune_dfa(compile_rpq(
             lowered.label_expression, MultiRelationalGraph()))[0]) \
@@ -254,16 +259,21 @@ class TestLowerToConstrainedQuery:
         assert Guard("a", "i", "j") != ("a", "i", "j")
 
     def test_rejected_shapes(self):
-        # Literals, products, oversized repeats and a wildcard label
-        # without an alphabet need the edge-set algebra; interior
-        # bindings and unions or stars over bound atoms do not.
-        assert lower_to_constrained_query(literal(("i", "a", "j"))) is None
+        # Lowering is total: a literal is a pinned move, a product a jump,
+        # a repeat its expansion; only a wildcard label without an
+        # alphabet and a repeat past the size bound raise, typed.
+        assert lower_to_constrained_query(literal(("i", "a", "j"))) == \
+            ConstrainedQuery(LabelSymbol(Pinned("i", "j", 1)))
         assert lower_to_constrained_query(
-            join(atom(label="a"), atom(tail="i", label="b")
-                 * atom(label="c"))) is None
+            atom(tail="i", label="b") * atom(label="c")) == ConstrainedQuery(
+            LabelConcat((LabelSymbol(Guard("b", "i")), LabelSymbol(LEAVE),
+                         LabelSymbol(ENTER), LabelSymbol("c"))))
         assert lower_to_constrained_query(
-            atom(tail="i", label="a").repeat(0, 17)) is None
-        assert lower_to_constrained_query(atom(tail="i")) is None
+            atom(tail="i", label="a").repeat(0, 17)).guards
+        with pytest.raises(ExecutionError, match="alphabet"):
+            lower_to_constrained_query(atom(tail="i"))
+        with pytest.raises(QueryTooLargeError):
+            lower_to_constrained_query(atom(label="a").repeat(0, 5000))
         for shape in (join(atom(label="a"), atom(tail="i", label="b")),
                       join(atom(tail="i", label="a", head="j"),
                            atom(label="b")),
@@ -277,7 +287,8 @@ class TestLowerToConstrainedQuery:
         # atom binds a vertex.
         alphabet = frozenset({"b", "a"})
         either = LabelUnion((LabelSymbol("a"), LabelSymbol("b")))
-        assert lower_to_constrained_query(star(atom())) is None
+        with pytest.raises(ExecutionError, match="alphabet"):
+            lower_to_constrained_query(star(atom()))
         assert lower_to_constrained_query(star(atom()), alphabet) == \
             ConstrainedQuery(LabelStar(either))
         assert lower_to_constrained_query(
@@ -300,16 +311,20 @@ class TestLowerToConstrainedQuery:
             assert engine.route(engine.compile(query)).kernel == "forward"
             assert len(engine.pairs(query)) == 144
         # A wildcard atom binding an interior vertex is a union of guards
-        # (tests/test_guarded_atoms.py has the 12-cycle's answers); only
-        # literals, products and an explicit ``max_length`` stay on the
-        # bounded strategy.
+        # (tests/test_guarded_atoms.py has the 12-cycle's answers), and a
+        # wildcard inside a literal join, a product or under max_length
+        # runs on the kernel too (tests/test_total_lowering.py).
         assert engine.route(engine.compile("[_, _, _] . [3, _, _]")).kernel \
             == "forward"
-        for query, max_length in (("{(0, a, 1)}", None),
-                                  ("[_, _, _] & [_, a, _]", None),
-                                  ("[_, _, _]*", 4)):
+        for query, max_length, answer in (
+                ("{(0, a, 1)} . [_, _, _]", None, {(0, 2)}),
+                ("[_, _, _] & [_, a, _]", None, 144),
+                ("[_, _, _]*", 4, 60)):
             assert engine.route(engine.compile(query),
-                                max_length=max_length).kernel == "bounded"
+                                max_length=max_length).kernel == "forward"
+            pairs = engine.pairs(query, max_length=max_length)
+            assert (pairs if isinstance(answer, set) else len(pairs)) \
+                == answer
 
 
 class TestCompiledDfaCache:
@@ -481,7 +496,8 @@ class TestDirectionChoice:
 class TestEnginePairsDirectional:
     @pytest.fixture
     def dag_engine(self):
-        """A random DAG so the bounded automaton fallback is exhaustive."""
+        """A random DAG, so the automaton strategy's enumeration at
+        ``max_length=12`` is exhaustive."""
         rng = random.Random(41)
         graph = MultiRelationalGraph()
         for v in range(12):
@@ -499,36 +515,42 @@ class TestEnginePairsDirectional:
         "[_, a, _]*",
     ]
 
+    @staticmethod
+    def _enumerated(engine, query, sources=None, targets=None):
+        """The endpoint pairs of the automaton strategy's witness paths."""
+        return endpoint_pairs(
+            engine.query(query, strategy="automaton", max_length=12).paths,
+            engine.compile(query), engine.graph, sources, targets)
+
     @pytest.mark.parametrize("query", QUERIES)
     def test_fast_path_matches_automaton_fallback(self, dag_engine, query):
-        # max_length routes through the bounded automaton strategy; on a
-        # DAG with bound >= |V| that enumeration is exhaustive, so the
-        # unbounded kernels must agree exactly.
-        assert dag_engine.pairs(query) == \
-            dag_engine.pairs(query, max_length=12), query
+        # On a DAG with bound >= |V| the automaton strategy's enumeration
+        # is exhaustive, so the kernels agree with it exactly, unbounded
+        # and at that bound.
+        assert dag_engine.pairs(query) == self._enumerated(
+            dag_engine, query) == dag_engine.pairs(query, max_length=12)
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_parity_under_endpoint_filters(self, dag_engine, query):
         sources = frozenset({0, 3, 4, "ghost"})
         targets = frozenset({5, 9, 11, "ghost"})
         fast = dag_engine.pairs(query, sources=sources, targets=targets)
-        slow = dag_engine.pairs(query, sources=sources, targets=targets,
-                                max_length=12)
+        slow = self._enumerated(dag_engine, query, sources, targets)
         assert fast == slow, query
 
     def test_nullable_reflexive_parity_with_filters(self, dag_engine):
         query = "[_, a, _]*"
         sources = frozenset({1, 2, "ghost"})
         fast = dag_engine.pairs(query, sources=sources)
-        slow = dag_engine.pairs(query, sources=sources, max_length=12)
+        slow = self._enumerated(dag_engine, query, sources)
         assert fast == slow
         assert ("ghost", "ghost") not in fast
         assert (1, 1) in fast
         # Reflexive pairs must clear the *target* filter too, on both paths.
         assert dag_engine.pairs(query, sources=frozenset({1}),
                                 targets=frozenset({2})) == \
-            dag_engine.pairs(query, sources=frozenset({1}),
-                             targets=frozenset({2}), max_length=12)
+            self._enumerated(dag_engine, query, frozenset({1}),
+                             frozenset({2}))
 
     def test_bound_vertex_conflicting_filter_is_empty(self, dag_engine):
         assert dag_engine.pairs("[3, a, _]",

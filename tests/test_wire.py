@@ -525,9 +525,12 @@ class TestReplicaReplies:
             _, reply = await post(server, path,
                                   {"query": "[0, b, _]", "sources": [5]})
             assert reply["pairs"] == [] and reply["count"] == 0
-            status, _ = await post(server, path,
-                                   {"query": QUERY, "max_length": 3})
-            assert status == 400
+            # A bound runs on the replica's kernel too, exactly.
+            status, reply = await post(server, path,
+                                       {"query": QUERY, "max_length": 3})
+            assert status == 200
+            assert reply["pairs"] == legacy_pairs(engine.pairs(
+                QUERY, max_length=3))
             await server.stop()
         asyncio.run(scenario())
 
